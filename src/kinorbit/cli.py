@@ -22,19 +22,21 @@ Options can come from flags or an INI file (section ``[run]``, parameters
 as ``param.NAME`` keys); flags win.  Output is deterministic: floats are
 printed with %.17g, exact rationals as fraction strings, and no
 timestamps are emitted.  Exit status: 0 all passed, 1 verification or
-integration failure (including degenerate charts), 2 configuration error.
+integration failure (including degenerate charts), 2 configuration error
+(including a non-finite or out-of-range number, and a step count t_end/dt
+above :data:`kinorbit.mechanics.MAX_STEPS`).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
-import json
+import contextlib
 import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -55,8 +57,8 @@ from .mechanics import (
     HamiltonianSpec,
     IntegrationError,
     NCPhaseSpace2D,
-    hamiltonian_value,
     integrate,
+    step_count,
 )
 from .rational_linalg import rat, reye
 from .static_group import (
@@ -102,8 +104,10 @@ class RunConfig:
             raise ConfigError(
                 f"unknown format {self.format!r}; valid: {', '.join(_FORMATS)}"
             )
-        if self.t_end <= 0 or self.dt <= 0:
-            raise ConfigError("t_end and dt must be positive")
+        try:
+            step_count(self.t_end, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_ini(self) -> str:
         """Serialize to the INI layout accepted by :meth:`from_ini`."""
@@ -222,7 +226,14 @@ def _param_fraction(config: RunConfig, key: str, default) -> Fraction:
 
 
 def _param_float(config: RunConfig, key: str, default: float) -> float:
-    return float(_param_fraction(config, key, rat(str(default))))
+    if key not in config.params:
+        return default
+    try:
+        return float(_param_fraction(config, key, default))
+    except OverflowError:
+        raise ConfigError(
+            f"bad value for parameter {key!r}: {config.params[key]} is out of float range"
+        ) from None
 
 
 def _format_value(value) -> str:
@@ -237,25 +248,51 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
-    buffer = io.StringIO()
-    if config.format == "csv":
-        buffer.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            buffer.write(
-                ",".join(_format_value(row.get(name, "")) for name in fieldnames)
-                + "\n"
-            )
+# Rows formatted per write, so the text held at once stays near a
+# megabyte however many rows a run has.
+_EMIT_CHUNK = 4096
+
+
+def _format_rows(fmt: str, fieldnames: list[str], rows) -> str:
+    """The lines of ``rows`` (CSV without header, or JSON lines), formatted
+    one column at a time."""
+    if isinstance(rows, np.ndarray):
+        columns = [["%.17g" % v for v in column] for column in rows.T.tolist()]
     else:
-        for row in rows:
-            obj = {name: _format_value(row.get(name, "")) for name in fieldnames}
-            buffer.write(json.dumps(obj, sort_keys=True) + "\n")
-    text = buffer.getvalue()
+        columns = [
+            [_format_value(row.get(name, "")) for row in rows] for name in fieldnames
+        ]
+    if fmt == "csv":
+        lines = map(",".join, zip(*columns))
+    else:
+        # json.dumps(row, sort_keys=True), with each column quoted once
+        order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+        template = "{%s}" % ", ".join(
+            _json_string(fieldnames[j]).replace("%", "%%") + ": %s" for j in order
+        )
+        quoted = [list(map(_json_string, columns[j])) for j in order]
+        lines = (template % cells for cells in zip(*quoted))
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
+    """Write ``rows`` as CSV or JSON lines to stdout or ``config.out``.
+
+    ``rows`` is either a float array with one column per field (printed
+    with %.17g) or a list of dicts keyed by field name, where a missing
+    field prints empty.  A JSON line maps each field to its formatted
+    string, keys sorted, exactly as ``json.dumps(..., sort_keys=True)``.
+    """
     if config.out is None:
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        target = open(config.out, "w", encoding="utf-8", newline="")
+    with target as handle:
+        if config.format == "csv":
+            handle.write(",".join(fieldnames) + "\n")
+        for start in range(0, len(rows), _EMIT_CHUNK):
+            chunk = rows[start : start + _EMIT_CHUNK]
+            handle.write(_format_rows(config.format, fieldnames, chunk))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -291,6 +328,17 @@ def _max_violation(algebra: StructureConstants) -> Fraction:
 
 def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _inverse_residual(structure) -> Fraction:
+    """Largest entry of |omega*theta - I|: exactly 0 for inverse pairings."""
+    product = structure.omega @ structure.theta
+    identity = reye(structure.dim)
+    return max(
+        abs(product[a, b] - identity[a, b])
+        for a in range(structure.dim)
+        for b in range(structure.dim)
+    )
 
 
 def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
@@ -340,17 +388,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
                 residual = invariant.residual(orbit.algebra, point)
                 worst = max(worst, max(abs(r) for r in residual))
         add("casimir", f"{name}:central_ext", worst)
-        product = orbit.structure.omega @ orbit.structure.theta
-        identity = reye(orbit.structure.dim)
-        add(
-            "omega_theta",
-            f"{name}:central_ext",
-            max(
-                abs(product[a, b] - identity[a, b])
-                for a in range(orbit.structure.dim)
-                for b in range(orbit.structure.dim)
-            ),
-        )
+        add("omega_theta", f"{name}:central_ext", _inverse_residual(orbit.structure))
 
     if config.algebra is None or config.algebra == "S":
         constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
@@ -365,17 +403,10 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
                 residual = invariant.residual(algebra, coords)
                 worst = max(worst, max(abs(r) for r in residual))
         add("casimir", "S:noncentral_ext", worst)
-        structure = static_symplectic(constants)
-        product = structure.omega @ structure.theta
-        identity = reye(structure.dim)
         add(
             "omega_theta",
             "S:noncentral_ext",
-            max(
-                abs(product[a, b] - identity[a, b])
-                for a in range(structure.dim)
-                for b in range(structure.dim)
-            ),
+            _inverse_residual(static_symplectic(constants)),
         )
 
     return (1 if failed else 0), ["suite", "subject", "status", "max_residual"], rows
@@ -465,7 +496,7 @@ def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
     return 0, fieldnames, rows
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], list[dict]]:
+def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], np.ndarray]:
     if config.algebra is not None:
         orbit = _orbit_request(config)
         g_default = orbit.structure.G_field
@@ -498,24 +529,18 @@ def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         _param_float(config, "p2", 0.0),
     ]
     trajectory = integrate(space, ham, state0, config.t_end, config.dt)
-    rows = []
-    for i in range(trajectory.times.size):
-        q1, q2, p1, p2 = trajectory.states[i]
-        rows.append(
-            {
-                "t": trajectory.times[i],
-                "q1": q1,
-                "q2": q2,
-                "p1": p1,
-                "p2": p2,
-                "H": trajectory.energies[i],
-                "drift": trajectory.invariant_drift[i],
-            }
-        )
+    rows = np.column_stack(
+        [
+            trajectory.times,
+            trajectory.states,
+            trajectory.energies,
+            trajectory.invariant_drift,
+        ]
+    )
     return 0, ["t", "q1", "q2", "p1", "p2", "H", "drift"], rows
 
 
-def _cmd_realize(config: RunConfig) -> tuple[int, list[str], list[dict]]:
+def _cmd_realize(config: RunConfig) -> tuple[int, list[str], np.ndarray]:
     constants = StaticConstants(
         m=_param_fraction(config, "m", 1),
         mu=_param_fraction(config, "mu", 2),
@@ -536,29 +561,20 @@ def _cmd_realize(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         energy=_param_float(config, "E", 0.0),
         angular_momentum=_param_float(config, "j", 0.0),
     )
-    n_steps = max(1, int(round(config.t_end / config.dt)))
-    h_step = config.t_end / n_steps
-    rows = []
-    for i in range(n_steps + 1):
-        t = i * h_step
-        evolved = time_evolution(state, t)
-        s_inv, u_inv = static_invariants(evolved)
-        rows.append(
-            {
-                "t": t,
-                "q1": evolved.position[0],
-                "q2": evolved.position[1],
-                "u1": evolved.velocity[0],
-                "u2": evolved.velocity[1],
-                "p1": evolved.momentum[0],
-                "p2": evolved.momentum[1],
-                "k1": evolved.boost_momentum[0],
-                "k2": evolved.boost_momentum[1],
-                "E": evolved.energy,
-                "s_inv": s_inv,
-                "U": u_inv,
-            }
+    n_steps = step_count(config.t_end, config.dt)
+    times = np.arange(n_steps + 1) * (config.t_end / n_steps)
+    evolved = time_evolution(state, times)
+    rows = np.column_stack(
+        np.broadcast_arrays(
+            times,
+            *evolved.position,
+            *evolved.velocity,
+            *evolved.momentum,
+            *evolved.boost_momentum,
+            evolved.energy,
+            *static_invariants(evolved),
         )
+    )
     fieldnames = [
         "t", "q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "s_inv", "U",
     ]
@@ -581,6 +597,9 @@ def run(config: RunConfig) -> int:
         code, fieldnames, rows = _DISPATCH[config.command](config)
     except (ConfigError, CatalogError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
+        return 2
+    except OverflowError as exc:
+        sys.stderr.write(f"configuration error: value out of float range: {exc}\n")
         return 2
     except (DegenerateChartError, IntegrationError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")

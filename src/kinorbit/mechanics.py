@@ -8,13 +8,22 @@ they induce for a Hamiltonian H = p^2/2m + V(q) are
     dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j,
 
 which the module integrates with a fixed-step fourth-order Runge-Kutta
-scheme.  It also provides the two exact coordinate maps that reproduce
-such brackets from a commutative phase space: a position shift by the
-dual magnetic scalar and a momentum shift by the magnetic scalar.
+scheme.  Every Hamiltonian here has an affine gradient, so the equations
+are dz/dt = A z + b, and one classical RK4 step of size h is exactly the
+affine map z -> R(hA) z + h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 +
+x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
+:func:`integrate` forms that propagator once and applies it as one 4x4
+matrix-vector product per step; the result equals stage-by-stage RK4
+(:func:`rk4_step` on :func:`hamilton_rhs`, kept as the reference) up to
+rounding in the last bits.  The module also provides the two exact
+coordinate maps that reproduce such brackets from a commutative phase
+space: a position shift by the dual magnetic scalar and a momentum shift
+by the magnetic scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,6 +33,7 @@ import numpy as np
 from .rational_linalg import rarray, rat, to_float
 
 __all__ = [
+    "MAX_STEPS",
     "IntegrationError",
     "NCPhaseSpace2D",
     "HamiltonianSpec",
@@ -35,11 +45,17 @@ __all__ = [
     "linear_system",
     "rk4_step",
     "integrate_flow",
+    "step_count",
     "integrate",
     "bracket_pushforward",
     "minimal_coupling_galilei",
     "minimal_coupling_paragalilei",
 ]
+
+# Largest step count a fixed-step run may take; it bounds the state table
+# (and the CLI's output rows) before anything is allocated.
+MAX_STEPS = 1_000_000
+
 
 class IntegrationError(RuntimeError):
     """Raised when an integration produces a non-finite state."""
@@ -113,13 +129,18 @@ class HamiltonianSpec:
     linear: tuple[float, float] = (0.0, 0.0)
     quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def potential(self, q: np.ndarray) -> float:
+    def potential(self, q: np.ndarray):
+        """V(q) for q = (q1, q2); each entry may be a scalar or an array.
+
+        Squares are products: NumPy's scalar ``**`` calls the C library's
+        pow, which can round differently from the array square.
+        """
         a1, a2 = self.linear
         k11, k12, k22 = self.quadratic
-        return float(
+        return (
             a1 * q[0]
             + a2 * q[1]
-            + (k11 * q[0] ** 2 + 2 * k12 * q[0] * q[1] + k22 * q[1] ** 2) / 2.0
+            + (k11 * q[0] * q[0] + 2 * k12 * q[0] * q[1] + k22 * q[1] * q[1]) / 2.0
         )
 
     def potential_gradient(self, q: np.ndarray) -> np.ndarray:
@@ -130,10 +151,11 @@ class HamiltonianSpec:
         )
 
 
-def hamiltonian_value(space: NCPhaseSpace2D, ham: HamiltonianSpec, state) -> float:
-    z = np.asarray(state, dtype=float)
+def hamiltonian_value(space: NCPhaseSpace2D, ham: HamiltonianSpec, state):
+    """H at one state (q1, q2, p1, p2), or at each row of an (n, 4) array."""
+    z = np.asarray(state, dtype=float).T
     m = float(space.mass)
-    return float((z[2] ** 2 + z[3] ** 2) / (2.0 * m) + ham.potential(z[:2]))
+    return (z[2] * z[2] + z[3] * z[3]) / (2.0 * m) + ham.potential(z[:2])
 
 
 def hamilton_rhs(
@@ -156,18 +178,18 @@ def linear_system(
     """The affine form dz/dt = A z + b of the equations of motion.
 
     Valid exactly because the Hamiltonian gradient is affine in the state;
-    useful for closed-form (matrix exponential) cross-checks.
+    :func:`integrate` builds its one-step propagator from it.
     """
     theta = to_float(space.theta_matrix())
     k11, k12, k22 = (float(v) for v in ham.quadratic)
     a1, a2 = (float(v) for v in ham.linear)
-    m = float(space.mass)
+    inv_m = float(1 / space.mass)
     hessian = np.array(
         [
             [k11, k12, 0.0, 0.0],
             [k12, k22, 0.0, 0.0],
-            [0.0, 0.0, 1.0 / m, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / m],
+            [0.0, 0.0, inv_m, 0.0],
+            [0.0, 0.0, 0.0, inv_m],
         ]
     )
     constant = np.array([a1, a2, 0.0, 0.0])
@@ -233,6 +255,24 @@ class NCTrajectory:
         return self.states[-1]
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps on [0, t_end]: ``round(t_end/dt)``, at least one.
+
+    Raises ``ValueError`` unless both values are positive and finite and
+    the count stays within :data:`MAX_STEPS`.
+    """
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError(
+            f"t_end and dt must be positive and finite, got t_end={t_end!r}, dt={dt!r}"
+        )
+    ratio = t_end / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
+        )
+    return max(1, int(round(ratio)))
+
+
 def integrate(
     space: NCPhaseSpace2D,
     ham: HamiltonianSpec,
@@ -240,15 +280,41 @@ def integrate(
     t_end: float,
     dt: float,
 ) -> NCTrajectory:
-    """Integrate the modified Hamilton equations with fixed-step RK4."""
+    """Integrate the modified Hamilton equations with fixed-step RK4.
+
+    The grid is that of :func:`integrate_flow`.  Each step applies RK4's
+    exact one-step propagator z -> R z + c of the affine system
+    :func:`linear_system`; a non-finite state raises
+    :class:`IntegrationError` carrying the first step that produced it.
+    """
     if len(state0) != 4:
         raise ValueError("state must be (q1, q2, p1, p2)")
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    A, b = linear_system(space, ham)
+    X = h * A
+    X2 = X @ X
+    X3 = X2 @ X
+    # R - 1 and c are small; adding the increment (R - 1) z + c to z, as
+    # RK4 itself does, keeps the rounding of the 1 out of every step.
+    R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
+    c = h * ((np.eye(4) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
 
-    def rhs(_t: float, z: np.ndarray) -> np.ndarray:
-        return hamilton_rhs(space, ham, z)
-
-    times, states = integrate_flow(rhs, state0, t_end, dt)
-    energies = np.array([hamiltonian_value(space, ham, z) for z in states])
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    states = np.empty((n_steps + 1, 4))
+    z = states[0] = np.asarray(state0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            z = states[i] = z + (R_minus_1 @ z + c)
+    finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise IntegrationError(
+            f"integration aborted: non-finite state at step {step} "
+            f"(t = {times[step]:.6g})",
+            step,
+        )
+    energies = hamiltonian_value(space, ham, states)
     return NCTrajectory(
         times=times,
         states=states,

@@ -13,6 +13,7 @@ generates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -51,15 +52,11 @@ __all__ = [
 
 _VECTOR_PAIRS = (("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2"))
 
-_ALGEBRA_CACHE: StructureConstants | None = None
 
-
+@functools.cache
 def noncentral_algebra() -> StructureConstants:
     """The 14-dimensional noncentral extension of the Static algebra."""
-    global _ALGEBRA_CACHE
-    if _ALGEBRA_CACHE is None:
-        _ALGEBRA_CACHE = build("S", "noncentral_ext")
-    return _ALGEBRA_CACHE
+    return build("S", "noncentral_ext")
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,11 @@ class StaticConstants:
 def _vec2(value) -> tuple[float, float]:
     a, b = value
     return (float(a), float(b))
+
+
+def _real(value):
+    """A float, or a float array when ``value`` holds one entry per state."""
+    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,11 @@ class StaticOrbitState:
     noncentral generators, q = -f/kappa_e and u = I/mu_e; ``momentum`` (p)
     and ``boost_momentum`` (k) are the duals of translations and boosts.
     ``energy`` and ``angular_momentum`` are the dual values of H and J.
+
+    Any field may instead hold an array with one entry per state: such a
+    column of states (as :func:`time_evolution` returns for an array of
+    times) flows through :meth:`to_dual` and :func:`static_invariants`
+    entry by entry.
     """
 
     constants: StaticConstants
@@ -265,9 +272,10 @@ class StaticOrbitState:
 
     def __post_init__(self) -> None:
         for name in ("position", "velocity", "momentum", "boost_momentum"):
-            object.__setattr__(self, name, _vec2(getattr(self, name)))
-        object.__setattr__(self, "energy", float(self.energy))
-        object.__setattr__(self, "angular_momentum", float(self.angular_momentum))
+            a, b = getattr(self, name)
+            object.__setattr__(self, name, (_real(a), _real(b)))
+        object.__setattr__(self, "energy", _real(self.energy))
+        object.__setattr__(self, "angular_momentum", _real(self.angular_momentum))
 
     @property
     def chart_vector(self) -> np.ndarray:
@@ -277,24 +285,34 @@ class StaticOrbitState:
         )
 
     def to_dual(self) -> np.ndarray:
-        """Full dual coordinate vector on the 14-dimensional extension."""
+        """Full dual coordinate vector on the 14-dimensional extension.
+
+        For a column of N states the result is a 14 x N array, one dual
+        vector per column.
+        """
         alg = noncentral_algebra()
         c = self.constants
         kappa_e = float(c.kappa_e)
         mu_e = float(c.mu_e)
-        alpha = np.zeros(alg.dim)
-        alpha[alg.index("J")] = self.angular_momentum
-        alpha[alg.index("K1")], alpha[alg.index("K2")] = self.boost_momentum
-        alpha[alg.index("P1")], alpha[alg.index("P2")] = self.momentum
-        alpha[alg.index("H")] = self.energy
-        alpha[alg.index("M")] = float(c.m)
-        alpha[alg.index("F1")] = -kappa_e * self.position[0]
-        alpha[alg.index("F2")] = -kappa_e * self.position[1]
-        alpha[alg.index("Pi1")] = mu_e * self.velocity[0]
-        alpha[alg.index("Pi2")] = mu_e * self.velocity[1]
-        alpha[alg.index("M'")] = float(c.mu)
-        alpha[alg.index("B")] = float(c.beta)
-        alpha[alg.index("Lambda")] = float(c.kappa)
+        values = {
+            "J": self.angular_momentum,
+            "K1": self.boost_momentum[0],
+            "K2": self.boost_momentum[1],
+            "P1": self.momentum[0],
+            "P2": self.momentum[1],
+            "H": self.energy,
+            "M": float(c.m),
+            "F1": -kappa_e * self.position[0],
+            "F2": -kappa_e * self.position[1],
+            "Pi1": mu_e * self.velocity[0],
+            "Pi2": mu_e * self.velocity[1],
+            "M'": float(c.mu),
+            "B": float(c.beta),
+            "Lambda": float(c.kappa),
+        }
+        alpha = np.zeros((alg.dim, *np.broadcast(*values.values()).shape))
+        for name, value in values.items():
+            alpha[alg.index(name)] = value
         return alpha
 
     @classmethod
@@ -414,9 +432,12 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
     def dot(x, y):
         return x[0] * y[0] + x[1] * y[1]
 
+    # beta * beta, not beta**2: NumPy's scalar ** calls the C library's
+    # pow, which can round differently from the array square, and the
+    # values must agree between one state and a column of states.
     def s_value(a):
         k, p, f, w, m, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta**2
+        det = mu * kappa - beta * beta
         orbital = (
             kappa * cross(k, w)
             - beta * cross(p, w)
@@ -428,7 +449,7 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
 
     def s_gradient(a):
         k, p, f, w, m, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta**2
+        det = mu * kappa - beta * beta
         orbital = (
             kappa * cross(k, w)
             - beta * cross(p, w)
@@ -454,13 +475,13 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
 
     def u_value(a):
         _, _, f, w, _, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta**2
+        det = mu * kappa - beta * beta
         quad = mu * dot(f, f) - 2 * beta * dot(f, w) + kappa * dot(w, w)
         return a[i["H"]] - quad / (2 * det)
 
     def u_gradient(a):
         _, _, f, w, _, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta**2
+        det = mu * kappa - beta * beta
         quad = mu * dot(f, f) - 2 * beta * dot(f, w) + kappa * dot(w, w)
         g = [0 * a[0] for _ in a]
         g[i["H"]] = 1 + 0 * a[0]
@@ -479,18 +500,19 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
     )
 
 
-def static_invariants(state: StaticOrbitState) -> tuple[float, float]:
+def static_invariants(state: StaticOrbitState):
     """The (internal rotation, labelled internal energy) pair of a state.
 
     The second entry subtracts the free label term nu*h carried by the
     orbit constants, so that a state at rest sits at energy E - nu*h.
+    For a column of states both entries are arrays.
     """
     s_inv, u_inv = noncentral_invariants()
     alpha = state.to_dual()
     c = state.constants
     return (
-        float(s_inv.value(alpha)),
-        float(u_inv.value(alpha)) - float(c.nu) * float(c.h),
+        s_inv.value(alpha),
+        u_inv.value(alpha) - float(c.nu) * float(c.h),
     )
 
 
@@ -544,23 +566,23 @@ def static_symplectic(
     return restrict(alg, point, chart)
 
 
-def time_evolution(state: StaticOrbitState, t: float) -> StaticOrbitState:
+def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     """Closed-form evolution by time ``t``.
 
     Positions and velocities are frozen; momenta and boost momenta drift
-    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.
+    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  For an
+    array of times the result is the column of evolved states, with
+    array-valued momenta and boost momenta.
     """
     c = state.constants
     kappa_e = float(c.kappa_e)
     mu_e = float(c.mu_e)
-    q = np.asarray(state.position)
-    u = np.asarray(state.velocity)
-    p = np.asarray(state.momentum)
-    k = np.asarray(state.boost_momentum)
+    (q1, q2), (u1, u2) = state.position, state.velocity
+    (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
     return replace(
         state,
-        momentum=tuple(p - t * kappa_e * q),
-        boost_momentum=tuple(k + t * mu_e * u),
+        momentum=(p1 - t * kappa_e * q1, p2 - t * kappa_e * q2),
+        boost_momentum=(k1 + t * mu_e * u1, k2 + t * mu_e * u2),
     )
 
 

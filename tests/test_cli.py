@@ -218,3 +218,36 @@ def test_verify_is_deterministic(tmp_path, capsys) -> None:
     assert _run(capsys, ["verify", "--out", str(first)])[0] == 0
     assert _run(capsys, ["verify", "--out", str(second)])[0] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "inf"],
+        ["simulate", "--t-end", "nan"],
+        ["simulate", "--dt", "nan"],
+        ["realize", "--dt", "nan"],
+        ["simulate", "--param", "a1=1e400"],
+        ["realize", "--param", "q1=1e400"],
+        ["simulate", "--param", "G=1e400"],
+        ["simulate", "--param", "mass=1e-400"],
+        ["realize", "--param", "kappa=1e-400"],
+        # more steps than MAX_STEPS: rejected before anything is allocated
+        ["simulate", "--t-end", "1e9", "--dt", "1e-3"],
+        ["realize", "--t-end", "1e300", "--dt", "1e-300"],
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv) -> None:
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+def test_out_of_range_numbers_in_a_config_file_are_usage_errors(tmp_path, capsys) -> None:
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ncommand = realize\nt_end = nan\n")
+    code, _, err = _run(capsys, ["realize", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("configuration error:")

@@ -10,6 +10,7 @@ import pytest
 import reference_forms as rf
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
+    MAX_STEPS,
     HamiltonianSpec,
     IntegrationError,
     NCPhaseSpace2D,
@@ -22,6 +23,7 @@ from kinorbit.mechanics import (
     minimal_coupling_galilei,
     minimal_coupling_paragalilei,
     rk4_step,
+    step_count,
 )
 from kinorbit.rational_linalg import reye, to_float
 
@@ -145,6 +147,58 @@ def test_integrate_flow_grid_and_failure() -> None:
     with pytest.raises(IntegrationError) as err:
         integrate_flow(blows_up, [1.0], t_end=1.0, dt=0.5)
     assert err.value.step == 1
+
+
+def test_integrate_matches_stagewise_rk4() -> None:
+    # integrate applies RK4 as its one-step propagator; rk4_step on
+    # hamilton_rhs is the stage-by-stage reference it must reproduce.
+    rng = random.Random(1001)
+    for G, F in ((Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(1, 3)),
+                 (Fraction(2, 3), Fraction(-3, 2))):
+        space = NCPhaseSpace2D(G_field=G, F_field=F, mass=Fraction(3, 2))
+        ham = HamiltonianSpec(
+            linear=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            quadratic=(rng.uniform(0.5, 3), rng.uniform(-0.4, 0.4), rng.uniform(0.5, 3)),
+        )
+        state0 = [rng.uniform(-1, 1) for _ in range(4)]
+        traj = integrate(space, ham, state0, t_end=10.0, dt=0.01)
+        times, states = integrate_flow(
+            lambda _t, z: hamilton_rhs(space, ham, z), state0, t_end=10.0, dt=0.01
+        )
+        assert traj.states.shape == (1001, 4)
+        assert np.array_equal(traj.times, times)
+        scale = np.max(np.abs(states), axis=0)
+        assert np.all(np.abs(traj.states - states) <= 1e-12 * scale)
+        # energies are evaluated on the whole table, with the per-state formula
+        per_state = [hamiltonian_value(space, ham, z) for z in traj.states]
+        assert np.array_equal(traj.energies, per_state)
+
+
+def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
+    # a steep repulsive potential grows the state by ~1e40 per step, far
+    # more than the gap between the two schemes' intermediate values
+    space = NCPhaseSpace2D(G_field=Fraction(-1, 4), F_field=Fraction(1, 3), mass=Fraction(1))
+    ham = HamiltonianSpec(linear=(0.5, -1.0), quadratic=(-1e12, 0.3, -1e12))
+    state0 = [1.0, -0.5, 0.2, 0.1]
+    with pytest.raises(IntegrationError) as fast:
+        integrate(space, ham, state0, t_end=10.0, dt=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as ref:
+        integrate_flow(lambda _t, z: hamilton_rhs(space, ham, z), state0, t_end=10.0, dt=0.1)
+    assert fast.value.step == ref.value.step == 8
+    assert "step 8" in str(fast.value)
+
+
+def test_step_count_rejects_bad_grids_before_allocating() -> None:
+    assert step_count(1.0, 0.25) == 4
+    assert step_count(0.1, 1.0) == 1
+    for t_end, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1),
+                      (0.0, 0.1), (1.0, -0.1), (1e300, 1e-300),
+                      (float(MAX_STEPS) + 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            step_count(t_end, dt)
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    with pytest.raises(ValueError, match="step budget"):
+        integrate(space, HamiltonianSpec(), [0.0] * 4, t_end=10.0 * MAX_STEPS, dt=1.0)
 
 
 def test_linear_system_matches_rhs() -> None:

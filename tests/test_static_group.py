@@ -350,6 +350,25 @@ def test_time_evolution_preserves_invariants() -> None:
         )
 
 
+def test_time_evolution_over_a_time_grid_matches_one_state_at_a_time() -> None:
+    rng = random.Random(1333)
+    constants = StaticConstants(
+        m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3),
+        kappa=Fraction(7, 4), nu=Fraction(1, 2), h=Fraction(-3, 4),
+    )
+    st = _random_state(constants, rng)
+    times = np.arange(11) * 0.37
+    column = time_evolution(st, times)
+    alpha = column.to_dual()
+    s_col, u_col = static_invariants(column)
+    assert alpha.shape == (noncentral_algebra().dim, times.size)
+    for i, t in enumerate(times.tolist()):
+        one = time_evolution(st, t)
+        # same arithmetic entry by entry: equal to the last bit
+        assert np.array_equal(alpha[:, i], one.to_dual())
+        assert (s_col[i], u_col[i]) == static_invariants(one)
+
+
 def test_static_symplectic_matches_reference_matrices() -> None:
     for m, mu, beta, kappa in ((1, 2, 1, 1), (2, 3, 1, 2), (Fraction(1, 2), 1, Fraction(1, 3), 1)):
         constants = StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa)
