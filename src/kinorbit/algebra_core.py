@@ -114,20 +114,14 @@ class StructureConstants:
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
-            entry = table.setdefault((i, j), {})
+            entry = {}
             for target, coeff in components.items():
                 value = sign * rat(coeff)
                 if value != 0:
-                    entry[self.index(target)] = entry.get(
-                        self.index(target), Fraction(0)
-                    ) + value
-            if (i, j) in table and not table[(i, j)]:
-                del table[(i, j)]
-        self._table = {
-            pair: {k: v for k, v in comps.items() if v != 0}
-            for pair, comps in table.items()
-        }
-        self._table = {pair: comps for pair, comps in self._table.items() if comps}
+                    entry[self.index(target)] = value
+            if entry:
+                table[(i, j)] = entry
+        self._table = table
 
     # -- basic introspection ------------------------------------------------
 

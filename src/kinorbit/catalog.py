@@ -158,8 +158,6 @@ class KinematicalParams:
             raise CatalogError(
                 f"gamma must be 1/c^2 = kappa^2/omega^2 or 0, got {self.gamma}"
             )
-        if self.gamma < 0:
-            raise CatalogError("gamma must be nonnegative")
 
     @classmethod
     def for_algebra(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "kirillov_matrix",
     "casimir_residual",
     "finite_difference_gradient",
+    "forward_mode_gradient",
     "restrict",
     "classify",
     "poisson_bracket",
@@ -146,6 +148,73 @@ def finite_difference_gradient(
         down[i] -= h
         grad[i] = (fn(up) - fn(down)) / (2.0 * h)
     return grad
+
+
+class _Dual:
+    """A value together with its partial derivatives (forward mode).
+
+    ``grad`` maps a coordinate index to the partial derivative along it;
+    absent indices are zero.  Arithmetic uses only the operations of the
+    scalars it wraps, so over ``Fraction`` every derivative is exact.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad: dict) -> None:
+        self.value = value
+        self.grad = grad
+
+    def _combine(self, a, other: "_Dual", b, value) -> "_Dual":
+        """The dual with ``value`` and gradient a*self.grad + b*other.grad."""
+        grad = {k: a * v for k, v in self.grad.items()}
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) + b * v
+        return _Dual(value, grad)
+
+    def __add__(self, other) -> "_Dual":
+        other = _lift(other)
+        return self._combine(1, other, 1, self.value + other.value)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Dual":
+        other = _lift(other)
+        return self._combine(1, other, -1, self.value - other.value)
+
+    def __neg__(self) -> "_Dual":
+        return _Dual(-self.value, {k: -v for k, v in self.grad.items()})
+
+    def __mul__(self, other) -> "_Dual":
+        other = _lift(other)
+        return self._combine(other.value, other, self.value, self.value * other.value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Dual":
+        # (a/b)' = (a' - (a/b) b') / b, dividing last so that an integer
+        # divisor keeps Fraction derivatives exact
+        other = _lift(other)
+        quotient = self.value / other.value
+        numerator = self._combine(1, other, -quotient, quotient)
+        return _Dual(
+            quotient, {k: v / other.value for k, v in numerator.grad.items()}
+        )
+
+
+def _lift(value) -> _Dual:
+    return value if isinstance(value, _Dual) else _Dual(value, {})
+
+
+def forward_mode_gradient(fn: Callable, coords: Sequence) -> list:
+    """The gradient of ``fn`` at ``coords`` by forward-mode differentiation.
+
+    ``fn`` takes a coordinate sequence and may use ``+ - * /`` on its
+    entries and on constants.  The partial derivatives come out in the
+    scalar type of ``coords`` (exact for ``Fraction``); a coordinate
+    ``fn`` does not depend on gets the integer 0.
+    """
+    result = fn([_Dual(c, {i: 1}) for i, c in enumerate(coords)])
+    return [result.grad.get(i, 0) for i in range(len(coords))]
 
 
 @dataclass(frozen=True)
@@ -291,7 +360,7 @@ def restrict(
     )
 
 
-def _template_deviates(structure: SymplecticStructure, nonzero) -> bool:
+def _template_deviates(structure: SymplecticStructure) -> bool:
     """True when canonical_theta carries couplings beyond the G/F template.
 
     The template allows {q1,q2} = G, {p1,p2} = F and a uniform diagonal
@@ -300,48 +369,34 @@ def _template_deviates(structure: SymplecticStructure, nonzero) -> bool:
     """
     names = structure.chart.canonical_names
     theta = structure.canonical_theta
-    n = len(names)
-    expected = rzeros((n, n))
-    pairs = {"q1", "q2", "p1", "p2"}
-    if pairs.issubset(names):
+    expected = rzeros(theta.shape)
+    if {"q1", "q2", "p1", "p2"}.issubset(names):
         iq1, iq2 = names.index("q1"), names.index("q2")
         ip1, ip2 = names.index("p1"), names.index("p2")
-        expected[iq1, iq2] = rat(structure.G_field)
-        expected[iq2, iq1] = -rat(structure.G_field)
-        expected[ip1, ip2] = rat(structure.F_field)
-        expected[ip2, ip1] = -rat(structure.F_field)
-        cross = rat(theta[ip1, iq1])
+        expected[iq1, iq2] = structure.G_field
+        expected[iq2, iq1] = -structure.G_field
+        expected[ip1, ip2] = structure.F_field
+        expected[ip2, ip1] = -structure.F_field
+        cross = theta[ip1, iq1]
         for ip, iq in ((ip1, iq1), (ip2, iq2)):
             expected[ip, iq] = cross
             expected[iq, ip] = -cross
-    for a in range(n):
-        for b in range(n):
-            if nonzero(rat(theta[a, b]) - rat(expected[a, b])):
-                return True
-    return False
+    return bool(np.any(theta != expected))
 
 
-def classify(structure: SymplecticStructure, tol: float = 1e-12) -> str:
-    """Phase-space type from the canonical bracket matrix.
+def classify(structure: SymplecticStructure) -> str:
+    """Phase-space type from the exact canonical bracket matrix.
 
     Returns one of ``canonical``, ``position_nc``, ``momentum_nc``,
-    ``fully_nc``.  Entries are compared against ``tol`` relative to the
-    largest bracket magnitude.  A chart whose brackets deviate from the
-    two-scalar template (beyond G, F and the diagonal cross bracket) is
-    reported ``fully_nc`` regardless of G and F.
+    ``fully_nc``.  Every decision is an exact zero test on the ``Fraction``
+    entries, so a G or F field counts however small it is.  A chart whose
+    brackets deviate from the two-scalar template (beyond G, F and the
+    diagonal cross bracket) is reported ``fully_nc`` regardless of G and F.
     """
-    theta = structure.canonical_theta
-    entries = [rat(theta[a, b]) for a in range(theta.shape[0]) for b in range(theta.shape[1])]
-    scale = max((abs(e) for e in entries), default=Fraction(0))
-    threshold = rat(str(tol)) * scale
-
-    def nonzero(value) -> bool:
-        return abs(rat(value)) > threshold
-
-    if _template_deviates(structure, nonzero):
+    if _template_deviates(structure):
         return "fully_nc"
-    g = nonzero(structure.G_field)
-    f = nonzero(structure.F_field)
+    g = structure.G_field != 0
+    f = structure.F_field != 0
     if g and f:
         return "fully_nc"
     if g:
@@ -417,16 +472,21 @@ def magnetic_fields(
 
 @dataclass(frozen=True)
 class OrbitInvariant:
-    """A named invariant function on the dual, with its analytic gradient.
+    """A named invariant function on the dual, written once as a value.
 
-    ``value`` and ``gradient`` are callables taking the full dual
-    coordinate vector (exact or float) and returning a scalar,
-    respectively a vector of partial derivatives in basis order.
+    ``value`` takes the full dual coordinate vector in basis order (exact,
+    float, or one float array per coordinate) and returns the invariant.
+    :meth:`gradient` is derived from ``value`` by forward-mode
+    differentiation, so it is exact over ``Fraction`` coordinates and the
+    Casimir residual tests the same formula that is evaluated.
     """
 
     name: str
     value: Callable
-    gradient: Callable
+
+    def gradient(self, coords) -> list:
+        """Partial derivatives of ``value`` at ``coords``, in basis order."""
+        return forward_mode_gradient(self.value, coords)
 
     def residual(self, algebra: StructureConstants, point) -> np.ndarray:
         coords = _point_coords(algebra, point)
@@ -459,58 +519,27 @@ class StandardOrbit:
 STANDARD_ORBIT_NAMES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
 
 
-def _galilei_invariant(algebra: StructureConstants) -> OrbitInvariant:
-    ip1, ip2 = algebra.index("P1"), algebra.index("P2")
-    ih, im = algebra.index("H"), algebra.index("M")
-
-    def value(a):
-        return a[ih] - (a[ip1] ** 2 + a[ip2] ** 2) / (2 * a[im])
-
-    def gradient(a):
-        g = [0 * a[0] for _ in a]
-        g[ih] = 1 + 0 * a[0]
-        g[ip1] = -a[ip1] / a[im]
-        g[ip2] = -a[ip2] / a[im]
-        g[im] = (a[ip1] ** 2 + a[ip2] ** 2) / (2 * a[im] ** 2)
-        return g
-
-    return OrbitInvariant("internal_energy", value, gradient)
-
-
-def _paragalilei_invariant(
-    algebra: StructureConstants, sign: int, w2: Fraction
+def _kinetic_invariant(
+    algebra: StructureConstants, vector: tuple[str, str], c: Fraction
 ) -> OrbitInvariant:
-    ik1, ik2 = algebra.index("K1"), algebra.index("K2")
+    """Internal energy H + c*(x1^2 + x2^2)/(2M) over the duals ``vector``.
+
+    Galilei uses the momenta P with c = -1; para-Galilei G'+- uses the
+    boosts K with c = +-omega^2.
+    """
+    i1, i2 = (algebra.index(name) for name in vector)
     ih, im = algebra.index("H"), algebra.index("M")
 
     def value(a):
-        return a[ih] + sign * w2 * (a[ik1] ** 2 + a[ik2] ** 2) / (2 * a[im])
+        return a[ih] + c * (a[i1] * a[i1] + a[i2] * a[i2]) / (2 * a[im])
 
-    def gradient(a):
-        g = [0 * a[0] for _ in a]
-        g[ih] = 1 + 0 * a[0]
-        g[ik1] = sign * w2 * a[ik1] / a[im]
-        g[ik2] = sign * w2 * a[ik2] / a[im]
-        g[im] = -sign * w2 * (a[ik1] ** 2 + a[ik2] ** 2) / (2 * a[im] ** 2)
-        return g
-
-    return OrbitInvariant("internal_energy", value, gradient)
+    return OrbitInvariant("internal_energy", value)
 
 
 def _coordinate_invariant(
     algebra: StructureConstants, name: str, label: str
 ) -> OrbitInvariant:
-    i = algebra.index(name)
-
-    def value(a):
-        return a[i]
-
-    def gradient(a):
-        g = [0 * a[0] for _ in a]
-        g[i] = 1 + 0 * a[0]
-        return g
-
-    return OrbitInvariant(label, value, gradient)
+    return OrbitInvariant(label, itemgetter(algebra.index(name)))
 
 
 def standard_orbit(
@@ -562,7 +591,7 @@ def standard_orbit(
             scale = m
             masses = {"m": m, "h": h}
             invariants = (
-                _galilei_invariant(algebra),
+                _kinetic_invariant(algebra, ("P1", "P2"), Fraction(-1)),
                 _coordinate_invariant(algebra, "M", "mass"),
                 _coordinate_invariant(algebra, "S", "second_charge"),
             )
@@ -571,7 +600,7 @@ def standard_orbit(
             scale = m
             masses = {"m": m, "h": h}
             invariants = (
-                _paragalilei_invariant(algebra, sign, w2),
+                _kinetic_invariant(algebra, ("K1", "K2"), sign * w2),
                 _coordinate_invariant(algebra, "M", "mass"),
                 _coordinate_invariant(algebra, "S", "second_charge"),
             )

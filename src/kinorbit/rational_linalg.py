@@ -73,68 +73,52 @@ def reye(n: int) -> np.ndarray:
     return arr
 
 
-def rat_inv(matrix: np.ndarray) -> np.ndarray:
-    """Invert a square matrix of ``Fraction`` entries exactly.
+def _gauss_jordan(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Row-reduce ``[M | I]`` over the columns of ``M``, with row-swap pivoting.
 
-    Gauss-Jordan elimination with row-swap pivoting.  Raises
-    ``SingularMatrixError`` if no nonzero pivot can be found.
+    Returns the rank of ``M`` and the reduced augmented matrix, whose
+    right block is the inverse of ``M`` when ``M`` is square and of full
+    rank.
     """
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-
-    work = matrix.copy()
-    out = reye(n)
-
-    for col in range(n):
-        pivot_row = None
-        for row in range(col, n):
-            if work[row, col] != 0:
-                pivot_row = row
-                break
-        if pivot_row is None:
-            rank = rat_rank(matrix)
-            raise SingularMatrixError(
-                f"matrix is singular (rank {rank} of {n})", rank
-            )
-        if pivot_row != col:
-            work[[col, pivot_row], :] = work[[pivot_row, col], :]
-            out[[col, pivot_row], :] = out[[pivot_row, col], :]
-        pivot = work[col, col]
-        work[col, :] = work[col, :] / pivot
-        out[col, :] = out[col, :] / pivot
-        for row in range(n):
-            if row != col and work[row, col] != 0:
-                factor = work[row, col]
-                work[row, :] = work[row, :] - factor * work[col, :]
-                out[row, :] = out[row, :] - factor * out[col, :]
-    return out
-
-
-def rat_rank(matrix: np.ndarray) -> int:
-    """Exact rank via row echelon reduction."""
-    work = matrix.copy().astype(object)
-    n_rows, n_cols = work.shape
+    n_rows, n_cols = matrix.shape
+    work = np.concatenate([matrix.astype(object), reye(n_rows)], axis=1)
     rank = 0
     for col in range(n_cols):
-        pivot_row = None
-        for row in range(rank, n_rows):
-            if work[row, col] != 0:
-                pivot_row = row
-                break
+        pivot_row = next(
+            (row for row in range(rank, n_rows) if work[row, col] != 0), None
+        )
         if pivot_row is None:
             continue
         if pivot_row != rank:
             work[[rank, pivot_row], :] = work[[pivot_row, rank], :]
-        pivot = work[rank, col]
-        work[rank, :] = work[rank, :] / pivot
+        work[rank, :] = work[rank, :] / work[rank, col]
         for row in range(n_rows):
             if row != rank and work[row, col] != 0:
                 work[row, :] = work[row, :] - work[row, col] * work[rank, :]
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, work
+
+
+def rat_inv(matrix: np.ndarray) -> np.ndarray:
+    """Invert a square matrix of ``Fraction`` entries exactly.
+
+    Gauss-Jordan elimination of ``[M | I]``.  Raises
+    ``SingularMatrixError``, carrying the rank, if ``M`` is singular.
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    rank, work = _gauss_jordan(matrix)
+    if rank < n:
+        raise SingularMatrixError(f"matrix is singular (rank {rank} of {n})", rank)
+    return work[:, n:]
+
+
+def rat_rank(matrix: np.ndarray) -> int:
+    """Exact rank via the same Gauss-Jordan reduction as :func:`rat_inv`."""
+    return _gauss_jordan(matrix)[0]
 
 
 def to_float(matrix: np.ndarray) -> np.ndarray:

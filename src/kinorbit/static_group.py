@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .coadjoint import (
     OrbitChart,
     OrbitInvariant,
     SymplecticStructure,
+    forward_mode_gradient,
     restrict,
 )
 from .rational_linalg import rat, to_float
@@ -57,6 +58,19 @@ _VECTOR_PAIRS = (("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2"))
 def noncentral_algebra() -> StructureConstants:
     """The 14-dimensional noncentral extension of the Static algebra."""
     return build("S", "noncentral_ext")
+
+
+class StaticFloats(NamedTuple):
+    """The values of :class:`StaticConstants` that the float paths use."""
+
+    m: float
+    mu: float
+    beta: float
+    kappa: float
+    nu: float
+    h: float
+    kappa_e: float
+    mu_e: float
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,29 @@ class StaticConstants:
     def mu_e(self) -> Fraction:
         """Effective boost-sector mass mu - beta^2/kappa = det/kappa."""
         return self.det / self.kappa
+
+    @functools.cached_property
+    def floats(self) -> StaticFloats:
+        """The constants as floats, converted once for every float path.
+
+        Raises :class:`OverflowError` when a value is too large for a float,
+        and when a value that is exactly nonzero rounds to 0, or the
+        determinant mu*kappa - beta*beta formed from the float charges (as
+        the invariants form it) is 0 or not finite: the float orbit would
+        then be degenerate although the exact one is not.
+        """
+        names = StaticFloats._fields
+        exact = [getattr(self, name) for name in names]
+        floats = StaticFloats(*map(float, exact))
+        det = floats.mu * floats.kappa - floats.beta * floats.beta
+        for name, value, exact_value in zip(
+            (*names, "mu*kappa - beta^2"), (*floats, det), (*exact, self.det)
+        ):
+            if not math.isfinite(value) or (value == 0 and exact_value != 0):
+                raise OverflowError(
+                    f"the Static value {name} is {value!r} as a float but not exactly"
+                )
+        return floats
 
 
 def _vec2(value) -> tuple[float, float]:
@@ -291,9 +328,7 @@ class StaticOrbitState:
         vector per column.
         """
         alg = noncentral_algebra()
-        c = self.constants
-        kappa_e = float(c.kappa_e)
-        mu_e = float(c.mu_e)
+        c = self.constants.floats
         values = {
             "J": self.angular_momentum,
             "K1": self.boost_momentum[0],
@@ -301,14 +336,14 @@ class StaticOrbitState:
             "P1": self.momentum[0],
             "P2": self.momentum[1],
             "H": self.energy,
-            "M": float(c.m),
-            "F1": -kappa_e * self.position[0],
-            "F2": -kappa_e * self.position[1],
-            "Pi1": mu_e * self.velocity[0],
-            "Pi2": mu_e * self.velocity[1],
-            "M'": float(c.mu),
-            "B": float(c.beta),
-            "Lambda": float(c.kappa),
+            "M": c.m,
+            "F1": -c.kappa_e * self.position[0],
+            "F2": -c.kappa_e * self.position[1],
+            "Pi1": c.mu_e * self.velocity[0],
+            "Pi2": c.mu_e * self.velocity[1],
+            "M'": c.mu,
+            "B": c.beta,
+            "Lambda": c.kappa,
         }
         alpha = np.zeros((alg.dim, *np.broadcast(*values.values()).shape))
         for name, value in values.items():
@@ -320,8 +355,7 @@ class StaticOrbitState:
         cls, alpha: np.ndarray, constants: StaticConstants
     ) -> "StaticOrbitState":
         alg = noncentral_algebra()
-        kappa_e = float(constants.kappa_e)
-        mu_e = float(constants.mu_e)
+        kappa_e, mu_e = constants.floats.kappa_e, constants.floats.mu_e
         return cls(
             constants=constants,
             position=(
@@ -359,7 +393,7 @@ def _exp_dual_action(
     """
     if all(v == 0.0 for v in coeffs.values()):
         return alpha.copy()
-    N = to_float(alg.adjoint_matrix({k: rat(str(v)) for k, v in coeffs.items()}))
+    N = to_float(alg.adjoint_matrix(coeffs))
     n = alg.dim
     E = np.eye(n)
     term = np.eye(n)
@@ -447,56 +481,15 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
         )
         return a[i["J"]] - orbital / det
 
-    def s_gradient(a):
-        k, p, f, w, m, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta * beta
-        orbital = (
-            kappa * cross(k, w)
-            - beta * cross(p, w)
-            + mu * cross(p, f)
-            - beta * cross(k, f)
-            + m * cross(f, w)
-        )
-        g = [0 * a[0] for _ in a]
-        g[i["J"]] = 1 + 0 * a[0]
-        g[i["K1"]] = -(kappa * w[1] - beta * f[1]) / det
-        g[i["K2"]] = -(-kappa * w[0] + beta * f[0]) / det
-        g[i["P1"]] = -(-beta * w[1] + mu * f[1]) / det
-        g[i["P2"]] = -(beta * w[0] - mu * f[0]) / det
-        g[i["F1"]] = -(-mu * p[1] + beta * k[1] + m * w[1]) / det
-        g[i["F2"]] = -(mu * p[0] - beta * k[0] - m * w[0]) / det
-        g[i["Pi1"]] = -(-kappa * k[1] + beta * p[1] - m * f[1]) / det
-        g[i["Pi2"]] = -(kappa * k[0] - beta * p[0] + m * f[0]) / det
-        g[i["M"]] = -cross(f, w) / det
-        g[i["M'"]] = -cross(p, f) / det + orbital * kappa / det**2
-        g[i["B"]] = (cross(p, w) + cross(k, f)) / det - 2 * beta * orbital / det**2
-        g[i["Lambda"]] = -cross(k, w) / det + orbital * mu / det**2
-        return g
-
     def u_value(a):
         _, _, f, w, _, mu, beta, kappa = unpack(a)
         det = mu * kappa - beta * beta
         quad = mu * dot(f, f) - 2 * beta * dot(f, w) + kappa * dot(w, w)
         return a[i["H"]] - quad / (2 * det)
 
-    def u_gradient(a):
-        _, _, f, w, _, mu, beta, kappa = unpack(a)
-        det = mu * kappa - beta * beta
-        quad = mu * dot(f, f) - 2 * beta * dot(f, w) + kappa * dot(w, w)
-        g = [0 * a[0] for _ in a]
-        g[i["H"]] = 1 + 0 * a[0]
-        g[i["F1"]] = -(mu * f[0] - beta * w[0]) / det
-        g[i["F2"]] = -(mu * f[1] - beta * w[1]) / det
-        g[i["Pi1"]] = -(kappa * w[0] - beta * f[0]) / det
-        g[i["Pi2"]] = -(kappa * w[1] - beta * f[1]) / det
-        g[i["M'"]] = -dot(f, f) / (2 * det) + quad * kappa / (2 * det**2)
-        g[i["B"]] = dot(f, w) / det - beta * quad / det**2
-        g[i["Lambda"]] = -dot(w, w) / (2 * det) + quad * mu / (2 * det**2)
-        return g
-
     return (
-        OrbitInvariant("internal_rotation", s_value, s_gradient),
-        OrbitInvariant("internal_energy", u_value, u_gradient),
+        OrbitInvariant("internal_rotation", s_value),
+        OrbitInvariant("internal_energy", u_value),
     )
 
 
@@ -509,10 +502,10 @@ def static_invariants(state: StaticOrbitState):
     """
     s_inv, u_inv = noncentral_invariants()
     alpha = state.to_dual()
-    c = state.constants
+    c = state.constants.floats
     return (
         s_inv.value(alpha),
-        u_inv.value(alpha) - float(c.nu) * float(c.h),
+        u_inv.value(alpha) - c.nu * c.h,
     )
 
 
@@ -574,9 +567,7 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     array of times the result is the column of evolved states, with
     array-valued momenta and boost momenta.
     """
-    c = state.constants
-    kappa_e = float(c.kappa_e)
-    mu_e = float(c.mu_e)
+    kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
     return replace(
@@ -592,34 +583,34 @@ def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:
     H = -(kappa_e q^2/2 + mu_e u^2/2 + (beta mu_e/mu) q.u); its flow under
     the chart brackets freezes (q, u) and drifts (p, k) linearly.
     """
-    z = np.asarray(chart_state, dtype=float)
-    q, u = z[0:2], z[2:4]
-    kappa_e = float(constants.kappa_e)
-    mu_e = float(constants.mu_e)
-    mix = float(constants.beta) * mu_e / float(constants.mu)
+    q1, q2, u1, u2 = chart_state[:4]
+    c = constants.floats
+    mix = c.beta * c.mu_e / c.mu
     return -(
-        kappa_e * float(q @ q) / 2.0
-        + mu_e * float(u @ u) / 2.0
-        + mix * float(q @ u)
+        c.kappa_e * (q1 * q1 + q2 * q2) / 2.0
+        + c.mu_e * (u1 * u1 + u2 * u2) / 2.0
+        + mix * (q1 * u1 + q2 * u2)
     )
 
 
-def _evolution_gradient(constants: StaticConstants, z: np.ndarray) -> np.ndarray:
-    q, u = z[0:2], z[2:4]
-    kappa_e = float(constants.kappa_e)
-    mu_e = float(constants.mu_e)
-    mix = float(constants.beta) * mu_e / float(constants.mu)
-    grad = np.zeros(8)
-    grad[0:2] = -(kappa_e * q + mix * u)
-    grad[2:4] = -(mu_e * u + mix * q)
-    return grad
-
-
 def evolution_rhs(constants: StaticConstants) -> Callable[[float, np.ndarray], np.ndarray]:
-    """RHS dz/dt = Theta grad H for the chart flow, for use with an integrator."""
+    """RHS dz/dt = Theta grad H for the chart flow, for use with an integrator.
+
+    H is a homogeneous quadratic, so grad H(z) is its Hessian times z; the
+    Hessian's columns are the gradients of H at the basis vectors.
+    """
     theta = to_float(static_symplectic(constants).canonical_theta)
+    hamiltonian = functools.partial(evolution_hamiltonian, constants)
+    hessian = np.array(
+        [
+            forward_mode_gradient(hamiltonian, e)
+            for e in np.eye(len(_CHART_CANONICAL)).tolist()
+        ],
+        dtype=float,
+    ).T
+    flow = theta @ hessian
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
-        return theta @ _evolution_gradient(constants, z)
+        return flow @ z
 
     return rhs

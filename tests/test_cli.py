@@ -235,8 +235,13 @@ def test_verify_is_deterministic(tmp_path, capsys) -> None:
         # more steps than MAX_STEPS: rejected before anything is allocated
         ["simulate", "--t-end", "1e9", "--dt", "1e-3"],
         ["realize", "--t-end", "1e300", "--dt", "1e-300"],
+        # exact charges that are nonzero but 0 (or a 0 determinant) as floats
+        ["realize", "--param", "mu=1e-400", "--param", "beta=0"],
+        ["realize", "--param", "kappa=1e-400", "--param", "beta=0"],
+        ["realize", "--param", "mu=1e-200", "--param", "kappa=1e-200", "--param", "beta=0"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numbers_are_usage_errors(capsys, argv) -> None:
     code, out, err = _run(capsys, argv)
     assert code == 2

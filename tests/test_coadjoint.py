@@ -154,10 +154,12 @@ def test_phase_space_classification_sweep() -> None:
         "NH+": "fully_nc",
         "NH-": "fully_nc",
     }
+    # an exact field decides the class however small it is
     for name, cls in expected.items():
-        orb = standard_orbit(name, m=2, h=1, E=2)
-        assert orb.phase_space_class == cls, name
-        assert classify(orb.structure) == cls
+        for m, h, E in ((2, 1, 2), (1, Fraction(1, 10**14), 1)):
+            orb = standard_orbit(name, m=m, h=h, E=E)
+            assert orb.phase_space_class == cls, (name, h)
+            assert classify(orb.structure) == cls
         flat = standard_orbit(name, m=2, h=0, E=2)
         assert flat.phase_space_class == "canonical", name
         assert flat.structure.G_field == 0
