@@ -101,16 +101,16 @@ class StaticConstants:
                 f"beta={self.beta}); the orbit chart is degenerate"
             )
 
-    @property
+    @functools.cached_property
     def det(self) -> Fraction:
         return self.mu * self.kappa - self.beta**2
 
-    @property
+    @functools.cached_property
     def kappa_e(self) -> Fraction:
         """Effective momentum-sector stiffness kappa - beta^2/mu = det/mu."""
         return self.det / self.mu
 
-    @property
+    @functools.cached_property
     def mu_e(self) -> Fraction:
         """Effective boost-sector mass mu - beta^2/kappa = det/kappa."""
         return self.det / self.kappa
@@ -139,9 +139,11 @@ class StaticConstants:
         return floats
 
 
-def _vec2(value) -> tuple[float, float]:
-    a, b = value
-    return (float(a), float(b))
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"group parameter {name} must be finite, got {value!r}")
+    return value
 
 
 def _real(value):
@@ -156,7 +158,7 @@ class StaticGroupElement:
     Vector parameters: ``boost`` (conjugate to K), ``translation`` (P),
     ``f_shift`` (F), ``pi_shift`` (Pi).  Scalars: ``angle`` (rotation),
     ``time`` (H), and the four phases conjugate to the charges M, M', B,
-    Lambda.
+    Lambda.  Every parameter must be finite (:class:`ValueError` otherwise).
     """
 
     angle: float = 0.0
@@ -171,12 +173,11 @@ class StaticGroupElement:
     phase_lambda: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "time", float(self.time))
+        for name in ("angle", "time", "phase_m", "phase_mprime", "phase_b", "phase_lambda"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         for name in ("boost", "translation", "f_shift", "pi_shift"):
-            object.__setattr__(self, name, _vec2(getattr(self, name)))
-        for name in ("phase_m", "phase_mprime", "phase_b", "phase_lambda"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            a, b = getattr(self, name)
+            object.__setattr__(self, name, (_finite(name, a), _finite(name, b)))
 
 
 def identity_element() -> StaticGroupElement:
@@ -188,81 +189,67 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _cross(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _rotate(c: float, s: float, a: tuple[float, float]) -> tuple[float, float]:
+    """``a`` rotated by the angle whose cosine and sine are ``c`` and ``s``."""
+    return (c * a[0] - s * a[1], s * a[0] + c * a[1])
+
+
+def _dot(a: tuple[float, float], b: tuple[float, float]) -> float:
+    return a[0] * b[0] + a[1] * b[1]
 
 
 def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement:
     """The group product g * gp (g acts first from the left)."""
-    R = _rot(g.angle)
-    v = np.asarray(g.boost)
-    x = np.asarray(g.translation)
-    eta = np.asarray(g.f_shift)
-    ell = np.asarray(g.pi_shift)
-    vp = R @ np.asarray(gp.boost)
-    xp = R @ np.asarray(gp.translation)
-    etap = R @ np.asarray(gp.f_shift)
-    ellp = R @ np.asarray(gp.pi_shift)
+    c, s = math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
+    vp = _rotate(c, s, gp.boost)
+    xp = _rotate(c, s, gp.translation)
+    etap = _rotate(c, s, gp.f_shift)
+    ellp = _rotate(c, s, gp.pi_shift)
     t, tp = g.time, gp.time
 
-    tv = tp * v - t * vp
-    tx = tp * x - t * xp
-
-    eta2 = eta + etap + 0.5 * tx
-    ell2 = ell + ellp + 0.5 * tv
-    xi2 = g.phase_m + gp.phase_m + 0.5 * (float(v @ xp) - float(x @ vp))
-    phi2 = (
-        g.phase_mprime
-        + gp.phase_mprime
-        + float(v @ ellp)
-        + float(tv @ (v / 3.0 + vp / 6.0))
-    )
-    b2 = (
-        g.phase_b
-        + gp.phase_b
-        + float(v @ etap)
-        + float(x @ ellp)
-        + float(tv @ (x / 3.0 + xp / 6.0))
-        + float(tx @ (v / 3.0 + vp / 6.0))
-    )
-    a2 = (
-        g.phase_lambda
-        + gp.phase_lambda
-        + float(x @ etap)
-        + float(tx @ (x / 3.0 + xp / 6.0))
-    )
+    tv = (tp * v[0] - t * vp[0], tp * v[1] - t * vp[1])
+    tx = (tp * x[0] - t * xp[0], tp * x[1] - t * xp[1])
+    v_mean = (v[0] / 3.0 + vp[0] / 6.0, v[1] / 3.0 + vp[1] / 6.0)
+    x_mean = (x[0] / 3.0 + xp[0] / 6.0, x[1] / 3.0 + xp[1] / 6.0)
     return StaticGroupElement(
         angle=g.angle + gp.angle,
-        boost=tuple(v + vp),
-        translation=tuple(x + xp),
+        boost=(v[0] + vp[0], v[1] + vp[1]),
+        translation=(x[0] + xp[0], x[1] + xp[1]),
         time=t + tp,
-        f_shift=tuple(eta2),
-        pi_shift=tuple(ell2),
-        phase_m=xi2,
-        phase_mprime=phi2,
-        phase_b=b2,
-        phase_lambda=a2,
+        f_shift=(eta[0] + etap[0] + 0.5 * tx[0], eta[1] + etap[1] + 0.5 * tx[1]),
+        pi_shift=(ell[0] + ellp[0] + 0.5 * tv[0], ell[1] + ellp[1] + 0.5 * tv[1]),
+        phase_m=g.phase_m + gp.phase_m + 0.5 * (_dot(v, xp) - _dot(x, vp)),
+        phase_mprime=g.phase_mprime + gp.phase_mprime + _dot(v, ellp) + _dot(tv, v_mean),
+        phase_b=(
+            g.phase_b
+            + gp.phase_b
+            + _dot(v, etap)
+            + _dot(x, ellp)
+            + _dot(tv, x_mean)
+            + _dot(tx, v_mean)
+        ),
+        phase_lambda=g.phase_lambda + gp.phase_lambda + _dot(x, etap) + _dot(tx, x_mean),
     )
 
 
 def inverse(g: StaticGroupElement) -> StaticGroupElement:
     """The group inverse of ``g``."""
-    Rm = _rot(-g.angle)
-    v = np.asarray(g.boost)
-    x = np.asarray(g.translation)
-    eta = np.asarray(g.f_shift)
-    ell = np.asarray(g.pi_shift)
+    # each vector a becomes -R(-angle) a: the rotation with cosine
+    # -cos(angle) and sine sin(angle)
+    c, s = -math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
     return StaticGroupElement(
         angle=-g.angle,
-        boost=tuple(-(Rm @ v)),
-        translation=tuple(-(Rm @ x)),
+        boost=_rotate(c, s, v),
+        translation=_rotate(c, s, x),
         time=-g.time,
-        f_shift=tuple(-(Rm @ eta)),
-        pi_shift=tuple(-(Rm @ ell)),
+        f_shift=_rotate(c, s, eta),
+        pi_shift=_rotate(c, s, ell),
         phase_m=-g.phase_m,
-        phase_mprime=-g.phase_mprime + float(v @ ell),
-        phase_b=-g.phase_b + float(v @ eta) + float(x @ ell),
-        phase_lambda=-g.phase_lambda + float(x @ eta),
+        phase_mprime=-g.phase_mprime + _dot(v, ell),
+        phase_b=-g.phase_b + _dot(v, eta) + _dot(x, ell),
+        phase_lambda=-g.phase_lambda + _dot(x, eta),
     )
 
 
@@ -384,22 +371,55 @@ def _rotate_dual(alg: StructureConstants, alpha: np.ndarray, angle: float) -> np
     return out
 
 
-def _exp_dual_action(
-    alg: StructureConstants, coeffs: dict[str, float], alpha: np.ndarray
-) -> np.ndarray:
+@functools.cache
+def _ad_table() -> np.ndarray:
+    """The adjoint matrices of the basis of :func:`noncentral_algebra`, as floats.
+
+    Entry ``[i, k, j]`` is the e_k component of [e_i, e_j], so ad_A is
+    sum_i A^i table[i].  Built once, from the exact bracket table.
+    """
+    alg = noncentral_algebra()
+    table = np.zeros((alg.dim,) * 3)
+    for (i, j), components in alg.pair_table():
+        for k, value in components.items():
+            table[i, k, j] = value
+            table[j, k, i] = -value
+    return table
+
+
+def _adjoint(coeffs: dict[str, float]) -> np.ndarray:
+    """ad_A for A = sum coeffs[name] * generator, on floats.
+
+    Every structure constant of the noncentral algebra is +-1, and for the
+    two factors :func:`realize` uses each entry receives at most one
+    product coefficient * (+-1), which is exact; so this equals
+    ``to_float(noncentral_algebra().adjoint_matrix(coeffs))`` bit for bit.
+    """
+    alg = noncentral_algebra()
+    table = _ad_table()
+    N = np.zeros(table.shape[1:])
+    for name, value in coeffs.items():
+        if value != 0.0:
+            N += value * table[alg.index(name)]
+    return N
+
+
+def _exp_dual_action(coeffs: dict[str, float], alpha: np.ndarray) -> np.ndarray:
     """alpha <- (exp(-ad_A))^T alpha for A = sum coeffs[name] * generator.
 
-    The adjoint of any such A is nilpotent, so the series terminates.
+    ad_A comes from the float table of :func:`_adjoint`, so the call
+    converts nothing between ``Fraction`` and float.  ad_A is nilpotent,
+    so the series terminates.
     """
     if all(v == 0.0 for v in coeffs.values()):
         return alpha.copy()
-    N = to_float(alg.adjoint_matrix(coeffs))
-    n = alg.dim
+    N = _adjoint(coeffs)
+    n = N.shape[0]
     E = np.eye(n)
     term = np.eye(n)
     for k in range(1, n + 1):
         term = term @ (-N) / k
-        if not np.any(term):
+        if not term.any():
             break
         E = E + term
     return E.T @ alpha
@@ -416,7 +436,6 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
     alg = noncentral_algebra()
     alpha = _rotate_dual(alg, state.to_dual(), g.angle)
     alpha = _exp_dual_action(
-        alg,
         {
             "K1": g.boost[0],
             "K2": g.boost[1],
@@ -427,7 +446,6 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
         alpha,
     )
     alpha = _exp_dual_action(
-        alg,
         {
             "F1": g.f_shift[0],
             "F2": g.f_shift[1],

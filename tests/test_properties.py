@@ -6,10 +6,12 @@ run draws the same examples and none is replayed from an earlier run.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_static_group import _element_distance, _state_distance
 
 from kinorbit.coadjoint import (
     STANDARD_ORBIT_NAMES,
@@ -17,7 +19,18 @@ from kinorbit.coadjoint import (
     DualPoint,
     standard_orbit,
 )
-from kinorbit.static_group import noncentral_algebra, noncentral_invariants
+from kinorbit.static_group import (
+    StaticConstants,
+    StaticGroupElement,
+    StaticOrbitState,
+    compose,
+    identity_element,
+    inverse,
+    noncentral_algebra,
+    noncentral_invariants,
+    realize,
+    static_invariants,
+)
 
 _REPEATABLE = settings(
     derandomize=True, database=None, deadline=None, max_examples=50
@@ -76,3 +89,71 @@ def test_noncentral_invariants_have_exactly_zero_residual(
     for invariant in noncentral_invariants():
         residual = invariant.residual(algebra, point)
         assert all(r == 0 for r in residual), invariant.name
+
+
+# Static-group draws span the ranges of the hand-picked cases in
+# test_static_group.py, whose tolerances they keep.
+_coordinates = st.floats(-2, 2)
+_phases = st.floats(-1, 1)
+_vectors = st.tuples(_coordinates, _coordinates)
+_elements = st.builds(
+    StaticGroupElement,
+    angle=st.floats(-math.pi, math.pi),
+    boost=_vectors,
+    translation=_vectors,
+    time=_coordinates,
+    f_shift=_vectors,
+    pi_shift=_vectors,
+    phase_m=_phases,
+    phase_mprime=_phases,
+    phase_b=_phases,
+    phase_lambda=_phases,
+)
+_static_states = st.builds(
+    StaticOrbitState,
+    constants=st.sampled_from(
+        (
+            StaticConstants(m=1, mu=2, beta=1, kappa=1, nu=Fraction(1, 2), h=2),
+            StaticConstants(m=2, mu=3, beta=1, kappa=2),
+            StaticConstants(m=2, mu=3, beta=-1, kappa=2),
+        )
+    ),
+    position=_vectors,
+    velocity=_vectors,
+    momentum=_vectors,
+    boost_momentum=_vectors,
+    energy=_coordinates,
+    angular_momentum=_coordinates,
+)
+
+
+@_REPEATABLE
+@given(g1=_elements, g2=_elements, g3=_elements)
+def test_static_group_law_is_associative(g1, g2, g3) -> None:
+    left = compose(compose(g1, g2), g3)
+    right = compose(g1, compose(g2, g3))
+    assert _element_distance(left, right) < 1e-10
+
+
+@_REPEATABLE
+@given(g=_elements)
+def test_static_group_inverse_gives_the_identity(g) -> None:
+    assert _element_distance(compose(g, inverse(g)), identity_element()) < 1e-12
+    assert _element_distance(compose(inverse(g), g), identity_element()) < 1e-12
+
+
+@_REPEATABLE
+@given(g1=_elements, g2=_elements, state=_static_states)
+def test_realize_is_a_left_action_of_the_group_law(g1, g2, state) -> None:
+    one_step = realize(compose(g1, g2), state)
+    two_step = realize(g1, realize(g2, state))
+    assert _state_distance(one_step, two_step) < 1e-10
+
+
+@_REPEATABLE
+@given(g=_elements, state=_static_states)
+def test_realize_preserves_the_static_invariants(g, state) -> None:
+    before = static_invariants(state)
+    after = static_invariants(realize(g, state))
+    assert abs(after[0] - before[0]) < 1e-9
+    assert abs(after[1] - before[1]) < 1e-9

@@ -27,6 +27,8 @@ from kinorbit.static_group import (
     static_invariants,
     static_symplectic,
     time_evolution,
+    _adjoint,
+    _rotate_dual,
 )
 
 _PHASES = ("phase_m", "phase_mprime", "phase_b", "phase_lambda")
@@ -501,3 +503,91 @@ def test_evolution_rhs_matches_closed_form_derivative() -> None:
     assert np.allclose(out[:4], 0.0, atol=1e-14)
     assert np.allclose(out[4:6], -kappa_e * chart[:2], atol=1e-14)
     assert np.allclose(out[6:8], mu_e * chart[2:4], atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("angle", math.nan),
+        ("angle", math.inf),
+        ("boost", (math.inf, 0.0)),
+        ("pi_shift", (0.0, math.nan)),
+        ("phase_b", -math.inf),
+        ("phase_lambda", math.nan),
+    ],
+)
+def test_non_finite_group_elements_are_rejected(field, value) -> None:
+    with pytest.raises(ValueError, match=field):
+        StaticGroupElement(**{field: value})
+
+
+def test_a_product_that_overflows_is_rejected() -> None:
+    big = StaticGroupElement(boost=(1e200, 0.0), translation=(1e200, 0.0), time=1e200)
+    with pytest.raises(ValueError, match="must be finite"):
+        compose(big, big)
+
+
+_FACTORS = (("K1", "K2", "P1", "P2", "H"), ("F1", "F2", "Pi1", "Pi2"))
+
+
+def _random_coefficients(rng: random.Random, names) -> dict[str, float]:
+    """Coefficients over six decades, some of them zero."""
+    return {
+        name: 0.0 if rng.random() < 0.2 else rng.uniform(-2, 2) * 10.0 ** rng.randint(-3, 3)
+        for name in names
+    }
+
+
+def _realize_by_exact_adjoint(g: StaticGroupElement, state: StaticOrbitState):
+    """``realize`` with each factor's ad_A taken from the exact adjoint matrix."""
+    alg = noncentral_algebra()
+    alpha = _rotate_dual(alg, state.to_dual(), g.angle)
+    for names, values in zip(
+        _FACTORS,
+        (
+            (*g.boost, *g.translation, g.time),
+            (*g.f_shift, *g.pi_shift),
+        ),
+    ):
+        coeffs = dict(zip(names, values))
+        if not any(coeffs.values()):
+            continue
+        N = to_float(alg.adjoint_matrix(coeffs))
+        E = term = np.eye(alg.dim)
+        for k in range(1, alg.dim + 1):
+            term = term @ (-N) / k
+            if not term.any():
+                break
+            E = E + term
+        alpha = E.T @ alpha
+    return StaticOrbitState.from_dual(alpha, state.constants)
+
+
+def test_float_adjoint_equals_the_exact_adjoint_bit_for_bit() -> None:
+    rng = random.Random(1626)
+    alg = noncentral_algebra()
+    for names in _FACTORS:
+        for _ in range(200):
+            coeffs = _random_coefficients(rng, names)
+            exact = to_float(alg.adjoint_matrix(coeffs))
+            assert _adjoint(coeffs).tobytes() == exact.tobytes(), coeffs
+
+
+def test_realize_equals_the_exact_adjoint_series_bit_for_bit() -> None:
+    rng = random.Random(1727)
+    constants = StaticConstants(
+        m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3), kappa=Fraction(7, 4)
+    )
+    for _ in range(100):
+        k1, k2, p1, p2, h = _random_coefficients(rng, _FACTORS[0]).values()
+        f1, f2, w1, w2 = _random_coefficients(rng, _FACTORS[1]).values()
+        g = StaticGroupElement(
+            angle=rng.uniform(-math.pi, math.pi), boost=(k1, k2), translation=(p1, p2),
+            time=h, f_shift=(f1, f2), pi_shift=(w1, w2),
+        )
+        st = _random_state(constants, rng)
+        got, want = realize(g, st), _realize_by_exact_adjoint(g, st)
+        for name in ("chart_vector", "energy", "angular_momentum"):
+            assert np.asarray(getattr(got, name)).tobytes() == (
+                np.asarray(getattr(want, name)).tobytes()
+            ), name
