@@ -123,13 +123,11 @@ def kirillov_matrix(algebra: StructureConstants, point) -> np.ndarray:
 
 
 def casimir_residual(algebra: StructureConstants, point, grad) -> np.ndarray:
-    """The vector K(alpha) . grad; it vanishes identically for a Casimir."""
-    K = kirillov_matrix(algebra, point)
-    grad_list = list(grad)
-    if all(isinstance(g, (Fraction, int)) for g in grad_list):
-        g = rarray([grad_list])[0]
-        return K @ g
-    return to_float(K) @ np.asarray(grad_list, dtype=float)
+    """The exact vector K(alpha) . grad; it vanishes identically for a Casimir.
+
+    Float gradient entries are converted exactly, by their binary expansion.
+    """
+    return kirillov_matrix(algebra, point) @ rarray(list(grad))
 
 
 def finite_difference_gradient(

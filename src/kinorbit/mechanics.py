@@ -12,13 +12,14 @@ scheme.  Every Hamiltonian here has an affine gradient, so the equations
 are dz/dt = A z + b, and one classical RK4 step of size h is exactly the
 affine map z -> R(hA) z + h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 +
 x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
-:func:`integrate` forms that propagator once and applies it as one 4x4
-matrix-vector product per step; the result equals stage-by-stage RK4
-(:func:`rk4_step` on :func:`hamilton_rhs`, kept as the reference) up to
-rounding in the last bits.  The module also provides the two exact
-coordinate maps that reproduce such brackets from a commutative phase
-space: a position shift by the dual magnetic scalar and a momentum shift
-by the magnetic scalar.
+:func:`affine_flow`, the one integrator, forms that propagator once and
+applies it as one matrix-vector product per step; it serves these
+equations (:func:`integrate`) and the Static chart flow alike.  Its result
+equals stage-by-stage RK4 (:func:`rk4_step` on :func:`hamilton_rhs`, kept
+as the reference) up to rounding in the last bits.  The module also
+provides the two exact coordinate maps that reproduce such brackets from
+a commutative phase space: a position shift by the dual magnetic scalar
+and a momentum shift by the magnetic scalar.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "hamilton_rhs",
     "linear_system",
     "rk4_step",
-    "integrate_flow",
+    "affine_flow",
     "step_count",
     "integrate",
     "bracket_pushforward",
@@ -178,7 +179,7 @@ def linear_system(
     """The affine form dz/dt = A z + b of the equations of motion.
 
     Valid exactly because the Hamiltonian gradient is affine in the state;
-    :func:`integrate` builds its one-step propagator from it.
+    :func:`affine_flow` builds its one-step propagator from it.
     """
     theta = to_float(space.theta_matrix())
     k11, k12, k22 = (float(v) for v in ham.quadratic)
@@ -208,37 +209,6 @@ def rk4_step(
     k3 = rhs(t + dt / 2.0, state + dt / 2.0 * k2)
     k4 = rhs(t + dt, state + dt * k3)
     return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_flow(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    state0: Sequence[float],
-    t_end: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 from 0 to ``t_end``; returns (times, states).
-
-    The step count is ``round(t_end/dt)`` (at least one) and the actual
-    step is adjusted so the grid lands exactly on ``t_end``.  A non-finite
-    state aborts with :class:`IntegrationError` carrying the step index.
-    """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, len(state0)))
-    states[0] = np.asarray(state0, dtype=float)
-    for i in range(n_steps):
-        nxt = rk4_step(rhs, times[i], states[i], h)
-        if not np.all(np.isfinite(nxt)):
-            raise IntegrationError(
-                f"integration aborted: non-finite state at step {i + 1} "
-                f"(t = {times[i + 1]:.6g})",
-                i + 1,
-            )
-        states[i + 1] = nxt
-    return times, states
 
 
 @dataclass(frozen=True)
@@ -273,37 +243,35 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, int(round(ratio)))
 
 
-def integrate(
-    space: NCPhaseSpace2D,
-    ham: HamiltonianSpec,
+def affine_flow(
+    A: np.ndarray,
+    b: np.ndarray,
     state0: Sequence[float],
     t_end: float,
     dt: float,
-) -> NCTrajectory:
-    """Integrate the modified Hamilton equations with fixed-step RK4.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 for dz/dt = A z + b from 0 to ``t_end``; returns (times, states).
 
-    The grid is that of :func:`integrate_flow`.  Each step applies RK4's
-    exact one-step propagator z -> R z + c of the affine system
-    :func:`linear_system`; a non-finite state raises
-    :class:`IntegrationError` carrying the first step that produced it.
+    The grid has :func:`step_count` steps and lands exactly on ``t_end``.
+    Each step applies RK4's exact one-step propagator z -> R z + c, where
+    R = R(hA) and c = h S(hA) b; the dimension is that of ``b``.  A
+    non-finite state, including one from a propagator that overflows,
+    raises :class:`IntegrationError` carrying the first step that produced
+    it.
     """
-    if len(state0) != 4:
-        raise ValueError("state must be (q1, q2, p1, p2)")
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
-    A, b = linear_system(space, ham)
-    X = h * A
-    X2 = X @ X
-    X3 = X2 @ X
-    # R - 1 and c are small; adding the increment (R - 1) z + c to z, as
-    # RK4 itself does, keeps the rounding of the 1 out of every step.
-    R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
-    c = h * ((np.eye(4) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
-
     times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, 4))
+    states = np.empty((n_steps + 1, b.size))
     z = states[0] = np.asarray(state0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
+        X = h * A
+        X2 = X @ X
+        X3 = X2 @ X
+        # R - 1 and c are small; adding the increment (R - 1) z + c to z, as
+        # RK4 itself does, keeps the rounding of the 1 out of every step.
+        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
+        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
         for i in range(1, n_steps + 1):
             z = states[i] = z + (R_minus_1 @ z + c)
     finite = np.isfinite(states[1:]).all(axis=1)
@@ -314,6 +282,24 @@ def integrate(
             f"(t = {times[step]:.6g})",
             step,
         )
+    return times, states
+
+
+def integrate(
+    space: NCPhaseSpace2D,
+    ham: HamiltonianSpec,
+    state0: Sequence[float],
+    t_end: float,
+    dt: float,
+) -> NCTrajectory:
+    """Integrate the modified Hamilton equations with fixed-step RK4.
+
+    The states are :func:`affine_flow` of the affine system
+    :func:`linear_system`; the energies are evaluated on the whole table.
+    """
+    if len(state0) != 4:
+        raise ValueError("state must be (q1, q2, p1, p2)")
+    times, states = affine_flow(*linear_system(space, ham), state0, t_end, dt)
     energies = hamiltonian_value(space, ham, states)
     return NCTrajectory(
         times=times,

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
     "static_symplectic",
     "time_evolution",
     "evolution_hamiltonian",
-    "evolution_rhs",
+    "evolution_system",
 ]
 
 _VECTOR_PAIRS = (("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2"))
@@ -146,9 +146,24 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _real(value):
-    """A float, or a float array when ``value`` holds one entry per state."""
-    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+def _real(name: str, value):
+    """A finite float, or a finite float array when ``value`` holds one entry per state.
+
+    Raises :class:`ValueError` naming the field otherwise.
+    """
+    if np.ndim(value) == 0:
+        value = float(value)
+        if math.isfinite(value):
+            return value
+        where = ""
+    else:
+        value = np.asarray(value, dtype=float)
+        finite = np.isfinite(value)
+        if finite.all():
+            return value
+        index = int(np.argmin(finite))
+        value, where = float(value.flat[index]), f" at entry {index}"
+    raise ValueError(f"state field {name} must be finite, got {value!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +298,8 @@ class StaticOrbitState:
     Any field may instead hold an array with one entry per state: such a
     column of states (as :func:`time_evolution` returns for an array of
     times) flows through :meth:`to_dual` and :func:`static_invariants`
-    entry by entry.
+    entry by entry.  Every field must be finite (:class:`ValueError`
+    otherwise).
     """
 
     constants: StaticConstants
@@ -297,9 +313,11 @@ class StaticOrbitState:
     def __post_init__(self) -> None:
         for name in ("position", "velocity", "momentum", "boost_momentum"):
             a, b = getattr(self, name)
-            object.__setattr__(self, name, (_real(a), _real(b)))
-        object.__setattr__(self, "energy", _real(self.energy))
-        object.__setattr__(self, "angular_momentum", _real(self.angular_momentum))
+            object.__setattr__(self, name, (_real(name, a), _real(name, b)))
+        object.__setattr__(self, "energy", _real("energy", self.energy))
+        object.__setattr__(
+            self, "angular_momentum", _real("angular_momentum", self.angular_momentum)
+        )
 
     @property
     def chart_vector(self) -> np.ndarray:
@@ -583,16 +601,16 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     Positions and velocities are frozen; momenta and boost momenta drift
     linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  For an
     array of times the result is the column of evolved states, with
-    array-valued momenta and boost momenta.
+    array-valued momenta and boost momenta.  A drift that overflows raises
+    :class:`ValueError`, as any non-finite state does.
     """
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
-    return replace(
-        state,
-        momentum=(p1 - t * kappa_e * q1, p2 - t * kappa_e * q2),
-        boost_momentum=(k1 + t * mu_e * u1, k2 + t * mu_e * u2),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        momentum = (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2)
+        boost_momentum = (k1 + t * mu_e * u1, k2 + t * mu_e * u2)
+    return replace(state, momentum=momentum, boost_momentum=boost_momentum)
 
 
 def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:
@@ -611,11 +629,12 @@ def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:
     )
 
 
-def evolution_rhs(constants: StaticConstants) -> Callable[[float, np.ndarray], np.ndarray]:
-    """RHS dz/dt = Theta grad H for the chart flow, for use with an integrator.
+def evolution_system(constants: StaticConstants) -> tuple[np.ndarray, np.ndarray]:
+    """The chart flow dz/dt = Theta grad H in the affine form dz/dt = A z + b.
 
-    H is a homogeneous quadratic, so grad H(z) is its Hessian times z; the
-    Hessian's columns are the gradients of H at the basis vectors.
+    H is a homogeneous quadratic, so grad H(z) is its Hessian times z (the
+    Hessian's columns are the gradients of H at the basis vectors) and
+    b = 0; :func:`kinorbit.mechanics.affine_flow` integrates the system.
     """
     theta = to_float(static_symplectic(constants).canonical_theta)
     hamiltonian = functools.partial(evolution_hamiltonian, constants)
@@ -626,9 +645,4 @@ def evolution_rhs(constants: StaticConstants) -> Callable[[float, np.ndarray], n
         ],
         dtype=float,
     ).T
-    flow = theta @ hessian
-
-    def rhs(_t: float, z: np.ndarray) -> np.ndarray:
-        return flow @ z
-
-    return rhs
+    return theta @ hessian, np.zeros(len(_CHART_CANONICAL))

@@ -44,14 +44,14 @@ from kinorbit.static_group import (
     StaticGroupElement,
     StaticOrbitState,
     compose,
-    evolution_rhs,
+    evolution_system,
     noncentral_algebra,
     noncentral_invariants,
     realize,
     static_invariants,
     time_evolution,
 )
-from kinorbit.mechanics import integrate_flow
+from kinorbit.mechanics import affine_flow
 
 _ORBIT_FAMILIES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
 
@@ -394,8 +394,8 @@ def test_c8_group_law_action_and_invariants() -> None:
     st = state()
     t_end = 3.0
     evolved = time_evolution(st, t_end)
-    _, states = integrate_flow(
-        evolution_rhs(constants), st.chart_vector, t_end=t_end, dt=1e-2
+    _, states = affine_flow(
+        *evolution_system(constants), st.chart_vector, t_end=t_end, dt=1e-2
     )
     ok = ok and float(np.max(np.abs(states[-1] - evolved.chart_vector))) <= 1e-10
     _report(

@@ -256,3 +256,21 @@ def test_out_of_range_numbers_in_a_config_file_are_usage_errors(tmp_path, capsys
     code, _, err = _run(capsys, ["realize", "--config", str(cfg)])
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "1e300", "--dt", "1e295",
+         "--param", "q1=1e10", "--param", "k11=1e300"],
+        ["realize", "--t-end", "1e300", "--dt", "1e295", "--param", "q1=1e10"],
+    ],
+    ids=["simulate", "realize"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_runs_are_runtime_failures(capsys, argv) -> None:
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure:")
+    assert err.count("\n") == 1

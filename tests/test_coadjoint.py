@@ -261,6 +261,9 @@ def test_naive_energy_is_not_a_casimir_for_newton_hooke() -> None:
     grad_H = [Fraction(int(n == "H")) for n in orb.algebra.names]
     res = casimir_residual(orb.algebra, pt, grad_H)
     assert any(v != 0 for v in res)
+    # a float gradient is converted exactly, so the residual stays exact
+    float_res = casimir_residual(orb.algebra, pt, [float(g) for g in grad_H])
+    assert _exact_equal(float_res, res)
 
 
 def test_galilei_internal_energy_value() -> None:

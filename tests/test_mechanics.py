@@ -14,11 +14,11 @@ from kinorbit.mechanics import (
     HamiltonianSpec,
     IntegrationError,
     NCPhaseSpace2D,
+    affine_flow,
     bracket_pushforward,
     hamilton_rhs,
     hamiltonian_value,
     integrate,
-    integrate_flow,
     linear_system,
     minimal_coupling_galilei,
     minimal_coupling_paragalilei,
@@ -32,6 +32,24 @@ def _exact_equal(a, b) -> bool:
     a = np.asarray(a, dtype=object)
     b = np.asarray(b, dtype=object)
     return a.shape == b.shape and bool((a == b).all())
+
+
+def _stagewise_rk4(space, ham, state0, t_end, dt):
+    """rk4_step on hamilton_rhs over affine_flow's grid: (times, states).
+
+    The stage-by-stage reference; a non-finite state raises
+    IntegrationError carrying the first step that produced it.
+    """
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    states = [np.asarray(state0, dtype=float)]
+    for i in range(n_steps):
+        z = rk4_step(lambda _t, z: hamilton_rhs(space, ham, z), times[i], states[i], h)
+        if not np.isfinite(z).all():
+            raise IntegrationError(f"non-finite state at step {i + 1}", i + 1)
+        states.append(z)
+    return times, np.array(states)
 
 
 def test_theta_and_omega_are_exact_inverses() -> None:
@@ -135,17 +153,16 @@ def test_rk4_step_fourth_order() -> None:
     assert errors[1] < errors[0] / 20
 
 
-def test_integrate_flow_grid_and_failure() -> None:
-    times, states = integrate_flow(lambda t, z: -z, [2.0], t_end=1.0, dt=0.25)
+def test_affine_flow_grid_and_failure() -> None:
+    times, states = affine_flow(
+        np.array([[-1.0]]), np.array([0.0]), [2.0], t_end=1.0, dt=0.25
+    )
     assert len(times) == 5
     assert times[-1] == pytest.approx(1.0)
     assert states[-1][0] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-4)
 
-    def blows_up(t, z):
-        return np.array([float("inf")])
-
     with pytest.raises(IntegrationError) as err:
-        integrate_flow(blows_up, [1.0], t_end=1.0, dt=0.5)
+        affine_flow(np.array([[0.0]]), np.array([math.inf]), [1.0], t_end=1.0, dt=0.5)
     assert err.value.step == 1
 
 
@@ -162,9 +179,7 @@ def test_integrate_matches_stagewise_rk4() -> None:
         )
         state0 = [rng.uniform(-1, 1) for _ in range(4)]
         traj = integrate(space, ham, state0, t_end=10.0, dt=0.01)
-        times, states = integrate_flow(
-            lambda _t, z: hamilton_rhs(space, ham, z), state0, t_end=10.0, dt=0.01
-        )
+        times, states = _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.01)
         assert traj.states.shape == (1001, 4)
         assert np.array_equal(traj.times, times)
         scale = np.max(np.abs(states), axis=0)
@@ -183,9 +198,18 @@ def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
     with pytest.raises(IntegrationError) as fast:
         integrate(space, ham, state0, t_end=10.0, dt=0.1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as ref:
-        integrate_flow(lambda _t, z: hamilton_rhs(space, ham, z), state0, t_end=10.0, dt=0.1)
+        _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.1)
     assert fast.value.step == ref.value.step == 8
     assert "step 8" in str(fast.value)
+
+
+def test_an_overflowing_propagator_fails_at_step_one() -> None:
+    # h*A overflows, so R - 1 and c are not finite and neither is step 1
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    ham = HamiltonianSpec(quadratic=(1e300, 0.0, 1e300))
+    with pytest.raises(IntegrationError) as err:
+        integrate(space, ham, [1e10, 0.0, 0.0, 0.0], t_end=1e300, dt=1e295)
+    assert err.value.step == 1
 
 
 def test_step_count_rejects_bad_grids_before_allocating() -> None:

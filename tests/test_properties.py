@@ -17,8 +17,12 @@ from kinorbit.coadjoint import (
     STANDARD_ORBIT_NAMES,
     DegenerateChartError,
     DualPoint,
+    OrbitChart,
+    classify,
+    restrict,
     standard_orbit,
 )
+from kinorbit.rational_linalg import reye
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -45,6 +49,8 @@ _rationals = _fractions(st.integers(-9, 9))
 _nonzero = _fractions(st.integers(-9, 9).filter(bool))
 _positive = _fractions(st.integers(1, 9))
 _dual_points = st.lists(_rationals, min_size=14, max_size=14)
+# nonzero rationals over eighteen decades
+_scales = st.builds(lambda f, e: f * Fraction(10) ** e, _nonzero, st.integers(-9, 9))
 
 
 @_REPEATABLE
@@ -72,6 +78,26 @@ def test_standard_orbit_invariants_have_exactly_zero_residual(
         for invariant in orbit.invariants:
             residual = invariant.residual(orbit.algebra, point)
             assert all(r == 0 for r in residual), (name, invariant.name)
+        structure = orbit.structure
+        assert (structure.omega @ structure.theta == reye(structure.dim)).all(), name
+        checked += 1
+    assert checked
+
+
+@_REPEATABLE
+@given(omega=_positive, kappa=_positive, m=_nonzero, h=_rationals, E=_rationals, s=_scales)
+def test_classify_does_not_depend_on_the_position_scale(
+    omega, kappa, m, h, E, s
+) -> None:
+    chart = OrbitChart.scaled_positions(("P1", "P2"), ("K1", "K2"), s)
+    checked = 0
+    for name in STANDARD_ORBIT_NAMES:
+        try:
+            orbit = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+        except DegenerateChartError:
+            continue
+        rescaled = restrict(orbit.algebra, orbit.point, chart)
+        assert classify(rescaled) == classify(orbit.structure), (name, s)
         checked += 1
     assert checked
 

@@ -9,7 +9,7 @@ import pytest
 
 import reference_forms as rf
 from kinorbit.coadjoint import classify, finite_difference_gradient
-from kinorbit.mechanics import integrate_flow
+from kinorbit.mechanics import affine_flow
 from kinorbit.rational_linalg import reye, to_float
 from kinorbit.static_group import (
     StaticConstants,
@@ -17,7 +17,7 @@ from kinorbit.static_group import (
     StaticOrbitState,
     compose,
     evolution_hamiltonian,
-    evolution_rhs,
+    evolution_system,
     identity_element,
     inverse,
     multiplication_cocycle,
@@ -329,8 +329,9 @@ def test_time_evolution_closed_form_and_flows() -> None:
     )
     assert _state_distance(realize(g, st), evolved) < 1e-12
     # the generating Hamiltonian drives the same trajectory through RK4
-    rhs = evolution_rhs(constants)
-    times, states = integrate_flow(rhs, st.chart_vector, t_end=t, dt=1e-2)
+    times, states = affine_flow(
+        *evolution_system(constants), st.chart_vector, t_end=t, dt=1e-2
+    )
     assert np.allclose(states[-1], evolved.chart_vector, atol=1e-10)
     # the evolution Hamiltonian is exactly conserved along the flow
     h0 = evolution_hamiltonian(constants, states[0])
@@ -492,17 +493,43 @@ def test_static_invariants_subtract_the_charge_offset() -> None:
     assert u1 == pytest.approx(u0 - 0.5 * 2, abs=1e-12)
 
 
-def test_evolution_rhs_matches_closed_form_derivative() -> None:
+def test_evolution_system_matches_closed_form_derivative() -> None:
     constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
-    rhs = evolution_rhs(constants)
+    A, b = evolution_system(constants)
+    assert not b.any()
     chart = np.array([0.4, -0.2, 0.9, 0.1, 0.3, -0.5, 0.2, 0.8])
-    out = rhs(0.0, chart)
+    out = A @ chart + b
     kappa_e = float(constants.kappa_e)
     mu_e = float(constants.mu_e)
     # qdot = udot = 0; pdot = -kappa_e q; kdot = +mu_e u
     assert np.allclose(out[:4], 0.0, atol=1e-14)
     assert np.allclose(out[4:6], -kappa_e * chart[:2], atol=1e-14)
     assert np.allclose(out[6:8], mu_e * chart[2:4], atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("energy", lambda bad: bad),
+        ("velocity", lambda bad: (0.0, bad)),
+        ("momentum", lambda bad: (np.array([0.0, 1.0, bad]), np.zeros(3))),
+    ],
+    ids=["scalar", "vector", "column"],
+)
+def test_non_finite_state_fields_are_rejected(field, value, bad) -> None:
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    with pytest.raises(ValueError, match=field):
+        StaticOrbitState(constants=constants, **{field: value(bad)})
+
+
+def test_an_overflowing_time_evolution_is_rejected() -> None:
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    st = StaticOrbitState(constants=constants, position=(1e10, 0.0), velocity=(0.0, 1.0))
+    with pytest.raises(ValueError, match="momentum"):
+        time_evolution(st, np.array([0.0, 1.0, 1e300]))
+    with pytest.raises(ValueError, match="momentum"):
+        time_evolution(st, 1e300)
 
 
 @pytest.mark.parametrize(
