@@ -169,7 +169,8 @@ class KinematicalParams:
         return cls(
             lam=Fraction(lam),
             beta=beta_sign * omega**2,
-            gamma=(kappa**2 / omega**2) if has_gamma else Fraction(0),
+            # omega = 0 reaches __post_init__, which rejects it
+            gamma=(kappa**2 / omega**2) if has_gamma and omega else Fraction(0),
             omega=omega,
             kappa=kappa,
         )

@@ -31,7 +31,6 @@ from .rational_linalg import (
     rat,
     rat_inv,
     rzeros,
-    to_float,
 )
 
 __all__ = [
@@ -405,14 +404,11 @@ def classify(structure: SymplecticStructure) -> str:
 
 
 def poisson_bracket(structure: SymplecticStructure, grad_a, grad_b):
-    """{a, b} = grad_a . canonical_theta . grad_b on the chart coordinates."""
-    ga, gb = list(grad_a), list(grad_b)
-    if all(isinstance(g, (Fraction, int)) for g in ga + gb):
-        a = rarray([ga])[0]
-        b = rarray([gb])[0]
-        return a @ structure.canonical_theta @ b
-    theta = to_float(structure.canonical_theta)
-    return float(np.asarray(ga, dtype=float) @ theta @ np.asarray(gb, dtype=float))
+    """{a, b} = grad_a . canonical_theta . grad_b on the chart coordinates, exactly.
+
+    Float gradient entries are converted exactly, by their binary expansion.
+    """
+    return rarray(list(grad_a)) @ structure.canonical_theta @ rarray(list(grad_b))
 
 
 @dataclass(frozen=True)

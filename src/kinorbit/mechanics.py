@@ -296,16 +296,32 @@ def integrate(
 
     The states are :func:`affine_flow` of the affine system
     :func:`linear_system`; the energies are evaluated on the whole table.
+    An energy or energy drift that is not finite, though the state is,
+    raises :class:`IntegrationError` carrying the first such step (0 for
+    the initial state).
     """
     if len(state0) != 4:
         raise ValueError("state must be (q1, q2, p1, p2)")
-    times, states = affine_flow(*linear_system(space, ham), state0, t_end, dt)
-    energies = hamiltonian_value(space, ham, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an A that overflows makes step 1 non-finite, which affine_flow reports
+        times, states = affine_flow(*linear_system(space, ham), state0, t_end, dt)
+        energies = hamiltonian_value(space, ham, states)
+        drift = energies - energies[0]
+    # a non-finite energy makes its drift non-finite; so can two finite
+    # energies of opposite sign near the float limit
+    finite = np.isfinite(drift)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise IntegrationError(
+            f"integration aborted: non-finite energy or drift at step {step} "
+            f"(t = {times[step]:.6g})",
+            step,
+        )
     return NCTrajectory(
         times=times,
         states=states,
         energies=energies,
-        invariant_drift=energies - energies[0],
+        invariant_drift=drift,
     )
 
 
@@ -348,6 +364,16 @@ class MinimalCouplingResult:
         return self.bracket_matrix[2, 0]
 
 
+def _coordinate_map(state, jacobian) -> MinimalCouplingResult:
+    """The exact linear map z' = J z of ``state`` and the brackets it induces."""
+    J = rarray(jacobian)
+    return MinimalCouplingResult(
+        state=tuple(J @ rarray(list(state))),
+        jacobian=J,
+        bracket_matrix=bracket_pushforward(J),
+    )
+
+
 def minimal_coupling_galilei(state, m, omega0) -> MinimalCouplingResult:
     """Position shift x = q + eps.p/(2 m omega0) sourcing {x1, x2}.
 
@@ -358,24 +384,9 @@ def minimal_coupling_galilei(state, m, omega0) -> MinimalCouplingResult:
     m, omega0 = rat(m), rat(omega0)
     if m == 0 or omega0 == 0:
         raise ValueError("minimal coupling requires nonzero m and omega0")
-    q1, q2, p1, p2 = (rat(v) for v in state)
     s = 1 / (2 * m * omega0)
-    x1 = q1 - s * p2
-    x2 = q2 + s * p1
-    z = Fraction(0)
-    one = Fraction(1)
-    jac = rarray(
-        [
-            [one, z, z, -s],
-            [z, one, s, z],
-            [z, z, one, z],
-            [z, z, z, one],
-        ]
-    )
-    return MinimalCouplingResult(
-        state=(x1, x2, p1, p2),
-        jacobian=jac,
-        bracket_matrix=bracket_pushforward(jac),
+    return _coordinate_map(
+        state, [[1, 0, 0, -s], [0, 1, s, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
 
 
@@ -389,22 +400,7 @@ def minimal_coupling_paragalilei(state, m, omega, omega0) -> MinimalCouplingResu
     m, omega, omega0 = rat(m), rat(omega), rat(omega0)
     if m == 0 or omega0 == 0:
         raise ValueError("minimal coupling requires nonzero m and omega0")
-    q1, q2, p1, p2 = (rat(v) for v in state)
     b = m * omega**2 / (2 * omega0)
-    pi1 = p1 + b * q2
-    pi2 = p2 - b * q1
-    z = Fraction(0)
-    one = Fraction(1)
-    jac = rarray(
-        [
-            [one, z, z, z],
-            [z, one, z, z],
-            [z, b, one, z],
-            [-b, z, z, one],
-        ]
-    )
-    return MinimalCouplingResult(
-        state=(q1, q2, pi1, pi2),
-        jacobian=jac,
-        bracket_matrix=bracket_pushforward(jac),
+    return _coordinate_map(
+        state, [[1, 0, 0, 0], [0, 1, 0, 0], [0, b, 1, 0], [-b, 0, 0, 1]]
     )

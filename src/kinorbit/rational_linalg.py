@@ -24,7 +24,6 @@ __all__ = [
     "rat_inv",
     "rat_rank",
     "to_float",
-    "is_antisymmetric",
 ]
 
 
@@ -124,7 +123,3 @@ def rat_rank(matrix: np.ndarray) -> int:
 def to_float(matrix: np.ndarray) -> np.ndarray:
     """Convert an object-dtype rational array to float64."""
     return np.asarray(matrix, dtype=float)
-
-
-def is_antisymmetric(matrix: np.ndarray) -> bool:
-    return bool(np.all(matrix == -matrix.T))

@@ -146,12 +146,14 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _real(name: str, value):
+def _real(name: str, value, kind: str = "state field"):
     """A finite float, or a finite float array when ``value`` holds one entry per state.
 
-    Raises :class:`ValueError` naming the field otherwise.
+    Raises :class:`ValueError` naming the ``kind`` and ``name`` (and the
+    first bad entry) otherwise.
     """
-    if np.ndim(value) == 0:
+    # isinstance first: it is much cheaper than np.ndim, and most values are floats
+    if isinstance(value, float) or np.ndim(value) == 0:
         value = float(value)
         if math.isfinite(value):
             return value
@@ -163,7 +165,7 @@ def _real(name: str, value):
             return value
         index = int(np.argmin(finite))
         value, where = float(value.flat[index]), f" at entry {index}"
-    raise ValueError(f"state field {name} must be finite, got {value!r}{where}")
+    raise ValueError(f"{kind} {name} must be finite, got {value!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -534,15 +536,16 @@ def static_invariants(state: StaticOrbitState):
 
     The second entry subtracts the free label term nu*h carried by the
     orbit constants, so that a state at rest sits at energy E - nu*h.
-    For a column of states both entries are arrays.
+    For a column of states both entries are arrays.  An invariant that
+    overflows raises :class:`ValueError` naming it (``s_inv`` or ``U``) and
+    the first bad entry.
     """
     s_inv, u_inv = noncentral_invariants()
     alpha = state.to_dual()
     c = state.constants.floats
-    return (
-        s_inv.value(alpha),
-        u_inv.value(alpha) - c.nu * c.h,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, u = s_inv.value(alpha), u_inv.value(alpha) - c.nu * c.h
+    return _real("s_inv", s, "invariant"), _real("U", u, "invariant")
 
 
 # -- symplectic structure and evolution ------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kinorbit.cli import ConfigError, RunConfig, main
+from kinorbit.cli import MAX_PARAM_DIGITS, ConfigError, RunConfig, main
 
 
 def _run(capsys, argv):
@@ -220,33 +220,57 @@ def test_verify_is_deterministic(tmp_path, capsys) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--t-end", "inf"],
-        ["simulate", "--t-end", "nan"],
-        ["simulate", "--dt", "nan"],
-        ["realize", "--dt", "nan"],
-        ["simulate", "--param", "a1=1e400"],
-        ["realize", "--param", "q1=1e400"],
-        ["simulate", "--param", "G=1e400"],
-        ["simulate", "--param", "mass=1e-400"],
-        ["realize", "--param", "kappa=1e-400"],
-        # more steps than MAX_STEPS: rejected before anything is allocated
-        ["simulate", "--t-end", "1e9", "--dt", "1e-3"],
-        ["realize", "--t-end", "1e300", "--dt", "1e-300"],
-        # exact charges that are nonzero but 0 (or a 0 determinant) as floats
-        ["realize", "--param", "mu=1e-400", "--param", "beta=0"],
-        ["realize", "--param", "kappa=1e-400", "--param", "beta=0"],
-        ["realize", "--param", "mu=1e-200", "--param", "kappa=1e-200", "--param", "beta=0"],
-    ],
-)
+def _spanning(span: int, shape: str) -> str:
+    """A parameter whose length plus exponent magnitude is ``span`` digits."""
+    if shape == "big":
+        return "9" * (span - 304) + "e300"
+    if shape == "small":
+        return "0." + "9" * (span - 307) + "e-300"
+    return "9" * (span // 2) + "/" + "7" * (span - 1 - span // 2)
+
+
+_NOT_FINITE = "t_end and dt must be positive and finite"
+_TOO_WIDE = f"spans more than {MAX_PARAM_DIGITS} decimal digits"
+# Each rejected command line and the check that must reject it. The exact
+# values stay within MAX_PARAM_DIGITS, so that they reach the float guards.
+_USAGE_ERRORS = {
+    "simulate --t-end inf": _NOT_FINITE,
+    "simulate --t-end nan": _NOT_FINITE,
+    "simulate --dt nan": _NOT_FINITE,
+    "realize --dt nan": _NOT_FINITE,
+    "simulate --param a1=1e309": "'a1': 1e309 is out of float range",
+    "realize --param q1=1e309": "'q1': 1e309 is out of float range",
+    "simulate --param G=1e309": "value out of float range: integer division",
+    "simulate --param mass=1e-330": "value out of float range: integer division",
+    "realize --param kappa=1e-330": "value out of float range: integer division",
+    # more steps than MAX_STEPS: rejected before anything is allocated
+    "simulate --t-end 1e9 --dt 1e-3": "exceeds the step budget",
+    "realize --t-end 1e300 --dt 1e-300": "exceeds the step budget",
+    # exact charges that are nonzero but 0 (or a 0 determinant) as floats
+    "realize --param mu=1e-330 --param beta=0": "mu is 0.0 as a float but not exactly",
+    "realize --param kappa=1e-330 --param beta=0": "kappa is 0.0 as a float but not exactly",
+    "realize --param mu=1e-200 --param kappa=1e-200 --param beta=0":
+        "mu*kappa - beta^2 is 0.0 as a float but not exactly",
+    # exact values past MAX_PARAM_DIGITS, rejected before they are built
+    "orbit --algebra G --param m=1e5000": _TOO_WIDE,
+    "orbit --algebra G --param m=1e1000000000": _TOO_WIDE,
+    "orbit --algebra G --param m=1e1_000_000_000": _TOO_WIDE,
+    "classify --param h=" + "9" * 5000: _TOO_WIDE,
+    **{
+        f"orbit --algebra C --param kappa={_spanning(MAX_PARAM_DIGITS + 1, shape)}": _TOO_WIDE
+        for shape in ("big", "small", "frac")
+    },
+}
+
+
+@pytest.mark.parametrize("argv", [line.split() for line in _USAGE_ERRORS])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numbers_are_usage_errors(capsys, argv) -> None:
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error:")
+    assert _USAGE_ERRORS[" ".join(argv)] in err
     assert err.count("\n") == 1
 
 
@@ -264,8 +288,11 @@ def test_out_of_range_numbers_in_a_config_file_are_usage_errors(tmp_path, capsys
         ["simulate", "--t-end", "1e300", "--dt", "1e295",
          "--param", "q1=1e10", "--param", "k11=1e300"],
         ["realize", "--t-end", "1e300", "--dt", "1e295", "--param", "q1=1e10"],
+        # finite states whose energy or invariant overflows
+        ["simulate", "--t-end", "1", "--dt", "0.5", "--param", "q1=1e200", "--param", "k11=1"],
+        ["realize", "--t-end", "1", "--dt", "0.5", "--param", "q1=1e200"],
     ],
-    ids=["simulate", "realize"],
+    ids=["simulate", "realize", "simulate-energy", "realize-invariant"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_runs_are_runtime_failures(capsys, argv) -> None:
@@ -274,3 +301,30 @@ def test_overflowing_runs_are_runtime_failures(capsys, argv) -> None:
     assert out == ""
     assert err.startswith("verification failure:")
     assert err.count("\n") == 1
+
+
+_EXACT_COMMANDS = [
+    ["orbit", "--algebra", "S"],
+    ["orbit", "--algebra", "NH-"],
+    ["orbit", "--algebra", "C"],
+    ["classify"],
+    ["verify"],
+]
+# shapes of (m, h, E, omega, kappa) under which the exact entries grow most
+_WIDEST = [
+    ("small", "big", "big", "small", "big"),
+    ("big", "big", "small", "big", "small"),
+    ("big", "small", "big", "big", "small"),
+    ("frac",) * 5,
+]
+
+
+@pytest.mark.parametrize("shapes", _WIDEST, ids="-".join)
+@pytest.mark.parametrize("command", _EXACT_COMMANDS, ids=" ".join)
+def test_exact_parameters_at_the_bound_run(capsys, command, shapes) -> None:
+    params = []
+    for key, shape in zip(("m", "h", "E", "omega", "kappa"), shapes):
+        params += ["--param", f"{key}={_spanning(MAX_PARAM_DIGITS, shape)}"]
+    code, out, err = _run(capsys, command + params)
+    assert (code, err) == (0, "")
+    assert out

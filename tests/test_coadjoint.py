@@ -179,10 +179,9 @@ def test_canonical_cross_brackets() -> None:
     # the Static orbit rescales the cross bracket by m/mu_e
     orb_s = standard_orbit("S", m=2, h=1)
     assert poisson_bracket(orb_s.structure, e("p1"), e("q1")) == 2
-    # float gradients hit the float path and agree
-    assert poisson_bracket(
-        orb.structure, [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]
-    ) == pytest.approx(1.0)
+    # float gradients are converted exactly, so the bracket stays exact
+    bracket = poisson_bracket(orb.structure, [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+    assert isinstance(bracket, Fraction) and bracket == 1
 
 
 def test_degenerate_charts_report_rank() -> None:

@@ -1,0 +1,56 @@
+"""Static hygiene of the package source, read with the stdlib ``ast`` module.
+
+Every name a module exports through ``__all__`` must exist, and every name
+a module imports must be used in it (a name listed in ``__all__`` counts
+as used, which covers the package's re-exports).
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kinorbit"
+_MODULES = sorted(_PACKAGE.glob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    return "kinorbit" if path.stem == "__init__" else f"kinorbit.{path.stem}"
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_every_exported_name_resolves(path: Path) -> None:
+    module = importlib.import_module(_module_name(path))
+    exported = _exported(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in exported if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_no_unused_imports(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exported(tree))
+    assert sorted(_imported(tree) - used) == []

@@ -212,6 +212,27 @@ def test_an_overflowing_propagator_fails_at_step_one() -> None:
     assert err.value.step == 1
 
 
+@pytest.mark.parametrize(
+    "state0, k11, step",
+    [
+        # H overflows at the initial state
+        ([1e200, 0.0, 1.0, 0.0], 1.0, 0),
+        # finite states on a repulsive potential: q*q overflows once q = 1e153 cosh t
+        # passes 1.34e154, between cosh 3 = 10.1 and cosh 4 = 27.3
+        ([1e153, 0.0, 0.0, 0.0], -1.0, 4),
+    ],
+)
+def test_an_overflowing_energy_fails_at_its_step(state0, k11, step) -> None:
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    ham = HamiltonianSpec(quadratic=(k11, 0.0, 0.0))
+    _, states = affine_flow(*linear_system(space, ham), state0, t_end=10.0, dt=1.0)
+    assert np.isfinite(states).all()
+    with pytest.raises(IntegrationError) as err:
+        integrate(space, ham, state0, t_end=10.0, dt=1.0)
+    assert err.value.step == step
+    assert f"non-finite energy or drift at step {step}" in str(err.value)
+
+
 def test_step_count_rejects_bad_grids_before_allocating() -> None:
     assert step_count(1.0, 0.25) == 4
     assert step_count(0.1, 1.0) == 1

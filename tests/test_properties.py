@@ -6,13 +6,18 @@ run draws the same examples and none is replayed from an earlier run.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
+from kinorbit.cli import main
 from kinorbit.coadjoint import (
     STANDARD_ORBIT_NAMES,
     DegenerateChartError,
@@ -183,3 +188,79 @@ def test_realize_preserves_the_static_invariants(g, state) -> None:
     after = static_invariants(realize(g, state))
     assert abs(after[0] - before[0]) < 1e-9
     assert abs(after[1] - before[1]) < 1e-9
+
+
+# Parameters each command reads; any other key is ignored.
+_ORBIT_PARAMS = ("m", "h", "E", "omega", "kappa")
+_COMMAND_PARAMS = {
+    "list": (),
+    "verify": ("omega", "kappa"),
+    "orbit": _ORBIT_PARAMS,
+    "classify": _ORBIT_PARAMS,
+    "simulate": _ORBIT_PARAMS
+    + ("G", "F", "mass", "a1", "a2", "k11", "k12", "k22", "q1", "q2", "p1", "p2"),
+    "realize": ("m", "mu", "beta", "kappa", "nu", "h")
+    + ("q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "j"),
+}
+
+
+# Decimal exponents where the boundary changes: 200 and 300 are finite
+# floats whose squares overflow, 390 is past the float range but within
+# MAX_PARAM_DIGITS (a signed three-digit mantissa spans at most 399),
+# and 5000 is past that bound.
+_EXPONENTS = (0, 200, 300, 390, 5000)
+
+
+def _param_strings(sign: st.SearchStrategy) -> st.SearchStrategy:
+    """Decimal strings of magnitude 10^±e for e in _EXPONENTS, and small fractions."""
+    decimal = st.builds(
+        "{}{}e{}{}".format,
+        sign,
+        st.integers(1, 999),
+        st.sampled_from(("", "-")),
+        st.sampled_from(_EXPONENTS),
+    )
+    fraction = st.builds("{}{}/{}".format, sign, st.integers(0, 9), st.integers(1, 9))
+    return st.one_of(decimal, decimal, fraction)
+
+
+_signed = _param_strings(st.sampled_from(("", "-")))
+# omega and kappa must be positive; a negative one only tests that check
+_positive = _param_strings(st.just(""))
+
+
+@st.composite
+def _cli_argv(draw, command: str) -> list[str]:
+    argv = [command]
+    # orbit needs an algebra; the other commands may take one
+    algebras = st.sampled_from(STANDARD_ORBIT_NAMES)
+    algebra = draw(algebras if command == "orbit" else st.none() | algebras)
+    if algebra is not None:
+        argv += ["--algebra", algebra]
+    # a few of the parameters the command reads; the rest keep their defaults
+    params = _COMMAND_PARAMS[command]
+    keys = st.lists(st.sampled_from(params), unique=True, min_size=1, max_size=5)
+    for key in draw(keys) if params else []:
+        strings = _positive if key in ("omega", "kappa") else _signed
+        argv += ["--param", f"{key}={draw(strings)}"]
+    t_end = draw(st.sampled_from((1e-300, 0.5, 1.0, 1e100, 1e300)))
+    steps = draw(st.integers(1, 16))
+    return argv + ["--t-end", repr(t_end), "--dt", repr(t_end / steps)]
+
+
+_NON_FINITE = re.compile(r"(?<![A-Za-z])(inf|nan)(?![A-Za-z])", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_PARAMS))
+@_REPEATABLE
+@given(data=st.data())
+def test_the_cli_boundary_is_total(command, data) -> None:
+    argv = data.draw(_cli_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), argv
+    else:
+        assert code in (1, 2), argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

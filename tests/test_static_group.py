@@ -533,6 +533,25 @@ def test_an_overflowing_time_evolution_is_rejected() -> None:
 
 
 @pytest.mark.parametrize(
+    "fields, invariant",
+    [
+        ({"position": (1e200, 0.0)}, "U"),
+        # w.w stays finite, so only the internal rotation overflows
+        ({"momentum": (1e200, 0.0), "velocity": (0.0, 1e150)}, "s_inv"),
+    ],
+)
+def test_overflowing_invariants_are_rejected(fields, invariant) -> None:
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    message = f"invariant {invariant} must be finite, got -?inf"
+    with pytest.raises(ValueError, match=f"{message}$"):
+        static_invariants(StaticOrbitState(constants=constants, **fields))
+    # a column of states names its first bad entry
+    column = {name: (np.array([0.0, 1.0, a, a]), b) for name, (a, b) in fields.items()}
+    with pytest.raises(ValueError, match=f"{message} at entry 2$"):
+        static_invariants(StaticOrbitState(constants=constants, **column))
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("angle", math.nan),
