@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -122,6 +121,11 @@ class StructureConstants:
             if entry:
                 table[(i, j)] = entry
         self._table = table
+        # signed adjacency i -> j -> {k: C_ij^k}, both orientations of each pair
+        self._adjacency: list[dict[int, dict[int, Fraction]]] = [{} for _ in names]
+        for (i, j), entry in table.items():
+            self._adjacency[i][j] = entry
+            self._adjacency[j][i] = {k: -v for k, v in entry.items()}
 
     # -- basic introspection ------------------------------------------------
 
@@ -147,16 +151,21 @@ class StructureConstants:
     # -- bracket data -------------------------------------------------------
 
     def bracket_targets(self, i: int, j: int) -> dict[int, Fraction]:
-        """Components of ``[e_i, e_j]`` as ``{k: C_ij^k}`` (signed)."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -v for k, v in self._table.get((j, i), {}).items()}
+        """Components of ``[e_i, e_j]`` as ``{k: C_ij^k}`` (signed), as a copy."""
+        return dict(self._adjacency[i].get(j, {}))
 
     def pair_table(self):
         """Iterate sparse bracket data as ``((i, j), {k: C_ij^k})`` with i < j."""
         return ((pair, dict(comps)) for pair, comps in self._table.items())
+
+    def dual_pairing(self, alpha) -> dict[tuple[int, int], Fraction]:
+        """The nonzero ``alpha([e_i, e_j]) = sum_k alpha_k C_ij^k``, i < j."""
+        pairing = {}
+        for pair, comps in self._table.items():
+            value = sum((c * alpha[k] for k, c in comps.items() if alpha[k]), Fraction(0))
+            if value:
+                pairing[pair] = value
+        return pairing
 
     @property
     def c(self) -> np.ndarray:
@@ -202,32 +211,39 @@ class StructureConstants:
             a_i = rat(value)
             if a_i == 0:
                 continue
-            i = self.index(name)
-            for j in range(n):
-                for k, v in self.bracket_targets(i, j).items():
+            for j, targets in self._adjacency[self.index(name)].items():
+                for k, v in targets.items():
                     mat[k, j] += a_i * v
         return mat
 
     def jacobi_violations(self) -> list[JacobiViolation]:
-        """All index triples where the cyclic Jacobi sum fails, exactly."""
-        violations = []
-        n = self.dim
+        """All index triples where the cyclic Jacobi sum fails, exactly.
+
+        Each nonzero product ``C_bc^m C_am^l`` is formed once, and added to the
+        sum of the triple ``{a, b, c}`` when ``(a, b, c)`` is a cyclic order.
+        """
+        adjacency = self._adjacency
+        sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for b, row in enumerate(adjacency):
+            for c, inner_targets in row.items():
+                for m, inner in inner_targets.items():
+                    for a in adjacency[m]:
+                        # (a, b, c) is a cyclic order of its sorted triple iff
+                        # a lies outside (b, c) when b < c, inside when b > c
+                        if a in (b, c) or (b < c) == (min(b, c) < a < max(b, c)):
+                            continue
+                        acc = sums.setdefault(tuple(sorted((a, b, c))), {})
+                        for l, outer in adjacency[a][m].items():
+                            acc[l] = acc.get(l, 0) + inner * outer
         names = self.names
-        for i, j, k in combinations(range(n), 3):
-            acc: dict[int, Fraction] = {}
-            for a, b, c_ in ((i, j, k), (j, k, i), (k, i, j)):
-                # [e_a, [e_b, e_c]]
-                for m, inner in self.bracket_targets(b, c_).items():
-                    for l, outer in self.bracket_targets(a, m).items():
-                        acc[l] = acc.get(l, Fraction(0)) + inner * outer
-            nonzero = {l: v for l, v in acc.items() if v != 0}
+        violations = []
+        for triple in sorted(sums):
+            nonzero = sorted((l, v) for l, v in sums[triple].items() if v != 0)
             if nonzero:
                 violations.append(
                     JacobiViolation(
-                        triple=(names[i], names[j], names[k]),
-                        residual=tuple(
-                            (names[l], v) for l, v in sorted(nonzero.items())
-                        ),
+                        triple=tuple(names[i] for i in triple),
+                        residual=tuple((names[l], v) for l, v in nonzero),
                     )
                 )
         return violations

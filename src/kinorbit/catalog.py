@@ -49,7 +49,9 @@ __all__ = [
 
 
 class CatalogError(ValueError):
-    """Raised for unknown algebra names or inadmissible variant requests."""
+    """Raised for unknown algebra names, inadmissible variant requests and
+    parameter values outside their domain (a nonpositive scale or mass, a
+    vanishing charge)."""
 
 
 # Catalog order: boosts-act-on-H row first, then not; curved pairs before flat.

@@ -109,13 +109,19 @@ def _point_coords(algebra: StructureConstants, point) -> tuple[Fraction, ...]:
     return tuple(rat(c) for c in point)
 
 
+def _nonzeros(vector, n: int) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of an ``n``-vector as exact ``(index, value)`` pairs."""
+    vector = list(vector)
+    if len(vector) != n:
+        raise ValueError(f"expected {n} entries, got {len(vector)}")
+    return [(i, rat(x)) for i, x in enumerate(vector) if x != 0]
+
+
 def kirillov_matrix(algebra: StructureConstants, point) -> np.ndarray:
     """Exact pairing matrix K_ij = sum_k alpha_k C_ij^k."""
-    alpha = _point_coords(algebra, point)
     n = algebra.dim
     K = rzeros((n, n))
-    for (i, j), targets in algebra.pair_table():
-        value = sum((coeff * alpha[t] for t, coeff in targets.items()), Fraction(0))
+    for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
         K[i, j] = value
         K[j, i] = -value
     return K
@@ -124,9 +130,17 @@ def kirillov_matrix(algebra: StructureConstants, point) -> np.ndarray:
 def casimir_residual(algebra: StructureConstants, point, grad) -> np.ndarray:
     """The exact vector K(alpha) . grad; it vanishes identically for a Casimir.
 
-    Float gradient entries are converted exactly, by their binary expansion.
+    Only the nonzero entries of K and of ``grad`` are multiplied.  Float
+    gradient entries are converted exactly, by their binary expansion.
     """
-    return kirillov_matrix(algebra, point) @ rarray(list(grad))
+    g = dict(_nonzeros(grad, algebra.dim))
+    residual = rzeros(algebra.dim)
+    for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
+        if j in g:
+            residual[i] += value * g[j]
+        if i in g:
+            residual[j] -= value * g[i]
+    return residual
 
 
 def finite_difference_gradient(
@@ -314,6 +328,15 @@ def _bracket_scalar(chart: OrbitChart, canonical_theta, first: str, second: str)
     return Fraction(0)
 
 
+def _contract(u, matrix: np.ndarray, v) -> Fraction:
+    """``u . matrix . v`` for :func:`_nonzeros` lists ``u``, ``v``, skipping zero
+    entries of ``matrix``: two rows of a scaled permutation cost one product."""
+    return sum(
+        (x * matrix[a, b] * y for a, x in u for b, y in v if matrix[a, b]),
+        Fraction(0),
+    )
+
+
 def restrict(
     algebra: StructureConstants, point, chart: OrbitChart
 ) -> SymplecticStructure:
@@ -338,8 +361,8 @@ def restrict(
             f"parameterize a symplectic leaf at this point",
             exc.rank,
         ) from None
-    jac = chart.jacobian_array
-    canonical_theta = jac @ (-omega) @ jac.T
+    jac = [_nonzeros(row, chart.dim) for row in chart.jacobian]
+    canonical_theta = rarray([[-_contract(u, omega, v) for v in jac] for u in jac])
     coords = _point_coords(algebra, point)
     fixed = tuple(
         (name, coords[i])
@@ -366,19 +389,15 @@ def _template_deviates(structure: SymplecticStructure) -> bool:
     """
     names = structure.chart.canonical_names
     theta = structure.canonical_theta
-    expected = rzeros(theta.shape)
+    allowed = {}
     if {"q1", "q2", "p1", "p2"}.issubset(names):
-        iq1, iq2 = names.index("q1"), names.index("q2")
-        ip1, ip2 = names.index("p1"), names.index("p2")
-        expected[iq1, iq2] = structure.G_field
-        expected[iq2, iq1] = -structure.G_field
-        expected[ip1, ip2] = structure.F_field
-        expected[ip2, ip1] = -structure.F_field
-        cross = theta[ip1, iq1]
-        for ip, iq in ((ip1, iq1), (ip2, iq2)):
-            expected[ip, iq] = cross
-            expected[iq, ip] = -cross
-    return bool(np.any(theta != expected))
+        q1, q2, p1, p2 = (names.index(name) for name in ("q1", "q2", "p1", "p2"))
+        cross = theta[p1, q1]
+        pairs = ((q1, q2), (p1, p2), (p1, q1), (p2, q2))
+        for (a, b), value in zip(pairs, (structure.G_field, structure.F_field, cross, cross)):
+            allowed[a, b], allowed[b, a] = value, -value
+    n = len(names)
+    return any(theta[a, b] != allowed.get((a, b), 0) for a in range(n) for b in range(n))
 
 
 def classify(structure: SymplecticStructure) -> str:
@@ -408,7 +427,8 @@ def poisson_bracket(structure: SymplecticStructure, grad_a, grad_b):
 
     Float gradient entries are converted exactly, by their binary expansion.
     """
-    return rarray(list(grad_a)) @ structure.canonical_theta @ rarray(list(grad_b))
+    u, v = (_nonzeros(grad, structure.dim) for grad in (grad_a, grad_b))
+    return _contract(u, structure.canonical_theta, v)
 
 
 @dataclass(frozen=True)

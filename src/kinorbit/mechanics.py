@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .catalog import CatalogError
 from .rational_linalg import rarray, rat, to_float
 
 __all__ = [
@@ -79,7 +80,7 @@ class NCPhaseSpace2D:
         object.__setattr__(self, "F_field", rat(self.F_field))
         object.__setattr__(self, "mass", rat(self.mass))
         if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+            raise CatalogError(f"mass must be positive, got {self.mass}")
         if self.symplectic_factor == 0:
             raise ValueError(
                 "1 - G*F vanishes: the bracket matrix is degenerate and the "

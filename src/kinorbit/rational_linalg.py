@@ -1,11 +1,14 @@
-"""Exact dense linear algebra over rational numbers.
+"""Exact linear algebra over rational numbers.
 
 Matrices are numpy arrays with ``dtype=object`` whose entries are
 ``fractions.Fraction`` values, so every operation is exact.  Only the small
 amount of linear algebra the rest of the package needs lives here:
 construction, identity, Gauss-Jordan inversion with pivot search, rank,
-and float conversion.  All matrices in this package are at most 14x14, so
-no attention is paid to asymptotic performance.
+and float conversion.  The matrices are at most 14x14 and mostly zero
+(restricted pairing matrices, chart Jacobians), so the elimination runs on
+Python lists and multiplies only the nonzero entries of each pivot row,
+as the other exact kernels of the package walk only nonzero structure
+constants, coordinates and Jacobian entries.
 """
 
 from __future__ import annotations
@@ -72,28 +75,35 @@ def reye(n: int) -> np.ndarray:
     return arr
 
 
-def _gauss_jordan(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+def _gauss_jordan(matrix: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     """Row-reduce ``[M | I]`` over the columns of ``M``, with row-swap pivoting.
 
-    Returns the rank of ``M`` and the reduced augmented matrix, whose
-    right block is the inverse of ``M`` when ``M`` is square and of full
-    rank.
+    Returns the rank of ``M`` and the reduced augmented matrix as a list of
+    rows, whose right block is the inverse of ``M`` when ``M`` is square and
+    of full rank.  A step updates only the pivot row's nonzero columns.
     """
     n_rows, n_cols = matrix.shape
-    work = np.concatenate([matrix.astype(object), reye(n_rows)], axis=1)
+    work = [
+        [rat(x) for x in row] + [Fraction(int(i == j)) for j in range(n_rows)]
+        for i, row in enumerate(matrix.tolist())
+    ]
     rank = 0
     for col in range(n_cols):
         pivot_row = next(
-            (row for row in range(rank, n_rows) if work[row, col] != 0), None
+            (row for row in range(rank, n_rows) if work[row][col]), None
         )
         if pivot_row is None:
             continue
-        if pivot_row != rank:
-            work[[rank, pivot_row], :] = work[[pivot_row, rank], :]
-        work[rank, :] = work[rank, :] / work[rank, col]
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank][col]
+        work[rank] = [x / pivot if x else x for x in work[rank]]
+        support = [(c, x) for c, x in enumerate(work[rank]) if x]
         for row in range(n_rows):
-            if row != rank and work[row, col] != 0:
-                work[row, :] = work[row, :] - work[row, col] * work[rank, :]
+            factor = work[row][col]
+            if row != rank and factor:
+                target = work[row]
+                for c, x in support:
+                    target[c] -= factor * x
         rank += 1
         if rank == n_rows:
             break
@@ -112,7 +122,7 @@ def rat_inv(matrix: np.ndarray) -> np.ndarray:
     rank, work = _gauss_jordan(matrix)
     if rank < n:
         raise SingularMatrixError(f"matrix is singular (rank {rank} of {n})", rank)
-    return work[:, n:]
+    return rarray([row[n:] for row in work]).reshape(n, n)
 
 
 def rat_rank(matrix: np.ndarray) -> int:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra_core import StructureConstants
-from .catalog import build
+from .catalog import CatalogError, build
 from .coadjoint import (
     DualPoint,
     OrbitChart,
@@ -94,7 +94,7 @@ class StaticConstants:
         for name in ("m", "mu", "beta", "kappa", "nu", "h"):
             object.__setattr__(self, name, rat(getattr(self, name)))
         if self.mu == 0 or self.kappa == 0:
-            raise ValueError("charges mu and kappa must be nonzero")
+            raise CatalogError("charges mu and kappa must be nonzero")
         if self.det == 0:
             raise ValueError(
                 f"mu*kappa - beta^2 = 0 (mu={self.mu}, kappa={self.kappa}, "

@@ -14,6 +14,7 @@ from kinorbit.algebra_core import (
     check_jacobi,
 )
 from kinorbit.catalog import build
+from kinorbit.coadjoint import kirillov_matrix
 
 
 def _so3() -> StructureConstants:
@@ -137,7 +138,11 @@ def test_basis_element_and_bracket_lookup() -> None:
 
 def test_adjoint_matrix_matches_bracket() -> None:
     rng = random.Random(303)
-    for alg in (_so3(), build("dS-"), build("NH+", "central_ext")):
+    # in the last algebra ad_A[W, Z] = A^X + 2 A^Y sums two brackets
+    two_paths = StructureConstants(
+        ("X", "Y", "Z", "W"), {("X", "Z"): {"W": 1}, ("Y", "Z"): {"W": 2}}
+    )
+    for alg in (_so3(), build("dS-"), build("NH+", "central_ext"), two_paths):
         for _ in range(10):
             x = _random_element(alg, rng)
             ad = alg.adjoint_matrix(dict(zip(alg.names, x.coords)))
@@ -146,6 +151,33 @@ def test_adjoint_matrix_matches_bracket() -> None:
                 expected = bracket(alg, x, ej)
                 for k in range(alg.dim):
                     assert ad[k][j] == expected.coords[k]
+
+
+def test_returned_bracket_data_cannot_corrupt_the_algebra() -> None:
+    # forced charges, so that the Jacobi check has violations to change
+    alg = build(
+        "NH+", "central_ext", mu_charge=1, alpha_charge=1, enforce_admissibility=False
+    )
+    coords = {name: Fraction(i + 1, 3) for i, name in enumerate(alg.names)}
+
+    def readings():
+        return (
+            [(v.triple, v.residual) for v in alg.jacobi_violations()],
+            alg.adjoint_matrix(coords).tolist(),
+            kirillov_matrix(alg, list(coords.values())).tolist(),
+        )
+
+    before = readings()
+    assert before[0]
+    for (i, j), comps in alg.pair_table():
+        comps.clear()
+        comps[i] = Fraction(7)
+        for first, second in ((i, j), (j, i)):
+            targets = alg.bracket_targets(first, second)
+            for k in targets:
+                targets[k] = Fraction(99)
+            targets[first] = Fraction(5)
+    assert readings() == before
 
 
 def test_pair_table_round_trip() -> None:

@@ -67,6 +67,40 @@ def test_bad_parameter_value_is_a_usage_error(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--param", "mass=-1"],
+        ["simulate", "--param", "mass=0"],
+        ["realize", "--param", "mu=0"],
+        ["realize", "--param", "kappa=0"],
+    ],
+    ids=["negative-mass", "zero-mass", "zero-mu", "zero-kappa"],
+)
+def test_parameters_outside_their_domain_are_usage_errors(capsys, argv) -> None:
+    code, out, err = _run(capsys, [*argv, "--t-end", "1", "--dt", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--param", "G=2", "--param", "F=1/2"],
+        ["realize", "--param", "mu=2", "--param", "kappa=2", "--param", "beta=-2"],
+    ],
+    ids=["simulate-1-GF", "realize-det"],
+)
+def test_degenerate_parameters_are_runtime_failures(capsys, argv) -> None:
+    code, out, err = _run(capsys, [*argv, "--t-end", "1", "--dt", "0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure:")
+    assert "degenerate" in err
+
+
 def test_classify_matches_the_taxonomy(capsys) -> None:
     code, out, _ = _run(capsys, ["classify"])
     assert code == 0

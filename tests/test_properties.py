@@ -11,23 +11,39 @@ import io
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
+from kinorbit.catalog import build, list_catalog
 from kinorbit.cli import main
 from kinorbit.coadjoint import (
     STANDARD_ORBIT_NAMES,
     DegenerateChartError,
     DualPoint,
     OrbitChart,
+    SymplecticStructure,
+    _template_deviates,
+    casimir_residual,
     classify,
+    kirillov_matrix,
+    poisson_bracket,
     restrict,
     standard_orbit,
 )
-from kinorbit.rational_linalg import reye
+from kinorbit.rational_linalg import (
+    SingularMatrixError,
+    rarray,
+    rat_inv,
+    rat_rank,
+    reye,
+    rzeros,
+)
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -39,6 +55,7 @@ from kinorbit.static_group import (
     noncentral_invariants,
     realize,
     static_invariants,
+    static_symplectic,
 )
 
 _REPEATABLE = settings(
@@ -120,6 +137,199 @@ def test_noncentral_invariants_have_exactly_zero_residual(
     for invariant in noncentral_invariants():
         residual = invariant.residual(algebra, point)
         assert all(r == 0 for r in residual), invariant.name
+
+
+# -- sparse exact kernels against their dense references ---------------------
+#
+# The kernels walk only nonzero structure constants, coordinates, gradient
+# and Jacobian entries; the dense forms below are the products they replace.
+
+_CATALOG_ALGEBRAS = [
+    build(record.name, record.variant, omega=Fraction(2, 3), kappa=Fraction(5, 7))
+    for record in list_catalog()
+]
+# mostly zero, as dual points, gradients and pairing matrices are
+_sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _rationals)
+
+
+def _vectors_of(n: int) -> st.SearchStrategy:
+    return st.lists(_sparse_rationals, min_size=n, max_size=n)
+
+
+@_REPEATABLE
+@given(algebra=st.sampled_from(_CATALOG_ALGEBRAS), as_float=st.booleans(), data=st.data())
+def test_casimir_residual_equals_the_dense_product(algebra, as_float, data) -> None:
+    point = data.draw(_vectors_of(algebra.dim), label="point")
+    grad = data.draw(_vectors_of(algebra.dim), label="grad")
+    if as_float:
+        grad = [float(g) for g in grad]
+    K = kirillov_matrix(algebra, point)
+    assert (K == algebra.c @ rarray(point)).all()
+    residual = casimir_residual(algebra, point, grad)
+    assert residual.shape == (algebra.dim,)
+    assert all(isinstance(r, Fraction) for r in residual)
+    assert (residual == K @ rarray(grad)).all()
+
+
+def _dense_canonical_theta(structure) -> np.ndarray:
+    jac = structure.chart.jacobian_array
+    return jac @ (-structure.omega) @ jac.T
+
+
+@_REPEATABLE
+@given(omega=_positive, kappa=_positive, m=_nonzero, h=_rationals, E=_rationals, data=st.data())
+def test_canonical_theta_equals_the_dense_congruence(omega, kappa, m, h, E, data) -> None:
+    checked = 0
+    for name in STANDARD_ORBIT_NAMES:
+        try:
+            orbit = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+        except DegenerateChartError:
+            continue
+        structure = orbit.structure
+        assert (structure.canonical_theta == _dense_canonical_theta(structure)).all(), name
+        grad_a, grad_b = (data.draw(_vectors_of(4)) for _ in range(2))
+        dense = rarray(grad_a) @ structure.canonical_theta @ rarray(grad_b)
+        assert poisson_bracket(structure, grad_a, grad_b) == dense, name
+        checked += 1
+    assert checked
+
+
+@_REPEATABLE
+@given(m=_rationals, mu=_nonzero, beta=_rationals, kappa=_nonzero, E=_rationals, J=_rationals)
+def test_static_canonical_theta_equals_the_dense_congruence(m, mu, beta, kappa, E, J) -> None:
+    assume(mu * kappa != beta * beta)
+    structure = static_symplectic(StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa), E, J)
+    assert (structure.canonical_theta == _dense_canonical_theta(structure)).all()
+
+
+def _dense_template_deviates(structure) -> bool:
+    """The canonical brackets differ from a G/F template built as a dense array."""
+    names = structure.chart.canonical_names
+    theta = structure.canonical_theta
+    expected = rzeros(theta.shape)
+    if {"q1", "q2", "p1", "p2"}.issubset(names):
+        iq1, iq2 = names.index("q1"), names.index("q2")
+        ip1, ip2 = names.index("p1"), names.index("p2")
+        expected[iq1, iq2] = structure.G_field
+        expected[iq2, iq1] = -structure.G_field
+        expected[ip1, ip2] = structure.F_field
+        expected[ip2, ip1] = -structure.F_field
+        cross = theta[ip1, iq1]
+        for ip, iq in ((ip1, iq1), (ip2, iq2)):
+            expected[ip, iq] = cross
+            expected[iq, ip] = -cross
+    return bool(np.any(theta != expected))
+
+
+_TEMPLATE_CHARTS = (
+    OrbitChart(("K1", "K2", "P1", "P2"), ("q1", "q2", "p1", "p2")),
+    OrbitChart(("P1", "K1", "P2", "K2"), ("p1", "q1", "p2", "q2")),
+    OrbitChart(("P1", "P2", "K1", "K2", "F1", "F2", "Pi1", "Pi2"),
+               ("q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2")),
+    OrbitChart(("K1", "K2", "P1", "P2")),
+)
+
+
+@_REPEATABLE
+@given(chart=st.sampled_from(_TEMPLATE_CHARTS), data=st.data())
+def test_template_check_equals_the_dense_template(chart, data) -> None:
+    n = chart.dim
+    names = chart.canonical_names
+    theta = rzeros((n, n))
+    # a G/F template with a uniform cross bracket, then a few random entries
+    if {"q1", "q2", "p1", "p2"}.issubset(names):
+        g, f, cross = (data.draw(_sparse_rationals) for _ in range(3))
+        (iq1, iq2), (ip1, ip2) = (
+            (names.index(a), names.index(b)) for a, b in (("q1", "q2"), ("p1", "p2"))
+        )
+        for (a, b), value in {
+            (iq1, iq2): g, (ip1, ip2): f, (ip1, iq1): cross, (ip2, iq2): cross,
+        }.items():
+            theta[a, b], theta[b, a] = value, -value
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _sparse_rationals)
+    for a, b, value in data.draw(st.lists(pairs, max_size=2)):
+        if a != b:
+            theta[a, b], theta[b, a] = value, -value
+    field = {name: theta[names.index(a), names.index(b)] if a in names and b in names
+             else Fraction(0) for name, (a, b) in (("G", ("q1", "q2")), ("F", ("p1", "p2")))}
+    structure = SymplecticStructure(
+        chart, theta, theta, theta, G_field=field["G"], F_field=field["F"]
+    )
+    assert _template_deviates(structure) == _dense_template_deviates(structure)
+
+
+@st.composite
+def _rational_matrices(draw) -> np.ndarray:
+    """Rational matrices up to 8x8, a third of their entries zero, mostly
+    square; some get a zero row or a row that combines two others, so that
+    they lose rank."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.sampled_from((rows, rows, rows, draw(st.integers(1, 8)))))
+    entry = st.one_of(st.just(Fraction(0)), _nonzero, _nonzero)
+    entries = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    loss = draw(st.sampled_from(("none", "none", "zero row", "combination")))
+    if loss == "zero row":
+        entries[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    elif loss == "combination" and rows >= 3:
+        a, b = draw(_nonzero), draw(_nonzero)
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        entries[k] = [a * x + b * y for x, y in zip(entries[i], entries[j])]
+    return rarray(entries)
+
+
+@_REPEATABLE
+@given(matrix=_rational_matrices())
+def test_rank_and_inverse_equal_the_sympy_reference(matrix) -> None:
+    rank = rat_rank(matrix)
+    assert rank == sympy.Matrix(matrix.tolist()).rank()
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        return
+    if rank < n:
+        with pytest.raises(SingularMatrixError) as excinfo:
+            rat_inv(matrix)
+        assert excinfo.value.rank == rank
+        return
+    inverse_ = rat_inv(matrix)
+    assert all(isinstance(x, Fraction) for x in inverse_.flat)
+    assert (inverse_ @ matrix == reye(n)).all()
+    assert (matrix @ inverse_ == reye(n)).all()
+
+
+def _dense_jacobi(algebra) -> list[tuple]:
+    """Every triple's cyclic sum of [e_a, [e_b, e_c]], formed densely from C."""
+    C = algebra.c
+    names = algebra.names
+    violations = []
+    for i, j, k in combinations(range(algebra.dim), 3):
+        residual = sum(C[b, c] @ C[a] for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+        nonzero = tuple((names[l], v) for l, v in enumerate(residual) if v != 0)
+        if nonzero:
+            violations.append(((names[i], names[j], names[k]), nonzero))
+    return violations
+
+
+# central charges mu = alpha = 1 break Jacobi on these families
+_INADMISSIBLE = [
+    build(name, "central_ext", omega=omega, kappa=kappa, mu_charge=1, alpha_charge=1,
+          enforce_admissibility=False)
+    for name in ("NH+", "G", "G'+", "G'-")
+    for omega, kappa in ((1, 1), (Fraction(1, 2), Fraction(5, 7)))
+]
+
+
+@pytest.mark.parametrize(
+    "algebra, admissible",
+    [
+        pytest.param(a, True, id=f"{r.name}-{r.variant}")
+        for a, r in zip(_CATALOG_ALGEBRAS, list_catalog())
+    ]
+    + [pytest.param(a, False, id=f"forced-{i}") for i, a in enumerate(_INADMISSIBLE)],
+)
+def test_jacobi_violations_equal_the_dense_reference(algebra, admissible) -> None:
+    got = [(v.triple, v.residual) for v in algebra.jacobi_violations()]
+    assert got == _dense_jacobi(algebra)
+    assert bool(got) != admissible
 
 
 # Static-group draws span the ranges of the hand-picked cases in
