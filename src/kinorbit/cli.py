@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 
 from .algebra_core import StructureConstants
-from .catalog import CatalogError, build, list_catalog
+from .catalog import AlgebraDescriptor, CatalogError, build, list_catalog
 from .coadjoint import (
     STANDARD_ORBIT_NAMES,
     standard_orbit,
@@ -289,7 +289,14 @@ def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
 
 
 def _selected_records(config: RunConfig) -> list:
-    """The catalog records matching ``--algebra`` and ``--variant``, when given."""
+    """The catalog records matching ``--algebra`` and ``--variant``, when given.
+
+    An unknown name or variant raises the catalog's :class:`CatalogError`.
+    """
+    if config.algebra is not None:
+        AlgebraDescriptor(config.algebra)  # every name has the isotropic variant
+    if config.variant is not None:
+        AlgebraDescriptor("G", config.variant)  # G has every variant
     return [
         record
         for record in list_catalog()
@@ -477,9 +484,8 @@ def _cmd_orbit(config: RunConfig) -> tuple[int, list[str], list[dict]]:
 def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
     rows = []
     h = _param_fraction(config, "h", 1)
-    for name in STANDARD_ORBIT_NAMES:
-        if config.algebra is not None and name != config.algebra:
-            continue
+    # an unknown --algebra fails in standard_orbit, as for ``orbit``
+    for name in STANDARD_ORBIT_NAMES if config.algebra is None else (config.algebra,):
         for h_value in (h, Fraction(0)):
             report = _orbit_report(_orbit_request(config, name, h_value))
             report["h"] = h_value

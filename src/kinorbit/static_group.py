@@ -4,11 +4,12 @@ Group elements carry a rotation angle, boost and translation vectors, a
 time shift, two further shift vectors conjugate to the noncentral
 generators F and Pi, and four phase parameters conjugate to the charges
 M, M', B, Lambda.  Multiplication mixes the shifts through polynomial
-cocycles; the module implements the product, inverses, the coadjoint
-action on orbit states, the two orbit invariants (an internal angular
-momentum and an internal energy), the exact symplectic structure of the
-eight-dimensional orbit chart, and the closed-form time evolution it
-generates.
+cocycles; the module implements the product, inverses, the closed-form
+coadjoint action on orbit states, the two orbit invariants (an internal
+angular momentum and an internal energy), the exact symplectic structure
+of the eight-dimensional orbit chart, and the closed-form time evolution
+it generates.  The group law, the action, the invariants and the
+evolution run on floats; the symplectic structure is exact.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ __all__ = [
     "evolution_hamiltonian",
     "evolution_system",
 ]
-
-_VECTOR_PAIRS = (("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2"))
-
 
 @functools.cache
 def noncentral_algebra() -> StructureConstants:
@@ -201,11 +199,6 @@ def identity_element() -> StaticGroupElement:
     return StaticGroupElement()
 
 
-def _rot(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def _rotate(c: float, s: float, a: tuple[float, float]) -> tuple[float, float]:
     """``a`` rotated by the angle whose cosine and sine are ``c`` and ``s``."""
     return (c * a[0] - s * a[1], s * a[0] + c * a[1])
@@ -213,6 +206,10 @@ def _rotate(c: float, s: float, a: tuple[float, float]) -> tuple[float, float]:
 
 def _dot(a: tuple[float, float], b: tuple[float, float]) -> float:
     return a[0] * b[0] + a[1] * b[1]
+
+
+def _cross(a: tuple[float, float], b: tuple[float, float]) -> float:
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement:
@@ -299,8 +296,8 @@ class StaticOrbitState:
 
     Any field may instead hold an array with one entry per state: such a
     column of states (as :func:`time_evolution` returns for an array of
-    times) flows through :meth:`to_dual` and :func:`static_invariants`
-    entry by entry.  Every field must be finite (:class:`ValueError`
+    times) flows through :meth:`to_dual`, :func:`realize` and
+    :func:`static_invariants` entry by entry.  Every field must be finite (:class:`ValueError`
     otherwise).
     """
 
@@ -357,124 +354,47 @@ class StaticOrbitState:
             alpha[alg.index(name)] = value
         return alpha
 
-    @classmethod
-    def from_dual(
-        cls, alpha: np.ndarray, constants: StaticConstants
-    ) -> "StaticOrbitState":
-        alg = noncentral_algebra()
-        kappa_e, mu_e = constants.floats.kappa_e, constants.floats.mu_e
-        return cls(
-            constants=constants,
-            position=(
-                -alpha[alg.index("F1")] / kappa_e,
-                -alpha[alg.index("F2")] / kappa_e,
-            ),
-            velocity=(
-                alpha[alg.index("Pi1")] / mu_e,
-                alpha[alg.index("Pi2")] / mu_e,
-            ),
-            momentum=(alpha[alg.index("P1")], alpha[alg.index("P2")]),
-            boost_momentum=(alpha[alg.index("K1")], alpha[alg.index("K2")]),
-            energy=alpha[alg.index("H")],
-            angular_momentum=alpha[alg.index("J")],
-        )
-
-
-def _rotate_dual(alg: StructureConstants, alpha: np.ndarray, angle: float) -> np.ndarray:
-    if angle == 0.0:
-        return alpha.copy()
-    R = _rot(angle)
-    out = alpha.copy()
-    for first, second in _VECTOR_PAIRS:
-        i, j = alg.index(first), alg.index(second)
-        out[i], out[j] = R @ np.array([alpha[i], alpha[j]])
-    return out
-
-
-@functools.cache
-def _ad_table() -> np.ndarray:
-    """The adjoint matrices of the basis of :func:`noncentral_algebra`, as floats.
-
-    Entry ``[i, k, j]`` is the e_k component of [e_i, e_j], so ad_A is
-    sum_i A^i table[i].  Built once, from the exact bracket table.
-    """
-    alg = noncentral_algebra()
-    table = np.zeros((alg.dim,) * 3)
-    for (i, j), components in alg.pair_table():
-        for k, value in components.items():
-            table[i, k, j] = value
-            table[j, k, i] = -value
-    return table
-
-
-def _adjoint(coeffs: dict[str, float]) -> np.ndarray:
-    """ad_A for A = sum coeffs[name] * generator, on floats.
-
-    Every structure constant of the noncentral algebra is +-1, and for the
-    two factors :func:`realize` uses each entry receives at most one
-    product coefficient * (+-1), which is exact; so this equals
-    ``to_float(noncentral_algebra().adjoint_matrix(coeffs))`` bit for bit.
-    """
-    alg = noncentral_algebra()
-    table = _ad_table()
-    N = np.zeros(table.shape[1:])
-    for name, value in coeffs.items():
-        if value != 0.0:
-            N += value * table[alg.index(name)]
-    return N
-
-
-def _exp_dual_action(coeffs: dict[str, float], alpha: np.ndarray) -> np.ndarray:
-    """alpha <- (exp(-ad_A))^T alpha for A = sum coeffs[name] * generator.
-
-    ad_A comes from the float table of :func:`_adjoint`, so the call
-    converts nothing between ``Fraction`` and float.  ad_A is nilpotent,
-    so the series terminates.
-    """
-    if all(v == 0.0 for v in coeffs.values()):
-        return alpha.copy()
-    N = _adjoint(coeffs)
-    n = N.shape[0]
-    E = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, n + 1):
-        term = term @ (-N) / k
-        if not term.any():
-            break
-        E = E + term
-    return E.T @ alpha
-
 
 def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
-    """The coadjoint action of ``g`` on an orbit state.
+    """The coadjoint action of ``g`` on an orbit state, in closed form.
 
     The rotation acts first, then the boost/translation/time factor, then
-    the F/Pi shift factor; the phase parameters act trivially.  Charges
-    are preserved exactly; the orbit invariants are preserved up to
-    rounding.
+    the F/Pi shift factor; the phase parameters act trivially.  Each field
+    moves by the polynomial that (exp(-ad_A))^T gives on the dual vector
+    of the state.  Charges are preserved exactly; the orbit invariants are
+    preserved up to rounding.  A column of states moves entry by entry,
+    and a result that overflows raises :class:`ValueError` naming the field.
     """
-    alg = noncentral_algebra()
-    alpha = _rotate_dual(alg, state.to_dual(), g.angle)
-    alpha = _exp_dual_action(
-        {
-            "K1": g.boost[0],
-            "K2": g.boost[1],
-            "P1": g.translation[0],
-            "P2": g.translation[1],
-            "H": g.time,
-        },
-        alpha,
+    c = state.constants.floats
+    m, mu, beta, kappa, ke, me = c.m, c.mu, c.beta, c.kappa, c.kappa_e, c.mu_e
+    cos, sin = math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell, t = g.boost, g.translation, g.f_shift, g.pi_shift, g.time
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = (state.position, state.velocity, state.momentum, state.boost_momentum)
+        q, u, p, k = (_rotate(cos, sin, a) for a in fields)
+        f, w = (-ke * q[0], -ke * q[1]), (me * u[0], me * u[1])
+        # the boost and translation move f to f - df and w to w - dw
+        df = (beta * v[0] + kappa * x[0], beta * v[1] + kappa * x[1])
+        dw = (beta * x[0] + mu * v[0], beta * x[1] + mu * v[1])
+        position = (q[0] + df[0] / ke, q[1] + df[1] / ke)
+        velocity = (u[0] - dw[0] / me, u[1] - dw[1] / me)
+        momentum = tuple(
+            p[i] - m * v[i] + beta * ell[i] + kappa * eta[i] + t * (f[i] - df[i] / 2)
+            for i in (0, 1)
+        )
+        boost_momentum = tuple(
+            k[i] + m * x[i] + mu * ell[i] + beta * eta[i] + t * (w[i] - dw[i] / 2)
+            for i in (0, 1)
+        )
+        energy = state.energy - _dot(f, x) - _dot(w, v) + beta * _dot(v, x)
+        energy += (kappa * _dot(x, x) + mu * _dot(v, v)) / 2
+        j = state.angular_momentum + _cross(v, k) + _cross(x, p) + m * _cross(v, x)
+        j += _cross(eta, f) + _cross(ell, w) + t * (_cross(x, f) + _cross(v, w)) / 2
+        j += beta * (_cross(x, ell) + _cross(v, eta)) + kappa * _cross(x, eta)
+        j += mu * _cross(v, ell)
+    return StaticOrbitState(
+        state.constants, position, velocity, momentum, boost_momentum, energy, j
     )
-    alpha = _exp_dual_action(
-        {
-            "F1": g.f_shift[0],
-            "F2": g.f_shift[1],
-            "Pi1": g.pi_shift[0],
-            "Pi2": g.pi_shift[1],
-        },
-        alpha,
-    )
-    return StaticOrbitState.from_dual(alpha, state.constants)
 
 
 # -- invariants -------------------------------------------------------------
@@ -498,12 +418,6 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
         w = (a[i["Pi1"]], a[i["Pi2"]])
         return k, p, f, w, a[i["M"]], a[i["M'"]], a[i["B"]], a[i["Lambda"]]
 
-    def cross(x, y):
-        return x[0] * y[1] - x[1] * y[0]
-
-    def dot(x, y):
-        return x[0] * y[0] + x[1] * y[1]
-
     # beta * beta, not beta**2: NumPy's scalar ** calls the C library's
     # pow, which can round differently from the array square, and the
     # values must agree between one state and a column of states.
@@ -511,18 +425,18 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
         k, p, f, w, m, mu, beta, kappa = unpack(a)
         det = mu * kappa - beta * beta
         orbital = (
-            kappa * cross(k, w)
-            - beta * cross(p, w)
-            + mu * cross(p, f)
-            - beta * cross(k, f)
-            + m * cross(f, w)
+            kappa * _cross(k, w)
+            - beta * _cross(p, w)
+            + mu * _cross(p, f)
+            - beta * _cross(k, f)
+            + m * _cross(f, w)
         )
         return a[i["J"]] - orbital / det
 
     def u_value(a):
         _, _, f, w, _, mu, beta, kappa = unpack(a)
         det = mu * kappa - beta * beta
-        quad = mu * dot(f, f) - 2 * beta * dot(f, w) + kappa * dot(w, w)
+        quad = mu * _dot(f, f) - 2 * beta * _dot(f, w) + kappa * _dot(w, w)
         return a[i["H"]] - quad / (2 * det)
 
     return (

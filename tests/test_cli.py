@@ -56,10 +56,24 @@ def test_orbit_degenerate_chart_is_a_runtime_failure(capsys) -> None:
     assert "singular" in err or "degenerate" in err.lower()
 
 
-def test_unknown_algebra_is_a_usage_error(capsys) -> None:
-    code, _, err = _run(capsys, ["orbit", "--algebra", "XX"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--algebra", "XX"],
+        ["verify", "--algebra", "nope"],
+        ["list", "--algebra", "nope"],
+        ["list", "--variant", "weird"],
+        ["verify", "--variant", "weird"],
+        ["classify", "--algebra", "dS+"],
+    ],
+    ids=["orbit", "verify", "list", "list-variant", "verify-variant", "classify"],
+)
+def test_unknown_algebra_is_a_usage_error(capsys, argv) -> None:
+    code, out, err = _run(capsys, argv)
     assert code == 2
-    assert err
+    assert out == ""
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
 
 
 def test_bad_parameter_value_is_a_usage_error(capsys) -> None:

@@ -1,8 +1,9 @@
 """Static hygiene of the package source, read with the stdlib ``ast`` module.
 
-Every name a module exports through ``__all__`` must exist, and every name
-a module imports must be used in it (a name listed in ``__all__`` counts
-as used, which covers the package's re-exports).
+Every name a module exports through ``__all__`` must exist, every name a
+module imports must be used in it (a name listed in ``__all__`` counts as
+used, which covers the package's re-exports), and every private
+module-level function, class or constant must be read in its module.
 """
 
 from __future__ import annotations
@@ -41,6 +42,27 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names with a leading underscore that are not dunders."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return [
+        name
+        for name in names
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)
 def test_every_exported_name_resolves(path: Path) -> None:
     module = importlib.import_module(_module_name(path))
@@ -54,3 +76,14 @@ def test_no_unused_imports(path: Path) -> None:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(_exported(tree))
     assert sorted(_imported(tree) - used) == []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_every_private_definition_is_read(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(_private_definitions(tree)) - read) == []

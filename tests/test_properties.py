@@ -436,7 +436,7 @@ def _param_strings(sign: st.SearchStrategy) -> st.SearchStrategy:
 
 _signed = _param_strings(st.sampled_from(("", "-")))
 # omega and kappa must be positive; a negative one only tests that check
-_positive = _param_strings(st.just(""))
+_positive_text = _param_strings(st.just(""))
 
 
 @st.composite
@@ -451,7 +451,7 @@ def _cli_argv(draw, command: str) -> list[str]:
     params = _COMMAND_PARAMS[command]
     keys = st.lists(st.sampled_from(params), unique=True, min_size=1, max_size=5)
     for key in draw(keys) if params else []:
-        strings = _positive if key in ("omega", "kappa") else _signed
+        strings = _positive_text if key in ("omega", "kappa") else _signed
         argv += ["--param", f"{key}={draw(strings)}"]
     t_end = draw(st.sampled_from((1e-300, 0.5, 1.0, 1e100, 1e300)))
     steps = draw(st.integers(1, 16))
