@@ -245,24 +245,25 @@ _EMIT_CHUNK = 4096
 
 def _format_rows(fmt: str, fieldnames: list[str], rows) -> str:
     """The lines of ``rows`` (CSV without header, or JSON lines), formatted
-    one column at a time."""
-    if isinstance(rows, np.ndarray):
-        columns = [["%.17g" % v for v in column] for column in rows.T.tolist()]
-    else:
-        columns = [
-            [str(row.get(name, "")) for row in rows] for name in fieldnames
-        ]
+    by one ``%`` on a row template repeated once per row."""
+    floats = isinstance(rows, np.ndarray)
     if fmt == "csv":
-        lines = map(",".join, zip(*columns))
+        order = range(len(fieldnames))
+        template = ",".join(["%.17g" if floats else "%s"] * len(fieldnames))
     else:
-        # json.dumps(row, sort_keys=True), with each column quoted once
+        # json.dumps(row, sort_keys=True); %.17g text needs no JSON escaping,
+        # so quoting it makes its JSON string
         order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+        cell = '"%.17g"' if floats else "%s"
         template = "{%s}" % ", ".join(
-            _json_string(fieldnames[j]).replace("%", "%%") + ": %s" for j in order
+            _json_string(fieldnames[j]).replace("%", "%%") + ": " + cell for j in order
         )
-        quoted = [list(map(_json_string, columns[j])) for j in order]
-        lines = (template % cells for cells in zip(*quoted))
-    return "".join(line + "\n" for line in lines)
+    if floats:
+        cells = rows[:, order].ravel().tolist()
+    else:
+        quote = str if fmt == "csv" else _json_string
+        cells = [quote(str(row.get(fieldnames[j], ""))) for row in rows for j in order]
+    return ((template + "\n") * len(rows)) % tuple(cells)
 
 
 def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
@@ -291,12 +292,12 @@ def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
 def _selected_records(config: RunConfig) -> list:
     """The catalog records matching ``--algebra`` and ``--variant``, when given.
 
-    An unknown name or variant raises the catalog's :class:`CatalogError`.
+    An unknown name or variant, or a variant the catalog does not admit for
+    the name, raises the catalog's :class:`CatalogError`.
     """
-    if config.algebra is not None:
-        AlgebraDescriptor(config.algebra)  # every name has the isotropic variant
-    if config.variant is not None:
-        AlgebraDescriptor("G", config.variant)  # G has every variant
+    if config.algebra is not None or config.variant is not None:
+        # every name has the isotropic variant, and G has every variant
+        AlgebraDescriptor(config.algebra or "G", config.variant or "isotropic")
     return [
         record
         for record in list_catalog()

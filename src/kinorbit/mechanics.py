@@ -13,13 +13,13 @@ are dz/dt = A z + b, and one classical RK4 step of size h is exactly the
 affine map z -> R(hA) z + h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 +
 x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
 :func:`affine_flow`, the one integrator, forms that propagator once and
-applies it as one matrix-vector product per step; it serves these
-equations (:func:`integrate`) and the Static chart flow alike.  Its result
-equals stage-by-stage RK4 (:func:`rk4_step` on :func:`hamilton_rhs`, kept
-as the reference) up to rounding in the last bits.  The module also
-provides the two exact coordinate maps that reproduce such brackets from
-a commutative phase space: a position shift by the dual magnetic scalar
-and a momentum shift by the magnetic scalar.
+fills the state table in doubling strides, about log2(N) matrix products
+for N steps; it serves these equations (:func:`integrate`) and the Static
+chart flow alike.  Its result equals stage-by-stage RK4 (:func:`rk4_step`
+on :func:`hamilton_rhs`, kept as the reference) up to rounding in the last
+bits.  The module also provides the two exact coordinate maps that
+reproduce such brackets from a commutative phase space: a position shift
+by the dual magnetic scalar and a momentum shift by the magnetic scalar.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import CatalogError
-from .rational_linalg import rarray, rat, to_float
+from .rational_linalg import rarray, rat
 
 __all__ = [
     "MAX_STEPS",
@@ -182,7 +182,9 @@ def linear_system(
     Valid exactly because the Hamiltonian gradient is affine in the state;
     :func:`affine_flow` builds its one-step propagator from it.
     """
-    theta = to_float(space.theta_matrix())
+    # the float form of theta_matrix(), built without its Fraction array
+    G, F = float(space.G_field), float(space.F_field)
+    theta = np.array([[0, G, 1, 0], [-G, 0, 0, 1], [-1, 0, 0, F], [0, -1, -F, 0]], float)
     k11, k12, k22 = (float(v) for v in ham.quadratic)
     a1, a2 = (float(v) for v in ham.linear)
     inv_m = float(1 / space.mass)
@@ -254,8 +256,11 @@ def affine_flow(
     """Fixed-step RK4 for dz/dt = A z + b from 0 to ``t_end``; returns (times, states).
 
     The grid has :func:`step_count` steps and lands exactly on ``t_end``.
-    Each step applies RK4's exact one-step propagator z -> R z + c, where
-    R = R(hA) and c = h S(hA) b; the dimension is that of ``b``.  A
+    One step is RK4's exact propagator z -> R z + c, where R = R(hA) and
+    c = h S(hA) b; the dimension is that of ``b``.  On rows (z, 1), k steps
+    add the increment P_k (z, 1), P_k = [[R^k - 1, c_k], [0, 0]], and
+    P_2k = 2 P_k + P_k P_k, so the table fills in doubling strides; a P_2k
+    that is not finite is not adopted, and the stride stops growing.  A
     non-finite state, including one from a propagator that overflows,
     raises :class:`IntegrationError` carrying the first step that produced
     it.
@@ -263,18 +268,34 @@ def affine_flow(
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, b.size))
-    z = states[0] = np.asarray(state0, dtype=float)
+    n = b.size
+    states = np.empty((n_steps + 1, n + 1))
+    states[0] = [*state0, 1.0]
+    P = np.zeros((n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         X = h * A
         X2 = X @ X
         X3 = X2 @ X
-        # R - 1 and c are small; adding the increment (R - 1) z + c to z, as
-        # RK4 itself does, keeps the rounding of the 1 out of every step.
-        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
-        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
-        for i in range(1, n_steps + 1):
-            z = states[i] = z + (R_minus_1 @ z + c)
+        # R - 1 and c are small; adding the increment to z, as RK4 itself
+        # does, keeps the rounding of the 1 out of every row
+        P[:n, :n] = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
+        P[:n, n] = h * ((np.eye(n) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
+        done, k = 1, 1
+        while done <= n_steps:
+            if done == 2 * k:  # every earlier P_2k was adopted
+                doubled = P + P + P @ P
+                # an infinite P_2k would turn an unexcited mode (0 * inf) to nan
+                if np.isfinite(doubled).all():
+                    P, k = doubled, done
+            # rows [done - k, done) advance k steps, as far as the table goes
+            base = states[done - k : min(done, n_steps + 1 - k)]
+            rows = states[done : done + len(base)] = base + base @ P.T
+            done += len(base)
+            # a stride that stopped growing meets a blow-up row by row; a
+            # non-finite row makes every later one non-finite
+            if done > 2 * k and not np.isfinite(rows).all():
+                break
+    states = states[:done, :n]
     finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite)) + 1

@@ -331,28 +331,26 @@ class StaticOrbitState:
         For a column of N states the result is a 14 x N array, one dual
         vector per column.
         """
-        alg = noncentral_algebra()
         c = self.constants.floats
-        values = {
-            "J": self.angular_momentum,
-            "K1": self.boost_momentum[0],
-            "K2": self.boost_momentum[1],
-            "P1": self.momentum[0],
-            "P2": self.momentum[1],
-            "H": self.energy,
-            "M": c.m,
-            "F1": -c.kappa_e * self.position[0],
-            "F2": -c.kappa_e * self.position[1],
-            "Pi1": c.mu_e * self.velocity[0],
-            "Pi2": c.mu_e * self.velocity[1],
-            "M'": c.mu,
-            "B": c.beta,
-            "Lambda": c.kappa,
-        }
-        alpha = np.zeros((alg.dim, *np.broadcast(*values.values()).shape))
-        for name, value in values.items():
-            alpha[alg.index(name)] = value
+        (q1, q2), (u1, u2) = self.position, self.velocity
+        values = (
+            self.angular_momentum, *self.boost_momentum, *self.momentum, self.energy, c.m,
+            -c.kappa_e * q1, -c.kappa_e * q2, c.mu_e * u1, c.mu_e * u2, c.mu, c.beta, c.kappa,
+        )
+        alpha = np.zeros((len(values), *np.broadcast(*values).shape))
+        for slot, value in zip(_dual_slots(), values):
+            alpha[slot] = value
         return alpha
+
+
+# The dual coordinates in the order StaticOrbitState.to_dual lists their values.
+_DUAL_NAMES = ("J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2", "M'", "B", "Lambda")
+
+
+@functools.cache
+def _dual_slots() -> tuple[int, ...]:
+    """The basis index of each of :data:`_DUAL_NAMES` in :func:`noncentral_algebra`."""
+    return tuple(map(noncentral_algebra().index, _DUAL_NAMES))
 
 
 def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
@@ -400,6 +398,7 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
 # -- invariants -------------------------------------------------------------
 
 
+@functools.cache
 def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
     """The two Casimir functions of the 14-dimensional extension.
 

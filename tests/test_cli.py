@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kinorbit.catalog import CatalogError, build
 from kinorbit.cli import MAX_PARAM_DIGITS, ConfigError, RunConfig, main
 
 
@@ -56,24 +57,41 @@ def test_orbit_degenerate_chart_is_a_runtime_failure(capsys) -> None:
     assert "singular" in err or "degenerate" in err.lower()
 
 
+def _build_error(name: str, variant: str) -> str:
+    """The reason ``catalog.build`` gives for refusing ``name`` and ``variant``."""
+    try:
+        build(name, variant)
+    except CatalogError as exc:
+        return str(exc)
+    raise AssertionError(f"the catalog builds {name}:{variant}")
+
+
+_INADMISSIBLE = _build_error("dS+", "central_ext")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["orbit", "--algebra", "XX"],
-        ["verify", "--algebra", "nope"],
-        ["list", "--algebra", "nope"],
-        ["list", "--variant", "weird"],
-        ["verify", "--variant", "weird"],
-        ["classify", "--algebra", "dS+"],
+        (["orbit", "--algebra", "XX"], "no standard orbit chart for 'XX'"),
+        (["verify", "--algebra", "nope"], "unknown algebra name 'nope'"),
+        (["list", "--algebra", "nope"], "unknown algebra name 'nope'"),
+        (["list", "--variant", "weird"], "unknown variant 'weird'"),
+        (["verify", "--variant", "weird"], "unknown variant 'weird'"),
+        (["classify", "--algebra", "dS+"], "no standard orbit chart for 'dS+'"),
+        # a known name with a known variant that the catalog does not admit for it
+        (["list", "--algebra", "dS+", "--variant", "central_ext"], _INADMISSIBLE),
+        (["verify", "--algebra", "dS+", "--variant", "central_ext"], _INADMISSIBLE),
     ],
-    ids=["orbit", "verify", "list", "list-variant", "verify-variant", "classify"],
+    ids=["orbit", "verify", "list", "list-variant", "verify-variant", "classify",
+         "list-inadmissible", "verify-inadmissible"],
 )
-def test_unknown_algebra_is_a_usage_error(capsys, argv) -> None:
+def test_unknown_algebra_is_a_usage_error(capsys, argv, reason) -> None:
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+    assert reason in err
 
 
 def test_bad_parameter_value_is_a_usage_error(capsys) -> None:

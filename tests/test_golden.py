@@ -1,8 +1,11 @@
 """Byte-level fingerprints of CLI stdout for a pinned set of runs.
 
-The digests were taken from the row-at-a-time implementation; any change
-to the exact commands, to the closed-form Static evolution or to the
-output formatting that alters a single byte fails here.
+The digests were taken from the row-at-a-time implementation, and those
+of ``simulate`` from the doubling-stride RK4 of ``mechanics.affine_flow``;
+any change to the exact commands, to the closed-form Static evolution, to
+the integrator or to the output formatting that alters a single byte fails
+here.  ``simulate`` rows come from NumPy matrix products, so their last
+bits, and its digests, can differ under another BLAS build or CPU family.
 """
 
 from __future__ import annotations
@@ -21,6 +24,14 @@ _REALIZE = [
     "--param", "u2=-1/6", "--param", "p1=2/3", "--param", "p2=1/11",
     "--param", "k1=-3/5", "--param", "k2=4/13", "--param", "E=1/7",
     "--param", "j=-5/3",
+]
+
+_SIMULATE = [
+    "simulate", "--t-end", "10", "--dt", "0.01",
+    "--param", "G=-1/4", "--param", "F=1/3", "--param", "mass=3/2",
+    "--param", "a1=1/2", "--param", "a2=-1", "--param", "k11=2",
+    "--param", "k12=1/4", "--param", "k22=1", "--param", "q1=1/3",
+    "--param", "q2=-2/7", "--param", "p1=5/9", "--param", "p2=-1/6",
 ]
 
 # (argv, format, output line count, sha256 of stdout)
@@ -45,6 +56,10 @@ _GOLDEN = [
      "accc100f9509b1e7a23e3700bae54f5f7d641b4f4b3fb146d234d17b2ef19948"),
     (_REALIZE, "json-lines", 1001,
      "2e0fcdf32c51bbe7d999dfaae413f0c213ba0d25b4cebd7f8aa3def72a2d560e"),
+    (_SIMULATE, "csv", 1002,
+     "f70ba6d1f403d4e74cbd4cf4d1aa3df12a05ec8c3d90dfbd3ccb77536caef4e4"),
+    (_SIMULATE, "json-lines", 1001,
+     "349a05246cb2aa2de09fb1b001094615c724db8d25d7fd24c8a58f0fdf35d243"),
 ]
 
 

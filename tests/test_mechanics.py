@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference_forms as rf
+from kinorbit.cli import main
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
     MAX_STEPS,
@@ -26,6 +29,7 @@ from kinorbit.mechanics import (
     step_count,
 )
 from kinorbit.rational_linalg import reye, to_float
+from kinorbit.static_group import StaticConstants, evolution_system
 
 
 def _exact_equal(a, b) -> bool:
@@ -50,6 +54,38 @@ def _stagewise_rk4(space, ham, state0, t_end, dt):
             raise IntegrationError(f"non-finite state at step {i + 1}", i + 1)
         states.append(z)
     return times, np.array(states)
+
+
+def _increment_loop(A, b, state0, t_end, dt):
+    """affine_flow one step at a time: (times, states).
+
+    Each step adds the increment (R - 1) z + c of RK4's one-step
+    propagator to z.  The increments are summed with Kahan compensation,
+    so the loop's own rounding stays near the last bit however many steps
+    it takes (uncompensated, it reaches 2-4e-13 of a column's largest
+    value on the Static chart flow at 10^4 steps).  A non-finite state
+    raises IntegrationError carrying the first step that produced it.
+    """
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    states = np.empty((n_steps + 1, b.size))
+    z = states[0] = np.asarray(state0, dtype=float)
+    carry = np.zeros(b.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = h * A
+        X2 = X @ X
+        X3 = X2 @ X
+        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
+        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
+        for i in range(1, n_steps + 1):
+            increment = (R_minus_1 @ z + c) - carry
+            total = z + increment
+            carry = (total - z) - increment
+            z = states[i] = total
+            if not np.isfinite(z).all():
+                raise IntegrationError(f"non-finite state at step {i}", i)
+    return times, states
 
 
 def test_theta_and_omega_are_exact_inverses() -> None:
@@ -189,6 +225,80 @@ def test_integrate_matches_stagewise_rk4() -> None:
         assert np.array_equal(traj.energies, per_state)
 
 
+def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
+    # the doubling strides reorder the rounding; 10^4 steps apart, every
+    # state stays within 1e-13 of its column's largest value
+    rng = random.Random(1414)
+    systems = []
+    for G, F in ((Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(1, 3)),
+                 (Fraction(2, 3), Fraction(-3, 2))):
+        space = NCPhaseSpace2D(G_field=G, F_field=F, mass=Fraction(3, 2))
+        ham = HamiltonianSpec(
+            linear=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            quadratic=(rng.uniform(0.5, 3), rng.uniform(-0.4, 0.4), rng.uniform(-3, 3)),
+        )
+        systems.append(linear_system(space, ham))
+    for mu, beta, kappa in ((2, 1, 1), (Fraction(5, 2), Fraction(-1, 3), Fraction(7, 4))):
+        systems.append(evolution_system(StaticConstants(m=Fraction(3, 2), mu=mu, beta=beta,
+                                                        kappa=kappa)))
+    for A, b in systems:
+        state0 = [rng.uniform(-1, 1) for _ in range(b.size)]
+        times, states = affine_flow(A, b, state0, t_end=100.0, dt=0.01)
+        ref_times, ref = _increment_loop(A, b, state0, t_end=100.0, dt=0.01)
+        assert states.shape == (10_001, b.size)
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(states[0], ref[0])
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(states - ref) <= 1e-13 * scale)
+
+
+def test_an_unexcited_repulsive_mode_stays_exactly_zero(capsys) -> None:
+    # q2 = p2 = 0 on the repulsive k22 = -100 grows like exp(10 t) and would
+    # overflow a propagator of 2^13 steps; 0 times an infinite entry is nan
+    code = main(["simulate", "--param", "k22=-100", "--t-end", "100"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "t,q1,q2,p1,p2,H,drift"
+    assert len(out) == 1 + 10_001
+    rows = [line.split(",") for line in out[1:]]
+    assert all(row[2] == row[4] == "0" for row in rows)
+
+
+_blow_up_stiffness = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from((-1.0, 1.0)),
+    st.integers(2, 12),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(
+    G=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    F=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    mass=st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+    k11=_blow_up_stiffness,
+    k22=_blow_up_stiffness,
+    k12=st.floats(-1.0, 1.0),
+    state0=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    steps=st.integers(50, 400),
+)
+def test_a_blow_up_fails_at_the_increment_loops_step(
+    G, F, mass, k11, k22, k12, state0, steps
+) -> None:
+    assume(G * F != 1)
+    space = NCPhaseSpace2D(G_field=G, F_field=F, mass=mass)
+    A, b = linear_system(space, HamiltonianSpec(linear=(0.5, -1.0), quadratic=(k11, k12, k22)))
+
+    def failing_step(flow):
+        try:
+            flow(A, b, state0, t_end=steps * 0.05, dt=0.05)
+        except IntegrationError as exc:
+            return exc.step
+        return None
+
+    assert failing_step(affine_flow) == failing_step(_increment_loop)
+
+
 def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
     # a steep repulsive potential grows the state by ~1e40 per step, far
     # more than the gap between the two schemes' intermediate values
@@ -256,6 +366,10 @@ def test_linear_system_matches_rhs() -> None:
     for _ in range(10):
         state = np.array([rng.uniform(-2, 2) for _ in range(4)])
         assert np.allclose(hamilton_rhs(space, ham, state), A @ state + b, atol=1e-12)
+    # theta enters as the exact bracket matrix converted entry by entry
+    hessian = np.diag([0.0, 0.0, 2 / 3, 2 / 3])
+    hessian[:2, :2] = [[1.5, -0.4], [-0.4, 0.9]]
+    assert np.array_equal(A, to_float(space.theta_matrix()) @ hessian)
 
 
 def test_bracket_pushforward_identity_and_custom_theta() -> None:

@@ -685,3 +685,31 @@ def test_realize_moves_a_column_of_states_one_state_at_a_time() -> None:
             moved = realize(g, StaticOrbitState(constants=constants, **one))
             # same arithmetic entry by entry: equal to the last bit
             assert np.array_equal(alpha[:, i], moved.to_dual())
+
+
+def test_static_invariants_of_a_column_of_states_are_one_state_at_a_time() -> None:
+    rng = random.Random(1929)
+    constants = StaticConstants(
+        m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3),
+        kappa=Fraction(7, 4), nu=Fraction(1, 2), h=Fraction(-3, 4),
+    )
+    n = 9
+
+    def column():
+        return np.array([rng.uniform(-2, 2) for _ in range(n)])
+
+    fields = {
+        name: (column(), column())
+        for name in ("position", "velocity", "momentum", "boost_momentum")
+    }
+    fields.update(energy=column(), angular_momentum=column())
+    s_col, u_col = static_invariants(StaticOrbitState(constants=constants, **fields))
+    for i in range(n):
+        one = {
+            name: tuple(a[i] for a in value) if isinstance(value, tuple) else value[i]
+            for name, value in fields.items()
+        }
+        # same arithmetic entry by entry: equal to the last bit
+        assert (s_col[i], u_col[i]) == static_invariants(
+            StaticOrbitState(constants=constants, **one)
+        )
