@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -387,3 +388,38 @@ def test_descriptor_validation() -> None:
     d = AlgebraDescriptor("NH+", "noncentral_ext")
     assert d.dim == 8
     assert d.label == "Newton-Hooke (expanding)"
+
+
+def _table_text(alg: StructureConstants) -> str:
+    """Basis names, dimension tags and the sorted sparse bracket table."""
+    basis = " ".join(f"{g.name}{g.physical_dimension}" for g in alg.basis)
+    pairs = sorted(
+        (pair, sorted(comps.items())) for pair, comps in alg.pair_table()
+    )
+    brackets = ";".join(
+        f"{i},{j}:" + ",".join(f"{k}={v}" for k, v in comps)
+        for (i, j), comps in pairs
+    )
+    return f"{basis}|{brackets}"
+
+
+def test_every_catalog_table_matches_its_pinned_digest() -> None:
+    """Every record's basis, dimension tags and brackets at two scale pairs,
+    plus a central extension with non-default charges and mass coupling."""
+    lines = [
+        f"{r.name}:{r.variant}@{omega},{kappa}="
+        + _table_text(build(r.name, r.variant, omega=omega, kappa=kappa))
+        for omega, kappa in ((Fraction(1), Fraction(1)), (Fraction(2, 3), Fraction(5, 7)))
+        for r in list_catalog()
+    ]
+    charged = build(
+        "S", "central_ext", omega=Fraction(2, 3), kappa=Fraction(5, 7),
+        mu_charge=Fraction(3, 2), alpha_charge=Fraction(-1, 4),
+        m_coupling=Fraction(7, 5),
+    )
+    lines.append("S:central_ext:charged=" + _table_text(charged))
+    text = "\n".join(lines)
+    assert len(lines) == 65
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "bb7d08f3ab8605d0c15704d54bf05c69f96c1234860c23c93f098ffbb0faf01d"
+    )
