@@ -110,14 +110,14 @@ class StructureConstants:
                     f"bracket for the pair ({a}, {b}) was supplied twice"
                 )
             seen_pairs.add((i, j))
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
+            reversed_pair = i > j
+            if reversed_pair:
+                i, j = j, i
             entry = {}
             for target, coeff in components.items():
-                value = sign * rat(coeff)
+                value = rat(coeff)
                 if value != 0:
-                    entry[self.index(target)] = value
+                    entry[self.index(target)] = -value if reversed_pair else value
             if entry:
                 table[(i, j)] = entry
         self._table = table

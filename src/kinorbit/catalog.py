@@ -18,6 +18,17 @@ to three derived variants:
     the isotropic absolute-time algebras enlarged by noncentral vector
     generators (F_i, Pi_i) and further charges.
 
+Brackets are written in rotation-covariant vector notation over generator
+families: K, P, F and Pi are vectors with components 1, 2, the others are
+scalars.  A bracket ``(V, V): {X: c}`` means [V_i, V_j] = c eps_ij X,
+``(V, W): {X: c}`` means [V_i, W_j] = c delta_ij X, and ``(V, s): {W: c}``
+means [V_i, s] = c W_i; wherever J is in the basis it rotates every vector,
+[J, V_i] = eps_ij V_j.  Each fact lives in one place: a name's label and
+(lam, beta sign, gamma != 0) in ``_FAMILY``, which names admit a variant
+and why in ``_ADMITTED``, a variant's basis in ``_families``, its brackets
+in ``_brackets``, the central-charge rule in ``CentralExtensionRule`` and
+``_CENTRAL_CASES``, and the expansion into components in ``_assemble``.
+
 All structure constants are exact rationals; parameters are injected as
 rationals at build time so Jacobi checks stay exact.
 """
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra_core import GeneratorLabel, StructureConstants
 from .rational_linalg import rat
@@ -54,49 +66,55 @@ class CatalogError(ValueError):
     vanishing charge)."""
 
 
-# Catalog order: boosts-act-on-H row first, then not; curved pairs before flat.
-ISOTROPIC_NAMES = (
-    "dS+", "P", "dS-",
-    "NH+", "G", "NH-",
-    "P'+", "C", "P'-",
-    "G'+", "S", "G'-",
+# name -> (label, lam, beta sign, gamma nonzero?), in catalog order: the
+# boosts-act-on-H row first, then not; curved pairs before flat.
+_FAMILY = {
+    "dS+": ("de Sitter (expanding)", 1, 1, True),
+    "P": ("Poincare", 1, 0, True),
+    "dS-": ("de Sitter (oscillating)", 1, -1, True),
+    "NH+": ("Newton-Hooke (expanding)", 1, 1, False),
+    "G": ("Galilei", 1, 0, False),
+    "NH-": ("Newton-Hooke (oscillating)", 1, -1, False),
+    "P'+": ("para-Poincare (expanding)", 0, 1, True),
+    "C": ("Carroll", 0, 0, True),
+    "P'-": ("para-Poincare (oscillating)", 0, -1, True),
+    "G'+": ("para-Galilei (expanding)", 0, 1, False),
+    "S": ("Static", 0, 0, False),
+    "G'-": ("para-Galilei (oscillating)", 0, -1, False),
+}
+
+ISOTROPIC_NAMES = tuple(_FAMILY)
+# J can be dropped where [K,K] = -lam*gamma J and [P,P] = beta*gamma J vanish
+ANISOTROPIC_NAMES = tuple(
+    name for name, (_, lam, sign, gamma) in _FAMILY.items()
+    if lam * gamma == sign * gamma == 0
+)
+CENTRAL_EXTENSION_NAMES = ANISOTROPIC_NAMES
+# absolute time: the boost-momentum bracket does not reach H
+NONCENTRAL_EXTENSION_NAMES = tuple(
+    name for name, (*_, gamma) in _FAMILY.items() if not gamma
 )
 
-_LABELS = {
-    "dS+": "de Sitter (expanding)",
-    "dS-": "de Sitter (oscillating)",
-    "P": "Poincare",
-    "NH+": "Newton-Hooke (expanding)",
-    "NH-": "Newton-Hooke (oscillating)",
-    "G": "Galilei",
-    "P'+": "para-Poincare (expanding)",
-    "P'-": "para-Poincare (oscillating)",
-    "C": "Carroll",
-    "G'+": "para-Galilei (expanding)",
-    "G'-": "para-Galilei (oscillating)",
-    "S": "Static",
+# variant -> (names that admit it, why the others do not)
+_ADMITTED = {
+    "isotropic": (ISOTROPIC_NAMES, ""),
+    "anisotropic": (
+        ANISOTROPIC_NAMES,
+        "its boost-boost or momentum-momentum brackets produce the rotation "
+        "generator, which therefore cannot be dropped",
+    ),
+    "central_ext": (
+        CENTRAL_EXTENSION_NAMES,
+        "the two-charge central extension exists only for "
+        f"{', '.join(CENTRAL_EXTENSION_NAMES)}",
+    ),
+    "noncentral_ext": (
+        NONCENTRAL_EXTENSION_NAMES,
+        "noncentral extensions exist only for the absolute-time algebras "
+        f"{', '.join(NONCENTRAL_EXTENSION_NAMES)}",
+    ),
 }
-
-# name -> (lam, beta sign, gamma nonzero?)
-_FAMILY = {
-    "dS+": (1, 1, True),
-    "P": (1, 0, True),
-    "dS-": (1, -1, True),
-    "NH+": (1, 1, False),
-    "G": (1, 0, False),
-    "NH-": (1, -1, False),
-    "P'+": (0, 1, True),
-    "C": (0, 0, True),
-    "P'-": (0, -1, True),
-    "G'+": (0, 1, False),
-    "S": (0, 0, False),
-    "G'-": (0, -1, False),
-}
-
-ANISOTROPIC_NAMES = ("NH+", "G", "NH-", "C", "G'+", "S", "G'-")
-CENTRAL_EXTENSION_NAMES = ANISOTROPIC_NAMES
-NONCENTRAL_EXTENSION_NAMES = ("NH+", "G", "NH-", "G'+", "S", "G'-")
-VARIANTS = ("isotropic", "anisotropic", "central_ext", "noncentral_ext")
+VARIANTS = tuple(_ADMITTED)
 
 # Formal L^a T^b dimension tags per generator family name.
 _DIMENSION_TAGS = {
@@ -112,6 +130,7 @@ _DIMENSION_TAGS = {
     "B": (-2, 0),
     "Lambda": (-2, -1),
 }
+_VECTORS = ("K", "P", "F", "Pi")
 
 
 def generator_label(name: str) -> GeneratorLabel:
@@ -122,10 +141,6 @@ def generator_label(name: str) -> GeneratorLabel:
     except KeyError:
         raise CatalogError(f"unknown generator family for {name!r}") from None
     return GeneratorLabel(name, tag)
-
-
-def _labels(names: tuple[str, ...]) -> tuple[GeneratorLabel, ...]:
-    return tuple(generator_label(n) for n in names)
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,7 @@ class KinematicalParams:
     def for_algebra(
         cls, name: str, omega=Fraction(1), kappa=Fraction(1)
     ) -> "KinematicalParams":
-        lam, beta_sign, has_gamma = _family(name)
+        _, lam, beta_sign, has_gamma = _family(name)
         omega = rat(omega)
         kappa = rat(kappa)
         return cls(
@@ -195,7 +210,7 @@ class KinematicalParams:
         return -self.lam * self.gamma
 
 
-def _family(name: str) -> tuple[int, int, bool]:
+def _family(name: str) -> tuple[str, int, int, bool]:
     try:
         return _FAMILY[name]
     except KeyError:
@@ -213,56 +228,33 @@ class AlgebraDescriptor:
 
     def __post_init__(self) -> None:
         _family(self.name)
-        if self.variant not in VARIANTS:
+        if self.variant not in _ADMITTED:
             raise CatalogError(
                 f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
             )
-        if self.variant == "anisotropic" and self.name not in ANISOTROPIC_NAMES:
+        names, reason = _ADMITTED[self.variant]
+        if self.name not in names:
             raise CatalogError(
-                f"anisotropic variant is inadmissible for {self.name!r}: its "
-                f"boost-boost or momentum-momentum brackets produce the rotation "
-                f"generator, which therefore cannot be dropped"
-            )
-        if self.variant == "central_ext" and self.name not in CENTRAL_EXTENSION_NAMES:
-            raise CatalogError(
-                f"central_ext variant is inadmissible for {self.name!r}: the "
-                f"two-charge central extension exists only for "
-                f"{', '.join(CENTRAL_EXTENSION_NAMES)}"
-            )
-        if self.variant == "noncentral_ext" and self.name not in NONCENTRAL_EXTENSION_NAMES:
-            raise CatalogError(
-                f"noncentral_ext variant is inadmissible for {self.name!r}: "
-                f"noncentral extensions exist only for the absolute-time "
-                f"algebras {', '.join(NONCENTRAL_EXTENSION_NAMES)}"
+                f"{self.variant} variant is inadmissible for {self.name!r}: {reason}"
             )
 
     @property
     def label(self) -> str:
-        return _LABELS[self.name]
+        return _FAMILY[self.name][0]
 
     @property
     def time_class(self) -> str:
         """'absolute' when the boost-momentum bracket does not reach H."""
-        return "relative" if _family(self.name)[2] else "absolute"
+        return "relative" if _FAMILY[self.name][3] else "absolute"
 
     @property
     def space_class(self) -> str:
         """'relative' when boosts act on time translations (lam = 1)."""
-        return "relative" if _family(self.name)[0] == 1 else "absolute"
+        return "relative" if _FAMILY[self.name][1] == 1 else "absolute"
 
     @property
     def dim(self) -> int:
-        return _VARIANT_DIMS[self.variant](self.name)
-
-
-_VARIANT_DIMS = {
-    "isotropic": lambda name: 6,
-    "anisotropic": lambda name: 5,
-    "central_ext": lambda name: 6 if name == "C" else 7,
-    "noncentral_ext": lambda name: {
-        "NH+": 8, "NH-": 8, "G'+": 10, "G'-": 10, "G": 12, "S": 14
-    }[name],
-}
+        return len(_basis(_families(self.name, self.variant)))
 
 
 @dataclass(frozen=True)
@@ -270,8 +262,8 @@ class CentralExtensionRule:
     """Admissible central charges (mu, alpha) for one (lam, beta) case.
 
     The charges enter as [K,K] = (mu/c^2) S eps, [P,P] = alpha kappa^2 S eps;
-    the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, which
-    reduces to one of four sign-level cases.
+    the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, which at
+    sign level reads mu*sign(beta) = -lam*alpha.
     """
 
     lam: int
@@ -281,14 +273,18 @@ class CentralExtensionRule:
     default_alpha: Fraction
 
     def admissible(self, mu, alpha) -> bool:
-        mu, alpha = rat(mu), rat(alpha)
-        if self.lam == 1 and self.beta_sign != 0:
-            return mu == -self.beta_sign * alpha
-        if self.lam == 1 and self.beta_sign == 0:
-            return alpha == 0
-        if self.lam == 0 and self.beta_sign != 0:
-            return mu == 0
-        return True
+        return rat(mu) * self.beta_sign == -self.lam * rat(alpha)
+
+
+# (lam, beta sign) -> (the rule in words, default mu, default alpha)
+_CENTRAL_CASES = {
+    (1, 1): ("mu = -alpha (both otherwise free)", 1, -1),
+    (1, -1): ("mu = +alpha (both otherwise free)", 1, 1),
+    (1, 0): ("alpha = 0, mu free", 1, 0),
+    (0, 1): ("mu = 0, alpha free", 0, 1),
+    (0, -1): ("mu = 0, alpha free", 0, 1),
+    (0, 0): ("mu and alpha both free", 1, 1),
+}
 
 
 def admissible_central_extensions(lam, beta, omega=Fraction(1)) -> CentralExtensionRule:
@@ -301,185 +297,143 @@ def admissible_central_extensions(lam, beta, omega=Fraction(1)) -> CentralExtens
         raise CatalogError(f"lam must be 0 or 1, got {lam}")
     beta = rat(beta)
     omega = rat(omega)
-    if beta in (1, 0, -1) and omega == 1:
-        sign = int(beta)
-    elif beta == omega**2:
-        sign = 1
-    elif beta == -(omega**2):
-        sign = -1
-    elif beta == 0:
-        sign = 0
-    else:
+    if omega <= 0:
+        raise CatalogError("omega and kappa must be positive")
+    if beta not in (omega**2, 0, -(omega**2)):
         raise CatalogError(
             f"beta must be one of +omega^2, 0, -omega^2, got {beta}"
         )
-    lam = int(lam)
-    if lam == 1 and sign != 0:
-        desc = f"mu = {'-' if sign > 0 else '+'}alpha (both otherwise free)"
-    elif lam == 1:
-        desc = "alpha = 0, mu free"
-    elif sign != 0:
-        desc = "mu = 0, alpha free"
-    else:
-        desc = "mu and alpha both free"
-    defaults = {
-        (1, 1): (1, -1),
-        (1, -1): (1, 1),
-        (1, 0): (1, 0),
-        (0, 1): (0, 1),
-        (0, -1): (0, 1),
-        (0, 0): (1, 1),
-    }[(lam, sign)]
+    sign = (beta > 0) - (beta < 0)
+    description, mu, alpha = _CENTRAL_CASES[(int(lam), sign)]
     return CentralExtensionRule(
-        lam=lam,
+        lam=int(lam),
         beta_sign=sign,
-        description=desc,
-        default_mu=Fraction(defaults[0]),
-        default_alpha=Fraction(defaults[1]),
+        description=description,
+        default_mu=Fraction(mu),
+        default_alpha=Fraction(alpha),
     )
 
 
 # -- bracket assembly -------------------------------------------------------
 
 
-def _rotation_brackets(table, pairs) -> None:
-    for v1, v2 in pairs:
-        table[("J", v1)] = {v2: 1}
-        table[("J", v2)] = {v1: -1}
+def _families(name: str, variant: str) -> tuple[str, ...]:
+    """The generator families of a catalog entry, in basis order."""
+    if variant == "isotropic":
+        return ("J", "K", "P", "H")
+    if variant == "anisotropic":
+        return ("K", "P", "H")
+    if variant == "central_ext":
+        return ("K", "P", "H", "S") if name == "C" else ("K", "P", "H", "M", "S")
+    if name == "S":
+        return ("J", "K", "P", "H", "M", "F", "Pi", "M'", "B", "Lambda")
+    extra = {"G": ("F", "Pi"), "G'+": ("Pi",), "G'-": ("Pi",)}.get(name, ())
+    return ("J", "K", "P", "H", "M", "S", *extra)
 
 
-def _base_brackets(table, params: KinematicalParams) -> None:
-    """The boost/momentum/time brackets shared by all variants."""
-    table[("K1", "H")] = {"P1": params.lam}
-    table[("K2", "H")] = {"P2": params.lam}
-    table[("P1", "H")] = {"K1": params.beta}
-    table[("P2", "H")] = {"K2": params.beta}
-
-
-def _build_isotropic(name: str, params: KinematicalParams) -> StructureConstants:
-    table: dict = {}
-    _rotation_brackets(table, [("K1", "K2"), ("P1", "P2")])
-    table[("K1", "K2")] = {"J": -params.lam * params.gamma}
-    table[("P1", "P2")] = {"J": params.alpha}
-    table[("K1", "P1")] = {"H": params.gamma}
-    table[("K2", "P2")] = {"H": params.gamma}
-    _base_brackets(table, params)
-    return StructureConstants(
-        _labels(("J", "K1", "K2", "P1", "P2", "H")), table
+@cache
+def _basis(families: tuple[str, ...]) -> tuple[GeneratorLabel, ...]:
+    """The labeled basis of ``families``: a vector family spans two components."""
+    return tuple(
+        GeneratorLabel(component, _DIMENSION_TAGS[family])
+        for family in families
+        for component in ((family + "1", family + "2") if family in _VECTORS else (family,))
     )
 
 
-def _build_anisotropic(name: str, params: KinematicalParams) -> StructureConstants:
-    table: dict = {}
-    table[("K1", "P1")] = {"H": params.gamma}
-    table[("K2", "P2")] = {"H": params.gamma}
-    _base_brackets(table, params)
-    return StructureConstants(_labels(("K1", "K2", "P1", "P2", "H")), table)
-
-
-def _build_central_ext(
+def _brackets(
     name: str,
+    variant: str,
     params: KinematicalParams,
     mu_charge,
     alpha_charge,
     m_coupling,
     enforce_admissibility: bool,
-) -> StructureConstants:
-    rule = admissible_central_extensions(params.lam, params.beta, params.omega)
-    if mu_charge is None:
-        mu_charge = rule.default_mu
-    if alpha_charge is None:
-        alpha_charge = rule.default_alpha
-    mu_charge, alpha_charge = rat(mu_charge), rat(alpha_charge)
-    if enforce_admissibility and not rule.admissible(mu_charge, alpha_charge):
-        raise CatalogError(
-            f"central charges (mu={mu_charge}, alpha={alpha_charge}) are "
-            f"inadmissible for {name!r} (lam={params.lam}, beta={params.beta}): "
-            f"the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-            f"i.e. {rule.description}"
-        )
-    table: dict = {}
-    table[("K1", "K2")] = {"S": mu_charge * params.inv_c2}
-    table[("P1", "P2")] = {"S": alpha_charge * params.kappa**2}
-    if name == "C":
-        table[("K1", "P1")] = {"H": params.inv_c2}
-        table[("K2", "P2")] = {"H": params.inv_c2}
-        basis = ("K1", "K2", "P1", "P2", "H", "S")
-    else:
-        m_coupling = rat(m_coupling)
-        table[("K1", "P1")] = {"M": m_coupling}
-        table[("K2", "P2")] = {"M": m_coupling}
-        basis = ("K1", "K2", "P1", "P2", "H", "M", "S")
-    _base_brackets(table, params)
-    return StructureConstants(_labels(basis), table)
-
-
-def _build_noncentral_ext(name: str, params: KinematicalParams) -> StructureConstants:
-    w2 = params.omega**2
-    k2 = params.kappa**2
-    table: dict = {}
+) -> dict:
+    """The brackets of a catalog entry in vector notation (see the module doc)."""
+    time = {("K", "H"): {"P": params.lam}, ("P", "H"): {"K": params.beta}}
+    if variant == "isotropic":
+        return {
+            ("K", "K"): {"J": params.mu},
+            ("P", "P"): {"J": params.alpha},
+            ("K", "P"): {"H": params.gamma},
+            **time,
+        }
+    if variant == "anisotropic":
+        return {("K", "P"): {"H": params.gamma}, **time}
+    if variant == "central_ext":
+        rule = admissible_central_extensions(params.lam, params.beta, params.omega)
+        if mu_charge is None:
+            mu_charge = rule.default_mu
+        if alpha_charge is None:
+            alpha_charge = rule.default_alpha
+        mu_charge, alpha_charge = rat(mu_charge), rat(alpha_charge)
+        if enforce_admissibility and not rule.admissible(mu_charge, alpha_charge):
+            raise CatalogError(
+                f"central charges (mu={mu_charge}, alpha={alpha_charge}) are "
+                f"inadmissible for {name!r} (lam={params.lam}, beta={params.beta}): "
+                f"the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
+                f"i.e. {rule.description}"
+            )
+        return {
+            ("K", "K"): {"S": mu_charge * params.inv_c2},
+            ("P", "P"): {"S": alpha_charge * params.kappa**2},
+            ("K", "P"): {"H": params.inv_c2} if name == "C" else {"M": rat(m_coupling)},
+            **time,
+        }
+    sign, k2 = _FAMILY[name][2], params.kappa**2
+    oscillator = {"K": sign * params.omega**2}
     if name in ("NH+", "NH-"):
-        sign = 1 if name.endswith("+") else -1
-        _rotation_brackets(table, [("K1", "K2"), ("P1", "P2")])
-        table[("K1", "K2")] = {"S": params.inv_c2}
-        table[("P1", "P2")] = {"S": -sign * k2}
-        table[("K1", "P1")] = {"M": 1}
-        table[("K2", "P2")] = {"M": 1}
-        table[("K1", "H")] = {"P1": 1}
-        table[("K2", "H")] = {"P2": 1}
-        table[("P1", "H")] = {"K1": sign * w2}
-        table[("P2", "H")] = {"K2": sign * w2}
-        basis = ("J", "K1", "K2", "P1", "P2", "H", "M", "S")
-    elif name in ("G'+", "G'-"):
-        sign = 1 if name.endswith("+") else -1
-        _rotation_brackets(table, [("K1", "K2"), ("P1", "P2"), ("Pi1", "Pi2")])
-        table[("K1", "P1")] = {"M": 1}
-        table[("K2", "P2")] = {"M": 1}
-        table[("P1", "P2")] = {"S": k2}
-        table[("K1", "H")] = {"Pi1": 1}
-        table[("K2", "H")] = {"Pi2": 1}
-        table[("P1", "H")] = {"K1": sign * w2}
-        table[("P2", "H")] = {"K2": sign * w2}
-        basis = ("J", "K1", "K2", "P1", "P2", "H", "M", "S", "Pi1", "Pi2")
-    elif name == "G":
-        _rotation_brackets(
-            table, [("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2")]
-        )
-        table[("K1", "K2")] = {"S": params.inv_c2}
-        table[("K1", "P1")] = {"M": 1}
-        table[("K2", "P2")] = {"M": 1}
-        table[("K1", "H")] = {"Pi1": 1}
-        table[("K2", "H")] = {"Pi2": 1}
-        table[("P1", "H")] = {"F1": 1}
-        table[("P2", "H")] = {"F2": 1}
-        basis = (
-            "J", "K1", "K2", "P1", "P2", "H", "M", "S", "F1", "F2", "Pi1", "Pi2"
-        )
-    elif name == "S":
-        _rotation_brackets(
-            table, [("K1", "K2"), ("P1", "P2"), ("F1", "F2"), ("Pi1", "Pi2")]
-        )
-        table[("K1", "P1")] = {"M": 1}
-        table[("K2", "P2")] = {"M": 1}
-        table[("K1", "F1")] = {"B": 1}
-        table[("K2", "F2")] = {"B": 1}
-        table[("P1", "F1")] = {"Lambda": 1}
-        table[("P2", "F2")] = {"Lambda": 1}
-        table[("K1", "Pi1")] = {"M'": 1}
-        table[("K2", "Pi2")] = {"M'": 1}
-        table[("P1", "Pi1")] = {"B": 1}
-        table[("P2", "Pi2")] = {"B": 1}
-        table[("K1", "H")] = {"Pi1": 1}
-        table[("K2", "H")] = {"Pi2": 1}
-        table[("P1", "H")] = {"F1": 1}
-        table[("P2", "H")] = {"F2": 1}
-        basis = (
-            "J", "K1", "K2", "P1", "P2", "H", "M",
-            "F1", "F2", "Pi1", "Pi2", "M'", "B", "Lambda",
-        )
-    else:  # pragma: no cover - guarded by AlgebraDescriptor
-        raise CatalogError(f"no noncentral extension for {name!r}")
-    return StructureConstants(_labels(basis), table)
+        return {
+            ("K", "K"): {"S": params.inv_c2},
+            ("P", "P"): {"S": -sign * k2},
+            ("K", "P"): {"M": 1},
+            ("K", "H"): {"P": 1},
+            ("P", "H"): oscillator,
+        }
+    if name in ("G'+", "G'-"):
+        return {
+            ("K", "P"): {"M": 1},
+            ("P", "P"): {"S": k2},
+            ("K", "H"): {"Pi": 1},
+            ("P", "H"): oscillator,
+        }
+    if name == "G":
+        return {
+            ("K", "K"): {"S": params.inv_c2},
+            ("K", "P"): {"M": 1},
+            ("K", "H"): {"Pi": 1},
+            ("P", "H"): {"F": 1},
+        }
+    return {
+        ("K", "P"): {"M": 1},
+        ("K", "F"): {"B": 1},
+        ("P", "F"): {"Lambda": 1},
+        ("K", "Pi"): {"M'": 1},
+        ("P", "Pi"): {"B": 1},
+        ("K", "H"): {"Pi": 1},
+        ("P", "H"): {"F": 1},
+    }
+
+
+def _assemble(families: tuple[str, ...], brackets: dict) -> StructureConstants:
+    """Expand vector-notation ``brackets`` into components over the basis of
+    ``families``, with J's rotation of every vector when J is present."""
+    table: dict = {}
+    if "J" in families:
+        for v in families:
+            if v in _VECTORS:
+                table[("J", v + "1")] = {v + "2": 1}
+                table[("J", v + "2")] = {v + "1": -1}
+    for (a, b), targets in brackets.items():
+        if a == b:  # [V_i, V_j] = eps_ij X
+            table[(a + "1", a + "2")] = targets
+        elif b in _VECTORS:  # [V_i, W_j] = delta_ij X
+            table[(a + "1", b + "1")] = table[(a + "2", b + "2")] = targets
+        else:  # [V_i, s] = c W_i
+            for i in "12":
+                table[(a + i, b)] = {w + i: c for w, c in targets.items()}
+    return StructureConstants(_basis(families), table)
 
 
 def build(
@@ -515,16 +469,12 @@ def build(
         )
     if params is None:
         params = KinematicalParams.for_algebra(descriptor.name, omega, kappa)
-    if descriptor.variant == "isotropic":
-        return _build_isotropic(descriptor.name, params)
-    if descriptor.variant == "anisotropic":
-        return _build_anisotropic(descriptor.name, params)
-    if descriptor.variant == "central_ext":
-        return _build_central_ext(
-            descriptor.name, params, mu_charge, alpha_charge, m_coupling,
-            enforce_admissibility,
-        )
-    return _build_noncentral_ext(descriptor.name, params)
+    name, variant = descriptor.name, descriptor.variant
+    brackets = _brackets(
+        name, variant, params, mu_charge, alpha_charge, m_coupling,
+        enforce_admissibility,
+    )
+    return _assemble(_families(name, variant), brackets)
 
 
 @dataclass(frozen=True)
@@ -541,41 +491,31 @@ class CatalogRecord:
 
 
 def _param_slots(name: str, variant: str) -> tuple[str, ...]:
-    lam, beta_sign, has_gamma = _family(name)
-    if variant in ("isotropic", "anisotropic"):
-        if has_gamma:
-            return ("omega", "kappa")
-        if beta_sign != 0:
-            return ("omega",)
-        return ()
-    if variant == "central_ext":
+    """The scales a build reads: kappa enters through 1/c^2 and the
+    extension charges, omega through beta; the noncentral Static
+    extension has no scale at all."""
+    _, lam, beta_sign, has_gamma = _FAMILY[name]
+    if has_gamma or variant == "central_ext" or (
+        variant == "noncentral_ext" and (lam or beta_sign)
+    ):
         return ("omega", "kappa")
-    slots = {
-        "NH+": ("omega", "kappa"), "NH-": ("omega", "kappa"),
-        "G'+": ("omega", "kappa"), "G'-": ("omega", "kappa"),
-        "G": ("omega", "kappa"), "S": (),
-    }
-    return slots[name]
+    return ("omega",) if beta_sign else ()
 
 
 def list_catalog() -> tuple[CatalogRecord, ...]:
     """All (name, variant) combinations in fixed catalog order."""
-    records = []
-    for name in ISOTROPIC_NAMES:
-        for variant in VARIANTS:
-            try:
-                desc = AlgebraDescriptor(name, variant)
-            except CatalogError:
-                continue
-            records.append(
-                CatalogRecord(
-                    name=name,
-                    label=desc.label,
-                    variant=variant,
-                    dim=desc.dim,
-                    time_class=desc.time_class,
-                    space_class=desc.space_class,
-                    param_slots=_param_slots(name, variant),
-                )
-            )
-    return tuple(records)
+    return tuple(
+        CatalogRecord(
+            name=name,
+            label=desc.label,
+            variant=variant,
+            dim=desc.dim,
+            time_class=desc.time_class,
+            space_class=desc.space_class,
+            param_slots=_param_slots(name, variant),
+        )
+        for name in ISOTROPIC_NAMES
+        for variant, (names, _) in _ADMITTED.items()
+        if name in names
+        for desc in (AlgebraDescriptor(name, variant),)
+    )

@@ -289,21 +289,48 @@ def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
 # -- subcommands ------------------------------------------------------------
 
 
-def _selected_records(config: RunConfig) -> list:
-    """The catalog records matching ``--algebra`` and ``--variant``, when given.
+# (chart kind, variant, algebras) of the orbit charts each chart command reads
+_STANDARD_CHARTS = ("standard orbit", "central_ext", STANDARD_ORBIT_NAMES)
+_CHARTS = {
+    "orbit": _STANDARD_CHARTS,
+    "classify": _STANDARD_CHARTS,
+    "simulate": _STANDARD_CHARTS,
+    "realize": ("extended-Static orbit", "noncentral_ext", ("S",)),
+}
 
-    An unknown name or variant, or a variant the catalog does not admit for
-    the name, raises the catalog's :class:`CatalogError`.
+
+def _check_selection(config: RunConfig) -> None:
+    """Refuse an ``--algebra`` or ``--variant`` that the command cannot serve.
+
+    ``list`` and ``verify`` serve every entry the catalog admits; an unknown
+    name or variant, or a variant the catalog does not admit for the name,
+    raises the catalog's :class:`CatalogError`.  The other commands serve
+    only the algebras and the variant of the charts they read.
     """
-    if config.algebra is not None or config.variant is not None:
-        # every name has the isotropic variant, and G has every variant
-        AlgebraDescriptor(config.algebra or "G", config.variant or "isotropic")
-    return [
-        record
-        for record in list_catalog()
-        if config.algebra in (None, record.name)
-        and config.variant in (None, record.variant)
-    ]
+    if config.command not in _CHARTS:
+        if config.algebra is not None or config.variant is not None:
+            # every name has the isotropic variant, and G has every variant
+            AlgebraDescriptor(config.algebra or "G", config.variant or "isotropic")
+        return
+    kind, variant, names = _CHARTS[config.command]
+    if config.variant not in (None, variant):
+        raise ConfigError(
+            f"{config.command} reads only {variant} orbits, not variant {config.variant!r}"
+        )
+    if config.algebra not in (None, *names):
+        raise ConfigError(
+            f"no {kind} chart for {config.algebra!r}; available: {', '.join(names)}"
+        )
+
+
+def _selects(config: RunConfig, name: str, variant: str) -> bool:
+    """Whether ``--algebra`` and ``--variant``, when given, select this entry."""
+    return config.algebra in (None, name) and config.variant in (None, variant)
+
+
+def _selected_records(config: RunConfig) -> list:
+    """The catalog records matching ``--algebra`` and ``--variant``, when given."""
+    return [r for r in list_catalog() if _selects(config, r.name, r.variant)]
 
 
 def _cmd_list(config: RunConfig) -> tuple[int, list[str], list[dict]]:
@@ -376,7 +403,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
 
     rng = random.Random(_SEED)
     for name in STANDARD_ORBIT_NAMES:
-        if config.algebra is not None and name != config.algebra:
+        if not _selects(config, name, "central_ext"):
             continue
         orbit = standard_orbit(
             name, m=Fraction(2), h=Fraction(1), E=Fraction(2),
@@ -395,7 +422,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         add("casimir", f"{name}:central_ext", _worst_residual(orbit.algebra, checks))
         add("omega_theta", f"{name}:central_ext", _inverse_residual(orbit.structure))
 
-    if config.algebra is None or config.algebra == "S":
+    if _selects(config, "S", "noncentral_ext"):
         constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
         algebra = noncentral_algebra()
 
@@ -485,7 +512,6 @@ def _cmd_orbit(config: RunConfig) -> tuple[int, list[str], list[dict]]:
 def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
     rows = []
     h = _param_fraction(config, "h", 1)
-    # an unknown --algebra fails in standard_orbit, as for ``orbit``
     for name in STANDARD_ORBIT_NAMES if config.algebra is None else (config.algebra,):
         for h_value in (h, Fraction(0)):
             report = _orbit_report(_orbit_request(config, name, h_value))
@@ -593,6 +619,7 @@ _DISPATCH = {
 def run(config: RunConfig) -> int:
     """Execute a resolved run request; returns the process exit status."""
     try:
+        _check_selection(config)
         code, fieldnames, rows = _DISPATCH[config.command](config)
     except (ConfigError, CatalogError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

@@ -46,9 +46,7 @@ def rat(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, Rational)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (Rational, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 

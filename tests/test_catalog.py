@@ -225,6 +225,15 @@ def test_central_extension_rule_accepts_literal_beta_value() -> None:
         admissible_central_extensions(2, 0)
 
 
+@pytest.mark.parametrize("omega", [0, -1, Fraction(-1, 2)])
+def test_central_extension_rule_needs_a_positive_omega(omega) -> None:
+    # beta = 0 = omega^2 at omega = 0 must not read as the beta > 0 rule
+    with pytest.raises(CatalogError, match="omega and kappa must be positive"):
+        admissible_central_extensions(1, 0, omega=omega)
+    with pytest.raises(CatalogError, match="omega and kappa must be positive"):
+        admissible_central_extensions(0, 1, omega=omega)
+
+
 def test_inadmissible_central_charges_rejected_when_enforced() -> None:
     with pytest.raises(CatalogError):
         build("NH+", "central_ext", mu_charge=1, alpha_charge=1)

@@ -41,6 +41,23 @@ def test_verify_passes_on_the_clean_catalog(capsys) -> None:
     assert any(",pass," in line or line.endswith("pass") or ",pass" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "variant, suites, subjects",
+    [
+        ("isotropic", {"jacobi"}, 12),
+        ("central_ext", {"jacobi", "casimir", "omega_theta"}, 7),
+        ("noncentral_ext", {"jacobi", "casimir", "omega_theta"}, 6),
+    ],
+)
+def test_verify_applies_the_variant_to_every_suite(capsys, variant, suites, subjects) -> None:
+    code, out, _ = _run(capsys, ["verify", "--variant", variant])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {row[0] for row in rows} == suites
+    assert all(row[1].endswith(":" + variant) for row in rows)
+    assert len({row[1] for row in rows}) == subjects
+
+
 def test_orbit_reports_fields_and_matrices(capsys) -> None:
     code, out, _ = _run(capsys, ["orbit", "--algebra", "G"])
     assert code == 0
@@ -81,9 +98,20 @@ _INADMISSIBLE = _build_error("dS+", "central_ext")
         # a known name with a known variant that the catalog does not admit for it
         (["list", "--algebra", "dS+", "--variant", "central_ext"], _INADMISSIBLE),
         (["verify", "--algebra", "dS+", "--variant", "central_ext"], _INADMISSIBLE),
+        # a variant or algebra that the command's charts do not serve
+        (["orbit", "--algebra", "G", "--variant", "weird"], "not variant 'weird'"),
+        (["orbit", "--algebra", "G", "--variant", "isotropic"],
+         "orbit reads only central_ext orbits"),
+        (["classify", "--variant", "anisotropic"], "not variant 'anisotropic'"),
+        (["simulate", "--variant", "weird"], "not variant 'weird'"),
+        (["realize", "--variant", "central_ext"], "realize reads only noncentral_ext"),
+        (["realize", "--algebra", "nope"], "no extended-Static orbit chart for 'nope'"),
+        (["realize", "--algebra", "G"], "no extended-Static orbit chart for 'G'"),
     ],
     ids=["orbit", "verify", "list", "list-variant", "verify-variant", "classify",
-         "list-inadmissible", "verify-inadmissible"],
+         "list-inadmissible", "verify-inadmissible", "orbit-variant",
+         "orbit-isotropic", "classify-variant", "simulate-variant",
+         "realize-variant", "realize-algebra", "realize-other-algebra"],
 )
 def test_unknown_algebra_is_a_usage_error(capsys, argv, reason) -> None:
     code, out, err = _run(capsys, argv)

@@ -20,7 +20,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
-from kinorbit.catalog import build, list_catalog
+from kinorbit.catalog import (
+    CENTRAL_EXTENSION_NAMES,
+    KinematicalParams,
+    admissible_central_extensions,
+    build,
+    list_catalog,
+)
 from kinorbit.cli import main
 from kinorbit.coadjoint import (
     STANDARD_ORBIT_NAMES,
@@ -330,6 +336,29 @@ def test_jacobi_violations_equal_the_dense_reference(algebra, admissible) -> Non
     got = [(v.triple, v.residual) for v in algebra.jacobi_violations()]
     assert got == _dense_jacobi(algebra)
     assert bool(got) != admissible
+
+
+@_REPEATABLE
+@given(
+    name=st.sampled_from(CENTRAL_EXTENSION_NAMES),
+    omega=_positive,
+    kappa=_positive,
+    mu=_rationals,
+    alpha=_rationals,
+    forced=st.sampled_from((None, "equal", "opposite", "zero mu", "zero alpha")),
+)
+def test_the_central_charge_rule_is_the_jacobi_identity(
+    name, omega, kappa, mu, alpha, forced
+) -> None:
+    alpha = {"equal": mu, "opposite": -mu, "zero alpha": Fraction(0)}.get(forced, alpha)
+    mu = Fraction(0) if forced == "zero mu" else mu
+    params = KinematicalParams.for_algebra(name, omega, kappa)
+    rule = admissible_central_extensions(params.lam, params.beta, params.omega)
+    algebra = build(
+        name, "central_ext", params, mu_charge=mu, alpha_charge=alpha,
+        enforce_admissibility=False,
+    )
+    assert rule.admissible(mu, alpha) == algebra.is_lie_algebra
 
 
 # Static-group draws span the ranges of the hand-picked cases in
