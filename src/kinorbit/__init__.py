@@ -6,7 +6,14 @@ exact rational structure constants, builds coadjoint-orbit symplectic
 structures, classifies the resulting noncommutative phase spaces,
 integrates the modified Hamilton equations, and implements the extended
 Static group together with its orbit realization and invariants.
+
+The exact layer imports no NumPy.  The names of the float layer
+(:mod:`kinorbit.mechanics` and :mod:`kinorbit.static_group`) resolve when
+first used, through the module ``__getattr__``, so ``import kinorbit``
+does not load NumPy either.
 """
+
+import importlib
 
 from .algebra_core import (
     AlgebraElement,
@@ -35,44 +42,56 @@ from .coadjoint import (
     SymplecticStructure,
     casimir_residual,
     classify,
-    finite_difference_gradient,
     kirillov_matrix,
     magnetic_fields,
     poisson_bracket,
     restrict,
     standard_orbit,
 )
-from .mechanics import (
-    CANONICAL_BRACKET_MATRIX,
-    HamiltonianSpec,
-    IntegrationError,
-    MinimalCouplingResult,
-    NCPhaseSpace2D,
-    NCTrajectory,
-    bracket_pushforward,
-    hamilton_rhs,
-    hamiltonian_value,
-    integrate,
-    minimal_coupling_galilei,
-    minimal_coupling_paragalilei,
-)
-from .rational_linalg import SingularMatrixError, rarray, rat, rat_inv, rat_rank
-from .static_group import (
-    StaticConstants,
-    StaticGroupElement,
-    StaticOrbitState,
-    compose,
-    identity_element,
-    inverse,
-    multiplication_cocycle,
-    noncentral_invariants,
-    realize,
-    static_invariants,
-    static_symplectic,
-    time_evolution,
-)
+from .rational_linalg import RatMatrix, SingularMatrixError, rat, rat_inv, rat_rank
+from .timegrid import IntegrationError
 
 __version__ = "0.1.0"
+
+# float-layer module -> the names it lends the package
+_LAZY = {
+    "mechanics": (
+        "CANONICAL_BRACKET_MATRIX",
+        "HamiltonianSpec",
+        "MinimalCouplingResult",
+        "NCPhaseSpace2D",
+        "NCTrajectory",
+        "bracket_pushforward",
+        "hamiltonian_value",
+        "integrate",
+        "minimal_coupling_galilei",
+        "minimal_coupling_paragalilei",
+    ),
+    "static_group": (
+        "StaticConstants",
+        "StaticGroupElement",
+        "StaticOrbitState",
+        "compose",
+        "identity_element",
+        "inverse",
+        "multiplication_cocycle",
+        "noncentral_invariants",
+        "realize",
+        "static_invariants",
+        "static_symplectic",
+        "time_evolution",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """A float-layer module, or a name it lends, imported when first asked for."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            value = importlib.import_module(f".{module}", __name__)
+            return value if name == module else getattr(value, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgebraDescriptor",
@@ -93,6 +112,7 @@ __all__ = [
     "NCTrajectory",
     "OrbitChart",
     "OrbitInvariant",
+    "RatMatrix",
     "SingularMatrixError",
     "StandardOrbit",
     "StaticConstants",
@@ -108,8 +128,6 @@ __all__ = [
     "check_jacobi",
     "classify",
     "compose",
-    "finite_difference_gradient",
-    "hamilton_rhs",
     "hamiltonian_value",
     "identity_element",
     "integrate",
@@ -122,7 +140,6 @@ __all__ = [
     "multiplication_cocycle",
     "noncentral_invariants",
     "poisson_bracket",
-    "rarray",
     "rat",
     "rat_inv",
     "rat_rank",

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .rational_linalg import rat, rzeros
+from .rational_linalg import RatMatrix, rat
 
 __all__ = [
     "GeneratorLabel",
@@ -167,17 +165,6 @@ class StructureConstants:
                 pairing[pair] = value
         return pairing
 
-    @property
-    def c(self) -> np.ndarray:
-        """Dense rank-3 tensor ``C[i, j, k]`` of exact rationals."""
-        n = self.dim
-        tensor = rzeros((n, n, n))
-        for (i, j), comps in self._table.items():
-            for k, v in comps.items():
-                tensor[i, j, k] = v
-                tensor[j, i, k] = -v
-        return tensor
-
     def element(self, coords: Mapping[str, object]) -> "AlgebraElement":
         vec = [Fraction(0)] * self.dim
         for name, value in coords.items():
@@ -200,21 +187,21 @@ class StructureConstants:
                     out[k] += factor * v
         return AlgebraElement(self, tuple(out))
 
-    def adjoint_matrix(self, coords: Mapping[str, object]) -> np.ndarray:
+    def adjoint_matrix(self, coords: Mapping[str, object]) -> RatMatrix:
         """Matrix of ``ad_A = [A, . ]`` with ``A`` given by named coordinates.
 
         Entry ``(k, j)`` is the ``e_k`` component of ``[A, e_j]``.
         """
         n = self.dim
-        mat = rzeros((n, n))
+        mat = [[Fraction(0)] * n for _ in range(n)]
         for name, value in coords.items():
             a_i = rat(value)
             if a_i == 0:
                 continue
             for j, targets in self._adjacency[self.index(name)].items():
                 for k, v in targets.items():
-                    mat[k, j] += a_i * v
-        return mat
+                    mat[k][j] += a_i * v
+        return RatMatrix(mat)
 
     def jacobi_violations(self) -> list[JacobiViolation]:
         """All index triples where the cyclic Jacobi sum fails, exactly.

@@ -439,7 +439,6 @@ def _assemble(families: tuple[str, ...], brackets: dict) -> StructureConstants:
 def build(
     descriptor: AlgebraDescriptor | str,
     variant: str | None = None,
-    params: KinematicalParams | None = None,
     *,
     omega=Fraction(1),
     kappa=Fraction(1),
@@ -452,14 +451,14 @@ def build(
 
     ``descriptor`` may be an :class:`AlgebraDescriptor` or a bare name (in
     which case ``variant`` selects the variant, default ``isotropic``).
-    ``params`` overrides the scales; otherwise they are derived from
-    ``omega`` and ``kappa``.  For ``central_ext`` builds, the charges
-    ``mu_charge``/``alpha_charge`` default to the admissible normalization
-    and are validated against the admissibility rule unless
-    ``enforce_admissibility`` is False (used to demonstrate the resulting
-    Jacobi violation).  ``m_coupling`` scales the boost-momentum central
-    charge so that setting all extension parameters to zero recovers the
-    unextended algebra.
+    The parameters of the name are derived from the scales ``omega`` and
+    ``kappa`` (:meth:`KinematicalParams.for_algebra`).  For ``central_ext``
+    builds, the charges ``mu_charge``/``alpha_charge`` default to the
+    admissible normalization and are validated against the admissibility
+    rule unless ``enforce_admissibility`` is False (used to demonstrate the
+    resulting Jacobi violation).  ``m_coupling`` scales the boost-momentum
+    central charge so that setting all extension parameters to zero
+    recovers the unextended algebra.
     """
     if isinstance(descriptor, str):
         descriptor = AlgebraDescriptor(descriptor, variant or "isotropic")
@@ -467,9 +466,8 @@ def build(
         raise CatalogError(
             f"conflicting variants {descriptor.variant!r} and {variant!r}"
         )
-    if params is None:
-        params = KinematicalParams.for_algebra(descriptor.name, omega, kappa)
     name, variant = descriptor.name, descriptor.variant
+    params = KinematicalParams.for_algebra(name, omega, kappa)
     brackets = _brackets(
         name, variant, params, mu_charge, alpha_charge, m_coupling,
         enforce_admissibility,

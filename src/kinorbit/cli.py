@@ -25,7 +25,10 @@ timestamps are emitted.  Exit status: 0 all passed, 1 verification or
 integration failure (including degenerate charts), 2 configuration error
 (including a non-finite or out-of-range number, an exact parameter that
 spans more than :data:`MAX_PARAM_DIGITS` digits, and a step count t_end/dt
-above :data:`kinorbit.mechanics.MAX_STEPS`).
+above :data:`kinorbit.timegrid.MAX_STEPS`).  The exact commands run
+without NumPy; ``simulate``, ``realize`` and the Static suite of
+``verify`` import the float layer (:mod:`kinorbit.mechanics`,
+:mod:`kinorbit.static_group`) when they run.
 """
 
 from __future__ import annotations
@@ -40,31 +43,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 
-import numpy as np
-
 from .algebra_core import StructureConstants
 from .catalog import AlgebraDescriptor, CatalogError, build, list_catalog
-from .coadjoint import (
-    STANDARD_ORBIT_NAMES,
-    standard_orbit,
-)
-from .mechanics import (
-    HamiltonianSpec,
-    IntegrationError,
-    NCPhaseSpace2D,
-    integrate,
-    step_count,
-)
-from .rational_linalg import rat, reye
-from .static_group import (
-    StaticConstants,
-    StaticOrbitState,
-    noncentral_algebra,
-    noncentral_invariants,
-    static_invariants,
-    static_symplectic,
-    time_evolution,
-)
+from .coadjoint import STANDARD_ORBIT_NAMES, standard_orbit
+from .rational_linalg import rat
+from .timegrid import IntegrationError, step_count
 
 __all__ = ["MAX_PARAM_DIGITS", "ConfigError", "RunConfig", "run", "main"]
 
@@ -246,7 +229,7 @@ _EMIT_CHUNK = 4096
 def _format_rows(fmt: str, fieldnames: list[str], rows) -> str:
     """The lines of ``rows`` (CSV without header, or JSON lines), formatted
     by one ``%`` on a row template repeated once per row."""
-    floats = isinstance(rows, np.ndarray)
+    floats = not isinstance(rows, list)
     if fmt == "csv":
         order = range(len(fieldnames))
         template = ",".join(["%.17g" if floats else "%s"] * len(fieldnames))
@@ -269,9 +252,9 @@ def _format_rows(fmt: str, fieldnames: list[str], rows) -> str:
 def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
     """Write ``rows`` as CSV or JSON lines to stdout or ``config.out``.
 
-    ``rows`` is either a float array with one column per field (printed
-    with %.17g) or a list of dicts keyed by field name, where a missing
-    field prints empty.  A JSON line maps each field to its formatted
+    ``rows`` is either a list of dicts keyed by field name, where a missing
+    field prints empty, or a float NumPy array with one column per field
+    (printed with %.17g).  A JSON line maps each field to its formatted
     string, keys sorted, exactly as ``json.dumps(..., sort_keys=True)``.
     """
     if config.out is None:
@@ -362,8 +345,10 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 def _inverse_residual(structure) -> Fraction:
     """Largest entry of |omega*theta - I|: exactly 0 for inverse pairings."""
-    residual = structure.omega @ structure.theta - reye(structure.dim)
-    return max(abs(v) for v in residual.flat)
+    product = structure.omega @ structure.theta
+    return max(
+        abs(v - (i == j)) for i, row in enumerate(product) for j, v in enumerate(row)
+    )
 
 
 def _worst_residual(algebra: StructureConstants, checks) -> Fraction:
@@ -423,6 +408,13 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         add("omega_theta", f"{name}:central_ext", _inverse_residual(orbit.structure))
 
     if _selects(config, "S", "noncentral_ext"):
+        from .static_group import (
+            StaticConstants,
+            noncentral_algebra,
+            noncentral_invariants,
+            static_symplectic,
+        )
+
         constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
         algebra = noncentral_algebra()
 
@@ -501,10 +493,10 @@ def _cmd_orbit(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         ("canonical_theta", orbit.structure.canonical_theta),
     )
     for label, matrix in matrices:
-        for i in range(matrix.shape[0]):
+        for i, entries in enumerate(matrix):
             row = {"record": label, "key": f"row{i}"}
-            for j in range(matrix.shape[1]):
-                row[f"value{j + 1}"] = matrix[i, j]
+            for j, value in enumerate(entries):
+                row[f"value{j + 1}"] = value
             rows.append(row)
     return 0, fieldnames, rows
 
@@ -521,7 +513,11 @@ def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
     return 0, fieldnames, rows
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], np.ndarray]:
+def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], object]:
+    import numpy as np
+
+    from .mechanics import HamiltonianSpec, NCPhaseSpace2D, integrate
+
     if config.algebra is not None:
         orbit = _orbit_request(config, config.algebra, _param_fraction(config, "h", 1))
         g_default = orbit.structure.G_field
@@ -565,7 +561,16 @@ def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], np.ndarray]:
     return 0, ["t", "q1", "q2", "p1", "p2", "H", "drift"], rows
 
 
-def _cmd_realize(config: RunConfig) -> tuple[int, list[str], np.ndarray]:
+def _cmd_realize(config: RunConfig) -> tuple[int, list[str], object]:
+    import numpy as np
+
+    from .static_group import (
+        StaticConstants,
+        StaticOrbitState,
+        static_invariants,
+        time_evolution,
+    )
+
     constants = StaticConstants(
         m=_param_fraction(config, "m", 1),
         mu=_param_fraction(config, "mu", 2),

@@ -17,21 +17,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .algebra_core import StructureConstants
-from .catalog import (
-    CatalogError,
-    KinematicalParams,
-    build,
-)
-from .rational_linalg import (
-    SingularMatrixError,
-    rarray,
-    rat,
-    rat_inv,
-    rzeros,
-)
+from .catalog import CatalogError, KinematicalParams, build
+from .rational_linalg import RatMatrix, SingularMatrixError, rat, rat_inv
 
 __all__ = [
     "DualPoint",
@@ -44,7 +32,6 @@ __all__ = [
     "STANDARD_ORBIT_NAMES",
     "kirillov_matrix",
     "casimir_residual",
-    "finite_difference_gradient",
     "forward_mode_gradient",
     "restrict",
     "classify",
@@ -90,10 +77,6 @@ class DualPoint:
     def coordinate(self, name: str) -> Fraction:
         return self.coords[self.algebra.index(name)]
 
-    @property
-    def as_array(self) -> np.ndarray:
-        return rarray([list(self.coords)])[0]
-
     def replace(self, **values: object) -> "DualPoint":
         coords = list(self.coords)
         for name, value in values.items():
@@ -117,48 +100,30 @@ def _nonzeros(vector, n: int) -> list[tuple[int, Fraction]]:
     return [(i, rat(x)) for i, x in enumerate(vector) if x != 0]
 
 
-def kirillov_matrix(algebra: StructureConstants, point) -> np.ndarray:
+def kirillov_matrix(algebra: StructureConstants, point) -> RatMatrix:
     """Exact pairing matrix K_ij = sum_k alpha_k C_ij^k."""
     n = algebra.dim
-    K = rzeros((n, n))
+    K = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
-        K[i, j] = value
-        K[j, i] = -value
-    return K
+        K[i][j] = value
+        K[j][i] = -value
+    return RatMatrix(K)
 
 
-def casimir_residual(algebra: StructureConstants, point, grad) -> np.ndarray:
+def casimir_residual(algebra: StructureConstants, point, grad) -> tuple[Fraction, ...]:
     """The exact vector K(alpha) . grad; it vanishes identically for a Casimir.
 
     Only the nonzero entries of K and of ``grad`` are multiplied.  Float
     gradient entries are converted exactly, by their binary expansion.
     """
     g = dict(_nonzeros(grad, algebra.dim))
-    residual = rzeros(algebra.dim)
+    residual = [Fraction(0)] * algebra.dim
     for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
         if j in g:
             residual[i] += value * g[j]
         if i in g:
             residual[j] -= value * g[i]
-    return residual
-
-
-def finite_difference_gradient(
-    fn: Callable[[np.ndarray], float],
-    alpha: Sequence[float],
-    step_scale: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient with per-component step h_i = s*max(1,|a_i|)."""
-    base = np.asarray(alpha, dtype=float)
-    grad = np.zeros(base.size)
-    for i in range(base.size):
-        h = step_scale * max(1.0, abs(base[i]))
-        up = base.copy()
-        up[i] += h
-        down = base.copy()
-        down[i] -= h
-        grad[i] = (fn(up) - fn(down)) / (2.0 * h)
-    return grad
+    return tuple(residual)
 
 
 class _Dual:
@@ -234,13 +199,13 @@ class OrbitChart:
 
     ``coordinate_names`` selects the dual directions spanning the chart (in
     order); ``canonical_names`` names the mapped coordinates ``z = J x``
-    where ``x`` are the chart dual coordinates and ``J`` is ``jacobian``
-    (identity when omitted).
+    where ``x`` are the chart dual coordinates and ``J`` is ``jacobian``, a
+    :class:`RatMatrix` (identity when omitted).
     """
 
     coordinate_names: tuple[str, ...]
     canonical_names: tuple[str, ...] = ()
-    jacobian: tuple[tuple[Fraction, ...], ...] = ()
+    jacobian: RatMatrix = ()
 
     def __post_init__(self) -> None:
         n = len(self.coordinate_names)
@@ -249,23 +214,16 @@ class OrbitChart:
             raise ValueError("canonical_names must match chart dimension")
         object.__setattr__(self, "canonical_names", tuple(canonical))
         if self.jacobian:
-            jac = tuple(tuple(rat(v) for v in row) for row in self.jacobian)
+            jac = RatMatrix(self.jacobian)
             if len(jac) != n or any(len(row) != n for row in jac):
                 raise ValueError("jacobian must be square over the chart")
         else:
-            jac = tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
+            jac = RatMatrix.identity(n)
         object.__setattr__(self, "jacobian", jac)
 
     @property
     def dim(self) -> int:
         return len(self.coordinate_names)
-
-    @property
-    def jacobian_array(self) -> np.ndarray:
-        return rarray([list(row) for row in self.jacobian])
 
     @classmethod
     def scaled_positions(
@@ -309,9 +267,9 @@ class SymplecticStructure:
     """
 
     chart: OrbitChart
-    omega: np.ndarray
-    theta: np.ndarray
-    canonical_theta: np.ndarray
+    omega: RatMatrix
+    theta: RatMatrix
+    canonical_theta: RatMatrix
     G_field: Fraction
     F_field: Fraction
     fixed_coordinates: tuple[tuple[str, Fraction], ...] = ()
@@ -328,7 +286,7 @@ def _bracket_scalar(chart: OrbitChart, canonical_theta, first: str, second: str)
     return Fraction(0)
 
 
-def _contract(u, matrix: np.ndarray, v) -> Fraction:
+def _contract(u, matrix: RatMatrix, v) -> Fraction:
     """``u . matrix . v`` for :func:`_nonzeros` lists ``u``, ``v``, skipping zero
     entries of ``matrix``: two rows of a scaled permutation cost one product."""
     return sum(
@@ -351,7 +309,7 @@ def restrict(
         idx = [algebra.index(n) for n in chart.coordinate_names]
     except KeyError as exc:
         raise CatalogError(str(exc)) from None
-    omega = K[np.ix_(idx, idx)]
+    omega = RatMatrix([K[i, j] for j in idx] for i in idx)
     try:
         theta = rat_inv(omega)
     except SingularMatrixError as exc:
@@ -362,7 +320,7 @@ def restrict(
             exc.rank,
         ) from None
     jac = [_nonzeros(row, chart.dim) for row in chart.jacobian]
-    canonical_theta = rarray([[-_contract(u, omega, v) for v in jac] for u in jac])
+    canonical_theta = RatMatrix([-_contract(u, omega, v) for v in jac] for u in jac)
     coords = _point_coords(algebra, point)
     fixed = tuple(
         (name, coords[i])
@@ -502,7 +460,7 @@ class OrbitInvariant:
         """Partial derivatives of ``value`` at ``coords``, in basis order."""
         return forward_mode_gradient(self.value, coords)
 
-    def residual(self, algebra: StructureConstants, point) -> np.ndarray:
+    def residual(self, algebra: StructureConstants, point) -> tuple[Fraction, ...]:
         coords = _point_coords(algebra, point)
         return casimir_residual(algebra, point, self.gradient(coords))
 
@@ -580,7 +538,7 @@ def standard_orbit(
         )
     m, h, E = rat(m), rat(h), rat(E)
     params = KinematicalParams.for_algebra(name, omega, kappa)
-    algebra = build(name, "central_ext", params)
+    algebra = build(name, "central_ext", omega=omega, kappa=kappa)
     w2 = params.omega**2
     if name == "C":
         point = DualPoint.from_mapping(algebra, {"H": E, "S": h})

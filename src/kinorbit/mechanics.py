@@ -15,24 +15,24 @@ x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
 :func:`affine_flow`, the one integrator, forms that propagator once and
 fills the state table in doubling strides, about log2(N) matrix products
 for N steps; it serves these equations (:func:`integrate`) and the Static
-chart flow alike.  Its result equals stage-by-stage RK4 (:func:`rk4_step`
-on :func:`hamilton_rhs`, kept as the reference) up to rounding in the last
-bits.  The module also provides the two exact coordinate maps that
-reproduce such brackets from a commutative phase space: a position shift
-by the dual magnetic scalar and a momentum shift by the magnetic scalar.
+chart flow alike.  Its result equals stage-by-stage RK4 (the reference the
+tests keep) up to rounding in the last bits.  The module also provides the
+two exact coordinate maps that reproduce such brackets from a commutative
+phase space: a position shift by the dual magnetic scalar and a momentum
+shift by the magnetic scalar.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .catalog import CatalogError
-from .rational_linalg import rarray, rat
+from .rational_linalg import RatMatrix, rat
+from .timegrid import MAX_STEPS, IntegrationError, step_count
 
 __all__ = [
     "MAX_STEPS",
@@ -43,9 +43,7 @@ __all__ = [
     "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
     "hamiltonian_value",
-    "hamilton_rhs",
     "linear_system",
-    "rk4_step",
     "affine_flow",
     "step_count",
     "integrate",
@@ -53,19 +51,6 @@ __all__ = [
     "minimal_coupling_galilei",
     "minimal_coupling_paragalilei",
 ]
-
-# Largest step count a fixed-step run may take; it bounds the state table
-# (and the CLI's output rows) before anything is allocated.
-MAX_STEPS = 1_000_000
-
-
-class IntegrationError(RuntimeError):
-    """Raised when an integration produces a non-finite state."""
-
-    def __init__(self, message: str, step: int) -> None:
-        super().__init__(message)
-        self.step = step
-
 
 @dataclass(frozen=True)
 class NCPhaseSpace2D:
@@ -91,12 +76,12 @@ class NCPhaseSpace2D:
     def symplectic_factor(self) -> Fraction:
         return 1 - self.G_field * self.F_field
 
-    def theta_matrix(self) -> np.ndarray:
+    def theta_matrix(self) -> RatMatrix:
         """Bracket matrix of (q1, q2, p1, p2) driving the dynamics."""
         G, F = self.G_field, self.F_field
         z = Fraction(0)
         one = Fraction(1)
-        return rarray(
+        return RatMatrix(
             [
                 [z, G, one, z],
                 [-G, z, z, one],
@@ -105,12 +90,12 @@ class NCPhaseSpace2D:
             ]
         )
 
-    def omega_matrix(self) -> np.ndarray:
+    def omega_matrix(self) -> RatMatrix:
         """Exact inverse of :meth:`theta_matrix` (closed form)."""
         G, F = self.G_field, self.F_field
         s = 1 / self.symplectic_factor
         z = Fraction(0)
-        return rarray(
+        return RatMatrix(
             [
                 [z, F * s, -s, z],
                 [-F * s, z, z, -s],
@@ -145,33 +130,12 @@ class HamiltonianSpec:
             + (k11 * q[0] * q[0] + 2 * k12 * q[0] * q[1] + k22 * q[1] * q[1]) / 2.0
         )
 
-    def potential_gradient(self, q: np.ndarray) -> np.ndarray:
-        a1, a2 = self.linear
-        k11, k12, k22 = self.quadratic
-        return np.array(
-            [a1 + k11 * q[0] + k12 * q[1], a2 + k12 * q[0] + k22 * q[1]]
-        )
-
 
 def hamiltonian_value(space: NCPhaseSpace2D, ham: HamiltonianSpec, state):
     """H at one state (q1, q2, p1, p2), or at each row of an (n, 4) array."""
     z = np.asarray(state, dtype=float).T
     m = float(space.mass)
     return (z[2] * z[2] + z[3] * z[3]) / (2.0 * m) + ham.potential(z[:2])
-
-
-def hamilton_rhs(
-    space: NCPhaseSpace2D, ham: HamiltonianSpec, state
-) -> np.ndarray:
-    """Right-hand side of the modified Hamilton equations at ``state``."""
-    z = np.asarray(state, dtype=float)
-    gq = ham.potential_gradient(z[:2])
-    gp = z[2:] / float(space.mass)
-    G = float(space.G_field)
-    F = float(space.F_field)
-    qdot = gp + G * np.array([gq[1], -gq[0]])
-    pdot = -gq + F * np.array([gp[1], -gp[0]])
-    return np.concatenate([qdot, pdot])
 
 
 def linear_system(
@@ -200,20 +164,6 @@ def linear_system(
     return theta @ hessian, theta @ constant
 
 
-def rk4_step(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    state: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One classical Runge-Kutta step for dz/dt = rhs(t, z)."""
-    k1 = rhs(t, state)
-    k2 = rhs(t + dt / 2.0, state + dt / 2.0 * k1)
-    k3 = rhs(t + dt / 2.0, state + dt / 2.0 * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @dataclass(frozen=True)
 class NCTrajectory:
     """An integrated trajectory with per-sample energy and its drift."""
@@ -226,24 +176,6 @@ class NCTrajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def step_count(t_end: float, dt: float) -> int:
-    """Number of fixed steps on [0, t_end]: ``round(t_end/dt)``, at least one.
-
-    Raises ``ValueError`` unless both values are positive and finite and
-    the count stays within :data:`MAX_STEPS`.
-    """
-    if not (0 < t_end < math.inf and 0 < dt < math.inf):
-        raise ValueError(
-            f"t_end and dt must be positive and finite, got t_end={t_end!r}, dt={dt!r}"
-        )
-    ratio = t_end / dt
-    if not ratio <= MAX_STEPS:
-        raise ValueError(
-            f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
-        )
-    return max(1, int(round(ratio)))
 
 
 def affine_flow(
@@ -348,7 +280,7 @@ def integrate(
 
 
 # Bracket matrix of commutative coordinates (q1, q2, p1, p2): {p_i, q^j} = +delta.
-CANONICAL_BRACKET_MATRIX = rarray(
+CANONICAL_BRACKET_MATRIX = RatMatrix(
     [
         [0, 0, -1, 0],
         [0, 0, 0, -1],
@@ -358,10 +290,10 @@ CANONICAL_BRACKET_MATRIX = rarray(
 )
 
 
-def bracket_pushforward(jacobian, theta=None) -> np.ndarray:
+def bracket_pushforward(jacobian, theta=None) -> RatMatrix:
     """Exact bracket matrix of mapped coordinates z' = J z."""
-    J = jacobian if isinstance(jacobian, np.ndarray) else rarray(jacobian)
-    base = CANONICAL_BRACKET_MATRIX if theta is None else theta
+    J = RatMatrix(jacobian)
+    base = CANONICAL_BRACKET_MATRIX if theta is None else RatMatrix(theta)
     return J @ base @ J.T
 
 
@@ -370,8 +302,8 @@ class MinimalCouplingResult:
     """A coordinate map on phase space and the exact brackets it induces."""
 
     state: tuple[Fraction, Fraction, Fraction, Fraction]
-    jacobian: np.ndarray
-    bracket_matrix: np.ndarray
+    jacobian: RatMatrix
+    bracket_matrix: RatMatrix
 
     @property
     def position_bracket(self) -> Fraction:
@@ -388,9 +320,9 @@ class MinimalCouplingResult:
 
 def _coordinate_map(state, jacobian) -> MinimalCouplingResult:
     """The exact linear map z' = J z of ``state`` and the brackets it induces."""
-    J = rarray(jacobian)
+    J = RatMatrix(jacobian)
     return MinimalCouplingResult(
-        state=tuple(J @ rarray(list(state))),
+        state=J @ state,
         jacobian=J,
         bracket_matrix=bracket_pushforward(J),
     )

@@ -1,14 +1,17 @@
 """Exact linear algebra over rational numbers.
 
-Matrices are numpy arrays with ``dtype=object`` whose entries are
-``fractions.Fraction`` values, so every operation is exact.  Only the small
-amount of linear algebra the rest of the package needs lives here:
-construction, identity, Gauss-Jordan inversion with pivot search, rank,
-and float conversion.  The matrices are at most 14x14 and mostly zero
-(restricted pairing matrices, chart Jacobians), so the elimination runs on
-Python lists and multiplies only the nonzero entries of each pivot row,
-as the other exact kernels of the package walk only nonzero structure
-constants, coordinates and Jacobian entries.
+An exact matrix is a :class:`RatMatrix`: an immutable tuple of row tuples
+whose entries are ``fractions.Fraction`` values, so every operation is
+exact and a built matrix can be shared safely.  It indexes by pairs
+(``m[i, j]``; ``m[i]`` is row ``i``), reports its ``shape``, multiplies
+with ``@`` by a matrix or a vector, and transposes with ``T``.  Only the
+small amount of linear algebra the rest of the package needs lives here:
+that type, Gauss-Jordan inversion with pivot search, rank, and float
+conversion.  The matrices are at most 14x14 and mostly zero (restricted
+pairing matrices, chart Jacobians), so products and the elimination
+multiply only nonzero entries, as the other exact kernels of the package
+walk only nonzero structure constants, coordinates and Jacobian entries.
+NumPy enters only in :func:`to_float`, which imports it.
 """
 
 from __future__ import annotations
@@ -16,14 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 __all__ = [
     "SingularMatrixError",
+    "RatMatrix",
     "rat",
-    "rarray",
-    "rzeros",
-    "reye",
     "rat_inv",
     "rat_rank",
     "to_float",
@@ -51,29 +50,79 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def rarray(rows) -> np.ndarray:
-    """Build an object-dtype array of ``Fraction`` from nested sequences."""
-    arr = np.array(rows, dtype=object)
-    flat = arr.reshape(-1)
-    for i, entry in enumerate(flat):
-        flat[i] = rat(entry)
-    return flat.reshape(arr.shape)
+def _matrix(rows) -> "RatMatrix":
+    """A :class:`RatMatrix` of ``rows`` whose entries are already ``Fraction``."""
+    return tuple.__new__(RatMatrix, map(tuple, rows))
 
 
-def rzeros(shape) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    arr.reshape(-1)[:] = [Fraction(0)] * arr.size
-    return arr
+class RatMatrix(tuple):
+    """An exact matrix: a tuple of equal-length row tuples of ``Fraction``.
+
+    ``RatMatrix(rows)`` coerces every entry with :func:`rat`.  Equality is
+    the tuples' (exact, entrywise), and ``+`` and ``*`` are refused rather
+    than concatenating or repeating rows.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows=()) -> "RatMatrix":
+        return _matrix([rat(x) for x in row] for row in rows)
+
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return _matrix(
+            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
+        )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), len(tuple.__getitem__(self, 0)) if self else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, tuple):
+            i, j = index
+            return tuple.__getitem__(self, i)[j]
+        return tuple.__getitem__(self, index)
+
+    @property
+    def T(self) -> "RatMatrix":
+        return _matrix(zip(*self))
+
+    def __matmul__(self, other):
+        """The product with a :class:`RatMatrix` (a matrix), or with a
+        sequence of numbers (a vector, coerced by :func:`rat`; the product
+        is a tuple).  Zero entries of either factor are skipped."""
+        if not isinstance(other, RatMatrix):
+            vector = [rat(x) for x in other]
+            self._check_inner(len(vector))
+            return tuple(
+                sum((a * x for a, x in zip(row, vector) if a and x), Fraction(0))
+                for row in self
+            )
+        self._check_inner(len(other))
+        n_cols = other.shape[1]
+        product = []
+        for row in self:
+            acc = [Fraction(0)] * n_cols
+            for a, other_row in zip(row, other):
+                if a:
+                    for j, b in enumerate(other_row):
+                        if b:
+                            acc[j] += a * b
+            product.append(acc)
+        return _matrix(product)
+
+    def _check_inner(self, n: int) -> None:
+        if self.shape[1] != n:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by {n} rows")
+
+    def _refused(self, other):
+        return NotImplemented
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refused
 
 
-def reye(n: int) -> np.ndarray:
-    arr = rzeros((n, n))
-    for i in range(n):
-        arr[i, i] = Fraction(1)
-    return arr
-
-
-def _gauss_jordan(matrix: np.ndarray) -> tuple[int, list[list[Fraction]]]:
+def _gauss_jordan(matrix: RatMatrix) -> tuple[int, list[list[Fraction]]]:
     """Row-reduce ``[M | I]`` over the columns of ``M``, with row-swap pivoting.
 
     Returns the rank of ``M`` and the reduced augmented matrix as a list of
@@ -82,8 +131,8 @@ def _gauss_jordan(matrix: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     """
     n_rows, n_cols = matrix.shape
     work = [
-        [rat(x) for x in row] + [Fraction(int(i == j)) for j in range(n_rows)]
-        for i, row in enumerate(matrix.tolist())
+        [*row, *(Fraction(int(i == j)) for j in range(n_rows))]
+        for i, row in enumerate(matrix)
     ]
     rank = 0
     for col in range(n_cols):
@@ -108,7 +157,7 @@ def _gauss_jordan(matrix: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     return rank, work
 
 
-def rat_inv(matrix: np.ndarray) -> np.ndarray:
+def rat_inv(matrix: RatMatrix) -> RatMatrix:
     """Invert a square matrix of ``Fraction`` entries exactly.
 
     Gauss-Jordan elimination of ``[M | I]``.  Raises
@@ -120,14 +169,16 @@ def rat_inv(matrix: np.ndarray) -> np.ndarray:
     rank, work = _gauss_jordan(matrix)
     if rank < n:
         raise SingularMatrixError(f"matrix is singular (rank {rank} of {n})", rank)
-    return rarray([row[n:] for row in work]).reshape(n, n)
+    return _matrix(row[n:] for row in work)
 
 
-def rat_rank(matrix: np.ndarray) -> int:
+def rat_rank(matrix: RatMatrix) -> int:
     """Exact rank via the same Gauss-Jordan reduction as :func:`rat_inv`."""
     return _gauss_jordan(matrix)[0]
 
 
-def to_float(matrix: np.ndarray) -> np.ndarray:
-    """Convert an object-dtype rational array to float64."""
-    return np.asarray(matrix, dtype=float)
+def to_float(matrix: RatMatrix):
+    """The float64 NumPy array of an exact matrix."""
+    import numpy as np
+
+    return np.array(matrix, dtype=float)

@@ -1,0 +1,41 @@
+"""The fixed-step time grid shared by the float integrators and the CLI.
+
+It needs no NumPy, so the CLI checks a run's step budget, and catches an
+integration failure, without loading the float layer.
+"""
+
+from __future__ import annotations
+
+import math
+
+__all__ = ["MAX_STEPS", "IntegrationError", "step_count"]
+
+# Largest step count a fixed-step run may take; it bounds the state table
+# (and the CLI's output rows) before anything is allocated.
+MAX_STEPS = 1_000_000
+
+
+class IntegrationError(RuntimeError):
+    """Raised when an integration produces a non-finite state."""
+
+    def __init__(self, message: str, step: int) -> None:
+        super().__init__(message)
+        self.step = step
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps on [0, t_end]: ``round(t_end/dt)``, at least one.
+
+    Raises ``ValueError`` unless both values are positive and finite and
+    the count stays within :data:`MAX_STEPS`.
+    """
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError(
+            f"t_end and dt must be positive and finite, got t_end={t_end!r}, dt={dt!r}"
+        )
+    ratio = t_end / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
+        )
+    return max(1, int(round(ratio)))

@@ -2,16 +2,38 @@
 
 Every matrix and scalar here was derived independently (by hand and with
 a symbolic cross-check) before the package was written; the tests compare
-package output against these fixtures entrywise and exactly.
+package output against these fixtures entrywise and exactly.  The module
+also holds the dense and float references the package's kernels are
+tested against: :func:`dense`, the one conversion of an exact matrix to a
+NumPy object array, the dense structure tensor, a central-difference
+gradient, and stage-by-stage RK4 on the Hamilton equations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
-from kinorbit.rational_linalg import rarray, rat
+from kinorbit.rational_linalg import RatMatrix, rat
+
+
+def dense(entries) -> np.ndarray:
+    """An exact matrix or vector (or a float vector) as a dense NumPy object
+    array of ``Fraction``; floats are converted exactly, as the package does."""
+    return np.vectorize(rat, otypes=[object])(np.array(entries, dtype=object))
+
+
+def structure_tensor(algebra) -> np.ndarray:
+    """The dense rank-3 tensor ``C[i, j, k]`` of exact structure constants."""
+    n = algebra.dim
+    tensor = np.full((n, n, n), Fraction(0), dtype=object)
+    for (i, j), comps in algebra.pair_table():
+        for k, v in comps.items():
+            tensor[i, j, k] = v
+            tensor[j, i, k] = -v
+    return tensor
 
 
 def _f(value) -> Fraction:
@@ -27,7 +49,7 @@ def galilei_omega(m, h, omega, kappa):
     m, h = _f(m), _f(h)
     a = h * _f(kappa) ** 2 / _f(omega) ** 2
     z = Fraction(0)
-    return rarray([[z, a, m, z], [-a, z, z, m], [-m, z, z, z], [z, -m, z, z]])
+    return RatMatrix([[z, a, m, z], [-a, z, z, m], [-m, z, z, z], [z, -m, z, z]])
 
 
 def galilei_theta(m, h, omega, kappa):
@@ -37,7 +59,7 @@ def galilei_theta(m, h, omega, kappa):
     omega0 = m * c2 / h
     z = Fraction(0)
     im = 1 / m
-    return rarray(
+    return RatMatrix(
         [
             [z, z, -im, z],
             [z, z, z, -im],
@@ -51,7 +73,7 @@ def paragalilei_omega(m, h, omega, kappa):
     m, h = _f(m), _f(h)
     b = _f(kappa) ** 2 * h
     z = Fraction(0)
-    return rarray([[z, z, m, z], [z, z, z, m], [-m, z, z, b], [z, -m, -b, z]])
+    return RatMatrix([[z, z, m, z], [z, z, z, m], [-m, z, z, b], [z, -m, -b, z]])
 
 
 def paragalilei_theta(m, h, omega, kappa):
@@ -62,7 +84,7 @@ def paragalilei_theta(m, h, omega, kappa):
     z = Fraction(0)
     im = 1 / m
     s = w2 / (m * omega0)
-    return rarray(
+    return RatMatrix(
         [
             [z, s, -im, z],
             [-s, z, z, -im],
@@ -77,7 +99,7 @@ def static_omega(m, h, omega, kappa):
     a = h * _f(kappa) ** 2 / _f(omega) ** 2
     b = _f(kappa) ** 2 * h
     z = Fraction(0)
-    return rarray([[z, a, m, z], [-a, z, z, m], [-m, z, z, b], [z, -m, -b, z]])
+    return RatMatrix([[z, a, m, z], [-a, z, z, m], [-m, z, z, b], [z, -m, -b, z]])
 
 
 def static_claimed_theta(m, h, omega, kappa):
@@ -91,7 +113,7 @@ def static_claimed_theta(m, h, omega, kappa):
     omega0 = m * c2 / h
     mu_e = m - kappa**2 * h / omega
     z = Fraction(0)
-    return rarray(
+    return RatMatrix(
         [
             [z, -omega / mu_e, -1 / mu_e, z],
             [omega / mu_e, z, z, -1 / mu_e],
@@ -102,7 +124,7 @@ def static_claimed_theta(m, h, omega, kappa):
 
 
 # Exact inverse of static_omega at (m=2, h=1, omega=1, kappa=1).
-STATIC_TRUE_THETA_SAMPLE = rarray(
+STATIC_TRUE_THETA_SAMPLE = RatMatrix(
     [
         [0, Fraction(1, 3), Fraction(-2, 3), 0],
         [Fraction(-1, 3), 0, 0, Fraction(-2, 3)],
@@ -119,7 +141,7 @@ def carroll_omega(E, h, omega, kappa):
     e = E * inv_c2
     b = _f(kappa) ** 2 * h
     z = Fraction(0)
-    return rarray([[z, a, e, z], [-a, z, z, e], [-e, z, z, b], [z, -e, -b, z]])
+    return RatMatrix([[z, a, e, z], [-a, z, z, e], [-e, z, z, b], [z, -e, -b, z]])
 
 
 def newton_hooke_omega(sign, m, h, omega, kappa):
@@ -128,7 +150,7 @@ def newton_hooke_omega(sign, m, h, omega, kappa):
     a = h * _f(kappa) ** 2 / _f(omega) ** 2
     b = sign * _f(kappa) ** 2 * h
     z = Fraction(0)
-    return rarray([[z, a, m, z], [-a, z, z, m], [-m, z, z, -b], [z, -m, b, z]])
+    return RatMatrix([[z, a, m, z], [-a, z, z, m], [-m, z, z, -b], [z, -m, b, z]])
 
 
 # -- expected noncommutativity scalars --------------------------------------
@@ -163,7 +185,7 @@ def expected_fields(name: str, m, h, E, omega, kappa) -> tuple[Fraction, Fractio
 def noncentral_static_omega(m, mu, beta, kappa):
     m, mu, beta, kappa = _f(m), _f(mu), _f(beta), _f(kappa)
     z = Fraction(0)
-    return rarray(
+    return RatMatrix(
         [
             [z, z, -m, z, kappa, z, beta, z],
             [z, z, z, -m, z, kappa, z, beta],
@@ -192,7 +214,7 @@ def noncentral_static_theta(m, mu, beta, kappa):
         [beta, z, -kappa, z, -m, z, z, z],
         [z, beta, z, -kappa, z, -m, z, z],
     ]
-    return rarray([[v / d for v in row] for row in rows])
+    return RatMatrix([[v / d for v in row] for row in rows])
 
 
 def noncentral_canonical_brackets(m, mu, beta, kappa):
@@ -225,7 +247,7 @@ def noncentral_canonical_brackets(m, mu, beta, kappa):
         put("p" + i, "u" + i, pu)
         put("q" + i, "k" + i, qk)
         put("p" + i, "k" + i, m)
-    return rarray(theta)
+    return RatMatrix(theta)
 
 
 # -- default central charges ------------------------------------------------
@@ -250,7 +272,7 @@ def coupled_position_brackets(m, omega0):
     g = -1 / (m * omega0)
     z = Fraction(0)
     one = Fraction(1)
-    return rarray(
+    return RatMatrix(
         [
             [z, g, -one, z],
             [-g, z, z, -one],
@@ -266,7 +288,7 @@ def coupled_momentum_brackets(m, omega, omega0):
     f = -m * omega**2 / omega0
     z = Fraction(0)
     one = Fraction(1)
-    return rarray(
+    return RatMatrix(
         [
             [z, z, -one, z],
             [z, z, z, -one],
@@ -357,3 +379,57 @@ def general_action(constants, state, element):
     p_new = R @ p - t * kappa_e / 2.0 * (R @ q + q_new) - m * v + kappa * eta + beta * ell
     k_new = R @ k + t * mu_e / 2.0 * (R @ u + u_new) + m * x + mu * ell + beta * eta
     return q_new, u_new, p_new, k_new
+
+
+# -- float references --------------------------------------------------------
+
+
+def finite_difference_gradient(
+    fn: Callable[[np.ndarray], float],
+    alpha: Sequence[float],
+    step_scale: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference gradient with per-component step h_i = s*max(1,|a_i|)."""
+    base = np.asarray(alpha, dtype=float)
+    grad = np.zeros(base.size)
+    for i in range(base.size):
+        h = step_scale * max(1.0, abs(base[i]))
+        up = base.copy()
+        up[i] += h
+        down = base.copy()
+        down[i] -= h
+        grad[i] = (fn(up) - fn(down)) / (2.0 * h)
+    return grad
+
+
+def potential_gradient(ham, q) -> np.ndarray:
+    """dV/dq of a ``HamiltonianSpec`` at q = (q1, q2)."""
+    a1, a2 = ham.linear
+    k11, k12, k22 = ham.quadratic
+    return np.array([a1 + k11 * q[0] + k12 * q[1], a2 + k12 * q[0] + k22 * q[1]])
+
+
+def hamilton_rhs(space, ham, state) -> np.ndarray:
+    """Right-hand side of the modified Hamilton equations at ``state``."""
+    z = np.asarray(state, dtype=float)
+    gq = potential_gradient(ham, z[:2])
+    gp = z[2:] / float(space.mass)
+    G = float(space.G_field)
+    F = float(space.F_field)
+    qdot = gp + G * np.array([gq[1], -gq[0]])
+    pdot = -gq + F * np.array([gp[1], -gp[0]])
+    return np.concatenate([qdot, pdot])
+
+
+def rk4_step(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    t: float,
+    state: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """One classical Runge-Kutta step for dz/dt = rhs(t, z)."""
+    k1 = rhs(t, state)
+    k2 = rhs(t + dt / 2.0, state + dt / 2.0 * k1)
+    k3 = rhs(t + dt / 2.0, state + dt / 2.0 * k2)
+    k4 = rhs(t + dt, state + dt * k3)
+    return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

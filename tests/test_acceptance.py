@@ -25,20 +25,18 @@ from kinorbit.catalog import (
 from kinorbit.coadjoint import (
     DualPoint,
     classify,
-    finite_difference_gradient,
     kirillov_matrix,
     standard_orbit,
 )
 from kinorbit.mechanics import (
     HamiltonianSpec,
     NCPhaseSpace2D,
-    hamilton_rhs,
     integrate,
     linear_system,
     minimal_coupling_galilei,
     minimal_coupling_paragalilei,
 )
-from kinorbit.rational_linalg import rat_inv, reye, to_float
+from kinorbit.rational_linalg import RatMatrix, rat_inv, to_float
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -59,12 +57,6 @@ _ORBIT_FAMILIES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
 def _report(name: str, ok: bool) -> None:
     print(f"{name}: {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-def _exact_equal(a, b) -> bool:
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    return a.shape == b.shape and bool((a == b).all())
 
 
 def test_c1_exact_jacobi_closure_for_the_whole_catalog() -> None:
@@ -160,25 +152,23 @@ def test_c3_restricted_matrix_fidelity() -> None:
                 ref = rf.newton_hooke_omega(
                     1 if name.endswith("+") else -1, m, h, omega, kappa
                 )
-            ok = ok and _exact_equal(orb.structure.omega, ref)
-            ok = ok and _exact_equal(orb.structure.theta, rat_inv(ref))
+            ok = ok and orb.structure.omega == ref
+            ok = ok and orb.structure.theta == rat_inv(ref)
     # the effective-mass closed form fails to invert the Static pairing
     for m, h in ((2, 1), (3, 1), (5, Fraction(1, 2))):
         omega_mat = rf.static_omega(m, h, 1, 1)
         claimed = rf.static_claimed_theta(m, h, 1, 1)
-        ok = ok and not _exact_equal(claimed @ omega_mat, reye(4))
-    ok = ok and _exact_equal(
-        rat_inv(rf.static_omega(2, 1, 1, 1)), rf.STATIC_TRUE_THETA_SAMPLE
-    )
+        ok = ok and claimed @ omega_mat != RatMatrix.identity(4)
+    ok = ok and rat_inv(rf.static_omega(2, 1, 1, 1)) == rf.STATIC_TRUE_THETA_SAMPLE
     # the eight-dimensional extended chart inverts in closed form
     for m, mu, beta, kappa in ((1, 2, 1, 1), (2, 3, 1, 2), (Fraction(1, 2), 1, Fraction(1, 3), 1)):
         constants = StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa)
         from kinorbit.static_group import static_symplectic
 
         s = static_symplectic(constants)
-        ok = ok and _exact_equal(s.omega, rf.noncentral_static_omega(m, mu, beta, kappa))
-        ok = ok and _exact_equal(s.theta, rf.noncentral_static_theta(m, mu, beta, kappa))
-        ok = ok and _exact_equal(s.omega @ s.theta, reye(8))
+        ok = ok and s.omega == rf.noncentral_static_omega(m, mu, beta, kappa)
+        ok = ok and s.theta == rf.noncentral_static_theta(m, mu, beta, kappa)
+        ok = ok and s.omega @ s.theta == RatMatrix.identity(8)
     _report("C3 restricted pairing matrices match closed forms exactly", ok)
 
 
@@ -211,7 +201,7 @@ def test_c4_casimir_residuals_analytic_and_finite_difference() -> None:
             coords = np.array([float(v) for v in pt.coords])
             K = to_float(kirillov_matrix(orb.algebra, pt))
             for inv in orb.invariants:
-                fd = finite_difference_gradient(
+                fd = rf.finite_difference_gradient(
                     lambda a: float(inv.value(a)), coords
                 )
                 ok = ok and float(np.max(np.abs(K @ fd))) <= 1e-8
@@ -236,7 +226,7 @@ def test_c4_casimir_residuals_analytic_and_finite_difference() -> None:
         coords = np.array([float(v) for v in pt.coords])
         K = to_float(kirillov_matrix(alg, pt))
         for inv in invs:
-            fd = finite_difference_gradient(lambda a: float(inv.value(a)), coords)
+            fd = rf.finite_difference_gradient(lambda a: float(inv.value(a)), coords)
             ok = ok and float(np.max(np.abs(K @ fd))) <= 1e-8
     _report("C4 Casimir residuals: analytic <= 1e-12 (exact), FD <= 1e-8", ok)
 
@@ -305,7 +295,7 @@ def test_c7_momentum_noncommutativity_gives_a_lorentz_like_force() -> None:
     ) / (12 * dt * dt)
     interior = slice(2, -2)
     grad_v = np.stack(
-        [ham.potential_gradient(qi) for qi in q[interior]], axis=0
+        [rf.potential_gradient(ham, qi) for qi in q[interior]], axis=0
     )
     eB = float(space.F_field)
     magnetic = eB * np.stack(
@@ -409,10 +399,10 @@ def test_c9_minimal_coupling_bracket_tables_are_exact() -> None:
     # pinned samples
     res = minimal_coupling_galilei((0, 0, 2, 0), m=1, omega0=1)
     ok = ok and res.state == (Fraction(0), Fraction(1), Fraction(2), Fraction(0))
-    ok = ok and _exact_equal(res.bracket_matrix, rf.coupled_position_brackets(1, 1))
+    ok = ok and res.bracket_matrix == rf.coupled_position_brackets(1, 1)
     res = minimal_coupling_paragalilei((0, 2, 0, 0), m=1, omega=1, omega0=1)
     ok = ok and res.state == (Fraction(0), Fraction(2), Fraction(1), Fraction(0))
-    ok = ok and _exact_equal(res.bracket_matrix, rf.coupled_momentum_brackets(1, 1, 1))
+    ok = ok and res.bracket_matrix == rf.coupled_momentum_brackets(1, 1, 1)
     # random rational draws, exact equality required
     for _ in range(25):
         m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -422,13 +412,9 @@ def test_c9_minimal_coupling_bracket_tables_are_exact() -> None:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)
         )
         pos = minimal_coupling_galilei(state, m=m, omega0=w0)
-        ok = ok and _exact_equal(
-            pos.bracket_matrix, rf.coupled_position_brackets(m, w0)
-        )
+        ok = ok and pos.bracket_matrix == rf.coupled_position_brackets(m, w0)
         ok = ok and pos.position_bracket == -1 / (m * w0)
         mom = minimal_coupling_paragalilei(state, m=m, omega=w, omega0=w0)
-        ok = ok and _exact_equal(
-            mom.bracket_matrix, rf.coupled_momentum_brackets(m, w, w0)
-        )
+        ok = ok and mom.bracket_matrix == rf.coupled_momentum_brackets(m, w, w0)
         ok = ok and mom.momentum_bracket == -m * w**2 / w0
     _report("C9 minimal-coupling bracket tables are exactly reproduced", ok)

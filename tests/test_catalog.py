@@ -164,6 +164,14 @@ def test_inadmissible_variants_raise() -> None:
         build("XX")
 
 
+def test_build_takes_no_parameter_set() -> None:
+    # a name's parameters follow from the name and the scales, so another
+    # name's parameter set (here Poincare's gamma on Galilei) cannot be
+    # passed in to give a table that breaks the Jacobi identity
+    with pytest.raises(TypeError):
+        build("G", "anisotropic", KinematicalParams.for_algebra("P"))
+
+
 def test_anisotropic_names_cover_commuting_rotations_only() -> None:
     assert ANISOTROPIC_NAMES == ("NH+", "G", "NH-", "C", "G'+", "S", "G'-")
     assert CENTRAL_EXTENSION_NAMES == ANISOTROPIC_NAMES

@@ -6,15 +6,24 @@ any change to the exact commands, to the closed-form Static evolution, to
 the integrator or to the output formatting that alters a single byte fails
 here.  ``simulate`` rows come from NumPy matrix products, so their last
 bits, and its digests, can differ under another BLAS build or CPU family.
+
+The exact commands also run in a fresh interpreter, which must print the
+same bytes without ever importing NumPy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kinorbit.cli import main
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 _REALIZE = [
     "realize", "--t-end", "10", "--dt", "0.01",
@@ -74,3 +83,75 @@ def test_stdout_matches_the_pinned_digest(capsys, argv, fmt, lines, digest) -> N
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Runs the CLI with the given arguments, then reports on stderr whether
+# NumPy was imported; the exit status is the CLI's.
+_FRESH_CLI = """
+import sys
+from kinorbit.cli import main
+status = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write("numpy loaded: %s" % ("numpy" in sys.modules))
+sys.exit(status)
+"""
+
+
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def _central_ext_rows(out: str) -> str:
+    """The header and the central_ext rows of a CSV ``verify`` table."""
+    header, *rows = out.splitlines(keepends=True)
+    return header + "".join(row for row in rows if row.split(",")[1].endswith(":central_ext"))
+
+
+_EXACT = [case for case in _GOLDEN if case[0][0] in ("list", "orbit", "classify")]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, lines, digest", _EXACT, ids=[f"{argv[0]}-{fmt}" for argv, fmt, _, _ in _EXACT]
+)
+def test_exact_commands_print_the_pinned_bytes_without_numpy(argv, fmt, lines, digest) -> None:
+    result = _run_fresh("-c", _FRESH_CLI, *argv, "--format", fmt)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr.decode() == "numpy loaded: False"
+    assert len(result.stdout.splitlines()) == lines
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+def test_verify_central_ext_prints_the_pinned_rows_without_numpy(capsys) -> None:
+    # every central_ext suite draws its points before the Static suite, so
+    # the filtered table is the pinned full table's central_ext rows
+    assert main(["verify"]) == 0
+    full = capsys.readouterr().out
+    pinned = next(
+        digest for argv, fmt, _, digest in _GOLDEN if argv == ["verify"] and fmt == "csv"
+    )
+    assert hashlib.sha256(full.encode("utf-8")).hexdigest() == pinned
+    expected = _central_ext_rows(full)
+    # seven Jacobi rows, and a Casimir and an omega-theta row per standard orbit
+    assert len(expected.splitlines()) == 1 + 7 + 2 * 7
+    result = _run_fresh("-c", _FRESH_CLI, "verify", "--variant", "central_ext")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr.decode() == "numpy loaded: False"
+    assert result.stdout.decode() == expected
+
+
+def test_importing_the_package_loads_no_numpy_until_a_float_name_is_used() -> None:
+    result = _run_fresh(
+        "-c",
+        "import sys, kinorbit, kinorbit.cli\n"
+        "print(hasattr(kinorbit, 'no_such_name'), 'numpy' in sys.modules)\n"
+        "print(kinorbit.integrate.__module__, kinorbit.realize.__module__)\n"
+        "print('numpy' in sys.modules)\n",
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().split() == [
+        "False", "False", "kinorbit.mechanics", "kinorbit.static_group", "True",
+    ]

@@ -4,6 +4,8 @@ Every name a module exports through ``__all__`` must exist, every name a
 module imports must be used in it (a name listed in ``__all__`` counts as
 used, which covers the package's re-exports), and every private
 module-level function, class or constant must be read in its module.
+The exact layer and the CLI import neither NumPy nor the float layer
+when they load; only function bodies may.
 """
 
 from __future__ import annotations
@@ -87,3 +89,29 @@ def test_every_private_definition_is_read(path: Path) -> None:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(set(_private_definitions(tree)) - read) == []
+
+
+_EXACT_MODULES = ("rational_linalg", "algebra_core", "catalog", "coadjoint", "timegrid", "cli")
+_FLOAT_LAYER = {"numpy", "mechanics", "static_group"}
+
+
+def _load_time_imports(tree: ast.Module) -> set[str]:
+    """The first component of every module imported outside a function body."""
+    names = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("stem", _EXACT_MODULES)
+def test_exact_modules_load_no_numpy_and_no_float_layer(stem: str) -> None:
+    tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    assert sorted(_load_time_imports(tree) & _FLOAT_LAYER) == []

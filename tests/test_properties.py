@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
+import reference_forms as rf
 from kinorbit.catalog import (
     CENTRAL_EXTENSION_NAMES,
     KinematicalParams,
@@ -42,14 +43,7 @@ from kinorbit.coadjoint import (
     restrict,
     standard_orbit,
 )
-from kinorbit.rational_linalg import (
-    SingularMatrixError,
-    rarray,
-    rat_inv,
-    rat_rank,
-    reye,
-    rzeros,
-)
+from kinorbit.rational_linalg import RatMatrix, SingularMatrixError, rat_inv, rat_rank
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -107,7 +101,7 @@ def test_standard_orbit_invariants_have_exactly_zero_residual(
             residual = invariant.residual(orbit.algebra, point)
             assert all(r == 0 for r in residual), (name, invariant.name)
         structure = orbit.structure
-        assert (structure.omega @ structure.theta == reye(structure.dim)).all(), name
+        assert structure.omega @ structure.theta == RatMatrix.identity(structure.dim), name
         checked += 1
     assert checked
 
@@ -169,17 +163,17 @@ def test_casimir_residual_equals_the_dense_product(algebra, as_float, data) -> N
     grad = data.draw(_vectors_of(algebra.dim), label="grad")
     if as_float:
         grad = [float(g) for g in grad]
-    K = kirillov_matrix(algebra, point)
-    assert (K == algebra.c @ rarray(point)).all()
+    K = rf.dense(kirillov_matrix(algebra, point))
+    assert (K == rf.structure_tensor(algebra) @ rf.dense(point)).all()
     residual = casimir_residual(algebra, point, grad)
-    assert residual.shape == (algebra.dim,)
+    assert len(residual) == algebra.dim
     assert all(isinstance(r, Fraction) for r in residual)
-    assert (residual == K @ rarray(grad)).all()
+    assert (rf.dense(residual) == K @ rf.dense(grad)).all()
 
 
 def _dense_canonical_theta(structure) -> np.ndarray:
-    jac = structure.chart.jacobian_array
-    return jac @ (-structure.omega) @ jac.T
+    jac = rf.dense(structure.chart.jacobian)
+    return jac @ (-rf.dense(structure.omega)) @ jac.T
 
 
 @_REPEATABLE
@@ -192,9 +186,10 @@ def test_canonical_theta_equals_the_dense_congruence(omega, kappa, m, h, E, data
         except DegenerateChartError:
             continue
         structure = orbit.structure
-        assert (structure.canonical_theta == _dense_canonical_theta(structure)).all(), name
+        dense_theta = rf.dense(structure.canonical_theta)
+        assert (dense_theta == _dense_canonical_theta(structure)).all(), name
         grad_a, grad_b = (data.draw(_vectors_of(4)) for _ in range(2))
-        dense = rarray(grad_a) @ structure.canonical_theta @ rarray(grad_b)
+        dense = rf.dense(grad_a) @ dense_theta @ rf.dense(grad_b)
         assert poisson_bracket(structure, grad_a, grad_b) == dense, name
         checked += 1
     assert checked
@@ -205,14 +200,14 @@ def test_canonical_theta_equals_the_dense_congruence(omega, kappa, m, h, E, data
 def test_static_canonical_theta_equals_the_dense_congruence(m, mu, beta, kappa, E, J) -> None:
     assume(mu * kappa != beta * beta)
     structure = static_symplectic(StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa), E, J)
-    assert (structure.canonical_theta == _dense_canonical_theta(structure)).all()
+    assert (rf.dense(structure.canonical_theta) == _dense_canonical_theta(structure)).all()
 
 
 def _dense_template_deviates(structure) -> bool:
     """The canonical brackets differ from a G/F template built as a dense array."""
     names = structure.chart.canonical_names
     theta = structure.canonical_theta
-    expected = rzeros(theta.shape)
+    expected = np.full(theta.shape, Fraction(0), dtype=object)
     if {"q1", "q2", "p1", "p2"}.issubset(names):
         iq1, iq2 = names.index("q1"), names.index("q2")
         ip1, ip2 = names.index("p1"), names.index("p2")
@@ -224,7 +219,7 @@ def _dense_template_deviates(structure) -> bool:
         for ip, iq in ((ip1, iq1), (ip2, iq2)):
             expected[ip, iq] = cross
             expected[iq, ip] = -cross
-    return bool(np.any(theta != expected))
+    return bool(np.any(rf.dense(theta) != expected))
 
 
 _TEMPLATE_CHARTS = (
@@ -241,7 +236,7 @@ _TEMPLATE_CHARTS = (
 def test_template_check_equals_the_dense_template(chart, data) -> None:
     n = chart.dim
     names = chart.canonical_names
-    theta = rzeros((n, n))
+    theta = np.full((n, n), Fraction(0), dtype=object)
     # a G/F template with a uniform cross bracket, then a few random entries
     if {"q1", "q2", "p1", "p2"}.issubset(names):
         g, f, cross = (data.draw(_sparse_rationals) for _ in range(3))
@@ -258,14 +253,15 @@ def test_template_check_equals_the_dense_template(chart, data) -> None:
             theta[a, b], theta[b, a] = value, -value
     field = {name: theta[names.index(a), names.index(b)] if a in names and b in names
              else Fraction(0) for name, (a, b) in (("G", ("q1", "q2")), ("F", ("p1", "p2")))}
+    matrix = RatMatrix(theta.tolist())
     structure = SymplecticStructure(
-        chart, theta, theta, theta, G_field=field["G"], F_field=field["F"]
+        chart, matrix, matrix, matrix, G_field=field["G"], F_field=field["F"]
     )
     assert _template_deviates(structure) == _dense_template_deviates(structure)
 
 
 @st.composite
-def _rational_matrices(draw) -> np.ndarray:
+def _rational_matrices(draw) -> RatMatrix:
     """Rational matrices up to 8x8, a third of their entries zero, mostly
     square; some get a zero row or a row that combines two others, so that
     they lose rank."""
@@ -280,14 +276,14 @@ def _rational_matrices(draw) -> np.ndarray:
         a, b = draw(_nonzero), draw(_nonzero)
         i, j, k = draw(st.permutations(range(rows)))[:3]
         entries[k] = [a * x + b * y for x, y in zip(entries[i], entries[j])]
-    return rarray(entries)
+    return RatMatrix(entries)
 
 
 @_REPEATABLE
 @given(matrix=_rational_matrices())
 def test_rank_and_inverse_equal_the_sympy_reference(matrix) -> None:
     rank = rat_rank(matrix)
-    assert rank == sympy.Matrix(matrix.tolist()).rank()
+    assert rank == sympy.Matrix([list(row) for row in matrix]).rank()
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         return
@@ -297,14 +293,39 @@ def test_rank_and_inverse_equal_the_sympy_reference(matrix) -> None:
         assert excinfo.value.rank == rank
         return
     inverse_ = rat_inv(matrix)
-    assert all(isinstance(x, Fraction) for x in inverse_.flat)
-    assert (inverse_ @ matrix == reye(n)).all()
-    assert (matrix @ inverse_ == reye(n)).all()
+    assert all(isinstance(x, Fraction) for row in inverse_ for x in row)
+    assert inverse_ @ matrix == RatMatrix.identity(n)
+    assert matrix @ inverse_ == RatMatrix.identity(n)
+
+
+@_REPEATABLE
+@given(left=_rational_matrices(), data=st.data())
+def test_matrix_products_and_transpose_equal_the_dense_forms(left, data) -> None:
+    n_rows, n_cols = left.shape
+    right = RatMatrix(data.draw(st.lists(_vectors_of(n_rows), min_size=n_cols, max_size=n_cols)))
+    vector = data.draw(_vectors_of(n_cols))
+    assert right.shape == (n_cols, n_rows)
+    assert (rf.dense(left @ right) == rf.dense(left) @ rf.dense(right)).all()
+    assert (rf.dense(left @ vector) == rf.dense(left) @ rf.dense(vector)).all()
+    assert (rf.dense(left.T) == rf.dense(left).T).all()
+    assert all(isinstance(x, Fraction) for row in left @ right for x in row)
+    assert left[n_rows - 1, n_cols - 1] == left[n_rows - 1][n_cols - 1]
+
+
+def test_a_matrix_refuses_tuple_arithmetic_and_mismatched_products() -> None:
+    m = RatMatrix([[1, 2], [3, 4]])
+    for operation in (lambda: m + m, lambda: 2 * m, lambda: m * 2):
+        with pytest.raises(TypeError):
+            operation()
+    with pytest.raises(ValueError):
+        m @ RatMatrix([[1, 2, 3]])
+    with pytest.raises(ValueError):
+        m @ [1, 2, 3]
 
 
 def _dense_jacobi(algebra) -> list[tuple]:
     """Every triple's cyclic sum of [e_a, [e_b, e_c]], formed densely from C."""
-    C = algebra.c
+    C = rf.structure_tensor(algebra)
     names = algebra.names
     violations = []
     for i, j, k in combinations(range(algebra.dim), 3):
@@ -355,8 +376,8 @@ def test_the_central_charge_rule_is_the_jacobi_identity(
     params = KinematicalParams.for_algebra(name, omega, kappa)
     rule = admissible_central_extensions(params.lam, params.beta, params.omega)
     algebra = build(
-        name, "central_ext", params, mu_charge=mu, alpha_charge=alpha,
-        enforce_admissibility=False,
+        name, "central_ext", omega=omega, kappa=kappa, mu_charge=mu,
+        alpha_charge=alpha, enforce_admissibility=False,
     )
     assert rule.admissible(mu, alpha) == algebra.is_lie_algebra
 
