@@ -25,9 +25,9 @@ timestamps are emitted.  Exit status: 0 all passed, 1 verification or
 integration failure (including degenerate charts), 2 configuration error
 (including a non-finite or out-of-range number, an exact parameter that
 spans more than :data:`MAX_PARAM_DIGITS` digits, and a step count t_end/dt
-above :data:`kinorbit.timegrid.MAX_STEPS`).  The exact commands run
-without NumPy; ``simulate``, ``realize`` and the Static suite of
-``verify`` import the float layer (:mod:`kinorbit.mechanics`,
+above :data:`kinorbit.timegrid.MAX_STEPS`, and an unwritable ``--out``
+file).  No command loads NumPy; ``simulate``, ``realize`` and the Static
+suite of ``verify`` import the float layer (:mod:`kinorbit.mechanics`,
 :mod:`kinorbit.static_group`) when they run.
 """
 
@@ -41,13 +41,14 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .algebra_core import StructureConstants
 from .catalog import AlgebraDescriptor, CatalogError, build, list_catalog
 from .coadjoint import STANDARD_ORBIT_NAMES, standard_orbit
 from .rational_linalg import rat
-from .timegrid import IntegrationError, step_count
+from .timegrid import ROW_BLOCK, IntegrationError, step_count
 
 __all__ = ["MAX_PARAM_DIGITS", "ConfigError", "RunConfig", "run", "main"]
 
@@ -221,52 +222,56 @@ def _param_float(config: RunConfig, key: str, default: float) -> float:
         ) from None
 
 
-# Rows formatted per write, so the text held at once stays near a
-# megabyte however many rows a run has.
-_EMIT_CHUNK = 4096
-
-
-def _format_rows(fmt: str, fieldnames: list[str], rows) -> str:
-    """The lines of ``rows`` (CSV without header, or JSON lines), formatted
-    by one ``%`` on a row template repeated once per row."""
-    floats = not isinstance(rows, list)
+def _format_rows(fmt: str, fieldnames: list[str], rows, start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop`` (CSV without header, or JSON lines) by one
+    ``%`` on a row template repeated per row; a one-float column is in the template."""
     if fmt == "csv":
         order = range(len(fieldnames))
-        template = ",".join(["%.17g" if floats else "%s"] * len(fieldnames))
-    else:
-        # json.dumps(row, sort_keys=True); %.17g text needs no JSON escaping,
-        # so quoting it makes its JSON string
+    else:  # json.dumps(row, sort_keys=True)
         order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
-        cell = '"%.17g"' if floats else "%s"
-        template = "{%s}" % ", ".join(
-            _json_string(fieldnames[j]).replace("%", "%%") + ": " + cell for j in order
-        )
-    if floats:
-        cells = rows[:, order].ravel().tolist()
-    else:
+    if isinstance(rows, list):
+        cells = ["%s"] * len(order)
         quote = str if fmt == "csv" else _json_string
-        cells = [quote(str(row.get(fieldnames[j], ""))) for row in rows for j in order]
-    return ((template + "\n") * len(rows)) % tuple(cells)
+        values = [quote(str(row.get(fieldnames[j], ""))) for row in rows[start:stop] for j in order]
+    else:
+        # %.17g text needs no JSON escaping, so quoting it makes its JSON string
+        cell = "%.17g" if fmt == "csv" else '"%.17g"'
+        columns = rows.columns(start, stop)
+        columns = [columns[j] for j in order]
+        cells = [cell % c if isinstance(c, float) else cell for c in columns]
+        values = chain.from_iterable(zip(*(c for c in columns if not isinstance(c, float))))
+    if fmt == "csv":
+        template = ",".join(cells)
+    else:
+        template = "{%s}" % ", ".join(
+            _json_string(fieldnames[j]).replace("%", "%%") + ": " + cell
+            for j, cell in zip(order, cells)
+        )
+    return ((template + "\n") * (stop - start)) % tuple(values)
 
 
 def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
     """Write ``rows`` as CSV or JSON lines to stdout or ``config.out``.
 
     ``rows`` is either a list of dicts keyed by field name, where a missing
-    field prints empty, or a float NumPy array with one column per field
-    (printed with %.17g).  A JSON line maps each field to its formatted
-    string, keys sorted, exactly as ``json.dumps(..., sort_keys=True)``.
+    field prints empty, or float rows whose ``rows.columns(start, stop)``
+    holds a float or floats per field (printed with %.17g).
+    A JSON line maps each field to its formatted string, keys sorted,
+    exactly as ``json.dumps(..., sort_keys=True)``.
     """
     if config.out is None:
         target = contextlib.nullcontext(sys.stdout)
     else:
-        target = open(config.out, "w", encoding="utf-8", newline="")
+        try:
+            target = open(config.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from None
     with target as handle:
         if config.format == "csv":
             handle.write(",".join(fieldnames) + "\n")
-        for start in range(0, len(rows), _EMIT_CHUNK):
-            chunk = rows[start : start + _EMIT_CHUNK]
-            handle.write(_format_rows(config.format, fieldnames, chunk))
+        for start in range(0, len(rows), ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, len(rows))
+            handle.write(_format_rows(config.format, fieldnames, rows, start, stop))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -514,9 +519,7 @@ def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
 
 
 def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], object]:
-    import numpy as np
-
-    from .mechanics import HamiltonianSpec, NCPhaseSpace2D, integrate
+    from .mechanics import HamiltonianSpec, NCPhaseSpace2D, trajectory_rows
 
     if config.algebra is not None:
         orbit = _orbit_request(config, config.algebra, _param_fraction(config, "h", 1))
@@ -549,27 +552,12 @@ def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], object]:
         _param_float(config, "p1", 1.0),
         _param_float(config, "p2", 0.0),
     ]
-    trajectory = integrate(space, ham, state0, config.t_end, config.dt)
-    rows = np.column_stack(
-        [
-            trajectory.times,
-            trajectory.states,
-            trajectory.energies,
-            trajectory.invariant_drift,
-        ]
-    )
-    return 0, ["t", "q1", "q2", "p1", "p2", "H", "drift"], rows
+    rows = trajectory_rows(space, ham, state0, config.t_end, config.dt)
+    return 0, list(rows.FIELDS), rows
 
 
 def _cmd_realize(config: RunConfig) -> tuple[int, list[str], object]:
-    import numpy as np
-
-    from .static_group import (
-        StaticConstants,
-        StaticOrbitState,
-        static_invariants,
-        time_evolution,
-    )
+    from .static_group import StaticConstants, StaticOrbitState, evolution_rows
 
     constants = StaticConstants(
         m=_param_fraction(config, "m", 1),
@@ -591,24 +579,8 @@ def _cmd_realize(config: RunConfig) -> tuple[int, list[str], object]:
         energy=_param_float(config, "E", 0.0),
         angular_momentum=_param_float(config, "j", 0.0),
     )
-    n_steps = step_count(config.t_end, config.dt)
-    times = np.arange(n_steps + 1) * (config.t_end / n_steps)
-    evolved = time_evolution(state, times)
-    rows = np.column_stack(
-        np.broadcast_arrays(
-            times,
-            *evolved.position,
-            *evolved.velocity,
-            *evolved.momentum,
-            *evolved.boost_momentum,
-            evolved.energy,
-            *static_invariants(evolved),
-        )
-    )
-    fieldnames = [
-        "t", "q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "s_inv", "U",
-    ]
-    return 0, fieldnames, rows
+    rows = evolution_rows(state, config.t_end, config.dt)
+    return 0, list(rows.FIELDS), rows
 
 
 _DISPATCH = {
@@ -626,6 +598,7 @@ def run(config: RunConfig) -> int:
     try:
         _check_selection(config)
         code, fieldnames, rows = _DISPATCH[config.command](config)
+        _emit(config, fieldnames, rows)
     except (ConfigError, CatalogError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
@@ -635,7 +608,6 @@ def run(config: RunConfig) -> int:
     except (IntegrationError, ValueError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    _emit(config, fieldnames, rows)
     return code
 
 

@@ -12,27 +12,32 @@ scheme.  Every Hamiltonian here has an affine gradient, so the equations
 are dz/dt = A z + b, and one classical RK4 step of size h is exactly the
 affine map z -> R(hA) z + h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 +
 x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
-:func:`affine_flow`, the one integrator, forms that propagator once and
-fills the state table in doubling strides, about log2(N) matrix products
-for N steps; it serves these equations (:func:`integrate`) and the Static
-chart flow alike.  Its result equals stage-by-stage RK4 (the reference the
-tests keep) up to rounding in the last bits.  The module also provides the
-two exact coordinate maps that reproduce such brackets from a commutative
-phase space: a position shift by the dual magnetic scalar and a momentum
-shift by the magnetic scalar.
+The integrators form that propagator once and fill the state table in
+doubling strides, about log2(N) propagator products for N steps.  Two of
+them share this scheme: :func:`affine_flow`, on NumPy arrays of any
+dimension, serves in-process callers (:func:`integrate` and the Static
+chart flow), whose short runs it fills fastest; :func:`planar_flow`, on
+Python floats, fills the rows ``kinorbit simulate`` prints
+(:func:`trajectory_rows`), so the command never loads NumPy.  Both equal
+stage-by-stage RK4 (the reference the tests keep) up to rounding in the
+last bits.  The module also provides the two exact coordinate maps that
+reproduce such brackets from a commutative phase space: a position shift
+by the dual magnetic scalar and a momentum shift by the magnetic scalar.
+NumPy is imported only inside the functions that take or return arrays.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Sequence
-
-import numpy as np
 
 from .catalog import CatalogError
 from .rational_linalg import RatMatrix, rat
-from .timegrid import MAX_STEPS, IntegrationError, step_count
+from .timegrid import MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, step_count
 
 __all__ = [
     "MAX_STEPS",
@@ -40,13 +45,16 @@ __all__ = [
     "NCPhaseSpace2D",
     "HamiltonianSpec",
     "NCTrajectory",
+    "TrajectoryRows",
     "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
     "hamiltonian_value",
     "linear_system",
     "affine_flow",
+    "planar_flow",
     "step_count",
     "integrate",
+    "trajectory_rows",
     "bracket_pushforward",
     "minimal_coupling_galilei",
     "minimal_coupling_paragalilei",
@@ -116,7 +124,7 @@ class HamiltonianSpec:
     linear: tuple[float, float] = (0.0, 0.0)
     quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def potential(self, q: np.ndarray):
+    def potential(self, q):
         """V(q) for q = (q1, q2); each entry may be a scalar or an array.
 
         Squares are products: NumPy's scalar ``**`` calls the C library's
@@ -133,35 +141,45 @@ class HamiltonianSpec:
 
 def hamiltonian_value(space: NCPhaseSpace2D, ham: HamiltonianSpec, state):
     """H at one state (q1, q2, p1, p2), or at each row of an (n, 4) array."""
+    import numpy as np
+
     z = np.asarray(state, dtype=float).T
     m = float(space.mass)
     return (z[2] * z[2] + z[3] * z[3]) / (2.0 * m) + ham.potential(z[:2])
 
 
+def _planar_system(space: NCPhaseSpace2D, ham: HamiltonianSpec):
+    """A and b of :func:`linear_system` as tuples of Python floats.
+
+    A = theta H for the float bracket matrix theta of
+    :meth:`NCPhaseSpace2D.theta_matrix` and the Hessian H = diag(K, 1/m, 1/m);
+    every entry of the product is one float product, written out.
+    """
+    G, F = float(space.G_field), float(space.F_field)
+    k11, k12, k22 = (float(v) for v in ham.quadratic)
+    a1, a2 = (float(v) for v in ham.linear)
+    inv_m = float(1 / space.mass)
+    A = (
+        (G * k12, G * k22, inv_m, 0.0),
+        (-G * k11, -G * k12, 0.0, inv_m),
+        (-k11, -k12, 0.0, F * inv_m),
+        (-k12, -k22, -F * inv_m, 0.0),
+    )
+    return A, (G * a2, -G * a1, -a1, -a2)
+
+
 def linear_system(
     space: NCPhaseSpace2D, ham: HamiltonianSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The affine form dz/dt = A z + b of the equations of motion.
+    """The affine form dz/dt = A z + b of the equations of motion, as arrays.
 
     Valid exactly because the Hamiltonian gradient is affine in the state;
     :func:`affine_flow` builds its one-step propagator from it.
     """
-    # the float form of theta_matrix(), built without its Fraction array
-    G, F = float(space.G_field), float(space.F_field)
-    theta = np.array([[0, G, 1, 0], [-G, 0, 0, 1], [-1, 0, 0, F], [0, -1, -F, 0]], float)
-    k11, k12, k22 = (float(v) for v in ham.quadratic)
-    a1, a2 = (float(v) for v in ham.linear)
-    inv_m = float(1 / space.mass)
-    hessian = np.array(
-        [
-            [k11, k12, 0.0, 0.0],
-            [k12, k22, 0.0, 0.0],
-            [0.0, 0.0, inv_m, 0.0],
-            [0.0, 0.0, 0.0, inv_m],
-        ]
-    )
-    constant = np.array([a1, a2, 0.0, 0.0])
-    return theta @ hessian, theta @ constant
+    import numpy as np
+
+    A, b = _planar_system(space, ham)
+    return np.array(A), np.array(b)
 
 
 @dataclass(frozen=True)
@@ -176,6 +194,13 @@ class NCTrajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+def _aborted(what: str, step: int, t: float) -> IntegrationError:
+    """The error of an integration whose ``what`` is not finite at ``step``."""
+    return IntegrationError(
+        f"integration aborted: non-finite {what} at step {step} (t = {t:.6g})", step
+    )
 
 
 def affine_flow(
@@ -197,6 +222,8 @@ def affine_flow(
     raises :class:`IntegrationError` carrying the first step that produced
     it.
     """
+    import numpy as np
+
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
@@ -231,11 +258,7 @@ def affine_flow(
     finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite)) + 1
-        raise IntegrationError(
-            f"integration aborted: non-finite state at step {step} "
-            f"(t = {times[step]:.6g})",
-            step,
-        )
+        raise _aborted("state", step, times[step])
     return times, states
 
 
@@ -254,6 +277,8 @@ def integrate(
     raises :class:`IntegrationError` carrying the first such step (0 for
     the initial state).
     """
+    import numpy as np
+
     if len(state0) != 4:
         raise ValueError("state must be (q1, q2, p1, p2)")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,17 +291,179 @@ def integrate(
     finite = np.isfinite(drift)
     if not finite.all():
         step = int(np.argmin(finite))
-        raise IntegrationError(
-            f"integration aborted: non-finite energy or drift at step {step} "
-            f"(t = {times[step]:.6g})",
-            step,
-        )
+        raise _aborted("energy or drift", step, times[step])
     return NCTrajectory(
         times=times,
         states=states,
         energies=energies,
         invariant_drift=drift,
     )
+
+
+def _dot(u, v) -> float:
+    """u . v of two 4-vectors, summed left to right.
+
+    Not builtin ``sum()``: from Python 3.12 it compensates float sums, and
+    the rows must not depend on the Python version.
+    """
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _product(X, Y) -> list[list[float]]:
+    """The 4 x 4 matrix product X Y."""
+    return [[_dot(row, column) for column in zip(*Y)] for row in X]
+
+
+def _grid_times(t_end: float, n_steps: int, start: int, stop: int) -> list[float]:
+    """Times ``start`` to ``stop`` of the grid that :func:`affine_flow` builds
+    with ``np.linspace``: i*h, and exactly ``t_end`` at the end."""
+    h = t_end / n_steps
+    times = [i * h for i in range(start, stop)]
+    if stop == n_steps + 1:
+        times[-1] = t_end
+    return times
+
+
+def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
+    """:func:`affine_flow` of a planar system (4 x 4 ``A``) on Python floats.
+
+    Returns the state table as four ``array('d')`` columns (q1, q2, p1,
+    p2), one entry per grid time.  The grid, the propagator R - 1 and c,
+    the doubling P_2k = 2 P_k + P_k P_k, the refusal of a P_2k that is not
+    finite and the :class:`IntegrationError` at the first non-finite step
+    are those of :func:`affine_flow`; its products are summed left to
+    right instead of by BLAS, so the rows differ from it in the last bits
+    and do not depend on the BLAS build.  Rows are formed
+    :data:`~kinorbit.timegrid.ROW_BLOCK` at a time.
+    """
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    X = [[h * float(x) for x in row] for row in A]
+    X2 = _product(X, X)
+    X3 = _product(X2, X)
+    X4 = _product(X3, X)
+    # R - 1 and c = h S(hA) b, in affine_flow's order of operations
+    M = [
+        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
+        for rows in zip(X, X2, X3, X4)
+    ]
+    S = [
+        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
+        for i, rows in enumerate(zip(X, X2, X3))
+    ]
+    b = [float(v) for v in b]
+    c = [h * _dot(row, b) for row in S]
+    states = [array("d", [float(v)]) for v in state0]
+    done, k = 1, 1
+    while done <= n_steps:
+        if done == 2 * k:  # every earlier P_2k was adopted
+            doubled = [[x + x + y for x, y in zip(*rows)] for rows in zip(M, _product(M, M))]
+            c_doubled = [x + x + _dot(row, c) for x, row in zip(c, M)]
+            if all(map(math.isfinite, chain(*doubled, c_doubled))):
+                M, c, k = doubled, c_doubled, done
+        (m00, m01, m02, m03), (m10, m11, m12, m13) = M[:2]
+        (m20, m21, m22, m23), (m30, m31, m32, m33) = M[2:]
+        c0, c1, c2, c3 = c
+        # rows [done - k, stop) advance k steps: z + ((R^k - 1) z + c_k)
+        stop = min(done, n_steps + 1 - k)
+        for start in range(done - k, stop, ROW_BLOCK):
+            base = (column[start : min(start + ROW_BLOCK, stop)] for column in states)
+            rows = [
+                (
+                    z0 + (z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0),
+                    z1 + (z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1),
+                    z2 + (z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2),
+                    z3 + (z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3),
+                )
+                for z0, z1, z2, z3 in zip(*base)
+            ]
+            for column, values in zip(states, zip(*rows)):
+                column.extend(values)
+        first_new, done = done, stop + k
+        # a stride that stopped growing meets a blow-up row by row
+        if done > 2 * k and not all(
+            map(math.isfinite, chain.from_iterable(col[first_new:] for col in states))
+        ):
+            break
+    bad = [first_non_finite(islice(column, 1, None)) for column in states]
+    bad = [index for index in bad if index is not None]
+    if bad:
+        step = min(bad) + 1
+        raise _aborted("state", step, _grid_times(t_end, n_steps, step, step + 1)[0])
+    return states
+
+
+class TrajectoryRows:
+    """A trajectory as the rows ``kinorbit simulate`` prints.
+
+    ``len()`` is the row count, and :meth:`columns` forms the
+    :attr:`FIELDS` columns of a range of rows.
+    """
+
+    FIELDS = ("t", "q1", "q2", "p1", "p2", "H", "drift")
+
+    def __init__(self, t_end: float, states: list[array], energies: array) -> None:
+        self.t_end = t_end
+        self.states = states  # q1, q2, p1, p2
+        self.energies = energies
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def columns(self, start: int, stop: int) -> list:
+        """The columns of rows ``start`` to ``stop``, as lists or arrays of floats."""
+        energies = self.energies[start:stop]
+        h0 = self.energies[0]
+        return [
+            _grid_times(self.t_end, len(self) - 1, start, stop),
+            *(column[start:stop] for column in self.states),
+            energies,
+            [h - h0 for h in energies],
+        ]
+
+
+def trajectory_rows(
+    space: NCPhaseSpace2D,
+    ham: HamiltonianSpec,
+    state0: Sequence[float],
+    t_end: float,
+    dt: float,
+) -> TrajectoryRows:
+    """:func:`integrate` on Python floats, as the rows ``kinorbit simulate`` prints.
+
+    The states are :func:`planar_flow` of the affine system, so they equal
+    :func:`integrate`'s up to rounding in the last bits; the energies are
+    :func:`hamiltonian_value` of each state, with its operations in its
+    order.  An energy or energy drift that is not finite raises
+    :class:`IntegrationError` carrying the first such step, as in
+    :func:`integrate`.
+    """
+    if len(state0) != 4:
+        raise ValueError("state must be (q1, q2, p1, p2)")
+    states = planar_flow(*_planar_system(space, ham), state0, t_end, dt)
+    # hamiltonian_value and HamiltonianSpec.potential, written out per row
+    two_m = 2.0 * float(space.mass)
+    a1, a2 = (float(v) for v in ham.linear)
+    k11, k12, k22 = (float(v) for v in ham.quadratic)
+    k12 *= 2
+    energies = array("d")
+    for start in range(0, len(states[0]), ROW_BLOCK):
+        block = (column[start : start + ROW_BLOCK] for column in states)
+        energies.extend(
+            [
+                (p1 * p1 + p2 * p2) / two_m
+                + (a1 * q1 + a2 * q2 + (k11 * q1 * q1 + k12 * q1 * q2 + k22 * q2 * q2) / 2.0)
+                for q1, q2, p1, p2 in zip(*block)
+            ]
+        )
+    h0 = energies[0]
+    # a non-finite energy makes its drift non-finite; so can two finite
+    # energies of opposite sign near the float limit
+    step = first_non_finite(h - h0 for h in energies)
+    if step is not None:
+        t = _grid_times(t_end, len(energies) - 1, step, step + 1)[0]
+        raise _aborted("energy or drift", step, t)
+    return TrajectoryRows(t_end, states, energies)
 
 
 # Bracket matrix of commutative coordinates (q1, q2, p1, p2): {p_i, q^j} = +delta.

@@ -9,18 +9,20 @@ coadjoint action on orbit states, the two orbit invariants (an internal
 angular momentum and an internal energy), the exact symplectic structure
 of the eight-dimensional orbit chart, and the closed-form time evolution
 it generates.  The group law, the action, the invariants and the
-evolution run on floats; the symplectic structure is exact.
+evolution run on Python floats; the symplectic structure is exact.
+:func:`evolution_rows` traces the evolution and its invariants over a
+time grid, as ``kinorbit realize`` prints them.  NumPy is imported only
+inside the functions that return arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .algebra_core import StructureConstants
 from .catalog import CatalogError, build
@@ -33,11 +35,13 @@ from .coadjoint import (
     restrict,
 )
 from .rational_linalg import rat, to_float
+from .timegrid import ROW_BLOCK, first_non_finite, step_count
 
 __all__ = [
     "StaticConstants",
     "StaticGroupElement",
     "StaticOrbitState",
+    "EvolutionRows",
     "identity_element",
     "compose",
     "inverse",
@@ -48,6 +52,7 @@ __all__ = [
     "static_invariants",
     "static_symplectic",
     "time_evolution",
+    "evolution_rows",
     "evolution_hamiltonian",
     "evolution_system",
 ]
@@ -137,33 +142,22 @@ class StaticConstants:
         return floats
 
 
-def _finite(name: str, value) -> float:
+def _finite(name: str, value, kind: str) -> float:
+    """``value`` as a float; :class:`ValueError` naming the ``kind`` and ``name`` unless finite."""
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"group parameter {name} must be finite, got {value!r}")
+        raise ValueError(f"{kind} {name} must be finite, got {value!r}")
     return value
 
 
-def _real(name: str, value, kind: str = "state field"):
-    """A finite float, or a finite float array when ``value`` holds one entry per state.
-
-    Raises :class:`ValueError` naming the ``kind`` and ``name`` (and the
-    first bad entry) otherwise.
-    """
-    # isinstance first: it is much cheaper than np.ndim, and most values are floats
-    if isinstance(value, float) or np.ndim(value) == 0:
-        value = float(value)
-        if math.isfinite(value):
-            return value
-        where = ""
-    else:
-        value = np.asarray(value, dtype=float)
-        finite = np.isfinite(value)
-        if finite.all():
-            return value
-        index = int(np.argmin(finite))
-        value, where = float(value.flat[index]), f" at entry {index}"
-    raise ValueError(f"{kind} {name} must be finite, got {value!r}{where}")
+def _check_column(name: str, values, kind: str) -> None:
+    """:class:`ValueError` naming the ``kind``, ``name`` and first bad entry of a
+    column of floats with an inf or nan."""
+    index = first_non_finite(values)
+    if index is not None:
+        raise ValueError(
+            f"{kind} {name} must be finite, got {values[index]!r} at entry {index}"
+        )
 
 
 @dataclass(frozen=True)
@@ -188,11 +182,12 @@ class StaticGroupElement:
     phase_lambda: float = 0.0
 
     def __post_init__(self) -> None:
+        kind = "group parameter"
         for name in ("angle", "time", "phase_m", "phase_mprime", "phase_b", "phase_lambda"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _finite(name, getattr(self, name), kind))
         for name in ("boost", "translation", "f_shift", "pi_shift"):
             a, b = getattr(self, name)
-            object.__setattr__(self, name, (_finite(name, a), _finite(name, b)))
+            object.__setattr__(self, name, (_finite(name, a, kind), _finite(name, b, kind)))
 
 
 def identity_element() -> StaticGroupElement:
@@ -293,12 +288,7 @@ class StaticOrbitState:
     noncentral generators, q = -f/kappa_e and u = I/mu_e; ``momentum`` (p)
     and ``boost_momentum`` (k) are the duals of translations and boosts.
     ``energy`` and ``angular_momentum`` are the dual values of H and J.
-
-    Any field may instead hold an array with one entry per state: such a
-    column of states (as :func:`time_evolution` returns for an array of
-    times) flows through :meth:`to_dual`, :func:`realize` and
-    :func:`static_invariants` entry by entry.  Every field must be finite (:class:`ValueError`
-    otherwise).
+    Every field must be finite (:class:`ValueError` otherwise).
     """
 
     constants: StaticConstants
@@ -310,40 +300,44 @@ class StaticOrbitState:
     angular_momentum: float = 0.0
 
     def __post_init__(self) -> None:
+        kind = "state field"
         for name in ("position", "velocity", "momentum", "boost_momentum"):
             a, b = getattr(self, name)
-            object.__setattr__(self, name, (_real(name, a), _real(name, b)))
-        object.__setattr__(self, "energy", _real("energy", self.energy))
-        object.__setattr__(
-            self, "angular_momentum", _real("angular_momentum", self.angular_momentum)
-        )
+            object.__setattr__(self, name, (_finite(name, a, kind), _finite(name, b, kind)))
+        for name in ("energy", "angular_momentum"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), kind))
 
     @property
     def chart_vector(self) -> np.ndarray:
         """(q1, q2, u1, u2, p1, p2, k1, k2) as floats."""
+        import numpy as np
+
         return np.array(
             [*self.position, *self.velocity, *self.momentum, *self.boost_momentum]
         )
 
     def to_dual(self) -> np.ndarray:
-        """Full dual coordinate vector on the 14-dimensional extension.
+        """Full dual coordinate vector on the 14-dimensional extension."""
+        import numpy as np
 
-        For a column of N states the result is a 14 x N array, one dual
-        vector per column.
-        """
-        c = self.constants.floats
-        (q1, q2), (u1, u2) = self.position, self.velocity
-        values = (
-            self.angular_momentum, *self.boost_momentum, *self.momentum, self.energy, c.m,
-            -c.kappa_e * q1, -c.kappa_e * q2, c.mu_e * u1, c.mu_e * u2, c.mu, c.beta, c.kappa,
-        )
-        alpha = np.zeros((len(values), *np.broadcast(*values).shape))
-        for slot, value in zip(_dual_slots(), values):
-            alpha[slot] = value
-        return alpha
+        return np.array(_dual(self))
 
 
-# The dual coordinates in the order StaticOrbitState.to_dual lists their values.
+def _dual(state: StaticOrbitState) -> list[float]:
+    """The dual coordinates of ``state``, in the basis order of :func:`noncentral_algebra`."""
+    c = state.constants.floats
+    (q1, q2), (u1, u2) = state.position, state.velocity
+    values = (
+        state.angular_momentum, *state.boost_momentum, *state.momentum, state.energy, c.m,
+        -c.kappa_e * q1, -c.kappa_e * q2, c.mu_e * u1, c.mu_e * u2, c.mu, c.beta, c.kappa,
+    )
+    alpha = [0.0] * len(values)
+    for slot, value in zip(_dual_slots(), values):
+        alpha[slot] = value
+    return alpha
+
+
+# The dual coordinates in the order _dual lists their values.
 _DUAL_NAMES = ("J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2", "M'", "B", "Lambda")
 
 
@@ -360,36 +354,35 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
     the F/Pi shift factor; the phase parameters act trivially.  Each field
     moves by the polynomial that (exp(-ad_A))^T gives on the dual vector
     of the state.  Charges are preserved exactly; the orbit invariants are
-    preserved up to rounding.  A column of states moves entry by entry,
-    and a result that overflows raises :class:`ValueError` naming the field.
+    preserved up to rounding.  A result that overflows raises
+    :class:`ValueError` naming the field.
     """
     c = state.constants.floats
     m, mu, beta, kappa, ke, me = c.m, c.mu, c.beta, c.kappa, c.kappa_e, c.mu_e
     cos, sin = math.cos(g.angle), math.sin(g.angle)
     v, x, eta, ell, t = g.boost, g.translation, g.f_shift, g.pi_shift, g.time
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = (state.position, state.velocity, state.momentum, state.boost_momentum)
-        q, u, p, k = (_rotate(cos, sin, a) for a in fields)
-        f, w = (-ke * q[0], -ke * q[1]), (me * u[0], me * u[1])
-        # the boost and translation move f to f - df and w to w - dw
-        df = (beta * v[0] + kappa * x[0], beta * v[1] + kappa * x[1])
-        dw = (beta * x[0] + mu * v[0], beta * x[1] + mu * v[1])
-        position = (q[0] + df[0] / ke, q[1] + df[1] / ke)
-        velocity = (u[0] - dw[0] / me, u[1] - dw[1] / me)
-        momentum = tuple(
-            p[i] - m * v[i] + beta * ell[i] + kappa * eta[i] + t * (f[i] - df[i] / 2)
-            for i in (0, 1)
-        )
-        boost_momentum = tuple(
-            k[i] + m * x[i] + mu * ell[i] + beta * eta[i] + t * (w[i] - dw[i] / 2)
-            for i in (0, 1)
-        )
-        energy = state.energy - _dot(f, x) - _dot(w, v) + beta * _dot(v, x)
-        energy += (kappa * _dot(x, x) + mu * _dot(v, v)) / 2
-        j = state.angular_momentum + _cross(v, k) + _cross(x, p) + m * _cross(v, x)
-        j += _cross(eta, f) + _cross(ell, w) + t * (_cross(x, f) + _cross(v, w)) / 2
-        j += beta * (_cross(x, ell) + _cross(v, eta)) + kappa * _cross(x, eta)
-        j += mu * _cross(v, ell)
+    fields = (state.position, state.velocity, state.momentum, state.boost_momentum)
+    q, u, p, k = (_rotate(cos, sin, a) for a in fields)
+    f, w = (-ke * q[0], -ke * q[1]), (me * u[0], me * u[1])
+    # the boost and translation move f to f - df and w to w - dw
+    df = (beta * v[0] + kappa * x[0], beta * v[1] + kappa * x[1])
+    dw = (beta * x[0] + mu * v[0], beta * x[1] + mu * v[1])
+    position = (q[0] + df[0] / ke, q[1] + df[1] / ke)
+    velocity = (u[0] - dw[0] / me, u[1] - dw[1] / me)
+    momentum = tuple(
+        p[i] - m * v[i] + beta * ell[i] + kappa * eta[i] + t * (f[i] - df[i] / 2)
+        for i in (0, 1)
+    )
+    boost_momentum = tuple(
+        k[i] + m * x[i] + mu * ell[i] + beta * eta[i] + t * (w[i] - dw[i] / 2)
+        for i in (0, 1)
+    )
+    energy = state.energy - _dot(f, x) - _dot(w, v) + beta * _dot(v, x)
+    energy += (kappa * _dot(x, x) + mu * _dot(v, v)) / 2
+    j = state.angular_momentum + _cross(v, k) + _cross(x, p) + m * _cross(v, x)
+    j += _cross(eta, f) + _cross(ell, w) + t * (_cross(x, f) + _cross(v, w)) / 2
+    j += beta * (_cross(x, ell) + _cross(v, eta)) + kappa * _cross(x, eta)
+    j += mu * _cross(v, ell)
     return StaticOrbitState(
         state.constants, position, velocity, momentum, boost_momentum, energy, j
     )
@@ -417,9 +410,8 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
         w = (a[i["Pi1"]], a[i["Pi2"]])
         return k, p, f, w, a[i["M"]], a[i["M'"]], a[i["B"]], a[i["Lambda"]]
 
-    # beta * beta, not beta**2: NumPy's scalar ** calls the C library's
-    # pow, which can round differently from the array square, and the
-    # values must agree between one state and a column of states.
+    # beta * beta, not beta**2: a float ** raises OverflowError where a
+    # product gives inf, and evolution_rows repeats these products.
     def s_value(a):
         k, p, f, w, m, mu, beta, kappa = unpack(a)
         det = mu * kappa - beta * beta
@@ -448,17 +440,15 @@ def static_invariants(state: StaticOrbitState):
     """The (internal rotation, labelled internal energy) pair of a state.
 
     The second entry subtracts the free label term nu*h carried by the
-    orbit constants, so that a state at rest sits at energy E - nu*h.
-    For a column of states both entries are arrays.  An invariant that
-    overflows raises :class:`ValueError` naming it (``s_inv`` or ``U``) and
-    the first bad entry.
+    orbit constants, so that a state at rest sits at energy E - nu*h.  An
+    invariant that overflows raises :class:`ValueError` naming it (``s_inv``
+    or ``U``).
     """
     s_inv, u_inv = noncentral_invariants()
-    alpha = state.to_dual()
+    alpha = _dual(state)
     c = state.constants.floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, u = s_inv.value(alpha), u_inv.value(alpha) - c.nu * c.h
-    return _real("s_inv", s, "invariant"), _real("U", u, "invariant")
+    s, u = s_inv.value(alpha), u_inv.value(alpha) - c.nu * c.h
+    return _finite("s_inv", s, "invariant"), _finite("U", u, "invariant")
 
 
 # -- symplectic structure and evolution ------------------------------------
@@ -515,18 +505,101 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     """Closed-form evolution by time ``t``.
 
     Positions and velocities are frozen; momenta and boost momenta drift
-    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  For an
-    array of times the result is the column of evolved states, with
-    array-valued momenta and boost momenta.  A drift that overflows raises
-    :class:`ValueError`, as any non-finite state does.
+    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  A drift
+    that overflows raises :class:`ValueError`, as any non-finite state does.
     """
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
-    with np.errstate(over="ignore", invalid="ignore"):
-        momentum = (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2)
-        boost_momentum = (k1 + t * mu_e * u1, k2 + t * mu_e * u2)
+    t = float(t)
+    momentum = (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2)
+    boost_momentum = (k1 + t * mu_e * u1, k2 + t * mu_e * u2)
     return replace(state, momentum=momentum, boost_momentum=boost_momentum)
+
+
+class EvolutionRows:
+    """A state's time evolution as the rows ``kinorbit realize`` prints.
+
+    ``len()`` is the row count, and :meth:`columns` forms the
+    :attr:`FIELDS` columns of a range of rows; a field that holds one value
+    on every row is that float.
+    """
+
+    FIELDS = ("t", "q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "s_inv", "U")
+
+    def __init__(
+        self,
+        state: StaticOrbitState,
+        time_step: float,
+        drifting: tuple[array, ...],
+        internal_energy: float,
+    ) -> None:
+        self.state = state
+        self.time_step = time_step
+        self.drifting = drifting  # p1, p2, k1, k2, s_inv
+        self.internal_energy = internal_energy
+
+    def __len__(self) -> int:
+        return len(self.drifting[0])
+
+    def columns(self, start: int, stop: int) -> list:
+        """The columns of rows ``start`` to ``stop``: floats, lists or arrays of floats."""
+        state = self.state
+        p1, p2, k1, k2, s_inv = (column[start:stop] for column in self.drifting)
+        return [
+            [i * self.time_step for i in range(start, stop)],
+            *state.position, *state.velocity, p1, p2, k1, k2,
+            state.energy, s_inv, self.internal_energy,
+        ]
+
+
+def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> EvolutionRows:
+    """:func:`time_evolution` and :func:`static_invariants` at the times i*t_end/N.
+
+    N is :func:`~kinorbit.timegrid.step_count`.  Each row repeats the float
+    operations of those two functions in their order, with the charges
+    and the frozen fields taken out of the loop, so it equals them bit for
+    bit; the internal energy U depends on frozen fields only and is formed
+    once.  A momentum, boost momentum or invariant that is not finite
+    raises :class:`ValueError` naming it and its first bad row (entry).
+    """
+    c = state.constants.floats
+    n_steps = step_count(t_end, dt)
+    time_step = t_end / n_steps
+    kappa_e, mu_e, m, mu, beta, kappa = c.kappa_e, c.mu_e, c.m, c.mu, c.beta, c.kappa
+    (q1, q2), (u1, u2) = state.position, state.velocity
+    (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
+    j = state.angular_momentum
+    # noncentral_invariants' s_value on _dual(time_evolution(state, t))
+    f1, f2, w1, w2 = -kappa_e * q1, -kappa_e * q2, mu_e * u1, mu_e * u2
+    m_fw = m * (f1 * w2 - f2 * w1)
+    det = mu * kappa - beta * beta
+    drifting = tuple(array("d") for _ in range(5))
+    for start in range(0, n_steps + 1, ROW_BLOCK):
+        times = [i * time_step for i in range(start, min(start + ROW_BLOCK, n_steps + 1))]
+        momenta = (
+            [p1 - t * kappa_e * q1 for t in times],
+            [p2 - t * kappa_e * q2 for t in times],
+            [k1 + t * mu_e * u1 for t in times],
+            [k2 + t * mu_e * u2 for t in times],
+        )
+        s_inv = [
+            j - (
+                kappa * (k1t * w2 - k2t * w1) - beta * (p1t * w2 - p2t * w1)
+                + mu * (p1t * f2 - p2t * f1) - beta * (k1t * f2 - k2t * f1) + m_fw
+            ) / det
+            for p1t, p2t, k1t, k2t in zip(*momenta)
+        ]
+        for column, values in zip(drifting, (*momenta, s_inv)):
+            column.extend(values)
+    # the checks, and their order, of time_evolution and static_invariants
+    names = ("momentum", "momentum", "boost_momentum", "boost_momentum")
+    for name, column in zip(names, drifting):
+        _check_column(name, column, "state field")
+    _check_column("s_inv", drifting[4], "invariant")
+    internal_energy = noncentral_invariants()[1].value(_dual(state)) - c.nu * c.h
+    _check_column("U", [internal_energy], "invariant")
+    return EvolutionRows(state, time_step, drifting, internal_energy)
 
 
 def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:
@@ -552,6 +625,8 @@ def evolution_system(constants: StaticConstants) -> tuple[np.ndarray, np.ndarray
     Hessian's columns are the gradients of H at the basis vectors) and
     b = 0; :func:`kinorbit.mechanics.affine_flow` integrates the system.
     """
+    import numpy as np
+
     theta = to_float(static_symplectic(constants).canonical_theta)
     hamiltonian = functools.partial(evolution_hamiltonian, constants)
     hessian = np.array(

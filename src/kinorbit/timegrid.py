@@ -7,12 +7,16 @@ integration failure, without loading the float layer.
 from __future__ import annotations
 
 import math
+from operator import indexOf
 
-__all__ = ["MAX_STEPS", "IntegrationError", "step_count"]
+__all__ = ["MAX_STEPS", "ROW_BLOCK", "IntegrationError", "first_non_finite", "step_count"]
 
 # Largest step count a fixed-step run may take; it bounds the state table
 # (and the CLI's output rows) before anything is allocated.
 MAX_STEPS = 1_000_000
+
+# Rows formed or written at a time; their lists and text stay near a MB.
+ROW_BLOCK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -39,3 +43,11 @@ def step_count(t_end: float, dt: float) -> int:
             f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
         )
     return max(1, int(round(ratio)))
+
+
+def first_non_finite(values) -> int | None:
+    """The index of the first inf or nan in ``values``, or None."""
+    try:
+        return indexOf(map(math.isfinite, values), False)
+    except ValueError:
+        return None

@@ -314,6 +314,20 @@ def test_verify_is_deterministic(tmp_path, capsys) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/out.csv", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys, where, reason) -> None:
+    code, out, err = _run(capsys, ["list", "--out", str(tmp_path / where)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: cannot write output file:")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
 def _spanning(span: int, shape: str) -> str:
     """A parameter whose length plus exponent magnitude is ``span`` digits."""
     if shape == "big":

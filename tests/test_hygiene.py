@@ -5,7 +5,8 @@ module imports must be used in it (a name listed in ``__all__`` counts as
 used, which covers the package's re-exports), and every private
 module-level function, class or constant must be read in its module.
 The exact layer and the CLI import neither NumPy nor the float layer
-when they load; only function bodies may.
+when they load, and the float layer does not import NumPy when it loads;
+only function bodies may.
 """
 
 from __future__ import annotations
@@ -115,3 +116,9 @@ def _load_time_imports(tree: ast.Module) -> set[str]:
 def test_exact_modules_load_no_numpy_and_no_float_layer(stem: str) -> None:
     tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert sorted(_load_time_imports(tree) & _FLOAT_LAYER) == []
+
+
+@pytest.mark.parametrize("stem", ("mechanics", "static_group"))
+def test_the_float_layer_imports_numpy_only_inside_functions(stem: str) -> None:
+    tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    assert "numpy" not in _load_time_imports(tree)

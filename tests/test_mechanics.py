@@ -24,7 +24,9 @@ from kinorbit.mechanics import (
     linear_system,
     minimal_coupling_galilei,
     minimal_coupling_paragalilei,
+    planar_flow,
     step_count,
+    trajectory_rows,
 )
 from kinorbit.rational_linalg import RatMatrix, to_float
 from kinorbit.static_group import StaticConstants, evolution_system
@@ -78,6 +80,35 @@ def _increment_loop(A, b, state0, t_end, dt):
             if not np.isfinite(z).all():
                 raise IntegrationError(f"non-finite state at step {i}", i)
     return times, states
+
+
+def _numpy_states(A, b, state0, t_end, dt):
+    """affine_flow's state table."""
+    return affine_flow(A, b, state0, t_end, dt)[1]
+
+
+def _float_states(A, b, state0, t_end, dt):
+    """planar_flow's state columns as affine_flow's (n, 4) table."""
+    return np.column_stack(planar_flow(A, b, state0, t_end, dt))
+
+
+def _numpy_rows(space, ham, state0, t_end, dt):
+    """integrate's (times, states, energies)."""
+    trajectory = integrate(space, ham, state0, t_end, dt)
+    return trajectory.times, trajectory.states, trajectory.energies
+
+
+def _float_rows(space, ham, state0, t_end, dt):
+    """trajectory_rows' (times, states, energies): the rows simulate prints, as arrays."""
+    rows = trajectory_rows(space, ham, state0, t_end, dt)
+    times, q1, q2, p1, p2, energies, _ = rows.columns(0, len(rows))
+    return np.array(times), np.column_stack([q1, q2, p1, p2]), np.array(energies)
+
+
+# The two row fills of a planar trajectory, each as (states of an affine
+# system, whole trajectory): NumPy for in-process callers, Python floats
+# for the CLI.  The tests that loop over them hold both to one standard.
+_FILLS = ((_numpy_states, _numpy_rows), (_float_states, _float_rows))
 
 
 def test_theta_and_omega_are_exact_inverses() -> None:
@@ -206,15 +237,16 @@ def test_integrate_matches_stagewise_rk4() -> None:
             quadratic=(rng.uniform(0.5, 3), rng.uniform(-0.4, 0.4), rng.uniform(0.5, 3)),
         )
         state0 = [rng.uniform(-1, 1) for _ in range(4)]
-        traj = integrate(space, ham, state0, t_end=10.0, dt=0.01)
         times, states = _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.01)
-        assert traj.states.shape == (1001, 4)
-        assert np.array_equal(traj.times, times)
         scale = np.max(np.abs(states), axis=0)
-        assert np.all(np.abs(traj.states - states) <= 1e-12 * scale)
-        # energies are evaluated on the whole table, with the per-state formula
-        per_state = [hamiltonian_value(space, ham, z) for z in traj.states]
-        assert np.array_equal(traj.energies, per_state)
+        for _, fill in _FILLS:
+            fill_times, fill_states, energies = fill(space, ham, state0, t_end=10.0, dt=0.01)
+            assert fill_states.shape == (1001, 4)
+            assert np.array_equal(fill_times, times)
+            assert np.all(np.abs(fill_states - states) <= 1e-12 * scale), fill.__name__
+            # energies are evaluated on the whole table, with the per-state formula
+            per_state = [hamiltonian_value(space, ham, z) for z in fill_states]
+            assert np.array_equal(energies, per_state), fill.__name__
 
 
 def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
@@ -237,11 +269,15 @@ def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
         state0 = [rng.uniform(-1, 1) for _ in range(b.size)]
         times, states = affine_flow(A, b, state0, t_end=100.0, dt=0.01)
         ref_times, ref = _increment_loop(A, b, state0, t_end=100.0, dt=0.01)
-        assert states.shape == (10_001, b.size)
         assert np.array_equal(times, ref_times)
-        assert np.array_equal(states[0], ref[0])
         scale = np.max(np.abs(ref), axis=0)
-        assert np.all(np.abs(states - ref) <= 1e-13 * scale)
+        tables = [states]
+        if b.size == 4:  # planar_flow fills the planar tables on Python floats
+            tables.append(_float_states(A, b, state0, 100.0, 0.01))
+        for states in tables:
+            assert states.shape == (10_001, b.size)
+            assert np.array_equal(states[0], ref[0])
+            assert np.all(np.abs(states - ref) <= 1e-13 * scale)
 
 
 def test_an_unexcited_repulsive_mode_stays_exactly_zero(capsys) -> None:
@@ -254,6 +290,11 @@ def test_an_unexcited_repulsive_mode_stays_exactly_zero(capsys) -> None:
     assert len(out) == 1 + 10_001
     rows = [line.split(",") for line in out[1:]]
     assert all(row[2] == row[4] == "0" for row in rows)
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    ham = HamiltonianSpec(quadratic=(0.0, 0.0, -100.0))
+    for _, fill in _FILLS:
+        _, states, _ = fill(space, ham, [0.0, 0.0, 1.0, 0.0], t_end=100.0, dt=0.01)
+        assert {repr(v) for v in states[:, [1, 3]].ravel().tolist()} == {"0.0"}, fill.__name__
 
 
 _blow_up_stiffness = st.builds(
@@ -288,7 +329,9 @@ def test_a_blow_up_fails_at_the_increment_loops_step(
             return exc.step
         return None
 
-    assert failing_step(affine_flow) == failing_step(_increment_loop)
+    reference = failing_step(_increment_loop)
+    for flow, _ in _FILLS:
+        assert failing_step(flow) == reference, flow.__name__
 
 
 def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
@@ -297,21 +340,24 @@ def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
     space = NCPhaseSpace2D(G_field=Fraction(-1, 4), F_field=Fraction(1, 3), mass=Fraction(1))
     ham = HamiltonianSpec(linear=(0.5, -1.0), quadratic=(-1e12, 0.3, -1e12))
     state0 = [1.0, -0.5, 0.2, 0.1]
-    with pytest.raises(IntegrationError) as fast:
-        integrate(space, ham, state0, t_end=10.0, dt=0.1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as ref:
         _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.1)
-    assert fast.value.step == ref.value.step == 8
-    assert "step 8" in str(fast.value)
+    assert ref.value.step == 8
+    for _, fill in _FILLS:
+        with pytest.raises(IntegrationError) as fast:
+            fill(space, ham, state0, t_end=10.0, dt=0.1)
+        assert fast.value.step == 8, fill.__name__
+        assert "step 8" in str(fast.value)
 
 
 def test_an_overflowing_propagator_fails_at_step_one() -> None:
     # h*A overflows, so R - 1 and c are not finite and neither is step 1
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     ham = HamiltonianSpec(quadratic=(1e300, 0.0, 1e300))
-    with pytest.raises(IntegrationError) as err:
-        integrate(space, ham, [1e10, 0.0, 0.0, 0.0], t_end=1e300, dt=1e295)
-    assert err.value.step == 1
+    for _, fill in _FILLS:
+        with pytest.raises(IntegrationError) as err:
+            fill(space, ham, [1e10, 0.0, 0.0, 0.0], t_end=1e300, dt=1e295)
+        assert err.value.step == 1, fill.__name__
 
 
 @pytest.mark.parametrize(
@@ -327,12 +373,13 @@ def test_an_overflowing_propagator_fails_at_step_one() -> None:
 def test_an_overflowing_energy_fails_at_its_step(state0, k11, step) -> None:
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     ham = HamiltonianSpec(quadratic=(k11, 0.0, 0.0))
-    _, states = affine_flow(*linear_system(space, ham), state0, t_end=10.0, dt=1.0)
-    assert np.isfinite(states).all()
-    with pytest.raises(IntegrationError) as err:
-        integrate(space, ham, state0, t_end=10.0, dt=1.0)
-    assert err.value.step == step
-    assert f"non-finite energy or drift at step {step}" in str(err.value)
+    for flow, fill in _FILLS:
+        states = flow(*linear_system(space, ham), state0, t_end=10.0, dt=1.0)
+        assert np.isfinite(states).all(), flow.__name__
+        with pytest.raises(IntegrationError) as err:
+            fill(space, ham, state0, t_end=10.0, dt=1.0)
+        assert err.value.step == step, fill.__name__
+        assert f"non-finite energy or drift at step {step}" in str(err.value)
 
 
 def test_step_count_rejects_bad_grids_before_allocating() -> None:

@@ -49,6 +49,7 @@ from kinorbit.static_group import (
     StaticGroupElement,
     StaticOrbitState,
     compose,
+    evolution_rows,
     identity_element,
     inverse,
     noncentral_algebra,
@@ -56,6 +57,7 @@ from kinorbit.static_group import (
     realize,
     static_invariants,
     static_symplectic,
+    time_evolution,
 )
 
 _REPEATABLE = settings(
@@ -448,6 +450,40 @@ def test_realize_preserves_the_static_invariants(g, state) -> None:
     after = static_invariants(realize(g, state))
     assert abs(after[0] - before[0]) < 1e-9
     assert abs(after[1] - before[1]) < 1e-9
+
+
+@_REPEATABLE
+@given(
+    m=_rationals,
+    mu=_nonzero,
+    beta=_rationals,
+    kappa=_nonzero,
+    nu=_rationals,
+    h=_rationals,
+    fields=st.tuples(*[_coordinates] * 10),
+    t_end=st.floats(0.01, 1000.0),
+    steps=st.integers(1, 40),
+)
+def test_the_realize_rows_are_time_evolution_and_its_invariants(
+    m, mu, beta, kappa, nu, h, fields, t_end, steps
+) -> None:
+    assume(mu * kappa != beta * beta)
+    constants = StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa, nu=nu, h=h)
+    q1, q2, u1, u2, p1, p2, k1, k2, energy, j = fields
+    state = StaticOrbitState(
+        constants, (q1, q2), (u1, u2), (p1, p2), (k1, k2), energy, j
+    )
+    rows = evolution_rows(state, t_end, t_end / steps)
+    assert len(rows) == steps + 1
+    for i in range(len(rows)):
+        # one row at a time, as the CLI writes a chunk of rows
+        row = [c if isinstance(c, float) else c[0] for c in rows.columns(i, i + 1)]
+        one = time_evolution(state, i * (t_end / steps))
+        # the same float operations in the same order: equal to the last bit
+        assert row == [
+            i * (t_end / steps), *one.position, *one.velocity, *one.momentum,
+            *one.boost_momentum, one.energy, *static_invariants(one),
+        ]
 
 
 # Parameters each command reads; any other key is ignored.

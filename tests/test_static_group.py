@@ -17,6 +17,7 @@ from kinorbit.static_group import (
     StaticOrbitState,
     compose,
     evolution_hamiltonian,
+    evolution_rows,
     evolution_system,
     identity_element,
     inverse,
@@ -352,16 +353,17 @@ def test_time_evolution_over_a_time_grid_matches_one_state_at_a_time() -> None:
         kappa=Fraction(7, 4), nu=Fraction(1, 2), h=Fraction(-3, 4),
     )
     st = _random_state(constants, rng)
-    times = np.arange(11) * 0.37
-    column = time_evolution(st, times)
-    alpha = column.to_dual()
-    s_col, u_col = static_invariants(column)
-    assert alpha.shape == (noncentral_algebra().dim, times.size)
-    for i, t in enumerate(times.tolist()):
+    rows = evolution_rows(st, t_end=3.7, dt=0.37)
+    assert len(rows) == 11
+    columns = rows.columns(0, len(rows))
+    assert columns[0] == [i * (3.7 / 10) for i in range(11)]
+    for i, t in enumerate(columns[0]):
         one = time_evolution(st, t)
+        row = [column if isinstance(column, float) else column[i] for column in columns]
         # same arithmetic entry by entry: equal to the last bit
-        assert np.array_equal(alpha[:, i], one.to_dual())
-        assert (s_col[i], u_col[i]) == static_invariants(one)
+        assert row[1:10] == [
+            *one.position, *one.velocity, *one.momentum, *one.boost_momentum, one.energy
+        ]
 
 
 def test_static_symplectic_matches_reference_matrices() -> None:
@@ -500,12 +502,8 @@ def test_evolution_system_matches_closed_form_derivative() -> None:
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 @pytest.mark.parametrize(
     "field, value",
-    [
-        ("energy", lambda bad: bad),
-        ("velocity", lambda bad: (0.0, bad)),
-        ("momentum", lambda bad: (np.array([0.0, 1.0, bad]), np.zeros(3))),
-    ],
-    ids=["scalar", "vector", "column"],
+    [("energy", lambda bad: bad), ("velocity", lambda bad: (0.0, bad))],
+    ids=["scalar", "vector"],
 )
 def test_non_finite_state_fields_are_rejected(field, value, bad) -> None:
     constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
@@ -516,8 +514,9 @@ def test_non_finite_state_fields_are_rejected(field, value, bad) -> None:
 def test_an_overflowing_time_evolution_is_rejected() -> None:
     constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
     st = StaticOrbitState(constants=constants, position=(1e10, 0.0), velocity=(0.0, 1.0))
-    with pytest.raises(ValueError, match="momentum"):
-        time_evolution(st, np.array([0.0, 1.0, 1e300]))
+    # the rows at t = 0, 1e300, 2e300 name the first that overflows
+    with pytest.raises(ValueError, match="momentum must be finite, got -inf at entry 1$"):
+        evolution_rows(st, t_end=2e300, dt=1e300)
     with pytest.raises(ValueError, match="momentum"):
         time_evolution(st, 1e300)
 
@@ -527,9 +526,6 @@ def test_an_overflowing_realize_is_rejected() -> None:
     st = StaticOrbitState(constants=constants, position=(1e300, 0.0))
     with pytest.raises(ValueError, match="momentum must be finite, got -inf$"):
         realize(StaticGroupElement(boost=(1e300, 0.0), time=1e300), st)
-    column = StaticOrbitState(constants=constants, position=(np.array([0.0, 1.0, 1e300]), 0.0))
-    with pytest.raises(ValueError, match="momentum must be finite, got -inf at entry 2$"):
-        realize(StaticGroupElement(time=1e300), column)
 
 
 @pytest.mark.parametrize(
@@ -543,12 +539,12 @@ def test_an_overflowing_realize_is_rejected() -> None:
 def test_overflowing_invariants_are_rejected(fields, invariant) -> None:
     constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
     message = f"invariant {invariant} must be finite, got -?inf"
+    state = StaticOrbitState(constants=constants, **fields)
     with pytest.raises(ValueError, match=f"{message}$"):
-        static_invariants(StaticOrbitState(constants=constants, **fields))
-    # a column of states names its first bad entry
-    column = {name: (np.array([0.0, 1.0, a, a]), b) for name, (a, b) in fields.items()}
-    with pytest.raises(ValueError, match=f"{message} at entry 2$"):
-        static_invariants(StaticOrbitState(constants=constants, **column))
+        static_invariants(state)
+    # the rows name their first bad entry
+    with pytest.raises(ValueError, match=f"{message} at entry 0$"):
+        evolution_rows(state, t_end=1.0, dt=0.5)
 
 
 @pytest.mark.parametrize(
@@ -646,64 +642,16 @@ def test_realize_matches_the_exact_adjoint_series() -> None:
         assert error <= rat(4e-15) * max(map(abs, want)), (g, st)
 
 
-def test_realize_moves_a_column_of_states_one_state_at_a_time() -> None:
-    rng = random.Random(1828)
-    constants = StaticConstants(
-        m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3), kappa=Fraction(7, 4)
-    )
-    n = 9
-
-    def column():
-        return np.array([rng.uniform(-2, 2) for _ in range(n)])
-
-    fields = {
-        "position": (column(), column()),
-        # one velocity for every state, as a scalar field
-        "velocity": (rng.uniform(-2, 2), rng.uniform(-2, 2)),
-        "momentum": (column(), column()),
-        "boost_momentum": (column(), column()),
-        "energy": column(),
-        "angular_momentum": column(),
-    }
-    for _ in range(5):
-        g = _random_element(rng)
-        alpha = realize(g, StaticOrbitState(constants=constants, **fields)).to_dual()
-        assert alpha.shape == (noncentral_algebra().dim, n)
-        for i in range(n):
-            one = {
-                name: tuple(np.broadcast_to(a, n)[i] for a in value)
-                if isinstance(value, tuple)
-                else value[i]
-                for name, value in fields.items()
-            }
-            moved = realize(g, StaticOrbitState(constants=constants, **one))
-            # same arithmetic entry by entry: equal to the last bit
-            assert np.array_equal(alpha[:, i], moved.to_dual())
-
-
 def test_static_invariants_of_a_column_of_states_are_one_state_at_a_time() -> None:
     rng = random.Random(1929)
     constants = StaticConstants(
         m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3),
         kappa=Fraction(7, 4), nu=Fraction(1, 2), h=Fraction(-3, 4),
     )
-    n = 9
-
-    def column():
-        return np.array([rng.uniform(-2, 2) for _ in range(n)])
-
-    fields = {
-        name: (column(), column())
-        for name in ("position", "velocity", "momentum", "boost_momentum")
-    }
-    fields.update(energy=column(), angular_momentum=column())
-    s_col, u_col = static_invariants(StaticOrbitState(constants=constants, **fields))
-    for i in range(n):
-        one = {
-            name: tuple(a[i] for a in value) if isinstance(value, tuple) else value[i]
-            for name, value in fields.items()
-        }
-        # same arithmetic entry by entry: equal to the last bit
-        assert (s_col[i], u_col[i]) == static_invariants(
-            StaticOrbitState(constants=constants, **one)
-        )
+    for _ in range(5):
+        st = _random_state(constants, rng)
+        rows = evolution_rows(st, t_end=rng.uniform(1, 100), dt=0.5)
+        times, *_, s_column, u = rows.columns(0, len(rows))
+        for t, s in zip(times, s_column):
+            # same arithmetic entry by entry: equal to the last bit
+            assert (s, u) == static_invariants(time_evolution(st, t))
