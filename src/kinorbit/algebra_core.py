@@ -95,7 +95,7 @@ class StructureConstants:
             raise ValueError(f"duplicate generator names in basis: {names}")
         self._index = {name: i for i, name in enumerate(names)}
 
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        pairs = []
         seen_pairs: set[tuple[int, int]] = set()
         for (a, b), components in brackets.items():
             i, j = self.index(a), self.index(b)
@@ -117,13 +117,27 @@ class StructureConstants:
                 if value != 0:
                     entry[self.index(target)] = -value if reversed_pair else value
             if entry:
-                table[(i, j)] = entry
-        self._table = table
+                pairs.append(((i, j), entry, {k: -v for k, v in entry.items()}))
+        self._set_table(pairs)
+
+    @classmethod
+    def _normalised(cls, basis, index: dict[str, int], pairs) -> "StructureConstants":
+        """An algebra from an already-normalised table, unchecked and shared,
+        not copied: ``pairs`` lists each nonzero bracket once as
+        ``((i, j), {k: C_ij^k}, {k: -C_ij^k})``, i < j, without zeros."""
+        algebra = cls.__new__(cls)
+        algebra.basis, algebra._index = basis, index
+        algebra._set_table(pairs)
+        return algebra
+
+    def _set_table(self, pairs) -> None:
+        self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
         # signed adjacency i -> j -> {k: C_ij^k}, both orientations of each pair
-        self._adjacency: list[dict[int, dict[int, Fraction]]] = [{} for _ in names]
-        for (i, j), entry in table.items():
+        self._adjacency: list[dict[int, dict[int, Fraction]]] = [{} for _ in self.basis]
+        for (i, j), entry, negated in pairs:
+            self._table[(i, j)] = entry
             self._adjacency[i][j] = entry
-            self._adjacency[j][i] = {k: -v for k, v in entry.items()}
+            self._adjacency[j][i] = negated
 
     # -- basic introspection ------------------------------------------------
 

@@ -27,10 +27,10 @@ means [V_i, s] = c W_i; wherever J is in the basis it rotates every vector,
 (lam, beta sign, gamma != 0) in ``_FAMILY``, which names admit a variant
 and why in ``_ADMITTED``, a variant's basis in ``_families``, its brackets
 in ``_brackets``, the central-charge rule in ``CentralExtensionRule`` and
-``_CENTRAL_CASES``, and the expansion into components in ``_assemble``.
+``_CENTRAL_CASES``, and the expansion into components in ``_expansion``.
 
-All structure constants are exact rationals; parameters are injected as
-rationals at build time so Jacobi checks stay exact.
+Each (name, variant) is expanded once per process; a build fills in exact
+rationals derived from omega, kappa and the charges, cached on no value.
 """
 
 from __future__ import annotations
@@ -180,17 +180,8 @@ class KinematicalParams:
     def for_algebra(
         cls, name: str, omega=Fraction(1), kappa=Fraction(1)
     ) -> "KinematicalParams":
-        _, lam, beta_sign, has_gamma = _family(name)
-        omega = rat(omega)
-        kappa = rat(kappa)
-        return cls(
-            lam=Fraction(lam),
-            beta=beta_sign * omega**2,
-            # omega = 0 reaches __post_init__, which rejects it
-            gamma=(kappa**2 / omega**2) if has_gamma and omega else Fraction(0),
-            omega=omega,
-            kappa=kappa,
-        )
+        q = _quantities(name, omega, kappa)
+        return cls(q["lam"], q["beta"], q["gamma"], q["omega"], q["kappa"])
 
     @property
     def c(self) -> Fraction:
@@ -217,6 +208,28 @@ def _family(name: str) -> tuple[str, int, int, bool]:
         raise CatalogError(
             f"unknown algebra name {name!r}; valid names: {', '.join(ISOTROPIC_NAMES)}"
         ) from None
+
+
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
+def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
+    """The parameters of ``name`` at the scales ``omega`` and ``kappa``, by
+    the names ``_brackets`` reads them, plus the scales themselves."""
+    _, lam, sign, has_gamma = _family(name)
+    omega, kappa = rat(omega), rat(kappa)
+    if omega <= 0 or kappa <= 0:
+        raise CatalogError("omega and kappa must be positive")
+    w2, k2 = omega**2, kappa**2
+    inv_c2 = k2 / w2
+    beta = w2 if sign > 0 else -w2 if sign else _ZERO
+    gamma = inv_c2 if has_gamma else _ZERO
+    lam = _ONE if lam else _ZERO
+    return {
+        "lam": lam, "beta": beta, "gamma": gamma, "mu": -gamma if lam and gamma else _ZERO,
+        "alpha": beta * gamma if beta and gamma else _ZERO, "1/c^2": inv_c2,
+        "kappa^2": k2, "1": _ONE, "omega": omega, "kappa": kappa,
+    }
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,7 @@ class AlgebraDescriptor:
 
     @property
     def dim(self) -> int:
-        return len(_basis(_families(self.name, self.variant)))
+        return sum(1 + (f in _VECTORS) for f in _families(self.name, self.variant))
 
 
 @dataclass(frozen=True)
@@ -290,31 +303,23 @@ _CENTRAL_CASES = {
 def admissible_central_extensions(lam, beta, omega=Fraction(1)) -> CentralExtensionRule:
     """The admissible-charge rule for given ``lam`` and ``beta``.
 
-    ``beta`` may be a sign in {-1, 0, +1} or a value in {-omega^2, 0, +omega^2}.
+    ``beta`` must be one of {+omega^2, 0, -omega^2} for the positive ``omega``
+    (the signs only at omega = 1); any other value raises CatalogError.
     """
     lam = rat(lam)
     if lam not in (0, 1):
         raise CatalogError(f"lam must be 0 or 1, got {lam}")
-    beta = rat(beta)
-    omega = rat(omega)
+    beta, omega = rat(beta), rat(omega)
     if omega <= 0:
         raise CatalogError("omega and kappa must be positive")
     if beta not in (omega**2, 0, -(omega**2)):
-        raise CatalogError(
-            f"beta must be one of +omega^2, 0, -omega^2, got {beta}"
-        )
+        raise CatalogError(f"beta must be one of +omega^2, 0, -omega^2, got {beta}")
     sign = (beta > 0) - (beta < 0)
     description, mu, alpha = _CENTRAL_CASES[(int(lam), sign)]
-    return CentralExtensionRule(
-        lam=int(lam),
-        beta_sign=sign,
-        description=description,
-        default_mu=Fraction(mu),
-        default_alpha=Fraction(alpha),
-    )
+    return CentralExtensionRule(int(lam), sign, description, Fraction(mu), Fraction(alpha))
 
 
-# -- bracket assembly -------------------------------------------------------
+# -- bracket expansion ------------------------------------------------------
 
 
 def _families(name: str, variant: str) -> tuple[str, ...]:
@@ -331,101 +336,81 @@ def _families(name: str, variant: str) -> tuple[str, ...]:
     return ("J", "K", "P", "H", "M", "S", *extra)
 
 
+def _brackets(name: str, variant: str) -> dict:
+    """The brackets of a catalog entry in vector notation (see the module
+    doc); a coefficient names the quantity a build fills in, '-' negating."""
+    time = {("K", "H"): {"P": "lam"}, ("P", "H"): {"K": "beta"}}
+    if variant == "isotropic":
+        return {
+            ("K", "K"): {"J": "mu"}, ("P", "P"): {"J": "alpha"}, ("K", "P"): {"H": "gamma"},
+            **time,
+        }
+    if variant == "anisotropic":
+        return {("K", "P"): {"H": "gamma"}, **time}
+    if variant == "central_ext":
+        return {
+            ("K", "K"): {"S": "mu_charge/c^2"}, ("P", "P"): {"S": "alpha_charge*kappa^2"},
+            ("K", "P"): {"H": "1/c^2"} if name == "C" else {"M": "m_coupling"},
+            **time,
+        }
+    if name in ("NH+", "NH-"):
+        return {
+            ("K", "K"): {"S": "1/c^2"},
+            ("P", "P"): {"S": "-kappa^2" if name == "NH+" else "kappa^2"},
+            ("K", "P"): {"M": "1"}, ("K", "H"): {"P": "1"}, ("P", "H"): {"K": "beta"},
+        }
+    if name in ("G'+", "G'-"):
+        return {
+            ("K", "P"): {"M": "1"}, ("P", "P"): {"S": "kappa^2"},
+            ("K", "H"): {"Pi": "1"}, ("P", "H"): {"K": "beta"},
+        }
+    if name == "G":
+        return {
+            ("K", "K"): {"S": "1/c^2"}, ("K", "P"): {"M": "1"},
+            ("K", "H"): {"Pi": "1"}, ("P", "H"): {"F": "1"},
+        }
+    return {
+        ("K", "P"): {"M": "1"}, ("K", "F"): {"B": "1"}, ("P", "F"): {"Lambda": "1"},
+        ("K", "Pi"): {"M'": "1"}, ("P", "Pi"): {"B": "1"},
+        ("K", "H"): {"Pi": "1"}, ("P", "H"): {"F": "1"},
+    }
+
+
+def _fill(slots, signed: dict) -> list:
+    """``((i, j), {k: C_ij^k}, {k: -C_ij^k})`` per slot pair from the (value,
+    negative) of each quantity in ``signed``; a missing quantity is zero."""
+    pairs = []
+    for pair, slot in slots:
+        entry, negated = {}, {}
+        for k, quantity, negate in slot:
+            if quantity in signed:
+                value, minus = signed[quantity]
+                entry[k], negated[k] = (minus, value) if negate else (value, minus)
+        if entry:
+            pairs.append((pair, entry, negated))
+    return pairs
+
+
 @cache
-def _basis(families: tuple[str, ...]) -> tuple[GeneratorLabel, ...]:
-    """The labeled basis of ``families``: a vector family spans two components."""
-    return tuple(
+def _expansion(name: str, variant: str) -> tuple:
+    """A catalog entry's brackets in components (see the module doc), once per
+    process: (basis, name-to-index map, J's filled rotation pairs, the other
+    slots ``((i, j), ((k, quantity, negate), ...))`` with i < j, the
+    quantities they read, the central-charge rule or None)."""
+    AlgebraDescriptor(name, variant)  # rejects an unknown or inadmissible pair
+    families = _families(name, variant)
+    basis = tuple(
         GeneratorLabel(component, _DIMENSION_TAGS[family])
         for family in families
         for component in ((family + "1", family + "2") if family in _VECTORS else (family,))
     )
-
-
-def _brackets(
-    name: str,
-    variant: str,
-    params: KinematicalParams,
-    mu_charge,
-    alpha_charge,
-    m_coupling,
-    enforce_admissibility: bool,
-) -> dict:
-    """The brackets of a catalog entry in vector notation (see the module doc)."""
-    time = {("K", "H"): {"P": params.lam}, ("P", "H"): {"K": params.beta}}
-    if variant == "isotropic":
-        return {
-            ("K", "K"): {"J": params.mu},
-            ("P", "P"): {"J": params.alpha},
-            ("K", "P"): {"H": params.gamma},
-            **time,
-        }
-    if variant == "anisotropic":
-        return {("K", "P"): {"H": params.gamma}, **time}
-    if variant == "central_ext":
-        rule = admissible_central_extensions(params.lam, params.beta, params.omega)
-        if mu_charge is None:
-            mu_charge = rule.default_mu
-        if alpha_charge is None:
-            alpha_charge = rule.default_alpha
-        mu_charge, alpha_charge = rat(mu_charge), rat(alpha_charge)
-        if enforce_admissibility and not rule.admissible(mu_charge, alpha_charge):
-            raise CatalogError(
-                f"central charges (mu={mu_charge}, alpha={alpha_charge}) are "
-                f"inadmissible for {name!r} (lam={params.lam}, beta={params.beta}): "
-                f"the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-                f"i.e. {rule.description}"
-            )
-        return {
-            ("K", "K"): {"S": mu_charge * params.inv_c2},
-            ("P", "P"): {"S": alpha_charge * params.kappa**2},
-            ("K", "P"): {"H": params.inv_c2} if name == "C" else {"M": rat(m_coupling)},
-            **time,
-        }
-    sign, k2 = _FAMILY[name][2], params.kappa**2
-    oscillator = {"K": sign * params.omega**2}
-    if name in ("NH+", "NH-"):
-        return {
-            ("K", "K"): {"S": params.inv_c2},
-            ("P", "P"): {"S": -sign * k2},
-            ("K", "P"): {"M": 1},
-            ("K", "H"): {"P": 1},
-            ("P", "H"): oscillator,
-        }
-    if name in ("G'+", "G'-"):
-        return {
-            ("K", "P"): {"M": 1},
-            ("P", "P"): {"S": k2},
-            ("K", "H"): {"Pi": 1},
-            ("P", "H"): oscillator,
-        }
-    if name == "G":
-        return {
-            ("K", "K"): {"S": params.inv_c2},
-            ("K", "P"): {"M": 1},
-            ("K", "H"): {"Pi": 1},
-            ("P", "H"): {"F": 1},
-        }
-    return {
-        ("K", "P"): {"M": 1},
-        ("K", "F"): {"B": 1},
-        ("P", "F"): {"Lambda": 1},
-        ("K", "Pi"): {"M'": 1},
-        ("P", "Pi"): {"B": 1},
-        ("K", "H"): {"Pi": 1},
-        ("P", "H"): {"F": 1},
-    }
-
-
-def _assemble(families: tuple[str, ...], brackets: dict) -> StructureConstants:
-    """Expand vector-notation ``brackets`` into components over the basis of
-    ``families``, with J's rotation of every vector when J is present."""
+    index = {g.name: i for i, g in enumerate(basis)}
     table: dict = {}
-    if "J" in families:
-        for v in families:
-            if v in _VECTORS:
-                table[("J", v + "1")] = {v + "2": 1}
-                table[("J", v + "2")] = {v + "1": -1}
-    for (a, b), targets in brackets.items():
+    for v in families if "J" in families else ():
+        if v in _VECTORS:
+            table[("J", v + "1")], table[("J", v + "2")] = {v + "2": "1"}, {v + "1": "-1"}
+    rotations = len(table)
+    for (a, b), targets in _brackets(name, variant).items():
         if a == b:  # [V_i, V_j] = eps_ij X
             table[(a + "1", a + "2")] = targets
         elif b in _VECTORS:  # [V_i, W_j] = delta_ij X
@@ -433,7 +418,15 @@ def _assemble(families: tuple[str, ...], brackets: dict) -> StructureConstants:
         else:  # [V_i, s] = c W_i
             for i in "12":
                 table[(a + i, b)] = {w + i: c for w, c in targets.items()}
-    return StructureConstants(_basis(families), table)
+    slots = []
+    for (a, b), row in table.items():
+        i, j = index[a], index[b]
+        slot = tuple((index[t], q.lstrip("-"), (i > j) != (q[0] == "-")) for t, q in row.items())
+        slots.append(((min(i, j), max(i, j)), slot))
+    rotation, slots = _fill(slots[:rotations], {"1": (_ONE, _MINUS_ONE)}), tuple(slots[rotations:])
+    quantities = tuple(dict.fromkeys(q for _, slot in slots for _, q, _ in slot))
+    rule = admissible_central_extensions(*_FAMILY[name][1:3]) if variant == "central_ext" else None
+    return basis, index, rotation, slots, quantities, rule
 
 
 def build(
@@ -444,35 +437,58 @@ def build(
     kappa=Fraction(1),
     mu_charge=None,
     alpha_charge=None,
-    m_coupling=Fraction(1),
+    m_coupling=None,
     enforce_admissibility: bool = True,
 ) -> StructureConstants:
     """Build the structure constants for a catalog algebra.
 
     ``descriptor`` may be an :class:`AlgebraDescriptor` or a bare name (in
-    which case ``variant`` selects the variant, default ``isotropic``).
-    The parameters of the name are derived from the scales ``omega`` and
-    ``kappa`` (:meth:`KinematicalParams.for_algebra`).  For ``central_ext``
-    builds, the charges ``mu_charge``/``alpha_charge`` default to the
-    admissible normalization and are validated against the admissibility
-    rule unless ``enforce_admissibility`` is False (used to demonstrate the
-    resulting Jacobi violation).  ``m_coupling`` scales the boost-momentum
-    central charge so that setting all extension parameters to zero
-    recovers the unextended algebra.
+    which case ``variant`` selects the variant, default ``isotropic``).  A
+    build fills the expansion of its (name, variant) with the parameters of
+    the scales ``omega`` and ``kappa`` (as :meth:`KinematicalParams.for_algebra`)
+    and the charges of ``central_ext``, the only variant that takes
+    ``mu_charge``, ``alpha_charge`` or an ``m_coupling`` other than 1.  The
+    charges default to the admissible normalization and are validated
+    against the admissibility rule unless ``enforce_admissibility`` is False
+    (used to demonstrate the resulting Jacobi violation).  ``m_coupling``
+    (``None`` means 1) scales the boost-momentum central charge so that
+    setting all extension parameters to zero recovers the unextended
+    algebra; Carroll, whose boost-momentum bracket keeps H, ignores it.
     """
     if isinstance(descriptor, str):
-        descriptor = AlgebraDescriptor(descriptor, variant or "isotropic")
+        name, variant = descriptor, variant or "isotropic"
     elif variant is not None and variant != descriptor.variant:
         raise CatalogError(
             f"conflicting variants {descriptor.variant!r} and {variant!r}"
         )
-    name, variant = descriptor.name, descriptor.variant
-    params = KinematicalParams.for_algebra(name, omega, kappa)
-    brackets = _brackets(
-        name, variant, params, mu_charge, alpha_charge, m_coupling,
-        enforce_admissibility,
-    )
-    return _assemble(_families(name, variant), brackets)
+    else:
+        name, variant = descriptor.name, descriptor.variant
+    basis, index, rotation, slots, quantities, rule = _expansion(name, variant)
+    values = _quantities(name, omega, kappa)
+    if rule is None:
+        for arg, value in (
+            ("mu_charge", mu_charge), ("alpha_charge", alpha_charge), ("m_coupling", m_coupling)
+        ):
+            if value is not None and (arg != "m_coupling" or rat(value) != 1):
+                raise CatalogError(
+                    f"{arg} applies to the central_ext variant only, not to "
+                    f"the {variant} variant of {name!r}"
+                )
+    else:
+        mu = rule.default_mu if mu_charge is None else rat(mu_charge)
+        alpha = rule.default_alpha if alpha_charge is None else rat(alpha_charge)
+        if enforce_admissibility and not rule.admissible(mu, alpha):
+            raise CatalogError(
+                f"central charges (mu={mu}, alpha={alpha}) are "
+                f"inadmissible for {name!r} (lam={values['lam']}, beta={values['beta']}): "
+                f"the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
+                f"i.e. {rule.description}"
+            )
+        values["mu_charge/c^2"] = mu * values["1/c^2"]
+        values["alpha_charge*kappa^2"] = alpha * values["kappa^2"]
+        values["m_coupling"] = _ONE if m_coupling is None else rat(m_coupling)
+    signed = {q: (v, _MINUS_ONE if v is _ONE else -v) for q in quantities if (v := values[q])}
+    return StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
 
 
 @dataclass(frozen=True)

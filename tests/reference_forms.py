@@ -263,6 +263,80 @@ DEFAULT_CENTRAL_CHARGES = {
 }
 
 
+# -- catalog brackets, component by component -------------------------------
+
+# name -> (lam, sign of beta, gamma nonzero?)
+CATALOG_PARAMETERS = {
+    "dS+": (1, 1, True), "P": (1, 0, True), "dS-": (1, -1, True),
+    "NH+": (1, 1, False), "G": (1, 0, False), "NH-": (1, -1, False),
+    "P'+": (0, 1, True), "C": (0, 0, True), "P'-": (0, -1, True),
+    "G'+": (0, 1, False), "S": (0, 0, False), "G'-": (0, -1, False),
+}
+
+
+def _eps(v, x, c):
+    """[v1, v2] = c x."""
+    return [((v + "1", v + "2"), {x: c})]
+
+
+def _delta(v, w, x, c):
+    """[v_i, w_i] = c x for i = 1, 2."""
+    return [((v + i, w + i), {x: c}) for i in "12"]
+
+
+def _act(v, s, w, c):
+    """[v_i, s] = c w_i for i = 1, 2."""
+    return [((v + i, s), {w + i: c}) for i in "12"]
+
+
+def catalog_brackets(name, variant, omega, kappa, mu=None, alpha=None, m=1):
+    """Basis names and the ``(a, b) -> {target: coefficient}`` brackets of a
+    catalog algebra, written out per component in the package's order: J's
+    rotation of each vector first.  ``mu``, ``alpha`` and ``m`` are the
+    central charges of ``central_ext``; zero coefficients are kept."""
+    lam, sign, curved = CATALOG_PARAMETERS[name]
+    w2, k2 = _f(omega) ** 2, _f(kappa) ** 2
+    inv_c2 = k2 / w2
+    beta, gamma = sign * w2, inv_c2 if curved else Fraction(0)
+    time = _act("K", "H", "P", _f(lam)) + _act("P", "H", "K", beta)
+    if variant == "isotropic":
+        names = ["J", "K1", "K2", "P1", "P2", "H"]
+        rows = _eps("K", "J", -lam * gamma) + _eps("P", "J", beta * gamma)
+        rows += _delta("K", "P", "H", gamma) + time
+    elif variant == "anisotropic":
+        names = ["K1", "K2", "P1", "P2", "H"]
+        rows = _delta("K", "P", "H", gamma) + time
+    elif variant == "central_ext":
+        names = ["K1", "K2", "P1", "P2", "H"] + (["S"] if name == "C" else ["M", "S"])
+        rows = _eps("K", "S", _f(mu) * inv_c2) + _eps("P", "S", _f(alpha) * k2)
+        rows += _delta("K", "P", "H", inv_c2) if name == "C" else _delta("K", "P", "M", _f(m))
+        rows += time
+    elif name in ("NH+", "NH-"):
+        names = ["J", "K1", "K2", "P1", "P2", "H", "M", "S"]
+        rows = _eps("K", "S", inv_c2) + _eps("P", "S", -sign * k2) + _delta("K", "P", "M", 1)
+        rows += _act("K", "H", "P", 1) + _act("P", "H", "K", beta)
+    elif name in ("G'+", "G'-"):
+        names = ["J", "K1", "K2", "P1", "P2", "H", "M", "S", "Pi1", "Pi2"]
+        rows = _delta("K", "P", "M", 1) + _eps("P", "S", k2)
+        rows += _act("K", "H", "Pi", 1) + _act("P", "H", "K", beta)
+    elif name == "G":
+        names = ["J", "K1", "K2", "P1", "P2", "H", "M", "S", "F1", "F2", "Pi1", "Pi2"]
+        rows = _eps("K", "S", inv_c2) + _delta("K", "P", "M", 1)
+        rows += _act("K", "H", "Pi", 1) + _act("P", "H", "F", 1)
+    else:
+        names = ["J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2"]
+        names += ["M'", "B", "Lambda"]
+        rows = _delta("K", "P", "M", 1) + _delta("K", "F", "B", 1)
+        rows += _delta("P", "F", "Lambda", 1) + _delta("K", "Pi", "M'", 1)
+        rows += _delta("P", "Pi", "B", 1) + _act("K", "H", "Pi", 1) + _act("P", "H", "F", 1)
+    vectors = [v for v in ("K", "P", "F", "Pi") if v + "1" in names]
+    rotation = []
+    if "J" in names:
+        for v in vectors:
+            rotation += [(("J", v + "1"), {v + "2": 1}), (("J", v + "2"), {v + "1": -1})]
+    return names, dict(rotation + rows)
+
+
 # -- minimal-coupling bracket expectations ----------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -440,3 +441,110 @@ def test_every_catalog_table_matches_its_pinned_digest() -> None:
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "bb7d08f3ab8605d0c15704d54bf05c69f96c1234860c23c93f098ffbb0faf01d"
     )
+
+
+@pytest.mark.parametrize(
+    ("record", "charges", "named"),
+    [
+        (("G", "isotropic"), {"mu_charge": 5, "alpha_charge": 7, "m_coupling": 3}, "mu_charge"),
+        (("G", "isotropic"), {"alpha_charge": 7}, "alpha_charge"),
+        (("NH+", "anisotropic"), {"m_coupling": 3}, "m_coupling"),
+        (("S", "noncentral_ext"), {"mu_charge": 0}, "mu_charge"),
+        (("dS+", "isotropic"), {"m_coupling": 0}, "m_coupling"),
+    ],
+)
+def test_charges_outside_central_ext_are_rejected(record, charges, named) -> None:
+    name, variant = record
+    expected = f"^{named} .*the {variant} variant of {re.escape(repr(name))}$"
+    with pytest.raises(CatalogError, match=expected):
+        build(name, variant, **charges)
+
+
+def test_a_unit_or_absent_m_coupling_passes_every_variant() -> None:
+    for rec in list_catalog():
+        plain = build(rec.name, rec.variant)
+        for m_coupling in (None, 1, Fraction(1), "1"):
+            coupled = build(rec.name, rec.variant, m_coupling=m_coupling)
+            assert list(coupled.pair_table()) == list(plain.pair_table())
+    # Carroll's boost-momentum bracket keeps H: it accepts m_coupling, reads none
+    assert list(build("C", "central_ext", m_coupling=0).pair_table()) == list(
+        build("C", "central_ext").pair_table()
+    )
+
+
+def test_central_extension_rule_docstring_states_the_accepted_beta() -> None:
+    doc = " ".join(admissible_central_extensions.__doc__.split())
+    assert "{+omega^2, 0, -omega^2}" in doc
+    assert "may be a sign" not in doc
+    for omega in (Fraction(1), Fraction(2), Fraction(1, 3)):
+        w2 = omega**2
+        for beta, sign in ((w2, 1), (0, 0), (-w2, -1)):
+            assert admissible_central_extensions(1, beta, omega=omega).beta_sign == sign
+    # a sign is a value of beta only at omega = 1
+    with pytest.raises(CatalogError, match="beta must be one of"):
+        admissible_central_extensions(1, 1, omega=2)
+    with pytest.raises(CatalogError, match="beta must be one of"):
+        admissible_central_extensions(0, -1, omega=Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [{"omega": 0}, {"kappa": -1}, {"omega": Fraction(-1, 2), "kappa": 2}, {"kappa": 0}],
+)
+def test_nonpositive_scales_keep_their_message(scales) -> None:
+    for rec in list_catalog():
+        with pytest.raises(CatalogError, match="^omega and kappa must be positive$"):
+            build(rec.name, rec.variant, **scales)
+    with pytest.raises(CatalogError, match="^omega and kappa must be positive$"):
+        KinematicalParams.for_algebra("C", **scales)
+
+
+@pytest.mark.parametrize(
+    ("name", "kwargs", "message"),
+    [
+        (
+            "NH+",
+            {"omega": 2, "kappa": 3, "mu_charge": 1, "alpha_charge": 1},
+            "central charges (mu=1, alpha=1) are inadmissible for 'NH+' (lam=1, "
+            "beta=4): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
+            "i.e. mu = -alpha (both otherwise free)",
+        ),
+        (
+            "G",
+            {"mu_charge": 1, "alpha_charge": Fraction(1, 3)},
+            "central charges (mu=1, alpha=1/3) are inadmissible for 'G' (lam=1, "
+            "beta=0): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
+            "i.e. alpha = 0, mu free",
+        ),
+        (
+            "G'-",
+            {"omega": Fraction(1, 2), "mu_charge": Fraction(1, 2), "alpha_charge": 1},
+            "central charges (mu=1/2, alpha=1) are inadmissible for \"G'-\" (lam=0, "
+            "beta=-1/4): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
+            "i.e. mu = 0, alpha free",
+        ),
+    ],
+)
+def test_inadmissible_charges_keep_their_message(name, kwargs, message) -> None:
+    with pytest.raises(CatalogError) as err:
+        build(name, "central_ext", **kwargs)
+    assert str(err.value) == message
+
+
+def test_the_expansion_cache_is_keyed_by_name_and_variant_only() -> None:
+    from kinorbit.catalog import _expansion
+
+    for rec in list_catalog():
+        build(rec.name, rec.variant)
+    filled = _expansion.cache_info().currsize
+    assert filled <= 32
+    rng = random.Random(20261019)
+    for _ in range(3):
+        for rec in list_catalog():
+            build(rec.name, rec.variant, omega=_rand_param(rng), kappa=_rand_param(rng))
+        build("S", "central_ext", mu_charge=_rand_param(rng), alpha_charge=_rand_param(rng),
+              m_coupling=_rand_param(rng))
+    for bad in (("XX", "isotropic"), ("dS+", "anisotropic"), ("G", "weird")):
+        with pytest.raises(CatalogError):
+            build(*bad)
+    assert _expansion.cache_info().currsize == filled

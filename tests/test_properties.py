@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
 import reference_forms as rf
+from kinorbit.algebra_core import StructureConstants
 from kinorbit.catalog import (
     CENTRAL_EXTENSION_NAMES,
     KinematicalParams,
     admissible_central_extensions,
     build,
+    generator_label,
     list_catalog,
 )
 from kinorbit.cli import main
@@ -382,6 +384,42 @@ def test_the_central_charge_rule_is_the_jacobi_identity(
         alpha_charge=alpha, enforce_admissibility=False,
     )
     assert rule.admissible(mu, alpha) == algebra.is_lie_algebra
+
+
+@settings(_REPEATABLE, max_examples=200)
+@given(
+    record=st.sampled_from(list_catalog()),
+    omega=_positive,
+    kappa=_positive,
+    charges=st.none() | st.tuples(_rationals, _rationals),
+    m_coupling=st.none() | _rationals,
+)
+def test_build_equals_the_validated_reference_expansion(
+    record, omega, kappa, charges, m_coupling
+) -> None:
+    name, variant = record.name, record.variant
+    kwargs, mu, alpha, m = {}, None, None, Fraction(1)
+    if variant == "central_ext":
+        lam, sign, _ = rf.CATALOG_PARAMETERS[name]
+        mu, alpha = rf.DEFAULT_CENTRAL_CHARGES[name] if charges is None else charges
+        if sign:  # mu*sign(beta) = -lam*alpha
+            mu = -lam * alpha * sign
+        elif lam:
+            alpha = Fraction(0)
+        m = Fraction(1) if m_coupling is None else m_coupling
+        kwargs = dict(mu_charge=mu, alpha_charge=alpha, m_coupling=m_coupling)
+        if charges is None:
+            kwargs.update(mu_charge=None, alpha_charge=None)
+    names, brackets = rf.catalog_brackets(name, variant, omega, kappa, mu, alpha, m)
+    reference = StructureConstants([generator_label(n) for n in names], brackets)
+    built = build(name, variant, omega=omega, kappa=kappa, **kwargs)
+    assert built.basis == reference.basis
+    table = [(pair, list(comps.items())) for pair, comps in built.pair_table()]
+    assert table == [(pair, list(comps.items())) for pair, comps in reference.pair_table()]
+    assert all(type(v) is Fraction for _, comps in table for _, v in comps)
+    for i in range(built.dim):
+        for j in range(built.dim):
+            assert built.bracket_targets(i, j) == reference.bracket_targets(i, j)
 
 
 # Static-group draws span the ranges of the hand-picked cases in
