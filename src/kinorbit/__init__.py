@@ -7,54 +7,55 @@ structures, classifies the resulting noncommutative phase spaces,
 integrates the modified Hamilton equations, and implements the extended
 Static group together with its orbit realization and invariants.
 
-The exact layer imports no NumPy.  The names of the float layer
-(:mod:`kinorbit.mechanics` and :mod:`kinorbit.static_group`) resolve when
-first used, through the module ``__getattr__``, so ``import kinorbit``
-does not load NumPy either.
+Every public name resolves when first used, through the module
+``__getattr__``, so ``import kinorbit`` loads no submodule, and a name
+loads only its own module and the layers below it.  The exact layer
+imports no NumPy, and the float layer (:mod:`kinorbit.mechanics` and
+:mod:`kinorbit.static_group`) imports it only inside the functions that
+use arrays.
 """
 
-import importlib
-
-from .algebra_core import (
-    AlgebraElement,
-    GeneratorLabel,
-    JacobiViolation,
-    StructureConstants,
-    bracket,
-    check_jacobi,
-)
-from .catalog import (
-    AlgebraDescriptor,
-    CatalogError,
-    CatalogRecord,
-    KinematicalParams,
-    admissible_central_extensions,
-    build,
-    list_catalog,
-)
-from .coadjoint import (
-    DegenerateChartError,
-    DualPoint,
-    MagneticCouplings,
-    OrbitChart,
-    OrbitInvariant,
-    StandardOrbit,
-    SymplecticStructure,
-    casimir_residual,
-    classify,
-    kirillov_matrix,
-    magnetic_fields,
-    poisson_bracket,
-    restrict,
-    standard_orbit,
-)
-from .rational_linalg import RatMatrix, SingularMatrixError, rat, rat_inv, rat_rank
-from .timegrid import IntegrationError
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# float-layer module -> the names it lends the package
+# module -> the public names it lends the package
 _LAZY = {
+    "algebra_core": (
+        "AlgebraElement",
+        "GeneratorLabel",
+        "JacobiViolation",
+        "StructureConstants",
+        "bracket",
+        "check_jacobi",
+    ),
+    "catalog": (
+        "AlgebraDescriptor",
+        "CatalogError",
+        "CatalogRecord",
+        "KinematicalParams",
+        "admissible_central_extensions",
+        "build",
+        "list_catalog",
+    ),
+    "coadjoint": (
+        "DegenerateChartError",
+        "DualPoint",
+        "MagneticCouplings",
+        "OrbitChart",
+        "OrbitInvariant",
+        "StandardOrbit",
+        "SymplecticStructure",
+        "casimir_residual",
+        "classify",
+        "kirillov_matrix",
+        "magnetic_fields",
+        "poisson_bracket",
+        "restrict",
+        "standard_orbit",
+    ),
+    "rational_linalg": ("RatMatrix", "SingularMatrixError", "rat", "rat_inv", "rat_rank"),
+    "timegrid": ("IntegrationError",),
     "mechanics": (
         "CANONICAL_BRACKET_MATRIX",
         "HamiltonianSpec",
@@ -82,15 +83,16 @@ _LAZY = {
         "time_evolution",
     ),
 }
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    """A float-layer module, or a name it lends, imported when first asked for."""
-    for module, names in _LAZY.items():
-        if name == module or name in names:
-            value = importlib.import_module(f".{module}", __name__)
-            return value if name == module else getattr(value, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A submodule, or a name it lends, imported when first asked for."""
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    return value if module == name else getattr(value, name)
 
 
 __all__ = [

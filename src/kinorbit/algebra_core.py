@@ -5,17 +5,20 @@ generators and the antisymmetric bracket coefficients ``C[i][j][k]`` with
 ``[e_i, e_j] = C_ij^k e_k``.  All coefficients are ``fractions.Fraction``
 values, so antisymmetry and the Jacobi identity are checked exactly rather
 than to a tolerance.
+
+:class:`Record` is the base of the package's record types: slotted
+classes whose ``__init__`` coerces and validates their fields in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .rational_linalg import RatMatrix, rat
 
 __all__ = [
+    "Record",
     "GeneratorLabel",
     "StructureConstants",
     "AlgebraElement",
@@ -25,8 +28,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
+_setattr = object.__setattr__
+
+
+class Record:
+    """A record: named fields, compared, hashed and shown field by field.
+
+    A subclass names its fields once, ``__slots__ = _fields = (...)`` (it
+    may add slots after the fields that are not fields), and its
+    ``__init__`` coerces and validates the values before :meth:`_init`
+    stores them.  ``==``, ``hash`` and ``repr`` read the fields in order,
+    as for a dataclass.  A record refuses assignment and deletion unless
+    its class restores ``object.__setattr__`` and ``object.__delattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        """Store ``values`` in the slots, in order."""
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A record of this type with ``changes``, built and checked by ``__init__``."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__
+        return type(self), self._values()
+
+
+class GeneratorLabel(Record):
     """A named basis generator with a formal physical-dimension tag.
 
     ``physical_dimension`` is a pair of integer exponents ``(a, b)`` meaning
@@ -34,8 +88,10 @@ class GeneratorLabel:
     The tag is bookkeeping metadata; it does not affect any computation.
     """
 
-    name: str
-    physical_dimension: tuple[int, int] = (0, 0)
+    __slots__ = _fields = ("name", "physical_dimension")
+
+    def __init__(self, name: str, physical_dimension: tuple[int, int] = (0, 0)) -> None:
+        self._init(name, physical_dimension)
 
     def dimension_text(self) -> str:
         a, b = self.physical_dimension
@@ -47,12 +103,15 @@ class GeneratorLabel:
         return " ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(Record):
     """One failing Jacobi triple: the cyclic bracket sum has a nonzero component."""
 
-    triple: tuple[str, str, str]
-    residual: tuple[tuple[str, Fraction], ...]
+    __slots__ = _fields = ("triple", "residual")
+
+    def __init__(
+        self, triple: tuple[str, str, str], residual: tuple[tuple[str, Fraction], ...]
+    ) -> None:
+        self._init(triple, residual)
 
     @property
     def magnitude(self) -> Fraction:
@@ -257,19 +316,18 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, basis={self.names})"
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """An element ``x = x^i e_i`` of a fixed algebra, with exact coordinates."""
 
-    algebra: StructureConstants
-    coords: tuple[Fraction, ...]
+    __slots__ = _fields = ("algebra", "coords")
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.algebra.dim:
+    def __init__(self, algebra: StructureConstants, coords: tuple[Fraction, ...]) -> None:
+        if len(coords) != algebra.dim:
             raise ValueError(
-                f"element has {len(self.coords)} coordinates for a "
-                f"{self.algebra.dim}-dimensional algebra"
+                f"element has {len(coords)} coordinates for a "
+                f"{algebra.dim}-dimensional algebra"
             )
+        self._init(algebra, coords)
 
     def coordinate(self, name: str) -> Fraction:
         return self.coords[self.algebra.index(name)]

@@ -35,11 +35,10 @@ rationals derived from omega, kappa and the charges, cached on no value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra_core import GeneratorLabel, StructureConstants
+from .algebra_core import GeneratorLabel, Record, StructureConstants
 from .rational_linalg import rat
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "ANISOTROPIC_NAMES",
     "CENTRAL_EXTENSION_NAMES",
     "NONCENTRAL_EXTENSION_NAMES",
+    "STANDARD_ORBIT_NAMES",
     "VARIANTS",
     "admissible_central_extensions",
     "build",
@@ -116,6 +116,10 @@ _ADMITTED = {
 }
 VARIANTS = tuple(_ADMITTED)
 
+# the names whose central extension has a standard orbit chart
+# (coadjoint.standard_orbit)
+STANDARD_ORBIT_NAMES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
+
 # Formal L^a T^b dimension tags per generator family name.
 _DIMENSION_TAGS = {
     "J": (0, 0),
@@ -143,8 +147,7 @@ def generator_label(name: str) -> GeneratorLabel:
     return GeneratorLabel(name, tag)
 
 
-@dataclass(frozen=True)
-class KinematicalParams:
+class KinematicalParams(Record):
     """Numeric parameters (lam, beta, gamma) plus the scales they derive from.
 
     ``beta`` must be one of {+omega^2, 0, -omega^2} and ``gamma`` one of
@@ -152,36 +155,39 @@ class KinematicalParams:
     Derived combinations: ``alpha = beta*gamma`` and ``mu = -lam*gamma``.
     """
 
-    lam: Fraction
-    beta: Fraction
-    gamma: Fraction
-    omega: Fraction = Fraction(1)
-    kappa: Fraction = Fraction(1)
+    __slots__ = _fields = ("lam", "beta", "gamma", "omega", "kappa")
 
-    def __post_init__(self) -> None:
-        for field_name in ("lam", "beta", "gamma", "omega", "kappa"):
-            object.__setattr__(self, field_name, rat(getattr(self, field_name)))
-        if self.lam not in (0, 1):
-            raise CatalogError(f"lam must be 0 or 1, got {self.lam}")
-        if self.omega <= 0 or self.kappa <= 0:
+    def __init__(
+        self, lam: Fraction, beta: Fraction, gamma: Fraction,
+        omega: Fraction = Fraction(1), kappa: Fraction = Fraction(1),
+    ) -> None:
+        lam, beta, gamma, omega, kappa = (rat(v) for v in (lam, beta, gamma, omega, kappa))
+        if lam not in (0, 1):
+            raise CatalogError(f"lam must be 0 or 1, got {lam}")
+        if omega <= 0 or kappa <= 0:
             raise CatalogError("omega and kappa must be positive")
-        w2 = self.omega**2
-        if self.beta not in (w2, Fraction(0), -w2):
+        w2 = omega**2
+        if beta not in (w2, Fraction(0), -w2):
             raise CatalogError(
                 f"beta must be one of +omega^2, 0, -omega^2 "
-                f"(omega={self.omega}), got {self.beta}"
+                f"(omega={omega}), got {beta}"
             )
-        if self.gamma not in (self.inv_c2, Fraction(0)):
+        if gamma not in (kappa**2 / w2, Fraction(0)):
             raise CatalogError(
-                f"gamma must be 1/c^2 = kappa^2/omega^2 or 0, got {self.gamma}"
+                f"gamma must be 1/c^2 = kappa^2/omega^2 or 0, got {gamma}"
             )
+        self._init(lam, beta, gamma, omega, kappa)
 
     @classmethod
     def for_algebra(
         cls, name: str, omega=Fraction(1), kappa=Fraction(1)
     ) -> "KinematicalParams":
+        """The parameters of a catalog name, derived by :func:`_quantities` and
+        stored unchecked: they satisfy every check of ``__init__`` by construction."""
         q = _quantities(name, omega, kappa)
-        return cls(q["lam"], q["beta"], q["gamma"], q["omega"], q["kappa"])
+        params = cls.__new__(cls)
+        params._init(q["lam"], q["beta"], q["gamma"], q["omega"], q["kappa"])
+        return params
 
     @property
     def c(self) -> Fraction:
@@ -232,24 +238,23 @@ def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
     }
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
+class AlgebraDescriptor(Record):
     """A catalog selector: algebra name plus construction variant."""
 
-    name: str
-    variant: str = "isotropic"
+    __slots__ = _fields = ("name", "variant")
 
-    def __post_init__(self) -> None:
-        _family(self.name)
-        if self.variant not in _ADMITTED:
+    def __init__(self, name: str, variant: str = "isotropic") -> None:
+        _family(name)
+        if variant not in _ADMITTED:
             raise CatalogError(
-                f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
+                f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}"
             )
-        names, reason = _ADMITTED[self.variant]
-        if self.name not in names:
+        names, reason = _ADMITTED[variant]
+        if name not in names:
             raise CatalogError(
-                f"{self.variant} variant is inadmissible for {self.name!r}: {reason}"
+                f"{variant} variant is inadmissible for {name!r}: {reason}"
             )
+        self._init(name, variant)
 
     @property
     def label(self) -> str:
@@ -270,8 +275,7 @@ class AlgebraDescriptor:
         return sum(1 + (f in _VECTORS) for f in _families(self.name, self.variant))
 
 
-@dataclass(frozen=True)
-class CentralExtensionRule:
+class CentralExtensionRule(Record):
     """Admissible central charges (mu, alpha) for one (lam, beta) case.
 
     The charges enter as [K,K] = (mu/c^2) S eps, [P,P] = alpha kappa^2 S eps;
@@ -279,11 +283,13 @@ class CentralExtensionRule:
     sign level reads mu*sign(beta) = -lam*alpha.
     """
 
-    lam: int
-    beta_sign: int
-    description: str
-    default_mu: Fraction
-    default_alpha: Fraction
+    __slots__ = _fields = ("lam", "beta_sign", "description", "default_mu", "default_alpha")
+
+    def __init__(
+        self, lam: int, beta_sign: int, description: str,
+        default_mu: Fraction, default_alpha: Fraction,
+    ) -> None:
+        self._init(lam, beta_sign, description, default_mu, default_alpha)
 
     def admissible(self, mu, alpha) -> bool:
         return rat(mu) * self.beta_sign == -self.lam * rat(alpha)
@@ -491,17 +497,18 @@ def build(
     return StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(Record):
     """One machine-readable catalog listing row."""
 
-    name: str
-    label: str
-    variant: str
-    dim: int
-    time_class: str
-    space_class: str
-    param_slots: tuple[str, ...]
+    __slots__ = _fields = (
+        "name", "label", "variant", "dim", "time_class", "space_class", "param_slots",
+    )
+
+    def __init__(
+        self, name: str, label: str, variant: str, dim: int,
+        time_class: str, space_class: str, param_slots: tuple[str, ...],
+    ) -> None:
+        self._init(name, label, variant, dim, time_class, space_class, param_slots)
 
 
 def _param_slots(name: str, variant: str) -> tuple[str, ...]:

@@ -26,27 +26,33 @@ integration failure (including degenerate charts), 2 configuration error
 (including a non-finite or out-of-range number, an exact parameter that
 spans more than :data:`MAX_PARAM_DIGITS` digits, and a step count t_end/dt
 above :data:`kinorbit.timegrid.MAX_STEPS`, and an unwritable ``--out``
-file).  No command loads NumPy; ``simulate``, ``realize`` and the Static
-suite of ``verify`` import the float layer (:mod:`kinorbit.mechanics`,
-:mod:`kinorbit.static_group`) when they run.
+file).  No command loads NumPy, and each loads only the layers it runs:
+``list`` the catalog alone; ``orbit``, ``classify``, ``verify`` and
+``simulate --algebra`` also :mod:`kinorbit.coadjoint`; ``simulate``,
+``realize`` and the Static suite of ``verify`` import the float layer
+(:mod:`kinorbit.mechanics`, :mod:`kinorbit.static_group`) when they run.
+An INI file loads :mod:`configparser`, and ``json-lines`` output the JSON
+string encoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import random
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_string
 
-from .algebra_core import StructureConstants
-from .catalog import AlgebraDescriptor, CatalogError, build, list_catalog
-from .coadjoint import STANDARD_ORBIT_NAMES, standard_orbit
+from .algebra_core import Record, StructureConstants
+from .catalog import (
+    STANDARD_ORBIT_NAMES,
+    AlgebraDescriptor,
+    CatalogError,
+    build,
+    list_catalog,
+)
 from .rational_linalg import rat
 from .timegrid import ROW_BLOCK, IntegrationError, step_count
 
@@ -68,32 +74,42 @@ class ConfigError(ValueError):
     """Raised for malformed configuration input."""
 
 
-@dataclass
-class RunConfig:
-    """A fully resolved run request."""
+class RunConfig(Record):
+    """A fully resolved run request; unlike the package's other records it
+    is mutable, and so unhashable.  ``params`` defaults to a new empty dict."""
 
-    command: str
-    algebra: str | None = None
-    variant: str | None = None
-    params: dict[str, str] = field(default_factory=dict)
-    t_end: float = 10.0
-    dt: float = 0.01
-    out: str | None = None
-    format: str = "csv"
+    __slots__ = _fields = (
+        "command", "algebra", "variant", "params", "t_end", "dt", "out", "format",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+    def __init__(
+        self,
+        command: str,
+        algebra: str | None = None,
+        variant: str | None = None,
+        params: dict[str, str] | None = None,
+        t_end: float = 10.0,
+        dt: float = 0.01,
+        out: str | None = None,
+        format: str = "csv",
+    ) -> None:
+        if command not in _COMMANDS:
             raise ConfigError(
-                f"unknown command {self.command!r}; valid: {', '.join(_COMMANDS)}"
+                f"unknown command {command!r}; valid: {', '.join(_COMMANDS)}"
             )
-        if self.format not in _FORMATS:
+        if format not in _FORMATS:
             raise ConfigError(
-                f"unknown format {self.format!r}; valid: {', '.join(_FORMATS)}"
+                f"unknown format {format!r}; valid: {', '.join(_FORMATS)}"
             )
         try:
-            step_count(self.t_end, self.dt)
+            step_count(t_end, dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        params = {} if params is None else params
+        self._init(command, algebra, variant, params, t_end, dt, out, format)
 
     def to_ini(self) -> str:
         """Serialize to the INI layout accepted by :meth:`from_ini`."""
@@ -114,7 +130,10 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        """The run request of an INI text; every value is literal (no ``%`` interpolation)."""
+        import configparser
+
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # param names are case sensitive (G vs g)
         try:
             parser.read_string(text)
@@ -173,10 +192,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                config = RunConfig.from_ini(handle.read())
-        except OSError as exc:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read configuration file: {exc}") from None
-        config = replace(config, command=args.command)
+        config = RunConfig.from_ini(text)._replace(command=args.command)
     else:
         config = RunConfig(command=args.command)
     overrides = {
@@ -185,11 +204,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if getattr(args, name) is not None
     }
     if overrides:
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
     if args.param:
         merged = dict(config.params)
         merged.update(_parse_cli_params(args.param))
-        config = replace(config, params=merged)
+        config = config._replace(params=merged)
     return config
 
 
@@ -226,12 +245,13 @@ def _format_rows(fmt: str, fieldnames: list[str], rows, start: int, stop: int) -
     """Rows ``start`` to ``stop`` (CSV without header, or JSON lines) by one
     ``%`` on a row template repeated per row; a one-float column is in the template."""
     if fmt == "csv":
-        order = range(len(fieldnames))
+        order, quote = range(len(fieldnames)), str
     else:  # json.dumps(row, sort_keys=True)
+        from json.encoder import encode_basestring_ascii as quote
+
         order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
     if isinstance(rows, list):
         cells = ["%s"] * len(order)
-        quote = str if fmt == "csv" else _json_string
         values = [quote(str(row.get(fieldnames[j], ""))) for row in rows[start:stop] for j in order]
     else:
         # %.17g text needs no JSON escaping, so quoting it makes its JSON string
@@ -244,7 +264,7 @@ def _format_rows(fmt: str, fieldnames: list[str], rows, start: int, stop: int) -
         template = ",".join(cells)
     else:
         template = "{%s}" % ", ".join(
-            _json_string(fieldnames[j]).replace("%", "%%") + ": " + cell
+            quote(fieldnames[j]).replace("%", "%%") + ": " + cell
             for j, cell in zip(order, cells)
         )
     return ((template + "\n") * (stop - start)) % tuple(values)
@@ -391,6 +411,8 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         algebra = build(record.name, record.variant, omega=omega, kappa=kappa)
         add("jacobi", f"{record.name}:{record.variant}", _max_violation(algebra))
 
+    from .coadjoint import standard_orbit
+
     rng = random.Random(_SEED)
     for name in STANDARD_ORBIT_NAMES:
         if not _selects(config, name, "central_ext"):
@@ -452,6 +474,8 @@ def _orbit_request(config: RunConfig, name: str | None, h: Fraction):
         raise ConfigError(
             f"this command needs --algebra (one of {', '.join(STANDARD_ORBIT_NAMES)})"
         )
+    from .coadjoint import standard_orbit
+
     return standard_orbit(
         name,
         m=_param_fraction(config, "m", 2),

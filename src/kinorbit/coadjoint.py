@@ -12,13 +12,12 @@ and the phase-space type is classified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .algebra_core import StructureConstants
-from .catalog import CatalogError, KinematicalParams, build
+from .algebra_core import Record, StructureConstants
+from .catalog import STANDARD_ORBIT_NAMES, CatalogError, KinematicalParams, build
 from .rational_linalg import RatMatrix, SingularMatrixError, rat, rat_inv
 
 __all__ = [
@@ -49,20 +48,18 @@ class DegenerateChartError(ValueError):
         self.rank = rank
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(Record):
     """A point in the dual of a Lie algebra, stored as exact coordinates."""
 
-    algebra: StructureConstants
-    coords: tuple[Fraction, ...]
+    __slots__ = _fields = ("algebra", "coords")
 
-    def __post_init__(self) -> None:
-        coords = tuple(rat(c) for c in self.coords)
-        if len(coords) != self.algebra.dim:
+    def __init__(self, algebra: StructureConstants, coords: tuple[Fraction, ...]) -> None:
+        coords = tuple(rat(c) for c in coords)
+        if len(coords) != algebra.dim:
             raise ValueError(
-                f"expected {self.algebra.dim} dual coordinates, got {len(coords)}"
+                f"expected {algebra.dim} dual coordinates, got {len(coords)}"
             )
-        object.__setattr__(self, "coords", coords)
+        self._init(algebra, coords)
 
     @classmethod
     def from_mapping(
@@ -193,8 +190,7 @@ def forward_mode_gradient(fn: Callable, coords: Sequence) -> list:
     return [result.grad.get(i, 0) for i in range(len(coords))]
 
 
-@dataclass(frozen=True)
-class OrbitChart:
+class OrbitChart(Record):
     """A chart on a coadjoint orbit.
 
     ``coordinate_names`` selects the dual directions spanning the chart (in
@@ -203,23 +199,25 @@ class OrbitChart:
     :class:`RatMatrix` (identity when omitted).
     """
 
-    coordinate_names: tuple[str, ...]
-    canonical_names: tuple[str, ...] = ()
-    jacobian: RatMatrix = ()
+    __slots__ = _fields = ("coordinate_names", "canonical_names", "jacobian")
 
-    def __post_init__(self) -> None:
-        n = len(self.coordinate_names)
-        canonical = self.canonical_names or self.coordinate_names
+    def __init__(
+        self,
+        coordinate_names: tuple[str, ...],
+        canonical_names: tuple[str, ...] = (),
+        jacobian: RatMatrix = (),
+    ) -> None:
+        n = len(coordinate_names)
+        canonical = canonical_names or coordinate_names
         if len(canonical) != n:
             raise ValueError("canonical_names must match chart dimension")
-        object.__setattr__(self, "canonical_names", tuple(canonical))
-        if self.jacobian:
-            jac = RatMatrix(self.jacobian)
+        if jacobian:
+            jac = RatMatrix(jacobian)
             if len(jac) != n or any(len(row) != n for row in jac):
                 raise ValueError("jacobian must be square over the chart")
         else:
             jac = RatMatrix.identity(n)
-        object.__setattr__(self, "jacobian", jac)
+        self._init(coordinate_names, tuple(canonical), jac)
 
     @property
     def dim(self) -> int:
@@ -255,8 +253,7 @@ class OrbitChart:
         return cls(names, ("q1", "q2", "p1", "p2"), jac)
 
 
-@dataclass(frozen=True)
-class SymplecticStructure:
+class SymplecticStructure(Record):
     """Restricted Kirillov data on an orbit chart.
 
     ``omega`` is the restricted pairing matrix, ``theta`` its exact
@@ -266,13 +263,21 @@ class SymplecticStructure:
     noncommutativity scalars read from ``canonical_theta``.
     """
 
-    chart: OrbitChart
-    omega: RatMatrix
-    theta: RatMatrix
-    canonical_theta: RatMatrix
-    G_field: Fraction
-    F_field: Fraction
-    fixed_coordinates: tuple[tuple[str, Fraction], ...] = ()
+    __slots__ = _fields = (
+        "chart", "omega", "theta", "canonical_theta", "G_field", "F_field", "fixed_coordinates",
+    )
+
+    def __init__(
+        self,
+        chart: OrbitChart,
+        omega: RatMatrix,
+        theta: RatMatrix,
+        canonical_theta: RatMatrix,
+        G_field: Fraction,
+        F_field: Fraction,
+        fixed_coordinates: tuple[tuple[str, Fraction], ...] = (),
+    ) -> None:
+        self._init(chart, omega, theta, canonical_theta, G_field, F_field, fixed_coordinates)
 
     @property
     def dim(self) -> int:
@@ -389,8 +394,7 @@ def poisson_bracket(structure: SymplecticStructure, grad_a, grad_b):
     return _contract(u, structure.canonical_theta, v)
 
 
-@dataclass(frozen=True)
-class MagneticCouplings:
+class MagneticCouplings(Record):
     """The two magnetic readings of a noncommutative phase space.
 
     ``e_star_B_star`` is the dual magnetic scalar -h/(m^2 c^2) sourced by
@@ -401,11 +405,17 @@ class MagneticCouplings:
     conventions can be compared.
     """
 
-    e_star_B_star: Fraction
-    eB: Fraction
-    eB_from_brackets: Fraction
-    effective_mass: Fraction
-    omega0: Fraction | None
+    __slots__ = _fields = ("e_star_B_star", "eB", "eB_from_brackets", "effective_mass", "omega0")
+
+    def __init__(
+        self,
+        e_star_B_star: Fraction,
+        eB: Fraction,
+        eB_from_brackets: Fraction,
+        effective_mass: Fraction,
+        omega0: Fraction | None,
+    ) -> None:
+        self._init(e_star_B_star, eB, eB_from_brackets, effective_mass, omega0)
 
 
 def magnetic_fields(
@@ -442,8 +452,7 @@ def magnetic_fields(
     )
 
 
-@dataclass(frozen=True)
-class OrbitInvariant:
+class OrbitInvariant(Record):
     """A named invariant function on the dual, written once as a value.
 
     ``value`` takes the full dual coordinate vector in basis order (exact,
@@ -453,8 +462,10 @@ class OrbitInvariant:
     Casimir residual tests the same formula that is evaluated.
     """
 
-    name: str
-    value: Callable
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, name: str, value: Callable) -> None:
+        self._init(name, value)
 
     def gradient(self, coords) -> list:
         """Partial derivatives of ``value`` at ``coords``, in basis order."""
@@ -465,19 +476,27 @@ class OrbitInvariant:
         return casimir_residual(algebra, point, self.gradient(coords))
 
 
-@dataclass(frozen=True)
-class StandardOrbit:
+class StandardOrbit(Record):
     """A catalog orbit: extended algebra, base point, chart and structure."""
 
-    name: str
-    variant: str
-    algebra: StructureConstants
-    params: KinematicalParams
-    point: DualPoint
-    chart: OrbitChart
-    structure: SymplecticStructure
-    invariants: tuple[OrbitInvariant, ...]
-    masses: dict
+    __slots__ = _fields = (
+        "name", "variant", "algebra", "params", "point", "chart", "structure", "invariants",
+        "masses",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        variant: str,
+        algebra: StructureConstants,
+        params: KinematicalParams,
+        point: DualPoint,
+        chart: OrbitChart,
+        structure: SymplecticStructure,
+        invariants: tuple[OrbitInvariant, ...],
+        masses: dict,
+    ) -> None:
+        self._init(name, variant, algebra, params, point, chart, structure, invariants, masses)
 
     @property
     def phase_space_class(self) -> str:
@@ -486,9 +505,6 @@ class StandardOrbit:
     @property
     def magnetic(self) -> MagneticCouplings:
         return magnetic_fields(self.structure, self.params, self.masses)
-
-
-STANDARD_ORBIT_NAMES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
 
 
 def _kinetic_invariant(

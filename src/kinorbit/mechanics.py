@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Sequence
 
+from .algebra_core import Record
 from .catalog import CatalogError
 from .rational_linalg import RatMatrix, rat
 from .timegrid import MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, step_count
@@ -60,18 +60,13 @@ __all__ = [
     "minimal_coupling_paragalilei",
 ]
 
-@dataclass(frozen=True)
-class NCPhaseSpace2D:
+class NCPhaseSpace2D(Record):
     """A planar phase space with bracket scalars G (positions) and F (momenta)."""
 
-    G_field: Fraction
-    F_field: Fraction
-    mass: Fraction
+    __slots__ = _fields = ("G_field", "F_field", "mass")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "G_field", rat(self.G_field))
-        object.__setattr__(self, "F_field", rat(self.F_field))
-        object.__setattr__(self, "mass", rat(self.mass))
+    def __init__(self, G_field: Fraction, F_field: Fraction, mass: Fraction) -> None:
+        self._init(rat(G_field), rat(F_field), rat(mass))
         if self.mass <= 0:
             raise CatalogError(f"mass must be positive, got {self.mass}")
         if self.symplectic_factor == 0:
@@ -113,16 +108,21 @@ class NCPhaseSpace2D:
         )
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(Record):
     """Potential data for H = p^2/(2m) + a.q + q'Kq/2.
 
     ``linear`` holds (a1, a2); ``quadratic`` holds the symmetric matrix
     entries (k11, k12, k22).
     """
 
-    linear: tuple[float, float] = (0.0, 0.0)
-    quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    __slots__ = _fields = ("linear", "quadratic")
+
+    def __init__(
+        self,
+        linear: tuple[float, float] = (0.0, 0.0),
+        quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    ) -> None:
+        self._init(linear, quadratic)
 
     def potential(self, q):
         """V(q) for q = (q1, q2); each entry may be a scalar or an array.
@@ -182,14 +182,19 @@ def linear_system(
     return np.array(A), np.array(b)
 
 
-@dataclass(frozen=True)
-class NCTrajectory:
+class NCTrajectory(Record):
     """An integrated trajectory with per-sample energy and its drift."""
 
-    times: np.ndarray
-    states: np.ndarray
-    energies: np.ndarray
-    invariant_drift: np.ndarray
+    __slots__ = _fields = ("times", "states", "energies", "invariant_drift")
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        states: np.ndarray,
+        energies: np.ndarray,
+        invariant_drift: np.ndarray,
+    ) -> None:
+        self._init(times, states, energies, invariant_drift)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -484,13 +489,18 @@ def bracket_pushforward(jacobian, theta=None) -> RatMatrix:
     return J @ base @ J.T
 
 
-@dataclass(frozen=True)
-class MinimalCouplingResult:
+class MinimalCouplingResult(Record):
     """A coordinate map on phase space and the exact brackets it induces."""
 
-    state: tuple[Fraction, Fraction, Fraction, Fraction]
-    jacobian: RatMatrix
-    bracket_matrix: RatMatrix
+    __slots__ = _fields = ("state", "jacobian", "bracket_matrix")
+
+    def __init__(
+        self,
+        state: tuple[Fraction, Fraction, Fraction, Fraction],
+        jacobian: RatMatrix,
+        bracket_matrix: RatMatrix,
+    ) -> None:
+        self._init(state, jacobian, bracket_matrix)
 
     @property
     def position_bracket(self) -> Fraction:

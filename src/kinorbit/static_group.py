@@ -12,7 +12,11 @@ it generates.  The group law, the action, the invariants and the
 evolution run on Python floats; the symplectic structure is exact.
 :func:`evolution_rows` traces the evolution and its invariants over a
 time grid, as ``kinorbit realize`` prints them.  NumPy is imported only
-inside the functions that return arrays.
+inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
+only inside the functions that build its types (the symplectic
+structure, the invariants as :class:`~kinorbit.coadjoint.OrbitInvariant`
+and the chart flow), so the group law, the evolution and its rows load
+neither.
 """
 
 from __future__ import annotations
@@ -20,20 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra_core import StructureConstants
+from .algebra_core import Record, StructureConstants
 from .catalog import CatalogError, build
-from .coadjoint import (
-    DualPoint,
-    OrbitChart,
-    OrbitInvariant,
-    SymplecticStructure,
-    forward_mode_gradient,
-    restrict,
-)
 from .rational_linalg import rat, to_float
 from .timegrid import ROW_BLOCK, first_non_finite, step_count
 
@@ -76,58 +71,54 @@ class StaticFloats(NamedTuple):
     mu_e: float
 
 
-@dataclass(frozen=True)
-class StaticConstants:
+class StaticConstants(Record):
     """Charge values labelling a maximal orbit of the extended Static group.
 
     ``m``, ``mu``, ``beta``, ``kappa`` are the dual values of the charges
     M, M', B, Lambda; ``nu`` and ``h`` are free label constants shifting
     the internal-energy invariant.  The orbit is maximal (the chart is
     symplectic) exactly when the determinant mu*kappa - beta^2 is nonzero.
+    ``det``, the effective momentum-sector stiffness
+    ``kappa_e = kappa - beta^2/mu = det/mu`` and the effective boost-sector
+    mass ``mu_e = mu - beta^2/kappa = det/kappa`` are set with the fields.
     """
 
-    m: Fraction
-    mu: Fraction
-    beta: Fraction = Fraction(0)
-    kappa: Fraction = Fraction(1)
-    nu: Fraction = Fraction(0)
-    h: Fraction = Fraction(0)
+    _fields = ("m", "mu", "beta", "kappa", "nu", "h")
+    __slots__ = (*_fields, "det", "kappa_e", "mu_e", "_floats")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "mu", "beta", "kappa", "nu", "h"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
-        if self.mu == 0 or self.kappa == 0:
+    def __init__(
+        self,
+        m: Fraction,
+        mu: Fraction,
+        beta: Fraction = Fraction(0),
+        kappa: Fraction = Fraction(1),
+        nu: Fraction = Fraction(0),
+        h: Fraction = Fraction(0),
+    ) -> None:
+        m, mu, beta, kappa, nu, h = (rat(v) for v in (m, mu, beta, kappa, nu, h))
+        if mu == 0 or kappa == 0:
             raise CatalogError("charges mu and kappa must be nonzero")
-        if self.det == 0:
+        det = mu * kappa - beta**2
+        if det == 0:
             raise ValueError(
-                f"mu*kappa - beta^2 = 0 (mu={self.mu}, kappa={self.kappa}, "
-                f"beta={self.beta}); the orbit chart is degenerate"
+                f"mu*kappa - beta^2 = 0 (mu={mu}, kappa={kappa}, "
+                f"beta={beta}); the orbit chart is degenerate"
             )
+        self._init(m, mu, beta, kappa, nu, h, det, det / mu, det / kappa, None)
 
-    @functools.cached_property
-    def det(self) -> Fraction:
-        return self.mu * self.kappa - self.beta**2
-
-    @functools.cached_property
-    def kappa_e(self) -> Fraction:
-        """Effective momentum-sector stiffness kappa - beta^2/mu = det/mu."""
-        return self.det / self.mu
-
-    @functools.cached_property
-    def mu_e(self) -> Fraction:
-        """Effective boost-sector mass mu - beta^2/kappa = det/kappa."""
-        return self.det / self.kappa
-
-    @functools.cached_property
+    @property
     def floats(self) -> StaticFloats:
-        """The constants as floats, converted once for every float path.
+        """The constants as floats, converted on first use for every float path.
 
         Raises :class:`OverflowError` when a value is too large for a float,
         and when a value that is exactly nonzero rounds to 0, or the
         determinant mu*kappa - beta*beta formed from the float charges (as
         the invariants form it) is 0 or not finite: the float orbit would
-        then be degenerate although the exact one is not.
+        then be degenerate although the exact one is not.  The exact paths
+        never convert, so they serve such constants.
         """
+        if self._floats is not None:
+            return self._floats
         names = StaticFloats._fields
         exact = [getattr(self, name) for name in names]
         floats = StaticFloats(*map(float, exact))
@@ -139,6 +130,7 @@ class StaticConstants:
                 raise OverflowError(
                     f"the Static value {name} is {value!r} as a float but not exactly"
                 )
+        object.__setattr__(self, "_floats", floats)
         return floats
 
 
@@ -148,6 +140,12 @@ def _finite(name: str, value, kind: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{kind} {name} must be finite, got {value!r}")
     return value
+
+
+def _finite_pair(name: str, pair, kind: str) -> tuple[float, float]:
+    """:func:`_finite` of both entries of the pair ``pair``."""
+    a, b = pair
+    return _finite(name, a, kind), _finite(name, b, kind)
 
 
 def _check_column(name: str, values, kind: str) -> None:
@@ -160,8 +158,7 @@ def _check_column(name: str, values, kind: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StaticGroupElement:
+class StaticGroupElement(Record):
     """An element of the extended Static group.
 
     Vector parameters: ``boost`` (conjugate to K), ``translation`` (P),
@@ -170,24 +167,40 @@ class StaticGroupElement:
     Lambda.  Every parameter must be finite (:class:`ValueError` otherwise).
     """
 
-    angle: float = 0.0
-    boost: tuple[float, float] = (0.0, 0.0)
-    translation: tuple[float, float] = (0.0, 0.0)
-    time: float = 0.0
-    f_shift: tuple[float, float] = (0.0, 0.0)
-    pi_shift: tuple[float, float] = (0.0, 0.0)
-    phase_m: float = 0.0
-    phase_mprime: float = 0.0
-    phase_b: float = 0.0
-    phase_lambda: float = 0.0
+    __slots__ = _fields = (
+        "angle", "boost", "translation", "time", "f_shift", "pi_shift",
+        "phase_m", "phase_mprime", "phase_b", "phase_lambda",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        angle: float = 0.0,
+        boost: tuple[float, float] = (0.0, 0.0),
+        translation: tuple[float, float] = (0.0, 0.0),
+        time: float = 0.0,
+        f_shift: tuple[float, float] = (0.0, 0.0),
+        pi_shift: tuple[float, float] = (0.0, 0.0),
+        phase_m: float = 0.0,
+        phase_mprime: float = 0.0,
+        phase_b: float = 0.0,
+        phase_lambda: float = 0.0,
+    ) -> None:
+        # the scalars are checked first, then the vectors
         kind = "group parameter"
-        for name in ("angle", "time", "phase_m", "phase_mprime", "phase_b", "phase_lambda"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name), kind))
-        for name in ("boost", "translation", "f_shift", "pi_shift"):
-            a, b = getattr(self, name)
-            object.__setattr__(self, name, (_finite(name, a, kind), _finite(name, b, kind)))
+        angle, time = _finite("angle", angle, kind), _finite("time", time, kind)
+        phase_m = _finite("phase_m", phase_m, kind)
+        phase_mprime = _finite("phase_mprime", phase_mprime, kind)
+        phase_b = _finite("phase_b", phase_b, kind)
+        phase_lambda = _finite("phase_lambda", phase_lambda, kind)
+        self._init(
+            angle,
+            _finite_pair("boost", boost, kind),
+            _finite_pair("translation", translation, kind),
+            time,
+            _finite_pair("f_shift", f_shift, kind),
+            _finite_pair("pi_shift", pi_shift, kind),
+            phase_m, phase_mprime, phase_b, phase_lambda,
+        )
 
 
 def identity_element() -> StaticGroupElement:
@@ -280,8 +293,7 @@ def multiplication_cocycle(
     }
 
 
-@dataclass(frozen=True)
-class StaticOrbitState:
+class StaticOrbitState(Record):
     """A point of the eight-dimensional orbit chart, plus orbit labels.
 
     ``position`` (q) and ``velocity`` (u) are the scaled duals of the
@@ -291,21 +303,31 @@ class StaticOrbitState:
     Every field must be finite (:class:`ValueError` otherwise).
     """
 
-    constants: StaticConstants
-    position: tuple[float, float] = (0.0, 0.0)
-    velocity: tuple[float, float] = (0.0, 0.0)
-    momentum: tuple[float, float] = (0.0, 0.0)
-    boost_momentum: tuple[float, float] = (0.0, 0.0)
-    energy: float = 0.0
-    angular_momentum: float = 0.0
+    __slots__ = _fields = (
+        "constants", "position", "velocity", "momentum", "boost_momentum", "energy",
+        "angular_momentum",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        constants: StaticConstants,
+        position: tuple[float, float] = (0.0, 0.0),
+        velocity: tuple[float, float] = (0.0, 0.0),
+        momentum: tuple[float, float] = (0.0, 0.0),
+        boost_momentum: tuple[float, float] = (0.0, 0.0),
+        energy: float = 0.0,
+        angular_momentum: float = 0.0,
+    ) -> None:
         kind = "state field"
-        for name in ("position", "velocity", "momentum", "boost_momentum"):
-            a, b = getattr(self, name)
-            object.__setattr__(self, name, (_finite(name, a, kind), _finite(name, b, kind)))
-        for name in ("energy", "angular_momentum"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name), kind))
+        self._init(
+            constants,
+            _finite_pair("position", position, kind),
+            _finite_pair("velocity", velocity, kind),
+            _finite_pair("momentum", momentum, kind),
+            _finite_pair("boost_momentum", boost_momentum, kind),
+            _finite("energy", energy, kind),
+            _finite("angular_momentum", angular_momentum, kind),
+        )
 
     @property
     def chart_vector(self) -> np.ndarray:
@@ -392,14 +414,8 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
 
 
 @functools.cache
-def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
-    """The two Casimir functions of the 14-dimensional extension.
-
-    ``internal_rotation`` subtracts from the J dual value the orbital part
-    built from the vector duals; ``internal_energy`` subtracts from the H
-    dual value the quadratic form of the noncentral vector duals.  Both
-    are exact Casimirs: their Kirillov residual vanishes identically.
-    """
+def _invariant_values() -> tuple:
+    """The value functions of :func:`noncentral_invariants`, (s_value, u_value)."""
     alg = noncentral_algebra()
     i = {name: alg.index(name) for name in alg.names}
 
@@ -430,6 +446,21 @@ def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
         quad = mu * _dot(f, f) - 2 * beta * _dot(f, w) + kappa * _dot(w, w)
         return a[i["H"]] - quad / (2 * det)
 
+    return s_value, u_value
+
+
+@functools.cache
+def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
+    """The two Casimir functions of the 14-dimensional extension.
+
+    ``internal_rotation`` subtracts from the J dual value the orbital part
+    built from the vector duals; ``internal_energy`` subtracts from the H
+    dual value the quadratic form of the noncentral vector duals.  Both
+    are exact Casimirs: their Kirillov residual vanishes identically.
+    """
+    from .coadjoint import OrbitInvariant
+
+    s_value, u_value = _invariant_values()
     return (
         OrbitInvariant("internal_rotation", s_value),
         OrbitInvariant("internal_energy", u_value),
@@ -444,10 +475,10 @@ def static_invariants(state: StaticOrbitState):
     invariant that overflows raises :class:`ValueError` naming it (``s_inv``
     or ``U``).
     """
-    s_inv, u_inv = noncentral_invariants()
+    s_value, u_value = _invariant_values()
     alpha = _dual(state)
     c = state.constants.floats
-    s, u = s_inv.value(alpha), u_inv.value(alpha) - c.nu * c.h
+    s, u = s_value(alpha), u_value(alpha) - c.nu * c.h
     return _finite("s_inv", s, "invariant"), _finite("U", u, "invariant")
 
 
@@ -468,6 +499,8 @@ def static_symplectic(
     addition to the scaled diagonal brackets, so the chart is always of
     the fully noncommutative type.
     """
+    from .coadjoint import DualPoint, OrbitChart, restrict
+
     alg = noncentral_algebra()
     point = DualPoint.from_mapping(
         alg,
@@ -514,7 +547,7 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     t = float(t)
     momentum = (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2)
     boost_momentum = (k1 + t * mu_e * u1, k2 + t * mu_e * u2)
-    return replace(state, momentum=momentum, boost_momentum=boost_momentum)
+    return state._replace(momentum=momentum, boost_momentum=boost_momentum)
 
 
 class EvolutionRows:
@@ -597,7 +630,7 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> Evolutio
     for name, column in zip(names, drifting):
         _check_column(name, column, "state field")
     _check_column("s_inv", drifting[4], "invariant")
-    internal_energy = noncentral_invariants()[1].value(_dual(state)) - c.nu * c.h
+    internal_energy = _invariant_values()[1](_dual(state)) - c.nu * c.h
     _check_column("U", [internal_energy], "invariant")
     return EvolutionRows(state, time_step, drifting, internal_energy)
 
@@ -626,6 +659,8 @@ def evolution_system(constants: StaticConstants) -> tuple[np.ndarray, np.ndarray
     b = 0; :func:`kinorbit.mechanics.affine_flow` integrates the system.
     """
     import numpy as np
+
+    from .coadjoint import forward_mode_gradient
 
     theta = to_float(static_symplectic(constants).canonical_theta)
     hamiltonian = functools.partial(evolution_hamiltonian, constants)

@@ -264,9 +264,10 @@ def test_run_config_ini_round_trip() -> None:
         dt=0.005,
         format="json-lines",
     )
-    text = cfg.to_ini()
-    back = RunConfig.from_ini(text)
-    assert back == cfg
+    # a % is literal text, never an interpolation
+    percent = RunConfig(command="list", params={"m": "5%", "q": "%(m)s"}, out="100%.csv")
+    for config in (cfg, percent):
+        assert RunConfig.from_ini(config.to_ini()) == config
 
 
 def test_run_config_rejects_unknown_keys() -> None:
@@ -301,9 +302,20 @@ def test_config_file_drives_a_run_and_flags_win(tmp_path, capsys) -> None:
 
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.ini"
-    bad.write_text("[run]\ncommand = simulate\nnonsense_key = 1\n")
-    code, _, err = _run(capsys, ["simulate", "--config", str(bad)])
-    assert code == 2
+    # file bytes -> the start of the one-line message
+    cases = {
+        b"[run]\ncommand = simulate\nnonsense_key = 1\n": "unknown configuration key",
+        b"[run]\ncommand = simulate\nparam.mass = 5%\n": "bad value for parameter 'mass'",
+        b"[run]\ncommand = simulate\nout = %(x)s\nt_end = 5%\n": "bad numeric value",
+        b"\xff\xfe[run]\ncommand = simulate\n": "cannot read configuration file: 'utf-8'",
+    }
+    for content, message in cases.items():
+        bad.write_bytes(content)
+        code, out, err = _run(capsys, ["simulate", "--config", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"configuration error: {message}"), err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_is_deterministic(tmp_path, capsys) -> None:

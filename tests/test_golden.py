@@ -9,7 +9,8 @@ from IEEE double operations in a fixed order (no BLAS, no compensated
 ``sum()``), so the digests hold on every supported Python and platform.
 
 Every command also runs in a fresh interpreter, which must print the
-same bytes without ever importing NumPy.
+same bytes without ever importing NumPy or ``dataclasses``, and load
+only the ``kinorbit`` modules pinned for it.
 """
 
 from __future__ import annotations
@@ -87,15 +88,40 @@ def test_stdout_matches_the_pinned_digest(capsys, argv, fmt, lines, digest) -> N
 
 
 # Runs the CLI with the given arguments, then reports on stderr whether
-# NumPy was imported; the exit status is the CLI's.
+# NumPy and dataclasses were imported and which kinorbit modules were; the
+# exit status is the CLI's.
 _FRESH_CLI = """
 import sys
 from kinorbit.cli import main
 status = main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write("numpy loaded: %s" % ("numpy" in sys.modules))
+sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
+sys.stderr.write("dataclasses loaded: %s\\n" % ("dataclasses" in sys.modules))
+sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "kinorbit")))
 sys.exit(status)
 """
+
+# The kinorbit modules each command loads, beyond the package, the CLI and
+# the catalog with the layers below it.
+_BASE = ("kinorbit", "kinorbit.algebra_core", "kinorbit.catalog", "kinorbit.cli",
+         "kinorbit.rational_linalg", "kinorbit.timegrid")
+_LOADS = {
+    "list": (),
+    "orbit": ("kinorbit.coadjoint",),
+    "classify": ("kinorbit.coadjoint",),
+    "verify": ("kinorbit.coadjoint", "kinorbit.static_group"),
+    "simulate": ("kinorbit.mechanics",),
+    "realize": ("kinorbit.static_group",),
+}
+
+
+def _check_loads(result: subprocess.CompletedProcess, command: str) -> None:
+    """A fresh run loaded no NumPy, no dataclasses and only ``command``'s modules."""
+    assert result.stderr.decode().split("\n") == [
+        "numpy loaded: False",
+        "dataclasses loaded: False",
+        " ".join(sorted(_BASE + _LOADS[command])),
+    ]
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -113,10 +139,11 @@ def _central_ext_rows(out: str) -> str:
 
 
 def _check_fresh_run(argv, fmt, lines, digest) -> None:
-    """The CLI prints the pinned bytes in a fresh interpreter without loading NumPy."""
+    """The CLI prints the pinned bytes in a fresh interpreter, loading only
+    the modules pinned for the command."""
     result = _run_fresh("-c", _FRESH_CLI, *argv, "--format", fmt)
     assert result.returncode == 0, result.stderr.decode()
-    assert result.stderr.decode() == "numpy loaded: False"
+    _check_loads(result, argv[0])
     assert len(result.stdout.splitlines()) == lines
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
@@ -155,19 +182,28 @@ def test_verify_central_ext_prints_the_pinned_rows_without_numpy(capsys) -> None
     assert len(expected.splitlines()) == 1 + 7 + 2 * 7
     result = _run_fresh("-c", _FRESH_CLI, "verify", "--variant", "central_ext")
     assert result.returncode == 0, result.stderr.decode()
-    assert result.stderr.decode() == "numpy loaded: False"
+    # without the Static suite, verify leaves the float layer unloaded
+    _check_loads(result, "orbit")
     assert result.stdout.decode() == expected
 
 
 def test_importing_the_package_loads_no_numpy_until_a_float_name_is_used() -> None:
     result = _run_fresh(
         "-c",
-        "import sys, kinorbit, kinorbit.cli\n"
+        "import sys, kinorbit\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('kinorbit')))\n"
+        "print(kinorbit.build.__module__, *sorted(m for m in sys.modules if 'kinorbit.' in m))\n"
+        "import kinorbit.cli\n"
         "print(hasattr(kinorbit, 'no_such_name'), 'numpy' in sys.modules)\n"
         "print(kinorbit.integrate.__module__, kinorbit.realize.__module__)\n"
-        "print('numpy' in sys.modules)\n",
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n",
     )
     assert result.returncode == 0, result.stderr.decode()
-    assert result.stdout.decode().split() == [
-        "False", "False", "kinorbit.mechanics", "kinorbit.static_group", "False",
+    assert result.stdout.decode().splitlines() == [
+        # the package alone loads no submodule; a name loads its layers
+        "kinorbit",
+        "kinorbit.catalog kinorbit.algebra_core kinorbit.catalog kinorbit.rational_linalg",
+        "False False",
+        "kinorbit.mechanics kinorbit.static_group",
+        "False False",
     ]

@@ -6,7 +6,10 @@ used, which covers the package's re-exports), and every private
 module-level function, class or constant must be read in its module.
 The exact layer and the CLI import neither NumPy nor the float layer
 when they load, and the float layer does not import NumPy when it loads;
-only function bodies may.
+only function bodies may.  No module imports ``dataclasses``, and the
+CLI and the Static group load the layers only some commands run
+(``coadjoint``, ``configparser``, ``json``) inside the functions that
+use them.
 """
 
 from __future__ import annotations
@@ -122,3 +125,28 @@ def test_exact_modules_load_no_numpy_and_no_float_layer(stem: str) -> None:
 def test_the_float_layer_imports_numpy_only_inside_functions(stem: str) -> None:
     tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert "numpy" not in _load_time_imports(tree)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_no_module_imports_dataclasses(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names
+    }
+    imported.update(
+        node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    )
+    assert "dataclasses" not in {name.split(".")[0] for name in imported}
+
+
+# module -> what it may import only inside a function body
+_DEFERRED = {
+    "cli": {"coadjoint", "configparser", "json"},
+    "static_group": {"coadjoint"},
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_DEFERRED))
+def test_layers_some_commands_skip_are_imported_where_used(stem: str) -> None:
+    tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    assert sorted(_load_time_imports(tree) & _DEFERRED[stem]) == []

@@ -1,0 +1,266 @@
+"""The record types keep the API they had as frozen dataclasses.
+
+Each record is a slotted class whose ``__init__`` coerces and validates
+its fields.  Its constructor takes the parameters the dataclass took, in
+the same order and with the same defaults; ``==``, ``hash`` and ``repr``
+read the fields in order; assignment raises on every record but the
+mutable ``RunConfig``; ``copy`` and ``pickle`` rebuild a record through
+its ``__init__``.
+"""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation
+from kinorbit.catalog import (
+    ISOTROPIC_NAMES,
+    AlgebraDescriptor,
+    CatalogRecord,
+    CentralExtensionRule,
+    KinematicalParams,
+    admissible_central_extensions,
+    build,
+    list_catalog,
+)
+from kinorbit.cli import RunConfig
+from kinorbit.coadjoint import (
+    DualPoint,
+    MagneticCouplings,
+    OrbitChart,
+    OrbitInvariant,
+    StandardOrbit,
+    SymplecticStructure,
+    standard_orbit,
+)
+from kinorbit.mechanics import (
+    HamiltonianSpec,
+    MinimalCouplingResult,
+    NCPhaseSpace2D,
+    NCTrajectory,
+    integrate,
+    minimal_coupling_galilei,
+)
+from kinorbit.static_group import (
+    StaticConstants,
+    StaticFloats,
+    StaticGroupElement,
+    StaticOrbitState,
+    static_symplectic,
+)
+
+# The constructor parameters of each record, as the dataclasses declared
+# them; RunConfig's params defaulted to a new empty dict (a default factory).
+_SIGNATURES = {
+    GeneratorLabel: "name, physical_dimension=(0, 0)",
+    JacobiViolation: "triple, residual",
+    AlgebraElement: "algebra, coords",
+    KinematicalParams: "lam, beta, gamma, omega=Fraction(1, 1), kappa=Fraction(1, 1)",
+    AlgebraDescriptor: "name, variant='isotropic'",
+    CentralExtensionRule: "lam, beta_sign, description, default_mu, default_alpha",
+    CatalogRecord: "name, label, variant, dim, time_class, space_class, param_slots",
+    RunConfig: "command, algebra=None, variant=None, params=None, t_end=10.0, dt=0.01, "
+    "out=None, format='csv'",
+    DualPoint: "algebra, coords",
+    OrbitChart: "coordinate_names, canonical_names=(), jacobian=()",
+    SymplecticStructure: "chart, omega, theta, canonical_theta, G_field, F_field, "
+    "fixed_coordinates=()",
+    MagneticCouplings: "e_star_B_star, eB, eB_from_brackets, effective_mass, omega0",
+    OrbitInvariant: "name, value",
+    StandardOrbit: "name, variant, algebra, params, point, chart, structure, invariants, masses",
+    NCPhaseSpace2D: "G_field, F_field, mass",
+    HamiltonianSpec: "linear=(0.0, 0.0), quadratic=(0.0, 0.0, 0.0)",
+    NCTrajectory: "times, states, energies, invariant_drift",
+    MinimalCouplingResult: "state, jacobian, bracket_matrix",
+    StaticConstants: "m, mu, beta=Fraction(0, 1), kappa=Fraction(1, 1), nu=Fraction(0, 1), "
+    "h=Fraction(0, 1)",
+    StaticGroupElement: "angle=0.0, boost=(0.0, 0.0), translation=(0.0, 0.0), time=0.0, "
+    "f_shift=(0.0, 0.0), pi_shift=(0.0, 0.0), phase_m=0.0, phase_mprime=0.0, phase_b=0.0, "
+    "phase_lambda=0.0",
+    StaticOrbitState: "constants, position=(0.0, 0.0), velocity=(0.0, 0.0), "
+    "momentum=(0.0, 0.0), boost_momentum=(0.0, 0.0), energy=0.0, angular_momentum=0.0",
+}
+
+
+def _parameters(cls) -> list[inspect.Parameter]:
+    return list(inspect.signature(cls).parameters.values())
+
+
+def _fields(record) -> list[str]:
+    return [p.name for p in _parameters(type(record))]
+
+
+def _samples() -> dict:
+    """Per record type: an instance, and a field with another value for it."""
+    orbit = standard_orbit("G", m=2, h=1, E=2)
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    space = NCPhaseSpace2D(Fraction(-1, 4), Fraction(1, 3), 2)
+    ham = HamiltonianSpec((0.5, -1.0), (2.0, 0.25, 1.0))
+    violations = build(
+        "G", "central_ext", mu_charge=1, alpha_charge=1, enforce_admissibility=False
+    ).jacobi_violations()
+    samples = (
+        (orbit.algebra.basis[0], "physical_dimension", (1, 1)),
+        (violations[0], "triple", ("a", "b", "c")),
+        (orbit.algebra.basis_element("K1"), "coords", (Fraction(0),) * orbit.algebra.dim),
+        (orbit.params, "omega", Fraction(2)),
+        (AlgebraDescriptor("G", "central_ext"), "variant", "isotropic"),
+        (admissible_central_extensions(1, 0), "description", "other"),
+        (list_catalog()[0], "dim", 99),
+        (RunConfig(command="list"), "format", "json-lines"),
+        (orbit.point, "coords", (1,) * orbit.algebra.dim),
+        (orbit.chart, "canonical_names", ("a", "b", "c", "d")),
+        (orbit.structure, "G_field", Fraction(7)),
+        (orbit.magnetic, "eB", Fraction(7)),
+        (orbit.invariants[0], "name", "other"),
+        (orbit, "name", "other"),
+        (space, "mass", 3),
+        (ham, "linear", (0.0, 0.0)),
+        (integrate(space, ham, (0.1, 0.2, 0.3, 0.4), 0.1, 0.05), "times", None),
+        (minimal_coupling_galilei((1, 0, 0, 1), 1, 2), "state", (0, 0, 0, 0)),
+        (constants, "m", 5),
+        (StaticGroupElement(angle=0.5, boost=(1, 2)), "time", 3.0),
+        (StaticOrbitState(constants, position=(1, 0)), "energy", 2.0),
+    )
+    return {type(record): (record, field, value) for record, field, value in samples}
+
+
+_SAMPLES = _samples()
+_RECORDS = sorted(_SIGNATURES, key=lambda cls: cls.__name__)
+# mutable; a dict field (masses); array fields
+_UNHASHABLE = {RunConfig, StandardOrbit, NCTrajectory}
+
+
+def test_every_record_type_has_a_sample() -> None:
+    assert set(_SAMPLES) == set(_SIGNATURES)
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_constructor_parameters_are_the_dataclass_parameters(cls) -> None:
+    parameters = _parameters(cls)
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    text = ", ".join(
+        p.name if p.default is inspect.Parameter.empty else f"{p.name}={p.default!r}"
+        for p in parameters
+    )
+    assert text == _SIGNATURES[cls]
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_equality_hash_and_repr_are_field_wise(cls) -> None:
+    record, field, other = _SAMPLES[cls]
+    fields = _fields(record)
+    twin = copy.copy(record)
+    assert twin is not record and twin == record and not twin != record
+    if cls is not NCTrajectory:  # its array fields compare elementwise
+        assert record._replace(**{field: other}) != record
+    assert record != tuple(getattr(record, f) for f in fields)
+    if cls in _UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+        assert hash(record) == hash(tuple(getattr(record, f) for f in fields))
+    shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+
+
+def test_repr_reads_like_the_dataclass_repr() -> None:
+    assert repr(GeneratorLabel("K1", (-1, 1))) == (
+        "GeneratorLabel(name='K1', physical_dimension=(-1, 1))"
+    )
+    assert repr(AlgebraDescriptor("G")) == "AlgebraDescriptor(name='G', variant='isotropic')"
+    assert repr(StaticGroupElement(time=2)) == (
+        "StaticGroupElement(angle=0.0, boost=(0.0, 0.0), translation=(0.0, 0.0), time=2.0, "
+        "f_shift=(0.0, 0.0), pi_shift=(0.0, 0.0), phase_m=0.0, phase_mprime=0.0, "
+        "phase_b=0.0, phase_lambda=0.0)"
+    )
+    assert repr(RunConfig("list")) == (
+        "RunConfig(command='list', algebra=None, variant=None, params={}, t_end=10.0, "
+        "dt=0.01, out=None, format='csv')"
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in _RECORDS if cls is not RunConfig], ids=lambda cls: cls.__name__
+)
+def test_frozen_records_refuse_assignment(cls) -> None:
+    record, field, other = _SAMPLES[cls]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, other)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_run_config_stays_mutable_and_unhashable() -> None:
+    config = RunConfig("list")
+    config.out = "table.csv"
+    assert config.out == "table.csv"
+    assert config == RunConfig("list", out="table.csv")
+    assert RunConfig.__hash__ is None
+    # every instance gets its own params dict
+    assert RunConfig("list").params == {} and RunConfig("list").params is not config.params
+
+
+def test_replace_rebuilds_and_checks_through_init() -> None:
+    config = RunConfig("list")
+    assert config._replace(format="json-lines") == RunConfig("list", format="json-lines")
+    with pytest.raises(ValueError, match="unknown format"):
+        config._replace(format="xml")
+    with pytest.raises(TypeError):
+        config._replace(no_such_field=1)
+    state = StaticOrbitState(StaticConstants(m=1, mu=2), momentum=(1, 2))
+    with pytest.raises(ValueError, match="state field momentum must be finite"):
+        state._replace(momentum=(1.0, float("inf")))
+
+
+def test_records_pickle_through_init() -> None:
+    for record in (
+        GeneratorLabel("K1", (-1, 1)),
+        AlgebraDescriptor("G", "central_ext"),
+        KinematicalParams.for_algebra("NH+", Fraction(2, 3), Fraction(5, 7)),
+        StaticConstants(m=1, mu=2, beta=1, kappa=1),
+        StaticGroupElement(angle=0.5, boost=(1, 2)),
+        RunConfig("simulate", params={"m": "2"}),
+    ):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+
+
+def test_static_constants_set_their_derived_values() -> None:
+    c = StaticConstants(
+        m=Fraction(3, 2), mu=Fraction(5, 2), beta=Fraction(-1, 3), kappa=Fraction(7, 4)
+    )
+    det = Fraction(5, 2) * Fraction(7, 4) - Fraction(1, 9)
+    assert (c.det, c.kappa_e, c.mu_e) == (det, det / Fraction(5, 2), det / Fraction(7, 4))
+    assert all(isinstance(v, Fraction) for v in (c.det, c.kappa_e, c.mu_e))
+    assert c.floats == StaticFloats(*map(float, (
+        c.m, c.mu, c.beta, c.kappa, c.nu, c.h, c.kappa_e, c.mu_e
+    )))
+    assert c.floats is c.floats
+    assert copy.copy(c).floats == c.floats
+
+
+def test_static_constants_beyond_float_range_serve_the_exact_paths() -> None:
+    huge = StaticConstants(m=10**400, mu=2)
+    assert static_symplectic(huge).dim == 8
+    with pytest.raises(OverflowError):
+        huge.floats
+
+
+@pytest.mark.parametrize("name", ISOTROPIC_NAMES)
+def test_params_for_a_catalog_name_pass_the_checked_constructor(name) -> None:
+    for omega, kappa in ((1, 1), (Fraction(2, 3), Fraction(5, 7)), ("3", "1/2")):
+        params = KinematicalParams.for_algebra(name, omega, kappa)
+        values = [getattr(params, f) for f in ("lam", "beta", "gamma", "omega", "kappa")]
+        assert all(type(v) is Fraction for v in values)
+        assert KinematicalParams(*values) == params
