@@ -19,14 +19,19 @@ Subcommands
     two invariants.
 
 Options can come from flags or an INI file (section ``[run]``, parameters
-as ``param.NAME`` keys); flags win.  Output is deterministic: floats are
-printed with %.17g, exact rationals as fraction strings, and no
+as ``param.NAME`` keys); flags win.  One table (``_PARAMS``) lists each
+command's parameter keys with their defaults, and one parser reads a run's
+parameters against it.  Each command returns its output as ordered
+columns: a float (one value on every row), an ``array('d')`` of floats or
+a list of exact values.  Output is deterministic: floats are printed with
+%.17g, exact values as ``str`` gives them (fractions as ``p/q``), and no
 timestamps are emitted.  Exit status: 0 all passed, 1 verification or
 integration failure (including degenerate charts), 2 configuration error
-(including a non-finite or out-of-range number, an exact parameter that
-spans more than :data:`MAX_PARAM_DIGITS` digits, and a step count t_end/dt
-above :data:`kinorbit.timegrid.MAX_STEPS`, and an unwritable ``--out``
-file).  No command loads NumPy, and each loads only the layers it runs:
+(including a parameter key the command does not read, a non-finite or
+out-of-range number, an exact parameter that spans more than
+:data:`MAX_PARAM_DIGITS` digits, a step count t_end/dt above
+:data:`kinorbit.timegrid.MAX_STEPS`, and an unwritable ``--out`` file).
+No command loads NumPy, and each loads only the layers it runs:
 ``list`` the catalog alone; ``orbit``, ``classify``, ``verify`` and
 ``simulate --algebra`` also :mod:`kinorbit.coadjoint`; ``simulate``,
 ``realize`` and the Static suite of ``verify`` import the float layer
@@ -113,20 +118,13 @@ class RunConfig(Record):
 
     def to_ini(self) -> str:
         """Serialize to the INI layout accepted by :meth:`from_ini`."""
-        lines = ["[run]"]
-        lines.append(f"command = {self.command}")
-        if self.algebra is not None:
-            lines.append(f"algebra = {self.algebra}")
-        if self.variant is not None:
-            lines.append(f"variant = {self.variant}")
-        lines.append(f"t_end = {self.t_end!r}")
-        lines.append(f"dt = {self.dt!r}")
-        lines.append(f"format = {self.format}")
-        if self.out is not None:
-            lines.append(f"out = {self.out}")
-        for key in sorted(self.params):
-            lines.append(f"param.{key} = {self.params[key]}")
-        return "\n".join(lines) + "\n"
+        fields = {
+            "command": self.command, "algebra": self.algebra, "variant": self.variant,
+            "t_end": repr(self.t_end), "dt": repr(self.dt), "format": self.format, "out": self.out,
+        }
+        fields.update((f"param.{key}", self.params[key]) for key in sorted(self.params))
+        lines = (f"{key} = {value}\n" for key, value in fields.items() if value is not None)
+        return "[run]\n" + "".join(lines)
 
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
@@ -157,35 +155,21 @@ class RunConfig(Record):
         if "command" not in fields:
             raise ConfigError("configuration must set 'command'")
         try:
-            t_end = float(fields.get("t_end", 10.0))
-            dt = float(fields.get("dt", 0.01))
+            t_end = float(fields.pop("t_end", 10.0))
+            dt = float(fields.pop("dt", 0.01))
         except ValueError as exc:
             raise ConfigError(f"bad numeric value in configuration: {exc}") from None
-        return cls(
-            command=fields["command"],
-            algebra=fields.get("algebra"),
-            variant=fields.get("variant"),
-            params=params,
-            t_end=t_end,
-            dt=dt,
-            out=fields.get("out"),
-            format=fields.get("format", "csv"),
-        )
+        return cls(**fields, params=params, t_end=t_end, dt=dt)
 
-
-def _parse_cli_params(pairs: list[str]) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(
-                f"--param expects key=value, got {pair!r}"
-            )
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"--param expects key=value, got {pair!r}")
-        params[key] = value.strip()
-    return params
+    def with_params(self, pairs: list[str]) -> "RunConfig":
+        """This request with the ``--param`` pairs ``key=value`` set; they win."""
+        params = dict(self.params)
+        for pair in pairs:
+            key, sep, value = pair.partition("=")
+            if not (sep and key.strip()):
+                raise ConfigError(f"--param expects key=value, got {pair!r}")
+            params[key.strip()] = value.strip()
+        return self._replace(params=params)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -203,81 +187,120 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for name in ("algebra", "variant", "t_end", "dt", "out", "format")
         if getattr(args, name) is not None
     }
-    if overrides:
-        config = config._replace(**overrides)
-    if args.param:
-        merged = dict(config.params)
-        merged.update(_parse_cli_params(args.param))
-        config = config._replace(params=merged)
-    return config
+    return config._replace(**overrides).with_params(args.param)
 
 
-def _param_fraction(config: RunConfig, key: str, default) -> Fraction:
-    raw = config.params.get(key)
-    if raw is None:
-        return rat(default)
-    try:
-        # an over-long text fails on its length alone; its exponent is not parsed
-        exponent = len(raw) <= MAX_PARAM_DIGITS and re.search(r"[eE]([+-]?[\d_]+)", raw)
-        span = len(raw) + (abs(int(exponent.group(1))) if exponent else 0)
-        if span > MAX_PARAM_DIGITS:
-            raise ValueError(
-                f"spans more than {MAX_PARAM_DIGITS} decimal digits "
-                "(its length plus the magnitude of its exponent)"
+# The parameters each command reads, in the order they are read, and their
+# defaults.  A key with a float default is read as a float, any other
+# exactly; None leaves the value to the command.  simulate reads the orbit
+# keys only with --algebra, before its own.
+_ORBIT_PARAMS = {"h": 1, "m": 2, "E": 2, "omega": 1, "kappa": 1}
+_PARAMS = {
+    "list": {},
+    "verify": _ORBIT_PARAMS,
+    "orbit": _ORBIT_PARAMS,
+    "classify": _ORBIT_PARAMS,
+    "simulate": {
+        "G": None, "F": None, "mass": None,
+        "a1": 0.0, "a2": 0.0, "k11": 0.0, "k12": 0.0, "k22": 0.0,
+        "q1": 0.0, "q2": 0.0, "p1": 1.0, "p2": 0.0,
+    },
+    "realize": {
+        "m": 1, "mu": 2, "beta": 1, "kappa": 1, "nu": 0, "h": 0,
+        "q1": 1.0, "q2": 0.0, "u1": 0.0, "u2": 1.0, "p1": 0.0, "p2": 0.0,
+        "k1": 0.0, "k2": 0.0, "E": 0.0, "j": 0.0,
+    },
+}
+
+
+def _params(config: RunConfig) -> dict:
+    """The value of each parameter the command reads, from ``--param`` and
+    the INI ``param.*`` keys or else its default (see :data:`_PARAMS`).
+
+    A key the command does not read is a :class:`ConfigError` naming the
+    keys it does.  An exact value is a ``Fraction``, and its text may span
+    at most :data:`MAX_PARAM_DIGITS` decimal digits (its length plus the
+    magnitude of its exponent), checked before the value is built.
+    """
+    table = _PARAMS[config.command]
+    if config.command == "simulate" and config.algebra is not None:
+        table = {**_ORBIT_PARAMS, **table}
+    for key in config.params:
+        if key not in table:
+            accepts = ", ".join(table) or "none"
+            if config.command == "simulate" and config.algebra is None:
+                accepts += f"; with --algebra also {', '.join(_ORBIT_PARAMS)}"
+            raise ConfigError(
+                f"{config.command} reads no parameter {key!r}; it reads: {accepts}"
             )
-        return rat(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value for parameter {key!r}: {exc}") from None
+    values = {}
+    for key, default in table.items():
+        raw = config.params.get(key)
+        if raw is None:
+            values[key] = rat(default) if isinstance(default, int) else default
+            continue
+        try:
+            # an over-long text fails on its length alone; its exponent is not parsed
+            exponent = len(raw) <= MAX_PARAM_DIGITS and re.search(r"[eE]([+-]?[\d_]+)", raw)
+            span = len(raw) + (abs(int(exponent.group(1))) if exponent else 0)
+            if span > MAX_PARAM_DIGITS:
+                raise ValueError(
+                    f"spans more than {MAX_PARAM_DIGITS} decimal digits "
+                    "(its length plus the magnitude of its exponent)"
+                )
+            values[key] = rat(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad value for parameter {key!r}: {exc}") from None
+        if isinstance(default, float):
+            try:
+                values[key] = float(values[key])
+            except OverflowError:
+                raise ConfigError(
+                    f"bad value for parameter {key!r}: {raw} is out of float range"
+                ) from None
+    return values
 
 
-def _param_float(config: RunConfig, key: str, default: float) -> float:
-    if key not in config.params:
-        return default
-    try:
-        return float(_param_fraction(config, key, default))
-    except OverflowError:
-        raise ConfigError(
-            f"bad value for parameter {key!r}: {config.params[key]} is out of float range"
-        ) from None
-
-
-def _format_rows(fmt: str, fieldnames: list[str], rows, start: int, stop: int) -> str:
-    """Rows ``start`` to ``stop`` (CSV without header, or JSON lines) by one
-    ``%`` on a row template repeated per row; a one-float column is in the template."""
+def _format_rows(fmt: str, columns: dict, start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop`` of ``columns`` (CSV without header, or JSON
+    lines) by one ``%`` on a row template repeated per row; a float column
+    is in the template."""
     if fmt == "csv":
-        order, quote = range(len(fieldnames)), str
+        order, quote, cell = list(columns), str, "%.17g"
     else:  # json.dumps(row, sort_keys=True)
         from json.encoder import encode_basestring_ascii as quote
 
-        order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
-    if isinstance(rows, list):
-        cells = ["%s"] * len(order)
-        values = [quote(str(row.get(fieldnames[j], ""))) for row in rows[start:stop] for j in order]
-    else:
         # %.17g text needs no JSON escaping, so quoting it makes its JSON string
-        cell = "%.17g" if fmt == "csv" else '"%.17g"'
-        columns = rows.columns(start, stop)
-        columns = [columns[j] for j in order]
-        cells = [cell % c if isinstance(c, float) else cell for c in columns]
-        values = chain.from_iterable(zip(*(c for c in columns if not isinstance(c, float))))
+        order, cell = sorted(columns), '"%.17g"'
+    cells, values = [], []
+    for field in order:
+        column = columns[field]
+        if isinstance(column, float):
+            cells.append(cell % column)
+        elif isinstance(column, list):
+            cells.append("%s")
+            values.append([quote(str(value)) for value in column[start:stop]])
+        else:
+            cells.append(cell)
+            values.append(column[start:stop])
     if fmt == "csv":
         template = ",".join(cells)
     else:
         template = "{%s}" % ", ".join(
-            quote(fieldnames[j]).replace("%", "%%") + ": " + cell
-            for j, cell in zip(order, cells)
+            quote(field).replace("%", "%%") + ": " + cell for field, cell in zip(order, cells)
         )
-    return ((template + "\n") * (stop - start)) % tuple(values)
+    return ((template + "\n") * (stop - start)) % tuple(chain.from_iterable(zip(*values)))
 
 
-def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
-    """Write ``rows`` as CSV or JSON lines to stdout or ``config.out``.
+def _emit(config: RunConfig, columns: dict, rows: range) -> None:
+    """Write the rows ``rows`` of ``columns`` as CSV or JSON lines to stdout
+    or ``config.out``.
 
-    ``rows`` is either a list of dicts keyed by field name, where a missing
-    field prints empty, or float rows whose ``rows.columns(start, stop)``
-    holds a float or floats per field (printed with %.17g).
-    A JSON line maps each field to its formatted string, keys sorted,
-    exactly as ``json.dumps(..., sort_keys=True)``.
+    ``columns`` maps each field, in order, to its column: a float is the
+    value of every row, an ``array('d')`` holds floats (printed with
+    %.17g), and a list holds exact values (printed with ``str``).  A JSON
+    line maps each field to its formatted string, keys sorted, exactly as
+    ``json.dumps(..., sort_keys=True)``.
     """
     if config.out is None:
         target = contextlib.nullcontext(sys.stdout)
@@ -288,10 +311,10 @@ def _emit(config: RunConfig, fieldnames: list[str], rows) -> None:
             raise ConfigError(f"cannot write output file: {exc}") from None
     with target as handle:
         if config.format == "csv":
-            handle.write(",".join(fieldnames) + "\n")
+            handle.write(",".join(columns) + "\n")
         for start in range(0, len(rows), ROW_BLOCK):
             stop = min(start + ROW_BLOCK, len(rows))
-            handle.write(_format_rows(config.format, fieldnames, rows, start, stop))
+            handle.write(_format_rows(config.format, columns, start, stop))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -341,7 +364,12 @@ def _selected_records(config: RunConfig) -> list:
     return [r for r in list_catalog() if _selects(config, r.name, r.variant)]
 
 
-def _cmd_list(config: RunConfig) -> tuple[int, list[str], list[dict]]:
+def _columns(fieldnames: list[str], rows: list[dict]) -> dict[str, list]:
+    """Dict rows as the exact columns of ``fieldnames``; a field a row lacks prints empty."""
+    return {field: [row.get(field, "") for row in rows] for field in fieldnames}
+
+
+def _cmd_list(config: RunConfig, params: dict) -> tuple[int, dict]:
     rows = [
         {
             "name": record.name,
@@ -354,7 +382,8 @@ def _cmd_list(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         }
         for record in _selected_records(config)
     ]
-    return 0, ["name", "label", "variant", "dim", "time_class", "space_class", "param_slots"], rows
+    fieldnames = ["name", "label", "variant", "dim", "time_class", "space_class", "param_slots"]
+    return 0, _columns(fieldnames, rows)
 
 
 def _max_violation(algebra: StructureConstants) -> Fraction:
@@ -388,9 +417,7 @@ def _worst_residual(algebra: StructureConstants, checks) -> Fraction:
     )
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
-    omega = _param_fraction(config, "omega", 1)
-    kappa = _param_fraction(config, "kappa", 1)
+def _cmd_verify(config: RunConfig, params: dict) -> tuple[int, dict]:
     rows = []
     failed = False
 
@@ -408,19 +435,16 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         )
 
     for record in _selected_records(config):
-        algebra = build(record.name, record.variant, omega=omega, kappa=kappa)
+        algebra = build(
+            record.name, record.variant, omega=params["omega"], kappa=params["kappa"]
+        )
         add("jacobi", f"{record.name}:{record.variant}", _max_violation(algebra))
-
-    from .coadjoint import standard_orbit
 
     rng = random.Random(_SEED)
     for name in STANDARD_ORBIT_NAMES:
         if not _selects(config, name, "central_ext"):
             continue
-        orbit = standard_orbit(
-            name, m=Fraction(2), h=Fraction(1), E=Fraction(2),
-            omega=omega, kappa=kappa,
-        )
+        orbit = _orbit_request(params, name)
         checks = (
             (
                 invariant,
@@ -464,26 +488,19 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
             _inverse_residual(static_symplectic(constants)),
         )
 
-    return (1 if failed else 0), ["suite", "subject", "status", "max_residual"], rows
+    fieldnames = ["suite", "subject", "status", "max_residual"]
+    return (1 if failed else 0), _columns(fieldnames, rows)
 
 
-def _orbit_request(config: RunConfig, name: str | None, h: Fraction):
-    """The standard orbit ``name`` at position scale ``h`` and the other
-    orbit parameters of ``config``."""
+def _orbit_request(params: dict, name: str | None):
+    """The standard orbit ``name`` at the orbit parameters of ``params``."""
     if name is None:
         raise ConfigError(
             f"this command needs --algebra (one of {', '.join(STANDARD_ORBIT_NAMES)})"
         )
     from .coadjoint import standard_orbit
 
-    return standard_orbit(
-        name,
-        m=_param_fraction(config, "m", 2),
-        h=h,
-        E=_param_fraction(config, "E", 2),
-        omega=_param_fraction(config, "omega", 1),
-        kappa=_param_fraction(config, "kappa", 1),
-    )
+    return standard_orbit(name, **{key: params[key] for key in _ORBIT_PARAMS})
 
 
 def _orbit_report(orbit) -> dict:
@@ -500,8 +517,8 @@ def _orbit_report(orbit) -> dict:
     }
 
 
-def _cmd_orbit(config: RunConfig) -> tuple[int, list[str], list[dict]]:
-    orbit = _orbit_request(config, config.algebra, _param_fraction(config, "h", 1))
+def _cmd_orbit(config: RunConfig, params: dict) -> tuple[int, dict]:
+    orbit = _orbit_request(params, config.algebra)
     report = _orbit_report(orbit)
     fieldnames = ["record", "key", "value1", "value2", "value3", "value4"]
     rows = [
@@ -521,90 +538,63 @@ def _cmd_orbit(config: RunConfig) -> tuple[int, list[str], list[dict]]:
         ("theta", orbit.structure.theta),
         ("canonical_theta", orbit.structure.canonical_theta),
     )
-    for label, matrix in matrices:
-        for i, entries in enumerate(matrix):
-            row = {"record": label, "key": f"row{i}"}
-            for j, value in enumerate(entries):
-                row[f"value{j + 1}"] = value
-            rows.append(row)
-    return 0, fieldnames, rows
+    rows += [
+        {"record": label, "key": f"row{i}", **{f"value{j + 1}": v for j, v in enumerate(entries)}}
+        for label, matrix in matrices
+        for i, entries in enumerate(matrix)
+    ]
+    return 0, _columns(fieldnames, rows)
 
 
-def _cmd_classify(config: RunConfig) -> tuple[int, list[str], list[dict]]:
+def _cmd_classify(config: RunConfig, params: dict) -> tuple[int, dict]:
     rows = []
-    h = _param_fraction(config, "h", 1)
     for name in STANDARD_ORBIT_NAMES if config.algebra is None else (config.algebra,):
-        for h_value in (h, Fraction(0)):
-            report = _orbit_report(_orbit_request(config, name, h_value))
-            report["h"] = h_value
+        for h in (params["h"], Fraction(0)):
+            report = _orbit_report(_orbit_request({**params, "h": h}, name))
+            report["h"] = h
             rows.append(report)
     fieldnames = ["name", "variant", "dim", "class", "G", "F", "max_residual", "h"]
-    return 0, fieldnames, rows
+    return 0, _columns(fieldnames, rows)
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[int, list[str], object]:
+def _cmd_simulate(config: RunConfig, params: dict) -> tuple[int, dict]:
     from .mechanics import HamiltonianSpec, NCPhaseSpace2D, trajectory_rows
 
+    # G, F and mass left unset come from the orbit, or are 0, 0 and 1
+    fields = {"G": Fraction(0), "F": Fraction(0), "mass": Fraction(1)}
     if config.algebra is not None:
-        orbit = _orbit_request(config, config.algebra, _param_fraction(config, "h", 1))
-        g_default = orbit.structure.G_field
-        f_default = orbit.structure.F_field
-        mass_default = orbit.masses["m"]
-    else:
-        g_default = Fraction(0)
-        f_default = Fraction(0)
-        mass_default = Fraction(1)
-    space = NCPhaseSpace2D(
-        G_field=_param_fraction(config, "G", g_default),
-        F_field=_param_fraction(config, "F", f_default),
-        mass=_param_fraction(config, "mass", mass_default),
-    )
+        orbit = _orbit_request(params, config.algebra)
+        fields = {
+            "G": orbit.structure.G_field,
+            "F": orbit.structure.F_field,
+            "mass": orbit.masses["m"],
+        }
+    G, F, mass = (fields[key] if params[key] is None else params[key] for key in fields)
+    space = NCPhaseSpace2D(G_field=G, F_field=F, mass=mass)
     ham = HamiltonianSpec(
-        linear=(
-            _param_float(config, "a1", 0.0),
-            _param_float(config, "a2", 0.0),
-        ),
-        quadratic=(
-            _param_float(config, "k11", 0.0),
-            _param_float(config, "k12", 0.0),
-            _param_float(config, "k22", 0.0),
-        ),
+        linear=(params["a1"], params["a2"]),
+        quadratic=(params["k11"], params["k12"], params["k22"]),
     )
-    state0 = [
-        _param_float(config, "q1", 0.0),
-        _param_float(config, "q2", 0.0),
-        _param_float(config, "p1", 1.0),
-        _param_float(config, "p2", 0.0),
-    ]
-    rows = trajectory_rows(space, ham, state0, config.t_end, config.dt)
-    return 0, list(rows.FIELDS), rows
+    state0 = [params[key] for key in ("q1", "q2", "p1", "p2")]
+    return 0, trajectory_rows(space, ham, state0, config.t_end, config.dt)
 
 
-def _cmd_realize(config: RunConfig) -> tuple[int, list[str], object]:
+def _cmd_realize(config: RunConfig, params: dict) -> tuple[int, dict]:
     from .static_group import StaticConstants, StaticOrbitState, evolution_rows
 
     constants = StaticConstants(
-        m=_param_fraction(config, "m", 1),
-        mu=_param_fraction(config, "mu", 2),
-        beta=_param_fraction(config, "beta", 1),
-        kappa=_param_fraction(config, "kappa", 1),
-        nu=_param_fraction(config, "nu", 0),
-        h=_param_fraction(config, "h", 0),
+        **{key: params[key] for key in ("m", "mu", "beta", "kappa", "nu", "h")}
     )
     state = StaticOrbitState(
         constants=constants,
-        position=(_param_float(config, "q1", 1.0), _param_float(config, "q2", 0.0)),
-        velocity=(_param_float(config, "u1", 0.0), _param_float(config, "u2", 1.0)),
-        momentum=(_param_float(config, "p1", 0.0), _param_float(config, "p2", 0.0)),
-        boost_momentum=(
-            _param_float(config, "k1", 0.0),
-            _param_float(config, "k2", 0.0),
-        ),
-        energy=_param_float(config, "E", 0.0),
-        angular_momentum=_param_float(config, "j", 0.0),
+        position=(params["q1"], params["q2"]),
+        velocity=(params["u1"], params["u2"]),
+        momentum=(params["p1"], params["p2"]),
+        boost_momentum=(params["k1"], params["k2"]),
+        energy=params["E"],
+        angular_momentum=params["j"],
     )
-    rows = evolution_rows(state, config.t_end, config.dt)
-    return 0, list(rows.FIELDS), rows
+    return 0, evolution_rows(state, config.t_end, config.dt)
 
 
 _DISPATCH = {
@@ -621,8 +611,10 @@ def run(config: RunConfig) -> int:
     """Execute a resolved run request; returns the process exit status."""
     try:
         _check_selection(config)
-        code, fieldnames, rows = _DISPATCH[config.command](config)
-        _emit(config, fieldnames, rows)
+        code, columns = _DISPATCH[config.command](config, _params(config))
+        # every command has a column that is not one float
+        n_rows = next(len(c) for c in columns.values() if not isinstance(c, float))
+        _emit(config, columns, range(n_rows))
     except (ConfigError, CatalogError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

@@ -17,7 +17,7 @@ doubling strides, about log2(N) propagator products for N steps.  Two of
 them share this scheme: :func:`affine_flow`, on NumPy arrays of any
 dimension, serves in-process callers (:func:`integrate` and the Static
 chart flow), whose short runs it fills fastest; :func:`planar_flow`, on
-Python floats, fills the rows ``kinorbit simulate`` prints
+Python floats, fills the columns ``kinorbit simulate`` prints
 (:func:`trajectory_rows`), so the command never loads NumPy.  Both equal
 stage-by-stage RK4 (the reference the tests keep) up to rounding in the
 last bits.  The module also provides the two exact coordinate maps that
@@ -37,7 +37,9 @@ from typing import Sequence
 from .algebra_core import Record
 from .catalog import CatalogError
 from .rational_linalg import RatMatrix, rat
-from .timegrid import MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, step_count
+from .timegrid import (
+    MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
+)
 
 __all__ = [
     "MAX_STEPS",
@@ -45,7 +47,6 @@ __all__ = [
     "NCPhaseSpace2D",
     "HamiltonianSpec",
     "NCTrajectory",
-    "TrajectoryRows",
     "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
     "hamiltonian_value",
@@ -217,7 +218,8 @@ def affine_flow(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 for dz/dt = A z + b from 0 to ``t_end``; returns (times, states).
 
-    The grid has :func:`step_count` steps and lands exactly on ``t_end``.
+    The grid has :func:`step_count` steps and lands exactly on ``t_end``;
+    its times equal :func:`~kinorbit.timegrid.grid_times`.
     One step is RK4's exact propagator z -> R z + c, where R = R(hA) and
     c = h S(hA) b; the dimension is that of ``b``.  On rows (z, 1), k steps
     add the increment P_k (z, 1), P_k = [[R^k - 1, c_k], [0, 0]], and
@@ -319,16 +321,6 @@ def _product(X, Y) -> list[list[float]]:
     return [[_dot(row, column) for column in zip(*Y)] for row in X]
 
 
-def _grid_times(t_end: float, n_steps: int, start: int, stop: int) -> list[float]:
-    """Times ``start`` to ``stop`` of the grid that :func:`affine_flow` builds
-    with ``np.linspace``: i*h, and exactly ``t_end`` at the end."""
-    h = t_end / n_steps
-    times = [i * h for i in range(start, stop)]
-    if stop == n_steps + 1:
-        times[-1] = t_end
-    return times
-
-
 def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
     """:func:`affine_flow` of a planar system (4 x 4 ``A``) on Python floats.
 
@@ -394,37 +386,8 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
     bad = [index for index in bad if index is not None]
     if bad:
         step = min(bad) + 1
-        raise _aborted("state", step, _grid_times(t_end, n_steps, step, step + 1)[0])
+        raise _aborted("state", step, grid_times(t_end, n_steps)[step])
     return states
-
-
-class TrajectoryRows:
-    """A trajectory as the rows ``kinorbit simulate`` prints.
-
-    ``len()`` is the row count, and :meth:`columns` forms the
-    :attr:`FIELDS` columns of a range of rows.
-    """
-
-    FIELDS = ("t", "q1", "q2", "p1", "p2", "H", "drift")
-
-    def __init__(self, t_end: float, states: list[array], energies: array) -> None:
-        self.t_end = t_end
-        self.states = states  # q1, q2, p1, p2
-        self.energies = energies
-
-    def __len__(self) -> int:
-        return len(self.energies)
-
-    def columns(self, start: int, stop: int) -> list:
-        """The columns of rows ``start`` to ``stop``, as lists or arrays of floats."""
-        energies = self.energies[start:stop]
-        h0 = self.energies[0]
-        return [
-            _grid_times(self.t_end, len(self) - 1, start, stop),
-            *(column[start:stop] for column in self.states),
-            energies,
-            [h - h0 for h in energies],
-        ]
 
 
 def trajectory_rows(
@@ -433,10 +396,12 @@ def trajectory_rows(
     state0: Sequence[float],
     t_end: float,
     dt: float,
-) -> TrajectoryRows:
-    """:func:`integrate` on Python floats, as the rows ``kinorbit simulate`` prints.
+) -> dict[str, array]:
+    """:func:`integrate` on Python floats, as the columns ``kinorbit simulate`` prints.
 
-    The states are :func:`planar_flow` of the affine system, so they equal
+    Returns the ``array('d')`` columns t, q1, q2, p1, p2, H and drift, one
+    entry per time of :func:`~kinorbit.timegrid.grid_times`.  The states
+    are :func:`planar_flow` of the affine system, so they equal
     :func:`integrate`'s up to rounding in the last bits; the energies are
     :func:`hamiltonian_value` of each state, with its operations in its
     order.  An energy or energy drift that is not finite raises
@@ -451,24 +416,25 @@ def trajectory_rows(
     a1, a2 = (float(v) for v in ham.linear)
     k11, k12, k22 = (float(v) for v in ham.quadratic)
     k12 *= 2
-    energies = array("d")
+    energies, drift = array("d"), array("d")
     for start in range(0, len(states[0]), ROW_BLOCK):
-        block = (column[start : start + ROW_BLOCK] for column in states)
-        energies.extend(
-            [
-                (p1 * p1 + p2 * p2) / two_m
-                + (a1 * q1 + a2 * q2 + (k11 * q1 * q1 + k12 * q1 * q2 + k22 * q2 * q2) / 2.0)
-                for q1, q2, p1, p2 in zip(*block)
-            ]
-        )
-    h0 = energies[0]
+        rows = zip(*(column[start : start + ROW_BLOCK] for column in states))
+        block = [
+            (p1 * p1 + p2 * p2) / two_m
+            + (a1 * q1 + a2 * q2 + (k11 * q1 * q1 + k12 * q1 * q2 + k22 * q2 * q2) / 2.0)
+            for q1, q2, p1, p2 in rows
+        ]
+        energies.extend(block)
+        h0 = energies[0]
+        drift.extend([h - h0 for h in block])
+    times = grid_times(t_end, len(energies) - 1)
     # a non-finite energy makes its drift non-finite; so can two finite
     # energies of opposite sign near the float limit
-    step = first_non_finite(h - h0 for h in energies)
+    step = first_non_finite(drift)
     if step is not None:
-        t = _grid_times(t_end, len(energies) - 1, step, step + 1)[0]
-        raise _aborted("energy or drift", step, t)
-    return TrajectoryRows(t_end, states, energies)
+        raise _aborted("energy or drift", step, times[step])
+    q1, q2, p1, p2 = states
+    return {"t": times, "q1": q1, "q2": q2, "p1": p1, "p2": p2, "H": energies, "drift": drift}
 
 
 # Bracket matrix of commutative coordinates (q1, q2, p1, p2): {p_i, q^j} = +delta.

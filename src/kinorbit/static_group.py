@@ -11,8 +11,8 @@ of the eight-dimensional orbit chart, and the closed-form time evolution
 it generates.  The group law, the action, the invariants and the
 evolution run on Python floats; the symplectic structure is exact.
 :func:`evolution_rows` traces the evolution and its invariants over a
-time grid, as ``kinorbit realize`` prints them.  NumPy is imported only
-inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
+time grid, as the columns ``kinorbit realize`` prints.  NumPy is imported
+only inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
 only inside the functions that build its types (the symplectic
 structure, the invariants as :class:`~kinorbit.coadjoint.OrbitInvariant`
 and the chart flow), so the group law, the evolution and its rows load
@@ -30,13 +30,12 @@ from typing import NamedTuple
 from .algebra_core import Record, StructureConstants
 from .catalog import CatalogError, build
 from .rational_linalg import rat, to_float
-from .timegrid import ROW_BLOCK, first_non_finite, step_count
+from .timegrid import ROW_BLOCK, first_non_finite, grid_times, step_count
 
 __all__ = [
     "StaticConstants",
     "StaticGroupElement",
     "StaticOrbitState",
-    "EvolutionRows",
     "identity_element",
     "compose",
     "inverse",
@@ -550,55 +549,23 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     return state._replace(momentum=momentum, boost_momentum=boost_momentum)
 
 
-class EvolutionRows:
-    """A state's time evolution as the rows ``kinorbit realize`` prints.
+def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:
+    """:func:`time_evolution` and :func:`static_invariants` on a time grid,
+    as the columns ``kinorbit realize`` prints.
 
-    ``len()`` is the row count, and :meth:`columns` forms the
-    :attr:`FIELDS` columns of a range of rows; a field that holds one value
-    on every row is that float.
-    """
-
-    FIELDS = ("t", "q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "s_inv", "U")
-
-    def __init__(
-        self,
-        state: StaticOrbitState,
-        time_step: float,
-        drifting: tuple[array, ...],
-        internal_energy: float,
-    ) -> None:
-        self.state = state
-        self.time_step = time_step
-        self.drifting = drifting  # p1, p2, k1, k2, s_inv
-        self.internal_energy = internal_energy
-
-    def __len__(self) -> int:
-        return len(self.drifting[0])
-
-    def columns(self, start: int, stop: int) -> list:
-        """The columns of rows ``start`` to ``stop``: floats, lists or arrays of floats."""
-        state = self.state
-        p1, p2, k1, k2, s_inv = (column[start:stop] for column in self.drifting)
-        return [
-            [i * self.time_step for i in range(start, stop)],
-            *state.position, *state.velocity, p1, p2, k1, k2,
-            state.energy, s_inv, self.internal_energy,
-        ]
-
-
-def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> EvolutionRows:
-    """:func:`time_evolution` and :func:`static_invariants` at the times i*t_end/N.
-
-    N is :func:`~kinorbit.timegrid.step_count`.  Each row repeats the float
-    operations of those two functions in their order, with the charges
-    and the frozen fields taken out of the loop, so it equals them bit for
-    bit; the internal energy U depends on frozen fields only and is formed
-    once.  A momentum, boost momentum or invariant that is not finite
-    raises :class:`ValueError` naming it and its first bad row (entry).
+    The times are :func:`~kinorbit.timegrid.grid_times` of
+    :func:`~kinorbit.timegrid.step_count` steps.  Returns the columns t,
+    q1, q2, u1, u2, p1, p2, k1, k2, E, s_inv and U: a column that holds
+    one value on every row (q, u, E and U) is that float, every other an
+    ``array('d')``.  Each row repeats the float operations of those two
+    functions in their order, with the charges and the frozen fields taken
+    out of the loop, so it equals them at the row's time bit for bit; the
+    internal energy U depends on frozen fields only and is formed once.  A
+    momentum, boost momentum or invariant that is not finite raises
+    :class:`ValueError` naming it and its first bad row (entry).
     """
     c = state.constants.floats
-    n_steps = step_count(t_end, dt)
-    time_step = t_end / n_steps
+    times = grid_times(t_end, step_count(t_end, dt))
     kappa_e, mu_e, m, mu, beta, kappa = c.kappa_e, c.mu_e, c.m, c.mu, c.beta, c.kappa
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
@@ -608,13 +575,13 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> Evolutio
     m_fw = m * (f1 * w2 - f2 * w1)
     det = mu * kappa - beta * beta
     drifting = tuple(array("d") for _ in range(5))
-    for start in range(0, n_steps + 1, ROW_BLOCK):
-        times = [i * time_step for i in range(start, min(start + ROW_BLOCK, n_steps + 1))]
+    for start in range(0, len(times), ROW_BLOCK):
+        block = times[start : start + ROW_BLOCK].tolist()
         momenta = (
-            [p1 - t * kappa_e * q1 for t in times],
-            [p2 - t * kappa_e * q2 for t in times],
-            [k1 + t * mu_e * u1 for t in times],
-            [k2 + t * mu_e * u2 for t in times],
+            [p1 - t * kappa_e * q1 for t in block],
+            [p2 - t * kappa_e * q2 for t in block],
+            [k1 + t * mu_e * u1 for t in block],
+            [k2 + t * mu_e * u2 for t in block],
         )
         s_inv = [
             j - (
@@ -632,7 +599,11 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> Evolutio
     _check_column("s_inv", drifting[4], "invariant")
     internal_energy = _invariant_values()[1](_dual(state)) - c.nu * c.h
     _check_column("U", [internal_energy], "invariant")
-    return EvolutionRows(state, time_step, drifting, internal_energy)
+    return {
+        "t": times, "q1": q1, "q2": q2, "u1": u1, "u2": u2,
+        **dict(zip(("p1", "p2", "k1", "k2"), drifting)),
+        "E": state.energy, "s_inv": drifting[4], "U": internal_energy,
+    }
 
 
 def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:

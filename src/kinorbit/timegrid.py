@@ -7,9 +7,12 @@ integration failure, without loading the float layer.
 from __future__ import annotations
 
 import math
+from array import array
 from operator import indexOf
 
-__all__ = ["MAX_STEPS", "ROW_BLOCK", "IntegrationError", "first_non_finite", "step_count"]
+__all__ = [
+    "MAX_STEPS", "ROW_BLOCK", "IntegrationError", "first_non_finite", "grid_times", "step_count",
+]
 
 # Largest step count a fixed-step run may take; it bounds the state table
 # (and the CLI's output rows) before anything is allocated.
@@ -43,6 +46,18 @@ def step_count(t_end: float, dt: float) -> int:
             f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
         )
     return max(1, int(round(ratio)))
+
+
+def grid_times(t_end: float, n_steps: int) -> array:
+    """The ``n_steps + 1`` times of the grid on [0, t_end]: i*h with
+    h = t_end/n_steps, and exactly ``t_end`` at the end, as ``np.linspace``
+    forms them.  They are formed :data:`ROW_BLOCK` at a time."""
+    h = t_end / n_steps
+    times = array("d")
+    for start in range(0, n_steps + 1, ROW_BLOCK):
+        times.extend([i * h for i in range(start, min(start + ROW_BLOCK, n_steps + 1))])
+    times[-1] = t_end
+    return times
 
 
 def first_non_finite(values) -> int | None:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from kinorbit import cli, timegrid
 from kinorbit.catalog import CatalogError, build
 from kinorbit.cli import MAX_PARAM_DIGITS, ConfigError, RunConfig, main
 
@@ -125,6 +127,83 @@ def test_unknown_algebra_is_a_usage_error(capsys, argv, reason) -> None:
 def test_bad_parameter_value_is_a_usage_error(capsys) -> None:
     code, _, err = _run(capsys, ["orbit", "--algebra", "G", "--param", "m=abc"])
     assert code == 2
+
+
+_SIMULATE_KEYS = "G, F, mass, a1, a2, k11, k12, k22, q1, q2, p1, p2"
+_ORBIT_KEYS = "h, m, E, omega, kappa"
+_REALIZE_KEYS = "m, mu, beta, kappa, nu, h, q1, q2, u1, u2, p1, p2, k1, k2, E, j"
+
+
+# (command line, the key it does not read, the keys it reads)
+@pytest.mark.parametrize(
+    "argv, key, accepted",
+    [
+        (["list", "--param", "foo=1"], "foo", "none"),
+        (["verify", "--param", "G=1"], "G", _ORBIT_KEYS),
+        (["orbit", "--algebra", "G", "--param", "mass=2"], "mass", _ORBIT_KEYS),
+        (["classify", "--param", "omgea=2"], "omgea", _ORBIT_KEYS),
+        (["simulate", "--param", "qq1=5"], "qq1", _SIMULATE_KEYS),
+        # the orbit keys need --algebra
+        (["simulate", "--param", "m=3"], "m", _SIMULATE_KEYS),
+        (["simulate", "--algebra", "G", "--param", "mu=3"], "mu",
+         f"{_ORBIT_KEYS}, {_SIMULATE_KEYS}"),
+        (["realize", "--param", "G=1"], "G", _REALIZE_KEYS),
+    ],
+    ids=["list", "verify", "orbit", "classify", "simulate", "simulate-orbit-key",
+         "simulate-algebra", "realize"],
+)
+def test_a_parameter_the_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, argv, key, accepted
+) -> None:
+    *command, _, pair = argv
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ncommand = {command[0]}\nparam.{pair.replace('=', ' = ')}\n")
+    # from --param, and from an INI param.* line
+    for run in (argv, [*command, "--config", str(cfg)]):
+        code, out, err = _run(capsys, [*run, "--t-end", "1", "--dt", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"configuration error: {command[0]} reads no parameter {key!r}")
+        assert f"it reads: {accepted}" in err
+        assert err.count("\n") == 1
+
+
+def test_verify_builds_its_standard_orbits_from_the_orbit_parameters(capsys) -> None:
+    # the Carroll chart is degenerate at E = h*omega, as for orbit
+    assert _run(capsys, ["orbit", "--algebra", "C", "--param", "E=1"])[0] == 1
+    code, out, err = _run(capsys, ["verify", "--algebra", "C", "--param", "E=1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure:") and "singular" in err
+
+
+def test_realize_and_simulate_end_on_t_end(capsys) -> None:
+    for command in ("realize", "simulate"):
+        code, out, _ = _run(capsys, [command, "--t-end", "0.7", "--dt", "0.01"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 71
+        assert lines[-1].split(",")[0] == "0.69999999999999996"
+
+
+@pytest.mark.parametrize(
+    "command, algebra, params",
+    [("simulate", None, {}), ("simulate", "NH+", {"a1": "1/2"}), ("realize", None, {"q2": "1/3"})],
+    ids=["simulate", "simulate-orbit", "realize"],
+)
+@pytest.mark.parametrize("t_end, dt", [(0.7, 0.01), (3.7, 0.07), (1.0, 0.25)])
+def test_every_float_column_is_one_value_or_a_value_per_grid_time(
+    command, algebra, params, t_end, dt
+) -> None:
+    config = RunConfig(command, algebra=algebra, params=params, t_end=t_end, dt=dt)
+    code, columns = cli._DISPATCH[command](config, cli._params(config))
+    assert code == 0
+    assert list(columns)[0] == "t"
+    n_steps = timegrid.step_count(t_end, dt)
+    assert columns["t"] == timegrid.grid_times(t_end, n_steps)
+    for column in columns.values():
+        assert isinstance(column, float) or (
+            isinstance(column, array) and len(column) == n_steps + 1
+        )
 
 
 @pytest.mark.parametrize(

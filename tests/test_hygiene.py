@@ -9,7 +9,7 @@ when they load, and the float layer does not import NumPy when it loads;
 only function bodies may.  No module imports ``dataclasses``, and the
 CLI and the Static group load the layers only some commands run
 (``coadjoint``, ``configparser``, ``json``) inside the functions that
-use them.
+use them.  The CLI reads a run's parameter texts only in its table parser.
 """
 
 from __future__ import annotations
@@ -150,3 +150,35 @@ _DEFERRED = {
 def test_layers_some_commands_skip_are_imported_where_used(stem: str) -> None:
     tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert sorted(_load_time_imports(tree) & _DEFERRED[stem]) == []
+
+
+_RAW_PARAMS = ("_param_fraction", "_param_float")
+
+
+def _raw_param_reads(root: ast.AST) -> list[ast.AST]:
+    """The nodes under ``root`` that read a run's parameter texts: ``config.params``
+    and the names (or definitions) of the per-key readers."""
+    return [
+        node
+        for node in ast.walk(root)
+        if (isinstance(node, ast.Name) and node.id in _RAW_PARAMS)
+        or (isinstance(node, ast.FunctionDef) and node.name in _RAW_PARAMS)
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "params"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "config"
+        )
+    ]
+
+
+def test_the_cli_reads_parameters_only_in_its_table_parser() -> None:
+    # every command reads the values cli._params returns for its table
+    tree = ast.parse((_PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    parsers = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_params"
+    ]
+    inside = {id(node) for parser in parsers for node in ast.walk(parser)}
+    outside = [node.lineno for node in _raw_param_reads(tree) if id(node) not in inside]
+    assert outside == []
+    assert [node for parser in parsers for node in _raw_param_reads(parser)]

@@ -30,6 +30,7 @@ from kinorbit.mechanics import (
 )
 from kinorbit.rational_linalg import RatMatrix, to_float
 from kinorbit.static_group import StaticConstants, evolution_system
+from kinorbit.timegrid import grid_times
 
 
 def _stagewise_rk4(space, ham, state0, t_end, dt):
@@ -99,10 +100,10 @@ def _numpy_rows(space, ham, state0, t_end, dt):
 
 
 def _float_rows(space, ham, state0, t_end, dt):
-    """trajectory_rows' (times, states, energies): the rows simulate prints, as arrays."""
-    rows = trajectory_rows(space, ham, state0, t_end, dt)
-    times, q1, q2, p1, p2, energies, _ = rows.columns(0, len(rows))
-    return np.array(times), np.column_stack([q1, q2, p1, p2]), np.array(energies)
+    """trajectory_rows' (times, states, energies): the columns simulate prints, as arrays."""
+    columns = trajectory_rows(space, ham, state0, t_end, dt)
+    states = np.column_stack([columns[key] for key in ("q1", "q2", "p1", "p2")])
+    return np.array(columns["t"]), states, np.array(columns["H"])
 
 
 # The two row fills of a planar trajectory, each as (states of an affine
@@ -210,6 +211,15 @@ def test_rk4_step_fourth_order() -> None:
         errors.append(abs(approx - math.exp(dt)))
     # halving the step shrinks the local error by about 2^5
     assert errors[1] < errors[0] / 20
+
+
+@pytest.mark.parametrize("t_end, dt", [(0.7, 0.01), (3.7, 0.07), (10.0, 0.001)])
+def test_affine_flow_times_are_the_shared_grid(t_end, dt) -> None:
+    # np.linspace and grid_times form the same i*h and end on t_end exactly
+    times, _ = affine_flow(np.array([[0.0]]), np.array([1.0]), [0.0], t_end=t_end, dt=dt)
+    grid = np.array(grid_times(t_end, step_count(t_end, dt)))
+    assert times.tobytes() == grid.tobytes()
+    assert times[-1] == t_end
 
 
 def test_affine_flow_grid_and_failure() -> None:

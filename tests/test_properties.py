@@ -61,6 +61,7 @@ from kinorbit.static_group import (
     static_symplectic,
     time_evolution,
 )
+from kinorbit.timegrid import grid_times
 
 _REPEATABLE = settings(
     derandomize=True, database=None, deadline=None, max_examples=50
@@ -511,28 +512,29 @@ def test_the_realize_rows_are_time_evolution_and_its_invariants(
     state = StaticOrbitState(
         constants, (q1, q2), (u1, u2), (p1, p2), (k1, k2), energy, j
     )
-    rows = evolution_rows(state, t_end, t_end / steps)
-    assert len(rows) == steps + 1
-    for i in range(len(rows)):
-        # one row at a time, as the CLI writes a chunk of rows
-        row = [c if isinstance(c, float) else c[0] for c in rows.columns(i, i + 1)]
-        one = time_evolution(state, i * (t_end / steps))
+    columns = evolution_rows(state, t_end, t_end / steps)
+    times = grid_times(t_end, steps)
+    assert columns["t"] == times
+    for i, t in enumerate(times):
+        # row by row, at the row's own grid time
+        row = [c if isinstance(c, float) else c[i] for c in columns.values()]
+        one = time_evolution(state, t)
         # the same float operations in the same order: equal to the last bit
         assert row == [
-            i * (t_end / steps), *one.position, *one.velocity, *one.momentum,
+            t, *one.position, *one.velocity, *one.momentum,
             *one.boost_momentum, one.energy, *static_invariants(one),
         ]
 
 
-# Parameters each command reads; any other key is ignored.
+# Parameters each command reads; it refuses any other key (exit 2).
+# simulate reads the orbit keys only with --algebra.
 _ORBIT_PARAMS = ("m", "h", "E", "omega", "kappa")
 _COMMAND_PARAMS = {
     "list": (),
-    "verify": ("omega", "kappa"),
+    "verify": _ORBIT_PARAMS,
     "orbit": _ORBIT_PARAMS,
     "classify": _ORBIT_PARAMS,
-    "simulate": _ORBIT_PARAMS
-    + ("G", "F", "mass", "a1", "a2", "k11", "k12", "k22", "q1", "q2", "p1", "p2"),
+    "simulate": ("G", "F", "mass", "a1", "a2", "k11", "k12", "k22", "q1", "q2", "p1", "p2"),
     "realize": ("m", "mu", "beta", "kappa", "nu", "h")
     + ("q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2", "E", "j"),
 }
@@ -573,6 +575,8 @@ def _cli_argv(draw, command: str) -> list[str]:
         argv += ["--algebra", algebra]
     # a few of the parameters the command reads; the rest keep their defaults
     params = _COMMAND_PARAMS[command]
+    if command == "simulate" and algebra is not None:
+        params = _ORBIT_PARAMS + params
     keys = st.lists(st.sampled_from(params), unique=True, min_size=1, max_size=5)
     for key in draw(keys) if params else []:
         strings = _positive_text if key in ("omega", "kappa") else _signed

@@ -29,6 +29,7 @@ from kinorbit.static_group import (
     static_symplectic,
     time_evolution,
 )
+from kinorbit.timegrid import grid_times
 
 _PHASES = ("phase_m", "phase_mprime", "phase_b", "phase_lambda")
 _VECTORS = ("boost", "translation", "f_shift", "pi_shift")
@@ -353,16 +354,16 @@ def test_time_evolution_over_a_time_grid_matches_one_state_at_a_time() -> None:
         kappa=Fraction(7, 4), nu=Fraction(1, 2), h=Fraction(-3, 4),
     )
     st = _random_state(constants, rng)
-    rows = evolution_rows(st, t_end=3.7, dt=0.37)
-    assert len(rows) == 11
-    columns = rows.columns(0, len(rows))
-    assert columns[0] == [i * (3.7 / 10) for i in range(11)]
-    for i, t in enumerate(columns[0]):
+    columns = evolution_rows(st, t_end=3.7, dt=0.37)
+    assert columns["t"] == grid_times(3.7, 10)
+    assert columns["t"][-1] == 3.7
+    for i, t in enumerate(columns["t"]):
         one = time_evolution(st, t)
-        row = [column if isinstance(column, float) else column[i] for column in columns]
+        row = [column if isinstance(column, float) else column[i] for column in columns.values()]
         # same arithmetic entry by entry: equal to the last bit
-        assert row[1:10] == [
-            *one.position, *one.velocity, *one.momentum, *one.boost_momentum, one.energy
+        assert row[1:] == [
+            *one.position, *one.velocity, *one.momentum, *one.boost_momentum, one.energy,
+            *static_invariants(one),
         ]
 
 
@@ -650,8 +651,8 @@ def test_static_invariants_of_a_column_of_states_are_one_state_at_a_time() -> No
     )
     for _ in range(5):
         st = _random_state(constants, rng)
-        rows = evolution_rows(st, t_end=rng.uniform(1, 100), dt=0.5)
-        times, *_, s_column, u = rows.columns(0, len(rows))
-        for t, s in zip(times, s_column):
+        columns = evolution_rows(st, t_end=rng.uniform(1, 100), dt=0.5)
+        u = columns["U"]
+        for t, s in zip(columns["t"], columns["s_inv"]):
             # same arithmetic entry by entry: equal to the last bit
             assert (s, u) == static_invariants(time_evolution(st, t))
