@@ -62,8 +62,8 @@ _LAZY = {
         "MinimalCouplingResult",
         "NCPhaseSpace2D",
         "NCTrajectory",
+        "QuadraticHamiltonian",
         "bracket_pushforward",
-        "hamiltonian_value",
         "integrate",
         "minimal_coupling_galilei",
         "minimal_coupling_paragalilei",
@@ -114,6 +114,7 @@ __all__ = [
     "NCTrajectory",
     "OrbitChart",
     "OrbitInvariant",
+    "QuadraticHamiltonian",
     "RatMatrix",
     "SingularMatrixError",
     "StandardOrbit",
@@ -130,7 +131,6 @@ __all__ = [
     "check_jacobi",
     "classify",
     "compose",
-    "hamiltonian_value",
     "identity_element",
     "integrate",
     "inverse",

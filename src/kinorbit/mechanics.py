@@ -1,26 +1,28 @@
-"""Planar mechanics on noncommutative phase spaces.
+"""Quadratic Hamiltonians and their RK4 flows on noncommutative phase spaces.
 
-A phase space is described by two scalars: ``G`` (position-position
-bracket) and ``F`` (momentum-momentum bracket).  The equations of motion
-they induce for a Hamiltonian H = p^2/2m + V(q) are
+A Hamiltonian H = z'Qz/2 + g.z + c in a chart's canonical coordinates z
+(:class:`QuadraticHamiltonian`) flows under the chart's bracket matrix
+theta by dz/dt = theta grad H = A z + b, A = theta Q and b = theta g.  Q,
+g and c stay exact until H is first read, and theta until
+:meth:`~QuadraticHamiltonian.system` forms A and b.  On a planar phase
+space with bracket scalars G (positions) and F (momenta)
+(:class:`NCPhaseSpace2D`), :class:`HamiltonianSpec` states
+H = p^2/2m + a.q + q'Kq/2, whose flow is
 
     dq^i/dt = dH/dp_i + G eps^ij dH/dq^j,
-    dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j,
+    dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j.
 
-which the module integrates with a fixed-step fourth-order Runge-Kutta
-scheme.  Every Hamiltonian here has an affine gradient, so the equations
-are dz/dt = A z + b, and one classical RK4 step of size h is exactly the
-affine map z -> R(hA) z + h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 +
-x^4/24 (RK4's stability function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.
-The integrators form that propagator once and fill the state table in
-doubling strides, about log2(N) propagator products for N steps.  Two of
-them share this scheme: :func:`affine_flow`, on NumPy arrays of any
-dimension, serves in-process callers (:func:`integrate` and the Static
-chart flow), whose short runs it fills fastest; :func:`planar_flow`, on
-Python floats, fills the columns ``kinorbit simulate`` prints
-(:func:`trajectory_rows`), so the command never loads NumPy.  Both equal
-stage-by-stage RK4 (the reference the tests keep) up to rounding in the
-last bits.  The module also provides the two exact coordinate maps that
+One classical RK4 step of size h is exactly the affine map z -> R(hA) z +
+h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 (RK4's stability
+function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.  The integrators form that
+propagator once and fill the state table in doubling strides, about
+log2(N) propagator products for N steps.  Two of them share this scheme:
+:func:`affine_flow`, on NumPy arrays of any dimension, serves in-process
+callers (:func:`integrate` and the Static chart flow), whose short runs it
+fills fastest; :func:`planar_flow`, on Python floats, fills the columns
+``kinorbit simulate`` prints (:func:`trajectory_rows`), so the command
+never loads NumPy.  Both equal stage-by-stage RK4 (the reference the tests
+keep) up to rounding in the last bits.  The module also provides the two exact coordinate maps that
 reproduce such brackets from a commutative phase space: a position shift
 by the dual magnetic scalar and a momentum shift by the magnetic scalar.
 NumPy is imported only inside the functions that take or return arrays.
@@ -36,7 +38,7 @@ from typing import Sequence
 
 from .algebra_core import Record
 from .catalog import CatalogError
-from .rational_linalg import RatMatrix, rat
+from .rational_linalg import RatMatrix, _matrix, checked_float, rat, rat_inv
 from .timegrid import (
     MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
 )
@@ -44,12 +46,12 @@ from .timegrid import (
 __all__ = [
     "MAX_STEPS",
     "IntegrationError",
+    "QuadraticHamiltonian",
     "NCPhaseSpace2D",
     "HamiltonianSpec",
     "NCTrajectory",
     "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
-    "hamiltonian_value",
     "linear_system",
     "affine_flow",
     "planar_flow",
@@ -60,6 +62,81 @@ __all__ = [
     "minimal_coupling_galilei",
     "minimal_coupling_paragalilei",
 ]
+
+
+def _check_coefficients(name: str, values) -> None:
+    """CatalogError naming ``name`` unless each value is a finite int, Fraction or float."""
+    for x in values:
+        if not (math.isfinite(x) if isinstance(x, float) else isinstance(x, (int, Fraction))):
+            raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
+
+
+class QuadraticHamiltonian(Record):
+    """H(z) = z'Qz/2 + g.z + c over a chart's canonical coordinates z: the
+    symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
+    ``constant`` c, finite ``int``, ``Fraction`` or ``float`` values kept as
+    given (:class:`CatalogError` otherwise).  Only :meth:`system` and
+    :meth:`value` read H."""
+
+    _fields = ("hessian", "gradient", "constant")
+    __slots__ = (*_fields, "_floats")
+
+    def __init__(self, hessian, gradient, constant=0) -> None:
+        hessian, gradient = tuple(map(tuple, hessian)), tuple(gradient)
+        n = len(gradient)
+        if tuple(map(len, hessian)) != (n,) * n or tuple(zip(*hessian)) != hessian:
+            raise CatalogError(f"the hessian must be a symmetric {n} x {n} matrix")
+        _check_coefficients("hamiltonian", chain(gradient, *hessian, (constant,)))
+        self._init(hessian, gradient, constant, None)
+
+    def _float_form(self) -> tuple:
+        """M = [[Q, g], [g', 2c]], so that H = (z, 1)' M (z, 1)/2, as floats
+        converted on first use: each row of [Q | g] as the (column, entry)
+        pairs of its nonzero entries, and the terms (i, j, w) that
+        :meth:`value` adds, one per nonzero M_ij with i <= j."""
+        if self._floats is None:
+            n, c = len(self.gradient), self.constant
+            rows = [[(j, float(x)) for j, x in enumerate((*row, g)) if x]
+                    for row, g in zip(self.hessian, self.gradient)]
+            terms = [(i, j, x / 2.0 if i == j else x) for i, row in enumerate(rows)
+                     for j, x in row if j >= i] + ([(n, n, float(c))] if c else [])
+            object.__setattr__(self, "_floats", (rows, terms))
+        return self._floats
+
+    def system(self, theta) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """A = theta Q and b = theta g of the flow dz/dt = theta grad H = A z + b
+        under the n x n bracket matrix ``theta``, as tuples of floats: each
+        entry is the sum of its nonzero float products, added left to right."""
+        n = len(self.gradient)
+        if tuple(map(len, theta)) != (n,) * n:
+            raise ValueError(f"theta must be {n} x {n}, the size of the hessian")
+        rows = self._float_form()[0]  # Q is symmetric: rows of [Q | g] are its columns
+        A, b = [], []
+        for theta_row in theta:
+            entries = [0.0] * (n + 1)
+            for t, row in zip(map(float, theta_row), rows):
+                if t:
+                    for j, x in row:
+                        entries[j] += t * x
+            b.append(entries.pop())
+            A.append(tuple(entries))
+        return tuple(A), tuple(b)
+
+    def value(self, z):
+        """H at ``z``, n floats or n NumPy columns (H at each of their states),
+        by the same float operations in the same order: with z_n = 1, from 0
+        add (w z_i) z_j for each term of :meth:`_float_form` in turn."""
+        z, h = (*z, 1.0), 0.0
+        for i, j, w in self._float_form()[1]:
+            h = h + w * z[i] * z[j]
+        return h
+
+
+def _bracket_rows(G, F, zero, one) -> tuple:
+    """The bracket matrix of (q1, q2, p1, p2), in the type of ``zero`` and ``one``."""
+    return ((zero, G, one, zero), (-G, zero, zero, one),
+            (-one, zero, zero, F), (zero, -one, -F, zero))
+
 
 class NCPhaseSpace2D(Record):
     """A planar phase space with bracket scalars G (positions) and F (momenta)."""
@@ -82,38 +159,19 @@ class NCPhaseSpace2D(Record):
 
     def theta_matrix(self) -> RatMatrix:
         """Bracket matrix of (q1, q2, p1, p2) driving the dynamics."""
-        G, F = self.G_field, self.F_field
-        z = Fraction(0)
-        one = Fraction(1)
-        return RatMatrix(
-            [
-                [z, G, one, z],
-                [-G, z, z, one],
-                [-one, z, z, F],
-                [z, -one, -F, z],
-            ]
-        )
+        return _matrix(_bracket_rows(self.G_field, self.F_field, Fraction(0), Fraction(1)))
 
     def omega_matrix(self) -> RatMatrix:
-        """Exact inverse of :meth:`theta_matrix` (closed form)."""
-        G, F = self.G_field, self.F_field
-        s = 1 / self.symplectic_factor
-        z = Fraction(0)
-        return RatMatrix(
-            [
-                [z, F * s, -s, z],
-                [-F * s, z, z, -s],
-                [s, z, z, G * s],
-                [z, s, -G * s, z],
-            ]
-        )
+        """Exact inverse of :meth:`theta_matrix`."""
+        return rat_inv(self.theta_matrix())
 
 
 class HamiltonianSpec(Record):
     """Potential data for H = p^2/(2m) + a.q + q'Kq/2.
 
     ``linear`` holds (a1, a2); ``quadratic`` holds the symmetric matrix
-    entries (k11, k12, k22).
+    entries (k11, k12, k22).  Each entry is a finite ``int``, ``Fraction``
+    or ``float`` value (:class:`CatalogError` otherwise).
     """
 
     __slots__ = _fields = ("linear", "quadratic")
@@ -123,63 +181,42 @@ class HamiltonianSpec(Record):
         linear: tuple[float, float] = (0.0, 0.0),
         quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0),
     ) -> None:
+        linear, quadratic = tuple(linear), tuple(quadratic)
+        if (len(linear), len(quadratic)) != (2, 3):
+            raise CatalogError(f"expected (a1, a2) and (k11, k12, k22), got {linear}, {quadratic}")
+        _check_coefficients("HamiltonianSpec", chain(linear, quadratic))
         self._init(linear, quadratic)
 
-    def potential(self, q):
-        """V(q) for q = (q1, q2); each entry may be a scalar or an array.
-
-        Squares are products: NumPy's scalar ``**`` calls the C library's
-        pow, which can round differently from the array square.
-        """
-        a1, a2 = self.linear
-        k11, k12, k22 = self.quadratic
-        return (
-            a1 * q[0]
-            + a2 * q[1]
-            + (k11 * q[0] * q[0] + 2 * k12 * q[0] * q[1] + k22 * q[1] * q[1]) / 2.0
+    def hamiltonian(self, space: NCPhaseSpace2D) -> QuadraticHamiltonian:
+        """This H on ``space``, over (q1, q2, p1, p2): Q = diag(K, 1/m, 1/m)
+        and g = (a1, a2, 0, 0)."""
+        (a1, a2), (k11, k12, k22) = self.linear, self.quadratic
+        inv_m = 1 / space.mass
+        return QuadraticHamiltonian(
+            ((k11, k12, 0, 0), (k12, k22, 0, 0), (0, 0, inv_m, 0), (0, 0, 0, inv_m)),
+            (a1, a2, 0, 0),
         )
 
 
-def hamiltonian_value(space: NCPhaseSpace2D, ham: HamiltonianSpec, state):
-    """H at one state (q1, q2, p1, p2), or at each row of an (n, 4) array."""
-    import numpy as np
-
-    z = np.asarray(state, dtype=float).T
-    m = float(space.mass)
-    return (z[2] * z[2] + z[3] * z[3]) / (2.0 * m) + ham.potential(z[:2])
-
-
-def _planar_system(space: NCPhaseSpace2D, ham: HamiltonianSpec):
-    """A and b of :func:`linear_system` as tuples of Python floats.
-
-    A = theta H for the float bracket matrix theta of
-    :meth:`NCPhaseSpace2D.theta_matrix` and the Hessian H = diag(K, 1/m, 1/m);
-    every entry of the product is one float product, written out.
-    """
-    G, F = float(space.G_field), float(space.F_field)
-    k11, k12, k22 = (float(v) for v in ham.quadratic)
-    a1, a2 = (float(v) for v in ham.linear)
-    inv_m = float(1 / space.mass)
-    A = (
-        (G * k12, G * k22, inv_m, 0.0),
-        (-G * k11, -G * k12, 0.0, inv_m),
-        (-k11, -k12, 0.0, F * inv_m),
-        (-k12, -k22, -F * inv_m, 0.0),
-    )
-    return A, (G * a2, -G * a1, -a1, -a2)
+def _planar(space: NCPhaseSpace2D, ham: HamiltonianSpec):
+    """``ham`` on ``space`` and its :meth:`~QuadraticHamiltonian.system`, over
+    the bracket matrix of the floats of G and F; a G, F or 1/mass that no
+    float holds raises :class:`OverflowError` naming it."""
+    hamiltonian = ham.hamiltonian(space)
+    # G, F and the 1/m of Q = diag(K, 1/m, 1/m)
+    exact = (space.G_field, space.F_field, hamiltonian.hessian[2][2])
+    G, F, _ = map(checked_float, exact, ("G", "F", "1/mass"))
+    return hamiltonian, hamiltonian.system(_bracket_rows(G, F, 0.0, 1.0))
 
 
 def linear_system(
     space: NCPhaseSpace2D, ham: HamiltonianSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The affine form dz/dt = A z + b of the equations of motion, as arrays.
-
-    Valid exactly because the Hamiltonian gradient is affine in the state;
-    :func:`affine_flow` builds its one-step propagator from it.
-    """
+    """The affine form dz/dt = A z + b of the equations of motion, as arrays:
+    :meth:`QuadraticHamiltonian.system` of ``ham`` on ``space``."""
     import numpy as np
 
-    A, b = _planar_system(space, ham)
+    A, b = _planar(space, ham)[1]
     return np.array(A), np.array(b)
 
 
@@ -279,7 +316,8 @@ def integrate(
     """Integrate the modified Hamilton equations with fixed-step RK4.
 
     The states are :func:`affine_flow` of the affine system
-    :func:`linear_system`; the energies are evaluated on the whole table.
+    :func:`linear_system`; the energies are
+    :meth:`QuadraticHamiltonian.value` on the table's columns.
     An energy or energy drift that is not finite, though the state is,
     raises :class:`IntegrationError` carrying the first such step (0 for
     the initial state).
@@ -288,10 +326,11 @@ def integrate(
 
     if len(state0) != 4:
         raise ValueError("state must be (q1, q2, p1, p2)")
+    hamiltonian, (A, b) = _planar(space, ham)
     with np.errstate(over="ignore", invalid="ignore"):
         # an A that overflows makes step 1 non-finite, which affine_flow reports
-        times, states = affine_flow(*linear_system(space, ham), state0, t_end, dt)
-        energies = hamiltonian_value(space, ham, states)
+        times, states = affine_flow(np.array(A), np.array(b), state0, t_end, dt)
+        energies = hamiltonian.value(states.T)
         drift = energies - energies[0]
     # a non-finite energy makes its drift non-finite; so can two finite
     # energies of opposite sign near the float limit
@@ -403,30 +442,17 @@ def trajectory_rows(
     entry per time of :func:`~kinorbit.timegrid.grid_times`.  The states
     are :func:`planar_flow` of the affine system, so they equal
     :func:`integrate`'s up to rounding in the last bits; the energies are
-    :func:`hamiltonian_value` of each state, with its operations in its
-    order.  An energy or energy drift that is not finite raises
-    :class:`IntegrationError` carrying the first such step, as in
-    :func:`integrate`.
+    :meth:`QuadraticHamiltonian.value` of each state, so they equal
+    :func:`integrate`'s on the same states bit for bit.  An energy or
+    energy drift that is not finite raises :class:`IntegrationError`
+    carrying the first such step, as in :func:`integrate`.
     """
     if len(state0) != 4:
         raise ValueError("state must be (q1, q2, p1, p2)")
-    states = planar_flow(*_planar_system(space, ham), state0, t_end, dt)
-    # hamiltonian_value and HamiltonianSpec.potential, written out per row
-    two_m = 2.0 * float(space.mass)
-    a1, a2 = (float(v) for v in ham.linear)
-    k11, k12, k22 = (float(v) for v in ham.quadratic)
-    k12 *= 2
-    energies, drift = array("d"), array("d")
-    for start in range(0, len(states[0]), ROW_BLOCK):
-        rows = zip(*(column[start : start + ROW_BLOCK] for column in states))
-        block = [
-            (p1 * p1 + p2 * p2) / two_m
-            + (a1 * q1 + a2 * q2 + (k11 * q1 * q1 + k12 * q1 * q2 + k22 * q2 * q2) / 2.0)
-            for q1, q2, p1, p2 in rows
-        ]
-        energies.extend(block)
-        h0 = energies[0]
-        drift.extend([h - h0 for h in block])
+    hamiltonian, system = _planar(space, ham)
+    states = planar_flow(*system, state0, t_end, dt)
+    energies = array("d", map(hamiltonian.value, zip(*states)))
+    drift = array("d", map(energies[0].__rsub__, energies))  # each h - h[0]
     times = grid_times(t_end, len(energies) - 1)
     # a non-finite energy makes its drift non-finite; so can two finite
     # energies of opposite sign near the float limit

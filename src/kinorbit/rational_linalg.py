@@ -6,26 +6,27 @@ exact and a built matrix can be shared safely.  It indexes by pairs
 (``m[i, j]``; ``m[i]`` is row ``i``), reports its ``shape``, multiplies
 with ``@`` by a matrix or a vector, and transposes with ``T``.  Only the
 small amount of linear algebra the rest of the package needs lives here:
-that type, Gauss-Jordan inversion with pivot search, rank, and float
-conversion.  The matrices are at most 14x14 and mostly zero (restricted
-pairing matrices, chart Jacobians), so products and the elimination
-multiply only nonzero entries, as the other exact kernels of the package
-walk only nonzero structure constants, coordinates and Jacobian entries.
-NumPy enters only in :func:`to_float`, which imports it.
+that type, Gauss-Jordan inversion with pivot search, rank, and a checked
+float conversion.  The matrices are at most 14x14 and mostly zero
+(restricted pairing matrices, chart Jacobians), so products and the
+elimination multiply only nonzero entries, as the other exact kernels of
+the package walk only nonzero structure constants, coordinates and
+Jacobian entries.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
 __all__ = [
     "SingularMatrixError",
     "RatMatrix",
+    "checked_float",
     "rat",
     "rat_inv",
     "rat_rank",
-    "to_float",
 ]
 
 
@@ -177,8 +178,13 @@ def rat_rank(matrix: RatMatrix) -> int:
     return _gauss_jordan(matrix)[0]
 
 
-def to_float(matrix: RatMatrix):
-    """The float64 NumPy array of an exact matrix."""
-    import numpy as np
-
-    return np.array(matrix, dtype=float)
+def checked_float(value, name: str) -> float:
+    """The float nearest the exact ``value``; :class:`OverflowError` naming
+    ``name`` when it overflows, or when it is exactly nonzero but rounds to 0."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf if value > 0 else -math.inf
+    if math.isinf(result) or (result == 0 and value != 0):
+        raise OverflowError(f"{name} is {result!r} as a float but not exactly")
+    return result

@@ -7,16 +7,14 @@ M, M', B, Lambda.  Multiplication mixes the shifts through polynomial
 cocycles; the module implements the product, inverses, the closed-form
 coadjoint action on orbit states, the two orbit invariants (an internal
 angular momentum and an internal energy), the exact symplectic structure
-of the eight-dimensional orbit chart, and the closed-form time evolution
-it generates.  The group law, the action, the invariants and the
-evolution run on Python floats; the symplectic structure is exact.
+of the eight-dimensional orbit chart and the exact Hamiltonian of the
+closed-form time evolution on it.  The group law, the action, the
+invariants and the evolution run on Python floats.
 :func:`evolution_rows` traces the evolution and its invariants over a
 time grid, as the columns ``kinorbit realize`` prints.  NumPy is imported
 only inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
-only inside the functions that build its types (the symplectic
-structure, the invariants as :class:`~kinorbit.coadjoint.OrbitInvariant`
-and the chart flow), so the group law, the evolution and its rows load
-neither.
+and :mod:`kinorbit.mechanics` only inside the functions that build their
+types, so the group law, the evolution and its rows load none of them.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra_core import Record, StructureConstants
 from .catalog import CatalogError, build
-from .rational_linalg import rat, to_float
+from .rational_linalg import checked_float, rat
 from .timegrid import ROW_BLOCK, first_non_finite, grid_times, step_count
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "time_evolution",
     "evolution_rows",
     "evolution_hamiltonian",
-    "evolution_system",
 ]
 
 @functools.cache
@@ -107,28 +104,21 @@ class StaticConstants(Record):
 
     @property
     def floats(self) -> StaticFloats:
-        """The constants as floats, converted on first use for every float path.
+        """The constants as floats by :func:`~kinorbit.rational_linalg.checked_float`,
+        converted on first use for every float path.
 
-        Raises :class:`OverflowError` when a value is too large for a float,
-        and when a value that is exactly nonzero rounds to 0, or the
-        determinant mu*kappa - beta*beta formed from the float charges (as
-        the invariants form it) is 0 or not finite: the float orbit would
-        then be degenerate although the exact one is not.  The exact paths
-        never convert, so they serve such constants.
+        Raises :class:`OverflowError` also when the determinant mu*kappa -
+        beta*beta of the float charges (as the invariants form it) is 0 or
+        not finite, so degenerate as a float orbit though not exactly.  The
+        exact paths never convert, so they serve such constants.
         """
         if self._floats is not None:
             return self._floats
         names = StaticFloats._fields
-        exact = [getattr(self, name) for name in names]
-        floats = StaticFloats(*map(float, exact))
+        floats = StaticFloats(*map(checked_float, [getattr(self, name) for name in names], names))
         det = floats.mu * floats.kappa - floats.beta * floats.beta
-        for name, value, exact_value in zip(
-            (*names, "mu*kappa - beta^2"), (*floats, det), (*exact, self.det)
-        ):
-            if not math.isfinite(value) or (value == 0 and exact_value != 0):
-                raise OverflowError(
-                    f"the Static value {name} is {value!r} as a float but not exactly"
-                )
+        if not math.isfinite(det) or det == 0:
+            raise OverflowError(f"mu*kappa - beta^2 is {det!r} as a float but not exactly")
         object.__setattr__(self, "_floats", floats)
         return floats
 
@@ -606,40 +596,15 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:
     }
 
 
-def evolution_hamiltonian(constants: StaticConstants, chart_state) -> float:
-    """The quadratic Hamiltonian generating the time evolution on the chart.
+def evolution_hamiltonian(constants: StaticConstants) -> QuadraticHamiltonian:
+    """H = -(kappa_e q^2/2 + mu_e u^2/2 + (beta mu_e/mu) q.u), exact, over the
+    canonical coordinates (q, u, p, k) of :func:`static_symplectic`: its flow
+    under the chart's ``canonical_theta`` is :func:`time_evolution`'s."""
+    from .mechanics import QuadraticHamiltonian
 
-    H = -(kappa_e q^2/2 + mu_e u^2/2 + (beta mu_e/mu) q.u); its flow under
-    the chart brackets freezes (q, u) and drifts (p, k) linearly.
-    """
-    q1, q2, u1, u2 = chart_state[:4]
-    c = constants.floats
-    mix = c.beta * c.mu_e / c.mu
-    return -(
-        c.kappa_e * (q1 * q1 + q2 * q2) / 2.0
-        + c.mu_e * (u1 * u1 + u2 * u2) / 2.0
-        + mix * (q1 * u1 + q2 * u2)
-    )
-
-
-def evolution_system(constants: StaticConstants) -> tuple[np.ndarray, np.ndarray]:
-    """The chart flow dz/dt = Theta grad H in the affine form dz/dt = A z + b.
-
-    H is a homogeneous quadratic, so grad H(z) is its Hessian times z (the
-    Hessian's columns are the gradients of H at the basis vectors) and
-    b = 0; :func:`kinorbit.mechanics.affine_flow` integrates the system.
-    """
-    import numpy as np
-
-    from .coadjoint import forward_mode_gradient
-
-    theta = to_float(static_symplectic(constants).canonical_theta)
-    hamiltonian = functools.partial(evolution_hamiltonian, constants)
-    hessian = np.array(
-        [
-            forward_mode_gradient(hamiltonian, e)
-            for e in np.eye(len(_CHART_CANONICAL)).tolist()
-        ],
-        dtype=float,
-    ).T
-    return theta @ hessian, np.zeros(len(_CHART_CANONICAL))
+    n = len(_CHART_CANONICAL)
+    hessian = [[0] * n for _ in range(n)]
+    for q, u in ((0, 2), (1, 3)):
+        hessian[q][q], hessian[u][u] = -constants.kappa_e, -constants.mu_e
+        hessian[q][u] = hessian[u][q] = -constants.beta * constants.mu_e / constants.mu
+    return QuadraticHamiltonian(hessian, [0] * n)

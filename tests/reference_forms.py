@@ -6,7 +6,8 @@ package output against these fixtures entrywise and exactly.  The module
 also holds the dense and float references the package's kernels are
 tested against: :func:`dense`, the one conversion of an exact matrix to a
 NumPy object array, the dense structure tensor, a central-difference
-gradient, and stage-by-stage RK4 on the Hamilton equations.
+gradient, the planar affine system written out entry by entry, and
+stage-by-stage RK4 on the Hamilton equations.
 """
 
 from __future__ import annotations
@@ -481,6 +482,23 @@ def potential_gradient(ham, q) -> np.ndarray:
     a1, a2 = ham.linear
     k11, k12, k22 = ham.quadratic
     return np.array([a1 + k11 * q[0] + k12 * q[1], a2 + k12 * q[0] + k22 * q[1]])
+
+
+def planar_system(space, ham) -> tuple[tuple, tuple]:
+    """A = theta diag(K, 1/m, 1/m) and b = theta (a1, a2, 0, 0) of a
+    ``HamiltonianSpec`` on an ``NCPhaseSpace2D``, as tuples of floats: every
+    entry is one float product of the converted G, F, K, a and 1/m."""
+    G, F = float(space.G_field), float(space.F_field)
+    k11, k12, k22 = (float(v) for v in ham.quadratic)
+    a1, a2 = (float(v) for v in ham.linear)
+    inv_m = float(1 / space.mass)
+    A = (
+        (G * k12, G * k22, inv_m, 0.0),
+        (-G * k11, -G * k12, 0.0, inv_m),
+        (-k11, -k12, 0.0, F * inv_m),
+        (-k12, -k22, -F * inv_m, 0.0),
+    )
+    return A, (G * a2, -G * a1, -a1, -a2)
 
 
 def hamilton_rhs(space, ham, state) -> np.ndarray:

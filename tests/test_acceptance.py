@@ -36,17 +36,18 @@ from kinorbit.mechanics import (
     minimal_coupling_galilei,
     minimal_coupling_paragalilei,
 )
-from kinorbit.rational_linalg import RatMatrix, rat_inv, to_float
+from kinorbit.rational_linalg import RatMatrix, rat_inv
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
     StaticOrbitState,
     compose,
-    evolution_system,
+    evolution_hamiltonian,
     noncentral_algebra,
     noncentral_invariants,
     realize,
     static_invariants,
+    static_symplectic,
     time_evolution,
 )
 from kinorbit.mechanics import affine_flow
@@ -199,7 +200,7 @@ def test_c4_casimir_residuals_analytic_and_finite_difference() -> None:
             }
             pt = orb.point.replace(**updates)
             coords = np.array([float(v) for v in pt.coords])
-            K = to_float(kirillov_matrix(orb.algebra, pt))
+            K = np.array(kirillov_matrix(orb.algebra, pt), dtype=float)
             for inv in orb.invariants:
                 fd = rf.finite_difference_gradient(
                     lambda a: float(inv.value(a)), coords
@@ -224,7 +225,7 @@ def test_c4_casimir_residuals_analytic_and_finite_difference() -> None:
         values.update({"M'": Fraction(2), "B": Fraction(1), "Lambda": Fraction(1)})
         pt = DualPoint.from_mapping(alg, values)
         coords = np.array([float(v) for v in pt.coords])
-        K = to_float(kirillov_matrix(alg, pt))
+        K = np.array(kirillov_matrix(alg, pt), dtype=float)
         for inv in invs:
             fd = rf.finite_difference_gradient(lambda a: float(inv.value(a)), coords)
             ok = ok and float(np.max(np.abs(K @ fd))) <= 1e-8
@@ -384,8 +385,10 @@ def test_c8_group_law_action_and_invariants() -> None:
     st = state()
     t_end = 3.0
     evolved = time_evolution(st, t_end)
+    theta = static_symplectic(constants).canonical_theta
     _, states = affine_flow(
-        *evolution_system(constants), st.chart_vector, t_end=t_end, dt=1e-2
+        *map(np.array, evolution_hamiltonian(constants).system(theta)),
+        st.chart_vector, t_end=t_end, dt=1e-2,
     )
     ok = ok and float(np.max(np.abs(states[-1] - evolved.chart_vector))) <= 1e-10
     _report(

@@ -439,9 +439,13 @@ _USAGE_ERRORS = {
     "realize --dt nan": _NOT_FINITE,
     "simulate --param a1=1e309": "'a1': 1e309 is out of float range",
     "realize --param q1=1e309": "'q1': 1e309 is out of float range",
-    "simulate --param G=1e309": "value out of float range: integer division",
-    "simulate --param mass=1e-330": "value out of float range: integer division",
-    "realize --param kappa=1e-330": "value out of float range: integer division",
+    # exact values no float holds, named: out of range, or nonzero but 0
+    "simulate --param G=1e309": "value out of float range: G is inf as a float",
+    "simulate --param mass=1e-330": "value out of float range: 1/mass is inf as a float",
+    "realize --param kappa=1e-330": "value out of float range: kappa is 0.0 as a float",
+    "realize --param mu=1e330": "value out of float range: mu is inf as a float",
+    "simulate --param G=1e330": "value out of float range: G is inf as a float",
+    "simulate --param mass=1e330": "value out of float range: 1/mass is 0.0 as a float",
     # more steps than MAX_STEPS: rejected before anything is allocated
     "simulate --t-end 1e9 --dt 1e-3": "exceeds the step budget",
     "realize --t-end 1e300 --dt 1e-300": "exceeds the step budget",

@@ -2,11 +2,13 @@
 
 The digests were taken from the row-at-a-time implementation, and those
 of ``simulate`` from the doubling-stride RK4 on Python floats of
-``mechanics.planar_flow``; any change to the exact commands, to the
-closed-form Static evolution, to the integrator or to the output
-formatting that alters a single byte fails here.  Every row is formed
-from IEEE double operations in a fixed order (no BLAS, no compensated
-``sum()``), so the digests hold on every supported Python and platform.
+``mechanics.planar_flow`` with the energies of
+``mechanics.QuadraticHamiltonian.value``; any change to the exact
+commands, to the closed-form Static evolution, to the integrator or to
+the output formatting that alters a single byte fails here.  Every row
+is formed from IEEE double operations in a fixed order (no BLAS, no
+compensated ``sum()``), so the digests hold on every supported Python
+and platform.
 
 Every command also runs in a fresh interpreter, which must print the
 same bytes without ever importing NumPy or ``dataclasses``, and load
@@ -68,9 +70,9 @@ _GOLDEN = [
     (_REALIZE, "json-lines", 1001,
      "2e0fcdf32c51bbe7d999dfaae413f0c213ba0d25b4cebd7f8aa3def72a2d560e"),
     (_SIMULATE, "csv", 1002,
-     "cfb3cd91dca8c00556c77620a324772a8acd1d3f2b7bdc41f3d8a8a4f6a6e1f3"),
+     "764e7161e2502e353c14cfb93a12314704af4dfa4cce3933d8095d72f4708df1"),
     (_SIMULATE, "json-lines", 1001,
-     "3da604b5649ea6070d6f858c4e01acf2811ec674edc9237ea9b2e390823e50a0"),
+     "fb62f8974034ff50af275df3e6909a00325f397c2d0897e87ed560e41faaa93f"),
 ]
 
 

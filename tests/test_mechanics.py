@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_forms as rf
+from kinorbit.catalog import CatalogError
 from kinorbit.cli import main
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
@@ -17,9 +18,9 @@ from kinorbit.mechanics import (
     HamiltonianSpec,
     IntegrationError,
     NCPhaseSpace2D,
+    QuadraticHamiltonian,
     affine_flow,
     bracket_pushforward,
-    hamiltonian_value,
     integrate,
     linear_system,
     minimal_coupling_galilei,
@@ -28,8 +29,8 @@ from kinorbit.mechanics import (
     step_count,
     trajectory_rows,
 )
-from kinorbit.rational_linalg import RatMatrix, to_float
-from kinorbit.static_group import StaticConstants, evolution_system
+from kinorbit.rational_linalg import RatMatrix
+from kinorbit.static_group import StaticConstants, evolution_hamiltonian, static_symplectic
 from kinorbit.timegrid import grid_times
 
 
@@ -144,7 +145,7 @@ def test_rhs_equals_theta_times_gradient() -> None:
         G_field=Fraction(-1, 4), F_field=Fraction(1, 3), mass=Fraction(2)
     )
     ham = HamiltonianSpec(linear=(0.5, -1.0), quadratic=(2.0, 0.25, 1.0))
-    theta = to_float(space.theta_matrix())
+    theta = np.array(space.theta_matrix(), dtype=float)
     for _ in range(20):
         state = np.array([rng.uniform(-3, 3) for _ in range(4)])
         gq = rf.potential_gradient(ham, state[:2])
@@ -194,7 +195,7 @@ def test_energy_is_recorded_and_conserved() -> None:
     ham = HamiltonianSpec(linear=(0.3, -0.2), quadratic=(1.0, 0.1, 0.5))
     state0 = [0.2, -0.4, 1.0, 0.5]
     traj = integrate(space, ham, state0, t_end=10.0, dt=1e-3)
-    assert traj.energies[0] == pytest.approx(hamiltonian_value(space, ham, state0))
+    assert traj.energies[0] == pytest.approx(ham.hamiltonian(space).value(state0))
     assert np.max(np.abs(traj.invariant_drift)) < 1e-9
     assert len(traj.times) == len(traj.states) == len(traj.energies)
 
@@ -255,7 +256,7 @@ def test_integrate_matches_stagewise_rk4() -> None:
             assert np.array_equal(fill_times, times)
             assert np.all(np.abs(fill_states - states) <= 1e-12 * scale), fill.__name__
             # energies are evaluated on the whole table, with the per-state formula
-            per_state = [hamiltonian_value(space, ham, z) for z in fill_states]
+            per_state = [ham.hamiltonian(space).value(z) for z in fill_states]
             assert np.array_equal(energies, per_state), fill.__name__
 
 
@@ -273,8 +274,11 @@ def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
         )
         systems.append(linear_system(space, ham))
     for mu, beta, kappa in ((2, 1, 1), (Fraction(5, 2), Fraction(-1, 3), Fraction(7, 4))):
-        systems.append(evolution_system(StaticConstants(m=Fraction(3, 2), mu=mu, beta=beta,
-                                                        kappa=kappa)))
+        constants = StaticConstants(m=Fraction(3, 2), mu=mu, beta=beta, kappa=kappa)
+        system = evolution_hamiltonian(constants).system(
+            static_symplectic(constants).canonical_theta
+        )
+        systems.append(tuple(map(np.array, system)))
     for A, b in systems:
         state0 = [rng.uniform(-1, 1) for _ in range(b.size)]
         times, states = affine_flow(A, b, state0, t_end=100.0, dt=0.01)
@@ -405,6 +409,82 @@ def test_step_count_rejects_bad_grids_before_allocating() -> None:
         integrate(space, HamiltonianSpec(), [0.0] * 4, t_end=10.0 * MAX_STEPS, dt=1.0)
 
 
+@pytest.mark.parametrize(
+    "linear, quadratic",
+    [
+        (("x", 1), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0), (1.0, None, 1.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0), (1.0, 1.0)),
+        ((math.inf, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0), (1.0, math.nan, 1.0)),
+        ((0.0, 0.0), (1.0, "1/2", 1.0)),
+    ],
+    ids=["text", "none", "long-linear", "short-quadratic", "inf", "nan", "string-number"],
+)
+def test_a_hamiltonian_spec_refuses_malformed_coefficients(linear, quadratic) -> None:
+    with pytest.raises(CatalogError):
+        HamiltonianSpec(linear, quadratic)
+
+
+def test_a_hamiltonian_spec_keeps_exact_and_float_coefficients() -> None:
+    ham = HamiltonianSpec([Fraction(1, 3), 2], (0.5, Fraction(-1, 7), 3))
+    assert ham.linear == (Fraction(1, 3), 2)
+    assert ham.quadratic == (0.5, Fraction(-1, 7), 3)
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(3))
+    record = ham.hamiltonian(space)
+    assert record.hessian[2][2] == record.hessian[3][3] == Fraction(1, 3)
+    assert record.gradient == (Fraction(1, 3), 2, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "hessian, gradient, constant",
+    [
+        ([[1, 0], [0, 1]], [0, 0, 0], 0),
+        ([[1, 2], [3, 1]], [0, 0], 0),
+        ([[1, 0], [0]], [0, 0], 0),
+        ([[1, 0], [0, "1"]], [0, 0], 0),
+        ([[1, 0], [0, 1]], [0, math.inf], 0),
+        ([[1, 0], [0, 1]], [0, 0], math.nan),
+    ],
+    ids=["size", "asymmetric", "ragged", "text", "inf", "nan-constant"],
+)
+def test_a_quadratic_hamiltonian_refuses_malformed_data(hessian, gradient, constant) -> None:
+    with pytest.raises(CatalogError):
+        QuadraticHamiltonian(hessian, gradient, constant)
+
+
+def test_a_quadratic_hamiltonian_reads_h_through_system_and_value() -> None:
+    # H = q^2/2 + 3 p^2/2 + q p/3 + q/2 - 1 on the canonical plane {q, p} = -1
+    H = QuadraticHamiltonian([[1, Fraction(1, 3)], [Fraction(1, 3), 3]], [0.5, 0], -1)
+    assert H.hessian == ((1, Fraction(1, 3)), (Fraction(1, 3), 3))
+    A, b = H.system([[0, -1], [1, 0]])
+    # dq/dt = -dH/dp, dp/dt = dH/dq
+    assert A == ((-1 / 3, -3.0), (1.0, 1 / 3)) and b == (0.0, 0.5)
+    q, p = 0.25, -2.0
+    expected = q * q / 2 + 3 * p * p / 2 + q * p / 3 + q / 2 - 1
+    assert H.value((q, p)) == pytest.approx(expected, rel=1e-15)
+    columns = np.array([[q, 1.0], [p, 0.5]])
+    assert H.value(columns).tolist() == [H.value((q, p)), H.value((1.0, 0.5))]
+    with pytest.raises(ValueError, match="theta must be 2 x 2"):
+        H.system([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+def test_fraction_coefficients_run_as_their_floats() -> None:
+    # the exact coefficients of given floats give the float run bit for bit
+    space = NCPhaseSpace2D(G_field=Fraction(-1, 4), F_field=Fraction(1, 3), mass=Fraction(3, 2))
+    linear, quadratic = (0.7, -0.1), (1.5, -0.4, 0.9)
+    floats = HamiltonianSpec(linear, quadratic)
+    exact = HamiltonianSpec(tuple(map(Fraction, linear)), tuple(map(Fraction, quadratic)))
+    state0 = [0.2, -0.4, 1.0, 0.5]
+    for _, fill in _FILLS:
+        ref_times, ref_states, ref_energies = fill(space, floats, state0, t_end=2.0, dt=0.01)
+        times, states, energies = fill(space, exact, state0, t_end=2.0, dt=0.01)
+        assert times.tobytes() == ref_times.tobytes(), fill.__name__
+        assert states.tobytes() == ref_states.tobytes(), fill.__name__
+        assert energies.tobytes() == ref_energies.tobytes(), fill.__name__
+
+
 def test_linear_system_matches_rhs() -> None:
     rng = random.Random(909)
     space = NCPhaseSpace2D(
@@ -418,7 +498,7 @@ def test_linear_system_matches_rhs() -> None:
     # theta enters as the exact bracket matrix converted entry by entry
     hessian = np.diag([0.0, 0.0, 2 / 3, 2 / 3])
     hessian[:2, :2] = [[1.5, -0.4], [-0.4, 0.9]]
-    assert np.array_equal(A, to_float(space.theta_matrix()) @ hessian)
+    assert np.array_equal(A, np.array(space.theta_matrix(), dtype=float) @ hessian)
 
 
 def test_bracket_pushforward_identity_and_custom_theta() -> None:

@@ -45,6 +45,7 @@ from kinorbit.coadjoint import (
     restrict,
     standard_orbit,
 )
+from kinorbit.mechanics import HamiltonianSpec, NCPhaseSpace2D, linear_system
 from kinorbit.rational_linalg import RatMatrix, SingularMatrixError, rat_inv, rat_rank
 from kinorbit.static_group import (
     StaticConstants,
@@ -263,6 +264,27 @@ def test_template_check_equals_the_dense_template(chart, data) -> None:
         chart, matrix, matrix, matrix, G_field=field["G"], F_field=field["F"]
     )
     assert _template_deviates(structure) == _dense_template_deviates(structure)
+
+
+_coefficients = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@_REPEATABLE
+@given(
+    G=_rationals, F=_rationals, m=_positive,
+    K=st.tuples(_coefficients, _coefficients, _coefficients),
+    a=st.tuples(_coefficients, _coefficients),
+)
+def test_the_planar_system_is_one_float_product_per_entry(G, F, m, K, a) -> None:
+    # the record's theta Q and theta g, on the exact bracket matrix and on
+    # the planar flows' float one, against the written-out products; == is
+    # IEEE equality, so a zero's sign is all it leaves out
+    assume(G * F != 1)
+    space, ham = NCPhaseSpace2D(G, F, m), HamiltonianSpec(a, K)
+    reference = rf.planar_system(space, ham)
+    assert ham.hamiltonian(space).system(space.theta_matrix()) == reference
+    A, b = linear_system(space, ham)
+    assert (tuple(map(tuple, A.tolist())), tuple(b.tolist())) == reference
 
 
 @st.composite

@@ -43,6 +43,7 @@ from kinorbit.mechanics import (
     MinimalCouplingResult,
     NCPhaseSpace2D,
     NCTrajectory,
+    QuadraticHamiltonian,
     integrate,
     minimal_coupling_galilei,
 )
@@ -75,6 +76,7 @@ _SIGNATURES = {
     StandardOrbit: "name, variant, algebra, params, point, chart, structure, invariants, masses",
     NCPhaseSpace2D: "G_field, F_field, mass",
     HamiltonianSpec: "linear=(0.0, 0.0), quadratic=(0.0, 0.0, 0.0)",
+    QuadraticHamiltonian: "hessian, gradient, constant=0",
     NCTrajectory: "times, states, energies, invariant_drift",
     MinimalCouplingResult: "state, jacobian, bracket_matrix",
     StaticConstants: "m, mu, beta=Fraction(0, 1), kappa=Fraction(1, 1), nu=Fraction(0, 1), "
@@ -121,6 +123,7 @@ def _samples() -> dict:
         (orbit, "name", "other"),
         (space, "mass", 3),
         (ham, "linear", (0.0, 0.0)),
+        (ham.hamiltonian(space), "constant", 1),
         (integrate(space, ham, (0.1, 0.2, 0.3, 0.4), 0.1, 0.05), "times", None),
         (minimal_coupling_galilei((1, 0, 0, 1), 1, 2), "state", (0, 0, 0, 0)),
         (constants, "m", 5),
