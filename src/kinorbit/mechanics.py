@@ -1,31 +1,32 @@
-"""Quadratic Hamiltonians and their RK4 flows on noncommutative phase spaces.
+"""Quadratic Hamiltonians and their RK4 flow on noncommutative phase spaces.
 
 A Hamiltonian H = z'Qz/2 + g.z + c in a chart's canonical coordinates z
 (:class:`QuadraticHamiltonian`) flows under the chart's bracket matrix
 theta by dz/dt = theta grad H = A z + b, A = theta Q and b = theta g.  Q,
-g and c stay exact until H is first read, and theta until
-:meth:`~QuadraticHamiltonian.system` forms A and b.  On a planar phase
-space with bracket scalars G (positions) and F (momenta)
-(:class:`NCPhaseSpace2D`), :class:`HamiltonianSpec` states
-H = p^2/2m + a.q + q'Kq/2, whose flow is
+g and c are kept as given and converted to floats once, when the record
+is built; theta is converted when :meth:`~QuadraticHamiltonian.system`
+forms A and b.  On a planar phase space with bracket scalars G
+(positions) and F (momenta) (:class:`NCPhaseSpace2D`),
+:class:`HamiltonianSpec` states H = p^2/2m + a.q + q'Kq/2, whose flow is
 
     dq^i/dt = dH/dp_i + G eps^ij dH/dq^j,
     dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j.
 
 One classical RK4 step of size h is exactly the affine map z -> R(hA) z +
 h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 (RK4's stability
-function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.  The integrators form that
-propagator once and fill the state table in doubling strides, about
-log2(N) propagator products for N steps.  Two of them share this scheme:
-:func:`affine_flow`, on NumPy arrays of any dimension, serves in-process
-callers (:func:`integrate` and the Static chart flow), whose short runs it
-fills fastest; :func:`planar_flow`, on Python floats, fills the columns
-``kinorbit simulate`` prints (:func:`trajectory_rows`), so the command
-never loads NumPy.  Both equal stage-by-stage RK4 (the reference the tests
-keep) up to rounding in the last bits.  The module also provides the two exact coordinate maps that
-reproduce such brackets from a commutative phase space: a position shift
-by the dual magnetic scalar and a momentum shift by the magnetic scalar.
-NumPy is imported only inside the functions that take or return arrays.
+function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.  The one fill,
+:func:`planar_flow`, forms that propagator once and advances one step at
+a time on Python floats, adding each increment with Kahan compensation
+(Kahan, Commun. ACM 8 (1965) 40), so that N steps round near the last bit
+and not N times it.  :func:`integrate` returns the table as NumPy arrays
+for in-process callers, and :func:`trajectory_rows` as the columns
+``kinorbit simulate`` prints, so the command never loads NumPy.  Both
+equal stage-by-stage RK4 (the reference the tests keep) up to rounding in
+the last bits.  The module also provides the two exact coordinate maps
+that reproduce such brackets from a commutative phase space: a position
+shift by the dual magnetic scalar and a momentum shift by the magnetic
+scalar.  NumPy is imported only inside the functions that take or return
+arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Sequence
 
 from .algebra_core import Record
@@ -53,7 +53,6 @@ __all__ = [
     "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
     "linear_system",
-    "affine_flow",
     "planar_flow",
     "step_count",
     "integrate",
@@ -64,11 +63,12 @@ __all__ = [
 ]
 
 
-def _check_coefficients(name: str, values) -> None:
-    """CatalogError naming ``name`` unless each value is a finite int, Fraction or float."""
-    for x in values:
-        if not (math.isfinite(x) if isinstance(x, float) else isinstance(x, (int, Fraction))):
-            raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
+def _float_entry(x, name: str) -> float:
+    """The float of ``x``, a finite int, Fraction or float; :class:`CatalogError`
+    naming ``name`` otherwise."""
+    if (isinstance(x, float) and math.isfinite(x)) or isinstance(x, (int, Fraction)):
+        return float(x)
+    raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
 
 
 class QuadraticHamiltonian(Record):
@@ -76,32 +76,28 @@ class QuadraticHamiltonian(Record):
     symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
     ``constant`` c, finite ``int``, ``Fraction`` or ``float`` values kept as
     given (:class:`CatalogError` otherwise).  Only :meth:`system` and
-    :meth:`value` read H."""
+    :meth:`value` read H, through the floats of M = [[Q, g], [g', 2c]]
+    (H = (z, 1)' M (z, 1)/2) that construction converts once: each row of
+    [Q | g] as the (column, entry) pairs of its nonzero entries, and the
+    terms (i, j, w) that :meth:`value` adds, one per nonzero M_ij with
+    i <= j."""
 
     _fields = ("hessian", "gradient", "constant")
-    __slots__ = (*_fields, "_floats")
+    __slots__ = (*_fields, "_rows", "_terms")
 
     def __init__(self, hessian, gradient, constant=0) -> None:
         hessian, gradient = tuple(map(tuple, hessian)), tuple(gradient)
         n = len(gradient)
         if tuple(map(len, hessian)) != (n,) * n or tuple(zip(*hessian)) != hessian:
             raise CatalogError(f"the hessian must be a symmetric {n} x {n} matrix")
-        _check_coefficients("hamiltonian", chain(gradient, *hessian, (constant,)))
-        self._init(hessian, gradient, constant, None)
-
-    def _float_form(self) -> tuple:
-        """M = [[Q, g], [g', 2c]], so that H = (z, 1)' M (z, 1)/2, as floats
-        converted on first use: each row of [Q | g] as the (column, entry)
-        pairs of its nonzero entries, and the terms (i, j, w) that
-        :meth:`value` adds, one per nonzero M_ij with i <= j."""
-        if self._floats is None:
-            n, c = len(self.gradient), self.constant
-            rows = [[(j, float(x)) for j, x in enumerate((*row, g)) if x]
-                    for row, g in zip(self.hessian, self.gradient)]
-            terms = [(i, j, x / 2.0 if i == j else x) for i, row in enumerate(rows)
-                     for j, x in row if j >= i] + ([(n, n, float(c))] if c else [])
-            object.__setattr__(self, "_floats", (rows, terms))
-        return self._floats
+        rows = [
+            [(j, f) for j, f in enumerate([_float_entry(x, "hamiltonian") for x in (*row, g)]) if f]
+            for row, g in zip(hessian, gradient)
+        ]
+        c = _float_entry(constant, "hamiltonian")
+        terms = [(i, j, x / 2.0 if i == j else x) for i, row in enumerate(rows)
+                 for j, x in row if j >= i] + ([(n, n, c)] if c else [])
+        self._init(hessian, gradient, constant, rows, terms)
 
     def system(self, theta) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
         """A = theta Q and b = theta g of the flow dz/dt = theta grad H = A z + b
@@ -110,11 +106,11 @@ class QuadraticHamiltonian(Record):
         n = len(self.gradient)
         if tuple(map(len, theta)) != (n,) * n:
             raise ValueError(f"theta must be {n} x {n}, the size of the hessian")
-        rows = self._float_form()[0]  # Q is symmetric: rows of [Q | g] are its columns
         A, b = [], []
         for theta_row in theta:
             entries = [0.0] * (n + 1)
-            for t, row in zip(map(float, theta_row), rows):
+            # Q is symmetric: the rows of [Q | g] are its columns
+            for t, row in zip(map(float, theta_row), self._rows):
                 if t:
                     for j, x in row:
                         entries[j] += t * x
@@ -125,9 +121,9 @@ class QuadraticHamiltonian(Record):
     def value(self, z):
         """H at ``z``, n floats or n NumPy columns (H at each of their states),
         by the same float operations in the same order: with z_n = 1, from 0
-        add (w z_i) z_j for each term of :meth:`_float_form` in turn."""
+        add (w z_i) z_j for each term (i, j, w) in turn."""
         z, h = (*z, 1.0), 0.0
-        for i, j, w in self._float_form()[1]:
+        for i, j, w in self._terms:
             h = h + w * z[i] * z[j]
         return h
 
@@ -184,14 +180,17 @@ class HamiltonianSpec(Record):
         linear, quadratic = tuple(linear), tuple(quadratic)
         if (len(linear), len(quadratic)) != (2, 3):
             raise CatalogError(f"expected (a1, a2) and (k11, k12, k22), got {linear}, {quadratic}")
-        _check_coefficients("HamiltonianSpec", chain(linear, quadratic))
+        for x in (*linear, *quadratic):
+            _float_entry(x, "HamiltonianSpec")
         self._init(linear, quadratic)
 
     def hamiltonian(self, space: NCPhaseSpace2D) -> QuadraticHamiltonian:
         """This H on ``space``, over (q1, q2, p1, p2): Q = diag(K, 1/m, 1/m)
-        and g = (a1, a2, 0, 0)."""
+        and g = (a1, a2, 0, 0); a 1/m that no float holds raises
+        :class:`OverflowError` naming it."""
         (a1, a2), (k11, k12, k22) = self.linear, self.quadratic
         inv_m = 1 / space.mass
+        checked_float(inv_m, "1/mass")
         return QuadraticHamiltonian(
             ((k11, k12, 0, 0), (k12, k22, 0, 0), (0, 0, inv_m, 0), (0, 0, 0, inv_m)),
             (a1, a2, 0, 0),
@@ -202,10 +201,8 @@ def _planar(space: NCPhaseSpace2D, ham: HamiltonianSpec):
     """``ham`` on ``space`` and its :meth:`~QuadraticHamiltonian.system`, over
     the bracket matrix of the floats of G and F; a G, F or 1/mass that no
     float holds raises :class:`OverflowError` naming it."""
+    G, F = checked_float(space.G_field, "G"), checked_float(space.F_field, "F")
     hamiltonian = ham.hamiltonian(space)
-    # G, F and the 1/m of Q = diag(K, 1/m, 1/m)
-    exact = (space.G_field, space.F_field, hamiltonian.hessian[2][2])
-    G, F, _ = map(checked_float, exact, ("G", "F", "1/mass"))
     return hamiltonian, hamiltonian.system(_bracket_rows(G, F, 0.0, 1.0))
 
 
@@ -246,64 +243,83 @@ def _aborted(what: str, step: int, t: float) -> IntegrationError:
     )
 
 
-def affine_flow(
-    A: np.ndarray,
-    b: np.ndarray,
-    state0: Sequence[float],
-    t_end: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for dz/dt = A z + b from 0 to ``t_end``; returns (times, states).
+def _product(X, Y) -> list[list[float]]:
+    """The 4 x 4 matrix product X Y, each entry summed left to right.
 
-    The grid has :func:`step_count` steps and lands exactly on ``t_end``;
-    its times equal :func:`~kinorbit.timegrid.grid_times`.
-    One step is RK4's exact propagator z -> R z + c, where R = R(hA) and
-    c = h S(hA) b; the dimension is that of ``b``.  On rows (z, 1), k steps
-    add the increment P_k (z, 1), P_k = [[R^k - 1, c_k], [0, 0]], and
-    P_2k = 2 P_k + P_k P_k, so the table fills in doubling strides; a P_2k
-    that is not finite is not adopted, and the stride stops growing.  A
-    non-finite state, including one from a propagator that overflows,
-    raises :class:`IntegrationError` carrying the first step that produced
-    it.
+    Not builtin ``sum()``: from Python 3.12 it compensates float sums, and
+    the rows must not depend on the Python version.
     """
-    import numpy as np
+    columns = list(zip(*Y))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns]
+            for x0, x1, x2, x3 in X]
 
+
+def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
+    """Fixed-step RK4 for the planar system dz/dt = A z + b (4 x 4 ``A``)
+    from ``state0`` to ``t_end``, on Python floats.
+
+    Returns the state table as four ``array('d')`` columns (q1, q2, p1,
+    p2), one entry per time of :func:`~kinorbit.timegrid.grid_times` of
+    :func:`step_count` steps.  One RK4 step of size h is exactly the
+    affine map z -> R z + c with R = R(hA) and c = h S(hA) b; the fill
+    forms R - 1 and c once and advances one step at a time, adding the
+    increment (R - 1) z + c to z with Kahan compensation, so that the
+    rounding of the running sum stays near the last bit however many
+    steps it takes.  Every product is summed left to right, so the rows do
+    not depend on the Python version.  Rows are formed
+    :data:`~kinorbit.timegrid.ROW_BLOCK` at a time.  A non-finite state,
+    including one from a propagator that overflows, raises
+    :class:`IntegrationError` carrying the first step that produced it,
+    and no later block is formed.
+    """
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    n = b.size
-    states = np.empty((n_steps + 1, n + 1))
-    states[0] = [*state0, 1.0]
-    P = np.zeros((n + 1, n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = h * A
-        X2 = X @ X
-        X3 = X2 @ X
-        # R - 1 and c are small; adding the increment to z, as RK4 itself
-        # does, keeps the rounding of the 1 out of every row
-        P[:n, :n] = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
-        P[:n, n] = h * ((np.eye(n) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
-        done, k = 1, 1
-        while done <= n_steps:
-            if done == 2 * k:  # every earlier P_2k was adopted
-                doubled = P + P + P @ P
-                # an infinite P_2k would turn an unexcited mode (0 * inf) to nan
-                if np.isfinite(doubled).all():
-                    P, k = doubled, done
-            # rows [done - k, done) advance k steps, as far as the table goes
-            base = states[done - k : min(done, n_steps + 1 - k)]
-            rows = states[done : done + len(base)] = base + base @ P.T
-            done += len(base)
-            # a stride that stopped growing meets a blow-up row by row; a
-            # non-finite row makes every later one non-finite
-            if done > 2 * k and not np.isfinite(rows).all():
-                break
-    states = states[:done, :n]
-    finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite)) + 1
-        raise _aborted("state", step, times[step])
-    return times, states
+    X = [[h * float(x) for x in row] for row in A]
+    X2 = _product(X, X)
+    X3 = _product(X2, X)
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
+        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
+        for rows in zip(X, X2, X3, _product(X3, X))
+    )
+    S = (
+        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
+        for i, rows in enumerate(zip(X, X2, X3))
+    )
+    b0, b1, b2, b3 = map(float, b)
+    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3) for s0, s1, s2, s3 in S)
+    z0, z1, z2, z3 = map(float, state0)
+    e0 = e1 = e2 = e3 = 0.0  # what each running sum has lost to rounding
+    states = [array("d", [z]) for z in (z0, z1, z2, z3)]
+    for start in range(1, n_steps + 1, ROW_BLOCK):
+        q1, q2, p1, p2 = block = [], [], [], []
+        for _ in range(min(ROW_BLOCK, n_steps + 1 - start)):
+            d0 = z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0 - e0
+            d1 = z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1 - e1
+            d2 = z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2 - e2
+            d3 = z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3 - e3
+            t0, t1, t2, t3 = z0 + d0, z1 + d1, z2 + d2, z3 + d3
+            e0, e1, e2, e3 = t0 - z0 - d0, t1 - z1 - d1, t2 - z2 - d2, t3 - z3 - d3
+            z0, z1, z2, z3 = t0, t1, t2, t3
+            q1.append(z0)
+            q2.append(z1)
+            p1.append(z2)
+            p2.append(z3)
+        for column, rows in zip(states, block):
+            column.extend(rows)
+        # a non-finite entry stays non-finite, so the block's last row shows one
+        if not all(map(math.isfinite, (z0, z1, z2, z3))):
+            bad = (first_non_finite(column[start:]) for column in states)
+            step = start + min(index for index in bad if index is not None)
+            raise _aborted("state", step, grid_times(t_end, n_steps)[step])
+    return states
+
+
+def _flow(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0, t_end: float, dt: float):
+    """``ham`` on ``space`` and :func:`planar_flow` of its system from ``state0``."""
+    if len(state0) != 4:
+        raise ValueError("state must be (q1, q2, p1, p2)")
+    hamiltonian, system = _planar(space, ham)
+    return hamiltonian, planar_flow(*system, state0, t_end, dt)
 
 
 def integrate(
@@ -315,8 +331,9 @@ def integrate(
 ) -> NCTrajectory:
     """Integrate the modified Hamilton equations with fixed-step RK4.
 
-    The states are :func:`affine_flow` of the affine system
-    :func:`linear_system`; the energies are
+    The states are :func:`planar_flow` of the affine system
+    :func:`linear_system`, as an (n + 1) x 4 array, at the times of
+    :func:`~kinorbit.timegrid.grid_times`; the energies are
     :meth:`QuadraticHamiltonian.value` on the table's columns.
     An energy or energy drift that is not finite, though the state is,
     raises :class:`IntegrationError` carrying the first such step (0 for
@@ -324,13 +341,12 @@ def integrate(
     """
     import numpy as np
 
-    if len(state0) != 4:
-        raise ValueError("state must be (q1, q2, p1, p2)")
-    hamiltonian, (A, b) = _planar(space, ham)
+    hamiltonian, columns = _flow(space, ham, state0, t_end, dt)
+    table = np.array(columns)
+    states = table.T
+    times = np.array(grid_times(t_end, len(states) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        # an A that overflows makes step 1 non-finite, which affine_flow reports
-        times, states = affine_flow(np.array(A), np.array(b), state0, t_end, dt)
-        energies = hamiltonian.value(states.T)
+        energies = hamiltonian.value(table)
         drift = energies - energies[0]
     # a non-finite energy makes its drift non-finite; so can two finite
     # energies of opposite sign near the float limit
@@ -346,89 +362,6 @@ def integrate(
     )
 
 
-def _dot(u, v) -> float:
-    """u . v of two 4-vectors, summed left to right.
-
-    Not builtin ``sum()``: from Python 3.12 it compensates float sums, and
-    the rows must not depend on the Python version.
-    """
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-
-
-def _product(X, Y) -> list[list[float]]:
-    """The 4 x 4 matrix product X Y."""
-    return [[_dot(row, column) for column in zip(*Y)] for row in X]
-
-
-def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
-    """:func:`affine_flow` of a planar system (4 x 4 ``A``) on Python floats.
-
-    Returns the state table as four ``array('d')`` columns (q1, q2, p1,
-    p2), one entry per grid time.  The grid, the propagator R - 1 and c,
-    the doubling P_2k = 2 P_k + P_k P_k, the refusal of a P_2k that is not
-    finite and the :class:`IntegrationError` at the first non-finite step
-    are those of :func:`affine_flow`; its products are summed left to
-    right instead of by BLAS, so the rows differ from it in the last bits
-    and do not depend on the BLAS build.  Rows are formed
-    :data:`~kinorbit.timegrid.ROW_BLOCK` at a time.
-    """
-    n_steps = step_count(t_end, dt)
-    h = t_end / n_steps
-    X = [[h * float(x) for x in row] for row in A]
-    X2 = _product(X, X)
-    X3 = _product(X2, X)
-    X4 = _product(X3, X)
-    # R - 1 and c = h S(hA) b, in affine_flow's order of operations
-    M = [
-        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
-        for rows in zip(X, X2, X3, X4)
-    ]
-    S = [
-        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
-        for i, rows in enumerate(zip(X, X2, X3))
-    ]
-    b = [float(v) for v in b]
-    c = [h * _dot(row, b) for row in S]
-    states = [array("d", [float(v)]) for v in state0]
-    done, k = 1, 1
-    while done <= n_steps:
-        if done == 2 * k:  # every earlier P_2k was adopted
-            doubled = [[x + x + y for x, y in zip(*rows)] for rows in zip(M, _product(M, M))]
-            c_doubled = [x + x + _dot(row, c) for x, row in zip(c, M)]
-            if all(map(math.isfinite, chain(*doubled, c_doubled))):
-                M, c, k = doubled, c_doubled, done
-        (m00, m01, m02, m03), (m10, m11, m12, m13) = M[:2]
-        (m20, m21, m22, m23), (m30, m31, m32, m33) = M[2:]
-        c0, c1, c2, c3 = c
-        # rows [done - k, stop) advance k steps: z + ((R^k - 1) z + c_k)
-        stop = min(done, n_steps + 1 - k)
-        for start in range(done - k, stop, ROW_BLOCK):
-            base = (column[start : min(start + ROW_BLOCK, stop)] for column in states)
-            rows = [
-                (
-                    z0 + (z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0),
-                    z1 + (z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1),
-                    z2 + (z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2),
-                    z3 + (z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3),
-                )
-                for z0, z1, z2, z3 in zip(*base)
-            ]
-            for column, values in zip(states, zip(*rows)):
-                column.extend(values)
-        first_new, done = done, stop + k
-        # a stride that stopped growing meets a blow-up row by row
-        if done > 2 * k and not all(
-            map(math.isfinite, chain.from_iterable(col[first_new:] for col in states))
-        ):
-            break
-    bad = [first_non_finite(islice(column, 1, None)) for column in states]
-    bad = [index for index in bad if index is not None]
-    if bad:
-        step = min(bad) + 1
-        raise _aborted("state", step, grid_times(t_end, n_steps)[step])
-    return states
-
-
 def trajectory_rows(
     space: NCPhaseSpace2D,
     ham: HamiltonianSpec,
@@ -440,17 +373,13 @@ def trajectory_rows(
 
     Returns the ``array('d')`` columns t, q1, q2, p1, p2, H and drift, one
     entry per time of :func:`~kinorbit.timegrid.grid_times`.  The states
-    are :func:`planar_flow` of the affine system, so they equal
-    :func:`integrate`'s up to rounding in the last bits; the energies are
+    are :func:`planar_flow`'s, as in :func:`integrate`; the energies are
     :meth:`QuadraticHamiltonian.value` of each state, so they equal
-    :func:`integrate`'s on the same states bit for bit.  An energy or
-    energy drift that is not finite raises :class:`IntegrationError`
-    carrying the first such step, as in :func:`integrate`.
+    :func:`integrate`'s bit for bit.  An energy or energy drift that is
+    not finite raises :class:`IntegrationError` carrying the first such
+    step, as in :func:`integrate`.
     """
-    if len(state0) != 4:
-        raise ValueError("state must be (q1, q2, p1, p2)")
-    hamiltonian, system = _planar(space, ham)
-    states = planar_flow(*system, state0, t_end, dt)
+    hamiltonian, states = _flow(space, ham, state0, t_end, dt)
     energies = array("d", map(hamiltonian.value, zip(*states)))
     drift = array("d", map(energies[0].__rsub__, energies))  # each h - h[0]
     times = grid_times(t_end, len(energies) - 1)

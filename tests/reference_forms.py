@@ -6,8 +6,9 @@ package output against these fixtures entrywise and exactly.  The module
 also holds the dense and float references the package's kernels are
 tested against: :func:`dense`, the one conversion of an exact matrix to a
 NumPy object array, the dense structure tensor, a central-difference
-gradient, the planar affine system written out entry by entry, and
-stage-by-stage RK4 on the Hamilton equations.
+gradient, the planar affine system written out entry by entry,
+stage-by-stage RK4 on the Hamilton equations, and RK4's one-step
+propagator iterated with compensated sums on NumPy arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinorbit.rational_linalg import RatMatrix, rat
+from kinorbit.timegrid import IntegrationError, step_count
 
 
 def dense(entries) -> np.ndarray:
@@ -525,3 +527,39 @@ def rk4_step(
     k3 = rhs(t + dt / 2.0, state + dt / 2.0 * k2)
     k4 = rhs(t + dt, state + dt * k3)
     return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def increment_loop(A, b, state0, t_end, dt) -> tuple[np.ndarray, np.ndarray]:
+    """RK4's one-step propagator on NumPy arrays of any dimension, one step
+    at a time: (times, states) of dz/dt = A z + b from ``state0``.
+
+    The grid is that of ``step_count`` on [0, t_end].  Each step adds the
+    increment (R - 1) z + c of the propagator z -> R z + c, R = R(hA) and
+    c = h S(hA) b, to z.  The increments are summed with Kahan
+    compensation, so the loop's own rounding stays near the last bit
+    however many steps it takes (uncompensated, it reaches 2-4e-13 of a
+    column's largest value on the Static chart flow at 10^4 steps).  A
+    non-finite state raises IntegrationError carrying the first step that
+    produced it.
+    """
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    states = np.empty((n_steps + 1, b.size))
+    z = states[0] = np.asarray(state0, dtype=float)
+    carry = np.zeros(b.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = h * A
+        X2 = X @ X
+        X3 = X2 @ X
+        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
+        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
+        for i in range(1, n_steps + 1):
+            increment = (R_minus_1 @ z + c) - carry
+            total = z + increment
+            carry = (total - z) - increment
+            z = states[i] = total
+            if not np.isfinite(z).all():
+                raise IntegrationError(f"non-finite state at step {i}", i)
+    return times, states

@@ -50,7 +50,6 @@ from kinorbit.static_group import (
     static_symplectic,
     time_evolution,
 )
-from kinorbit.mechanics import affine_flow
 
 _ORBIT_FAMILIES = ("G", "G'+", "G'-", "S", "C", "NH+", "NH-")
 
@@ -386,9 +385,8 @@ def test_c8_group_law_action_and_invariants() -> None:
     t_end = 3.0
     evolved = time_evolution(st, t_end)
     theta = static_symplectic(constants).canonical_theta
-    _, states = affine_flow(
-        *map(np.array, evolution_hamiltonian(constants).system(theta)),
-        st.chart_vector, t_end=t_end, dt=1e-2,
+    _, states = rf.increment_loop(
+        *evolution_hamiltonian(constants).system(theta), st.chart_vector, t_end=t_end, dt=1e-2,
     )
     ok = ok and float(np.max(np.abs(states[-1] - evolved.chart_vector))) <= 1e-10
     _report(

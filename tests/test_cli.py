@@ -310,6 +310,17 @@ def test_simulate_sources_fields_from_an_orbit(capsys) -> None:
     assert out.splitlines()[0] == "t,q1,q2,p1,p2,H,drift"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="simulate keeps only the orbit's G, F and m and fixes {q_i, p_i} = +1, "
+    "so at the defaults G = F = -1 it refuses the S chart, whose cross bracket "
+    "{q_i, p_i} = -2 keeps it nondegenerate",
+)
+def test_simulate_on_the_static_orbit_runs_its_chart(capsys) -> None:
+    code, _, _ = _run(capsys, ["simulate", "--algebra", "S", "--t-end", "0.1", "--dt", "0.05"])
+    assert code == 0
+
+
 def test_realize_headers_and_invariant_columns(capsys) -> None:
     code, out, _ = _run(capsys, ["realize", "--t-end", "1.0", "--dt", "0.25"])
     assert code == 0

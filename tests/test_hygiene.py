@@ -9,7 +9,8 @@ when they load, and the float layer does not import NumPy when it loads;
 only function bodies may.  No module imports ``dataclasses``, and the
 CLI and the Static group load the layers only some commands run
 (``coadjoint``, ``configparser``, ``json``) inside the functions that
-use them.  The CLI reads a run's parameter texts only in its table parser.
+use them.  The CLI reads a run's parameter texts only in its table parser,
+and the modules that form float rows call no builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -182,3 +183,16 @@ def test_the_cli_reads_parameters_only_in_its_table_parser() -> None:
     outside = [node.lineno for node in _raw_param_reads(tree) if id(node) not in inside]
     assert outside == []
     assert [node for parser in parsers for node in _raw_param_reads(parser)]
+
+
+@pytest.mark.parametrize("stem", ("mechanics", "static_group", "timegrid"))
+def test_the_float_rows_call_no_builtin_sum(stem: str) -> None:
+    # from Python 3.12 sum() compensates float sums, and the pinned digests
+    # of the float commands must not depend on the Python version
+    tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

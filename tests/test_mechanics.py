@@ -19,7 +19,6 @@ from kinorbit.mechanics import (
     IntegrationError,
     NCPhaseSpace2D,
     QuadraticHamiltonian,
-    affine_flow,
     bracket_pushforward,
     integrate,
     linear_system,
@@ -30,12 +29,18 @@ from kinorbit.mechanics import (
     trajectory_rows,
 )
 from kinorbit.rational_linalg import RatMatrix
-from kinorbit.static_group import StaticConstants, evolution_hamiltonian, static_symplectic
+from kinorbit.static_group import (
+    StaticConstants,
+    StaticOrbitState,
+    evolution_hamiltonian,
+    static_symplectic,
+    time_evolution,
+)
 from kinorbit.timegrid import grid_times
 
 
 def _stagewise_rk4(space, ham, state0, t_end, dt):
-    """rk4_step on hamilton_rhs over affine_flow's grid: (times, states).
+    """rk4_step on hamilton_rhs over the step_count grid: (times, states).
 
     The stage-by-stage reference; a non-finite state raises
     IntegrationError carrying the first step that produced it.
@@ -52,48 +57,6 @@ def _stagewise_rk4(space, ham, state0, t_end, dt):
     return times, np.array(states)
 
 
-def _increment_loop(A, b, state0, t_end, dt):
-    """affine_flow one step at a time: (times, states).
-
-    Each step adds the increment (R - 1) z + c of RK4's one-step
-    propagator to z.  The increments are summed with Kahan compensation,
-    so the loop's own rounding stays near the last bit however many steps
-    it takes (uncompensated, it reaches 2-4e-13 of a column's largest
-    value on the Static chart flow at 10^4 steps).  A non-finite state
-    raises IntegrationError carrying the first step that produced it.
-    """
-    n_steps = step_count(t_end, dt)
-    h = t_end / n_steps
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, b.size))
-    z = states[0] = np.asarray(state0, dtype=float)
-    carry = np.zeros(b.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = h * A
-        X2 = X @ X
-        X3 = X2 @ X
-        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
-        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
-        for i in range(1, n_steps + 1):
-            increment = (R_minus_1 @ z + c) - carry
-            total = z + increment
-            carry = (total - z) - increment
-            z = states[i] = total
-            if not np.isfinite(z).all():
-                raise IntegrationError(f"non-finite state at step {i}", i)
-    return times, states
-
-
-def _numpy_states(A, b, state0, t_end, dt):
-    """affine_flow's state table."""
-    return affine_flow(A, b, state0, t_end, dt)[1]
-
-
-def _float_states(A, b, state0, t_end, dt):
-    """planar_flow's state columns as affine_flow's (n, 4) table."""
-    return np.column_stack(planar_flow(A, b, state0, t_end, dt))
-
-
 def _numpy_rows(space, ham, state0, t_end, dt):
     """integrate's (times, states, energies)."""
     trajectory = integrate(space, ham, state0, t_end, dt)
@@ -107,10 +70,15 @@ def _float_rows(space, ham, state0, t_end, dt):
     return np.array(columns["t"]), states, np.array(columns["H"])
 
 
-# The two row fills of a planar trajectory, each as (states of an affine
-# system, whole trajectory): NumPy for in-process callers, Python floats
-# for the CLI.  The tests that loop over them hold both to one standard.
-_FILLS = ((_numpy_states, _numpy_rows), (_float_states, _float_rows))
+def _flow_states(A, b, state0, t_end, dt):
+    """planar_flow's state columns as an (n, 4) table."""
+    return np.column_stack(planar_flow(A, b, state0, t_end, dt))
+
+
+# The two front ends of the one planar fill: NumPy arrays for in-process
+# callers, Python float columns for the CLI.  The tests that loop over
+# them hold both to one standard.
+_FILLS = (_numpy_rows, _float_rows)
 
 
 def test_theta_and_omega_are_exact_inverses() -> None:
@@ -215,25 +183,30 @@ def test_rk4_step_fourth_order() -> None:
 
 
 @pytest.mark.parametrize("t_end, dt", [(0.7, 0.01), (3.7, 0.07), (10.0, 0.001)])
-def test_affine_flow_times_are_the_shared_grid(t_end, dt) -> None:
-    # np.linspace and grid_times form the same i*h and end on t_end exactly
-    times, _ = affine_flow(np.array([[0.0]]), np.array([1.0]), [0.0], t_end=t_end, dt=dt)
+def test_integrate_times_are_the_shared_grid(t_end, dt) -> None:
+    # both front ends print grid_times: i*h, ending on t_end exactly
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     grid = np.array(grid_times(t_end, step_count(t_end, dt)))
-    assert times.tobytes() == grid.tobytes()
-    assert times[-1] == t_end
+    for fill in _FILLS:
+        times, _, _ = fill(space, HamiltonianSpec(), [0.0, 0.0, 1.0, 0.0], t_end, dt)
+        assert times.tobytes() == grid.tobytes(), fill.__name__
+        assert times[-1] == t_end
 
 
-def test_affine_flow_grid_and_failure() -> None:
-    times, states = affine_flow(
-        np.array([[-1.0]]), np.array([0.0]), [2.0], t_end=1.0, dt=0.25
+def test_planar_flow_grid_and_failure() -> None:
+    decay = [[-float(i == j) for j in range(4)] for i in range(4)]
+    state0 = [2.0, -1.0, 0.5, 0.0]
+    columns = planar_flow(decay, [0.0] * 4, state0, t_end=1.0, dt=0.25)
+    assert [len(column) for column in columns] == [5] * 4
+    assert [column[-1] for column in columns] == pytest.approx(
+        [z * math.exp(-1.0) for z in state0], abs=1e-4
     )
-    assert len(times) == 5
-    assert times[-1] == pytest.approx(1.0)
-    assert states[-1][0] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-4)
+    assert columns[3].tolist() == [0.0] * 5
 
     with pytest.raises(IntegrationError) as err:
-        affine_flow(np.array([[0.0]]), np.array([math.inf]), [1.0], t_end=1.0, dt=0.5)
+        planar_flow([[0.0] * 4] * 4, [math.inf, 0.0, 0.0, 0.0], [1.0] * 4, t_end=1.0, dt=0.5)
     assert err.value.step == 1
+    assert "at step 1 (t = 0.5)" in str(err.value)
 
 
 def test_integrate_matches_stagewise_rk4() -> None:
@@ -250,7 +223,7 @@ def test_integrate_matches_stagewise_rk4() -> None:
         state0 = [rng.uniform(-1, 1) for _ in range(4)]
         times, states = _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.01)
         scale = np.max(np.abs(states), axis=0)
-        for _, fill in _FILLS:
+        for fill in _FILLS:
             fill_times, fill_states, energies = fill(space, ham, state0, t_end=10.0, dt=0.01)
             assert fill_states.shape == (1001, 4)
             assert np.array_equal(fill_times, times)
@@ -260,11 +233,11 @@ def test_integrate_matches_stagewise_rk4() -> None:
             assert np.array_equal(energies, per_state), fill.__name__
 
 
-def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
-    # the doubling strides reorder the rounding; 10^4 steps apart, every
-    # state stays within 1e-13 of its column's largest value
+def test_planar_flow_matches_the_increment_loop_over_many_steps() -> None:
+    # the fill and the NumPy reference sum each product in their own order;
+    # 10^4 steps apart, every state stays within 1e-13 of its column's
+    # largest value
     rng = random.Random(1414)
-    systems = []
     for G, F in ((Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(1, 3)),
                  (Fraction(2, 3), Fraction(-3, 2))):
         space = NCPhaseSpace2D(G_field=G, F_field=F, mass=Fraction(3, 2))
@@ -272,31 +245,55 @@ def test_affine_flow_matches_the_increment_loop_over_many_steps() -> None:
             linear=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             quadratic=(rng.uniform(0.5, 3), rng.uniform(-0.4, 0.4), rng.uniform(-3, 3)),
         )
-        systems.append(linear_system(space, ham))
+        A, b = linear_system(space, ham)
+        state0 = [rng.uniform(-1, 1) for _ in range(4)]
+        _, ref = rf.increment_loop(A, b, state0, t_end=100.0, dt=0.01)
+        states = _flow_states(A, b, state0, 100.0, 0.01)
+        assert states.shape == (10_001, 4)
+        assert np.array_equal(states[0], ref[0])
+        assert np.all(np.abs(states - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
+
+
+def test_the_increment_loop_follows_the_static_chart_flow_over_many_steps() -> None:
+    # the Static chart flow is linear in t; the compensated reference stays
+    # within 1e-13 of each column's largest value of the closed form
+    rng = random.Random(1515)
     for mu, beta, kappa in ((2, 1, 1), (Fraction(5, 2), Fraction(-1, 3), Fraction(7, 4))):
         constants = StaticConstants(m=Fraction(3, 2), mu=mu, beta=beta, kappa=kappa)
         system = evolution_hamiltonian(constants).system(
             static_symplectic(constants).canonical_theta
         )
-        systems.append(tuple(map(np.array, system)))
-    for A, b in systems:
-        state0 = [rng.uniform(-1, 1) for _ in range(b.size)]
-        times, states = affine_flow(A, b, state0, t_end=100.0, dt=0.01)
-        ref_times, ref = _increment_loop(A, b, state0, t_end=100.0, dt=0.01)
-        assert np.array_equal(times, ref_times)
-        scale = np.max(np.abs(ref), axis=0)
-        tables = [states]
-        if b.size == 4:  # planar_flow fills the planar tables on Python floats
-            tables.append(_float_states(A, b, state0, 100.0, 0.01))
-        for states in tables:
-            assert states.shape == (10_001, b.size)
-            assert np.array_equal(states[0], ref[0])
-            assert np.all(np.abs(states - ref) <= 1e-13 * scale)
+        state = StaticOrbitState(
+            constants=constants,
+            **{field: (rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for field in ("position", "velocity", "momentum", "boost_momentum")},
+        )
+        times, states = rf.increment_loop(*system, state.chart_vector, t_end=100.0, dt=0.01)
+        assert states.shape == (10_001, 8)
+        closed = np.array([time_evolution(state, t).chart_vector for t in times[::100]])
+        scale = np.max(np.abs(closed), axis=0)
+        assert np.all(np.abs(states[::100] - closed) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize(
+    "linear", [(0.0, 0.0), (0.5, -1.0)], ids=["free-particle", "constant-force"]
+)
+def test_compensation_keeps_a_long_drift_at_the_last_bit(linear) -> None:
+    # 10^5 steps of a drift that only grows: summed without compensation,
+    # the fill strays up to 7.7e-13 of a column's largest value from a
+    # long-double iteration of the same map, on both flows
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    A, b = linear_system(space, HamiltonianSpec(linear=linear))
+    state0 = [0.0, 0.0, 1.0, 0.0]
+    _, ref = rf.increment_loop(A, b, state0, t_end=1000.0, dt=0.01)
+    states = _flow_states(A, b, state0, 1000.0, 0.01)
+    assert states.shape == (100_001, 4)
+    assert np.all(np.abs(states - ref) <= 2e-15 * np.max(np.abs(ref), axis=0))
 
 
 def test_an_unexcited_repulsive_mode_stays_exactly_zero(capsys) -> None:
-    # q2 = p2 = 0 on the repulsive k22 = -100 grows like exp(10 t) and would
-    # overflow a propagator of 2^13 steps; 0 times an infinite entry is nan
+    # q2 = p2 = 0 on the repulsive k22 = -100: excited, the mode would grow
+    # like exp(10 t) past the float range, and 0 times inf is nan
     code = main(["simulate", "--param", "k22=-100", "--t-end", "100"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -306,7 +303,7 @@ def test_an_unexcited_repulsive_mode_stays_exactly_zero(capsys) -> None:
     assert all(row[2] == row[4] == "0" for row in rows)
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     ham = HamiltonianSpec(quadratic=(0.0, 0.0, -100.0))
-    for _, fill in _FILLS:
+    for fill in _FILLS:
         _, states, _ = fill(space, ham, [0.0, 0.0, 1.0, 0.0], t_end=100.0, dt=0.01)
         assert {repr(v) for v in states[:, [1, 3]].ravel().tolist()} == {"0.0"}, fill.__name__
 
@@ -343,9 +340,7 @@ def test_a_blow_up_fails_at_the_increment_loops_step(
             return exc.step
         return None
 
-    reference = failing_step(_increment_loop)
-    for flow, _ in _FILLS:
-        assert failing_step(flow) == reference, flow.__name__
+    assert failing_step(planar_flow) == failing_step(rf.increment_loop)
 
 
 def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
@@ -357,7 +352,7 @@ def test_integrate_fails_at_the_same_step_as_stagewise_rk4() -> None:
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as ref:
         _stagewise_rk4(space, ham, state0, t_end=10.0, dt=0.1)
     assert ref.value.step == 8
-    for _, fill in _FILLS:
+    for fill in _FILLS:
         with pytest.raises(IntegrationError) as fast:
             fill(space, ham, state0, t_end=10.0, dt=0.1)
         assert fast.value.step == 8, fill.__name__
@@ -368,7 +363,7 @@ def test_an_overflowing_propagator_fails_at_step_one() -> None:
     # h*A overflows, so R - 1 and c are not finite and neither is step 1
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     ham = HamiltonianSpec(quadratic=(1e300, 0.0, 1e300))
-    for _, fill in _FILLS:
+    for fill in _FILLS:
         with pytest.raises(IntegrationError) as err:
             fill(space, ham, [1e10, 0.0, 0.0, 0.0], t_end=1e300, dt=1e295)
         assert err.value.step == 1, fill.__name__
@@ -387,9 +382,9 @@ def test_an_overflowing_propagator_fails_at_step_one() -> None:
 def test_an_overflowing_energy_fails_at_its_step(state0, k11, step) -> None:
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     ham = HamiltonianSpec(quadratic=(k11, 0.0, 0.0))
-    for flow, fill in _FILLS:
-        states = flow(*linear_system(space, ham), state0, t_end=10.0, dt=1.0)
-        assert np.isfinite(states).all(), flow.__name__
+    states = _flow_states(*linear_system(space, ham), state0, t_end=10.0, dt=1.0)
+    assert np.isfinite(states).all()
+    for fill in _FILLS:
         with pytest.raises(IntegrationError) as err:
             fill(space, ham, state0, t_end=10.0, dt=1.0)
         assert err.value.step == step, fill.__name__
@@ -477,7 +472,7 @@ def test_fraction_coefficients_run_as_their_floats() -> None:
     floats = HamiltonianSpec(linear, quadratic)
     exact = HamiltonianSpec(tuple(map(Fraction, linear)), tuple(map(Fraction, quadratic)))
     state0 = [0.2, -0.4, 1.0, 0.5]
-    for _, fill in _FILLS:
+    for fill in _FILLS:
         ref_times, ref_states, ref_energies = fill(space, floats, state0, t_end=2.0, dt=0.01)
         times, states, energies = fill(space, exact, state0, t_end=2.0, dt=0.01)
         assert times.tobytes() == ref_times.tobytes(), fill.__name__

@@ -52,6 +52,7 @@ from kinorbit.static_group import (
     StaticGroupElement,
     StaticOrbitState,
     compose,
+    evolution_hamiltonian,
     evolution_rows,
     identity_element,
     inverse,
@@ -207,6 +208,27 @@ def test_static_canonical_theta_equals_the_dense_congruence(m, mu, beta, kappa, 
     assume(mu * kappa != beta * beta)
     structure = static_symplectic(StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa), E, J)
     assert (rf.dense(structure.canonical_theta) == _dense_canonical_theta(structure)).all()
+
+
+@_REPEATABLE
+@given(m=_rationals, mu=_nonzero, beta=_rationals, kappa=_nonzero, E=_rationals, J=_rationals)
+def test_the_static_chart_rates_are_those_time_evolution_writes(m, mu, beta, kappa, E, J) -> None:
+    # A = theta Q and b = theta g of the evolution Hamiltonian, exactly: only
+    # p' = -kappa_e q and k' = mu_e u, the rates time_evolution and
+    # evolution_rows write by hand
+    assume(mu * kappa != beta * beta)
+    constants = StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa)
+    hamiltonian = evolution_hamiltonian(constants)
+    theta = static_symplectic(constants, E, J).canonical_theta
+    A = theta @ RatMatrix(hamiltonian.hessian)
+    b = theta @ RatMatrix([[g] for g in hamiltonian.gradient])
+    # chart order (q1, q2, u1, u2, p1, p2, k1, k2)
+    rates = {(4, 0): -constants.kappa_e, (5, 1): -constants.kappa_e,
+             (6, 2): constants.mu_e, (7, 3): constants.mu_e}
+    assert [[A[i, j] for j in range(8)] for i in range(8)] == [
+        [rates.get((i, j), 0) for j in range(8)] for i in range(8)
+    ]
+    assert [b[i, 0] for i in range(8)] == [0] * 8
 
 
 def _dense_template_deviates(structure) -> bool:

@@ -9,7 +9,6 @@ import pytest
 
 import reference_forms as rf
 from kinorbit.coadjoint import classify
-from kinorbit.mechanics import affine_flow
 from kinorbit.rational_linalg import RatMatrix, rat
 from kinorbit.static_group import (
     StaticConstants,
@@ -324,7 +323,7 @@ def test_time_evolution_closed_form_and_flows() -> None:
     # the generating Hamiltonian drives the same trajectory through RK4
     hamiltonian = evolution_hamiltonian(constants)
     system = hamiltonian.system(static_symplectic(constants).canonical_theta)
-    times, states = affine_flow(*map(np.array, system), st.chart_vector, t_end=t, dt=1e-2)
+    times, states = rf.increment_loop(*system, st.chart_vector, t_end=t, dt=1e-2)
     assert np.allclose(states[-1], evolved.chart_vector, atol=1e-10)
     # the evolution Hamiltonian is exactly conserved along the flow
     h0 = hamiltonian.value(states[0])
