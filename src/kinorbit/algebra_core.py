@@ -229,14 +229,18 @@ class StructureConstants:
         """Iterate sparse bracket data as ``((i, j), {k: C_ij^k})`` with i < j."""
         return ((pair, dict(comps)) for pair, comps in self._table.items())
 
-    def dual_pairing(self, alpha) -> dict[tuple[int, int], Fraction]:
-        """The nonzero ``alpha([e_i, e_j]) = sum_k alpha_k C_ij^k``, i < j."""
-        pairing = {}
-        for pair, comps in self._table.items():
-            value = sum((c * alpha[k] for k, c in comps.items() if alpha[k]), Fraction(0))
-            if value:
-                pairing[pair] = value
-        return pairing
+    def kirillov_rows(self, alpha, rows) -> list[dict[int, Fraction]]:
+        """The nonzero entries ``{j: K_ij}`` of the rows ``i`` in ``rows`` of the
+        Kirillov matrix ``K_ij = alpha([e_i, e_j]) = sum_k alpha_k C_ij^k``."""
+        out = []
+        for i in rows:
+            row = {}
+            for j, targets in self._adjacency[i].items():
+                terms = [alpha[k] * c for k, c in targets.items() if alpha[k]]
+                if terms and (value := sum(terms[1:], terms[0])):
+                    row[j] = value
+            out.append(row)
+        return out
 
     def element(self, coords: Mapping[str, object]) -> "AlgebraElement":
         vec = [Fraction(0)] * self.dim

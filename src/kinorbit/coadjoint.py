@@ -8,6 +8,9 @@ builds the restricted matrix ``omega``, its exact inverse ``theta``, and
 the bracket matrix of user-declared canonical coordinates, from which the
 position/momentum noncommutativity scalars ``G`` and ``F`` are read off
 and the phase-space type is classified.
+
+Each kernel forms only the Kirillov entries it reads: :func:`restrict` the
+chart's block, :func:`casimir_residual` the rows on the gradient's support.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra_core import Record, StructureConstants
 from .catalog import STANDARD_ORBIT_NAMES, CatalogError, KinematicalParams, build
-from .rational_linalg import RatMatrix, SingularMatrixError, rat, rat_inv
+from .rational_linalg import _ZERO, RatMatrix, SingularMatrixError, _matrix, rat, rat_inv
 
 __all__ = [
     "DualPoint",
@@ -86,41 +89,36 @@ def _point_coords(algebra: StructureConstants, point) -> tuple[Fraction, ...]:
         if point.algebra is not algebra and point.algebra.names != algebra.names:
             raise ValueError("dual point belongs to a different algebra")
         return point.coords
-    return tuple(rat(c) for c in point)
-
-
-def _nonzeros(vector, n: int) -> list[tuple[int, Fraction]]:
-    """The nonzero entries of an ``n``-vector as exact ``(index, value)`` pairs."""
-    vector = list(vector)
-    if len(vector) != n:
-        raise ValueError(f"expected {n} entries, got {len(vector)}")
-    return [(i, rat(x)) for i, x in enumerate(vector) if x != 0]
+    coords = tuple(rat(c) for c in point)
+    if len(coords) != algebra.dim:
+        raise ValueError(f"expected {algebra.dim} dual coordinates, got {len(coords)}")
+    return coords
 
 
 def kirillov_matrix(algebra: StructureConstants, point) -> RatMatrix:
     """Exact pairing matrix K_ij = sum_k alpha_k C_ij^k."""
     n = algebra.dim
-    K = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
-        K[i][j] = value
-        K[j][i] = -value
-    return RatMatrix(K)
+    rows = algebra.kirillov_rows(_point_coords(algebra, point), range(n))
+    return _matrix([row.get(j, _ZERO) for j in range(n)] for row in rows)
 
 
 def casimir_residual(algebra: StructureConstants, point, grad) -> tuple[Fraction, ...]:
     """The exact vector K(alpha) . grad; it vanishes identically for a Casimir.
 
-    Only the nonzero entries of K and of ``grad`` are multiplied.  Float
-    gradient entries are converted exactly, by their binary expansion.
+    Only the rows of K on the support of ``grad`` are formed, and
+    ``(K . grad)_i = -sum_j K_ji grad_j`` by antisymmetry.  Float gradient
+    entries are converted exactly, by their binary expansion.
     """
-    g = dict(_nonzeros(grad, algebra.dim))
-    residual = [Fraction(0)] * algebra.dim
-    for (i, j), value in algebra.dual_pairing(_point_coords(algebra, point)).items():
-        if j in g:
-            residual[i] += value * g[j]
-        if i in g:
-            residual[j] -= value * g[i]
-    return tuple(residual)
+    coords, grad = _point_coords(algebra, point), list(grad)
+    if len(grad) != algebra.dim:
+        raise ValueError(f"expected {algebra.dim} entries, got {len(grad)}")
+    g = [(j, rat(x)) for j, x in enumerate(grad) if x != 0]
+    residual: dict[int, Fraction] = {}
+    for (j, g_j), row in zip(g, algebra.kirillov_rows(coords, [j for j, _ in g])):
+        for i, value in row.items():
+            term = value * g_j
+            residual[i] = residual[i] - term if i in residual else -term
+    return tuple(residual.get(i, _ZERO) for i in range(algebra.dim))
 
 
 class _Dual:
@@ -244,12 +242,8 @@ class OrbitChart(Record):
             )
         inv = 1 / s
         names = position_like + momentum_like
-        jac = (
-            (inv, rat(0), rat(0), rat(0)),
-            (rat(0), inv, rat(0), rat(0)),
-            (rat(0), rat(0), rat(1), rat(0)),
-            (rat(0), rat(0), rat(0), rat(1)),
-        )
+        diagonal = (inv, inv, Fraction(1), Fraction(1))
+        jac = [[d if i == j else _ZERO for j in range(4)] for i, d in enumerate(diagonal)]
         return cls(names, ("q1", "q2", "p1", "p2"), jac)
 
 
@@ -291,15 +285,6 @@ def _bracket_scalar(chart: OrbitChart, canonical_theta, first: str, second: str)
     return Fraction(0)
 
 
-def _contract(u, matrix: RatMatrix, v) -> Fraction:
-    """``u . matrix . v`` for :func:`_nonzeros` lists ``u``, ``v``, skipping zero
-    entries of ``matrix``: two rows of a scaled permutation cost one product."""
-    return sum(
-        (x * matrix[a, b] * y for a, x in u for b, y in v if matrix[a, b]),
-        Fraction(0),
-    )
-
-
 def restrict(
     algebra: StructureConstants, point, chart: OrbitChart
 ) -> SymplecticStructure:
@@ -309,12 +294,14 @@ def restrict(
     singular (reporting its rank), since no symplectic structure exists on
     such a chart.
     """
-    K = kirillov_matrix(algebra, point)
+    coords = _point_coords(algebra, point)
     try:
         idx = [algebra.index(n) for n in chart.coordinate_names]
     except KeyError as exc:
         raise CatalogError(str(exc)) from None
-    omega = RatMatrix([K[i, j] for j in idx] for i in idx)
+    omega = _matrix(
+        [row.get(j, _ZERO) for j in idx] for row in algebra.kirillov_rows(coords, idx)
+    )
     try:
         theta = rat_inv(omega)
     except SingularMatrixError as exc:
@@ -324,9 +311,9 @@ def restrict(
             f"parameterize a symplectic leaf at this point",
             exc.rank,
         ) from None
-    jac = [_nonzeros(row, chart.dim) for row in chart.jacobian]
-    canonical_theta = RatMatrix([-_contract(u, omega, v) for v in jac] for u in jac)
-    coords = _point_coords(algebra, point)
+    # J (-omega) J^T, with -omega = omega^T as omega is antisymmetric
+    jac = chart.jacobian
+    canonical_theta = jac @ omega.T @ jac.T
     fixed = tuple(
         (name, coords[i])
         for i, name in enumerate(algebra.names)
@@ -390,8 +377,7 @@ def poisson_bracket(structure: SymplecticStructure, grad_a, grad_b):
 
     Float gradient entries are converted exactly, by their binary expansion.
     """
-    u, v = (_nonzeros(grad, structure.dim) for grad in (grad_a, grad_b))
-    return _contract(u, structure.canonical_theta, v)
+    return (RatMatrix([grad_a]) @ structure.canonical_theta @ grad_b)[0]
 
 
 class MagneticCouplings(Record):

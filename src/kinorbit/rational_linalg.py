@@ -6,12 +6,10 @@ exact and a built matrix can be shared safely.  It indexes by pairs
 (``m[i, j]``; ``m[i]`` is row ``i``), reports its ``shape``, multiplies
 with ``@`` by a matrix or a vector, and transposes with ``T``.  Only the
 small amount of linear algebra the rest of the package needs lives here:
-that type, Gauss-Jordan inversion with pivot search, rank, and a checked
-float conversion.  The matrices are at most 14x14 and mostly zero
-(restricted pairing matrices, chart Jacobians), so products and the
-elimination multiply only nonzero entries, as the other exact kernels of
-the package walk only nonzero structure constants, coordinates and
-Jacobian entries.
+that type, inversion and rank by one fraction-free elimination on sparse
+integer rows, and a checked float conversion.  The matrices are at most
+14x14 and mostly zero (restricted pairing matrices, chart Jacobians), so a
+product multiplies only pairs of nonzero entries.
 """
 
 from __future__ import annotations
@@ -49,6 +47,9 @@ def rat(value) -> Fraction:
     if isinstance(value, (Rational, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+_ZERO = Fraction(0)
 
 
 def _matrix(rows) -> "RatMatrix":
@@ -92,30 +93,23 @@ class RatMatrix(tuple):
     def __matmul__(self, other):
         """The product with a :class:`RatMatrix` (a matrix), or with a
         sequence of numbers (a vector, coerced by :func:`rat`; the product
-        is a tuple).  Zero entries of either factor are skipped."""
+        is a tuple).  Only pairs of nonzero entries are multiplied, and an
+        entry that no such pair reaches is the shared zero."""
         if not isinstance(other, RatMatrix):
-            vector = [rat(x) for x in other]
-            self._check_inner(len(vector))
-            return tuple(
-                sum((a * x for a, x in zip(row, vector) if a and x), Fraction(0))
-                for row in self
-            )
-        self._check_inner(len(other))
+            return tuple(entry for entry, in self @ _matrix([rat(x)] for x in other))
+        if self.shape[1] != len(other):
+            raise ValueError(f"cannot multiply a {self.shape} matrix by {len(other)} rows")
         n_cols = other.shape[1]
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other]
         product = []
         for row in self:
-            acc = [Fraction(0)] * n_cols
-            for a, other_row in zip(row, other):
+            acc: dict[int, Fraction] = {}
+            for a, other_row in zip(row, sparse):
                 if a:
-                    for j, b in enumerate(other_row):
-                        if b:
-                            acc[j] += a * b
-            product.append(acc)
+                    for j, b in other_row:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            product.append([acc.get(j, _ZERO) for j in range(n_cols)])
         return _matrix(product)
-
-    def _check_inner(self, n: int) -> None:
-        if self.shape[1] != n:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by {n} rows")
 
     def _refused(self, other):
         return NotImplemented
@@ -123,59 +117,72 @@ class RatMatrix(tuple):
     __add__ = __radd__ = __mul__ = __rmul__ = _refused
 
 
-def _gauss_jordan(matrix: RatMatrix) -> tuple[int, list[list[Fraction]]]:
-    """Row-reduce ``[M | I]`` over the columns of ``M``, with row-swap pivoting.
+def _eliminate(matrix: RatMatrix, augment: bool) -> tuple[int, int, list[dict[int, int]]]:
+    """Fraction-free Gauss-Jordan elimination of ``M`` (of ``[M | I]`` when
+    ``augment``) over the columns of ``M``, each row scaled by the lcm of its
+    denominators to a sparse integer row ``{column: value}``.
 
-    Returns the rank of ``M`` and the reduced augmented matrix as a list of
-    rows, whose right block is the inverse of ``M`` when ``M`` is square and
-    of full rank.  A step updates only the pivot row's nonzero columns.
+    A step with pivot ``p``, after pivot ``q`` (1 at first), replaces every
+    other row by ``(p * row - row[c] * pivot_row) / q``: the entries stay
+    integer minors, so each division is exact (Bareiss, Math. Comp. 22
+    (1968) 565).  Returns the rank, the last pivot and the rows; the first
+    ``rank`` are the pivot rows, each with the last pivot on its column.
     """
     n_rows, n_cols = matrix.shape
-    work = [
-        [*row, *(Fraction(int(i == j)) for j in range(n_rows))]
-        for i, row in enumerate(matrix)
-    ]
-    rank = 0
+    rows = []
+    for i, row in enumerate(matrix):
+        scale = math.lcm(*(x.denominator for x in row if x))
+        rows.append({j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x})
+        if augment:
+            rows[i][n_cols + i] = scale
+    rank, previous = 0, 1
     for col in range(n_cols):
-        pivot_row = next(
-            (row for row in range(rank, n_rows) if work[row][col]), None
-        )
+        pivot_row = next((r for r in range(rank, n_rows) if col in rows[r]), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        work[rank] = [x / pivot if x else x for x in work[rank]]
-        support = [(c, x) for c, x in enumerate(work[rank]) if x]
-        for row in range(n_rows):
-            factor = work[row][col]
-            if row != rank and factor:
-                target = work[row]
-                for c, x in support:
-                    target[c] -= factor * x
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot_entries = rows[rank]
+        pivot = pivot_entries[col]
+        for r, target in enumerate(rows):
+            factor = target.get(col, 0)
+            if r == rank or (not factor and pivot == previous):
+                continue
+            if not factor:  # only the scale changes
+                rows[r] = {c: x * pivot // previous for c, x in target.items()}
+                continue
+            scaled = {c: x * pivot for c, x in target.items()}
+            for c, x in pivot_entries.items():  # cancels the entry at col
+                scaled[c] = scaled.get(c, 0) - factor * x
+            rows[r] = {c: x // previous for c, x in scaled.items() if x}
         rank += 1
+        previous = pivot
         if rank == n_rows:
             break
-    return rank, work
+    return rank, previous, rows
 
 
 def rat_inv(matrix: RatMatrix) -> RatMatrix:
     """Invert a square matrix of ``Fraction`` entries exactly.
 
-    Gauss-Jordan elimination of ``[M | I]``.  Raises
+    The elimination of ``[M | I]`` leaves ``[d I | d M^-1]``, and only then
+    are the inverse's entries formed as ``Fraction``.  Raises
     ``SingularMatrixError``, carrying the rank, if ``M`` is singular.
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    rank, work = _gauss_jordan(matrix)
+    rank, d, rows = _eliminate(matrix, augment=True)
     if rank < n:
         raise SingularMatrixError(f"matrix is singular (rank {rank} of {n})", rank)
-    return _matrix(row[n:] for row in work)
+    return _matrix(
+        [Fraction(x, d) if (x := row.get(j)) else _ZERO for j in range(n, 2 * n)]
+        for row in rows
+    )
 
 
 def rat_rank(matrix: RatMatrix) -> int:
-    """Exact rank via the same Gauss-Jordan reduction as :func:`rat_inv`."""
-    return _gauss_jordan(matrix)[0]
+    """Exact rank via the same fraction-free elimination as :func:`rat_inv`."""
+    return _eliminate(matrix, augment=False)[0]
 
 
 def checked_float(value, name: str) -> float:

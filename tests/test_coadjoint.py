@@ -178,6 +178,26 @@ def test_canonical_cross_brackets() -> None:
     assert isinstance(bracket, Fraction) and bracket == 1
 
 
+@pytest.mark.parametrize("length", [6, 8])
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda alg, point: kirillov_matrix(alg, point),
+        lambda alg, point: casimir_residual(alg, point, [0] * alg.dim),
+        lambda alg, point: restrict(alg, point, OrbitChart(("K1", "K2", "P1", "P2"))),
+        lambda alg, point: standard_orbit("G").invariants[0].residual(alg, point),
+    ],
+    ids=["kirillov_matrix", "casimir_residual", "restrict", "invariant_residual"],
+)
+def test_a_raw_point_of_the_wrong_length_is_refused(entry_point, length) -> None:
+    # a short point used to fail with a bare IndexError, and restrict used to
+    # drop the coordinates of a long one
+    alg = build("G", "central_ext")
+    point = [Fraction(1)] * length
+    with pytest.raises(ValueError, match=f"expected 7 dual coordinates, got {length}"):
+        entry_point(alg, point)
+
+
 def test_degenerate_charts_report_rank() -> None:
     # flat massless chart: only the charge pairing survives -> rank 2
     alg = build("G", "central_ext")

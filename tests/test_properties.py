@@ -78,6 +78,8 @@ _rationals = _fractions(st.integers(-9, 9))
 _nonzero = _fractions(st.integers(-9, 9).filter(bool))
 _positive = _fractions(st.integers(1, 9))
 _dual_points = st.lists(_rationals, min_size=14, max_size=14)
+# numerators and denominators of up to 40 digits
+_large = st.builds(Fraction, st.integers(-(10**40), 10**40).filter(bool), st.integers(1, 10**40))
 # nonzero rationals over eighteen decades
 _scales = st.builds(lambda f, e: f * Fraction(10) ** e, _nonzero, st.integers(-9, 9))
 
@@ -178,6 +180,33 @@ def test_casimir_residual_equals_the_dense_product(algebra, as_float, data) -> N
     assert (rf.dense(residual) == K @ rf.dense(grad)).all()
 
 
+def _all_fractions(*matrices) -> bool:
+    return all(isinstance(x, Fraction) for matrix in matrices for row in matrix for x in row)
+
+
+@settings(_REPEATABLE, max_examples=100)
+@given(algebra=st.sampled_from(_CATALOG_ALGEBRAS), data=st.data())
+def test_restrict_is_the_dense_kirillov_block_on_any_chart(algebra, data) -> None:
+    # an ordered subset of 2-8 directions at a point with no zero coordinate;
+    # odd charts, central directions and the Casimirs make most blocks singular
+    size = data.draw(st.integers(2, min(8, algebra.dim)), label="size")
+    names = data.draw(st.permutations(algebra.names), label="order")[:size]
+    point = data.draw(st.lists(_nonzero, min_size=algebra.dim, max_size=algebra.dim), label="point")
+    K = rf.structure_tensor(algebra) @ rf.dense(point)
+    idx = [algebra.index(name) for name in names]
+    block = RatMatrix(K[np.ix_(idx, idx)].tolist())
+    chart = OrbitChart(tuple(names))
+    try:
+        structure = restrict(algebra, point, chart)
+    except DegenerateChartError as exc:
+        assert exc.rank == rat_rank(block) < size
+        return
+    assert structure.omega == block
+    assert structure.theta @ block == RatMatrix.identity(size)
+    assert (rf.dense(structure.canonical_theta) == -rf.dense(block)).all()
+    assert _all_fractions(structure.omega, structure.theta, structure.canonical_theta)
+
+
 def _dense_canonical_theta(structure) -> np.ndarray:
     jac = rf.dense(structure.chart.jacobian)
     return jac @ (-rf.dense(structure.omega)) @ jac.T
@@ -193,6 +222,7 @@ def test_canonical_theta_equals_the_dense_congruence(omega, kappa, m, h, E, data
         except DegenerateChartError:
             continue
         structure = orbit.structure
+        assert _all_fractions(structure.omega, structure.theta, structure.canonical_theta)
         dense_theta = rf.dense(structure.canonical_theta)
         assert (dense_theta == _dense_canonical_theta(structure)).all(), name
         grad_a, grad_b = (data.draw(_vectors_of(4)) for _ in range(2))
@@ -208,6 +238,7 @@ def test_static_canonical_theta_equals_the_dense_congruence(m, mu, beta, kappa, 
     assume(mu * kappa != beta * beta)
     structure = static_symplectic(StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa), E, J)
     assert (rf.dense(structure.canonical_theta) == _dense_canonical_theta(structure)).all()
+    assert _all_fractions(structure.omega, structure.theta, structure.canonical_theta)
 
 
 @_REPEATABLE
@@ -312,19 +343,24 @@ def test_the_planar_system_is_one_float_product_per_entry(G, F, m, K, a) -> None
 @st.composite
 def _rational_matrices(draw) -> RatMatrix:
     """Rational matrices up to 8x8, a third of their entries zero, mostly
-    square; some get a zero row or a row that combines two others, so that
-    they lose rank."""
+    square, some with entries of up to 40 digits over 40 digits; some get a
+    zero row or a row that combines two others, so that they lose rank, and
+    some of those get it as their first row, ahead of the pivot rows."""
     rows = draw(st.integers(1, 8))
     cols = draw(st.sampled_from((rows, rows, rows, draw(st.integers(1, 8)))))
-    entry = st.one_of(st.just(Fraction(0)), _nonzero, _nonzero)
+    nonzero = draw(st.sampled_from((_nonzero, _nonzero, _large)))
+    entry = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
     entries = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
     loss = draw(st.sampled_from(("none", "none", "zero row", "combination")))
+    k = draw(st.integers(0, rows - 1))
     if loss == "zero row":
-        entries[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+        entries[k] = [Fraction(0)] * cols
     elif loss == "combination" and rows >= 3:
-        a, b = draw(_nonzero), draw(_nonzero)
-        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(nonzero), draw(nonzero)
+        i, j = draw(st.permutations([r for r in range(rows) if r != k]))[:2]
         entries[k] = [a * x + b * y for x, y in zip(entries[i], entries[j])]
+    if loss != "none" and draw(st.booleans()):
+        entries.insert(0, entries.pop(k))
     return RatMatrix(entries)
 
 

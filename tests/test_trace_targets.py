@@ -44,3 +44,27 @@ def test_tracer_installs_and_uninstalls_cleanly(spans) -> None:
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_the_inversion_and_the_residuals_record_spans_in_their_layers(spans) -> None:
+    # the per-layer metrics attribute the chart's inversion to
+    # rational_linalg only while restrict calls rat_inv by its module name
+    from kinorbit import coadjoint
+
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        orbit = coadjoint.standard_orbit("G")
+        for invariant in orbit.invariants:
+            invariant.residual(orbit.algebra, orbit.point)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = {sid: name for sid, _, name, *_ in tracer.spans}
+    parents = {name: [] for name in names.values()}
+    for _, parent, name, *_ in tracer.spans:
+        parents[name].append(names.get(parent))
+    assert parents["rational_linalg.rat_inv"] == ["coadjoint.restrict"]
+    assert parents["coadjoint.restrict"] == ["coadjoint.standard_orbit"]
+    assert len(parents["coadjoint.casimir_residual"]) == len(orbit.invariants)
