@@ -6,13 +6,25 @@ generators and the antisymmetric bracket coefficients ``C[i][j][k]`` with
 values, so antisymmetry and the Jacobi identity are checked exactly rather
 than to a tolerance.
 
+Which products ``C_bc^m C_am^l`` feed which Jacobi sum depends only on the
+table's sparsity pattern: the targets of each stored pair ``i < j``, in
+table order.  :meth:`StructureConstants.jacobi_violations` reads a plan of
+those products, built once per pattern and kept in a bounded cache keyed by
+it, and sums them on the table's values scaled to integers by the lcm ``D``
+of their denominators; a nonzero sum ``s`` is the residual ``s / D**2``.
+
 :class:`Record` is the base of the package's record types: slotted
 classes whose ``__init__`` coerces and validates their fields in place.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .rational_linalg import RatMatrix, rat
@@ -124,6 +136,51 @@ def _as_label(entry) -> GeneratorLabel:
     if isinstance(entry, str):
         return GeneratorLabel(entry)
     raise TypeError(f"generator must be a name or GeneratorLabel, got {entry!r}")
+
+
+@lru_cache(maxsize=128)
+def _jacobi_plan(pattern):
+    """Which products of structure constants feed which Jacobi sum.
+
+    ``pattern`` lists each stored pair once, in table order, as
+    ``((i, j), (k, ...))``: the targets k of its nonzero ``C_ij^k``, i < j.
+    Numbering those entries in the same order gives the flat value vector.
+    The plan lists, by sorted triple ``(i, j, k)`` and then by component l,
+    ``(l, plus, minus)``: the index pairs into the value vector whose
+    products are added to or subtracted from the l component of
+    ``[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]``.
+    """
+    # outer[m]: (a, sign, {l: index of C_am^l up to sign}) for each a
+    # bracketing with m, so that C_am^l = sign * value[index]
+    outer: dict[int, list] = defaultdict(list)
+    stored, flat = [], 0
+    for (i, j), targets in pattern:
+        index = dict(zip(targets, range(flat, flat + len(targets))))
+        flat += len(targets)
+        stored.append((i, j, index))
+        outer[j].append((i, 1, index))
+        outer[i].append((j, -1, index))
+    # each product C_bc^m C_am^l is visited once, from its stored inner pair
+    # (b, c) = (i, j): (a, i, j) is a cyclic order of the sorted triple unless
+    # i < a < j, where (a, j, i) is and C_ji^m = -C_ij^m
+    sums: dict[tuple, tuple[list, list]] = {}
+    for i, j, inner in stored:
+        for m, x in inner.items():
+            for a, sign, targets in outer[m]:
+                if a == i or a == j:
+                    continue
+                if a < i:
+                    triple = (a, i, j)
+                elif a < j:
+                    triple, sign = (i, a, j), -sign
+                else:
+                    triple = (i, j, a)
+                for l, y in targets.items():
+                    sums.setdefault((triple, l), ([], []))[sign < 0].append((x, y))
+    return tuple(
+        (triple, tuple((l, *map(tuple, sums[triple, l])) for _, l in group))
+        for triple, group in groupby(sorted(sums), key=itemgetter(0))
+    )
 
 
 class StructureConstants:
@@ -283,31 +340,32 @@ class StructureConstants:
     def jacobi_violations(self) -> list[JacobiViolation]:
         """All index triples where the cyclic Jacobi sum fails, exactly.
 
-        Each nonzero product ``C_bc^m C_am^l`` is formed once, and added to the
-        sum of the triple ``{a, b, c}`` when ``(a, b, c)`` is a cyclic order.
+        The sums are read off the plan of the table's sparsity pattern
+        (:func:`_jacobi_plan`) and evaluated on the table's values scaled to
+        integers.
         """
-        adjacency = self._adjacency
-        sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for b, row in enumerate(adjacency):
-            for c, inner_targets in row.items():
-                for m, inner in inner_targets.items():
-                    for a in adjacency[m]:
-                        # (a, b, c) is a cyclic order of its sorted triple iff
-                        # a lies outside (b, c) when b < c, inside when b > c
-                        if a in (b, c) or (b < c) == (min(b, c) < a < max(b, c)):
-                            continue
-                        acc = sums.setdefault(tuple(sorted((a, b, c))), {})
-                        for l, outer in adjacency[a][m].items():
-                            acc[l] = acc.get(l, 0) + inner * outer
+        table = self._table
+        plan = _jacobi_plan(tuple((pair, tuple(entry)) for pair, entry in table.items()))
+        if not plan:
+            return []
+        values = [v for entry in table.values() for v in entry.values()]
+        scale = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        scale *= scale
         names = self.names
         violations = []
-        for triple in sorted(sums):
-            nonzero = sorted((l, v) for l, v in sums[triple].items() if v != 0)
-            if nonzero:
+        for triple, sums in plan:
+            residual = []
+            for l, plus, minus in sums:
+                total = sum([ints[x] * ints[y] for x, y in plus]) - sum(
+                    [ints[x] * ints[y] for x, y in minus]
+                )
+                if total:
+                    residual.append((names[l], Fraction(total, scale)))
+            if residual:
                 violations.append(
                     JacobiViolation(
-                        triple=tuple(names[i] for i in triple),
-                        residual=tuple((names[l], v) for l, v in nonzero),
+                        triple=tuple(names[i] for i in triple), residual=tuple(residual)
                     )
                 )
         return violations

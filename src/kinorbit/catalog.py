@@ -523,8 +523,9 @@ def _param_slots(name: str, variant: str) -> tuple[str, ...]:
     return ("omega",) if beta_sign else ()
 
 
+@cache
 def list_catalog() -> tuple[CatalogRecord, ...]:
-    """All (name, variant) combinations in fixed catalog order."""
+    """All (name, variant) combinations in fixed catalog order, built once."""
     return tuple(
         CatalogRecord(
             name=name,

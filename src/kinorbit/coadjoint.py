@@ -152,6 +152,9 @@ class _Dual:
         other = _lift(other)
         return self._combine(1, other, -1, self.value - other.value)
 
+    def __rsub__(self, other) -> "_Dual":
+        return _lift(other) - self
+
     def __neg__(self) -> "_Dual":
         return _Dual(-self.value, {k: -v for k, v in self.grad.items()})
 
@@ -171,6 +174,9 @@ class _Dual:
             quotient, {k: v / other.value for k, v in numerator.grad.items()}
         )
 
+    def __rtruediv__(self, other) -> "_Dual":
+        return _lift(other) / self
+
 
 def _lift(value) -> _Dual:
     return value if isinstance(value, _Dual) else _Dual(value, {})
@@ -180,11 +186,13 @@ def forward_mode_gradient(fn: Callable, coords: Sequence) -> list:
     """The gradient of ``fn`` at ``coords`` by forward-mode differentiation.
 
     ``fn`` takes a coordinate sequence and may use ``+ - * /`` on its
-    entries and on constants.  The partial derivatives come out in the
-    scalar type of ``coords`` (exact for ``Fraction``); a coordinate
-    ``fn`` does not depend on gets the integer 0.
+    entries and on constants.  The coordinates are seeded with the one of
+    their scalar type, so the partial derivatives come out in that type
+    (exact for ``Fraction``); a coordinate ``fn`` does not depend on gets
+    the integer 0.
     """
-    result = fn([_Dual(c, {i: 1}) for i, c in enumerate(coords)])
+    one = coords[0] ** 0 if len(coords) else 1
+    result = fn([_Dual(c, {i: one}) for i, c in enumerate(coords)])
     return [result.grad.get(i, 0) for i in range(len(coords))]
 
 

@@ -75,6 +75,16 @@ def test_catalog_has_32_entries_with_expected_dimensions() -> None:
         assert build(r.name, r.variant).dim == r.dim
 
 
+def test_the_catalog_listing_is_built_once_and_stays_immutable() -> None:
+    recs = list_catalog()
+    assert list_catalog() is recs
+    for field in ("name", "dim", "param_slots"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(recs[0], field, None)
+    # a shared record holds no mutable field
+    assert all(isinstance(r.param_slots, tuple) for r in recs)
+
+
 def test_every_catalog_algebra_is_jacobi_clean_at_random_parameters() -> None:
     rng = random.Random(20260823)
     for rec in list_catalog():

@@ -14,6 +14,7 @@ from kinorbit.coadjoint import (
     OrbitChart,
     casimir_residual,
     classify,
+    forward_mode_gradient,
     kirillov_matrix,
     magnetic_fields,
     poisson_bracket,
@@ -237,6 +238,30 @@ def test_casimir_residuals_are_exactly_zero() -> None:
                 )
                 res = inv.residual(orb.algebra, pt)
                 assert all(v == 0 for v in res), (name, inv.name)
+
+
+@pytest.mark.parametrize(
+    "fn, exact",
+    [
+        pytest.param(lambda a: 3 - a[0], lambda x, y: [-1, 0], id="int-minus"),
+        pytest.param(lambda a: 1 / a[0], lambda x, y: [-1 / x**2, 0], id="one-over"),
+        pytest.param(
+            lambda a: Fraction(1, 2) - a[0] * a[1], lambda x, y: [-y, -x], id="fraction-minus"
+        ),
+        pytest.param(lambda a: a[0] / 2, lambda x, y: [Fraction(1, 2), 0], id="over-int"),
+        pytest.param(
+            lambda a: (a[0] - 7) / (a[1] * a[1]) + 5 / (2 - a[1]),
+            lambda x, y: [1 / y**2, -2 * (x - 7) / y**3 + 5 / (2 - y) ** 2],
+            id="mixed",
+        ),
+    ],
+)
+def test_forward_mode_partials_over_fractions_are_exact_fractions(fn, exact) -> None:
+    for x, y in ((Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 13))):
+        grad = forward_mode_gradient(fn, [x, y])
+        dependent = [i for i, d in enumerate(exact(x, y)) if d != 0]
+        assert grad == exact(x, y)
+        assert all(isinstance(grad[i], Fraction) for i in dependent)
 
 
 def test_finite_difference_matches_analytic_gradient() -> None:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
 import reference_forms as rf
-from kinorbit.algebra_core import StructureConstants
+from kinorbit.algebra_core import StructureConstants, _jacobi_plan
 from kinorbit.catalog import (
     CENTRAL_EXTENSION_NAMES,
     KinematicalParams,
@@ -442,6 +442,67 @@ def test_jacobi_violations_equal_the_dense_reference(algebra, admissible) -> Non
     got = [(v.triple, v.residual) for v in algebra.jacobi_violations()]
     assert got == _dense_jacobi(algebra)
     assert bool(got) != admissible
+
+
+# nonzero numerators up to 30 digits over denominators up to 30 digits,
+# or small ones, which make some Jacobi components cancel
+_table_entries = _nonzero | st.builds(
+    Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30)
+)
+
+
+@st.composite
+def _bracket_patterns(draw) -> tuple[int, list]:
+    """A dimension 3..8 and a random sparsity pattern over it: distinct
+    pairs, each in a random orientation, with 1..dim distinct targets."""
+    dim = draw(st.integers(3, 8))
+    pairs = draw(st.lists(
+        st.sampled_from(list(combinations(range(dim), 2))), unique=True, min_size=1
+    ))
+    return dim, [
+        (pair[::-1] if draw(st.booleans()) else pair,
+         draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)))
+        for pair in pairs
+    ]
+
+
+def _filled(pattern: list, values) -> list:
+    values = iter(values)
+    return [(pair, [(k, next(values)) for k in targets]) for pair, targets in pattern]
+
+
+def _table(dim: int, entries: list) -> StructureConstants:
+    names = [f"e{i}" for i in range(dim)]
+    return StructureConstants(names, {
+        (names[a], names[b]): {names[k]: value for k, value in targets}
+        for (a, b), targets in entries
+    })
+
+
+def _violations(algebra) -> list[tuple]:
+    return [(v.triple, v.residual) for v in algebra.jacobi_violations()]
+
+
+@settings(_REPEATABLE, max_examples=100)
+@given(drawn=_bracket_patterns(), data=st.data())
+def test_jacobi_plans_equal_the_dense_sums_on_any_table(drawn, data) -> None:
+    dim, pattern = drawn
+    size = sum(len(targets) for _, targets in pattern)
+    first, second = (
+        data.draw(st.lists(_table_entries, min_size=size, max_size=size)) for _ in range(2)
+    )
+    entries = _filled(pattern, first)
+    algebra = _table(dim, entries)
+    assert _violations(algebra) == _dense_jacobi(algebra)
+    # the same pattern with other values reuses the plan
+    hits = _jacobi_plan.cache_info().hits
+    other = _table(dim, _filled(pattern, second))
+    assert _violations(other) == _dense_jacobi(other)
+    assert _jacobi_plan.cache_info().hits == hits + 1
+    # the same entries supplied in another order give the same table
+    shuffled = [(pair, data.draw(st.permutations(targets)))
+                for pair, targets in data.draw(st.permutations(entries))]
+    assert _violations(_table(dim, shuffled)) == _violations(algebra)
 
 
 @_REPEATABLE

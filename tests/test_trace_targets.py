@@ -68,3 +68,41 @@ def test_the_inversion_and_the_residuals_record_spans_in_their_layers(spans) -> 
     assert parents["rational_linalg.rat_inv"] == ["coadjoint.restrict"]
     assert parents["coadjoint.restrict"] == ["coadjoint.standard_orbit"]
     assert len(parents["coadjoint.casimir_residual"]) == len(orbit.invariants)
+
+
+@pytest.mark.parametrize("name, variant", [("S", "noncentral_ext"), ("dS+", "isotropic")])
+def test_each_jacobi_check_is_one_span_that_builds_its_plan_inside(
+    spans, monkeypatch, name, variant
+) -> None:
+    # algebra_core.jacobi.self_s measures the whole check only while the
+    # plan is looked up and built inside jacobi_violations
+    import time
+    from math import comb
+
+    from kinorbit import algebra_core
+    from kinorbit.catalog import build
+
+    plan, lookups = algebra_core._jacobi_plan, []
+
+    def timed_plan(pattern):
+        lookups.append(time.perf_counter_ns())
+        return plan(pattern)
+
+    algebra = build(name, variant)
+    plan.cache_clear()
+    monkeypatch.setattr(algebra_core, "_jacobi_plan", timed_plan)
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        checks = [algebra.jacobi_violations(), algebra.jacobi_violations()]
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert checks == [[], []]
+    jacobi = [span for span in tracer.spans if span[2] == "algebra_core.jacobi"]
+    assert [attrs for *_, attrs in jacobi] == [{"triples": comb(algebra.dim, 3)}] * 2
+    assert len(lookups) == 2
+    assert all(start < t < end for (*_, start, end, _), t in zip(jacobi, lookups))
+    # the first check builds the plan, the second reuses it
+    assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 1)
