@@ -11,6 +11,12 @@ and the phase-space type is classified.
 
 Each kernel forms only the Kirillov entries it reads: :func:`restrict` the
 chart's block, :func:`casimir_residual` the rows on the gradient's support.
+Both add up their products on integers and form one ``Fraction`` per
+nonzero result entry: :func:`restrict` takes the canonical brackets
+``J omega^T J^T`` from ``rational_linalg.congruence``, and
+:func:`casimir_residual` sums ``-K^T grad`` the same way.  The gradients
+come from forward-mode dual numbers, whose sums and differences add or
+subtract partials without scaling them by 1 or -1.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra_core import Record, StructureConstants
 from .catalog import STANDARD_ORBIT_NAMES, CatalogError, KinematicalParams, build
-from .rational_linalg import _ZERO, RatMatrix, SingularMatrixError, _matrix, rat, rat_inv
+from .rational_linalg import (
+    _ZERO, RatMatrix, SingularMatrixError, _fractions, _matrix, _pairs, _sums, congruence, rat,
+    rat_inv,
+)
 
 __all__ = [
     "DualPoint",
@@ -106,19 +115,18 @@ def casimir_residual(algebra: StructureConstants, point, grad) -> tuple[Fraction
     """The exact vector K(alpha) . grad; it vanishes identically for a Casimir.
 
     Only the rows of K on the support of ``grad`` are formed, and
-    ``(K . grad)_i = -sum_j K_ji grad_j`` by antisymmetry.  Float gradient
+    ``(K . grad)_i = -sum_j K_ji grad_j`` by antisymmetry, added up on
+    integers with one ``Fraction`` per nonzero entry.  Float gradient
     entries are converted exactly, by their binary expansion.
     """
     coords, grad = _point_coords(algebra, point), list(grad)
     if len(grad) != algebra.dim:
         raise ValueError(f"expected {algebra.dim} entries, got {len(grad)}")
-    g = [(j, rat(x)) for j, x in enumerate(grad) if x != 0]
-    residual: dict[int, Fraction] = {}
-    for (j, g_j), row in zip(g, algebra.kirillov_rows(coords, [j for j, _ in g])):
-        for i, value in row.items():
-            term = value * g_j
-            residual[i] = residual[i] - term if i in residual else -term
-    return tuple(residual.get(i, _ZERO) for i in range(algebra.dim))
+    g = _pairs((j, rat(x)) for j, x in enumerate(grad) if x != 0)
+    rows = algebra.kirillov_rows(coords, [j for j, _, _ in g])
+    # -K^T . grad: each K row, as integer pairs, scaled by -grad_j
+    k_rows = {j: _pairs(row.items()) for (j, _, _), row in zip(g, rows)}
+    return tuple(_fractions(_sums([(j, -n, d) for j, n, d in g], k_rows), algebra.dim))
 
 
 class _Dual:
@@ -135,22 +143,24 @@ class _Dual:
         self.value = value
         self.grad = grad
 
-    def _combine(self, a, other: "_Dual", b, value) -> "_Dual":
-        """The dual with ``value`` and gradient a*self.grad + b*other.grad."""
-        grad = {k: a * v for k, v in self.grad.items()}
-        for k, v in other.grad.items():
-            grad[k] = grad.get(k, 0) + b * v
-        return _Dual(value, grad)
-
     def __add__(self, other) -> "_Dual":
+        # a partial that only other has is added to 0, not copied, so a
+        # float -0.0 there comes out 0.0, bit for bit the linear-combination
+        # form of reference_forms.combined_gradient in the tests
         other = _lift(other)
-        return self._combine(1, other, 1, self.value + other.value)
+        grad = dict(self.grad)
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) + v
+        return _Dual(self.value + other.value, grad)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "_Dual":
         other = _lift(other)
-        return self._combine(1, other, -1, self.value - other.value)
+        grad = dict(self.grad)
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) - v
+        return _Dual(self.value - other.value, grad)
 
     def __rsub__(self, other) -> "_Dual":
         return _lift(other) - self
@@ -160,7 +170,11 @@ class _Dual:
 
     def __mul__(self, other) -> "_Dual":
         other = _lift(other)
-        return self._combine(other.value, other, self.value, self.value * other.value)
+        a, b = self.value, other.value
+        grad = {k: b * v for k, v in self.grad.items()}
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) + a * v
+        return _Dual(a * b, grad)
 
     __rmul__ = __mul__
 
@@ -168,11 +182,12 @@ class _Dual:
         # (a/b)' = (a' - (a/b) b') / b, dividing last so that an integer
         # divisor keeps Fraction derivatives exact
         other = _lift(other)
-        quotient = self.value / other.value
-        numerator = self._combine(1, other, -quotient, quotient)
-        return _Dual(
-            quotient, {k: v / other.value for k, v in numerator.grad.items()}
-        )
+        b = other.value
+        quotient = self.value / b
+        grad = dict(self.grad)
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) - quotient * v
+        return _Dual(quotient, {k: v / b for k, v in grad.items()})
 
     def __rtruediv__(self, other) -> "_Dual":
         return _lift(other) / self
@@ -219,7 +234,7 @@ class OrbitChart(Record):
             raise ValueError("canonical_names must match chart dimension")
         if jacobian:
             jac = RatMatrix(jacobian)
-            if len(jac) != n or any(len(row) != n for row in jac):
+            if jac.shape != (n, n):
                 raise ValueError("jacobian must be square over the chart")
         else:
             jac = RatMatrix.identity(n)
@@ -320,8 +335,7 @@ def restrict(
             exc.rank,
         ) from None
     # J (-omega) J^T, with -omega = omega^T as omega is antisymmetric
-    jac = chart.jacobian
-    canonical_theta = jac @ omega.T @ jac.T
+    canonical_theta = congruence(chart.jacobian, omega.T)
     fixed = tuple(
         (name, coords[i])
         for i, name in enumerate(algebra.names)

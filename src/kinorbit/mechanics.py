@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .algebra_core import Record
 from .catalog import CatalogError
-from .rational_linalg import RatMatrix, _matrix, checked_float, rat, rat_inv
+from .rational_linalg import RatMatrix, _matrix, checked_float, congruence, rat, rat_inv
 from .timegrid import (
     MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
 )
@@ -407,7 +407,7 @@ def bracket_pushforward(jacobian, theta=None) -> RatMatrix:
     """Exact bracket matrix of mapped coordinates z' = J z."""
     J = RatMatrix(jacobian)
     base = CANONICAL_BRACKET_MATRIX if theta is None else RatMatrix(theta)
-    return J @ base @ J.T
+    return congruence(J, base)
 
 
 class MinimalCouplingResult(Record):

@@ -6,10 +6,14 @@ exact and a built matrix can be shared safely.  It indexes by pairs
 (``m[i, j]``; ``m[i]`` is row ``i``), reports its ``shape``, multiplies
 with ``@`` by a matrix or a vector, and transposes with ``T``.  Only the
 small amount of linear algebra the rest of the package needs lives here:
-that type, inversion and rank by one fraction-free elimination on sparse
-integer rows, and a checked float conversion.  The matrices are at most
-14x14 and mostly zero (restricted pairing matrices, chart Jacobians), so a
-product multiplies only pairs of nonzero entries.
+that type, the congruence ``J M J^T``, inversion and rank by one
+fraction-free elimination on sparse integer rows, and a checked float
+conversion.  The matrices are at most 14x14 and mostly zero (restricted
+pairing matrices, chart Jacobians), so the kernels read only nonzero
+entries: a product or a congruence adds up the products of each result
+entry as integer numerator/denominator pairs and forms one ``Fraction``
+per nonzero entry; an entry that no product reaches, or whose products
+cancel, is the shared zero.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "SingularMatrixError",
     "RatMatrix",
     "checked_float",
+    "congruence",
     "rat",
     "rat_inv",
     "rat_rank",
@@ -57,10 +62,51 @@ def _matrix(rows) -> "RatMatrix":
     return tuple.__new__(RatMatrix, map(tuple, rows))
 
 
+def _pairs(entries) -> list[tuple[int, int, int]]:
+    """The nonzero ``(index, Fraction)`` items of ``entries`` as
+    ``(index, numerator, denominator)`` triples of integers."""
+    pairs = []
+    for j, x in entries:
+        n, d = x.as_integer_ratio()
+        if n:
+            pairs.append((j, n, d))
+    return pairs
+
+
+def _sums(pairs, rows) -> dict[int, list[int]]:
+    """The sparse row ``sum_k (n_k / d_k) rows[k]`` over the ``(k, n_k, d_k)``
+    of ``pairs``, each row given by :func:`_pairs`: a ``[numerator,
+    denominator]`` list of integers per column that some product reaches,
+    added up by cross-multiplication and not reduced."""
+    acc: dict[int, list[int]] = {}
+    for k, n, d in pairs:
+        for j, rn, rd in rows[k]:
+            tn, td = n * rn, d * rd
+            entry = acc.get(j)
+            if entry is None:
+                acc[j] = [tn, td]
+            elif entry[1] == td:
+                entry[0] += tn
+            else:
+                entry[0] = entry[0] * td + tn * entry[1]
+                entry[1] *= td
+    return acc
+
+
+def _fractions(sums: dict[int, list[int]], n: int) -> list[Fraction]:
+    """The ``n`` entries of a row of :func:`_sums`, one ``Fraction`` per nonzero one."""
+    row = [_ZERO] * n
+    for j, (num, den) in sums.items():
+        if num:
+            row[j] = Fraction(num, den)
+    return row
+
+
 class RatMatrix(tuple):
     """An exact matrix: a tuple of equal-length row tuples of ``Fraction``.
 
-    ``RatMatrix(rows)`` coerces every entry with :func:`rat`.  Equality is
+    ``RatMatrix(rows)`` coerces every entry with :func:`rat` and raises
+    ``ValueError`` when the rows differ in length.  Equality is
     the tuples' (exact, entrywise), and ``+`` and ``*`` are refused rather
     than concatenating or repeating rows.
     """
@@ -68,7 +114,10 @@ class RatMatrix(tuple):
     __slots__ = ()
 
     def __new__(cls, rows=()) -> "RatMatrix":
-        return _matrix([rat(x) for x in row] for row in rows)
+        matrix = _matrix([rat(x) for x in row] for row in rows)
+        if len(set(lengths := [len(row) for row in matrix])) > 1:
+            raise ValueError(f"matrix rows differ in length: {lengths}")
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -93,28 +142,40 @@ class RatMatrix(tuple):
     def __matmul__(self, other):
         """The product with a :class:`RatMatrix` (a matrix), or with a
         sequence of numbers (a vector, coerced by :func:`rat`; the product
-        is a tuple).  Only pairs of nonzero entries are multiplied, and an
-        entry that no such pair reaches is the shared zero."""
+        is a tuple).  Only pairs of nonzero entries are multiplied, and each
+        entry's products are added up on integers (see :func:`_sums`)."""
         if not isinstance(other, RatMatrix):
             return tuple(entry for entry, in self @ _matrix([rat(x)] for x in other))
         if self.shape[1] != len(other):
             raise ValueError(f"cannot multiply a {self.shape} matrix by {len(other)} rows")
         n_cols = other.shape[1]
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other]
-        product = []
-        for row in self:
-            acc: dict[int, Fraction] = {}
-            for a, other_row in zip(row, sparse):
-                if a:
-                    for j, b in other_row:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            product.append([acc.get(j, _ZERO) for j in range(n_cols)])
-        return _matrix(product)
+        rows = [_pairs(enumerate(row)) for row in other]
+        return _matrix(_fractions(_sums(_pairs(enumerate(row)), rows), n_cols) for row in self)
 
     def _refused(self, other):
         return NotImplemented
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refused
+
+
+def congruence(jacobian: RatMatrix, matrix: RatMatrix) -> RatMatrix:
+    """The congruence ``J M J^T`` of the square ``matrix`` M by ``jacobian`` J.
+
+    Row ``a`` of ``J M`` is kept as unreduced integer pairs, and entry
+    ``(a, b)`` adds up its products with column ``b`` of ``J^T`` on
+    integers too, so each nonzero entry is one ``Fraction``.
+    """
+    n = jacobian.shape[1]
+    if matrix.shape != (n, n):
+        raise ValueError(f"cannot form J M J^T of a {jacobian.shape} J and a {matrix.shape} M")
+    m_rows = [_pairs(enumerate(row)) for row in matrix]
+    transposed = [_pairs(enumerate(column)) for column in zip(*jacobian)]
+    product = []
+    for row in jacobian:
+        left = _sums(_pairs(enumerate(row)), m_rows)  # row a of J M
+        left_pairs = [(j, num, den) for j, (num, den) in left.items() if num]
+        product.append(_fractions(_sums(left_pairs, transposed), len(jacobian)))
+    return _matrix(product)
 
 
 def _eliminate(matrix: RatMatrix, augment: bool) -> tuple[int, int, list[dict[int, int]]]:
@@ -131,8 +192,9 @@ def _eliminate(matrix: RatMatrix, augment: bool) -> tuple[int, int, list[dict[in
     n_rows, n_cols = matrix.shape
     rows = []
     for i, row in enumerate(matrix):
-        scale = math.lcm(*(x.denominator for x in row if x))
-        rows.append({j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x})
+        pairs = _pairs(enumerate(row))
+        scale = math.lcm(*(den for _, _, den in pairs))
+        rows.append({j: num * (scale // den) for j, num, den in pairs})
         if augment:
             rows[i][n_cols + i] = scale
     rank, previous = 0, 1

@@ -5,9 +5,10 @@ a symbolic cross-check) before the package was written; the tests compare
 package output against these fixtures entrywise and exactly.  The module
 also holds the dense and float references the package's kernels are
 tested against: :func:`dense`, the one conversion of an exact matrix to a
-NumPy object array, the dense structure tensor, a central-difference
-gradient, the planar affine system written out entry by entry,
-stage-by-stage RK4 on the Hamilton equations, and RK4's one-step
+NumPy object array, the dense structure tensor, forward-mode
+differentiation with every operation one linear combination, a
+central-difference gradient, the planar affine system written out entry by
+entry, stage-by-stage RK4 on the Hamilton equations, and RK4's one-step
 propagator iterated with compensated sums on NumPy arrays.
 """
 
@@ -459,6 +460,68 @@ def general_action(constants, state, element):
 
 
 # -- float references --------------------------------------------------------
+
+
+class _CombinedDual:
+    """Forward mode with every operation through one linear combination,
+    a*self.grad + b*other.grad, so that a sum multiplies each partial by 1
+    and a difference by -1: the package's dual numbers before they copied
+    and negated partials instead, kept to check them bit for bit."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad: dict) -> None:
+        self.value = value
+        self.grad = grad
+
+    def _combine(self, a, other, b, value):
+        grad = {k: a * v for k, v in self.grad.items()}
+        for k, v in other.grad.items():
+            grad[k] = grad.get(k, 0) + b * v
+        return _CombinedDual(value, grad)
+
+    def __add__(self, other):
+        other = _lift(other)
+        return self._combine(1, other, 1, self.value + other.value)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _lift(other)
+        return self._combine(1, other, -1, self.value - other.value)
+
+    def __rsub__(self, other):
+        return _lift(other) - self
+
+    def __neg__(self):
+        return _CombinedDual(-self.value, {k: -v for k, v in self.grad.items()})
+
+    def __mul__(self, other):
+        other = _lift(other)
+        return self._combine(other.value, other, self.value, self.value * other.value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _lift(other)
+        quotient = self.value / other.value
+        numerator = self._combine(1, other, -quotient, quotient)
+        return _CombinedDual(quotient, {k: v / other.value for k, v in numerator.grad.items()})
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+
+def _lift(value) -> _CombinedDual:
+    return value if isinstance(value, _CombinedDual) else _CombinedDual(value, {})
+
+
+def combined_gradient(fn: Callable, coords: Sequence) -> list:
+    """The gradient of ``fn`` at ``coords`` by :class:`_CombinedDual`, seeded
+    as the package seeds it: with the one of the coordinates' scalar type."""
+    one = coords[0] ** 0 if len(coords) else 1
+    result = fn([_CombinedDual(c, {i: one}) for i, c in enumerate(coords)])
+    return [result.grad.get(i, 0) for i in range(len(coords))]
 
 
 def finite_difference_gradient(

@@ -10,7 +10,10 @@ only function bodies may.  No module imports ``dataclasses``, and the
 CLI and the Static group load the layers only some commands run
 (``coadjoint``, ``configparser``, ``json``) inside the functions that
 use them.  The CLI reads a run's parameter texts only in its table parser,
-and the modules that form float rows call no builtin ``sum``.
+and the modules that form float rows call no builtin ``sum``.  Every
+``functools.lru_cache`` is bounded, and ``functools.cache`` decorates only
+functions without parameters or with a finite key domain, so no cache
+grows with the values a caller passes.
 """
 
 from __future__ import annotations
@@ -196,3 +199,79 @@ def test_the_float_rows_call_no_builtin_sum(stem: str) -> None:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert calls == []
+
+
+# functions whose unbounded cache is keyed by a finite domain: the
+# (name, variant) pairs of the catalog
+_FINITE_KEY_CACHES = {"catalog._expansion"}
+
+
+def _functools_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> functools name, for ``cache`` and ``lru_cache``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def _cache_decorators(tree: ast.Module):
+    """``(function, kind, call)`` for each function decorated by ``cache`` or
+    ``lru_cache``; ``call`` is the decorator's call node, or None if bare."""
+    aliases = _functools_aliases(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            if isinstance(target, ast.Name) and target.id in aliases:
+                yield node, aliases[target.id], call
+            elif (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "functools"
+                and target.attr in ("cache", "lru_cache")
+            ):
+                yield node, target.attr, call
+
+
+def _finite_maxsize(call) -> bool:
+    """An ``lru_cache`` decorator's maxsize is a literal integer (128 if bare)."""
+    if call is None:
+        return True
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return not sizes or (
+        isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+    )
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_every_cache_is_bounded(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unbounded = []
+    for function, kind, call in _cache_decorators(tree):
+        name = f"{path.stem}.{function.name}"
+        if kind == "lru_cache" and not _finite_maxsize(call):
+            unbounded.append(name)
+        arguments = function.args
+        takes_values = (
+            arguments.posonlyargs or arguments.args or arguments.kwonlyargs
+            or arguments.vararg or arguments.kwarg
+        )
+        if kind == "cache" and takes_values and name not in _FINITE_KEY_CACHES:
+            unbounded.append(name)
+    assert unbounded == []
+
+
+def test_the_cache_check_sees_every_cache_in_the_package() -> None:
+    found = {
+        f"{path.stem}.{function.name}": kind
+        for path in _MODULES
+        for function, kind, _ in _cache_decorators(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found["algebra_core._jacobi_plan"] == "lru_cache"
+    assert found["catalog._expansion"] == found["catalog.list_catalog"] == "cache"
+    assert found["static_group.noncentral_algebra"] == "cache"

@@ -36,6 +36,7 @@ from kinorbit.coadjoint import (
     DegenerateChartError,
     DualPoint,
     OrbitChart,
+    OrbitInvariant,
     SymplecticStructure,
     _template_deviates,
     casimir_residual,
@@ -46,7 +47,13 @@ from kinorbit.coadjoint import (
     standard_orbit,
 )
 from kinorbit.mechanics import HamiltonianSpec, NCPhaseSpace2D, linear_system
-from kinorbit.rational_linalg import RatMatrix, SingularMatrixError, rat_inv, rat_rank
+from kinorbit.rational_linalg import (
+    RatMatrix,
+    SingularMatrixError,
+    congruence,
+    rat_inv,
+    rat_rank,
+)
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -406,6 +413,133 @@ def test_a_matrix_refuses_tuple_arithmetic_and_mismatched_products() -> None:
         m @ RatMatrix([[1, 2, 3]])
     with pytest.raises(ValueError):
         m @ [1, 2, 3]
+    with pytest.raises(ValueError):
+        congruence(m, RatMatrix([[1, 2, 3]]))
+
+
+# read as 2 x 2, these rows would lose column 2 in T, have the short row
+# zipped in @ and be inverted as if the missing entry were 0
+@pytest.mark.parametrize(
+    "use",
+    [
+        pytest.param(lambda rows: RatMatrix(rows).T, id="T"),
+        pytest.param(lambda rows: RatMatrix([[1, 2], [3, 4]]) @ RatMatrix(rows), id="matmul"),
+        pytest.param(lambda rows: rat_inv(RatMatrix(rows)), id="rat_inv"),
+    ],
+)
+def test_a_ragged_matrix_is_refused_before_it_is_used(use) -> None:
+    with pytest.raises(ValueError, match=r"\[2, 1\]"):
+        use([[1, 2], [3]])
+
+
+@st.composite
+def _congruence_factors(draw) -> tuple[RatMatrix, RatMatrix]:
+    """A k x n J and an n x n M with k, n up to 8 and entries of up to 40
+    digits over 40 digits in some draws; J is general, not one nonzero per
+    row.  M is antisymmetric in half the draws, so that each diagonal entry
+    of J M J^T cancels, and a row of J repeats or negates another in some,
+    so that the entries those two rows meet in cancel too."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    nonzero = draw(st.sampled_from((_nonzero, _nonzero, _large)))
+    entry = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
+    jac = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(k)))[:2]
+        jac[a] = [-x for x in jac[b]] if draw(st.booleans()) else list(jac[b])
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        m = [[m[i][j] if i < j else -m[j][i] if i > j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    return RatMatrix(jac), RatMatrix(m)
+
+
+@settings(_REPEATABLE, max_examples=100)
+@given(factors=_congruence_factors())
+def test_the_congruence_is_the_dense_product_for_any_jacobian(factors) -> None:
+    jac, m = factors
+    product = congruence(jac, m)
+    dense = rf.dense(jac) @ rf.dense(m) @ rf.dense(jac).T
+    assert product.shape == dense.shape
+    assert (rf.dense(product) == dense).all()
+    assert _all_fractions(product)
+
+
+@_REPEATABLE
+@given(
+    name=st.sampled_from(STANDARD_ORBIT_NAMES),
+    omega=_positive, kappa=_positive, m=_nonzero, h=_nonzero, E=_nonzero, data=st.data(),
+)
+def test_restrict_on_a_chart_with_any_jacobian_is_the_dense_congruence(
+    name, omega, kappa, m, h, E, data
+) -> None:
+    # every chart the package builds has one nonzero entry per row of J
+    try:
+        orbit = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+    except DegenerateChartError:
+        assume(False)
+    nonzero = data.draw(st.sampled_from((_nonzero, _large)), label="scale")
+    entry = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
+    jac = RatMatrix(data.draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                                       min_size=4, max_size=4), label="jacobian"))
+    names = orbit.chart.coordinate_names
+    structure = restrict(
+        orbit.algebra, orbit.point, OrbitChart(names, ("q1", "q2", "p1", "p2"), jac)
+    )
+    idx = [orbit.algebra.index(name) for name in names]
+    K = rf.structure_tensor(orbit.algebra) @ rf.dense(orbit.point.coords)
+    dense = rf.dense(jac) @ K[np.ix_(idx, idx)].T @ rf.dense(jac).T
+    assert (rf.dense(structure.canonical_theta) == dense).all()
+    assert (structure.G_field, structure.F_field) == (dense[0, 1], dense[2, 3])
+    assert _all_fractions(structure.canonical_theta)
+
+
+_INVARIANTS = [
+    pytest.param(orbit.algebra.dim, invariant, id=f"{orbit.name}-{invariant.name}")
+    for orbit in (
+        standard_orbit(name, m=2, h=3, E=5, omega=Fraction(2, 3), kappa=Fraction(5, 7))
+        for name in STANDARD_ORBIT_NAMES
+    )
+    for invariant in orbit.invariants
+] + [
+    pytest.param(noncentral_algebra().dim, invariant, id=f"noncentral-{invariant.name}")
+    for invariant in noncentral_invariants()
+] + [
+    # each operation's partials as the outermost one, where no later sum
+    # turns a -0.0 into 0.0
+    pytest.param(2, OrbitInvariant("quotient", lambda a: a[0] / a[1]), id="quotient"),
+    pytest.param(2, OrbitInvariant("mixed", lambda a: 1 / a[0] - a[0] * a[1] + 3),
+                 id="mixed"),
+]
+# zeros of both signs, and magnitudes at which no product over- or underflows
+_float_coordinates = st.sampled_from((0.0, -0.0)) | st.floats(-1e3, 1e3).filter(
+    lambda x: abs(x) >= 1e-3
+)
+
+
+def _bits(value):
+    """A value's type and exact bits: a float's hex form tells -0.0 from 0.0."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, [_bits(x) for x in value.tolist()]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("dim, invariant", _INVARIANTS)
+@_REPEATABLE
+@given(data=st.data())
+def test_float_gradients_are_the_combined_forward_mode_bit_for_bit(dim, invariant, data) -> None:
+    points = [data.draw(st.lists(_float_coordinates, min_size=dim, max_size=dim)) for _ in "ab"]
+    for point in points:
+        try:
+            expected = rf.combined_gradient(invariant.value, point)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                invariant.gradient(point)
+            return
+        assert list(map(_bits, invariant.gradient(point))) == list(map(_bits, expected))
+    # one float array per coordinate, holding both points
+    arrays = [np.array(pair) for pair in zip(*points)]
+    expected = rf.combined_gradient(invariant.value, arrays)
+    assert list(map(_bits, invariant.gradient(arrays))) == list(map(_bits, expected))
 
 
 def _dense_jacobi(algebra) -> list[tuple]:
@@ -440,7 +574,7 @@ _INADMISSIBLE = [
 )
 def test_jacobi_violations_equal_the_dense_reference(algebra, admissible) -> None:
     got = [(v.triple, v.residual) for v in algebra.jacobi_violations()]
-    assert got == _dense_jacobi(algebra)
+    assert got == _dense_jacobi(algebra) == _listed_jacobi(algebra)
     assert bool(got) != admissible
 
 
@@ -483,6 +617,26 @@ def _violations(algebra) -> list[tuple]:
     return [(v.triple, v.residual) for v in algebra.jacobi_violations()]
 
 
+def _listed_jacobi(algebra) -> list[tuple]:
+    """:func:`_dense_jacobi` added up on plain lists from the nonzero C
+    entries alone: [e_a, [e_b, e_c]] = sum_l C_bc^l sum_m C_al^m e_m."""
+    brackets = {}
+    for (i, j), comps in algebra.pair_table():
+        brackets[i, j], brackets[j, i] = comps, {k: -v for k, v in comps.items()}
+    names = algebra.names
+    violations = []
+    for i, j, k in combinations(range(algebra.dim), 3):
+        residual = [Fraction(0)] * algebra.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, outer in brackets.get((b, c), {}).items():
+                for m, inner in brackets.get((a, l), {}).items():
+                    residual[m] += outer * inner
+        nonzero = tuple((names[m], v) for m, v in enumerate(residual) if v != 0)
+        if nonzero:
+            violations.append(((names[i], names[j], names[k]), nonzero))
+    return violations
+
+
 @settings(_REPEATABLE, max_examples=100)
 @given(drawn=_bracket_patterns(), data=st.data())
 def test_jacobi_plans_equal_the_dense_sums_on_any_table(drawn, data) -> None:
@@ -493,11 +647,11 @@ def test_jacobi_plans_equal_the_dense_sums_on_any_table(drawn, data) -> None:
     )
     entries = _filled(pattern, first)
     algebra = _table(dim, entries)
-    assert _violations(algebra) == _dense_jacobi(algebra)
+    assert _violations(algebra) == _listed_jacobi(algebra)
     # the same pattern with other values reuses the plan
     hits = _jacobi_plan.cache_info().hits
     other = _table(dim, _filled(pattern, second))
-    assert _violations(other) == _dense_jacobi(other)
+    assert _violations(other) == _listed_jacobi(other)
     assert _jacobi_plan.cache_info().hits == hits + 1
     # the same entries supplied in another order give the same table
     shuffled = [(pair, data.draw(st.permutations(targets)))
