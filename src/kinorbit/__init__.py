@@ -48,6 +48,7 @@ _LAZY = {
         "SymplecticStructure",
         "casimir_residual",
         "classify",
+        "darboux_map",
         "kirillov_matrix",
         "magnetic_fields",
         "poisson_bracket",
@@ -59,14 +60,10 @@ _LAZY = {
     "mechanics": (
         "CANONICAL_BRACKET_MATRIX",
         "HamiltonianSpec",
-        "MinimalCouplingResult",
         "NCPhaseSpace2D",
         "NCTrajectory",
         "QuadraticHamiltonian",
-        "bracket_pushforward",
         "integrate",
-        "minimal_coupling_galilei",
-        "minimal_coupling_paragalilei",
     ),
     "static_group": (
         "StaticConstants",
@@ -109,7 +106,6 @@ __all__ = [
     "JacobiViolation",
     "KinematicalParams",
     "MagneticCouplings",
-    "MinimalCouplingResult",
     "NCPhaseSpace2D",
     "NCTrajectory",
     "OrbitChart",
@@ -125,20 +121,18 @@ __all__ = [
     "SymplecticStructure",
     "admissible_central_extensions",
     "bracket",
-    "bracket_pushforward",
     "build",
     "casimir_residual",
     "check_jacobi",
     "classify",
     "compose",
+    "darboux_map",
     "identity_element",
     "integrate",
     "inverse",
     "kirillov_matrix",
     "list_catalog",
     "magnetic_fields",
-    "minimal_coupling_galilei",
-    "minimal_coupling_paragalilei",
     "multiplication_cocycle",
     "noncentral_invariants",
     "poisson_bracket",

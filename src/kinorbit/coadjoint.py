@@ -16,7 +16,9 @@ nonzero result entry: :func:`restrict` takes the canonical brackets
 ``J omega^T J^T`` from ``rational_linalg.congruence``, and
 :func:`casimir_residual` sums ``-K^T grad`` the same way.  The gradients
 come from forward-mode dual numbers, whose sums and differences add or
-subtract partials without scaling them by 1 or -1.
+subtract partials without scaling them by 1 or -1.  :func:`darboux_map`
+gives each chart's brackets as the image of commutative coordinates under
+one exact linear map, the minimal coupling that sources them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .algebra_core import Record, StructureConstants
 from .catalog import STANDARD_ORBIT_NAMES, CatalogError, KinematicalParams, build
 from .rational_linalg import (
     _ZERO, RatMatrix, SingularMatrixError, _fractions, _matrix, _pairs, _sums, congruence, rat,
-    rat_inv,
+    rat_inv, rat_rank,
 )
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "forward_mode_gradient",
     "restrict",
     "classify",
+    "darboux_map",
     "poisson_bracket",
     "magnetic_fields",
     "standard_orbit",
@@ -217,7 +220,9 @@ class OrbitChart(Record):
     ``coordinate_names`` selects the dual directions spanning the chart (in
     order); ``canonical_names`` names the mapped coordinates ``z = J x``
     where ``x`` are the chart dual coordinates and ``J`` is ``jacobian``, a
-    :class:`RatMatrix` (identity when omitted).
+    :class:`RatMatrix` (identity when omitted).  A ``J`` of exact rank below
+    the chart dimension raises ``ValueError`` naming the rank: its ``z``
+    would not be coordinates.
     """
 
     __slots__ = _fields = ("coordinate_names", "canonical_names", "jacobian")
@@ -236,6 +241,9 @@ class OrbitChart(Record):
             jac = RatMatrix(jacobian)
             if jac.shape != (n, n):
                 raise ValueError("jacobian must be square over the chart")
+            rank = rat_rank(jac)
+            if rank < n:
+                raise ValueError(f"jacobian is singular (rank {rank} < {n})")
         else:
             jac = RatMatrix.identity(n)
         self._init(coordinate_names, tuple(canonical), jac)
@@ -392,6 +400,48 @@ def classify(structure: SymplecticStructure) -> str:
     if f:
         return "momentum_nc"
     return "canonical"
+
+
+def _dot(u, v) -> Fraction:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def darboux_map(structure: SymplecticStructure) -> RatMatrix:
+    """The exact J with J C J^T = ``canonical_theta``, C the canonical bracket
+    matrix {z_i, z_(k+i)} = -1 of a 2k-dimensional chart: z = J Z on
+    commutative coordinates Z.
+
+    A symplectic Gram-Schmidt over the rationals (Artin, Geometric Algebra,
+    1957, ch. III) runs on the coordinate covectors of z under the form
+    u' theta v.  Step i pairs z_i with z_(k+i) in canonical-name order, or,
+    where that pair's value is 0, with the first remaining covector that
+    pairs nonzero with z_i; it scales the partner so the value is -1 and
+    removes both from every remaining covector.  The paired covectors are
+    the rows of W, with W theta W^T = C, and J is W^-1.  J is the identity
+    on a ``canonical`` chart, shifts positions by momenta on a
+    ``position_nc`` one and momenta by positions on a ``momentum_nc`` one.
+    No choice of pivots makes J rotation-covariant on every chart: over the
+    rationals the NH- and S charts at m = 3, h = 1/5 admit no such J.
+    """
+    theta = structure.canonical_theta
+    n = len(theta)
+    k = n // 2
+    rest = dict(enumerate(RatMatrix.identity(n)))  # index -> covector
+    rows = [()] * n
+    for i in range(k):
+        u = rest.pop(i if i in rest else next(iter(rest)))
+        theta_u = theta @ u
+        partner = next(j for j in sorted(rest, key=lambda j: j != k + i)
+                       if _dot(rest[j], theta_u))
+        v = rest.pop(partner)
+        scale = 1 / _dot(v, theta_u)  # u' theta v = -v' theta u
+        v = [scale * x for x in v]
+        theta_v = theta @ v
+        rows[i], rows[k + i] = u, v
+        for j, x in rest.items():
+            a, b = _dot(x, theta_u), _dot(x, theta_v)
+            rest[j] = [xe + b * ue - a * ve for xe, ue, ve in zip(x, u, v)]
+    return rat_inv(_matrix(rows))
 
 
 def poisson_bracket(structure: SymplecticStructure, grad_a, grad_b):

@@ -22,11 +22,8 @@ and not N times it.  :func:`integrate` returns the table as NumPy arrays
 for in-process callers, and :func:`trajectory_rows` as the columns
 ``kinorbit simulate`` prints, so the command never loads NumPy.  Both
 equal stage-by-stage RK4 (the reference the tests keep) up to rounding in
-the last bits.  The module also provides the two exact coordinate maps
-that reproduce such brackets from a commutative phase space: a position
-shift by the dual magnetic scalar and a momentum shift by the magnetic
-scalar.  NumPy is imported only inside the functions that take or return
-arrays.
+the last bits.  NumPy is imported only inside the functions that take or
+return arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Sequence
 
 from .algebra_core import Record
 from .catalog import CatalogError
-from .rational_linalg import RatMatrix, _matrix, checked_float, congruence, rat, rat_inv
+from .rational_linalg import RatMatrix, _matrix, checked_float, rat, rat_inv
 from .timegrid import (
     MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
 )
@@ -50,16 +47,12 @@ __all__ = [
     "NCPhaseSpace2D",
     "HamiltonianSpec",
     "NCTrajectory",
-    "MinimalCouplingResult",
     "CANONICAL_BRACKET_MATRIX",
     "linear_system",
     "planar_flow",
     "step_count",
     "integrate",
     "trajectory_rows",
-    "bracket_pushforward",
-    "minimal_coupling_galilei",
-    "minimal_coupling_paragalilei",
 ]
 
 
@@ -392,7 +385,8 @@ def trajectory_rows(
     return {"t": times, "q1": q1, "q2": q2, "p1": p1, "p2": p2, "H": energies, "drift": drift}
 
 
-# Bracket matrix of commutative coordinates (q1, q2, p1, p2): {p_i, q^j} = +delta.
+# Bracket matrix of commutative coordinates (q1, q2, p1, p2): {p_i, q^j} = +delta,
+# the C that coadjoint.darboux_map takes to a chart's brackets.
 CANONICAL_BRACKET_MATRIX = RatMatrix(
     [
         [0, 0, -1, 0],
@@ -402,77 +396,3 @@ CANONICAL_BRACKET_MATRIX = RatMatrix(
     ]
 )
 
-
-def bracket_pushforward(jacobian, theta=None) -> RatMatrix:
-    """Exact bracket matrix of mapped coordinates z' = J z."""
-    J = RatMatrix(jacobian)
-    base = CANONICAL_BRACKET_MATRIX if theta is None else RatMatrix(theta)
-    return congruence(J, base)
-
-
-class MinimalCouplingResult(Record):
-    """A coordinate map on phase space and the exact brackets it induces."""
-
-    __slots__ = _fields = ("state", "jacobian", "bracket_matrix")
-
-    def __init__(
-        self,
-        state: tuple[Fraction, Fraction, Fraction, Fraction],
-        jacobian: RatMatrix,
-        bracket_matrix: RatMatrix,
-    ) -> None:
-        self._init(state, jacobian, bracket_matrix)
-
-    @property
-    def position_bracket(self) -> Fraction:
-        return self.bracket_matrix[0, 1]
-
-    @property
-    def momentum_bracket(self) -> Fraction:
-        return self.bracket_matrix[2, 3]
-
-    @property
-    def cross_bracket(self) -> Fraction:
-        return self.bracket_matrix[2, 0]
-
-
-def _coordinate_map(state, jacobian) -> MinimalCouplingResult:
-    """The exact linear map z' = J z of ``state`` and the brackets it induces."""
-    J = RatMatrix(jacobian)
-    return MinimalCouplingResult(
-        state=J @ state,
-        jacobian=J,
-        bracket_matrix=bracket_pushforward(J),
-    )
-
-
-def minimal_coupling_galilei(state, m, omega0) -> MinimalCouplingResult:
-    """Position shift x = q + eps.p/(2 m omega0) sourcing {x1, x2}.
-
-    Starting from commutative (q, p), the shifted positions obey
-    {x1, x2} = -1/(m omega0) while {p_i, x^j} = +delta stays canonical:
-    the position-noncommutative phase space realized by a coordinate map.
-    """
-    m, omega0 = rat(m), rat(omega0)
-    if m == 0 or omega0 == 0:
-        raise ValueError("minimal coupling requires nonzero m and omega0")
-    s = 1 / (2 * m * omega0)
-    return _coordinate_map(
-        state, [[1, 0, 0, -s], [0, 1, s, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    )
-
-
-def minimal_coupling_paragalilei(state, m, omega, omega0) -> MinimalCouplingResult:
-    """Momentum shift pi = p + (m omega^2/2 omega0) eps.q sourcing {pi1, pi2}.
-
-    The shifted momenta obey {pi1, pi2} = -m omega^2/omega0 while
-    {pi_i, x^j} = +delta stays canonical: the momentum-noncommutative
-    phase space realized by a coordinate map.
-    """
-    m, omega, omega0 = rat(m), rat(omega), rat(omega0)
-    if m == 0 or omega0 == 0:
-        raise ValueError("minimal coupling requires nonzero m and omega0")
-    b = m * omega**2 / (2 * omega0)
-    return _coordinate_map(
-        state, [[1, 0, 0, 0], [0, 1, 0, 0], [0, b, 1, 0], [-b, 0, 0, 1]]
-    )

@@ -25,18 +25,18 @@ from kinorbit.catalog import (
 from kinorbit.coadjoint import (
     DualPoint,
     classify,
+    darboux_map,
     kirillov_matrix,
     standard_orbit,
 )
 from kinorbit.mechanics import (
+    CANONICAL_BRACKET_MATRIX,
     HamiltonianSpec,
     NCPhaseSpace2D,
     integrate,
     linear_system,
-    minimal_coupling_galilei,
-    minimal_coupling_paragalilei,
 )
-from kinorbit.rational_linalg import RatMatrix, rat_inv
+from kinorbit.rational_linalg import RatMatrix, congruence, rat_inv
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -397,25 +397,31 @@ def test_c8_group_law_action_and_invariants() -> None:
 def test_c9_minimal_coupling_bracket_tables_are_exact() -> None:
     rng = random.Random(999)
     ok = True
-    # pinned samples
-    res = minimal_coupling_galilei((0, 0, 2, 0), m=1, omega0=1)
-    ok = ok and res.state == (Fraction(0), Fraction(1), Fraction(2), Fraction(0))
-    ok = ok and res.bracket_matrix == rf.coupled_position_brackets(1, 1)
-    res = minimal_coupling_paragalilei((0, 2, 0, 0), m=1, omega=1, omega0=1)
-    ok = ok and res.state == (Fraction(0), Fraction(2), Fraction(1), Fraction(0))
-    ok = ok and res.bracket_matrix == rf.coupled_momentum_brackets(1, 1, 1)
+
+    def coupled(orbit) -> RatMatrix:
+        return congruence(darboux_map(orbit.structure), CANONICAL_BRACKET_MATRIX)
+
+    # pinned maps: q2 = Q2 + P1 on G, p2 = P2 - Q1 on G'+
+    position = standard_orbit("G", m=1, h=1)
+    ok = ok and darboux_map(position.structure) == RatMatrix(
+        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    ok = ok and coupled(position) == rf.coupled_position_brackets(1, 1)
+    momentum = standard_orbit("G'+", m=1, h=1, omega=1)
+    ok = ok and darboux_map(momentum.structure) == RatMatrix(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 1]]
+    )
+    ok = ok and coupled(momentum) == rf.coupled_momentum_brackets(1, 1, 1)
     # random rational draws, exact equality required
     for _ in range(25):
         m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         w = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         w0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        state = tuple(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)
-        )
-        pos = minimal_coupling_galilei(state, m=m, omega0=w0)
-        ok = ok and pos.bracket_matrix == rf.coupled_position_brackets(m, w0)
-        ok = ok and pos.position_bracket == -1 / (m * w0)
-        mom = minimal_coupling_paragalilei(state, m=m, omega=w, omega0=w0)
-        ok = ok and mom.bracket_matrix == rf.coupled_momentum_brackets(m, w, w0)
-        ok = ok and mom.momentum_bracket == -m * w**2 / w0
+        position = standard_orbit("G", m=m, h=m / w0)
+        ok = ok and position.magnetic.omega0 == w0
+        ok = ok and coupled(position) == rf.coupled_position_brackets(m, w0)
+        for name in ("G'+", "G'-"):
+            momentum = standard_orbit(name, m=m, h=m * w**2 / w0, omega=w)
+            ok = ok and momentum.magnetic.omega0 == w0
+            ok = ok and coupled(momentum) == rf.coupled_momentum_brackets(m, w, w0)
     _report("C9 minimal-coupling bracket tables are exactly reproduced", ok)

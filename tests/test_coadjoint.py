@@ -377,6 +377,12 @@ def test_orbit_chart_validation() -> None:
     assert chart.jacobian[2, 2] == 1
     identity = OrbitChart(("x", "y"))
     assert identity.jacobian == RatMatrix.identity(2)
+    # a singular J would give degenerate canonical brackets
+    names = ("K1", "K2", "P1", "P2")
+    rank_three = ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for jacobian, rank in ((((0,) * 4,) * 4, 0), (rank_three, 3)):
+        with pytest.raises(ValueError, match=rf"\(rank {rank} < 4\)"):
+            OrbitChart(names, ("q1", "q2", "p1", "p2"), jacobian)
 
 
 def test_standard_orbit_rejects_unknown_name() -> None:

@@ -80,6 +80,15 @@ def test_every_exported_name_resolves(path: Path) -> None:
     assert [name for name in exported if not hasattr(module, name)] == []
 
 
+def test_the_package_exports_exactly_the_names_its_modules_lend() -> None:
+    package = importlib.import_module("kinorbit")
+    lent = [name for names in package._LAZY.values() for name in names]
+    assert sorted(package.__all__) == sorted([*lent, "__version__"])
+    for module, names in package._LAZY.items():
+        exported = _exported(ast.parse((_PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        assert sorted(set(names) - set(exported)) == [], module
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)
 def test_no_unused_imports(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import reference_forms as rf
 from kinorbit.catalog import CatalogError
 from kinorbit.cli import main
+from kinorbit.coadjoint import darboux_map, standard_orbit
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
     MAX_STEPS,
@@ -19,16 +20,13 @@ from kinorbit.mechanics import (
     IntegrationError,
     NCPhaseSpace2D,
     QuadraticHamiltonian,
-    bracket_pushforward,
     integrate,
     linear_system,
-    minimal_coupling_galilei,
-    minimal_coupling_paragalilei,
     planar_flow,
     step_count,
     trajectory_rows,
 )
-from kinorbit.rational_linalg import RatMatrix
+from kinorbit.rational_linalg import RatMatrix, congruence
 from kinorbit.static_group import (
     StaticConstants,
     StaticOrbitState,
@@ -496,13 +494,6 @@ def test_linear_system_matches_rhs() -> None:
     assert np.array_equal(A, np.array(space.theta_matrix(), dtype=float) @ hessian)
 
 
-def test_bracket_pushforward_identity_and_custom_theta() -> None:
-    jac = RatMatrix.identity(4)
-    assert bracket_pushforward(jac) == CANONICAL_BRACKET_MATRIX
-    space = NCPhaseSpace2D(G_field=Fraction(1, 2), F_field=Fraction(0), mass=Fraction(1))
-    assert bracket_pushforward(jac, space.theta_matrix()) == space.theta_matrix()
-
-
 def test_canonical_bracket_matrix_convention() -> None:
     # {q_i, p_j} = -delta, {p_i, q_j} = +delta, all else zero
     T = CANONICAL_BRACKET_MATRIX
@@ -512,13 +503,17 @@ def test_canonical_bracket_matrix_convention() -> None:
     assert (rf.dense(T) == -rf.dense(T).T).all()
 
 
+# The G orbit's Darboux map is the Galilei minimal coupling, a position
+# shift by momenta; the G'+- orbits' maps are the para-Galilei one, a
+# momentum shift by positions.
+
+
 def test_minimal_coupling_galilei_sample() -> None:
-    res = minimal_coupling_galilei((0, 0, 2, 0), m=1, omega0=1)
-    assert res.state == (Fraction(0), Fraction(1), Fraction(2), Fraction(0))
-    assert res.bracket_matrix == rf.coupled_position_brackets(1, 1)
-    assert res.position_bracket == Fraction(-1)
-    assert res.momentum_bracket == 0
-    assert res.cross_bracket == 1
+    J = darboux_map(standard_orbit("G", m=1, h=1).structure)
+    assert J @ (0, 0, 2, 0) == (Fraction(0), Fraction(2), Fraction(2), Fraction(0))
+    brackets = congruence(J, CANONICAL_BRACKET_MATRIX)
+    assert brackets == rf.coupled_position_brackets(1, 1)
+    assert (brackets[0, 1], brackets[2, 3], brackets[2, 0]) == (-1, 0, 1)
 
 
 def test_minimal_coupling_galilei_random_parameters() -> None:
@@ -527,21 +522,20 @@ def test_minimal_coupling_galilei_random_parameters() -> None:
         m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         w0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         state = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
-        res = minimal_coupling_galilei(state, m=m, omega0=w0)
-        assert res.bracket_matrix == rf.coupled_position_brackets(m, w0)
-        s = 1 / (2 * m * w0)
-        assert res.state[0] == state[0] - s * state[3]
-        assert res.state[1] == state[1] + s * state[2]
-        assert res.state[2:] == state[2:]
+        J = darboux_map(standard_orbit("G", m=m, h=m / w0).structure)
+        assert congruence(J, CANONICAL_BRACKET_MATRIX) == rf.coupled_position_brackets(m, w0)
+        mapped = J @ state
+        assert mapped[1] == state[1] + state[2] / (m * w0)
+        assert mapped[0] == state[0]
+        assert mapped[2:] == state[2:]
 
 
 def test_minimal_coupling_paragalilei_sample() -> None:
-    res = minimal_coupling_paragalilei((0, 2, 0, 0), m=1, omega=1, omega0=1)
-    assert res.state == (Fraction(0), Fraction(2), Fraction(1), Fraction(0))
-    assert res.bracket_matrix == rf.coupled_momentum_brackets(1, 1, 1)
-    assert res.position_bracket == 0
-    assert res.momentum_bracket == Fraction(-1)
-    assert res.cross_bracket == 1
+    J = darboux_map(standard_orbit("G'+", m=1, h=1, omega=1).structure)
+    assert J @ (2, 0, 0, 0) == (Fraction(2), Fraction(0), Fraction(0), Fraction(-2))
+    brackets = congruence(J, CANONICAL_BRACKET_MATRIX)
+    assert brackets == rf.coupled_momentum_brackets(1, 1, 1)
+    assert (brackets[0, 1], brackets[2, 3], brackets[2, 0]) == (0, -1, 1)
 
 
 def test_minimal_coupling_paragalilei_random_parameters() -> None:
@@ -551,9 +545,12 @@ def test_minimal_coupling_paragalilei_random_parameters() -> None:
         w = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         w0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         state = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
-        res = minimal_coupling_paragalilei(state, m=m, omega=w, omega0=w0)
-        assert res.bracket_matrix == rf.coupled_momentum_brackets(m, w, w0)
-        b = m * w**2 / (2 * w0)
-        assert res.state[2] == state[2] + b * state[1]
-        assert res.state[3] == state[3] - b * state[0]
-        assert res.state[:2] == state[:2]
+        b = m * w**2 / w0
+        for name in ("G'+", "G'-"):
+            J = darboux_map(standard_orbit(name, m=m, h=b, omega=w).structure)
+            assert congruence(J, CANONICAL_BRACKET_MATRIX) == rf.coupled_momentum_brackets(
+                m, w, w0
+            )
+            mapped = J @ state
+            assert mapped[3] == state[3] - b * state[0]
+            assert mapped[:3] == state[:3]

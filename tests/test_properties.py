@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from test_static_group import _element_distance, _state_distance
 
@@ -41,12 +41,18 @@ from kinorbit.coadjoint import (
     _template_deviates,
     casimir_residual,
     classify,
+    darboux_map,
     kirillov_matrix,
     poisson_bracket,
     restrict,
     standard_orbit,
 )
-from kinorbit.mechanics import HamiltonianSpec, NCPhaseSpace2D, linear_system
+from kinorbit.mechanics import (
+    CANONICAL_BRACKET_MATRIX,
+    HamiltonianSpec,
+    NCPhaseSpace2D,
+    linear_system,
+)
 from kinorbit.rational_linalg import (
     RatMatrix,
     SingularMatrixError,
@@ -75,6 +81,10 @@ from kinorbit.timegrid import grid_times
 _REPEATABLE = settings(
     derandomize=True, database=None, deadline=None, max_examples=50
 )
+# Without the explain phase, which traces the lines that only failing
+# examples run: on the exact kernels that tracing is most of the time a
+# failure takes to report.
+_NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 def _fractions(numerators) -> st.SearchStrategy:
@@ -453,7 +463,7 @@ def _congruence_factors(draw) -> tuple[RatMatrix, RatMatrix]:
     return RatMatrix(jac), RatMatrix(m)
 
 
-@settings(_REPEATABLE, max_examples=100)
+@settings(_REPEATABLE, max_examples=100, phases=_NO_EXPLAIN)
 @given(factors=_congruence_factors())
 def test_the_congruence_is_the_dense_product_for_any_jacobian(factors) -> None:
     jac, m = factors
@@ -464,7 +474,7 @@ def test_the_congruence_is_the_dense_product_for_any_jacobian(factors) -> None:
     assert _all_fractions(product)
 
 
-@_REPEATABLE
+@settings(_REPEATABLE, phases=_NO_EXPLAIN)
 @given(
     name=st.sampled_from(STANDARD_ORBIT_NAMES),
     omega=_positive, kappa=_positive, m=_nonzero, h=_nonzero, E=_nonzero, data=st.data(),
@@ -482,6 +492,11 @@ def test_restrict_on_a_chart_with_any_jacobian_is_the_dense_congruence(
     jac = RatMatrix(data.draw(st.lists(st.lists(entry, min_size=4, max_size=4),
                                        min_size=4, max_size=4), label="jacobian"))
     names = orbit.chart.coordinate_names
+    rank = rat_rank(jac)
+    if rank < 4:  # z = J x would not be coordinates
+        with pytest.raises(ValueError, match=rf"\(rank {rank} < 4\)"):
+            OrbitChart(names, ("q1", "q2", "p1", "p2"), jac)
+        return
     structure = restrict(
         orbit.algebra, orbit.point, OrbitChart(names, ("q1", "q2", "p1", "p2"), jac)
     )
@@ -491,6 +506,78 @@ def test_restrict_on_a_chart_with_any_jacobian_is_the_dense_congruence(
     assert (rf.dense(structure.canonical_theta) == dense).all()
     assert (structure.G_field, structure.F_field) == (dense[0, 1], dense[2, 3])
     assert _all_fractions(structure.canonical_theta)
+
+
+# numerators and denominators of up to 3 digits, so that a failure is
+# reported quickly
+_three_digit = st.integers(-999, 999)
+_small = st.builds(Fraction, _three_digit, st.integers(1, 999))
+_small_nonzero = st.builds(Fraction, _three_digit.filter(bool), st.integers(1, 999))
+_small_positive = st.builds(Fraction, st.integers(1, 999), st.integers(1, 999))
+
+
+def _canonical(n: int) -> RatMatrix:
+    """The bracket matrix {z_i, z_(k+i)} = -1 of 2k = n commutative coordinates."""
+    k = n // 2
+    return RatMatrix([[-1 if b == a + k else 1 if a == b + k else 0 for b in range(n)]
+                      for a in range(n)])
+
+
+# where J may differ from the identity, as (rows, columns), by chart class
+_SHIFTED = {"canonical": ((), ()), "position_nc": ((0, 1), (2, 3)),
+            "momentum_nc": ((2, 3), (0, 1))}
+
+
+@settings(_REPEATABLE, phases=_NO_EXPLAIN)
+@given(
+    omega=_small_positive, kappa=_small_positive, m=_small_nonzero,
+    h=_small_nonzero | st.just(Fraction(0)), E=_small,
+)
+def test_the_darboux_map_takes_commuting_coordinates_to_each_orbit_chart(
+    omega, kappa, m, h, E
+) -> None:
+    assert _canonical(4) == CANONICAL_BRACKET_MATRIX
+    checked = 0
+    for name in STANDARD_ORBIT_NAMES:
+        try:
+            orbit = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+        except DegenerateChartError:
+            continue
+        J = darboux_map(orbit.structure)
+        assert congruence(J, CANONICAL_BRACKET_MATRIX) == orbit.structure.canonical_theta, name
+        # the identity, positions shifted by momenta, or momenta by positions
+        phase = classify(orbit.structure)
+        if phase in _SHIFTED:
+            rows, columns = _SHIFTED[phase]
+            moved = {(i, j) for i in range(4) for j in range(4) if J[i, j] != (i == j)}
+            assert moved <= {(i, j) for i in rows for j in columns}, (name, phase)
+        checked += 1
+    assert checked
+
+
+@settings(_REPEATABLE, phases=_NO_EXPLAIN)
+@given(m=_small, mu=_small_nonzero, beta=_small, kappa=_small_nonzero, E=_small, J=_small)
+def test_the_darboux_map_takes_commuting_coordinates_to_the_static_chart(
+    m, mu, beta, kappa, E, J
+) -> None:
+    assume(mu * kappa != beta * beta)
+    structure = static_symplectic(StaticConstants(m=m, mu=mu, beta=beta, kappa=kappa), E, J)
+    assert congruence(darboux_map(structure), _canonical(8)) == structure.canonical_theta
+
+
+@settings(_REPEATABLE, phases=_NO_EXPLAIN)
+@given(k=st.integers(2, 4), data=st.data())
+def test_the_darboux_map_pairs_past_a_canonical_pair_that_brackets_to_zero(k, data) -> None:
+    # {z_i, z_(k+i)} = 0 for every i, and every other bracket is nonzero
+    n = 2 * k
+    upper = {(a, b): data.draw(_small_nonzero) for a in range(n) for b in range(a + 1, n)
+             if b != a + k}
+    theta = RatMatrix([[upper.get((a, b), 0) if a < b else -upper.get((b, a), 0)
+                        for b in range(n)] for a in range(n)])
+    assume(rat_rank(theta) == n)
+    chart = OrbitChart(tuple(f"z{i}" for i in range(n)))
+    structure = SymplecticStructure(chart, theta, theta, theta, Fraction(0), Fraction(0))
+    assert congruence(darboux_map(structure), _canonical(n)) == theta
 
 
 _INVARIANTS = [
@@ -637,7 +724,7 @@ def _listed_jacobi(algebra) -> list[tuple]:
     return violations
 
 
-@settings(_REPEATABLE, max_examples=100)
+@settings(_REPEATABLE, max_examples=100, phases=_NO_EXPLAIN)
 @given(drawn=_bracket_patterns(), data=st.data())
 def test_jacobi_plans_equal_the_dense_sums_on_any_table(drawn, data) -> None:
     dim, pattern = drawn

@@ -40,12 +40,10 @@ from kinorbit.coadjoint import (
 )
 from kinorbit.mechanics import (
     HamiltonianSpec,
-    MinimalCouplingResult,
     NCPhaseSpace2D,
     NCTrajectory,
     QuadraticHamiltonian,
     integrate,
-    minimal_coupling_galilei,
 )
 from kinorbit.static_group import (
     StaticConstants,
@@ -78,7 +76,6 @@ _SIGNATURES = {
     HamiltonianSpec: "linear=(0.0, 0.0), quadratic=(0.0, 0.0, 0.0)",
     QuadraticHamiltonian: "hessian, gradient, constant=0",
     NCTrajectory: "times, states, energies, invariant_drift",
-    MinimalCouplingResult: "state, jacobian, bracket_matrix",
     StaticConstants: "m, mu, beta=Fraction(0, 1), kappa=Fraction(1, 1), nu=Fraction(0, 1), "
     "h=Fraction(0, 1)",
     StaticGroupElement: "angle=0.0, boost=(0.0, 0.0), translation=(0.0, 0.0), time=0.0, "
@@ -125,7 +122,6 @@ def _samples() -> dict:
         (ham, "linear", (0.0, 0.0)),
         (ham.hamiltonian(space), "constant", 1),
         (integrate(space, ham, (0.1, 0.2, 0.3, 0.4), 0.1, 0.05), "times", None),
-        (minimal_coupling_galilei((1, 0, 0, 1), 1, 2), "state", (0, 0, 0, 0)),
         (constants, "m", 5),
         (StaticGroupElement(angle=0.5, boost=(1, 2)), "time", 3.0),
         (StaticOrbitState(constants, position=(1, 0)), "energy", 2.0),
