@@ -56,7 +56,9 @@ __all__ = [
 
 
 class DegenerateChartError(ValueError):
-    """Raised when the restricted Kirillov matrix is singular on a chart."""
+    """Raised when the restricted Kirillov matrix is singular on a chart, or
+    when a standard orbit's position scale vanishes; ``rank`` is the exact
+    rank of the restricted Kirillov matrix."""
 
     def __init__(self, message: str, rank: int) -> None:
         super().__init__(message)
@@ -107,11 +109,14 @@ def _point_coords(algebra: StructureConstants, point) -> tuple[Fraction, ...]:
     return coords
 
 
+def _kirillov_block(algebra: StructureConstants, coords, idx) -> RatMatrix:
+    """The block of the Kirillov matrix at ``coords`` on the rows and columns ``idx``."""
+    return _matrix([row.get(j, _ZERO) for j in idx] for row in algebra.kirillov_rows(coords, idx))
+
+
 def kirillov_matrix(algebra: StructureConstants, point) -> RatMatrix:
     """Exact pairing matrix K_ij = sum_k alpha_k C_ij^k."""
-    n = algebra.dim
-    rows = algebra.kirillov_rows(_point_coords(algebra, point), range(n))
-    return _matrix([row.get(j, _ZERO) for j in range(n)] for row in rows)
+    return _kirillov_block(algebra, _point_coords(algebra, point), range(algebra.dim))
 
 
 def casimir_residual(algebra: StructureConstants, point, grad) -> tuple[Fraction, ...]:
@@ -253,6 +258,23 @@ class OrbitChart(Record):
         return len(self.coordinate_names)
 
     @classmethod
+    def _scaled(
+        cls, coordinate_names: tuple[str, ...], canonical: Mapping[str, tuple[str, Fraction]]
+    ) -> "OrbitChart":
+        """The chart z_a = scale * x_source, one ``(source, scale)`` pair per
+        canonical name ``a``.  With distinct sources and nonzero ``Fraction``
+        scales J is nonsingular by construction, so it is stored unchecked."""
+        n = len(coordinate_names)
+        jac = []
+        for source, scale in canonical.values():
+            row = [_ZERO] * n
+            row[coordinate_names.index(source)] = scale
+            jac.append(row)
+        chart = cls.__new__(cls)
+        chart._init(coordinate_names, tuple(canonical), _matrix(jac))
+        return chart
+
+    @classmethod
     def scaled_positions(
         cls,
         momentum_like: tuple[str, str],
@@ -264,18 +286,20 @@ class OrbitChart(Record):
         ``position_like`` are the dual directions divided by ``scale`` to
         produce positions; ``momentum_like`` pass through as momenta.
         Chart order is (position_like, momentum_like); canonical order is
-        (q1, q2, p1, p2).
+        (q1, q2, p1, p2).  A nonzero scale makes the chart nonsingular by
+        construction, so its Jacobian takes no rank elimination.
         """
         s = rat(scale)
         if s == 0:
             raise DegenerateChartError(
                 "position scale vanishes; chart coordinates are undefined", 0
             )
-        inv = 1 / s
-        names = position_like + momentum_like
-        diagonal = (inv, inv, Fraction(1), Fraction(1))
-        jac = [[d if i == j else _ZERO for j in range(4)] for i, d in enumerate(diagonal)]
-        return cls(names, ("q1", "q2", "p1", "p2"), jac)
+        (x1, x2), (y1, y2) = position_like, momentum_like
+        inv, one = 1 / s, Fraction(1)
+        return cls._scaled(
+            position_like + momentum_like,
+            {"q1": (x1, inv), "q2": (x2, inv), "p1": (y1, one), "p2": (y2, one)},
+        )
 
 
 class SymplecticStructure(Record):
@@ -330,9 +354,7 @@ def restrict(
         idx = [algebra.index(n) for n in chart.coordinate_names]
     except KeyError as exc:
         raise CatalogError(str(exc)) from None
-    omega = _matrix(
-        [row.get(j, _ZERO) for j in idx] for row in algebra.kirillov_rows(coords, idx)
-    )
+    omega = _kirillov_block(algebra, coords, idx)
     try:
         theta = rat_inv(omega)
     except SingularMatrixError as exc:
@@ -571,7 +593,7 @@ def _kinetic_invariant(
     """Internal energy H + c*(x1^2 + x2^2)/(2M) over the duals ``vector``.
 
     Galilei uses the momenta P with c = -1; para-Galilei G'+- uses the
-    boosts K with c = +-omega^2.
+    boosts K with c = beta = +-omega^2.
     """
     i1, i2 = (algebra.index(name) for name in vector)
     ih, im = algebra.index("H"), algebra.index("M")
@@ -582,10 +604,8 @@ def _kinetic_invariant(
     return OrbitInvariant("internal_energy", value)
 
 
-def _coordinate_invariant(
-    algebra: StructureConstants, name: str, label: str
-) -> OrbitInvariant:
-    return OrbitInvariant(label, itemgetter(algebra.index(name)))
+# the name of the invariant read off the dual value of each central generator
+_CENTRAL_LABELS = {"H": "energy", "M": "mass", "S": "second_charge"}
 
 
 def standard_orbit(
@@ -601,9 +621,13 @@ def standard_orbit(
 
     ``m`` is the mass charge (ignored for Carroll, whose scale is the
     energy ``E``), ``h`` the second central charge, ``E`` the energy value
-    of the base point.  The chart maps boost components to positions
+    of the base point M = m, S = h, H = E.  The coordinate invariants are
+    the duals of the center, the generators in no bracket; G and G'+- add
+    an internal energy.  The chart maps boost components to positions
     ``q = k/s`` with the family scale ``s`` (the mass, the Static effective
-    mass, or E/c^2 for Carroll) and keeps momenta ``p``.
+    mass, or E/c^2 for Carroll) and keeps momenta ``p``; it is nonsingular
+    by construction.  A vanishing ``s`` raises :class:`DegenerateChartError`
+    naming it, with the rank of the pairing on (K1, K2, P1, P2).
     """
     if name not in STANDARD_ORBIT_NAMES:
         raise CatalogError(
@@ -613,50 +637,33 @@ def standard_orbit(
     m, h, E = rat(m), rat(h), rat(E)
     params = KinematicalParams.for_algebra(name, omega, kappa)
     algebra = build(name, "central_ext", omega=omega, kappa=kappa)
-    w2 = params.omega**2
-    if name == "C":
-        point = DualPoint.from_mapping(algebra, {"H": E, "S": h})
-        scale = E * params.inv_c2
-        masses = {"m": scale, "h": h, "E": E}
-        invariants = (
-            _coordinate_invariant(algebra, "H", "energy"),
-            _coordinate_invariant(algebra, "S", "second_charge"),
-        )
+    names, values = algebra.names, {"M": m, "S": h, "H": E}
+    point = DualPoint(algebra, tuple(values.get(g, _ZERO) for g in names))
+    if name == "G":
+        invariants = (_kinetic_invariant(algebra, ("P1", "P2"), Fraction(-1)),)
+    elif name in ("G'+", "G'-"):
+        invariants = (_kinetic_invariant(algebra, ("K1", "K2"), params.beta),)
     else:
-        point = DualPoint.from_mapping(algebra, {"M": m, "S": h, "H": E})
-        if name == "S":
-            mu_e = m - params.kappa**2 * h / params.omega
-            scale = mu_e
-            masses = {"m": m, "h": h, "mu_e": mu_e}
-            invariants = (
-                _coordinate_invariant(algebra, "H", "energy"),
-                _coordinate_invariant(algebra, "M", "mass"),
-                _coordinate_invariant(algebra, "S", "second_charge"),
-            )
-        elif name == "G":
-            scale = m
-            masses = {"m": m, "h": h}
-            invariants = (
-                _kinetic_invariant(algebra, ("P1", "P2"), Fraction(-1)),
-                _coordinate_invariant(algebra, "M", "mass"),
-                _coordinate_invariant(algebra, "S", "second_charge"),
-            )
-        elif name in ("G'+", "G'-"):
-            sign = 1 if name.endswith("+") else -1
-            scale = m
-            masses = {"m": m, "h": h}
-            invariants = (
-                _kinetic_invariant(algebra, ("K1", "K2"), sign * w2),
-                _coordinate_invariant(algebra, "M", "mass"),
-                _coordinate_invariant(algebra, "S", "second_charge"),
-            )
-        else:  # NH+/NH-
-            scale = m
-            masses = {"m": m, "h": h}
-            invariants = (
-                _coordinate_invariant(algebra, "M", "mass"),
-                _coordinate_invariant(algebra, "S", "second_charge"),
-            )
+        invariants = ()
+    bracketed = {i for pair, _ in algebra.pair_table() for i in pair}
+    invariants += tuple(
+        OrbitInvariant(_CENTRAL_LABELS[g], itemgetter(i))
+        for i, g in enumerate(names)
+        if i not in bracketed
+    )
+    masses = {"m": E * params.inv_c2 if name == "C" else m, "h": h}
+    if name == "S":
+        masses["mu_e"] = m - params.kappa**2 * h / params.omega
+    scale = masses.get("mu_e", masses["m"])
+    if scale == 0:
+        label = {"C": "E/c^2", "S": "m - kappa^2*h/omega"}.get(name, "m")
+        directions = ("K1", "K2", "P1", "P2")
+        block = _kirillov_block(algebra, point.coords, [algebra.index(g) for g in directions])
+        rank = rat_rank(block)
+        raise DegenerateChartError(
+            f"position scale {label} vanishes, so q = K/({label}) is undefined; the pairing "
+            f"on {directions} has rank {rank} of 4 at the base point", rank
+        )
     chart = OrbitChart.scaled_positions(("P1", "P2"), ("K1", "K2"), scale)
     structure = restrict(algebra, point, chart)
     return StandardOrbit(

@@ -474,7 +474,6 @@ def static_invariants(state: StaticOrbitState):
 # -- symplectic structure and evolution ------------------------------------
 
 _CHART_DUAL_ORDER = ("P1", "P2", "K1", "K2", "F1", "F2", "Pi1", "Pi2")
-_CHART_CANONICAL = ("q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2")
 
 
 def static_symplectic(
@@ -483,7 +482,9 @@ def static_symplectic(
     """Exact symplectic structure of the eight-dimensional orbit chart.
 
     The chart spans the dual directions (P, K, F, Pi); the canonical map
-    sends them to (q, u, p, k) with q = -f/kappa_e and u = I/mu_e.  The
+    sends them to (q, u, p, k) with q = -f/kappa_e and u = I/mu_e, each
+    canonical coordinate one chart direction times a nonzero scale, so the
+    chart is nonsingular by construction and takes no rank elimination.  The
     bracket matrix carries the cross couplings {p_i, k_j} = m delta_ij in
     addition to the scaled diagonal brackets, so the chart is always of
     the fully noncommutative type.
@@ -502,24 +503,11 @@ def static_symplectic(
             "J": rat(angular_momentum),
         },
     )
-    n = len(_CHART_DUAL_ORDER)
-    jac = [[Fraction(0)] * n for _ in range(n)]
-    inv_ke = -1 / constants.kappa_e
-    inv_me = 1 / constants.mu_e
-    # canonical order: q1 q2 u1 u2 p1 p2 k1 k2 over chart order P P K K F F Pi Pi
-    jac[0][4] = inv_ke
-    jac[1][5] = inv_ke
-    jac[2][6] = inv_me
-    jac[3][7] = inv_me
-    jac[4][0] = Fraction(1)
-    jac[5][1] = Fraction(1)
-    jac[6][2] = Fraction(1)
-    jac[7][3] = Fraction(1)
-    chart = OrbitChart(
-        _CHART_DUAL_ORDER,
-        _CHART_CANONICAL,
-        tuple(tuple(row) for row in jac),
-    )
+    inv_ke, inv_me, one = -1 / constants.kappa_e, 1 / constants.mu_e, Fraction(1)
+    chart = OrbitChart._scaled(_CHART_DUAL_ORDER, {
+        "q1": ("F1", inv_ke), "q2": ("F2", inv_ke), "u1": ("Pi1", inv_me), "u2": ("Pi2", inv_me),
+        "p1": ("P1", one), "p2": ("P2", one), "k1": ("K1", one), "k2": ("K2", one),
+    })
     return restrict(alg, point, chart)
 
 
@@ -602,7 +590,7 @@ def evolution_hamiltonian(constants: StaticConstants) -> QuadraticHamiltonian:
     under the chart's ``canonical_theta`` is :func:`time_evolution`'s."""
     from .mechanics import QuadraticHamiltonian
 
-    n = len(_CHART_CANONICAL)
+    n = len(_CHART_DUAL_ORDER)
     hessian = [[0] * n for _ in range(n)]
     for q, u in ((0, 2), (1, 3)):
         hessian[q][q], hessian[u][u] = -constants.kappa_e, -constants.mu_e

@@ -76,6 +76,26 @@ def test_orbit_degenerate_chart_is_a_runtime_failure(capsys) -> None:
     assert "singular" in err or "degenerate" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv, label, rank",
+    [
+        (["--algebra", "C", "--param", "E=0"], "E/c^2", 4),
+        (["--algebra", "NH+", "--param", "m=0", "--param", "h=1"], "m", 4),
+        (["--algebra", "S", "--param", "m=1", "--param", "h=1"], "m - kappa^2*h/omega", 2),
+        (["--algebra", "G", "--param", "m=0", "--param", "h=1"], "m", 2),
+    ],
+    ids=["C", "NH+", "S", "G"],
+)
+def test_orbit_with_a_vanishing_scale_names_it_and_the_rank(capsys, argv, label, rank) -> None:
+    code, out, err = _run(capsys, ["orbit", *argv])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"verification failure: position scale {label} vanishes, so q = K/({label}) is "
+        f"undefined; the pairing on ('K1', 'K2', 'P1', 'P2') has rank {rank} of 4 at the "
+        "base point\n"
+    )
+
+
 def _build_error(name: str, variant: str) -> str:
     """The reason ``catalog.build`` gives for refusing ``name`` and ``variant``."""
     try:

@@ -21,7 +21,7 @@ from kinorbit.coadjoint import (
     restrict,
     standard_orbit,
 )
-from kinorbit.rational_linalg import RatMatrix, rat_inv
+from kinorbit.rational_linalg import RatMatrix, rat_inv, rat_rank
 
 _I4 = RatMatrix.identity(4)
 
@@ -212,6 +212,32 @@ def test_degenerate_charts_report_rank() -> None:
         standard_orbit("G", m=0, h=1)
 
 
+# (orbit, charges at omega = kappa = 1, the scale that vanishes, exact rank
+# of the (K1, K2, P1, P2) pairing at the base point)
+_VANISHING_SCALES = [
+    ("C", {"m": 2, "h": 1, "E": 0}, "E/c^2", 4),
+    ("NH+", {"m": 0, "h": 1, "E": 2}, "m", 4),
+    ("S", {"m": 1, "h": 1, "E": 2}, "m - kappa^2*h/omega", 2),
+    ("G", {"m": 0, "h": 1, "E": 2}, "m", 2),
+]
+
+
+@pytest.mark.parametrize("name, charges, label, rank", _VANISHING_SCALES)
+def test_a_vanishing_scale_names_itself_and_the_pairing_rank(name, charges, label, rank) -> None:
+    # the rank used to be reported as 0 whatever the pairing
+    with pytest.raises(DegenerateChartError) as err:
+        standard_orbit(name, **charges)
+    assert err.value.rank == rank
+    assert f"position scale {label} vanishes" in str(err.value)
+    assert f"has rank {rank} of 4 at the base point" in str(err.value)
+    alg = build(name, "central_ext")
+    values = {"M": charges["m"], "S": charges["h"], "H": charges["E"]}
+    point = DualPoint.from_mapping(alg, {g: v for g, v in values.items() if g in alg.names})
+    idx = [alg.index(g) for g in ("K1", "K2", "P1", "P2")]
+    block = RatMatrix([[kirillov_matrix(alg, point)[i, j] for j in idx] for i in idx])
+    assert rat_rank(block) == rank
+
+
 def test_carroll_chart_degenerates_on_resonance() -> None:
     # the Carroll chart loses rank exactly when E^2 = (h*omega)^2
     with pytest.raises(DegenerateChartError) as err:
@@ -290,6 +316,47 @@ def test_finite_difference_gradient_on_polynomial() -> None:
     grad = rf.finite_difference_gradient(fn, [1.5, -2.0, 3.0])
     expected = np.array([3 * 1.5**2 - 4.0, 3.0, -6.0])
     assert np.max(np.abs(grad - expected)) < 1e-7
+
+
+_PINNED_INVARIANTS = {
+    "G": ("internal_energy", "mass", "second_charge"),
+    "G'+": ("internal_energy", "mass", "second_charge"),
+    "G'-": ("internal_energy", "mass", "second_charge"),
+    "S": ("energy", "mass", "second_charge"),
+    "C": ("energy", "second_charge"),
+    "NH+": ("mass", "second_charge"),
+    "NH-": ("mass", "second_charge"),
+}
+
+
+def test_standard_orbits_keep_their_point_invariants_masses_and_scale() -> None:
+    rng = random.Random(2206)
+    checked = {name: 0 for name in _PINNED_INVARIANTS}
+    for _ in range(12):
+        m, h, E = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                   for _ in range(3))
+        omega, kappa = (Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))
+        inv_c2 = kappa**2 / omega**2
+        for name, invariants in _PINNED_INVARIANTS.items():
+            try:
+                orb = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+            except DegenerateChartError:
+                continue
+            assert tuple(i.name for i in orb.invariants) == invariants, name
+            values = {"M": m, "S": h, "H": E}
+            assert orb.point.coords == tuple(values.get(g, 0) for g in orb.algebra.names)
+            masses = {"m": E * inv_c2 if name == "C" else m, "h": h}
+            if name == "S":
+                masses["mu_e"] = m - kappa**2 * h / omega
+            assert orb.masses == masses, name
+            scale = masses.get("mu_e", masses["m"])
+            diagonal = (1 / scale, 1 / scale, 1, 1)
+            assert orb.chart.jacobian == RatMatrix(
+                [[d if i == j else 0 for j in range(4)] for i, d in enumerate(diagonal)]
+            ), name
+            assert orb.chart.coordinate_names == ("K1", "K2", "P1", "P2")
+            checked[name] += 1
+    assert min(checked.values()) >= 8, checked
 
 
 def test_naive_energy_is_not_a_casimir_for_newton_hooke() -> None:

@@ -126,6 +126,13 @@ def test_standard_orbit_invariants_have_exactly_zero_residual(
         for invariant in orbit.invariants:
             residual = invariant.residual(orbit.algebra, point)
             assert all(r == 0 for r in residual), (name, invariant.name)
+        # the coordinate invariants are the duals of the generators in no
+        # bracket: at the coordinates 0, 1, 2, ... each returns its index
+        alg = orbit.algebra
+        center = [i for i in range(alg.dim)
+                  if not any(alg.bracket_targets(i, j) for j in range(alg.dim))]
+        coordinates = [inv for inv in orbit.invariants if inv.name != "internal_energy"]
+        assert [inv.value(range(alg.dim)) for inv in coordinates] == center, name
         structure = orbit.structure
         assert structure.omega @ structure.theta == RatMatrix.identity(structure.dim), name
         checked += 1

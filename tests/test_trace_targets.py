@@ -70,6 +70,30 @@ def test_the_inversion_and_the_residuals_record_spans_in_their_layers(spans) -> 
     assert len(parents["coadjoint.casimir_residual"]) == len(orbit.invariants)
 
 
+def test_the_package_charts_take_no_rank_elimination(spans) -> None:
+    # the standard and Static charts are nonsingular by construction; only a
+    # Jacobian a caller passes to OrbitChart is checked by its exact rank
+    from kinorbit import coadjoint, static_group
+
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        for name in coadjoint.STANDARD_ORBIT_NAMES:
+            coadjoint.standard_orbit(name, m=2, h=1, E=2)
+        static_group.static_symplectic(static_group.StaticConstants(m=1, mu=2, beta=1, kappa=1))
+        package = [name for _, _, name, *_ in tracer.spans]
+        with pytest.raises(ValueError, match=r"\(rank 0 < 4\)"):
+            coadjoint.OrbitChart(("K1", "K2", "P1", "P2"), ("q", "u", "p", "k"), ((0,) * 4,) * 4)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert package.count("coadjoint.standard_orbit") == len(coadjoint.STANDARD_ORBIT_NAMES)
+    assert package.count("static_group.static_symplectic") == 1
+    assert "rational_linalg.rat_rank" not in package
+    assert [name for _, _, name, *_ in tracer.spans[len(package):]] == ["rational_linalg.rat_rank"]
+
+
 @pytest.mark.parametrize("name, variant", [("S", "noncentral_ext"), ("dS+", "isotropic")])
 def test_each_jacobi_check_is_one_span_that_builds_its_plan_inside(
     spans, monkeypatch, name, variant
