@@ -32,7 +32,6 @@ _LAZY = {
     "catalog": (
         "AlgebraDescriptor",
         "CatalogError",
-        "CatalogRecord",
         "KinematicalParams",
         "admissible_central_extensions",
         "build",
@@ -97,7 +96,6 @@ __all__ = [
     "AlgebraElement",
     "CANONICAL_BRACKET_MATRIX",
     "CatalogError",
-    "CatalogRecord",
     "DegenerateChartError",
     "DualPoint",
     "GeneratorLabel",

@@ -46,7 +46,6 @@ __all__ = [
     "KinematicalParams",
     "AlgebraDescriptor",
     "CentralExtensionRule",
-    "CatalogRecord",
     "ISOTROPIC_NAMES",
     "ANISOTROPIC_NAMES",
     "CENTRAL_EXTENSION_NAMES",
@@ -239,7 +238,13 @@ def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
 
 
 class AlgebraDescriptor(Record):
-    """A catalog selector: algebra name plus construction variant."""
+    """A catalog entry: algebra name plus construction variant.
+
+    Construction refuses an unknown name or variant and a variant the name
+    does not admit.  Every other fact of the entry is derived from the two
+    fields: ``label``, ``dim``, ``time_class``, ``space_class`` and
+    ``param_slots``.
+    """
 
     __slots__ = _fields = ("name", "variant")
 
@@ -273,6 +278,18 @@ class AlgebraDescriptor(Record):
     @property
     def dim(self) -> int:
         return sum(1 + (f in _VECTORS) for f in _families(self.name, self.variant))
+
+    @property
+    def param_slots(self) -> tuple[str, ...]:
+        """The scales a build reads: kappa enters through 1/c^2 and the
+        extension charges, omega through beta; the noncentral Static
+        extension has no scale at all."""
+        _, lam, beta_sign, has_gamma = _FAMILY[self.name]
+        if has_gamma or self.variant == "central_ext" or (
+            self.variant == "noncentral_ext" and (lam or beta_sign)
+        ):
+            return ("omega", "kappa")
+        return ("omega",) if beta_sign else ()
 
 
 class CentralExtensionRule(Record):
@@ -436,8 +453,8 @@ def _expansion(name: str, variant: str) -> tuple:
 
 
 def build(
-    descriptor: AlgebraDescriptor | str,
-    variant: str | None = None,
+    name: str,
+    variant: str = "isotropic",
     *,
     omega=Fraction(1),
     kappa=Fraction(1),
@@ -446,29 +463,21 @@ def build(
     m_coupling=None,
     enforce_admissibility: bool = True,
 ) -> StructureConstants:
-    """Build the structure constants for a catalog algebra.
+    """Build the structure constants for the catalog entry ``name``, ``variant``.
 
-    ``descriptor`` may be an :class:`AlgebraDescriptor` or a bare name (in
-    which case ``variant`` selects the variant, default ``isotropic``).  A
-    build fills the expansion of its (name, variant) with the parameters of
-    the scales ``omega`` and ``kappa`` (as :meth:`KinematicalParams.for_algebra`)
-    and the charges of ``central_ext``, the only variant that takes
-    ``mu_charge``, ``alpha_charge`` or an ``m_coupling`` other than 1.  The
-    charges default to the admissible normalization and are validated
-    against the admissibility rule unless ``enforce_admissibility`` is False
-    (used to demonstrate the resulting Jacobi violation).  ``m_coupling``
-    (``None`` means 1) scales the boost-momentum central charge so that
-    setting all extension parameters to zero recovers the unextended
-    algebra; Carroll, whose boost-momentum bracket keeps H, ignores it.
+    An unknown name or variant, or a variant the name does not admit, raises
+    :class:`CatalogError`.  A build fills the expansion of its (name,
+    variant) with the parameters of the scales ``omega`` and ``kappa`` (as
+    :meth:`KinematicalParams.for_algebra`) and the charges of ``central_ext``,
+    the only variant that takes ``mu_charge``, ``alpha_charge`` or an
+    ``m_coupling`` other than 1.  The charges default to the admissible
+    normalization and are validated against the admissibility rule unless
+    ``enforce_admissibility`` is False (used to demonstrate the resulting
+    Jacobi violation).  ``m_coupling`` (``None`` means 1) scales the
+    boost-momentum central charge so that setting all extension parameters
+    to zero recovers the unextended algebra; Carroll, whose boost-momentum
+    bracket keeps H, ignores it.
     """
-    if isinstance(descriptor, str):
-        name, variant = descriptor, variant or "isotropic"
-    elif variant is not None and variant != descriptor.variant:
-        raise CatalogError(
-            f"conflicting variants {descriptor.variant!r} and {variant!r}"
-        )
-    else:
-        name, variant = descriptor.name, descriptor.variant
     basis, index, rotation, slots, quantities, rule = _expansion(name, variant)
     values = _quantities(name, omega, kappa)
     if rule is None:
@@ -497,47 +506,13 @@ def build(
     return StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
 
 
-class CatalogRecord(Record):
-    """One machine-readable catalog listing row."""
-
-    __slots__ = _fields = (
-        "name", "label", "variant", "dim", "time_class", "space_class", "param_slots",
-    )
-
-    def __init__(
-        self, name: str, label: str, variant: str, dim: int,
-        time_class: str, space_class: str, param_slots: tuple[str, ...],
-    ) -> None:
-        self._init(name, label, variant, dim, time_class, space_class, param_slots)
-
-
-def _param_slots(name: str, variant: str) -> tuple[str, ...]:
-    """The scales a build reads: kappa enters through 1/c^2 and the
-    extension charges, omega through beta; the noncentral Static
-    extension has no scale at all."""
-    _, lam, beta_sign, has_gamma = _FAMILY[name]
-    if has_gamma or variant == "central_ext" or (
-        variant == "noncentral_ext" and (lam or beta_sign)
-    ):
-        return ("omega", "kappa")
-    return ("omega",) if beta_sign else ()
-
-
 @cache
-def list_catalog() -> tuple[CatalogRecord, ...]:
-    """All (name, variant) combinations in fixed catalog order, built once."""
+def list_catalog() -> tuple[AlgebraDescriptor, ...]:
+    """Every catalog entry, as its :class:`AlgebraDescriptor`, in fixed
+    catalog order (by name, then variant), built once."""
     return tuple(
-        CatalogRecord(
-            name=name,
-            label=desc.label,
-            variant=variant,
-            dim=desc.dim,
-            time_class=desc.time_class,
-            space_class=desc.space_class,
-            param_slots=_param_slots(name, variant),
-        )
+        AlgebraDescriptor(name, variant)
         for name in ISOTROPIC_NAMES
         for variant, (names, _) in _ADMITTED.items()
         if name in names
-        for desc in (AlgebraDescriptor(name, variant),)
     )

@@ -19,7 +19,8 @@ Subcommands
     two invariants.
 
 Options can come from flags or an INI file (section ``[run]``, parameters
-as ``param.NAME`` keys); flags win.  One table (``_PARAMS``) lists each
+as ``param.NAME`` keys); flags win.  One table (``_COMMANDS``) names each
+command with its handler and help line, one (``_PARAMS``) lists each
 command's parameter keys with their defaults, and one parser reads a run's
 parameters against it.  Each command returns its output as ordered
 columns: a float (one value on every row), an ``array('d')`` of floats or
@@ -64,7 +65,6 @@ from .timegrid import ROW_BLOCK, IntegrationError, step_count
 __all__ = ["MAX_PARAM_DIGITS", "ConfigError", "RunConfig", "run", "main"]
 
 _FORMATS = ("csv", "json-lines")
-_COMMANDS = ("list", "verify", "orbit", "classify", "simulate", "realize")
 _SEED = 20260823
 
 # Most decimal digits an exact parameter may span: the length of its text
@@ -360,7 +360,7 @@ def _selects(config: RunConfig, name: str, variant: str) -> bool:
 
 
 def _selected_records(config: RunConfig) -> list:
-    """The catalog records matching ``--algebra`` and ``--variant``, when given."""
+    """The catalog entries matching ``--algebra`` and ``--variant``, when given."""
     return [r for r in list_catalog() if _selects(config, r.name, r.variant)]
 
 
@@ -597,13 +597,14 @@ def _cmd_realize(config: RunConfig, params: dict) -> tuple[int, dict]:
     return 0, evolution_rows(state, config.t_end, config.dt)
 
 
-_DISPATCH = {
-    "list": _cmd_list,
-    "verify": _cmd_verify,
-    "orbit": _cmd_orbit,
-    "classify": _cmd_classify,
-    "simulate": _cmd_simulate,
-    "realize": _cmd_realize,
+# command -> (handler, help line), in the order the parser lists them
+_COMMANDS = {
+    "list": (_cmd_list, "list catalog algebras, variants, dimensions and parameter slots"),
+    "verify": (_cmd_verify, "run Jacobi / Casimir / inverse-pairing suites"),
+    "orbit": (_cmd_orbit, "emit the symplectic data of a standard orbit"),
+    "classify": (_cmd_classify, "emit the phase-space taxonomy of the standard orbits"),
+    "simulate": (_cmd_simulate, "integrate the modified Hamilton equations"),
+    "realize": (_cmd_realize, "trace the time evolution of an extended-Static orbit state"),
 }
 
 
@@ -611,7 +612,7 @@ def run(config: RunConfig) -> int:
     """Execute a resolved run request; returns the process exit status."""
     try:
         _check_selection(config)
-        code, columns = _DISPATCH[config.command](config, _params(config))
+        code, columns = _COMMANDS[config.command][0](config, _params(config))
         # every command has a column that is not one float
         n_rows = next(len(c) for c in columns.values() if not isinstance(c, float))
         _emit(config, columns, range(n_rows))
@@ -636,16 +637,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "list": "list catalog algebras, variants, dimensions and parameter slots",
-        "verify": "run Jacobi / Casimir / inverse-pairing suites",
-        "orbit": "emit the symplectic data of a standard orbit",
-        "classify": "emit the phase-space taxonomy of the standard orbits",
-        "simulate": "integrate the modified Hamilton equations",
-        "realize": "trace the time evolution of an extended-Static orbit state",
-    }
-    for command in _COMMANDS:
-        p = sub.add_parser(command, help=helps[command])
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="INI file with a [run] section")
         p.add_argument("--algebra", help="catalog algebra name (e.g. G, NH+, S)")
         p.add_argument("--variant", help="catalog variant name")

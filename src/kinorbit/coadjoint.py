@@ -58,7 +58,8 @@ __all__ = [
 class DegenerateChartError(ValueError):
     """Raised when the restricted Kirillov matrix is singular on a chart, or
     when a standard orbit's position scale vanishes; ``rank`` is the exact
-    rank of the restricted Kirillov matrix."""
+    rank of the restricted Kirillov matrix, for a standard orbit the
+    pairing on (K1, K2, P1, P2) at its base point."""
 
     def __init__(self, message: str, rank: int) -> None:
         super().__init__(message)
@@ -273,33 +274,6 @@ class OrbitChart(Record):
         chart = cls.__new__(cls)
         chart._init(coordinate_names, tuple(canonical), _matrix(jac))
         return chart
-
-    @classmethod
-    def scaled_positions(
-        cls,
-        momentum_like: tuple[str, str],
-        position_like: tuple[str, str],
-        scale,
-    ) -> "OrbitChart":
-        """The standard chart q_i = x_i/scale, p_i = y_i on four directions.
-
-        ``position_like`` are the dual directions divided by ``scale`` to
-        produce positions; ``momentum_like`` pass through as momenta.
-        Chart order is (position_like, momentum_like); canonical order is
-        (q1, q2, p1, p2).  A nonzero scale makes the chart nonsingular by
-        construction, so its Jacobian takes no rank elimination.
-        """
-        s = rat(scale)
-        if s == 0:
-            raise DegenerateChartError(
-                "position scale vanishes; chart coordinates are undefined", 0
-            )
-        (x1, x2), (y1, y2) = position_like, momentum_like
-        inv, one = 1 / s, Fraction(1)
-        return cls._scaled(
-            position_like + momentum_like,
-            {"q1": (x1, inv), "q2": (x2, inv), "p1": (y1, one), "p2": (y2, one)},
-        )
 
 
 class SymplecticStructure(Record):
@@ -655,16 +629,19 @@ def standard_orbit(
     if name == "S":
         masses["mu_e"] = m - params.kappa**2 * h / params.omega
     scale = masses.get("mu_e", masses["m"])
+    directions = ("K1", "K2", "P1", "P2")
     if scale == 0:
         label = {"C": "E/c^2", "S": "m - kappa^2*h/omega"}.get(name, "m")
-        directions = ("K1", "K2", "P1", "P2")
         block = _kirillov_block(algebra, point.coords, [algebra.index(g) for g in directions])
         rank = rat_rank(block)
         raise DegenerateChartError(
             f"position scale {label} vanishes, so q = K/({label}) is undefined; the pairing "
             f"on {directions} has rank {rank} of 4 at the base point", rank
         )
-    chart = OrbitChart.scaled_positions(("P1", "P2"), ("K1", "K2"), scale)
+    inv, one = 1 / scale, Fraction(1)
+    chart = OrbitChart._scaled(directions, {
+        "q1": ("K1", inv), "q2": ("K2", inv), "p1": ("P1", one), "p2": ("P2", one),
+    })
     structure = restrict(algebra, point, chart)
     return StandardOrbit(
         name=name,

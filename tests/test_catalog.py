@@ -85,6 +85,16 @@ def test_the_catalog_listing_is_built_once_and_stays_immutable() -> None:
     assert all(isinstance(r.param_slots, tuple) for r in recs)
 
 
+def test_param_slots_are_the_scales_a_build_reads() -> None:
+    """Changing omega or kappa changes the built brackets exactly when the
+    entry lists that scale in ``param_slots``."""
+    for entry in list_catalog():
+        base = list(build(entry.name, entry.variant).pair_table())
+        for scale in ("omega", "kappa"):
+            moved = list(build(entry.name, entry.variant, **{scale: Fraction(2, 3)}).pair_table())
+            assert (moved != base) == (scale in entry.param_slots), (entry, scale)
+
+
 def test_every_catalog_algebra_is_jacobi_clean_at_random_parameters() -> None:
     rng = random.Random(20260823)
     for rec in list_catalog():

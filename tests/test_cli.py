@@ -215,7 +215,7 @@ def test_every_float_column_is_one_value_or_a_value_per_grid_time(
     command, algebra, params, t_end, dt
 ) -> None:
     config = RunConfig(command, algebra=algebra, params=params, t_end=t_end, dt=dt)
-    code, columns = cli._DISPATCH[command](config, cli._params(config))
+    code, columns = cli._COMMANDS[command][0](config, cli._params(config))
     assert code == 0
     assert list(columns)[0] == "t"
     n_steps = timegrid.step_count(t_end, dt)
@@ -562,3 +562,71 @@ def test_exact_parameters_at_the_bound_run(capsys, command, shapes) -> None:
     code, out, err = _run(capsys, command + params)
     assert (code, err) == (0, "")
     assert out
+
+
+_HELP = """\
+usage: kinorbit [-h] {list,verify,orbit,classify,simulate,realize} ...
+
+Exact catalog of planar kinematical Lie algebras, their coadjoint-orbit phase
+spaces and noncommutative mechanics.
+
+positional arguments:
+  {list,verify,orbit,classify,simulate,realize}
+    list                list catalog algebras, variants, dimensions and
+                        parameter slots
+    verify              run Jacobi / Casimir / inverse-pairing suites
+    orbit               emit the symplectic data of a standard orbit
+    classify            emit the phase-space taxonomy of the standard orbits
+    simulate            integrate the modified Hamilton equations
+    realize             trace the time evolution of an extended-Static orbit
+                        state
+
+options:
+  -h, --help            show this help message and exit
+"""
+# every command takes the same options
+_COMMAND_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       INI file with a [run] section
+  --algebra ALGEBRA     catalog algebra name (e.g. G, NH+, S)
+  --variant VARIANT     catalog variant name
+  --param KEY=VALUE     set a model parameter (repeatable); values may be
+                        rational
+  --t-end T_END         integration horizon
+  --dt DT               integration step
+  --out OUT             output file (default: stdout)
+  --format {csv,json-lines}
+                        output format
+"""
+_SHORT_USAGE = """\
+usage: kinorbit {command} [-h] [--config CONFIG] [--algebra ALGEBRA]
+{indent}[--variant VARIANT] [--param KEY=VALUE] [--t-end T_END]
+{indent}[--dt DT] [--out OUT] [--format {{csv,json-lines}}]
+"""
+_LONG_USAGE = """\
+usage: kinorbit {command} [-h] [--config CONFIG] [--algebra ALGEBRA]
+{indent}[--variant VARIANT] [--param KEY=VALUE]
+{indent}[--t-end T_END] [--dt DT] [--out OUT]
+{indent}[--format {{csv,json-lines}}]
+"""
+_USAGES = {
+    "list": _SHORT_USAGE, "verify": _SHORT_USAGE, "orbit": _SHORT_USAGE,
+    "classify": _LONG_USAGE, "simulate": _LONG_USAGE, "realize": _LONG_USAGE,
+}
+
+
+@pytest.mark.parametrize("command", [None, *_USAGES])
+def test_help_text_is_pinned(monkeypatch, capsys, command) -> None:
+    """``kinorbit --help`` and ``kinorbit <command> --help`` at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    if command is None:
+        expected = _HELP
+    else:
+        indent = " " * len(f"usage: kinorbit {command} ")
+        expected = _USAGES[command].format(command=command, indent=indent) + _COMMAND_OPTIONS
+    assert (captured.out, captured.err) == (expected, "")

@@ -435,9 +435,7 @@ def test_orbit_chart_validation() -> None:
         OrbitChart(("a", "b"), ("x",))
     with pytest.raises(ValueError):
         OrbitChart(("a", "b"), ("x", "y"), ((1,),))
-    with pytest.raises(DegenerateChartError):
-        OrbitChart.scaled_positions(("P1", "P2"), ("K1", "K2"), 0)
-    chart = OrbitChart.scaled_positions(("P1", "P2"), ("K1", "K2"), 2)
+    chart = standard_orbit("G", m=2).chart
     assert chart.coordinate_names == ("K1", "K2", "P1", "P2")
     assert chart.canonical_names == ("q1", "q2", "p1", "p2")
     assert chart.jacobian[0, 0] == Fraction(1, 2)

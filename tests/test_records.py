@@ -11,22 +11,23 @@ its ``__init__``.
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation
+import kinorbit
+from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation, Record
 from kinorbit.catalog import (
     ISOTROPIC_NAMES,
     AlgebraDescriptor,
-    CatalogRecord,
     CentralExtensionRule,
     KinematicalParams,
     admissible_central_extensions,
     build,
-    list_catalog,
 )
 from kinorbit.cli import RunConfig
 from kinorbit.coadjoint import (
@@ -62,7 +63,6 @@ _SIGNATURES = {
     KinematicalParams: "lam, beta, gamma, omega=Fraction(1, 1), kappa=Fraction(1, 1)",
     AlgebraDescriptor: "name, variant='isotropic'",
     CentralExtensionRule: "lam, beta_sign, description, default_mu, default_alpha",
-    CatalogRecord: "name, label, variant, dim, time_class, space_class, param_slots",
     RunConfig: "command, algebra=None, variant=None, params=None, t_end=10.0, dt=0.01, "
     "out=None, format='csv'",
     DualPoint: "algebra, coords",
@@ -110,7 +110,6 @@ def _samples() -> dict:
         (orbit.params, "omega", Fraction(2)),
         (AlgebraDescriptor("G", "central_ext"), "variant", "isotropic"),
         (admissible_central_extensions(1, 0), "description", "other"),
-        (list_catalog()[0], "dim", 99),
         (RunConfig(command="list"), "format", "json-lines"),
         (orbit.point, "coords", (1,) * orbit.algebra.dim),
         (orbit.chart, "canonical_names", ("a", "b", "c", "d")),
@@ -133,6 +132,23 @@ _SAMPLES = _samples()
 _RECORDS = sorted(_SIGNATURES, key=lambda cls: cls.__name__)
 # mutable; a dict field (masses); array fields
 _UNHASHABLE = {RunConfig, StandardOrbit, NCTrajectory}
+
+
+def _package_records() -> set[type]:
+    """Every ``Record`` subclass the package defines, after importing all its modules."""
+    for module in pkgutil.iter_modules(kinorbit.__path__):
+        importlib.import_module(f"kinorbit.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("kinorbit.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+def test_every_package_record_has_a_pinned_signature() -> None:
+    assert set(_SIGNATURES) == _package_records()
 
 
 def test_every_record_type_has_a_sample() -> None:
