@@ -31,7 +31,12 @@ integration failure (including degenerate charts), 2 configuration error
 (including a parameter key the command does not read, a non-finite or
 out-of-range number, an exact parameter that spans more than
 :data:`MAX_PARAM_DIGITS` digits, a step count t_end/dt above
-:data:`kinorbit.timegrid.MAX_STEPS`, and an unwritable ``--out`` file).
+:data:`kinorbit.timegrid.MAX_STEPS`, an unwritable ``--out`` file, and
+output that cannot be written or flushed, to ``--out`` or stdout: one
+line ``configuration error: cannot write output: ...``).  A reader that
+closes the pipe before the output ends ends the run with status 1, as
+Python itself ends on a broken pipe, and nothing on stderr: stdout is
+pointed at devnull, so the flush at exit has nowhere to fail.
 No command loads NumPy, and each loads only the layers it runs:
 ``list`` the catalog alone; ``orbit``, ``classify``, ``verify`` and
 ``simulate --algebra`` also :mod:`kinorbit.coadjoint`; ``simulate``,
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import random
 import re
 import sys
@@ -300,7 +306,9 @@ def _emit(config: RunConfig, columns: dict, rows: range) -> None:
     value of every row, an ``array('d')`` holds floats (printed with
     %.17g), and a list holds exact values (printed with ``str``).  A JSON
     line maps each field to its formatted string, keys sorted, exactly as
-    ``json.dumps(..., sort_keys=True)``.
+    ``json.dumps(..., sort_keys=True)``.  The output is flushed before
+    return; a write or flush that fails raises :class:`ConfigError`,
+    except a closed pipe, whose :class:`BrokenPipeError` propagates.
     """
     if config.out is None:
         target = contextlib.nullcontext(sys.stdout)
@@ -309,12 +317,25 @@ def _emit(config: RunConfig, columns: dict, rows: range) -> None:
             target = open(config.out, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise ConfigError(f"cannot write output file: {exc}") from None
-    with target as handle:
-        if config.format == "csv":
-            handle.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, len(rows))
-            handle.write(_format_rows(config.format, columns, start, stop))
+    try:
+        with target as handle:
+            if config.format == "csv":
+                handle.write(",".join(columns) + "\n")
+            for start in range(0, len(rows), ROW_BLOCK):
+                stop = min(start + ROW_BLOCK, len(rows))
+                handle.write(_format_rows(config.format, columns, start, stop))
+            handle.flush()
+    except OSError as exc:
+        if config.out is None:
+            # stdout keeps the text it could not write, and Python flushes
+            # it again at exit: point it at devnull, as the signal module's
+            # documentation advises for SIGPIPE
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -616,6 +637,9 @@ def run(config: RunConfig) -> int:
         # every command has a column that is not one float
         n_rows = next(len(c) for c in columns.values() if not isinstance(c, float))
         _emit(config, columns, range(n_rows))
+    except BrokenPipeError:
+        # the reader has gone, and wants no more output, errors included
+        return 1
     except (ConfigError, CatalogError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

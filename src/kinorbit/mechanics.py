@@ -15,14 +15,16 @@ forms A and b.  On a planar phase space with bracket scalars G
 One classical RK4 step of size h is exactly the affine map z -> R(hA) z +
 h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 (RK4's stability
 function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.  The one fill,
-:func:`planar_flow`, forms that propagator once and advances one step at
-a time on Python floats, adding each increment with Kahan compensation
-(Kahan, Commun. ACM 8 (1965) 40), so that N steps round near the last bit
-and not N times it.  :func:`integrate` returns the table as NumPy arrays
-for in-process callers, and :func:`trajectory_rows` as the columns
-``kinorbit simulate`` prints, so the command never loads NumPy.  Both
-equal stage-by-stage RK4 (the reference the tests keep) up to rounding in
-the last bits.  NumPy is imported only inside the functions that take or
+:func:`planar_flow`, forms that propagator once, R - 1 and c = h S(hA) b
+entry by entry from X = hA and its powers X^2, X^3, X^4 (flat lists, each
+power the last one times X, every sum added left to right), and advances
+one step at a time on Python floats, adding each increment with Kahan
+compensation (Kahan, Commun. ACM 8 (1965) 40), so that N steps round near
+the last bit and not N times it.  :func:`integrate` returns the table as
+NumPy arrays for in-process callers, and :func:`trajectory_rows` as the
+columns ``kinorbit simulate`` prints, so the command never loads NumPy.
+Both equal stage-by-stage RK4 (the reference the tests keep) up to
+rounding in the last bits.  NumPy is imported only inside the functions that take or
 return arrays.
 """
 
@@ -58,7 +60,10 @@ __all__ = [
 
 def _float_entry(x, name: str) -> float:
     """The float of ``x``, a finite int, Fraction or float; :class:`CatalogError`
-    naming ``name`` otherwise."""
+    naming ``name`` otherwise.  A finite ``float`` itself, the common entry,
+    is returned after its one ``isfinite`` test."""
+    if type(x) is float and math.isfinite(x):
+        return x
     if (isinstance(x, float) and math.isfinite(x)) or isinstance(x, (int, Fraction)):
         return float(x)
     raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
@@ -236,15 +241,8 @@ def _aborted(what: str, step: int, t: float) -> IntegrationError:
     )
 
 
-def _product(X, Y) -> list[list[float]]:
-    """The 4 x 4 matrix product X Y, each entry summed left to right.
-
-    Not builtin ``sum()``: from Python 3.12 it compensates float sums, and
-    the rows must not depend on the Python version.
-    """
-    columns = list(zip(*Y))
-    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns]
-            for x0, x1, x2, x3 in X]
+# The 4 x 4 identity, flat and row-major.
+_IDENTITY = tuple(float(i == j) for i in range(4) for j in range(4))
 
 
 def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
@@ -254,32 +252,39 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
     Returns the state table as four ``array('d')`` columns (q1, q2, p1,
     p2), one entry per time of :func:`~kinorbit.timegrid.grid_times` of
     :func:`step_count` steps.  One RK4 step of size h is exactly the
-    affine map z -> R z + c with R = R(hA) and c = h S(hA) b; the fill
-    forms R - 1 and c once and advances one step at a time, adding the
-    increment (R - 1) z + c to z with Kahan compensation, so that the
-    rounding of the running sum stays near the last bit however many
-    steps it takes.  Every product is summed left to right, so the rows do
-    not depend on the Python version.  Rows are formed
+    affine map z -> R z + c with R = R(hA) and c = h S(hA) b.  The fill
+    forms X = hA and X^2, X^3, X^4 once, as flat row-major lists, each
+    power the last one times X; then R - 1 = X + X^2/2 + X^3/6 + X^4/24 and
+    S = 1 + X/2 + X^2/6 + X^3/24 entry by entry, and c_i = h (S_i0 b_0 +
+    ... + S_i3 b_3).  It advances one step at a time, adding the increment
+    (R - 1) z + c to z with Kahan compensation, so that the rounding of the
+    running sum stays near the last bit however many steps it takes.
+    Every sum of products is added left to right, so the rows do not
+    depend on the Python version.  Rows are formed
     :data:`~kinorbit.timegrid.ROW_BLOCK` at a time.  A non-finite state,
     including one from a propagator that overflows, raises
-    :class:`IntegrationError` carrying the first step that produced it,
-    and no later block is formed.
+    :class:`IntegrationError` carrying the first step that produced it (0
+    for a start state that is not finite), and no later block is formed.
     """
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
-    X = [[h * float(x) for x in row] for row in A]
-    X2 = _product(X, X)
-    X3 = _product(X2, X)
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
-        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
-        for rows in zip(X, X2, X3, _product(X3, X))
+    # products summed left to right, not by builtin sum(): from Python 3.12
+    # it compensates float sums
+    X = [h * float(x) for row in A for x in row]
+    columns = [X[j::4] for j in range(4)]
+    powers = [X]
+    for _ in range(3):
+        rows = zip(*[iter(powers[-1])] * 4)
+        powers.append([x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+                       for x0, x1, x2, x3 in rows for y0, y1, y2, y3 in columns])
+    X, X2, X3, X4 = powers
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = (
+        x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(X, X2, X3, X4)
     )
-    S = (
-        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
-        for i, rows in enumerate(zip(X, X2, X3))
-    )
+    S = [i + x / 2.0 + x2 / 6.0 + x3 / 24.0 for i, x, x2, x3 in zip(_IDENTITY, X, X2, X3)]
     b0, b1, b2, b3 = map(float, b)
-    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3) for s0, s1, s2, s3 in S)
+    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3)
+                      for s0, s1, s2, s3 in zip(*[iter(S)] * 4))
     z0, z1, z2, z3 = map(float, state0)
     e0 = e1 = e2 = e3 = 0.0  # what each running sum has lost to rounding
     states = [array("d", [z]) for z in (z0, z1, z2, z3)]
@@ -299,10 +304,11 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
             p2.append(z3)
         for column, rows in zip(states, block):
             column.extend(rows)
-        # a non-finite entry stays non-finite, so the block's last row shows one
+        # a non-finite entry stays non-finite, so the block's last row shows
+        # one; the row before the block is the start state or a finite row
         if not all(map(math.isfinite, (z0, z1, z2, z3))):
-            bad = (first_non_finite(column[start:]) for column in states)
-            step = start + min(index for index in bad if index is not None)
+            bad = (first_non_finite(column[start - 1:]) for column in states)
+            step = start - 1 + min(index for index in bad if index is not None)
             raise _aborted("state", step, grid_times(t_end, n_steps)[step])
     return states
 

@@ -515,16 +515,27 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     """Closed-form evolution by time ``t``.
 
     Positions and velocities are frozen; momenta and boost momenta drift
-    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  A drift
-    that overflows raises :class:`ValueError`, as any non-finite state does.
+    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  Only the two
+    drifted pairs are checked, momentum first: one that is not finite
+    raises :class:`ValueError` naming it, as :class:`StaticOrbitState`
+    does.  The other fields are the checked fields of ``state``, so the
+    result is stored without checking them again.
     """
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
     t = float(t)
-    momentum = (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2)
-    boost_momentum = (k1 + t * mu_e * u1, k2 + t * mu_e * u2)
-    return state._replace(momentum=momentum, boost_momentum=boost_momentum)
+    kind = "state field"
+    momentum = _finite_pair("momentum", (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2), kind)
+    boost_momentum = _finite_pair(
+        "boost_momentum", (k1 + t * mu_e * u1, k2 + t * mu_e * u2), kind
+    )
+    evolved = StaticOrbitState.__new__(StaticOrbitState)
+    evolved._init(
+        state.constants, state.position, state.velocity, momentum, boost_momentum,
+        state.energy, state.angular_momentum,
+    )
+    return evolved
 
 
 def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:

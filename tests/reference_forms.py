@@ -8,19 +8,25 @@ tested against: :func:`dense`, the one conversion of an exact matrix to a
 NumPy object array, the dense structure tensor, forward-mode
 differentiation with every operation one linear combination, a
 central-difference gradient, the planar affine system written out entry by
-entry, stage-by-stage RK4 on the Hamilton equations, and RK4's one-step
-propagator iterated with compensated sums on NumPy arrays.
+entry, stage-by-stage RK4 on the Hamilton equations, RK4's one-step
+propagator iterated with compensated sums on NumPy arrays and on Python
+floats from row products, and the Static time evolution rebuilt through
+``_replace``.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from kinorbit.rational_linalg import RatMatrix, rat
-from kinorbit.timegrid import IntegrationError, step_count
+from kinorbit.timegrid import (
+    ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
+)
 
 
 def dense(entries) -> np.ndarray:
@@ -626,3 +632,76 @@ def increment_loop(A, b, state0, t_end, dt) -> tuple[np.ndarray, np.ndarray]:
             if not np.isfinite(z).all():
                 raise IntegrationError(f"non-finite state at step {i}", i)
     return times, states
+
+
+def _product(X, Y) -> list[list[float]]:
+    """The 4 x 4 matrix product X Y, each entry summed left to right."""
+    columns = list(zip(*Y))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns]
+            for x0, x1, x2, x3 in X]
+
+
+def product_planar_flow(A, b, state0, t_end, dt) -> list[array]:
+    """The planar fill with RK4's one-step propagator formed from 4 x 4 row
+    products, the reference that the package's flat-list form equals bit
+    for bit.
+
+    X = hA, X^2 = X X, X^3 = X^2 X and X^4 = X^3 X row by row; R - 1 and
+    S row by row from them, and c = h S b.  Each step adds (R - 1) z + c to
+    z with Kahan compensation.  A non-finite state raises IntegrationError
+    carrying the first step after the start that produced it.
+    """
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps
+    X = [[h * float(x) for x in row] for row in A]
+    X2 = _product(X, X)
+    X3 = _product(X2, X)
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
+        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
+        for rows in zip(X, X2, X3, _product(X3, X))
+    )
+    S = (
+        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
+        for i, rows in enumerate(zip(X, X2, X3))
+    )
+    b0, b1, b2, b3 = map(float, b)
+    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3) for s0, s1, s2, s3 in S)
+    z0, z1, z2, z3 = map(float, state0)
+    e0 = e1 = e2 = e3 = 0.0
+    states = [array("d", [z]) for z in (z0, z1, z2, z3)]
+    for start in range(1, n_steps + 1, ROW_BLOCK):
+        q1, q2, p1, p2 = block = [], [], [], []
+        for _ in range(min(ROW_BLOCK, n_steps + 1 - start)):
+            d0 = z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0 - e0
+            d1 = z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1 - e1
+            d2 = z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2 - e2
+            d3 = z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3 - e3
+            t0, t1, t2, t3 = z0 + d0, z1 + d1, z2 + d2, z3 + d3
+            e0, e1, e2, e3 = t0 - z0 - d0, t1 - z1 - d1, t2 - z2 - d2, t3 - z3 - d3
+            z0, z1, z2, z3 = t0, t1, t2, t3
+            q1.append(z0)
+            q2.append(z1)
+            p1.append(z2)
+            p2.append(z3)
+        for column, rows in zip(states, block):
+            column.extend(rows)
+        if not all(map(math.isfinite, (z0, z1, z2, z3))):
+            bad = (first_non_finite(column[start:]) for column in states)
+            step = start + min(index for index in bad if index is not None)
+            t = grid_times(t_end, n_steps)[step]
+            raise IntegrationError(
+                f"integration aborted: non-finite state at step {step} (t = {t:.6g})", step
+            )
+    return states
+
+
+def replaced_time_evolution(state, t):
+    """``time_evolution`` as a record rebuilt through ``_replace``: the drifted
+    momenta with every field checked again by ``StaticOrbitState``."""
+    c = state.constants.floats
+    (q1, q2), (u1, u2) = state.position, state.velocity
+    (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
+    t = float(t)
+    momentum = (p1 - t * c.kappa_e * q1, p2 - t * c.kappa_e * q2)
+    boost_momentum = (k1 + t * c.mu_e * u1, k2 + t * c.mu_e * u2)
+    return state._replace(momentum=momentum, boost_momentum=boost_momentum)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -448,6 +453,96 @@ def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys, where, reason
     assert err.startswith("configuration error: cannot write output file:")
     assert reason in err
     assert err.count("\n") == 1
+
+
+class _FailingStdout:
+    """A stdout whose write or flush raises ``error``; its file descriptor
+    is that of ``stand_in``, an open file."""
+
+    def __init__(self, error: OSError, failing: str, stand_in) -> None:
+        self.error, self.failing, self.stand_in = error, failing, stand_in
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise self.error
+
+    def fileno(self) -> int:
+        return self.stand_in.fileno()
+
+
+_FULL = "configuration error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error, code, err",
+    [(BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, ""),
+     (OSError(errno.ENOSPC, "No space left on device"), 2, _FULL)],
+    ids=["closed-pipe", "full-disk"],
+)
+def test_stdout_that_cannot_be_written_ends_the_run_cleanly(
+    tmp_path, capsys, monkeypatch, failing, error, code, err
+) -> None:
+    # one line or none on stderr, and stdout pointed at devnull, so that
+    # Python's own flush at exit has nothing left to fail on
+    with open(tmp_path / "stdout", "wb") as stand_in:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(error, failing, stand_in))
+        assert main(["list"]) == code
+        assert os.path.samestat(os.fstat(stand_in.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == err
+
+
+_DEV_FULL = Path("/dev/full")
+_needs_dev_full = pytest.mark.skipif(not _DEV_FULL.exists(), reason="no /dev/full here")
+
+
+@_needs_dev_full
+def test_an_out_file_on_a_full_disk_is_a_usage_error(capsys) -> None:
+    assert _run(capsys, ["list", "--out", str(_DEV_FULL)]) == (2, "", _FULL)
+
+
+def _cli(*argv: str, buffered: bool, stdout) -> subprocess.Popen:
+    """``python -m kinorbit.cli argv`` in a fresh interpreter, its stdout
+    block-buffered or not, with stdout ``stdout`` and stderr piped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "kinorbit.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(buffered) -> None:
+    # 10^4 rows are far more than a pipe holds, so the run is still writing
+    # when the reader goes
+    child = _cli("simulate", "--t-end", "10", "--dt", "0.001",
+                 buffered=buffered, stdout=subprocess.PIPE)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert first == b"t,q1,q2,p1,p2,H,drift\n"
+    assert err == b""
+
+
+@_needs_dev_full
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_disk_is_a_usage_error(buffered) -> None:
+    with open(_DEV_FULL, "w") as full:
+        child = _cli("list", buffered=buffered, stdout=full)
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+    assert err.decode() == _FULL
 
 
 def _spanning(span: int, shape: str) -> str:

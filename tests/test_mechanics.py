@@ -367,6 +367,25 @@ def test_an_overflowing_propagator_fails_at_step_one() -> None:
         assert err.value.step == 1, fill.__name__
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("coordinate", range(4), ids=["q1", "q2", "p1", "p2"])
+@pytest.mark.parametrize("entry", ["planar_flow", "integrate", "trajectory_rows"])
+def test_a_start_state_that_is_not_finite_fails_at_step_zero(entry, coordinate, bad) -> None:
+    space = NCPhaseSpace2D(G_field=Fraction(-1, 4), F_field=Fraction(1, 3), mass=Fraction(2))
+    ham = HamiltonianSpec(linear=(0.5, -1.0), quadratic=(2.0, 0.25, 1.0))
+    state0 = [0.1, -0.2, 0.3, 0.4]
+    state0[coordinate] = bad
+    run = {
+        "planar_flow": lambda: planar_flow(*linear_system(space, ham), state0, 1.0, 0.1),
+        "integrate": lambda: integrate(space, ham, state0, 1.0, 0.1),
+        "trajectory_rows": lambda: trajectory_rows(space, ham, state0, 1.0, 0.1),
+    }[entry]
+    with pytest.raises(IntegrationError) as err:
+        run()
+    assert err.value.step == 0
+    assert str(err.value) == "integration aborted: non-finite state at step 0 (t = 0)"
+
+
 @pytest.mark.parametrize(
     "state0, k11, step",
     [
@@ -428,6 +447,63 @@ def test_a_hamiltonian_spec_keeps_exact_and_float_coefficients() -> None:
     record = ham.hamiltonian(space)
     assert record.hessian[2][2] == record.hessian[3][3] == Fraction(1, 3)
     assert record.gradient == (Fraction(1, 3), 2, 0, 0)
+
+
+# What each kind of entry gives: the float it is read as, or the type and
+# message of the error that refuses it.
+_NOT_AN_ENTRY = "entries must be finite int, Fraction or float, got "
+_ENTRIES = [
+    (0.25, 0.25),
+    (3, 3.0),
+    (True, 1.0),
+    (np.float64(0.5), 0.5),
+    (Fraction(1, 3), 1 / 3),
+    (10**400, (OverflowError, "int too large to convert to float")),
+    (Fraction(10**400), (OverflowError, "integer division result too large for a float")),
+    (math.nan, (CatalogError, _NOT_AN_ENTRY + "nan")),
+    (np.float64("inf"), (CatalogError, _NOT_AN_ENTRY + "np.float64(inf)")),
+    ("1", (CatalogError, _NOT_AN_ENTRY + "'1'")),
+    (None, (CatalogError, _NOT_AN_ENTRY + "None")),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, expected", _ENTRIES,
+    ids=["float", "int", "bool", "numpy-float", "fraction", "huge-int", "huge-fraction", "nan", "numpy-inf",
+         "text", "none"],
+)
+def test_each_kind_of_entry_is_read_or_refused_as_before(entry, expected) -> None:
+    # each of the spec's five coefficients, kept as given, and the hessian,
+    # gradient and constant of a quadratic Hamiltonian, each read by the
+    # one float product or sum that holds it alone
+    def spec(slot):
+        coefficients = [0.0] * 5
+        coefficients[slot] = entry
+        return lambda: HamiltonianSpec(coefficients[:2], coefficients[2:])
+
+    records = [("HamiltonianSpec", spec(slot), None) for slot in range(5)] + [
+        ("hamiltonian", lambda: QuadraticHamiltonian([[entry]], [0.0]),
+         lambda H: H.system([[1.0]])[0][0][0]),
+        ("hamiltonian", lambda: QuadraticHamiltonian([[1.0]], [entry]),
+         lambda H: H.system([[1.0]])[1][0]),
+        ("hamiltonian", lambda: QuadraticHamiltonian([[1.0]], [0.0], entry),
+         lambda H: H.value([0.0])),
+    ]
+    for name, make, read in records:
+        if isinstance(expected, float):
+            record = make()
+            if read is None:
+                assert any(x is entry for x in (*record.linear, *record.quadratic))
+            else:
+                value = read(record)
+                assert type(value) is float and value == expected
+        else:
+            error, message = expected
+            with pytest.raises(error) as err:
+                make()
+            if error is CatalogError:
+                message = f"{name} {message}"
+            assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -50,8 +50,10 @@ from kinorbit.coadjoint import (
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
     HamiltonianSpec,
+    IntegrationError,
     NCPhaseSpace2D,
     linear_system,
+    planar_flow,
 )
 from kinorbit.rational_linalg import (
     RatMatrix,
@@ -364,6 +366,44 @@ def test_the_planar_system_is_one_float_product_per_entry(G, F, m, K, a) -> None
     assert ham.hamiltonian(space).system(space.theta_matrix()) == reference
     A, b = linear_system(space, ham)
     assert (tuple(map(tuple, A.tolist())), tuple(b.tolist())) == reference
+
+
+def _mantissas(low: int, high: int) -> st.SearchStrategy:
+    """Floats m 2^e with any integer |m| < 2^53 and low <= e <= high: their
+    products' sums round as arbitrary floats' do, where simple floats such
+    as 0.5 or 3.0 add exactly in any order."""
+    return st.builds(math.ldexp, st.integers(1 - 2**53, 2**53 - 1), st.integers(low, high))
+
+
+# zeros of both signs, subnormals, full mantissas of magnitude up to 8 and
+# of any exponent down to the subnormals, and floats up to 1e3, whose
+# flows may overflow within 64 steps
+_propagator_entries = (
+    st.sampled_from((0.0, -0.0, 5e-324, -2.5e-310)) | _mantissas(-55, -50)
+    | _mantissas(-1126, -50) | st.floats(-1e3, 1e3)
+)
+_four = st.lists(_propagator_entries, min_size=4, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300, phases=_NO_EXPLAIN)
+@given(
+    A=st.lists(_four, min_size=4, max_size=4),
+    b=_four,
+    state0=st.lists(st.sampled_from((0.0, -0.0)) | st.floats(-1e300, 1e300),
+                    min_size=4, max_size=4),
+    h=st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-62, -53)),
+    steps=st.integers(1, 64),
+)
+def test_the_flat_propagator_keeps_every_bit_of_the_row_products(A, b, state0, h, steps) -> None:
+    # the same sums in the same order: every state column, zeros' signs
+    # included, or the same error at the same step
+    def outcome(flow):
+        try:
+            return [column.tobytes() for column in flow(A, b, state0, steps * h, h)]
+        except IntegrationError as exc:
+            return exc.step, str(exc)
+
+    assert outcome(planar_flow) == outcome(rf.product_planar_flow)
 
 
 @st.composite
@@ -915,6 +955,40 @@ def test_the_realize_rows_are_time_evolution_and_its_invariants(
             t, *one.position, *one.velocity, *one.momentum,
             *one.boost_momentum, one.energy, *static_invariants(one),
         ]
+
+
+def _evolved(evolve, state, t):
+    """The fields of ``evolve(state, t)`` by their bits, or its error's type and message."""
+    try:
+        evolved = evolve(state, t)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [_bits(x) for x in (
+        *evolved.position, *evolved.velocity, *evolved.momentum, *evolved.boost_momentum,
+        evolved.energy, evolved.angular_momentum,
+    )] + [evolved.constants]
+
+
+_scales_to_overflow = st.sampled_from((1.0, 1e300)) | st.floats(1.0, 1e300)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    state=_static_states,
+    scale_q=_scales_to_overflow,
+    scale_u=_scales_to_overflow,
+    t=_coordinates | st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_time_evolution_is_the_replaced_state_bit_for_bit(state, scale_q, scale_u, t) -> None:
+    # scaled positions and velocities make the drift overflow, in either pair
+    # or both; an overflow names momentum before boost_momentum, as the
+    # checks of the rebuilt state do
+    state = StaticOrbitState(
+        state.constants,
+        tuple(scale_q * x for x in state.position), tuple(scale_u * x for x in state.velocity),
+        state.momentum, state.boost_momentum, state.energy, state.angular_momentum,
+    )
+    assert _evolved(time_evolution, state, t) == _evolved(rf.replaced_time_evolution, state, t)
 
 
 # Parameters each command reads; it refuses any other key (exit 2).
