@@ -62,6 +62,14 @@ class Record:
         for name, value in zip(self.__slots__, values):
             _setattr(self, name, value)
 
+    @classmethod
+    def _stored(cls, *values):
+        """A record of ``values`` stored as they are, without ``__init__``'s
+        checks: for values that pass them by construction."""
+        record = cls.__new__(cls)
+        record._init(*values)
+        return record
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 

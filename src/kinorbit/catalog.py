@@ -184,9 +184,7 @@ class KinematicalParams(Record):
         """The parameters of a catalog name, derived by :func:`_quantities` and
         stored unchecked: they satisfy every check of ``__init__`` by construction."""
         q = _quantities(name, omega, kappa)
-        params = cls.__new__(cls)
-        params._init(q["lam"], q["beta"], q["gamma"], q["omega"], q["kappa"])
-        return params
+        return cls._stored(q["lam"], q["beta"], q["gamma"], q["omega"], q["kappa"])
 
     @property
     def c(self) -> Fraction:

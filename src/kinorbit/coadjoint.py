@@ -271,9 +271,7 @@ class OrbitChart(Record):
             row = [_ZERO] * n
             row[coordinate_names.index(source)] = scale
             jac.append(row)
-        chart = cls.__new__(cls)
-        chart._init(coordinate_names, tuple(canonical), _matrix(jac))
-        return chart
+        return cls._stored(coordinate_names, tuple(canonical), _matrix(jac))
 
 
 class SymplecticStructure(Record):

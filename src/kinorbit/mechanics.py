@@ -7,7 +7,10 @@ g and c are kept as given and converted to floats once, when the record
 is built; theta is converted when :meth:`~QuadraticHamiltonian.system`
 forms A and b.  On a planar phase space with bracket scalars G
 (positions) and F (momenta) (:class:`NCPhaseSpace2D`),
-:class:`HamiltonianSpec` states H = p^2/2m + a.q + q'Kq/2, whose flow is
+:class:`HamiltonianSpec` states H = p^2/2m + a.q + q'Kq/2, converting its
+coefficients to floats once, when it is built; its record of H keeps the
+exact entries and is formed from those floats and one float of 1/m, not
+converted or checked again.  The flow is
 
     dq^i/dt = dH/dp_i + G eps^ij dH/dq^j,
     dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j.
@@ -69,6 +72,16 @@ def _float_entry(x, name: str) -> float:
     raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
 
 
+def _float_form(floats, c: float) -> tuple[list, list]:
+    """The rows and terms :class:`QuadraticHamiltonian` reads, from the float
+    rows of [Q | g] and the float of c."""
+    n = len(floats)
+    rows = [[(j, f) for j, f in enumerate(row) if f] for row in floats]
+    terms = [(i, j, x / 2.0 if i == j else x) for i, row in enumerate(rows)
+             for j, x in row if j >= i] + ([(n, n, c)] if c else [])
+    return rows, terms
+
+
 class QuadraticHamiltonian(Record):
     """H(z) = z'Qz/2 + g.z + c over a chart's canonical coordinates z: the
     symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
@@ -88,14 +101,10 @@ class QuadraticHamiltonian(Record):
         n = len(gradient)
         if tuple(map(len, hessian)) != (n,) * n or tuple(zip(*hessian)) != hessian:
             raise CatalogError(f"the hessian must be a symmetric {n} x {n} matrix")
-        rows = [
-            [(j, f) for j, f in enumerate([_float_entry(x, "hamiltonian") for x in (*row, g)]) if f]
-            for row, g in zip(hessian, gradient)
-        ]
-        c = _float_entry(constant, "hamiltonian")
-        terms = [(i, j, x / 2.0 if i == j else x) for i, row in enumerate(rows)
-                 for j, x in row if j >= i] + ([(n, n, c)] if c else [])
-        self._init(hessian, gradient, constant, rows, terms)
+        floats = [[_float_entry(x, "hamiltonian") for x in (*row, g)]
+                  for row, g in zip(hessian, gradient)]
+        self._init(hessian, gradient, constant,
+                   *_float_form(floats, _float_entry(constant, "hamiltonian")))
 
     def system(self, theta) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
         """A = theta Q and b = theta g of the flow dz/dt = theta grad H = A z + b
@@ -165,10 +174,12 @@ class HamiltonianSpec(Record):
 
     ``linear`` holds (a1, a2); ``quadratic`` holds the symmetric matrix
     entries (k11, k12, k22).  Each entry is a finite ``int``, ``Fraction``
-    or ``float`` value (:class:`CatalogError` otherwise).
+    or ``float`` value (:class:`CatalogError` otherwise), converted to a
+    float once, here, for :meth:`hamiltonian`.
     """
 
-    __slots__ = _fields = ("linear", "quadratic")
+    _fields = ("linear", "quadratic")
+    __slots__ = (*_fields, "_floats")
 
     def __init__(
         self,
@@ -178,21 +189,27 @@ class HamiltonianSpec(Record):
         linear, quadratic = tuple(linear), tuple(quadratic)
         if (len(linear), len(quadratic)) != (2, 3):
             raise CatalogError(f"expected (a1, a2) and (k11, k12, k22), got {linear}, {quadratic}")
-        for x in (*linear, *quadratic):
-            _float_entry(x, "HamiltonianSpec")
-        self._init(linear, quadratic)
+        floats = [_float_entry(x, "HamiltonianSpec") for x in (*linear, *quadratic)]
+        self._init(linear, quadratic, floats)
 
     def hamiltonian(self, space: NCPhaseSpace2D) -> QuadraticHamiltonian:
         """This H on ``space``, over (q1, q2, p1, p2): Q = diag(K, 1/m, 1/m)
         and g = (a1, a2, 0, 0); a 1/m that no float holds raises
-        :class:`OverflowError` naming it."""
-        (a1, a2), (k11, k12, k22) = self.linear, self.quadratic
+        :class:`OverflowError` naming it.  The record keeps the exact
+        entries; its floats are those construction converted and the one
+        float of 1/m, so it is stored without checking them again."""
         inv_m = 1 / space.mass
-        checked_float(inv_m, "1/mass")
-        return QuadraticHamiltonian(
-            ((k11, k12, 0, 0), (k12, k22, 0, 0), (0, 0, inv_m, 0), (0, 0, 0, inv_m)),
-            (a1, a2, 0, 0),
-        )
+        # Q is symmetric: the columns of [Q | g] are the rows of Q, then g
+        *hessian, gradient = zip(*_planar_rows(*self.linear, *self.quadratic, inv_m, 0))
+        floats = _planar_rows(*self._floats, checked_float(inv_m, "1/mass"), 0.0)
+        return QuadraticHamiltonian._stored(tuple(hessian), gradient, 0, *_float_form(floats, 0.0))
+
+
+def _planar_rows(a1, a2, k11, k12, k22, inv_m, zero) -> tuple:
+    """The rows of [Q | g] of the planar H, Q = diag(K, 1/m, 1/m) and
+    g = (a1, a2, 0, 0), with zeros of the type of ``zero``."""
+    return ((k11, k12, zero, zero, a1), (k12, k22, zero, zero, a2),
+            (zero, zero, inv_m, zero, zero), (zero, zero, zero, inv_m, zero))
 
 
 def _planar(space: NCPhaseSpace2D, ham: HamiltonianSpec):
@@ -343,7 +360,10 @@ def integrate(
     hamiltonian, columns = _flow(space, ham, state0, t_end, dt)
     table = np.array(columns)
     states = table.T
-    times = np.array(grid_times(t_end, len(states) - 1))
+    # grid_times as one array product: each i*h is the float product Python forms
+    n_steps = len(states) - 1
+    times = np.arange(n_steps + 1) * (t_end / n_steps)
+    times[-1] = t_end
     with np.errstate(over="ignore", invalid="ignore"):
         energies = hamiltonian.value(table)
         drift = energies - energies[0]

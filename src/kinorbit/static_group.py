@@ -9,7 +9,10 @@ coadjoint action on orbit states, the two orbit invariants (an internal
 angular momentum and an internal energy), the exact symplectic structure
 of the eight-dimensional orbit chart and the exact Hamiltonian of the
 closed-form time evolution on it.  The group law, the action, the
-invariants and the evolution run on Python floats.
+invariants and the evolution run on Python floats.  The public
+constructors check every field; a product, inverse or action, whose fields
+are formed from checked floats, is stored after one finiteness test of the
+fields' sum and goes through those checks only when that test fails.
 :func:`evolution_rows` traces the evolution and its invariants over a
 time grid, as the columns ``kinorbit realize`` prints.  NumPy is imported
 only inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
@@ -132,9 +135,27 @@ def _finite(name: str, value, kind: str) -> float:
 
 
 def _finite_pair(name: str, pair, kind: str) -> tuple[float, float]:
-    """:func:`_finite` of both entries of the pair ``pair``."""
-    a, b = pair
+    """:func:`_finite` of both entries of the pair ``pair``; :class:`ValueError`
+    naming the ``kind`` and ``name`` unless ``pair`` holds two entries."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} {name} must be a pair, got {pair!r}") from None
     return _finite(name, a, kind), _finite(name, b, kind)
+
+
+def _checked(cls, total: float, *values):
+    """A ``cls`` of ``values``, floats formed from checked floats, and
+    ``total`` their sum.  A finite sum has finite terms, so the record is
+    stored without checking them again; otherwise ``cls`` checks them, and
+    names the first that is not finite (or stores them, if only their sum
+    overflowed)."""
+    if not math.isfinite(total):
+        return cls(*values)
+    # Record._stored, inlined: these are the float layer's hottest records
+    record = cls.__new__(cls)
+    record._init(*values)
+    return record
 
 
 def _check_column(name: str, values, kind: str) -> None:
@@ -210,7 +231,9 @@ def _cross(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement:
-    """The group product g * gp (g acts first from the left)."""
+    """The group product g * gp (g acts first from the left).  A field that
+    overflows raises :class:`ValueError` naming it, as
+    :class:`StaticGroupElement` does."""
     c, s = math.cos(g.angle), math.sin(g.angle)
     v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
     vp = _rotate(c, s, gp.boost)
@@ -223,44 +246,45 @@ def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement
     tx = (tp * x[0] - t * xp[0], tp * x[1] - t * xp[1])
     v_mean = (v[0] / 3.0 + vp[0] / 6.0, v[1] / 3.0 + vp[1] / 6.0)
     x_mean = (x[0] / 3.0 + xp[0] / 6.0, x[1] / 3.0 + xp[1] / 6.0)
-    return StaticGroupElement(
-        angle=g.angle + gp.angle,
-        boost=(v[0] + vp[0], v[1] + vp[1]),
-        translation=(x[0] + xp[0], x[1] + xp[1]),
-        time=t + tp,
-        f_shift=(eta[0] + etap[0] + 0.5 * tx[0], eta[1] + etap[1] + 0.5 * tx[1]),
-        pi_shift=(ell[0] + ellp[0] + 0.5 * tv[0], ell[1] + ellp[1] + 0.5 * tv[1]),
-        phase_m=g.phase_m + gp.phase_m + 0.5 * (_dot(v, xp) - _dot(x, vp)),
-        phase_mprime=g.phase_mprime + gp.phase_mprime + _dot(v, ellp) + _dot(tv, v_mean),
-        phase_b=(
-            g.phase_b
-            + gp.phase_b
-            + _dot(v, etap)
-            + _dot(x, ellp)
-            + _dot(tv, x_mean)
-            + _dot(tx, v_mean)
-        ),
-        phase_lambda=g.phase_lambda + gp.phase_lambda + _dot(x, etap) + _dot(tx, x_mean),
+    angle, time = g.angle + gp.angle, t + tp
+    v0, v1 = v[0] + vp[0], v[1] + vp[1]
+    x0, x1 = x[0] + xp[0], x[1] + xp[1]
+    eta0, eta1 = eta[0] + etap[0] + 0.5 * tx[0], eta[1] + etap[1] + 0.5 * tx[1]
+    ell0, ell1 = ell[0] + ellp[0] + 0.5 * tv[0], ell[1] + ellp[1] + 0.5 * tv[1]
+    phase_m = g.phase_m + gp.phase_m + 0.5 * (_dot(v, xp) - _dot(x, vp))
+    phase_mprime = g.phase_mprime + gp.phase_mprime + _dot(v, ellp) + _dot(tv, v_mean)
+    phase_b = (
+        g.phase_b + gp.phase_b + _dot(v, etap) + _dot(x, ellp) + _dot(tv, x_mean)
+        + _dot(tx, v_mean)
+    )
+    phase_lambda = g.phase_lambda + gp.phase_lambda + _dot(x, etap) + _dot(tx, x_mean)
+    return _checked(
+        StaticGroupElement,
+        angle + v0 + v1 + x0 + x1 + time + eta0 + eta1 + ell0 + ell1
+        + phase_m + phase_mprime + phase_b + phase_lambda,
+        angle, (v0, v1), (x0, x1), time, (eta0, eta1), (ell0, ell1),
+        phase_m, phase_mprime, phase_b, phase_lambda,
     )
 
 
 def inverse(g: StaticGroupElement) -> StaticGroupElement:
-    """The group inverse of ``g``."""
+    """The group inverse of ``g``; a field that overflows raises
+    :class:`ValueError` naming it, as :class:`StaticGroupElement` does."""
     # each vector a becomes -R(-angle) a: the rotation with cosine
     # -cos(angle) and sine sin(angle)
     c, s = -math.cos(g.angle), math.sin(g.angle)
     v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
-    return StaticGroupElement(
-        angle=-g.angle,
-        boost=_rotate(c, s, v),
-        translation=_rotate(c, s, x),
-        time=-g.time,
-        f_shift=_rotate(c, s, eta),
-        pi_shift=_rotate(c, s, ell),
-        phase_m=-g.phase_m,
-        phase_mprime=-g.phase_mprime + _dot(v, ell),
-        phase_b=-g.phase_b + _dot(v, eta) + _dot(x, ell),
-        phase_lambda=-g.phase_lambda + _dot(x, eta),
+    boost, translation, f_shift, pi_shift = (_rotate(c, s, a) for a in (v, x, eta, ell))
+    phase_mprime = -g.phase_mprime + _dot(v, ell)
+    phase_b = -g.phase_b + _dot(v, eta) + _dot(x, ell)
+    phase_lambda = -g.phase_lambda + _dot(x, eta)
+    # -angle, -time and -phase_m are finite as g's fields are
+    return _checked(
+        StaticGroupElement,
+        boost[0] + boost[1] + translation[0] + translation[1] + f_shift[0] + f_shift[1]
+        + pi_shift[0] + pi_shift[1] + phase_mprime + phase_b + phase_lambda,
+        -g.angle, boost, translation, -g.time, f_shift, pi_shift,
+        -g.phase_m, phase_mprime, phase_b, phase_lambda,
     )
 
 
@@ -394,8 +418,11 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
     j += _cross(eta, f) + _cross(ell, w) + t * (_cross(x, f) + _cross(v, w)) / 2
     j += beta * (_cross(x, ell) + _cross(v, eta)) + kappa * _cross(x, eta)
     j += mu * _cross(v, ell)
-    return StaticOrbitState(
-        state.constants, position, velocity, momentum, boost_momentum, energy, j
+    return _checked(
+        StaticOrbitState,
+        position[0] + position[1] + velocity[0] + velocity[1] + momentum[0] + momentum[1]
+        + boost_momentum[0] + boost_momentum[1] + energy + j,
+        state.constants, position, velocity, momentum, boost_momentum, energy, j,
     )
 
 
@@ -515,27 +542,23 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     """Closed-form evolution by time ``t``.
 
     Positions and velocities are frozen; momenta and boost momenta drift
-    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  Only the two
-    drifted pairs are checked, momentum first: one that is not finite
-    raises :class:`ValueError` naming it, as :class:`StaticOrbitState`
-    does.  The other fields are the checked fields of ``state``, so the
-    result is stored without checking them again.
+    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  The other
+    fields are the checked fields of ``state``, so only the drifted pairs
+    are tested, as :func:`realize` tests its fields: a drifted value that is
+    not finite raises :class:`ValueError` naming it, momentum first, as
+    :class:`StaticOrbitState` does.
     """
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
     t = float(t)
-    kind = "state field"
-    momentum = _finite_pair("momentum", (p1 - t * kappa_e * q1, p2 - t * kappa_e * q2), kind)
-    boost_momentum = _finite_pair(
-        "boost_momentum", (k1 + t * mu_e * u1, k2 + t * mu_e * u2), kind
-    )
-    evolved = StaticOrbitState.__new__(StaticOrbitState)
-    evolved._init(
-        state.constants, state.position, state.velocity, momentum, boost_momentum,
+    p1, p2 = p1 - t * kappa_e * q1, p2 - t * kappa_e * q2
+    k1, k2 = k1 + t * mu_e * u1, k2 + t * mu_e * u2
+    return _checked(
+        StaticOrbitState, p1 + p2 + k1 + k2,
+        state.constants, state.position, state.velocity, (p1, p2), (k1, k2),
         state.energy, state.angular_momentum,
     )
-    return evolved
 
 
 def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:

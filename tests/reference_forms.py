@@ -10,8 +10,9 @@ differentiation with every operation one linear combination, a
 central-difference gradient, the planar affine system written out entry by
 entry, stage-by-stage RK4 on the Hamilton equations, RK4's one-step
 propagator iterated with compensated sums on NumPy arrays and on Python
-floats from row products, and the Static time evolution rebuilt through
-``_replace``.
+floats from row products, the Static time evolution rebuilt through
+``_replace``, and the Static group product, inverse and action built
+through the checking constructors.
 """
 
 from __future__ import annotations
@@ -705,3 +706,99 @@ def replaced_time_evolution(state, t):
     momentum = (p1 - t * c.kappa_e * q1, p2 - t * c.kappa_e * q2)
     boost_momentum = (k1 + t * c.mu_e * u1, k2 + t * c.mu_e * u2)
     return state._replace(momentum=momentum, boost_momentum=boost_momentum)
+
+
+def _rotate(c, s, a):
+    return (c * a[0] - s * a[1], s * a[0] + c * a[1])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def constructed_compose(g, gp):
+    """The group product g * gp built by ``StaticGroupElement``, every field
+    checked: the record the package's ``compose`` stores after one test."""
+    from kinorbit.static_group import StaticGroupElement
+
+    c, s = math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
+    vp, xp, etap, ellp = (_rotate(c, s, a) for a in (gp.boost, gp.translation,
+                                                      gp.f_shift, gp.pi_shift))
+    t, tp = g.time, gp.time
+    tv = (tp * v[0] - t * vp[0], tp * v[1] - t * vp[1])
+    tx = (tp * x[0] - t * xp[0], tp * x[1] - t * xp[1])
+    v_mean = (v[0] / 3.0 + vp[0] / 6.0, v[1] / 3.0 + vp[1] / 6.0)
+    x_mean = (x[0] / 3.0 + xp[0] / 6.0, x[1] / 3.0 + xp[1] / 6.0)
+    return StaticGroupElement(
+        angle=g.angle + gp.angle,
+        boost=(v[0] + vp[0], v[1] + vp[1]),
+        translation=(x[0] + xp[0], x[1] + xp[1]),
+        time=t + tp,
+        f_shift=(eta[0] + etap[0] + 0.5 * tx[0], eta[1] + etap[1] + 0.5 * tx[1]),
+        pi_shift=(ell[0] + ellp[0] + 0.5 * tv[0], ell[1] + ellp[1] + 0.5 * tv[1]),
+        phase_m=g.phase_m + gp.phase_m + 0.5 * (_dot(v, xp) - _dot(x, vp)),
+        phase_mprime=g.phase_mprime + gp.phase_mprime + _dot(v, ellp) + _dot(tv, v_mean),
+        phase_b=(g.phase_b + gp.phase_b + _dot(v, etap) + _dot(x, ellp)
+                 + _dot(tv, x_mean) + _dot(tx, v_mean)),
+        phase_lambda=g.phase_lambda + gp.phase_lambda + _dot(x, etap) + _dot(tx, x_mean),
+    )
+
+
+def constructed_inverse(g):
+    """The group inverse of ``g`` built by ``StaticGroupElement``, every field checked."""
+    from kinorbit.static_group import StaticGroupElement
+
+    c, s = -math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
+    return StaticGroupElement(
+        angle=-g.angle,
+        boost=_rotate(c, s, v),
+        translation=_rotate(c, s, x),
+        time=-g.time,
+        f_shift=_rotate(c, s, eta),
+        pi_shift=_rotate(c, s, ell),
+        phase_m=-g.phase_m,
+        phase_mprime=-g.phase_mprime + _dot(v, ell),
+        phase_b=-g.phase_b + _dot(v, eta) + _dot(x, ell),
+        phase_lambda=-g.phase_lambda + _dot(x, eta),
+    )
+
+
+def constructed_realize(g, state):
+    """The coadjoint action of ``g`` on ``state`` built by ``StaticOrbitState``,
+    every field checked."""
+    from kinorbit.static_group import StaticOrbitState
+
+    c = state.constants.floats
+    m, mu, beta, kappa, ke, me = c.m, c.mu, c.beta, c.kappa, c.kappa_e, c.mu_e
+    cos, sin = math.cos(g.angle), math.sin(g.angle)
+    v, x, eta, ell, t = g.boost, g.translation, g.f_shift, g.pi_shift, g.time
+    fields = (state.position, state.velocity, state.momentum, state.boost_momentum)
+    q, u, p, k = (_rotate(cos, sin, a) for a in fields)
+    f, w = (-ke * q[0], -ke * q[1]), (me * u[0], me * u[1])
+    df = (beta * v[0] + kappa * x[0], beta * v[1] + kappa * x[1])
+    dw = (beta * x[0] + mu * v[0], beta * x[1] + mu * v[1])
+    position = (q[0] + df[0] / ke, q[1] + df[1] / ke)
+    velocity = (u[0] - dw[0] / me, u[1] - dw[1] / me)
+    momentum = tuple(
+        p[i] - m * v[i] + beta * ell[i] + kappa * eta[i] + t * (f[i] - df[i] / 2)
+        for i in (0, 1)
+    )
+    boost_momentum = tuple(
+        k[i] + m * x[i] + mu * ell[i] + beta * eta[i] + t * (w[i] - dw[i] / 2)
+        for i in (0, 1)
+    )
+    energy = state.energy - _dot(f, x) - _dot(w, v) + beta * _dot(v, x)
+    energy += (kappa * _dot(x, x) + mu * _dot(v, v)) / 2
+    j = state.angular_momentum + _cross(v, k) + _cross(x, p) + m * _cross(v, x)
+    j += _cross(eta, f) + _cross(ell, w) + t * (_cross(x, f) + _cross(v, w)) / 2
+    j += beta * (_cross(x, ell) + _cross(v, eta)) + kappa * _cross(x, eta)
+    j += mu * _cross(v, ell)
+    return StaticOrbitState(
+        state.constants, position, velocity, momentum, boost_momentum, energy, j
+    )

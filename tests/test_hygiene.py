@@ -10,7 +10,8 @@ only function bodies may.  No module imports ``dataclasses``, and the
 CLI and the Static group load the layers only some commands run
 (``coadjoint``, ``configparser``, ``json``) inside the functions that
 use them.  The CLI reads a run's parameter texts only in its table parser,
-and the modules that form float rows call no builtin ``sum``.  Every
+and the modules that form float rows call neither builtin ``sum`` nor a
+NumPy reduction (``sum``, ``dot``, ``einsum``, ``matmul``, ``@``).  Every
 ``functools.lru_cache`` is bounded, and ``functools.cache`` decorates only
 functions without parameters or with a finite key domain, so no cache
 grows with the values a caller passes.
@@ -197,17 +198,41 @@ def test_the_cli_reads_parameters_only_in_its_table_parser() -> None:
     assert [node for parser in parsers for node in _raw_param_reads(parser)]
 
 
+# NumPy reductions that add in an order NumPy leaves unspecified (pairwise,
+# blocked or by BLAS), whatever name or method reaches them
+_REDUCTIONS = {"sum", "nansum", "dot", "vdot", "inner", "tensordot", "einsum", "matmul"}
+
+
+def _summing_nodes(tree: ast.Module) -> list[int]:
+    """The lines of calls of builtin ``sum`` or of a NumPy reduction, as a
+    name, an attribute or a method, and of the ``@`` operator."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _REDUCTIONS:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+    return lines
+
+
 @pytest.mark.parametrize("stem", ("mechanics", "static_group", "timegrid"))
 def test_the_float_rows_call_no_builtin_sum(stem: str) -> None:
-    # from Python 3.12 sum() compensates float sums, and the pinned digests
-    # of the float commands must not depend on the Python version
+    # from Python 3.12 sum() compensates float sums, and a NumPy reduction
+    # may change its summation order between NumPy versions; the pinned
+    # digests of the float commands must depend on neither
     tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
-    calls = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
-    ]
-    assert calls == []
+    assert _summing_nodes(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "sum(x)", "np.sum(x)", "x.sum()", "x.sum(axis=0)", "np.dot(a, b)", "a.dot(b)",
+    "np.einsum('i,i', a, b)", "np.matmul(a, b)", "a @ b", "a @= b", "np.add(a, b @ c)",
+])
+def test_the_sum_check_sees_every_summing_form(source: str) -> None:
+    assert _summing_nodes(ast.parse(source)) == [1]
 
 
 # functions whose unbounded cache is keyed by a finite domain: the

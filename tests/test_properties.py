@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -52,6 +53,9 @@ from kinorbit.mechanics import (
     HamiltonianSpec,
     IntegrationError,
     NCPhaseSpace2D,
+    QuadraticHamiltonian,
+    _bracket_rows,
+    integrate,
     linear_system,
     planar_flow,
 )
@@ -347,7 +351,21 @@ def test_template_check_equals_the_dense_template(chart, data) -> None:
     assert _template_deviates(structure) == _dense_template_deviates(structure)
 
 
-_coefficients = st.floats(allow_nan=False, allow_infinity=False)
+def _mantissas(low: int, high: int) -> st.SearchStrategy:
+    """Floats m 2^e with 2^52 <= |m| < 2^53 and low <= e <= high: all 53
+    bits of the mantissa drawn, so their products' sums round as arbitrary
+    floats' do, where simple floats such as 0.5 or 3.0, or a small integer
+    m, add exactly in any order."""
+    return st.builds(
+        math.ldexp, st.integers(2**52, 2**53 - 1) | st.integers(1 - 2**53, -(2**52)),
+        st.integers(low, high),
+    )
+
+
+# zeros of both signs, full mantissas near 1 and of any finite magnitude
+_coefficients = (
+    st.sampled_from((0.0, -0.0)) | _mantissas(-60, -50) | _mantissas(-1126, 970)
+)
 
 
 @_REPEATABLE
@@ -368,11 +386,32 @@ def test_the_planar_system_is_one_float_product_per_entry(G, F, m, K, a) -> None
     assert (tuple(map(tuple, A.tolist())), tuple(b.tolist())) == reference
 
 
-def _mantissas(low: int, high: int) -> st.SearchStrategy:
-    """Floats m 2^e with any integer |m| < 2^53 and low <= e <= high: their
-    products' sums round as arbitrary floats' do, where simple floats such
-    as 0.5 or 3.0 add exactly in any order."""
-    return st.builds(math.ldexp, st.integers(1 - 2**53, 2**53 - 1), st.integers(low, high))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    G=_rationals, F=_rationals, m=_positive | _large.map(abs),
+    K=st.tuples(_coefficients, _coefficients, _coefficients),
+    a=st.tuples(_coefficients, _coefficients),
+    z=st.lists(_coefficients, min_size=4, max_size=4),
+)
+def test_the_planar_hamiltonian_is_the_checked_record_bit_for_bit(G, F, m, K, a, z) -> None:
+    # the spec's stored floats and one float of 1/m give the system and the
+    # values of the record QuadraticHamiltonian builds from the same entries
+    assume(G * F != 1)
+    space = NCPhaseSpace2D(G, F, m)
+    record = HamiltonianSpec(a, K).hamiltonian(space)
+    checked = QuadraticHamiltonian(record.hessian, record.gradient)
+    assert record == checked
+    float_theta = _bracket_rows(float(G), float(F), 0.0, 1.0)
+    for theta in (space.theta_matrix(), float_theta):
+        (A, b), (A_checked, b_checked) = record.system(theta), checked.system(theta)
+        assert [[*map(_bits, row)] for row in (*A, b)] == [
+            [*map(_bits, row)] for row in (*A_checked, b_checked)
+        ]
+    assert _bits(record.value(z)) == _bits(checked.value(z))
+    table = np.array([z, [2.0 * x for x in z]]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(record.value(table)) == _bits(checked.value(table))
+
 
 
 # zeros of both signs, subnormals, full mantissas of magnitude up to 8 and
@@ -404,6 +443,19 @@ def test_the_flat_propagator_keeps_every_bit_of_the_row_products(A, b, state0, h
             return exc.step, str(exc)
 
     assert outcome(planar_flow) == outcome(rf.product_planar_flow)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    t_end=st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-80, 40)),
+    steps=st.integers(1, 300),
+)
+def test_integrate_times_are_the_grid_times_byte_for_byte(t_end, steps) -> None:
+    # integrate forms the grid as one array product; the rows of simulate
+    # and of evolution_rows read timegrid.grid_times
+    space = NCPhaseSpace2D(Fraction(0), Fraction(0), Fraction(1))
+    times = integrate(space, HamiltonianSpec(), [0.0] * 4, t_end, t_end / steps).times
+    assert times.tobytes() == grid_times(t_end, len(times) - 1).tobytes()
 
 
 @st.composite
@@ -646,10 +698,9 @@ _INVARIANTS = [
     pytest.param(2, OrbitInvariant("mixed", lambda a: 1 / a[0] - a[0] * a[1] + 3),
                  id="mixed"),
 ]
-# zeros of both signs, and magnitudes at which no product over- or underflows
-_float_coordinates = st.sampled_from((0.0, -0.0)) | st.floats(-1e3, 1e3).filter(
-    lambda x: abs(x) >= 1e-3
-)
+# zeros of both signs, and full mantissas of magnitudes from 2^-10 to 2^10,
+# at which no product over- or underflows
+_float_coordinates = st.sampled_from((0.0, -0.0)) | _mantissas(-62, -43)
 
 
 def _bits(value):
@@ -957,16 +1008,18 @@ def test_the_realize_rows_are_time_evolution_and_its_invariants(
         ]
 
 
-def _evolved(evolve, state, t):
-    """The fields of ``evolve(state, t)`` by their bits, or its error's type and message."""
+def _record_bits(make, *args):
+    """The fields of the Static record ``make(*args)``, each float and each
+    entry of a pair by its bits, or the error's type and message."""
     try:
-        evolved = evolve(state, t)
+        record = make(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    return [_bits(x) for x in (
-        *evolved.position, *evolved.velocity, *evolved.momentum, *evolved.boost_momentum,
-        evolved.energy, evolved.angular_momentum,
-    )] + [evolved.constants]
+    return [
+        [*map(_bits, value)] if isinstance(value, tuple) else
+        _bits(value) if isinstance(value, float) else value
+        for value in record._values()
+    ]
 
 
 _scales_to_overflow = st.sampled_from((1.0, 1e300)) | st.floats(1.0, 1e300)
@@ -988,7 +1041,59 @@ def test_time_evolution_is_the_replaced_state_bit_for_bit(state, scale_q, scale_
         tuple(scale_q * x for x in state.position), tuple(scale_u * x for x in state.velocity),
         state.momentum, state.boost_momentum, state.energy, state.angular_momentum,
     )
-    assert _evolved(time_evolution, state, t) == _evolved(rf.replaced_time_evolution, state, t)
+    assert _record_bits(time_evolution, state, t) == _record_bits(
+        rf.replaced_time_evolution, state, t
+    )
+
+
+def _random_entry(rng: random.Random, wide: bool) -> float:
+    """A zero of either sign one time in eight, else m 2^e with a random
+    53-bit mantissa m: near 1, or, one time in eight if ``wide``, near the
+    float limit, where products and sums overflow."""
+    draw = rng.random()
+    if draw < 0.125:
+        return rng.choice((0.0, -0.0))
+    m = rng.getrandbits(52) | 2**52
+    e = rng.randint(908, 918) if wide and draw > 0.875 else rng.randint(-60, -50)
+    return math.ldexp(rng.choice((m, -m)), e)
+
+
+def _random_group_records(seed: int, wide: bool):
+    """Two Static group elements and an orbit state of :func:`_random_entry` fields."""
+    rng = random.Random(seed)
+
+    def entry():
+        return _random_entry(rng, wide)
+
+    def element():
+        return StaticGroupElement(
+            angle=rng.uniform(-math.pi, math.pi), boost=(entry(), entry()),
+            translation=(entry(), entry()), time=entry(), f_shift=(entry(), entry()),
+            pi_shift=(entry(), entry()), phase_m=entry(), phase_mprime=entry(),
+            phase_b=entry(), phase_lambda=entry(),
+        )
+
+    constants = rng.choice((
+        StaticConstants(m=1, mu=2, beta=1, kappa=1, nu=Fraction(1, 2), h=2),
+        StaticConstants(m=Fraction(3, 7), mu=Fraction(-5, 3), beta=Fraction(2, 9), kappa=3),
+    ))
+    state = StaticOrbitState(constants, *[(entry(), entry()) for _ in range(4)], entry(), entry())
+    return element(), element(), state
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**64 - 1), wide=st.booleans())
+def test_group_products_are_the_constructed_records_bit_for_bit(seed, wide) -> None:
+    # the same sums in the same order, stored after one test of their sum:
+    # every field by its bits, or the error that names the first field the
+    # checking constructor finds not finite.  Hypothesis draws the seed
+    # only: its own float draws repeat values across fields, and a sum of
+    # repeated values re-associates exactly far more often than one of
+    # independent values
+    g, gp, state = _random_group_records(seed, wide)
+    assert _record_bits(compose, g, gp) == _record_bits(rf.constructed_compose, g, gp)
+    assert _record_bits(inverse, g) == _record_bits(rf.constructed_inverse, g)
+    assert _record_bits(realize, g, state) == _record_bits(rf.constructed_realize, g, state)
 
 
 # Parameters each command reads; it refuses any other key (exit 2).

@@ -566,6 +566,38 @@ def test_a_product_that_overflows_is_rejected() -> None:
     big = StaticGroupElement(boost=(1e200, 0.0), translation=(1e200, 0.0), time=1e200)
     with pytest.raises(ValueError, match="must be finite"):
         compose(big, big)
+    # the first bad field is named, the scalars before the vectors:
+    # phase_mprime, though boost and pi_shift overflow too
+    g = StaticGroupElement(boost=(1e308, 0.0), time=1e10)
+    gp = StaticGroupElement(boost=(1e308, 0.0), time=-1e10)
+    with pytest.raises(ValueError, match=r"^group parameter phase_mprime must be finite, got -inf$"):
+        compose(g, gp)
+    with pytest.raises(ValueError, match=r"^group parameter phase_mprime must be finite, got inf$"):
+        compose(gp, g)
+    with pytest.raises(ValueError, match=r"^group parameter boost must be finite, got inf$"):
+        compose(StaticGroupElement(boost=(1e308, 0.0)), StaticGroupElement(boost=(1e308, 0.0)))
+    with pytest.raises(ValueError, match=r"^group parameter phase_mprime must be finite, got inf$"):
+        inverse(StaticGroupElement(boost=(1e308, 0.0), pi_shift=(1e308, 0.0)))
+
+
+def test_finite_results_whose_sum_overflows_are_stored() -> None:
+    # each field is finite; only the one sum that tests them all overflows
+    g = StaticGroupElement(boost=(1.5e308, 0.0), translation=(1.5e308, 0.0))
+    assert compose(g, identity_element()) == g
+    assert compose(identity_element(), g) == g
+    assert inverse(g) == StaticGroupElement(boost=(-1.5e308, -0.0), translation=(-1.5e308, -0.0))
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    state = StaticOrbitState(constants, position=(1e308, 0.0), momentum=(1e308, 0.0))
+    assert realize(identity_element(), state) == state
+
+
+@pytest.mark.parametrize("pair", [(1.0,), (1.0, 2.0, 3.0), 1.0, None], ids=repr)
+def test_a_pair_of_the_wrong_shape_is_named(pair) -> None:
+    with pytest.raises(ValueError, match=r"^group parameter boost must be a pair, got "):
+        StaticGroupElement(boost=pair)
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    with pytest.raises(ValueError, match=r"^state field momentum must be a pair, got "):
+        StaticOrbitState(constants, momentum=pair)
 
 
 _FACTORS = (("K1", "K2", "P1", "P2", "H"), ("F1", "F2", "Pi1", "Pi2"))
