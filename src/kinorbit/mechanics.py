@@ -189,7 +189,7 @@ class HamiltonianSpec(Record):
         linear, quadratic = tuple(linear), tuple(quadratic)
         if (len(linear), len(quadratic)) != (2, 3):
             raise CatalogError(f"expected (a1, a2) and (k11, k12, k22), got {linear}, {quadratic}")
-        floats = [_float_entry(x, "HamiltonianSpec") for x in (*linear, *quadratic)]
+        floats = tuple(_float_entry(x, "HamiltonianSpec") for x in (*linear, *quadratic))
         self._init(linear, quadratic, floats)
 
     def hamiltonian(self, space: NCPhaseSpace2D) -> QuadraticHamiltonian:
@@ -360,10 +360,7 @@ def integrate(
     hamiltonian, columns = _flow(space, ham, state0, t_end, dt)
     table = np.array(columns)
     states = table.T
-    # grid_times as one array product: each i*h is the float product Python forms
-    n_steps = len(states) - 1
-    times = np.arange(n_steps + 1) * (t_end / n_steps)
-    times[-1] = t_end
+    times = np.array(grid_times(t_end, len(states) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         energies = hamiltonian.value(table)
         drift = energies - energies[0]

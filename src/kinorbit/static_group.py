@@ -152,10 +152,7 @@ def _checked(cls, total: float, *values):
     overflowed)."""
     if not math.isfinite(total):
         return cls(*values)
-    # Record._stored, inlined: these are the float layer's hottest records
-    record = cls.__new__(cls)
-    record._init(*values)
-    return record
+    return cls._stored(*values)
 
 
 def _check_column(name: str, values, kind: str) -> None:

@@ -55,7 +55,6 @@ from kinorbit.mechanics import (
     NCPhaseSpace2D,
     QuadraticHamiltonian,
     _bracket_rows,
-    integrate,
     linear_system,
     planar_flow,
 )
@@ -443,19 +442,6 @@ def test_the_flat_propagator_keeps_every_bit_of_the_row_products(A, b, state0, h
             return exc.step, str(exc)
 
     assert outcome(planar_flow) == outcome(rf.product_planar_flow)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(
-    t_end=st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-80, 40)),
-    steps=st.integers(1, 300),
-)
-def test_integrate_times_are_the_grid_times_byte_for_byte(t_end, steps) -> None:
-    # integrate forms the grid as one array product; the rows of simulate
-    # and of evolution_rows read timegrid.grid_times
-    space = NCPhaseSpace2D(Fraction(0), Fraction(0), Fraction(1))
-    times = integrate(space, HamiltonianSpec(), [0.0] * 4, t_end, t_end / steps).times
-    assert times.tobytes() == grid_times(t_end, len(times) - 1).tobytes()
 
 
 @st.composite
