@@ -320,7 +320,7 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
             p1.append(z2)
             p2.append(z3)
         for column, rows in zip(states, block):
-            column.extend(rows)
+            column.fromlist(rows)
         # a non-finite entry stays non-finite, so the block's last row shows
         # one; the row before the block is the start state or a finite row
         if not all(map(math.isfinite, (z0, z1, z2, z3))):

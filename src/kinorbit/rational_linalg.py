@@ -248,10 +248,13 @@ def rat_rank(matrix: RatMatrix) -> int:
 
 
 def checked_float(value, name: str) -> float:
-    """The float nearest the exact ``value``; :class:`OverflowError` naming
-    ``name`` when it overflows, or when it is exactly nonzero but rounds to 0."""
+    """The float nearest the exact ``value``, an int or ``Fraction``;
+    :class:`OverflowError` naming ``name`` when it overflows, or when it is
+    exactly nonzero but rounds to 0."""
     try:
-        result = float(value)
+        # the correctly rounded quotient float() forms, without the
+        # dispatch of numbers.Rational.__float__
+        result = value.numerator / value.denominator
     except OverflowError:
         result = math.inf if value > 0 else -math.inf
     if math.isinf(result) or (result == 0 and value != 0):

@@ -600,7 +600,7 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:
             for p1t, p2t, k1t, k2t in zip(*momenta)
         ]
         for column, values in zip(drifting, (*momenta, s_inv)):
-            column.extend(values)
+            column.fromlist(values)
     # the checks, and their order, of time_evolution and static_invariants
     names = ("momentum", "momentum", "boost_momentum", "boost_momentum")
     for name, column in zip(names, drifting):

@@ -55,7 +55,7 @@ def grid_times(t_end: float, n_steps: int) -> array:
     h = t_end / n_steps
     times = array("d")
     for start in range(0, n_steps + 1, ROW_BLOCK):
-        times.extend([i * h for i in range(start, min(start + ROW_BLOCK, n_steps + 1))])
+        times.fromlist([i * h for i in range(start, min(start + ROW_BLOCK, n_steps + 1))])
     times[-1] = t_end
     return times
 

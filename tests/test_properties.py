@@ -61,6 +61,7 @@ from kinorbit.mechanics import (
 from kinorbit.rational_linalg import (
     RatMatrix,
     SingularMatrixError,
+    checked_float,
     congruence,
     rat_inv,
     rat_rank,
@@ -527,6 +528,29 @@ def test_a_matrix_refuses_tuple_arithmetic_and_mismatched_products() -> None:
 def test_a_ragged_matrix_is_refused_before_it_is_used(use) -> None:
     with pytest.raises(ValueError, match=r"\[2, 1\]"):
         use([[1, 2], [3]])
+
+
+# exact values across the float range, past both of its ends, and through
+# the subnormals, over denominators that are not powers of two
+_exact_values = st.builds(
+    lambda n, e, d: Fraction(n) * Fraction(2) ** e / d,
+    st.integers(-(2**80), 2**80), st.integers(-1200, 1100) | st.integers(-1150, -1000),
+    st.integers(1, 10**20),
+) | st.integers(-(2**1100), 2**1100)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(value=_exact_values)
+def test_checked_float_is_the_nearest_float_or_names_the_value(value) -> None:
+    try:
+        nearest = float(value)
+    except OverflowError:
+        nearest = math.inf if value > 0 else -math.inf
+    if math.isinf(nearest) or (nearest == 0 and value != 0):
+        with pytest.raises(OverflowError, match=rf"^x is {re.escape(repr(nearest))} as a float"):
+            checked_float(value, "x")
+    else:
+        assert checked_float(value, "x").hex() == nearest.hex()
 
 
 @st.composite
