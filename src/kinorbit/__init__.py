@@ -9,10 +9,9 @@ Static group together with its orbit realization and invariants.
 
 Every public name resolves when first used, through the module
 ``__getattr__``, so ``import kinorbit`` loads no submodule, and a name
-loads only its own module and the layers below it.  The exact layer
-imports no NumPy, and the float layer (:mod:`kinorbit.mechanics` and
-:mod:`kinorbit.static_group`) imports it only inside the functions that
-use arrays.
+loads only its own module and the layers below it.  Only
+:func:`kinorbit.mechanics.integrate`, which returns NumPy arrays, imports
+NumPy, and only when it is called.
 """
 
 from importlib import import_module
@@ -91,57 +90,4 @@ def __getattr__(name: str):
     return value if module == name else getattr(value, name)
 
 
-__all__ = [
-    "AlgebraDescriptor",
-    "AlgebraElement",
-    "CANONICAL_BRACKET_MATRIX",
-    "CatalogError",
-    "DegenerateChartError",
-    "DualPoint",
-    "GeneratorLabel",
-    "HamiltonianSpec",
-    "IntegrationError",
-    "JacobiViolation",
-    "KinematicalParams",
-    "MagneticCouplings",
-    "NCPhaseSpace2D",
-    "NCTrajectory",
-    "OrbitChart",
-    "OrbitInvariant",
-    "QuadraticHamiltonian",
-    "RatMatrix",
-    "SingularMatrixError",
-    "StandardOrbit",
-    "StaticConstants",
-    "StaticGroupElement",
-    "StaticOrbitState",
-    "StructureConstants",
-    "SymplecticStructure",
-    "admissible_central_extensions",
-    "bracket",
-    "build",
-    "casimir_residual",
-    "check_jacobi",
-    "classify",
-    "compose",
-    "darboux_map",
-    "identity_element",
-    "integrate",
-    "inverse",
-    "kirillov_matrix",
-    "list_catalog",
-    "magnetic_fields",
-    "multiplication_cocycle",
-    "noncentral_invariants",
-    "poisson_bracket",
-    "rat",
-    "rat_inv",
-    "rat_rank",
-    "realize",
-    "restrict",
-    "standard_orbit",
-    "static_invariants",
-    "static_symplectic",
-    "time_evolution",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]

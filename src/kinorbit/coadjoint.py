@@ -507,8 +507,8 @@ def magnetic_fields(
 class OrbitInvariant(Record):
     """A named invariant function on the dual, written once as a value.
 
-    ``value`` takes the full dual coordinate vector in basis order (exact,
-    float, or one float array per coordinate) and returns the invariant.
+    ``value`` takes the full dual coordinate vector in basis order (exact
+    or float) and returns the invariant.
     :meth:`gradient` is derived from ``value`` by forward-mode
     differentiation, so it is exact over ``Fraction`` coordinates and the
     Casimir residual tests the same formula that is evaluated.

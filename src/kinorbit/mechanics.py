@@ -27,8 +27,8 @@ the last bit and not N times it.  :func:`integrate` returns the table as
 NumPy arrays for in-process callers, and :func:`trajectory_rows` as the
 columns ``kinorbit simulate`` prints, so the command never loads NumPy.
 Both equal stage-by-stage RK4 (the reference the tests keep) up to
-rounding in the last bits.  NumPy is imported only inside the functions that take or
-return arrays.
+rounding in the last bits.  :func:`linear_system` returns A and b as
+tuples of floats; NumPy is imported only inside :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -62,12 +62,14 @@ __all__ = [
 
 
 def _float_entry(x, name: str) -> float:
-    """The float of ``x``, a finite int, Fraction or float; :class:`CatalogError`
-    naming ``name`` otherwise.  A finite ``float`` itself, the common entry,
-    is returned after its one ``isfinite`` test."""
+    """The float of ``x``, a finite int (not a bool), Fraction or float;
+    :class:`CatalogError` naming ``name`` otherwise.  A finite ``float``
+    itself, the common entry, is returned after its one ``isfinite`` test."""
     if type(x) is float and math.isfinite(x):
         return x
-    if (isinstance(x, float) and math.isfinite(x)) or isinstance(x, (int, Fraction)):
+    if (isinstance(x, float) and math.isfinite(x)) or (
+        isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    ):
         return float(x)
     raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
 
@@ -223,13 +225,10 @@ def _planar(space: NCPhaseSpace2D, ham: HamiltonianSpec):
 
 def linear_system(
     space: NCPhaseSpace2D, ham: HamiltonianSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The affine form dz/dt = A z + b of the equations of motion, as arrays:
-    :meth:`QuadraticHamiltonian.system` of ``ham`` on ``space``."""
-    import numpy as np
-
-    A, b = _planar(space, ham)[1]
-    return np.array(A), np.array(b)
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """The affine form dz/dt = A z + b of the equations of motion, as tuples
+    of floats: :meth:`QuadraticHamiltonian.system` of ``ham`` on ``space``."""
+    return _planar(space, ham)[1]
 
 
 class NCTrajectory(Record):

@@ -14,10 +14,10 @@ constructors check every field; a product, inverse or action, whose fields
 are formed from checked floats, is stored after one finiteness test of the
 fields' sum and goes through those checks only when that test fails.
 :func:`evolution_rows` traces the evolution and its invariants over a
-time grid, as the columns ``kinorbit realize`` prints.  NumPy is imported
-only inside the functions that return arrays, and :mod:`kinorbit.coadjoint`
-and :mod:`kinorbit.mechanics` only inside the functions that build their
-types, so the group law, the evolution and its rows load none of them.
+time grid, as the columns ``kinorbit realize`` prints.  The module imports
+no NumPy, and :mod:`kinorbit.coadjoint` and :mod:`kinorbit.mechanics` only
+inside the functions that build their types, so the group law, the
+evolution and its rows load none of them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import functools
 import math
 from array import array
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .algebra_core import Record, StructureConstants
@@ -127,8 +128,12 @@ class StaticConstants(Record):
 
 
 def _finite(name: str, value, kind: str) -> float:
-    """``value`` as a float; :class:`ValueError` naming the ``kind`` and ``name`` unless finite."""
-    value = float(value)
+    """``value`` as a float; :class:`ValueError` naming the ``kind`` and ``name``
+    unless it is a finite real number (a ``bool`` is not one)."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{kind} {name} must be a real number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{kind} {name} must be finite, got {value!r}")
     return value
@@ -171,7 +176,8 @@ class StaticGroupElement(Record):
     Vector parameters: ``boost`` (conjugate to K), ``translation`` (P),
     ``f_shift`` (F), ``pi_shift`` (Pi).  Scalars: ``angle`` (rotation),
     ``time`` (H), and the four phases conjugate to the charges M, M', B,
-    Lambda.  Every parameter must be finite (:class:`ValueError` otherwise).
+    Lambda.  Every parameter must be a finite real number, not a ``bool``
+    (:class:`ValueError` naming it otherwise).
     """
 
     __slots__ = _fields = (
@@ -310,7 +316,8 @@ class StaticOrbitState(Record):
     noncentral generators, q = -f/kappa_e and u = I/mu_e; ``momentum`` (p)
     and ``boost_momentum`` (k) are the duals of translations and boosts.
     ``energy`` and ``angular_momentum`` are the dual values of H and J.
-    Every field must be finite (:class:`ValueError` otherwise).
+    Every field must be a finite real number, not a ``bool``
+    (:class:`ValueError` naming it otherwise).
     """
 
     __slots__ = _fields = (
@@ -340,19 +347,9 @@ class StaticOrbitState(Record):
         )
 
     @property
-    def chart_vector(self) -> np.ndarray:
+    def chart_vector(self) -> tuple[float, ...]:
         """(q1, q2, u1, u2, p1, p2, k1, k2) as floats."""
-        import numpy as np
-
-        return np.array(
-            [*self.position, *self.velocity, *self.momentum, *self.boost_momentum]
-        )
-
-    def to_dual(self) -> np.ndarray:
-        """Full dual coordinate vector on the 14-dimensional extension."""
-        import numpy as np
-
-        return np.array(_dual(self))
+        return (*self.position, *self.velocity, *self.momentum, *self.boost_momentum)
 
 
 def _dual(state: StaticOrbitState) -> list[float]:

@@ -5,8 +5,8 @@ module imports must be used in it (a name listed in ``__all__`` counts as
 used, which covers the package's re-exports), and every private
 module-level function, class or constant must be read in its module.
 The exact layer and the CLI import neither NumPy nor the float layer
-when they load, and the float layer does not import NumPy when it loads;
-only function bodies may.  No module imports ``dataclasses``, and the
+when they load, and NumPy is imported in one function body only, that of
+``mechanics.integrate``.  No module imports ``dataclasses``, and the
 CLI and the Static group load the layers only some commands run
 (``coadjoint``, ``configparser``, ``json``) inside the functions that
 use them.  The CLI reads a run's parameter texts only in its table parser,
@@ -33,13 +33,18 @@ def _module_name(path: Path) -> str:
     return "kinorbit" if path.stem == "__init__" else f"kinorbit.{path.stem}"
 
 
-def _exported(tree: ast.Module) -> list[str]:
-    for node in tree.body:
+def _exported(path: Path) -> list[str]:
+    """The names the module at ``path`` lists in ``__all__``: the literal list,
+    or the imported module's ``__all__`` when the list is computed."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
             for target in node.targets
         ):
-            return list(ast.literal_eval(node.value))
+            try:
+                return list(ast.literal_eval(node.value))
+            except ValueError:
+                return list(importlib.import_module(_module_name(path)).__all__)
     return []
 
 
@@ -77,8 +82,7 @@ def _private_definitions(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)
 def test_every_exported_name_resolves(path: Path) -> None:
     module = importlib.import_module(_module_name(path))
-    exported = _exported(ast.parse(path.read_text(encoding="utf-8")))
-    assert [name for name in exported if not hasattr(module, name)] == []
+    assert [name for name in _exported(path) if not hasattr(module, name)] == []
 
 
 def test_the_package_exports_exactly_the_names_its_modules_lend() -> None:
@@ -86,7 +90,7 @@ def test_the_package_exports_exactly_the_names_its_modules_lend() -> None:
     lent = [name for names in package._LAZY.values() for name in names]
     assert sorted(package.__all__) == sorted([*lent, "__version__"])
     for module, names in package._LAZY.items():
-        exported = _exported(ast.parse((_PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        exported = _exported(_PACKAGE / f"{module}.py")
         assert sorted(set(names) - set(exported)) == [], module
 
 
@@ -94,7 +98,7 @@ def test_the_package_exports_exactly_the_names_its_modules_lend() -> None:
 def test_no_unused_imports(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(_exported(tree))
+    used.update(_exported(path))
     assert sorted(_imported(tree) - used) == []
 
 
@@ -139,6 +143,38 @@ def test_exact_modules_load_no_numpy_and_no_float_layer(stem: str) -> None:
 def test_the_float_layer_imports_numpy_only_inside_functions(stem: str) -> None:
     tree = ast.parse((_PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert "numpy" not in _load_time_imports(tree)
+
+
+def _numpy_imports(node: ast.AST, scope: str) -> list[str]:
+    """The dotted name of the function or class around each import of NumPy
+    under ``node``, ``scope`` for one outside them."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            found += [scope for a in child.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy":
+            found.append(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += _numpy_imports(child, f"{scope}.{child.name}" if named else scope)
+    return found
+
+
+def test_numpy_is_imported_only_inside_integrate() -> None:
+    found = [
+        where
+        for path in _MODULES
+        for where in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert found == ["mechanics.integrate"]
+
+
+@pytest.mark.parametrize("source, scope", [
+    ("import numpy", "m"), ("import numpy.linalg as la", "m"), ("from numpy import array", "m"),
+    ("def f():\n    import numpy as np", "m.f"),
+    ("class C:\n    def g(self):\n        from numpy.linalg import inv", "m.C.g"),
+])
+def test_the_numpy_check_sees_every_import_form(source: str, scope: str) -> None:
+    assert _numpy_imports(ast.parse(source), "m") == [scope]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)

@@ -455,7 +455,7 @@ _NOT_AN_ENTRY = "entries must be finite int, Fraction or float, got "
 _ENTRIES = [
     (0.25, 0.25),
     (3, 3.0),
-    (True, 1.0),
+    (True, (CatalogError, _NOT_AN_ENTRY + "True")),
     (np.float64(0.5), 0.5),
     (Fraction(1, 3), 1 / 3),
     (10**400, (OverflowError, "int too large to convert to float")),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
     StaticOrbitState,
+    _dual,
     compose,
     evolution_hamiltonian,
     evolution_rows,
@@ -285,7 +287,7 @@ def test_dual_round_trip() -> None:
     alg = noncentral_algebra()
     for _ in range(10):
         st = _random_state(constants, rng)
-        alpha = st.to_dual()
+        alpha = _dual(st)
         # the dual vector embeds the charges alongside the state
         assert alpha[alg.index("M")] == float(constants.m)
         assert alpha[alg.index("M'")] == float(constants.mu)
@@ -600,6 +602,43 @@ def test_a_pair_of_the_wrong_shape_is_named(pair) -> None:
         StaticOrbitState(constants, momentum=pair)
 
 
+# A value given for a scalar or a pair's entry, and the float it is stored
+# as; None where it is refused, as no real number or a bool
+_VALUES = [
+    (0.25, 0.25), (2, 2.0), (Fraction(1, 4), 0.25), (np.float64(1.5), 1.5),
+    (np.float32(0.5), 0.5), (np.int64(-3), -3.0),
+    ("x", None), ("1.5", None), (None, None), (1j, None), (True, None),
+    (np.bool_(True), None), (np.complex128(1.0), None),
+]
+
+
+@pytest.mark.parametrize("value, stored", _VALUES, ids=repr)
+def test_each_group_parameter_is_a_real_number(value, stored) -> None:
+    if stored is None:
+        for field, given in (("angle", value), ("boost", (0.0, value))):
+            message = f"^group parameter {field} must be a real number, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                StaticGroupElement(**{field: given})
+    else:
+        g = StaticGroupElement(angle=value, boost=(0.0, value))
+        assert [g.angle, *g.boost] == [stored, 0.0, stored]
+        assert type(g.angle) is type(g.boost[1]) is float
+
+
+@pytest.mark.parametrize("value, stored", _VALUES, ids=repr)
+def test_each_state_field_is_a_real_number(value, stored) -> None:
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    if stored is None:
+        for field, given in (("energy", value), ("momentum", (0.0, value))):
+            message = f"^state field {field} must be a real number, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                StaticOrbitState(constants, **{field: given})
+    else:
+        state = StaticOrbitState(constants, energy=value, momentum=(0.0, value))
+        assert [state.energy, *state.momentum] == [stored, 0.0, stored]
+        assert type(state.energy) is type(state.momentum[1]) is float
+
+
 _FACTORS = (("K1", "K2", "P1", "P2", "H"), ("F1", "F2", "Pi1", "Pi2"))
 
 
@@ -668,7 +707,7 @@ def test_realize_matches_the_exact_adjoint_series() -> None:
             time=h, f_shift=(f1, f2), pi_shift=(w1, w2),
         )
         st = _random_state(constants, rng)
-        got, want = realize(g, st).to_dual().tolist(), _exact_series_dual(g, st)
+        got, want = _dual(realize(g, st)), _exact_series_dual(g, st)
         error = max(abs(rat(a) - b) for a, b in zip(got, want))
         assert error <= rat(4e-15) * max(map(abs, want)), (g, st)
 
