@@ -13,7 +13,7 @@ Subcommands
     the phase-space taxonomy of all standard orbits (plus their h = 0
     reductions, which are canonical);
 ``simulate``
-    RK4 trajectory of the modified Hamilton equations;
+    2-stage Gauss trajectory of the modified Hamilton equations;
 ``realize``
     closed-form time evolution of an extended-Static orbit state with its
     two invariants.

@@ -1,4 +1,4 @@
-"""Quadratic Hamiltonians and their RK4 flow on noncommutative phase spaces.
+"""Quadratic Hamiltonians and their 2-stage Gauss flow on noncommutative phase spaces.
 
 A Hamiltonian H = z'Qz/2 + g.z + c in a chart's canonical coordinates z
 (:class:`QuadraticHamiltonian`) flows under the chart's bracket matrix
@@ -15,20 +15,18 @@ converted or checked again.  The flow is
     dq^i/dt = dH/dp_i + G eps^ij dH/dq^j,
     dp_i/dt = -dH/dq^i + F eps_ij dH/dp_j.
 
-One classical RK4 step of size h is exactly the affine map z -> R(hA) z +
-h S(hA) b with R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 (RK4's stability
-function) and S(x) = 1 + x/2 + x^2/6 + x^3/24.  The one fill,
-:func:`planar_flow`, forms that propagator once, R - 1 and c = h S(hA) b
-entry by entry from X = hA and its powers X^2, X^3, X^4 (flat lists, each
-power the last one times X, every sum added left to right), and advances
-one step at a time on Python floats, adding each increment with Kahan
-compensation (Kahan, Commun. ACM 8 (1965) 40), so that N steps round near
-the last bit and not N times it.  :func:`integrate` returns the table as
-NumPy arrays for in-process callers, and :func:`trajectory_rows` as the
-columns ``kinorbit simulate`` prints, so the command never loads NumPy.
-Both equal stage-by-stage RK4 (the reference the tests keep) up to
-rounding in the last bits.  :func:`linear_system` returns A and b as
-tuples of floats; NumPy is imported only inside :func:`integrate`.
+One step of size h of the 2-stage Gauss method is exactly the affine map
+z -> M z + c that :func:`propagator` forms, in any dimension and on
+floats or ``Fraction``: a Poisson map of theta that keeps H, so the
+energy drift of a run is rounding only.  The one fill,
+:func:`planar_flow`, forms that map once and advances one step at a time
+on Python floats, adding each increment (M - 1) z + c with Kahan
+compensation (Kahan, Commun. ACM 8 (1965) 40), so that N steps round
+near the last bit and not N times it.  :func:`integrate` returns the
+table as NumPy arrays for in-process callers, and :func:`trajectory_rows`
+as the columns ``kinorbit simulate`` prints, so the command never loads
+NumPy.  :func:`linear_system` returns A and b as tuples of floats; NumPy
+is imported only inside :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -36,6 +34,9 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from itertools import repeat
+from numbers import Real
+from operator import add, mul
 from typing import Sequence
 
 from .algebra_core import Record
@@ -54,6 +55,7 @@ __all__ = [
     "NCTrajectory",
     "CANONICAL_BRACKET_MATRIX",
     "linear_system",
+    "propagator",
     "planar_flow",
     "step_count",
     "integrate",
@@ -62,15 +64,14 @@ __all__ = [
 
 
 def _float_entry(x, name: str) -> float:
-    """The float of ``x``, a finite int (not a bool), Fraction or float;
-    :class:`CatalogError` naming ``name`` otherwise.  A finite ``float``
-    itself, the common entry, is returned after its one ``isfinite`` test."""
+    """The float of ``x``, a finite real number that is not a bool (an int,
+    Fraction, float or NumPy scalar); :class:`CatalogError` naming ``name``
+    otherwise.  A finite ``float`` itself, the common entry, is returned
+    after its one ``isfinite`` test."""
     if type(x) is float and math.isfinite(x):
         return x
-    if (isinstance(x, float) and math.isfinite(x)) or (
-        isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    ):
-        return float(x)
+    if isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(value := float(x)):
+        return value
     raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
 
 
@@ -232,21 +233,16 @@ def linear_system(
 
 
 class NCTrajectory(Record):
-    """An integrated trajectory with per-sample energy and its drift."""
+    """An integrated trajectory as NumPy arrays: the times, the states (a row
+    per time), their energies and the energies' drift from the first."""
 
     __slots__ = _fields = ("times", "states", "energies", "invariant_drift")
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        states: np.ndarray,
-        energies: np.ndarray,
-        invariant_drift: np.ndarray,
-    ) -> None:
+    def __init__(self, times, states, energies, invariant_drift) -> None:
         self._init(times, states, energies, invariant_drift)
 
     @property
-    def final_state(self) -> np.ndarray:
+    def final_state(self):
         return self.states[-1]
 
 
@@ -257,50 +253,67 @@ def _aborted(what: str, step: int, t: float) -> IntegrationError:
     )
 
 
-# The 4 x 4 identity, flat and row-major.
-_IDENTITY = tuple(float(i == j) for i in range(4) for j in range(4))
+def propagator(A, b, h) -> tuple[list[list], list]:
+    """One step of size ``h`` of the 2-stage Gauss method on dz/dt = A z + b
+    (n x n ``A``): the map z -> M z + c, as the rows of M - 1 and the list c.
+
+    With X = hA and D = 1 - X/2 + X^2/12 (the diagonal Pade map; Butcher,
+    Math. Comp. 18 (1964) 50), M - 1 = D^-1 X and c = D^-1 hb, both from
+    one Gauss-Jordan solve of D against [X | hb]: each (X^2)_ij adds its
+    nonzero products left to right, each pivot is the first largest |entry|
+    of its column, and a row with a zero there is left as it is.  No 1 is
+    subtracted, so M - 1 keeps its accuracy for small h.  Only + - * / and
+    ``abs`` touch the entries, so ``Fraction`` entries give the exact step:
+    for A = theta Q and b = theta g it is a Poisson map of theta that keeps
+    H = z'Qz/2 + g.z (Hairer, Lubich & Wanner, *Geometric Numerical
+    Integration*, 2nd ed., IV.2 and VI.4).  A singular D raises
+    :class:`ZeroDivisionError`.
+    """
+    X = [[h * x for x in row] for row in A]
+    n = len(X)
+    rows = []
+    for i, (row, b_i) in enumerate(zip(X, b)):
+        square = repeat(0, n)
+        for x, x_row in zip(row, X):
+            if x:
+                square = map(add, square, map(mul, repeat(x), x_row))
+        d = [s / 12 - x / 2 for x, s in zip(row, square)]
+        d[i] += 1
+        rows.append(d + row + [h * b_i])
+    # the first k rows are unsolved; each solved row goes to the end
+    for k in range(n, 0, -1):
+        column = [abs(row[0]) for row in rows[:k]]
+        head, *pivot = rows.pop(column.index(max(column)))
+        pivot = [x / head for x in pivot]
+        rows = [[x - f * y for x, y in zip(row, pivot)] if (f := row.pop(0)) else row
+                for row in rows]
+        rows.append(pivot)
+    return [row[:n] for row in rows], [row[n] for row in rows]
 
 
 def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[array]:
-    """Fixed-step RK4 for the planar system dz/dt = A z + b (4 x 4 ``A``)
-    from ``state0`` to ``t_end``, on Python floats.
+    """The 2-stage Gauss flow of the planar system dz/dt = A z + b (4 x 4
+    ``A``) from ``state0`` to ``t_end``, on Python floats.
 
     Returns the state table as four ``array('d')`` columns (q1, q2, p1,
     p2), one entry per time of :func:`~kinorbit.timegrid.grid_times` of
-    :func:`step_count` steps.  One RK4 step of size h is exactly the
-    affine map z -> R z + c with R = R(hA) and c = h S(hA) b.  The fill
-    forms X = hA and X^2, X^3, X^4 once, as flat row-major lists, each
-    power the last one times X; then R - 1 = X + X^2/2 + X^3/6 + X^4/24 and
-    S = 1 + X/2 + X^2/6 + X^3/24 entry by entry, and c_i = h (S_i0 b_0 +
-    ... + S_i3 b_3).  It advances one step at a time, adding the increment
-    (R - 1) z + c to z with Kahan compensation, so that the rounding of the
-    running sum stays near the last bit however many steps it takes.
-    Every sum of products is added left to right, so the rows do not
-    depend on the Python version.  Rows are formed
+    :func:`step_count` steps.  The step z -> M z + c of :func:`propagator`
+    is formed once; each step adds the increment (M - 1) z + c to z with
+    Kahan compensation, so the running sum rounds near the last bit however
+    many steps it takes.  Every sum of products is added left to right, so
+    the rows do not depend on the Python version.  Rows are formed
     :data:`~kinorbit.timegrid.ROW_BLOCK` at a time.  A non-finite state,
-    including one from a propagator that overflows, raises
-    :class:`IntegrationError` carrying the first step that produced it (0
-    for a start state that is not finite), and no later block is formed.
+    also from a step that overflows, raises :class:`IntegrationError`
+    carrying the first step that produced it (0 for a start state), and no
+    later block is formed; a singular D fails at step 1.
     """
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps
-    # products summed left to right, not by builtin sum(): from Python 3.12
-    # it compensates float sums
-    X = [h * float(x) for row in A for x in row]
-    columns = [X[j::4] for j in range(4)]
-    powers = [X]
-    for _ in range(3):
-        rows = zip(*[iter(powers[-1])] * 4)
-        powers.append([x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
-                       for x0, x1, x2, x3 in rows for y0, y1, y2, y3 in columns])
-    X, X2, X3, X4 = powers
-    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = (
-        x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(X, X2, X3, X4)
-    )
-    S = [i + x / 2.0 + x2 / 6.0 + x3 / 24.0 for i, x, x2, x3 in zip(_IDENTITY, X, X2, X3)]
-    b0, b1, b2, b3 = map(float, b)
-    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3)
-                      for s0, s1, s2, s3 in zip(*[iter(S)] * 4))
+    try:
+        m, (c0, c1, c2, c3) = propagator(A, b, h)  # m: the rows of M - 1
+    except ZeroDivisionError:
+        raise IntegrationError(f"integration aborted: no Gauss step of size {h:.6g}", 1) from None
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
     z0, z1, z2, z3 = map(float, state0)
     e0 = e1 = e2 = e3 = 0.0  # what each running sum has lost to rounding
     states = [array("d", [z]) for z in (z0, z1, z2, z3)]
@@ -337,14 +350,9 @@ def _flow(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0, t_end: float, dt:
     return hamiltonian, planar_flow(*system, state0, t_end, dt)
 
 
-def integrate(
-    space: NCPhaseSpace2D,
-    ham: HamiltonianSpec,
-    state0: Sequence[float],
-    t_end: float,
-    dt: float,
-) -> NCTrajectory:
-    """Integrate the modified Hamilton equations with fixed-step RK4.
+def integrate(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[float],
+              t_end: float, dt: float) -> NCTrajectory:
+    """Integrate the modified Hamilton equations with the fixed-step 2-stage Gauss method.
 
     The states are :func:`planar_flow` of the affine system
     :func:`linear_system`, as an (n + 1) x 4 array, at the times of
@@ -369,21 +377,11 @@ def integrate(
     if not finite.all():
         step = int(np.argmin(finite))
         raise _aborted("energy or drift", step, times[step])
-    return NCTrajectory(
-        times=times,
-        states=states,
-        energies=energies,
-        invariant_drift=drift,
-    )
+    return NCTrajectory(times, states, energies, drift)
 
 
-def trajectory_rows(
-    space: NCPhaseSpace2D,
-    ham: HamiltonianSpec,
-    state0: Sequence[float],
-    t_end: float,
-    dt: float,
-) -> dict[str, array]:
+def trajectory_rows(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[float],
+                    t_end: float, dt: float) -> dict[str, array]:
     """:func:`integrate` on Python floats, as the columns ``kinorbit simulate`` prints.
 
     Returns the ``array('d')`` columns t, q1, q2, p1, p2, H and drift, one

@@ -8,9 +8,10 @@ tested against: :func:`dense`, the one conversion of an exact matrix to a
 NumPy object array, the dense structure tensor, forward-mode
 differentiation with every operation one linear combination, a
 central-difference gradient, the planar affine system written out entry by
-entry, stage-by-stage RK4 on the Hamilton equations, RK4's one-step
-propagator iterated with compensated sums on NumPy arrays and on Python
-floats from row products, the Static time evolution rebuilt through
+entry, the right-hand side of the Hamilton equations, the 2-stage Gauss
+step formed by a NumPy solve and iterated with compensated sums on NumPy
+arrays, the package's own Gauss step iterated by a loop over any number
+of Python float coordinates, the Static time evolution rebuilt through
 ``_replace``, and the Static group product, inverse and action built
 through the checking constructors.
 """
@@ -25,9 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinorbit.rational_linalg import RatMatrix, rat
-from kinorbit.timegrid import (
-    ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
-)
+from kinorbit.timegrid import IntegrationError, grid_times, step_count
 
 
 def dense(entries) -> np.ndarray:
@@ -585,32 +584,18 @@ def hamilton_rhs(space, ham, state) -> np.ndarray:
     return np.concatenate([qdot, pdot])
 
 
-def rk4_step(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    state: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One classical Runge-Kutta step for dz/dt = rhs(t, z)."""
-    k1 = rhs(t, state)
-    k2 = rhs(t + dt / 2.0, state + dt / 2.0 * k1)
-    k3 = rhs(t + dt / 2.0, state + dt / 2.0 * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def increment_loop(A, b, state0, t_end, dt) -> tuple[np.ndarray, np.ndarray]:
-    """RK4's one-step propagator on NumPy arrays of any dimension, one step
+    """The 2-stage Gauss step on NumPy arrays of any dimension, one step
     at a time: (times, states) of dz/dt = A z + b from ``state0``.
 
-    The grid is that of ``step_count`` on [0, t_end].  Each step adds the
-    increment (R - 1) z + c of the propagator z -> R z + c, R = R(hA) and
-    c = h S(hA) b, to z.  The increments are summed with Kahan
-    compensation, so the loop's own rounding stays near the last bit
-    however many steps it takes (uncompensated, it reaches 2-4e-13 of a
-    column's largest value on the Static chart flow at 10^4 steps).  A
-    non-finite state raises IntegrationError carrying the first step that
-    produced it.
+    The grid is that of ``step_count`` on [0, t_end].  The step z -> M z + c
+    has M - 1 = D^-1 X and c = D^-1 hb, X = hA and D = 1 - X/2 + X^2/12,
+    both from one ``np.linalg.solve``.  Each step adds the increment
+    (M - 1) z + c to z with Kahan compensation, so the loop's own rounding
+    stays near the last bit however many steps it takes (uncompensated, it
+    reaches 2-4e-13 of a column's largest value on the Static chart flow
+    at 10^4 steps).  A non-finite state raises IntegrationError carrying
+    the first step that produced it.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     n_steps = step_count(t_end, dt)
@@ -621,12 +606,11 @@ def increment_loop(A, b, state0, t_end, dt) -> tuple[np.ndarray, np.ndarray]:
     carry = np.zeros(b.size)
     with np.errstate(over="ignore", invalid="ignore"):
         X = h * A
-        X2 = X @ X
-        X3 = X2 @ X
-        R_minus_1 = X + X2 / 2.0 + X3 / 6.0 + X3 @ X / 24.0
-        c = h * ((np.eye(b.size) + X / 2.0 + X2 / 6.0 + X3 / 24.0) @ b)
+        step = np.linalg.solve(np.eye(b.size) - X / 2.0 + X @ X / 12.0,
+                               np.column_stack([X, h * b]))
+        M_minus_1, c = step[:, :-1], step[:, -1]
         for i in range(1, n_steps + 1):
-            increment = (R_minus_1 @ z + c) - carry
+            increment = (M_minus_1 @ z + c) - carry
             total = z + increment
             carry = (total - z) - increment
             z = states[i] = total
@@ -635,63 +619,40 @@ def increment_loop(A, b, state0, t_end, dt) -> tuple[np.ndarray, np.ndarray]:
     return times, states
 
 
-def _product(X, Y) -> list[list[float]]:
-    """The 4 x 4 matrix product X Y, each entry summed left to right."""
-    columns = list(zip(*Y))
-    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns]
-            for x0, x1, x2, x3 in X]
+def gauss_flow(A, b, state0, t_end, dt) -> list[array]:
+    """The package's ``propagator`` step iterated by a loop over the n
+    coordinates on Python floats, the reference that the planar fill's
+    four unrolled columns equal bit for bit.
 
-
-def product_planar_flow(A, b, state0, t_end, dt) -> list[array]:
-    """The planar fill with RK4's one-step propagator formed from 4 x 4 row
-    products, the reference that the package's flat-list form equals bit
-    for bit.
-
-    X = hA, X^2 = X X, X^3 = X^2 X and X^4 = X^3 X row by row; R - 1 and
-    S row by row from them, and c = h S b.  Each step adds (R - 1) z + c to
-    z with Kahan compensation.  A non-finite state raises IntegrationError
-    carrying the first step after the start that produced it.
+    Each step adds (M - 1) z + c to z with Kahan compensation, row i's
+    products z_0 (M - 1)_i0 + ... + z_n-1 (M - 1)_i,n-1 added left to
+    right, then c_i, then minus the carry.  A non-finite state raises
+    IntegrationError carrying the first step after the start that
+    produced it.
     """
+    from kinorbit.mechanics import propagator
+
     n_steps = step_count(t_end, dt)
-    h = t_end / n_steps
-    X = [[h * float(x) for x in row] for row in A]
-    X2 = _product(X, X)
-    X3 = _product(X2, X)
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
-        [x + x2 / 2.0 + x3 / 6.0 + x4 / 24.0 for x, x2, x3, x4 in zip(*rows)]
-        for rows in zip(X, X2, X3, _product(X3, X))
-    )
-    S = (
-        [float(i == j) + x / 2.0 + x2 / 6.0 + x3 / 24.0 for j, (x, x2, x3) in enumerate(zip(*rows))]
-        for i, rows in enumerate(zip(X, X2, X3))
-    )
-    b0, b1, b2, b3 = map(float, b)
-    c0, c1, c2, c3 = (h * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3) for s0, s1, s2, s3 in S)
-    z0, z1, z2, z3 = map(float, state0)
-    e0 = e1 = e2 = e3 = 0.0
-    states = [array("d", [z]) for z in (z0, z1, z2, z3)]
-    for start in range(1, n_steps + 1, ROW_BLOCK):
-        q1, q2, p1, p2 = block = [], [], [], []
-        for _ in range(min(ROW_BLOCK, n_steps + 1 - start)):
-            d0 = z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0 - e0
-            d1 = z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1 - e1
-            d2 = z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2 - e2
-            d3 = z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3 - e3
-            t0, t1, t2, t3 = z0 + d0, z1 + d1, z2 + d2, z3 + d3
-            e0, e1, e2, e3 = t0 - z0 - d0, t1 - z1 - d1, t2 - z2 - d2, t3 - z3 - d3
-            z0, z1, z2, z3 = t0, t1, t2, t3
-            q1.append(z0)
-            q2.append(z1)
-            p1.append(z2)
-            p2.append(z3)
-        for column, rows in zip(states, block):
-            column.extend(rows)
-        if not all(map(math.isfinite, (z0, z1, z2, z3))):
-            bad = (first_non_finite(column[start:]) for column in states)
-            step = start + min(index for index in bad if index is not None)
-            t = grid_times(t_end, n_steps)[step]
+    step, c = propagator(A, b, t_end / n_steps)
+    z = [float(x) for x in state0]
+    carry = [0.0] * len(z)
+    states = [array("d", [x]) for x in z]
+    for i in range(1, n_steps + 1):
+        increments = []
+        for row, c_i, e_i in zip(step, c, carry):
+            d = z[0] * row[0]
+            for z_j, m_j in zip(z[1:], row[1:]):
+                d = d + z_j * m_j
+            increments.append(d + c_i - e_i)
+        total = [x + d for x, d in zip(z, increments)]
+        carry = [t - x - d for t, x, d in zip(total, z, increments)]
+        z = total
+        for column, x in zip(states, z):
+            column.append(x)
+        if not all(map(math.isfinite, z)):
+            t = grid_times(t_end, n_steps)[i]
             raise IntegrationError(
-                f"integration aborted: non-finite state at step {step} (t = {t:.6g})", step
+                f"integration aborted: non-finite state at step {i} (t = {t:.6g})", i
             )
     return states
 

@@ -1,8 +1,9 @@
 """Byte-level fingerprints of CLI stdout for a pinned set of runs.
 
 The digests were taken from the row-at-a-time implementation, and those
-of ``simulate`` from the step-by-step, compensated RK4 on Python floats
-of ``mechanics.planar_flow`` with the energies of
+of ``simulate`` from the step-by-step, compensated 2-stage Gauss flow on
+Python floats of ``mechanics.planar_flow``, its step formed by
+``mechanics.propagator``, with the energies of
 ``mechanics.QuadraticHamiltonian.value``; any change to the exact
 commands, to the closed-form Static evolution, to the integrator or to
 the output formatting that alters a single byte fails here.  Every row
@@ -70,9 +71,9 @@ _GOLDEN = [
     (_REALIZE, "json-lines", 1001,
      "2e0fcdf32c51bbe7d999dfaae413f0c213ba0d25b4cebd7f8aa3def72a2d560e"),
     (_SIMULATE, "csv", 1002,
-     "2b1a0659dbeb200f3e44a34e2e44673ebf32f243d7599e9728fff4db6cf1ab3f"),
+     "5219f2964161dfcf2f8b87b1790bb595f248867cfaead59fb3d243d8fd5f2dd7"),
     (_SIMULATE, "json-lines", 1001,
-     "6c372bf78d8405abf46909afc618276a2c5e73ca0671df63cc764b6f6c527f1d"),
+     "fc634379e0a2b80220c50089b8139bb663aba78ec8a0d4ef74189117b0252299"),
 ]
 
 

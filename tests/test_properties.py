@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,7 @@ from kinorbit.mechanics import (
     _bracket_rows,
     linear_system,
     planar_flow,
+    propagator,
 )
 from kinorbit.rational_linalg import (
     RatMatrix,
@@ -417,7 +419,7 @@ def test_the_planar_hamiltonian_is_the_checked_record_bit_for_bit(G, F, m, K, a,
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300, phases=_NO_EXPLAIN)
 @given(seed=st.integers(0, 2**64 - 1))
-def test_the_flat_propagator_keeps_every_bit_of_the_row_products(seed) -> None:
+def test_the_planar_fill_keeps_every_bit_of_the_generic_gauss_loop(seed) -> None:
     # the same sums in the same order: every state column, zeros' signs
     # included, or the same error at the same step.  Hypothesis draws the
     # seed only, as for the group products below
@@ -434,7 +436,97 @@ def test_the_flat_propagator_keeps_every_bit_of_the_row_products(seed) -> None:
         except IntegrationError as exc:
             return exc.step, str(exc)
 
-    assert outcome(planar_flow) == outcome(rf.product_planar_flow)
+    assert outcome(planar_flow) == outcome(rf.gauss_flow)
+
+
+def _symmetric(entries) -> RatMatrix:
+    """The symmetric 4 x 4 matrix with the 10 ``entries`` on and above its
+    diagonal, row by row."""
+    upper = iter(entries)
+    rows = [[Fraction(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            rows[i][j] = rows[j][i] = next(upper)
+    return RatMatrix(rows)
+
+
+def _orbit_systems(omega, kappa, m, h, E, Q, g) -> list:
+    """(theta, A, b) of dz/dt = theta (Q z + g) on each standard orbit's
+    chart at these charges, A = theta Q and b = theta g exact."""
+    systems = []
+    for name in STANDARD_ORBIT_NAMES:
+        try:
+            orbit = standard_orbit(name, m=m, h=h, E=E, omega=omega, kappa=kappa)
+        except DegenerateChartError:
+            continue
+        theta = orbit.structure.canonical_theta
+        systems.append((theta, theta @ Q, theta @ g))
+    assert systems
+    return systems
+
+
+_flows = {
+    "omega": _positive, "kappa": _positive, "m": _nonzero, "h": _rationals, "E": _rationals,
+    "Q": st.lists(_rationals, min_size=10, max_size=10).map(_symmetric),
+    "g": st.lists(_rationals, min_size=4, max_size=4),
+}
+
+
+@_REPEATABLE
+@given(**_flows, z=st.lists(_rationals, min_size=4, max_size=4), step=_nonzero)
+def test_the_exact_gauss_step_is_a_poisson_map_that_keeps_h(
+    omega, kappa, m, h, E, Q, g, z, step
+) -> None:
+    # over Q, M theta M' = theta and H(M z + c) = H(z) on every orbit's
+    # chart, and (M - 1 | c) is the rational solve D^-1 [X | hb]
+    def energy(z):
+        return sum(x * y for x, y in zip(z, Q @ z)) / 2 + sum(x * y for x, y in zip(g, z))
+
+    for theta, A, b in _orbit_systems(omega, kappa, m, h, E, Q, g):
+        step_map, c = propagator(A, b, step)
+        assert {type(x) for row in (*step_map, c) for x in row} == {Fraction}
+        M = RatMatrix([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(step_map)])
+        assert congruence(M, theta) == theta
+        assert energy([x + c_i for x, c_i in zip(M @ z, c)]) == energy(z)
+        X = RatMatrix([[step * x for x in row] for row in A])
+        square = X @ X
+        D = RatMatrix([[(i == j) - X[i, j] / 2 + square[i, j] / 12 for j in range(4)]
+                       for i in range(4)])
+        solve = rat_inv(D) @ RatMatrix([[*row, step * b_i] for row, b_i in zip(X, b)])
+        assert solve == RatMatrix([[*row, c_i] for row, c_i in zip(step_map, c)])
+
+
+@_REPEATABLE
+@given(**_flows)
+def test_the_float_gauss_step_is_exact_to_a_few_ulps_and_of_order_four(
+    omega, kappa, m, h, E, Q, g
+) -> None:
+    for _, A, b in _orbit_systems(omega, kappa, m, h, E, Q, g):
+        A, b = [[float(x) for x in row] for row in A], [float(x) for x in b]
+        step = 1 / (8 * (1.0 + max(abs(x) for row in A for x in row)))
+        # against the exact step of the same float data: M - 1 and c each
+        # within 8 ulps of their largest entry
+        floats = propagator(A, b, step)
+        exact = propagator([[*map(Fraction, row)] for row in A], [*map(Fraction, b)],
+                           Fraction(step))
+        for part, exact_part in zip(floats, exact):
+            pairs = [*zip(np.ravel(part), np.ravel(exact_part))]
+            largest = max(abs(y) for _, y in pairs)
+            assert all(abs(Fraction(x) - y) <= 8 * Fraction(math.ulp(largest)) for x, y in pairs)
+        # N steps of h and 2N of h/2 to the same time: the error against
+        # the exponential shrinks about 2^4-fold
+        generator = np.zeros((5, 5))
+        generator[:4, :4], generator[:4, 4] = A, b
+        errors = []
+        for steps in (8, 16):
+            step_map, c = propagator(A, b, 8 * step / steps)
+            affine = np.eye(5)
+            affine[:4, :4] += step_map
+            affine[:4, 4] = c
+            exponential = scipy.linalg.expm(8 * step * generator)
+            errors.append(np.max(np.abs(np.linalg.matrix_power(affine, steps) - exponential)))
+        assume(errors[1] > 1e-12)
+        assert 12 < errors[0] / errors[1] < 20
 
 
 @st.composite

@@ -4,12 +4,14 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 
 import reference_forms as rf
 from kinorbit.coadjoint import classify
+from kinorbit.mechanics import propagator
 from kinorbit.rational_linalg import RatMatrix, rat
 from kinorbit.static_group import (
     StaticConstants,
@@ -322,15 +324,21 @@ def test_time_evolution_closed_form_and_flows() -> None:
         phase_m=0.0, phase_mprime=0.0, phase_b=0.0, phase_lambda=0.0,
     )
     assert _state_distance(realize(g, st), evolved) < 1e-12
-    # the generating Hamiltonian drives the same trajectory through RK4
+    # the generating Hamiltonian's exact Gauss step of size t is the same
+    # linear map: A^2 = 0 on the chart, so M = 1 + tA and c = 0
     hamiltonian = evolution_hamiltonian(constants)
-    system = hamiltonian.system(static_symplectic(constants).canonical_theta)
-    times, states = rf.increment_loop(*system, st.chart_vector, t_end=t, dt=1e-2)
-    assert np.allclose(states[-1], evolved.chart_vector, atol=1e-10)
-    # the evolution Hamiltonian is exactly conserved along the flow
-    h0 = hamiltonian.value(states[0])
-    hT = hamiltonian.value(states[-1])
-    assert h0 == pytest.approx(hT, abs=1e-12)
+    theta, Q = static_symplectic(constants).canonical_theta, RatMatrix(hamiltonian.hessian)
+    A = theta @ Q
+    step_map, c = propagator(A, theta @ hamiltonian.gradient, Fraction(t))
+    assert step_map == [[t * x for x in row] for row in A] and c == [0] * 8
+    for i, column in enumerate(zip(*step_map)):
+        basis = [float(i == j) for j in range(8)]
+        unit = StaticOrbitState(constants, *zip(basis[::2], basis[1::2]))
+        assert time_evolution(unit, t).chart_vector == tuple(x + b for x, b in zip(column, basis))
+    # the evolution Hamiltonian z'Qz/2 is exactly conserved by the step
+    z = [Fraction(x) for x in st.chart_vector]
+    moved = [x + y for x, y in zip(z, RatMatrix(step_map) @ z)]
+    assert sum(map(mul, moved, Q @ moved)) == sum(map(mul, z, Q @ z))
 
 
 def test_time_evolution_preserves_invariants() -> None:
