@@ -25,14 +25,11 @@ _LAZY = {
         "GeneratorLabel",
         "JacobiViolation",
         "StructureConstants",
-        "bracket",
-        "check_jacobi",
     ),
     "catalog": (
         "AlgebraDescriptor",
         "CatalogError",
         "KinematicalParams",
-        "admissible_central_extensions",
         "build",
         "list_catalog",
     ),

@@ -35,8 +35,6 @@ __all__ = [
     "StructureConstants",
     "AlgebraElement",
     "JacobiViolation",
-    "bracket",
-    "check_jacobi",
 ]
 
 
@@ -430,14 +428,3 @@ class AlgebraElement(Record):
         if other.algebra is not self.algebra:
             raise ValueError("elements belong to different algebras")
 
-
-def bracket(
-    algebra: StructureConstants, x: AlgebraElement, y: AlgebraElement
-) -> AlgebraElement:
-    """Evaluate ``[x, y]`` in ``algebra``."""
-    return algebra.bracket(x, y)
-
-
-def check_jacobi(algebra: StructureConstants) -> list[JacobiViolation]:
-    """Exhaustive exact Jacobi check; empty list iff ``algebra`` is a Lie algebra."""
-    return algebra.jacobi_violations()

@@ -26,8 +26,10 @@ means [V_i, s] = c W_i; wherever J is in the basis it rotates every vector,
 [J, V_i] = eps_ij V_j.  Each fact lives in one place: a name's label and
 (lam, beta sign, gamma != 0) in ``_FAMILY``, which names admit a variant
 and why in ``_ADMITTED``, a variant's basis in ``_families``, its brackets
-in ``_brackets``, the central-charge rule in ``CentralExtensionRule`` and
-``_CENTRAL_CASES``, and the expansion into components in ``_expansion``.
+in ``_brackets``, and the expansion into components in ``_expansion``.
+The central-charge rule is the Jacobi identity itself: :func:`build`
+derives the default charges from (lam, beta sign) and checks explicit
+charges on the table it builds.
 
 Each (name, variant) is expanded once per process; a build fills in exact
 rationals derived from omega, kappa and the charges, cached on no value.
@@ -45,14 +47,12 @@ __all__ = [
     "CatalogError",
     "KinematicalParams",
     "AlgebraDescriptor",
-    "CentralExtensionRule",
     "ISOTROPIC_NAMES",
     "ANISOTROPIC_NAMES",
     "CENTRAL_EXTENSION_NAMES",
     "NONCENTRAL_EXTENSION_NAMES",
     "STANDARD_ORBIT_NAMES",
     "VARIANTS",
-    "admissible_central_extensions",
     "build",
     "generator_label",
     "list_catalog",
@@ -290,56 +290,6 @@ class AlgebraDescriptor(Record):
         return ("omega",) if beta_sign else ()
 
 
-class CentralExtensionRule(Record):
-    """Admissible central charges (mu, alpha) for one (lam, beta) case.
-
-    The charges enter as [K,K] = (mu/c^2) S eps, [P,P] = alpha kappa^2 S eps;
-    the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, which at
-    sign level reads mu*sign(beta) = -lam*alpha.
-    """
-
-    __slots__ = _fields = ("lam", "beta_sign", "description", "default_mu", "default_alpha")
-
-    def __init__(
-        self, lam: int, beta_sign: int, description: str,
-        default_mu: Fraction, default_alpha: Fraction,
-    ) -> None:
-        self._init(lam, beta_sign, description, default_mu, default_alpha)
-
-    def admissible(self, mu, alpha) -> bool:
-        return rat(mu) * self.beta_sign == -self.lam * rat(alpha)
-
-
-# (lam, beta sign) -> (the rule in words, default mu, default alpha)
-_CENTRAL_CASES = {
-    (1, 1): ("mu = -alpha (both otherwise free)", 1, -1),
-    (1, -1): ("mu = +alpha (both otherwise free)", 1, 1),
-    (1, 0): ("alpha = 0, mu free", 1, 0),
-    (0, 1): ("mu = 0, alpha free", 0, 1),
-    (0, -1): ("mu = 0, alpha free", 0, 1),
-    (0, 0): ("mu and alpha both free", 1, 1),
-}
-
-
-def admissible_central_extensions(lam, beta, omega=Fraction(1)) -> CentralExtensionRule:
-    """The admissible-charge rule for given ``lam`` and ``beta``.
-
-    ``beta`` must be one of {+omega^2, 0, -omega^2} for the positive ``omega``
-    (the signs only at omega = 1); any other value raises CatalogError.
-    """
-    lam = rat(lam)
-    if lam not in (0, 1):
-        raise CatalogError(f"lam must be 0 or 1, got {lam}")
-    beta, omega = rat(beta), rat(omega)
-    if omega <= 0:
-        raise CatalogError("omega and kappa must be positive")
-    if beta not in (omega**2, 0, -(omega**2)):
-        raise CatalogError(f"beta must be one of +omega^2, 0, -omega^2, got {beta}")
-    sign = (beta > 0) - (beta < 0)
-    description, mu, alpha = _CENTRAL_CASES[(int(lam), sign)]
-    return CentralExtensionRule(int(lam), sign, description, Fraction(mu), Fraction(alpha))
-
-
 # -- bracket expansion ------------------------------------------------------
 
 
@@ -416,8 +366,8 @@ def _fill(slots, signed: dict) -> list:
 def _expansion(name: str, variant: str) -> tuple:
     """A catalog entry's brackets in components (see the module doc), once per
     process: (basis, name-to-index map, J's filled rotation pairs, the other
-    slots ``((i, j), ((k, quantity, negate), ...))`` with i < j, the
-    quantities they read, the central-charge rule or None)."""
+    slots ``((i, j), ((k, quantity, negate), ...))`` with i < j, and the
+    quantities they read)."""
     AlgebraDescriptor(name, variant)  # rejects an unknown or inadmissible pair
     families = _families(name, variant)
     basis = tuple(
@@ -446,8 +396,7 @@ def _expansion(name: str, variant: str) -> tuple:
         slots.append(((min(i, j), max(i, j)), slot))
     rotation, slots = _fill(slots[:rotations], {"1": (_ONE, _MINUS_ONE)}), tuple(slots[rotations:])
     quantities = tuple(dict.fromkeys(q for _, slot in slots for _, q, _ in slot))
-    rule = admissible_central_extensions(*_FAMILY[name][1:3]) if variant == "central_ext" else None
-    return basis, index, rotation, slots, quantities, rule
+    return basis, index, rotation, slots, quantities
 
 
 def build(
@@ -459,7 +408,6 @@ def build(
     mu_charge=None,
     alpha_charge=None,
     m_coupling=None,
-    enforce_admissibility: bool = True,
 ) -> StructureConstants:
     """Build the structure constants for the catalog entry ``name``, ``variant``.
 
@@ -468,17 +416,20 @@ def build(
     variant) with the parameters of the scales ``omega`` and ``kappa`` (as
     :meth:`KinematicalParams.for_algebra`) and the charges of ``central_ext``,
     the only variant that takes ``mu_charge``, ``alpha_charge`` or an
-    ``m_coupling`` other than 1.  The charges default to the admissible
-    normalization and are validated against the admissibility rule unless
-    ``enforce_admissibility`` is False (used to demonstrate the resulting
-    Jacobi violation).  ``m_coupling`` (``None`` means 1) scales the
-    boost-momentum central charge so that setting all extension parameters
-    to zero recovers the unextended algebra; Carroll, whose boost-momentum
-    bracket keeps H, ignores it.
+    ``m_coupling`` other than 1.  Which charges close into a Lie algebra is
+    the Jacobi identity, mu*beta/c^2 = -kappa^2*lam*alpha, or mu*sign(beta)
+    = -lam*alpha.  The default charges satisfy it by construction: mu = 0
+    where lam = 0 and beta != 0, else 1; alpha = -sign(beta) where lam = 1,
+    else 1.  Explicit charges are checked on the built table, exactly: one
+    that breaks the identity raises :class:`CatalogError` naming the charges
+    and the first failing triple with its residual.  ``m_coupling`` (``None``
+    means 1) scales the boost-momentum central charge so that setting all
+    extension parameters to zero recovers the unextended algebra; Carroll,
+    whose boost-momentum bracket keeps H, ignores it.
     """
-    basis, index, rotation, slots, quantities, rule = _expansion(name, variant)
+    basis, index, rotation, slots, quantities = _expansion(name, variant)
     values = _quantities(name, omega, kappa)
-    if rule is None:
+    if variant != "central_ext":
         for arg, value in (
             ("mu_charge", mu_charge), ("alpha_charge", alpha_charge), ("m_coupling", m_coupling)
         ):
@@ -488,20 +439,24 @@ def build(
                     f"the {variant} variant of {name!r}"
                 )
     else:
-        mu = rule.default_mu if mu_charge is None else rat(mu_charge)
-        alpha = rule.default_alpha if alpha_charge is None else rat(alpha_charge)
-        if enforce_admissibility and not rule.admissible(mu, alpha):
-            raise CatalogError(
-                f"central charges (mu={mu}, alpha={alpha}) are "
-                f"inadmissible for {name!r} (lam={values['lam']}, beta={values['beta']}): "
-                f"the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-                f"i.e. {rule.description}"
-            )
+        _, lam, sign, _ = _FAMILY[name]
+        mu = (_ZERO if sign and not lam else _ONE) if mu_charge is None else rat(mu_charge)
+        alpha = (Fraction(-sign) if lam else _ONE) if alpha_charge is None else rat(alpha_charge)
         values["mu_charge/c^2"] = mu * values["1/c^2"]
         values["alpha_charge*kappa^2"] = alpha * values["kappa^2"]
         values["m_coupling"] = _ONE if m_coupling is None else rat(m_coupling)
     signed = {q: (v, _MINUS_ONE if v is _ONE else -v) for q in quantities if (v := values[q])}
-    return StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
+    algebra = StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
+    if mu_charge is not None or alpha_charge is not None:
+        violations = algebra.jacobi_violations()
+        if violations:
+            first = violations[0]
+            raise CatalogError(
+                f"central charges (mu={mu}, alpha={alpha}) are inadmissible for {name!r}: "
+                f"the Jacobi identity fails on ({', '.join(first.triple)}) with residual "
+                + ", ".join(f"{g} = {v}" for g, v in first.residual)
+            )
+    return algebra
 
 
 @cache

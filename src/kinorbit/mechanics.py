@@ -72,7 +72,7 @@ def _float_entry(x, name: str) -> float:
         return x
     if isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(value := float(x)):
         return value
-    raise CatalogError(f"{name} entries must be finite int, Fraction or float, got {x!r}")
+    raise CatalogError(f"{name} entries must be finite real numbers, not bool, got {x!r}")
 
 
 def _float_form(floats, c: float) -> tuple[list, list]:
@@ -88,8 +88,9 @@ def _float_form(floats, c: float) -> tuple[list, list]:
 class QuadraticHamiltonian(Record):
     """H(z) = z'Qz/2 + g.z + c over a chart's canonical coordinates z: the
     symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
-    ``constant`` c, finite ``int``, ``Fraction`` or ``float`` values kept as
-    given (:class:`CatalogError` otherwise).  Only :meth:`system` and
+    ``constant`` c, finite real numbers that are not ``bool`` (an ``int``,
+    ``Fraction``, ``float`` or NumPy scalar) kept as given
+    (:class:`CatalogError` otherwise).  Only :meth:`system` and
     :meth:`value` read H, through the floats of M = [[Q, g], [g', 2c]]
     (H = (z, 1)' M (z, 1)/2) that construction converts once: each row of
     [Q | g] as the (column, entry) pairs of its nonzero entries, and the
@@ -176,9 +177,10 @@ class HamiltonianSpec(Record):
     """Potential data for H = p^2/(2m) + a.q + q'Kq/2.
 
     ``linear`` holds (a1, a2); ``quadratic`` holds the symmetric matrix
-    entries (k11, k12, k22).  Each entry is a finite ``int``, ``Fraction``
-    or ``float`` value (:class:`CatalogError` otherwise), converted to a
-    float once, here, for :meth:`hamiltonian`.
+    entries (k11, k12, k22).  Each entry is a finite real number that is
+    not a ``bool`` (an ``int``, ``Fraction``, ``float`` or NumPy scalar;
+    :class:`CatalogError` otherwise), converted to a float once, here, for
+    :meth:`hamiltonian`.
     """
 
     _fields = ("linear", "quadratic")

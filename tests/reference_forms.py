@@ -13,7 +13,9 @@ step formed by a NumPy solve and iterated with compensated sums on NumPy
 arrays, the package's own Gauss step iterated by a loop over any number
 of Python float coordinates, the Static time evolution rebuilt through
 ``_replace``, and the Static group product, inverse and action built
-through the checking constructors.
+through the checking constructors.  :func:`central_ext_table` forms a
+central extension at any charges, also those that break the Jacobi
+identity.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from kinorbit.algebra_core import StructureConstants
 from kinorbit.rational_linalg import RatMatrix, rat
 from kinorbit.timegrid import IntegrationError, grid_times, step_count
 
@@ -345,6 +348,13 @@ def catalog_brackets(name, variant, omega, kappa, mu=None, alpha=None, m=1):
         for v in vectors:
             rotation += [(("J", v + "1"), {v + "2": 1}), (("J", v + "2"), {v + "1": -1})]
     return names, dict(rotation + rows)
+
+
+def central_ext_table(name, omega, kappa, mu, alpha):
+    """The ``central_ext`` table of ``name`` at the charges ``mu`` and
+    ``alpha``, built by the public constructor with no check of the Jacobi
+    identity, so that charges ``build`` refuses can be looked at."""
+    return StructureConstants(*catalog_brackets(name, "central_ext", omega, kappa, mu, alpha))
 
 
 # -- minimal-coupling bracket expectations ----------------------------------

@@ -15,13 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import reference_forms as rf
-from kinorbit.algebra_core import check_jacobi
-from kinorbit.catalog import (
-    CatalogError,
-    admissible_central_extensions,
-    build,
-    list_catalog,
-)
+from kinorbit.catalog import CatalogError, build, list_catalog
 from kinorbit.coadjoint import (
     DualPoint,
     classify,
@@ -72,7 +66,7 @@ def test_c1_exact_jacobi_closure_for_the_whole_catalog() -> None:
                 omega=Fraction(rng.randint(1, 12), rng.randint(1, 12)),
                 kappa=Fraction(rng.randint(1, 12), rng.randint(1, 12)),
             )
-            ok = ok and check_jacobi(alg) == []
+            ok = ok and alg.jacobi_violations() == []
             checked += 1
     elapsed = time.perf_counter() - start
     ok = ok and checked == 160 and elapsed < 1.0
@@ -80,53 +74,49 @@ def test_c1_exact_jacobi_closure_for_the_whole_catalog() -> None:
 
 
 def test_c2_central_extension_admissibility_and_forced_violation() -> None:
+    def accepts(name, mu, alpha, omega=1, kappa=1):
+        try:
+            build(name, "central_ext", omega=omega, kappa=kappa, mu_charge=mu,
+                  alpha_charge=alpha)
+        except CatalogError:
+            return False
+        return True
+
+    def table(alg):
+        return alg.names, [(pair, dict(comps)) for pair, comps in alg.pair_table()]
+
     ok = True
     # bullet 1: relative-space families tie the two charges together,
     # with the sign of the tie following the curvature sign
-    rule = admissible_central_extensions(1, 1)
-    ok = ok and rule.admissible(1, -1) and not rule.admissible(1, 1)
-    rule = admissible_central_extensions(1, -1)
-    ok = ok and rule.admissible(1, 1) and not rule.admissible(1, -1)
+    ok = ok and accepts("NH+", 1, -1) and not accepts("NH+", 1, 1)
+    ok = ok and accepts("NH-", 1, 1) and not accepts("NH-", 1, -1)
     # bullet 2: relative-space flat case forces the second charge to zero
-    rule = admissible_central_extensions(1, 0)
-    ok = ok and rule.admissible(3, 0) and not rule.admissible(3, Fraction(1, 5))
+    ok = ok and accepts("G", 3, 0) and not accepts("G", 3, Fraction(1, 5))
     # bullet 3: absolute-space curved case forces the first charge to zero
-    rule = admissible_central_extensions(0, 1)
-    ok = ok and rule.admissible(0, 2) and not rule.admissible(1, 2)
+    ok = ok and accepts("G'+", 0, 2) and not accepts("G'+", 1, 2)
     # bullet 4: absolute-space flat case leaves both charges free
-    rule = admissible_central_extensions(0, 0)
-    ok = ok and rule.admissible(4, -7)
-    # defaults per family
-    for name, charges in rf.DEFAULT_CENTRAL_CHARGES.items():
-        lam = 1 if name in ("NH+", "G", "NH-") else 0
-        sign = {"+": 1, "-": -1}.get(name[-1], 0) if name != "G" else 0
-        if name in ("S", "C"):
-            sign = 0
-        r = admissible_central_extensions(lam, sign)
-        ok = ok and (r.default_mu, r.default_alpha) == charges
-    # enforcement raises; forcing produces the pinned exact violation
-    try:
-        build("NH+", "central_ext", mu_charge=1, alpha_charge=1)
-        ok = False
-    except CatalogError:
-        pass
+    ok = ok and accepts("S", 4, -7) and accepts("C", 4, -7)
+    # defaults per family: the table at the reference charges
+    for name, (mu, alpha) in rf.DEFAULT_CENTRAL_CHARGES.items():
+        for omega, kappa in ((1, 1), (Fraction(2, 3), Fraction(5, 7))):
+            built = build(name, "central_ext", omega=omega, kappa=kappa)
+            forged = rf.central_ext_table(name, omega, kappa, mu, alpha)
+            ok = ok and table(built) == table(forged)
+    # refusal names the pinned exact violation of the forced table
     for omega, kappa in ((1, 1), (2, 3), (Fraction(1, 2), Fraction(5, 7))):
-        forced = build(
-            "NH+",
-            "central_ext",
-            omega=omega,
-            kappa=kappa,
-            mu_charge=1,
-            alpha_charge=1,
-            enforce_admissibility=False,
-        )
         k2 = Fraction(kappa) ** 2
         expected = [
             (("K1", "P2", "H"), (("S", 2 * k2),)),
             (("K2", "P1", "H"), (("S", -2 * k2),)),
         ]
-        got = [(v.triple, v.residual) for v in check_jacobi(forced)]
+        forced = rf.central_ext_table("NH+", omega, kappa, 1, 1)
+        got = [(v.triple, v.residual) for v in forced.jacobi_violations()]
         ok = ok and got == expected
+        try:
+            build("NH+", "central_ext", omega=omega, kappa=kappa, mu_charge=1, alpha_charge=1)
+            ok = False
+        except CatalogError as err:
+            ok = ok and str(err).endswith(f"fails on (K1, P2, H) with residual S = {2 * k2}")
     _report("C2 admissibility rules, defaults and pinned forced violation", ok)
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kinorbit.algebra_core import StructureConstants, check_jacobi
+import reference_forms as rf
+from kinorbit.algebra_core import StructureConstants
 from kinorbit.catalog import (
     ANISOTROPIC_NAMES,
     CENTRAL_EXTENSION_NAMES,
@@ -17,7 +21,6 @@ from kinorbit.catalog import (
     AlgebraDescriptor,
     CatalogError,
     KinematicalParams,
-    admissible_central_extensions,
     build,
     generator_label,
     list_catalog,
@@ -105,7 +108,7 @@ def test_every_catalog_algebra_is_jacobi_clean_at_random_parameters() -> None:
                 omega=_rand_param(rng),
                 kappa=_rand_param(rng),
             )
-            assert check_jacobi(alg) == [], (rec.name, rec.variant)
+            assert alg.jacobi_violations() == [], (rec.name, rec.variant)
 
 
 def test_time_and_space_classes() -> None:
@@ -200,67 +203,74 @@ def test_anisotropic_names_cover_commuting_rotations_only() -> None:
     for name in ANISOTROPIC_NAMES:
         alg = build(name, "anisotropic")
         assert alg.names == ("K1", "K2", "P1", "P2", "H")
-        assert check_jacobi(alg) == []
+        assert alg.jacobi_violations() == []
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_default_charges() -> dict:
+    """The default charges the benchmark's closed forms assume, read from
+    ``perfbench/workloads.py`` without changing it."""
+    sys.path.insert(0, str(_PERFBENCH))
+    try:
+        return importlib.import_module("workloads")._DEFAULT_CHARGES
+    finally:
+        sys.path.remove(str(_PERFBENCH))
 
 
 def test_central_extension_default_charges() -> None:
-    from reference_forms import DEFAULT_CENTRAL_CHARGES
+    # build's formula, the tests' table and the benchmark's table agree;
+    # the charges are read off [K1, K2] = (mu/c^2) S and [P1, P2] = alpha kappa^2 S
+    bench = _bench_default_charges()
+    assert set(rf.DEFAULT_CENTRAL_CHARGES) == set(bench) == set(CENTRAL_EXTENSION_NAMES)
+    for omega, kappa in ((1, 1), (Fraction(2, 3), Fraction(5, 7)), (3, Fraction(1, 2))):
+        k2 = Fraction(kappa) ** 2
+        inv_c2 = k2 / Fraction(omega) ** 2
+        for name in CENTRAL_EXTENSION_NAMES:
+            table = _named_table(build(name, "central_ext", omega=omega, kappa=kappa))
+            mu = table.get(("K1", "K2"), {}).get("S", 0) / inv_c2
+            alpha = table.get(("P1", "P2"), {}).get("S", 0) / k2
+            assert (mu, alpha) == rf.DEFAULT_CENTRAL_CHARGES[name] == bench[name], name
 
-    cases = {
-        "NH+": (1, Fraction(1)),
-        "NH-": (1, Fraction(-1)),
-        "G": (1, Fraction(0)),
-        "G'+": (0, Fraction(1)),
-        "G'-": (0, Fraction(-1)),
-        "S": (0, Fraction(0)),
-    }
-    for name, (lam, beta_sign) in cases.items():
-        rule = admissible_central_extensions(lam, beta_sign)
-        assert (rule.default_mu, rule.default_alpha) == DEFAULT_CENTRAL_CHARGES[name], name
+
+def _accepts(name, mu, alpha, omega=Fraction(2, 3), kappa=Fraction(5, 7)) -> bool:
+    """Whether ``build`` accepts the explicit charges (mu, alpha) for ``name``."""
+    try:
+        build(name, "central_ext", omega=omega, kappa=kappa, mu_charge=mu, alpha_charge=alpha)
+    except CatalogError:
+        return False
+    return True
 
 
 def test_central_extension_admissibility_rules() -> None:
     # relative space, expanding curvature: charges must be opposite
-    rule = admissible_central_extensions(1, 1)
-    assert rule.admissible(1, -1)
-    assert rule.admissible(Fraction(2, 3), Fraction(-2, 3))
-    assert not rule.admissible(1, 1)
+    assert _accepts("NH+", 1, -1)
+    assert _accepts("NH+", Fraction(2, 3), Fraction(-2, 3))
+    assert not _accepts("NH+", 1, 1)
     # relative space, oscillating curvature: charges must be equal
-    rule = admissible_central_extensions(1, -1)
-    assert rule.admissible(1, 1)
-    assert not rule.admissible(1, -1)
+    assert _accepts("NH-", 1, 1)
+    assert not _accepts("NH-", 1, -1)
     # relative space, flat: second charge must vanish
-    rule = admissible_central_extensions(1, 0)
-    assert rule.admissible(5, 0)
-    assert not rule.admissible(1, Fraction(1, 7))
+    assert _accepts("G", 5, 0)
+    assert not _accepts("G", 1, Fraction(1, 7))
     # absolute space, curved: first charge must vanish
-    rule = admissible_central_extensions(0, 1)
-    assert rule.admissible(0, 3)
-    assert not rule.admissible(Fraction(1, 2), 3)
+    assert _accepts("G'+", 0, 3)
+    assert _accepts("G'-", 0, -3)
+    assert not _accepts("G'+", Fraction(1, 2), 3)
     # absolute space, flat: no constraint
-    rule = admissible_central_extensions(0, 0)
-    assert rule.admissible(7, -2)
-    assert rule.admissible(0, 0)
-
-
-def test_central_extension_rule_accepts_literal_beta_value() -> None:
-    by_sign = admissible_central_extensions(1, 1)
-    by_value = admissible_central_extensions(1, 9, omega=3)
-    assert by_sign == by_value
-    assert admissible_central_extensions(0, -4, omega=2).beta_sign == -1
-    with pytest.raises(CatalogError):
-        admissible_central_extensions(1, 1, omega=3)
-    with pytest.raises(CatalogError):
-        admissible_central_extensions(2, 0)
+    for name in ("S", "C"):
+        assert _accepts(name, 7, -2)
+        assert _accepts(name, 0, 0)
 
 
 @pytest.mark.parametrize("omega", [0, -1, Fraction(-1, 2)])
 def test_central_extension_rule_needs_a_positive_omega(omega) -> None:
-    # beta = 0 = omega^2 at omega = 0 must not read as the beta > 0 rule
-    with pytest.raises(CatalogError, match="omega and kappa must be positive"):
-        admissible_central_extensions(1, 0, omega=omega)
-    with pytest.raises(CatalogError, match="omega and kappa must be positive"):
-        admissible_central_extensions(0, 1, omega=omega)
+    # a nonpositive scale is refused as such, before any charge is checked
+    with pytest.raises(CatalogError, match="^omega and kappa must be positive$"):
+        build("G", "central_ext", omega=omega, mu_charge=1, alpha_charge=0)
+    with pytest.raises(CatalogError, match="^omega and kappa must be positive$"):
+        build("G'+", "central_ext", omega=omega, mu_charge=0, alpha_charge=1)
 
 
 def test_inadmissible_central_charges_rejected_when_enforced() -> None:
@@ -274,21 +284,35 @@ def test_inadmissible_central_charges_rejected_when_enforced() -> None:
 
 def test_forced_inadmissible_charges_break_jacobi_with_pinned_residual() -> None:
     for omega, kappa in ((1, 1), (2, 3), (Fraction(1, 2), Fraction(5, 7))):
-        alg = build(
-            "NH+",
-            "central_ext",
-            omega=omega,
-            kappa=kappa,
-            mu_charge=1,
-            alpha_charge=1,
-            enforce_admissibility=False,
-        )
         k2 = Fraction(kappa) ** 2
-        violations = check_jacobi(alg)
-        assert [(v.triple, v.residual) for v in violations] == [
+        forced = rf.central_ext_table("NH+", omega, kappa, 1, 1)
+        assert [(v.triple, v.residual) for v in forced.jacobi_violations()] == [
             (("K1", "P2", "H"), (("S", 2 * k2),)),
             (("K2", "P1", "H"), (("S", -2 * k2),)),
         ]
+        with pytest.raises(CatalogError, match=re.escape(
+            f"fails on (K1, P2, H) with residual S = {2 * k2}"
+        )):
+            build("NH+", "central_ext", omega=omega, kappa=kappa, mu_charge=1, alpha_charge=1)
+
+
+def test_only_explicit_charges_run_the_jacobi_check(monkeypatch) -> None:
+    calls = []
+    check = StructureConstants.jacobi_violations
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(StructureConstants, "jacobi_violations", counted)
+    for rec in list_catalog():
+        build(rec.name, rec.variant, omega=Fraction(2, 3), kappa=Fraction(5, 7))
+        build(rec.name, rec.variant, m_coupling=1)
+    assert calls == []
+    for name, (mu, alpha) in rf.DEFAULT_CENTRAL_CHARGES.items():
+        build(name, "central_ext", mu_charge=mu)
+        build(name, "central_ext", alpha_charge=alpha)
+    assert len(calls) == 2 * len(rf.DEFAULT_CENTRAL_CHARGES)
 
 
 def test_central_extension_bracket_content_galilei() -> None:
@@ -492,21 +516,6 @@ def test_a_unit_or_absent_m_coupling_passes_every_variant() -> None:
     )
 
 
-def test_central_extension_rule_docstring_states_the_accepted_beta() -> None:
-    doc = " ".join(admissible_central_extensions.__doc__.split())
-    assert "{+omega^2, 0, -omega^2}" in doc
-    assert "may be a sign" not in doc
-    for omega in (Fraction(1), Fraction(2), Fraction(1, 3)):
-        w2 = omega**2
-        for beta, sign in ((w2, 1), (0, 0), (-w2, -1)):
-            assert admissible_central_extensions(1, beta, omega=omega).beta_sign == sign
-    # a sign is a value of beta only at omega = 1
-    with pytest.raises(CatalogError, match="beta must be one of"):
-        admissible_central_extensions(1, 1, omega=2)
-    with pytest.raises(CatalogError, match="beta must be one of"):
-        admissible_central_extensions(0, -1, omega=Fraction(1, 2))
-
-
 @pytest.mark.parametrize(
     "scales",
     [{"omega": 0}, {"kappa": -1}, {"omega": Fraction(-1, 2), "kappa": 2}, {"kappa": 0}],
@@ -525,23 +534,20 @@ def test_nonpositive_scales_keep_their_message(scales) -> None:
         (
             "NH+",
             {"omega": 2, "kappa": 3, "mu_charge": 1, "alpha_charge": 1},
-            "central charges (mu=1, alpha=1) are inadmissible for 'NH+' (lam=1, "
-            "beta=4): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-            "i.e. mu = -alpha (both otherwise free)",
+            "central charges (mu=1, alpha=1) are inadmissible for 'NH+': the Jacobi "
+            "identity fails on (K1, P2, H) with residual S = 18",
         ),
         (
             "G",
             {"mu_charge": 1, "alpha_charge": Fraction(1, 3)},
-            "central charges (mu=1, alpha=1/3) are inadmissible for 'G' (lam=1, "
-            "beta=0): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-            "i.e. alpha = 0, mu free",
+            "central charges (mu=1, alpha=1/3) are inadmissible for 'G': the Jacobi "
+            "identity fails on (K1, P2, H) with residual S = 1/3",
         ),
         (
             "G'-",
             {"omega": Fraction(1, 2), "mu_charge": Fraction(1, 2), "alpha_charge": 1},
-            "central charges (mu=1/2, alpha=1) are inadmissible for \"G'-\" (lam=0, "
-            "beta=-1/4): the Jacobi identity forces mu*beta/c^2 = -kappa^2*lam*alpha, "
-            "i.e. mu = 0, alpha free",
+            "central charges (mu=1/2, alpha=1) are inadmissible for \"G'-\": the Jacobi "
+            "identity fails on (K1, P2, H) with residual S = -1/2",
         ),
     ],
 )

@@ -14,7 +14,9 @@ and the modules that form float rows call neither builtin ``sum`` nor a
 NumPy reduction (``sum``, ``dot``, ``einsum``, ``matmul``, ``@``).  Every
 ``functools.lru_cache`` is bounded, and ``functools.cache`` decorates only
 functions without parameters or with a finite key domain, so no cache
-grows with the values a caller passes.
+grows with the values a caller passes.  Every module of the package, the
+tests, the benchmark and the oracle parses with the grammar of Python
+3.10, the oldest version ``pyproject.toml`` and CI claim.
 """
 
 from __future__ import annotations
@@ -25,8 +27,13 @@ from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kinorbit"
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "kinorbit"
 _MODULES = sorted(_PACKAGE.glob("*.py"))
+_SOURCES = sorted(
+    path for folder in ("src", "tests", "perfbench", "oracles")
+    for path in (_ROOT / folder).rglob("*.py")
+)
 
 
 def _module_name(path: Path) -> str:
@@ -77,6 +84,11 @@ def _private_definitions(tree: ast.Module) -> list[str]:
         for name in names
         if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     ]
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: str(path.relative_to(_ROOT)))
+def test_every_module_parses_as_python_3_10(path: Path) -> None:
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)

@@ -448,7 +448,7 @@ def test_a_hamiltonian_spec_keeps_exact_and_float_coefficients() -> None:
 
 # What each kind of entry gives: the float it is read as, or the type and
 # message of the error that refuses it.
-_NOT_AN_ENTRY = "entries must be finite int, Fraction or float, got "
+_NOT_AN_ENTRY = "entries must be finite real numbers, not bool, got "
 _ENTRIES = [
     (0.25, 0.25),
     (3, 3.0),

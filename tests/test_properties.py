@@ -26,8 +26,7 @@ import reference_forms as rf
 from kinorbit.algebra_core import StructureConstants, _jacobi_plan
 from kinorbit.catalog import (
     CENTRAL_EXTENSION_NAMES,
-    KinematicalParams,
-    admissible_central_extensions,
+    CatalogError,
     build,
     generator_label,
     list_catalog,
@@ -838,8 +837,7 @@ def _dense_jacobi(algebra) -> list[tuple]:
 
 # central charges mu = alpha = 1 break Jacobi on these families
 _INADMISSIBLE = [
-    build(name, "central_ext", omega=omega, kappa=kappa, mu_charge=1, alpha_charge=1,
-          enforce_admissibility=False)
+    rf.central_ext_table(name, omega, kappa, 1, 1)
     for name in ("NH+", "G", "G'+", "G'-")
     for omega, kappa in ((1, 1), (Fraction(1, 2), Fraction(5, 7)))
 ]
@@ -954,13 +952,20 @@ def test_the_central_charge_rule_is_the_jacobi_identity(
 ) -> None:
     alpha = {"equal": mu, "opposite": -mu, "zero alpha": Fraction(0)}.get(forced, alpha)
     mu = Fraction(0) if forced == "zero mu" else mu
-    params = KinematicalParams.for_algebra(name, omega, kappa)
-    rule = admissible_central_extensions(params.lam, params.beta, params.omega)
-    algebra = build(
-        name, "central_ext", omega=omega, kappa=kappa, mu_charge=mu,
-        alpha_charge=alpha, enforce_admissibility=False,
-    )
-    assert rule.admissible(mu, alpha) == algebra.is_lie_algebra
+    lam, sign, _ = rf.CATALOG_PARAMETERS[name]
+    admissible = mu * sign == -lam * alpha  # the paper's rule
+    violations = rf.central_ext_table(name, omega, kappa, mu, alpha).jacobi_violations()
+    try:
+        build(name, "central_ext", omega=omega, kappa=kappa, mu_charge=mu, alpha_charge=alpha)
+    except CatalogError as err:
+        assert not admissible and violations
+        first = violations[0]
+        assert str(err).endswith(
+            f"fails on ({', '.join(first.triple)}) with residual "
+            + ", ".join(f"{g} = {v}" for g, v in first.residual)
+        )
+    else:
+        assert admissible and not violations
 
 
 @settings(_REPEATABLE, max_examples=200)

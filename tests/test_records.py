@@ -20,14 +20,12 @@ from fractions import Fraction
 import pytest
 
 import kinorbit
+import reference_forms as rf
 from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation, Record
 from kinorbit.catalog import (
     ISOTROPIC_NAMES,
     AlgebraDescriptor,
-    CentralExtensionRule,
     KinematicalParams,
-    admissible_central_extensions,
-    build,
 )
 from kinorbit.cli import RunConfig
 from kinorbit.coadjoint import (
@@ -62,7 +60,6 @@ _SIGNATURES = {
     AlgebraElement: "algebra, coords",
     KinematicalParams: "lam, beta, gamma, omega=Fraction(1, 1), kappa=Fraction(1, 1)",
     AlgebraDescriptor: "name, variant='isotropic'",
-    CentralExtensionRule: "lam, beta_sign, description, default_mu, default_alpha",
     RunConfig: "command, algebra=None, variant=None, params=None, t_end=10.0, dt=0.01, "
     "out=None, format='csv'",
     DualPoint: "algebra, coords",
@@ -100,16 +97,13 @@ def _samples() -> dict:
     constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
     space = NCPhaseSpace2D(Fraction(-1, 4), Fraction(1, 3), 2)
     ham = HamiltonianSpec((0.5, -1.0), (2.0, 0.25, 1.0))
-    violations = build(
-        "G", "central_ext", mu_charge=1, alpha_charge=1, enforce_admissibility=False
-    ).jacobi_violations()
+    violations = rf.central_ext_table("G", 1, 1, 1, 1).jacobi_violations()
     samples = (
         (orbit.algebra.basis[0], "physical_dimension", (1, 1)),
         (violations[0], "triple", ("a", "b", "c")),
         (orbit.algebra.basis_element("K1"), "coords", (Fraction(0),) * orbit.algebra.dim),
         (orbit.params, "omega", Fraction(2)),
         (AlgebraDescriptor("G", "central_ext"), "variant", "isotropic"),
-        (admissible_central_extensions(1, 0), "description", "other"),
         (RunConfig(command="list"), "format", "json-lines"),
         (orbit.point, "coords", (1,) * orbit.algebra.dim),
         (orbit.chart, "canonical_names", ("a", "b", "c", "d")),
