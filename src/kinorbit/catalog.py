@@ -216,11 +216,26 @@ def _family(name: str) -> tuple[str, int, int, bool]:
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
+def _exact(arg: str, value, default=None) -> Fraction:
+    """The exact value of the :func:`build` parameter ``arg``, as
+    :func:`~kinorbit.rational_linalg.rat` reads it, or ``default`` for None;
+    a bool, a non-finite float or a text that is no number raises
+    :class:`CatalogError` naming ``arg``."""
+    if value is None:
+        return default
+    try:
+        if not isinstance(value, bool):
+            return rat(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise CatalogError(f"{arg} must be a finite rational number, not bool, got {value!r}")
+
+
 def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
     """The parameters of ``name`` at the scales ``omega`` and ``kappa``, by
     the names ``_brackets`` reads them, plus the scales themselves."""
     _, lam, sign, has_gamma = _family(name)
-    omega, kappa = rat(omega), rat(kappa)
+    omega, kappa = _exact("omega", omega), _exact("kappa", kappa)
     if omega <= 0 or kappa <= 0:
         raise CatalogError("omega and kappa must be positive")
     w2, k2 = omega**2, kappa**2
@@ -425,7 +440,10 @@ def build(
     and the first failing triple with its residual.  ``m_coupling`` (``None``
     means 1) scales the boost-momentum central charge so that setting all
     extension parameters to zero recovers the unextended algebra; Carroll,
-    whose boost-momentum bracket keeps H, ignores it.
+    whose boost-momentum bracket keeps H, ignores it.  Each of the five
+    parameters is read by :func:`~kinorbit.rational_linalg.rat`; a bool, a
+    non-finite float or a text that is no number raises
+    :class:`CatalogError` naming the parameter.
     """
     basis, index, rotation, slots, quantities = _expansion(name, variant)
     values = _quantities(name, omega, kappa)
@@ -433,18 +451,18 @@ def build(
         for arg, value in (
             ("mu_charge", mu_charge), ("alpha_charge", alpha_charge), ("m_coupling", m_coupling)
         ):
-            if value is not None and (arg != "m_coupling" or rat(value) != 1):
+            if value is not None and (arg != "m_coupling" or _exact(arg, value) != 1):
                 raise CatalogError(
                     f"{arg} applies to the central_ext variant only, not to "
                     f"the {variant} variant of {name!r}"
                 )
     else:
         _, lam, sign, _ = _FAMILY[name]
-        mu = (_ZERO if sign and not lam else _ONE) if mu_charge is None else rat(mu_charge)
-        alpha = (Fraction(-sign) if lam else _ONE) if alpha_charge is None else rat(alpha_charge)
+        mu = _exact("mu_charge", mu_charge, _ZERO if sign and not lam else _ONE)
+        alpha = _exact("alpha_charge", alpha_charge, Fraction(-sign) if lam else _ONE)
         values["mu_charge/c^2"] = mu * values["1/c^2"]
         values["alpha_charge*kappa^2"] = alpha * values["kappa^2"]
-        values["m_coupling"] = _ONE if m_coupling is None else rat(m_coupling)
+        values["m_coupling"] = _exact("m_coupling", m_coupling, _ONE)
     signed = {q: (v, _MINUS_ONE if v is _ONE else -v) for q in quantities if (v := values[q])}
     algebra = StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
     if mu_charge is not None or alpha_charge is not None:

@@ -54,6 +54,7 @@ import os
 import random
 import re
 import sys
+from array import array
 from fractions import Fraction
 from itertools import chain
 
@@ -267,17 +268,40 @@ def _params(config: RunConfig) -> dict:
     return values
 
 
+# Head of a block's float column that decides whether the column is
+# few-valued: if at most half its entries are distinct, each distinct value
+# of the block is formatted once.  A wrong guess costs time, not bytes.
+_SAMPLE = 64
+
+
+def _few_valued_texts(values: array) -> list[str] | None:
+    """The %.17g texts of ``values``, each distinct value formatted once, if
+    the head of ``values`` holds few distinct values; None otherwise.
+
+    The memo holds the block's distinct values.  A zero is formatted
+    directly, since 0.0 and -0.0 are one key; a NaN finds its own entry,
+    as a key matches itself."""
+    if len(set(values[:_SAMPLE])) * 2 > min(_SAMPLE, len(values)):
+        return None
+    values = values.tolist()
+    memo = {value: "%.17g" % value for value in dict.fromkeys(values)}
+    if 0.0 in memo:
+        return [memo[value] if value else "%.17g" % value for value in values]
+    return list(map(memo.__getitem__, values))
+
+
 def _format_rows(fmt: str, columns: dict, start: int, stop: int) -> str:
     """Rows ``start`` to ``stop`` of ``columns`` (CSV without header, or JSON
     lines) by one ``%`` on a row template repeated per row; a float column
-    is in the template."""
+    is in the template, and a few-valued ``array('d')`` column enters as
+    the texts of :func:`_few_valued_texts`."""
     if fmt == "csv":
-        order, quote, cell = list(columns), str, "%.17g"
+        order, quote, cell, text = list(columns), str, "%.17g", "%s"
     else:  # json.dumps(row, sort_keys=True)
         from json.encoder import encode_basestring_ascii as quote
 
         # %.17g text needs no JSON escaping, so quoting it makes its JSON string
-        order, cell = sorted(columns), '"%.17g"'
+        order, cell, text = sorted(columns), '"%.17g"', '"%s"'
     cells, values = [], []
     for field in order:
         column = columns[field]
@@ -287,8 +311,10 @@ def _format_rows(fmt: str, columns: dict, start: int, stop: int) -> str:
             cells.append("%s")
             values.append([quote(str(value)) for value in column[start:stop]])
         else:
-            cells.append(cell)
-            values.append(column[start:stop])
+            block = column[start:stop]
+            texts = _few_valued_texts(block)
+            cells.append(cell if texts is None else text)
+            values.append(block if texts is None else texts)
     if fmt == "csv":
         template = ",".join(cells)
     else:
@@ -304,7 +330,9 @@ def _emit(config: RunConfig, columns: dict, rows: range) -> None:
 
     ``columns`` maps each field, in order, to its column: a float is the
     value of every row, an ``array('d')`` holds floats (printed with
-    %.17g), and a list holds exact values (printed with ``str``).  A JSON
+    %.17g; a column with few distinct values in a block of
+    :data:`~kinorbit.timegrid.ROW_BLOCK` rows has each of them formatted
+    once), and a list holds exact values (printed with ``str``).  A JSON
     line maps each field to its formatted string, keys sorted, exactly as
     ``json.dumps(..., sort_keys=True)``.  The output is flushed before
     return; a write or flush that fails raises :class:`ConfigError`,

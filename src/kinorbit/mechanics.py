@@ -90,12 +90,12 @@ class QuadraticHamiltonian(Record):
     symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
     ``constant`` c, finite real numbers that are not ``bool`` (an ``int``,
     ``Fraction``, ``float`` or NumPy scalar) kept as given
-    (:class:`CatalogError` otherwise).  Only :meth:`system` and
-    :meth:`value` read H, through the floats of M = [[Q, g], [g', 2c]]
-    (H = (z, 1)' M (z, 1)/2) that construction converts once: each row of
-    [Q | g] as the (column, entry) pairs of its nonzero entries, and the
-    terms (i, j, w) that :meth:`value` adds, one per nonzero M_ij with
-    i <= j."""
+    (:class:`CatalogError` otherwise).  Only :meth:`system`, :meth:`value`
+    and :meth:`column_values` read H, through the floats of
+    M = [[Q, g], [g', 2c]] (H = (z, 1)' M (z, 1)/2) that construction
+    converts once: each row of [Q | g] as the (column, entry) pairs of its
+    nonzero entries, and the terms (i, j, w) that :meth:`value` adds, one
+    per nonzero M_ij with i <= j."""
 
     _fields = ("hessian", "gradient", "constant")
     __slots__ = (*_fields, "_rows", "_terms")
@@ -136,6 +136,23 @@ class QuadraticHamiltonian(Record):
         z, h = (*z, 1.0), 0.0
         for i, j, w in self._terms:
             h = h + w * z[i] * z[j]
+        return h
+
+    def column_values(self, columns) -> list[float]:
+        """H at each state of the n float ``columns`` (z_0 to z_n-1, of equal
+        length), equal to :meth:`value` of each state bit for bit: one list
+        pass per term (i, j, w) adds (w z_i) z_j to every row, from 0, with
+        z_n = 1 read as no factor at all (x * 1.0 is x)."""
+        n = len(self.gradient)
+        columns = [list(column) for column in columns]
+        h = [0.0] * len(columns[0])
+        for i, j, w in self._terms:
+            if j < n:
+                h = [x + w * a * b for x, a, b in zip(h, columns[i], columns[j])]
+            elif i < n:
+                h = [x + w * a for x, a in zip(h, columns[i])]
+            else:
+                h = [x + w for x in h]
         return h
 
 
@@ -320,19 +337,29 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
     e0 = e1 = e2 = e3 = 0.0  # what each running sum has lost to rounding
     states = [array("d", [z]) for z in (z0, z1, z2, z3)]
     for start in range(1, n_steps + 1, ROW_BLOCK):
-        q1, q2, p1, p2 = block = [], [], [], []
+        block = [], [], [], []
+        q1, q2, p1, p2 = (rows.append for rows in block)
         for _ in range(min(ROW_BLOCK, n_steps + 1 - start)):
             d0 = z0 * m00 + z1 * m01 + z2 * m02 + z3 * m03 + c0 - e0
             d1 = z0 * m10 + z1 * m11 + z2 * m12 + z3 * m13 + c1 - e1
             d2 = z0 * m20 + z1 * m21 + z2 * m22 + z3 * m23 + c2 - e2
             d3 = z0 * m30 + z1 * m31 + z2 * m32 + z3 * m33 + c3 - e3
-            t0, t1, t2, t3 = z0 + d0, z1 + d1, z2 + d2, z3 + d3
-            e0, e1, e2, e3 = t0 - z0 - d0, t1 - z1 - d1, t2 - z2 - d2, t3 - z3 - d3
-            z0, z1, z2, z3 = t0, t1, t2, t3
-            q1.append(z0)
-            q2.append(z1)
-            p1.append(z2)
-            p2.append(z3)
+            t = z0 + d0
+            e0 = t - z0 - d0
+            z0 = t
+            t = z1 + d1
+            e1 = t - z1 - d1
+            z1 = t
+            t = z2 + d2
+            e2 = t - z2 - d2
+            z2 = t
+            t = z3 + d3
+            e3 = t - z3 - d3
+            z3 = t
+            q1(z0)
+            q2(z1)
+            p1(z2)
+            p2(z3)
         for column, rows in zip(states, block):
             column.fromlist(rows)
         # a non-finite entry stays non-finite, so the block's last row shows
@@ -389,13 +416,14 @@ def trajectory_rows(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequenc
     Returns the ``array('d')`` columns t, q1, q2, p1, p2, H and drift, one
     entry per time of :func:`~kinorbit.timegrid.grid_times`.  The states
     are :func:`planar_flow`'s, as in :func:`integrate`; the energies are
-    :meth:`QuadraticHamiltonian.value` of each state, so they equal
-    :func:`integrate`'s bit for bit.  An energy or energy drift that is
-    not finite raises :class:`IntegrationError` carrying the first such
-    step, as in :func:`integrate`.
+    :meth:`QuadraticHamiltonian.column_values` of the state columns, one
+    pass per term of H, so they equal :func:`integrate`'s bit for bit.  An
+    energy or energy drift that is not finite raises
+    :class:`IntegrationError` carrying the first such step, as in
+    :func:`integrate`.
     """
     hamiltonian, states = _flow(space, ham, state0, t_end, dt)
-    energies = array("d", map(hamiltonian.value, zip(*states)))
+    energies = array("d", hamiltonian.column_values(states))
     drift = array("d", map(energies[0].__rsub__, energies))  # each h - h[0]
     times = grid_times(t_end, len(energies) - 1)
     # a non-finite energy makes its drift non-finite; so can two finite

@@ -516,6 +516,19 @@ def test_a_unit_or_absent_m_coupling_passes_every_variant() -> None:
     )
 
 
+@pytest.mark.parametrize("arg", ["omega", "kappa", "mu_charge", "alpha_charge", "m_coupling"])
+def test_a_bool_or_non_finite_parameter_is_refused_by_name(arg) -> None:
+    # rat alone reads True as 1, and a nan or inf fails with a message
+    # that names no parameter
+    for value in (True, False, float("nan"), float("inf"), -float("inf")):
+        message = f"^{arg} must be a finite rational number, not bool, got {value!r}$"
+        with pytest.raises(CatalogError, match=message):
+            build("S", "central_ext", **{arg: value})
+    if arg in ("omega", "kappa", "m_coupling"):
+        with pytest.raises(CatalogError, match=f"^{arg} must be"):
+            build("S", "isotropic", **{arg: True})
+
+
 @pytest.mark.parametrize(
     "scales",
     [{"omega": 0}, {"kappa": -1}, {"omega": Fraction(-1, 2), "kappa": 2}, {"kappa": 0}],

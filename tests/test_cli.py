@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -359,6 +361,74 @@ def test_realize_headers_and_invariant_columns(capsys) -> None:
     assert float(first[11]) == pytest.approx(float(last[11]), abs=1e-12)
     # default charges: kappa_e = 1/2, q = (1,0) -> p1(t) = -t/2
     assert float(last[5]) == pytest.approx(-0.5, abs=1e-12)
+
+
+def _reference_output(fmt: str, columns: dict, n_rows: int) -> str:
+    """The output of ``columns`` formatted value by value: %.17g per float,
+    ``str`` per exact value, joined by commas under a header for csv, and
+    ``json.dumps(row, sort_keys=True)`` per row for json-lines."""
+
+    def text(column, row: int) -> str:
+        if isinstance(column, float):
+            return "%.17g" % column
+        return "%.17g" % column[row] if isinstance(column, array) else str(column[row])
+
+    rows = [{field: text(column, r) for field, column in columns.items()} for r in range(n_rows)]
+    if fmt == "csv":
+        lines = [",".join(columns), *(",".join(row.values()) for row in rows)]
+    else:
+        lines = [json.dumps(row, sort_keys=True) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _assert_same_text(text: str, reference: str) -> None:
+    """``text == reference``, reported by the first line that differs (a
+    diff of the whole texts would take minutes)."""
+    lines, expected = text.splitlines(keepends=True), reference.splitlines(keepends=True)
+    for row, (line, want) in enumerate(zip(lines, expected)):
+        assert line == want, f"line {row}"
+    assert len(lines) == len(expected)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_the_emitter_prints_every_value_as_the_reference_does(tmp_path, fmt) -> None:
+    # three blocks of rows; few-valued columns are formatted once per value,
+    # the rest value by value, and neither may change a byte
+    rng = random.Random(4242)
+    n = 2 * timegrid.ROW_BLOCK + 123
+    few = [rng.uniform(-9, 9) for _ in range(5)]
+    varied = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(n)]
+    columns = {
+        "constant": array("d", [1 / 3] * n),
+        "few": array("d", (rng.choice(few) for _ in range(n))),
+        "zeros": array("d", (rng.choice((0.0, -0.0, few[0], few[1])) for _ in range(n))),
+        "special": array("d", (rng.choice((0.0, math.nan, math.inf, -math.inf)) for _ in range(n))),
+        # each block's head is constant, and the rest of it all distinct
+        "head": array("d", (0.25 if i % timegrid.ROW_BLOCK < 100 else varied[i] for i in range(n))),
+        "distinct": array("d", varied),
+        "scalar": -0.0,
+        "exact": [Fraction(i, 7) for i in range(n)],
+    }
+    out = tmp_path / "out"
+    cli._emit(RunConfig("list", out=str(out), format=fmt), columns, range(n))
+    _assert_same_text(out.read_text(), _reference_output(fmt, columns, n))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize(
+    "command, algebra, params",
+    [("simulate", "G", {"k11": "2", "a1": "1/4", "q1": "1/3"}),
+     ("realize", None, {"beta": "-1/2", "q2": "3/4", "k2": "-1"})],
+    ids=["simulate", "realize"],
+)
+def test_long_runs_print_every_value_as_the_reference_does(
+    tmp_path, command, algebra, params, fmt
+) -> None:
+    config = RunConfig(command, algebra=algebra, params=params, t_end=10.0, dt=0.001,
+                       out=str(tmp_path / "out"), format=fmt)
+    _, columns = cli._COMMANDS[command][0](config, cli._params(config))
+    assert cli.run(config) == 0
+    _assert_same_text((tmp_path / "out").read_text(), _reference_output(fmt, columns, 10_001))
 
 
 def test_json_lines_output_parses_with_sorted_keys(capsys) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -545,6 +546,33 @@ def test_a_quadratic_hamiltonian_reads_h_through_system_and_value() -> None:
     assert H.value(columns).tolist() == [H.value((q, p)), H.value((1.0, 0.5))]
     with pytest.raises(ValueError, match="theta must be 2 x 2"):
         H.system([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+def _mantissa(rng: random.Random) -> float:
+    """A float near 1 of either sign with a random 53-bit mantissa, or a zero
+    of either sign one time in four."""
+    if rng.random() < 0.25:
+        return rng.choice((0.0, -0.0))
+    m = rng.getrandbits(52) | 2**52
+    return math.ldexp(rng.choice((m, -m)), rng.randint(-56, -50))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_the_column_pass_is_value_row_by_row_bit_for_bit(n) -> None:
+    # one list pass per term, z_n = 1 read as no factor, against value on
+    # each state: general H with a nonzero gradient and constant, on
+    # states with zeros of both signs
+    rng = random.Random(2929 + n)
+    for _ in range(20):
+        hessian = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                hessian[i][j] = hessian[j][i] = _mantissa(rng)
+        gradient = [_mantissa(rng) for _ in range(n - 1)] + [rng.uniform(0.5, 2)]
+        H = QuadraticHamiltonian(hessian, gradient, rng.uniform(-2, -0.5))
+        columns = [array("d", (_mantissa(rng) for _ in range(50))) for _ in range(n)]
+        per_row = array("d", map(H.value, zip(*columns)))
+        assert array("d", H.column_values(columns)).tobytes() == per_row.tobytes()
 
 
 def test_fraction_coefficients_run_as_their_floats() -> None:
