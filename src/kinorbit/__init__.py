@@ -28,7 +28,6 @@ _LAZY = {
     ),
     "catalog": (
         "AlgebraDescriptor",
-        "CatalogError",
         "KinematicalParams",
         "build",
         "list_catalog",
@@ -50,7 +49,9 @@ _LAZY = {
         "restrict",
         "standard_orbit",
     ),
-    "rational_linalg": ("RatMatrix", "SingularMatrixError", "rat", "rat_inv", "rat_rank"),
+    "rational_linalg": (
+        "CatalogError", "RatMatrix", "SingularMatrixError", "rat", "rat_inv", "rat_rank",
+    ),
     "timegrid": ("IntegrationError",),
     "mechanics": (
         "CANONICAL_BRACKET_MATRIX",

@@ -13,8 +13,9 @@ those products, built once per pattern and kept in a bounded cache keyed by
 it, and sums them on the table's values scaled to integers by the lcm ``D``
 of their denominators; a nonzero sum ``s`` is the residual ``s / D**2``.
 
-:class:`Record` is the base of the package's record types: slotted
-classes whose ``__init__`` coerces and validates their fields in place.
+:class:`Record`, the base of the package's record types, lives in
+:mod:`kinorbit.rational_linalg`, which every layer imports, and is
+exported here too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .rational_linalg import RatMatrix, rat
+from .rational_linalg import RatMatrix, Record, rat
 
 __all__ = [
     "Record",
@@ -36,66 +37,6 @@ __all__ = [
     "AlgebraElement",
     "JacobiViolation",
 ]
-
-
-_setattr = object.__setattr__
-
-
-class Record:
-    """A record: named fields, compared, hashed and shown field by field.
-
-    A subclass names its fields once, ``__slots__ = _fields = (...)`` (it
-    may add slots after the fields that are not fields), and its
-    ``__init__`` coerces and validates the values before :meth:`_init`
-    stores them.  ``==``, ``hash`` and ``repr`` read the fields in order,
-    as for a dataclass.  A record refuses assignment and deletion unless
-    its class restores ``object.__setattr__`` and ``object.__delattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _init(self, *values) -> None:
-        """Store ``values`` in the slots, in order."""
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
-
-    @classmethod
-    def _stored(cls, *values):
-        """A record of ``values`` stored as they are, without ``__init__``'s
-        checks: for values that pass them by construction."""
-        record = cls.__new__(cls)
-        record._init(*values)
-        return record
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def _replace(self, **changes):
-        """A record of this type with ``changes``, built and checked by ``__init__``."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__
-        return type(self), self._values()
 
 
 class GeneratorLabel(Record):

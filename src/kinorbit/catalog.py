@@ -40,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebra_core import GeneratorLabel, Record, StructureConstants
-from .rational_linalg import rat
+from .algebra_core import GeneratorLabel, StructureConstants
+from .rational_linalg import CatalogError, Record, rat
 
 __all__ = [
     "CatalogError",
@@ -57,12 +57,6 @@ __all__ = [
     "generator_label",
     "list_catalog",
 ]
-
-
-class CatalogError(ValueError):
-    """Raised for unknown algebra names, inadmissible variant requests and
-    parameter values outside their domain (a nonpositive scale or mass, a
-    vanishing charge)."""
 
 
 # name -> (label, lam, beta sign, gamma nonzero?), in catalog order: the
@@ -219,14 +213,13 @@ _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 def _exact(arg: str, value, default=None) -> Fraction:
     """The exact value of the :func:`build` parameter ``arg``, as
     :func:`~kinorbit.rational_linalg.rat` reads it, or ``default`` for None;
-    a bool, a non-finite float or a text that is no number raises
-    :class:`CatalogError` naming ``arg``."""
+    a value ``rat`` refuses (a bool, a non-finite float, a text that is no
+    number) raises :class:`CatalogError` naming ``arg``."""
     if value is None:
         return default
     try:
-        if not isinstance(value, bool):
-            return rat(value)
-    except (ValueError, OverflowError, ZeroDivisionError):
+        return rat(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         pass
     raise CatalogError(f"{arg} must be a finite rational number, not bool, got {value!r}")
 

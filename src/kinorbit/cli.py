@@ -37,11 +37,13 @@ line ``configuration error: cannot write output: ...``).  A reader that
 closes the pipe before the output ends ends the run with status 1, as
 Python itself ends on a broken pipe, and nothing on stderr: stdout is
 pointed at devnull, so the flush at exit has nowhere to fail.
-No command loads NumPy, and each loads only the layers it runs:
-``list`` the catalog alone; ``orbit``, ``classify``, ``verify`` and
-``simulate --algebra`` also :mod:`kinorbit.coadjoint`; ``simulate``,
-``realize`` and the Static suite of ``verify`` import the float layer
-(:mod:`kinorbit.mechanics`, :mod:`kinorbit.static_group`) when they run.
+No command loads NumPy, and each loads only the layers it runs, beyond
+:mod:`kinorbit.rational_linalg` and :mod:`kinorbit.timegrid`: ``list``
+the catalog (with :mod:`kinorbit.algebra_core`); ``orbit``, ``classify``,
+``verify`` and ``simulate --algebra`` also :mod:`kinorbit.coadjoint`;
+``simulate`` and ``realize`` only their float module
+(:mod:`kinorbit.mechanics`, :mod:`kinorbit.static_group`), which the
+Static suite of ``verify`` loads too.
 An INI file loads :mod:`configparser`, and ``json-lines`` output the JSON
 string encoder.
 """
@@ -58,15 +60,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain
 
-from .algebra_core import Record, StructureConstants
-from .catalog import (
-    STANDARD_ORBIT_NAMES,
-    AlgebraDescriptor,
-    CatalogError,
-    build,
-    list_catalog,
-)
-from .rational_linalg import rat
+from .rational_linalg import CatalogError, Record, rat
 from .timegrid import ROW_BLOCK, IntegrationError, step_count
 
 __all__ = ["MAX_PARAM_DIGITS", "ConfigError", "RunConfig", "run", "main"]
@@ -256,7 +250,11 @@ def _params(config: RunConfig) -> dict:
                     "(its length plus the magnitude of its exponent)"
                 )
             values[key] = rat(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ConfigError(
+                f"bad value for parameter {key!r}: {raw} has a zero denominator"
+            ) from None
+        except ValueError as exc:
             raise ConfigError(f"bad value for parameter {key!r}: {exc}") from None
         if isinstance(default, float):
             try:
@@ -369,8 +367,9 @@ def _emit(config: RunConfig, columns: dict, rows: range) -> None:
 # -- subcommands ------------------------------------------------------------
 
 
-# (chart kind, variant, algebras) of the orbit charts each chart command reads
-_STANDARD_CHARTS = ("standard orbit", "central_ext", STANDARD_ORBIT_NAMES)
+# (chart kind, variant, algebras) of the orbit charts each chart command
+# reads; None stands for the catalog's STANDARD_ORBIT_NAMES
+_STANDARD_CHARTS = ("standard orbit", "central_ext", None)
 _CHARTS = {
     "orbit": _STANDARD_CHARTS,
     "classify": _STANDARD_CHARTS,
@@ -389,6 +388,8 @@ def _check_selection(config: RunConfig) -> None:
     """
     if config.command not in _CHARTS:
         if config.algebra is not None or config.variant is not None:
+            from .catalog import AlgebraDescriptor
+
             # every name has the isotropic variant, and G has every variant
             AlgebraDescriptor(config.algebra or "G", config.variant or "isotropic")
         return
@@ -397,7 +398,11 @@ def _check_selection(config: RunConfig) -> None:
         raise ConfigError(
             f"{config.command} reads only {variant} orbits, not variant {config.variant!r}"
         )
-    if config.algebra not in (None, *names):
+    if config.algebra is None:
+        return
+    if names is None:
+        from .catalog import STANDARD_ORBIT_NAMES as names
+    if config.algebra not in names:
         raise ConfigError(
             f"no {kind} chart for {config.algebra!r}; available: {', '.join(names)}"
         )
@@ -410,6 +415,8 @@ def _selects(config: RunConfig, name: str, variant: str) -> bool:
 
 def _selected_records(config: RunConfig) -> list:
     """The catalog entries matching ``--algebra`` and ``--variant``, when given."""
+    from .catalog import list_catalog
+
     return [r for r in list_catalog() if _selects(config, r.name, r.variant)]
 
 
@@ -467,6 +474,8 @@ def _worst_residual(algebra: StructureConstants, checks) -> Fraction:
 
 
 def _cmd_verify(config: RunConfig, params: dict) -> tuple[int, dict]:
+    from .catalog import STANDARD_ORBIT_NAMES, build
+
     rows = []
     failed = False
 
@@ -544,6 +553,8 @@ def _cmd_verify(config: RunConfig, params: dict) -> tuple[int, dict]:
 def _orbit_request(params: dict, name: str | None):
     """The standard orbit ``name`` at the orbit parameters of ``params``."""
     if name is None:
+        from .catalog import STANDARD_ORBIT_NAMES
+
         raise ConfigError(
             f"this command needs --algebra (one of {', '.join(STANDARD_ORBIT_NAMES)})"
         )
@@ -596,6 +607,8 @@ def _cmd_orbit(config: RunConfig, params: dict) -> tuple[int, dict]:
 
 
 def _cmd_classify(config: RunConfig, params: dict) -> tuple[int, dict]:
+    from .catalog import STANDARD_ORBIT_NAMES
+
     rows = []
     for name in STANDARD_ORBIT_NAMES if config.algebra is None else (config.algebra,):
         for h in (params["h"], Fraction(0)):
@@ -688,23 +701,26 @@ def _build_parser() -> argparse.ArgumentParser:
             "coadjoint-orbit phase spaces and noncommutative mechanics."
         ),
     )
+    # the options every command takes, defined once and shared by each
+    # command's parser
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="INI file with a [run] section")
+    options.add_argument("--algebra", help="catalog algebra name (e.g. G, NH+, S)")
+    options.add_argument("--variant", help="catalog variant name")
+    options.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="set a model parameter (repeatable); values may be rational",
+    )
+    options.add_argument("--t-end", type=float, dest="t_end", help="integration horizon")
+    options.add_argument("--dt", type=float, help="integration step")
+    options.add_argument("--out", help="output file (default: stdout)")
+    options.add_argument("--format", choices=_FORMATS, help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        p.add_argument("--config", help="INI file with a [run] section")
-        p.add_argument("--algebra", help="catalog algebra name (e.g. G, NH+, S)")
-        p.add_argument("--variant", help="catalog variant name")
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="set a model parameter (repeatable); values may be rational",
-        )
-        p.add_argument("--t-end", type=float, dest="t_end", help="integration horizon")
-        p.add_argument("--dt", type=float, help="integration step")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=_FORMATS, help="output format")
+        sub.add_parser(command, help=help_line, parents=[options])
     return parser
 
 

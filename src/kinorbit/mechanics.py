@@ -39,9 +39,9 @@ from numbers import Real
 from operator import add, mul
 from typing import Sequence
 
-from .algebra_core import Record
-from .catalog import CatalogError
-from .rational_linalg import RatMatrix, _matrix, checked_float, rat, rat_inv
+from .rational_linalg import (
+    CatalogError, RatMatrix, Record, _matrix, checked_float, rat, rat_inv,
+)
 from .timegrid import (
     MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
 )

@@ -14,10 +14,13 @@ constructors check every field; a product, inverse or action, whose fields
 are formed from checked floats, is stored after one finiteness test of the
 fields' sum and goes through those checks only when that test fails.
 :func:`evolution_rows` traces the evolution and its invariants over a
-time grid, as the columns ``kinorbit realize`` prints.  The module imports
-no NumPy, and :mod:`kinorbit.coadjoint` and :mod:`kinorbit.mechanics` only
-inside the functions that build their types, so the group law, the
-evolution and its rows load none of them.
+time grid, as the columns ``kinorbit realize`` prints.  The float paths
+read a dual vector in the basis order :data:`_DUAL_NAMES` of
+:func:`noncentral_algebra`.  The module imports no NumPy, and
+:mod:`kinorbit.catalog` (with :mod:`kinorbit.algebra_core` below it),
+:mod:`kinorbit.coadjoint` and :mod:`kinorbit.mechanics` only inside the
+functions that build their types, so the group law, the evolution and its
+rows load none of them.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
 
-from .algebra_core import Record, StructureConstants
-from .catalog import CatalogError, build
-from .rational_linalg import checked_float, rat
+from .rational_linalg import CatalogError, Record, checked_float, rat
 from .timegrid import ROW_BLOCK, first_non_finite, grid_times, step_count
 
 __all__ = [
@@ -52,9 +53,17 @@ __all__ = [
     "evolution_hamiltonian",
 ]
 
+# The basis of noncentral_algebra(), in its order: the float paths index
+# dual vectors by it without building the algebra.
+_DUAL_NAMES = ("J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2", "M'", "B", "Lambda")
+
+
 @functools.cache
 def noncentral_algebra() -> StructureConstants:
-    """The 14-dimensional noncentral extension of the Static algebra."""
+    """The 14-dimensional noncentral extension of the Static algebra, on the
+    basis :data:`_DUAL_NAMES`."""
+    from .catalog import build
+
     return build("S", "noncentral_ext")
 
 
@@ -353,27 +362,13 @@ class StaticOrbitState(Record):
 
 
 def _dual(state: StaticOrbitState) -> list[float]:
-    """The dual coordinates of ``state``, in the basis order of :func:`noncentral_algebra`."""
+    """The dual coordinates of ``state``, in the order of :data:`_DUAL_NAMES`."""
     c = state.constants.floats
     (q1, q2), (u1, u2) = state.position, state.velocity
-    values = (
+    return [
         state.angular_momentum, *state.boost_momentum, *state.momentum, state.energy, c.m,
         -c.kappa_e * q1, -c.kappa_e * q2, c.mu_e * u1, c.mu_e * u2, c.mu, c.beta, c.kappa,
-    )
-    alpha = [0.0] * len(values)
-    for slot, value in zip(_dual_slots(), values):
-        alpha[slot] = value
-    return alpha
-
-
-# The dual coordinates in the order _dual lists their values.
-_DUAL_NAMES = ("J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2", "M'", "B", "Lambda")
-
-
-@functools.cache
-def _dual_slots() -> tuple[int, ...]:
-    """The basis index of each of :data:`_DUAL_NAMES` in :func:`noncentral_algebra`."""
-    return tuple(map(noncentral_algebra().index, _DUAL_NAMES))
+    ]
 
 
 def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
@@ -425,9 +420,9 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
 
 @functools.cache
 def _invariant_values() -> tuple:
-    """The value functions of :func:`noncentral_invariants`, (s_value, u_value)."""
-    alg = noncentral_algebra()
-    i = {name: alg.index(name) for name in alg.names}
+    """The value functions of :func:`noncentral_invariants`, (s_value, u_value),
+    on dual vectors in the order of :data:`_DUAL_NAMES`."""
+    i = {name: index for index, name in enumerate(_DUAL_NAMES)}
 
     def unpack(a):
         k = (a[i["K1"]], a[i["K2"]])

@@ -518,8 +518,8 @@ def test_a_unit_or_absent_m_coupling_passes_every_variant() -> None:
 
 @pytest.mark.parametrize("arg", ["omega", "kappa", "mu_charge", "alpha_charge", "m_coupling"])
 def test_a_bool_or_non_finite_parameter_is_refused_by_name(arg) -> None:
-    # rat alone reads True as 1, and a nan or inf fails with a message
-    # that names no parameter
+    # rat alone refuses a bool, a nan or an inf with a message that names
+    # no parameter
     for value in (True, False, float("nan"), float("inf"), -float("inf")):
         message = f"^{arg} must be a finite rational number, not bool, got {value!r}$"
         with pytest.raises(CatalogError, match=message):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import math
@@ -635,6 +636,8 @@ _USAGE_ERRORS = {
     "realize --dt nan": _NOT_FINITE,
     "simulate --param a1=1e309": "'a1': 1e309 is out of float range",
     "realize --param q1=1e309": "'q1': 1e309 is out of float range",
+    "realize --param q1=1/0": "bad value for parameter 'q1': 1/0 has a zero denominator",
+    "orbit --algebra G --param m=1/0": "bad value for parameter 'm': 1/0 has a zero denominator",
     # exact values no float holds, named: out of range, or nonzero but 0
     "simulate --param G=1e309": "value out of float range: G is inf as a float",
     "simulate --param mass=1e-330": "value out of float range: 1/mass is inf as a float",
@@ -795,3 +798,68 @@ def test_help_text_is_pinned(monkeypatch, capsys, command) -> None:
         indent = " " * len(f"usage: kinorbit {command} ")
         expected = _USAGES[command].format(command=command, indent=indent) + _COMMAND_OPTIONS
     assert (captured.out, captured.err) == (expected, "")
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The command line parser with each command's eight options added to its
+    own subparser, one ``add_argument`` at a time."""
+    parser = argparse.ArgumentParser(
+        prog="kinorbit",
+        description=(
+            "Exact catalog of planar kinematical Lie algebras, their "
+            "coadjoint-orbit phase spaces and noncommutative mechanics."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line) in cli._COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help="INI file with a [run] section")
+        p.add_argument("--algebra", help="catalog algebra name (e.g. G, NH+, S)")
+        p.add_argument("--variant", help="catalog variant name")
+        p.add_argument(
+            "--param",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="set a model parameter (repeatable); values may be rational",
+        )
+        p.add_argument("--t-end", type=float, dest="t_end", help="integration horizon")
+        p.add_argument("--dt", type=float, help="integration step")
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json-lines"), help="output format")
+    return parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        ["--foo"],
+        ["list", "--foo"],
+        ["realize", "--format", "xml"],
+        ["simulate", "--dt"],
+        ["frob"],
+    ],
+    ids=" ".join,
+)
+def test_the_shared_options_print_as_options_added_per_command(
+    monkeypatch, capsys, argv
+) -> None:
+    # the help and error texts of the argparse that runs the tests, not pinned text
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for parser in (cli._build_parser(), _reference_parser()):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        seen.append((exit_info.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+def test_the_shared_options_parse_as_options_added_per_command() -> None:
+    argv = ["simulate", "--param", "q1=1", "--param", "p1=2", "--t-end", "3", "--format", "csv"]
+    parsed = cli._build_parser().parse_args(argv)
+    assert parsed == _reference_parser().parse_args(argv)
+    # each run gets its own --param list; the shared default is not appended to
+    assert cli._build_parser().parse_args(["list"]).param == []
+    assert parsed.param == ["q1=1", "p1=2"]

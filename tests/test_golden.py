@@ -105,15 +105,17 @@ sys.exit(status)
 """
 
 # The kinorbit modules each command loads, beyond the package, the CLI and
-# the catalog with the layers below it.
-_BASE = ("kinorbit", "kinorbit.algebra_core", "kinorbit.catalog", "kinorbit.cli",
-         "kinorbit.rational_linalg", "kinorbit.timegrid")
+# the two modules every layer imports.  The float commands load their float
+# module alone: no exact-algebra module.
+_BASE = ("kinorbit", "kinorbit.cli", "kinorbit.rational_linalg", "kinorbit.timegrid")
+_CATALOG = ("kinorbit.algebra_core", "kinorbit.catalog")
 _LOADS = {
-    "list": (),
-    "orbit": ("kinorbit.coadjoint",),
-    "classify": ("kinorbit.coadjoint",),
-    "verify": ("kinorbit.coadjoint", "kinorbit.static_group"),
+    "list": _CATALOG,
+    "orbit": (*_CATALOG, "kinorbit.coadjoint"),
+    "classify": (*_CATALOG, "kinorbit.coadjoint"),
+    "verify": (*_CATALOG, "kinorbit.coadjoint", "kinorbit.static_group"),
     "simulate": ("kinorbit.mechanics",),
+    "simulate --algebra": (*_CATALOG, "kinorbit.coadjoint", "kinorbit.mechanics"),
     "realize": ("kinorbit.static_group",),
 }
 
@@ -188,6 +190,15 @@ def test_verify_central_ext_prints_the_pinned_rows_without_numpy(capsys) -> None
     # without the Static suite, verify leaves the float layer unloaded
     _check_loads(result, "orbit")
     assert result.stdout.decode() == expected
+
+
+def test_simulate_from_an_orbit_loads_the_orbit_layers() -> None:
+    result = _run_fresh(
+        "-c", _FRESH_CLI, "simulate", "--algebra", "G", "--t-end", "1", "--dt", "0.1"
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    _check_loads(result, "simulate --algebra")
+    assert len(result.stdout.splitlines()) == 12
 
 
 def test_importing_the_package_loads_no_numpy_until_a_float_name_is_used() -> None:

@@ -232,6 +232,29 @@ def test_replace_rebuilds_and_checks_through_init() -> None:
         state._replace(momentum=(1.0, float("inf")))
 
 
+# exact fields of records and charts, read by rat
+_EXACT_FIELDS = {
+    "NCPhaseSpace2D": lambda flag: NCPhaseSpace2D(G_field=flag, F_field=0, mass=flag),
+    "StaticConstants": lambda flag: StaticConstants(m=flag, mu=2, beta=flag, kappa=2),
+    "standard_orbit": lambda flag: standard_orbit("G", m=flag),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("make", _EXACT_FIELDS.values(), ids=_EXACT_FIELDS)
+def test_an_exact_field_refuses_a_bool(make, flag) -> None:
+    # a bool is no number to rat: not an exact 1 or 0
+    with pytest.raises(TypeError, match=f"^cannot interpret {flag} as a rational number$"):
+        make(flag)
+
+
+def test_the_shared_base_types_are_one_class_each() -> None:
+    from kinorbit import algebra_core, catalog, rational_linalg
+
+    assert kinorbit.CatalogError is catalog.CatalogError is rational_linalg.CatalogError
+    assert algebra_core.Record is Record is rational_linalg.Record
+
+
 def test_records_pickle_through_init() -> None:
     for record in (
         GeneratorLabel("K1", (-1, 1)),

@@ -14,6 +14,7 @@ from kinorbit.coadjoint import classify
 from kinorbit.mechanics import propagator
 from kinorbit.rational_linalg import RatMatrix, rat
 from kinorbit.static_group import (
+    _DUAL_NAMES,
     StaticConstants,
     StaticGroupElement,
     StaticOrbitState,
@@ -115,6 +116,8 @@ def test_noncentral_algebra_is_the_catalog_fourteen_dim() -> None:
     )
     assert alg.jacobi_violations() == []
     assert alg is noncentral_algebra()  # cached
+    # the float paths index dual vectors by _DUAL_NAMES without building it
+    assert alg.names == _DUAL_NAMES
 
 
 def test_group_identity_and_inverse() -> None:
