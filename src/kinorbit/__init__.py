@@ -49,9 +49,8 @@ _LAZY = {
         "restrict",
         "standard_orbit",
     ),
-    "rational_linalg": (
-        "CatalogError", "RatMatrix", "SingularMatrixError", "rat", "rat_inv", "rat_rank",
-    ),
+    "rational_linalg": ("RatMatrix", "SingularMatrixError", "rat_inv", "rat_rank"),
+    "records": ("CatalogError", "Record", "rat"),
     "timegrid": ("IntegrationError",),
     "mechanics": (
         "CANONICAL_BRACKET_MATRIX",

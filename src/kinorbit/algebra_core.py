@@ -14,8 +14,8 @@ it, and sums them on the table's values scaled to integers by the lcm ``D``
 of their denominators; a nonzero sum ``s`` is the residual ``s / D**2``.
 
 :class:`Record`, the base of the package's record types, lives in
-:mod:`kinorbit.rational_linalg`, which every layer imports, and is
-exported here too.
+:mod:`kinorbit.records`, which every layer imports, and is exported here
+too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .rational_linalg import RatMatrix, Record, rat
+from .rational_linalg import RatMatrix
+from .records import Record, rat
 
 __all__ = [
     "Record",

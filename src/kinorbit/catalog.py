@@ -33,15 +33,18 @@ charges on the table it builds.
 
 Each (name, variant) is expanded once per process; a build fills in exact
 rationals derived from omega, kappa and the charges, cached on no value.
+:mod:`kinorbit.algebra_core` is imported only inside
+:func:`generator_label` and the expansion, which hands a build the
+constructor of its algebra, so the catalog's names and descriptors
+(``kinorbit list``) load no structure constants and no linear algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
-from .algebra_core import GeneratorLabel, StructureConstants
-from .rational_linalg import CatalogError, Record, rat
+from .records import CatalogError, Record, exact, rat
 
 __all__ = [
     "CatalogError",
@@ -132,6 +135,8 @@ _VECTORS = ("K", "P", "F", "Pi")
 
 def generator_label(name: str) -> GeneratorLabel:
     """Generator label with its formal dimension tag attached."""
+    from .algebra_core import GeneratorLabel
+
     family = name.rstrip("12")
     try:
         tag = _DIMENSION_TAGS[family]
@@ -210,25 +215,11 @@ def _family(name: str) -> tuple[str, int, int, bool]:
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
-def _exact(arg: str, value, default=None) -> Fraction:
-    """The exact value of the :func:`build` parameter ``arg``, as
-    :func:`~kinorbit.rational_linalg.rat` reads it, or ``default`` for None;
-    a value ``rat`` refuses (a bool, a non-finite float, a text that is no
-    number) raises :class:`CatalogError` naming ``arg``."""
-    if value is None:
-        return default
-    try:
-        return rat(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        pass
-    raise CatalogError(f"{arg} must be a finite rational number, not bool, got {value!r}")
-
-
 def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
     """The parameters of ``name`` at the scales ``omega`` and ``kappa``, by
     the names ``_brackets`` reads them, plus the scales themselves."""
     _, lam, sign, has_gamma = _family(name)
-    omega, kappa = _exact("omega", omega), _exact("kappa", kappa)
+    omega, kappa = exact("omega", omega), exact("kappa", kappa)
     if omega <= 0 or kappa <= 0:
         raise CatalogError("omega and kappa must be positive")
     w2, k2 = omega**2, kappa**2
@@ -373,9 +364,11 @@ def _fill(slots, signed: dict) -> list:
 @cache
 def _expansion(name: str, variant: str) -> tuple:
     """A catalog entry's brackets in components (see the module doc), once per
-    process: (basis, name-to-index map, J's filled rotation pairs, the other
-    slots ``((i, j), ((k, quantity, negate), ...))`` with i < j, and the
-    quantities they read)."""
+    process: (the constructor of an algebra on its basis from a filled table,
+    J's filled rotation pairs, the other slots ``((i, j), ((k, quantity,
+    negate), ...))`` with i < j, and the quantities they read)."""
+    from .algebra_core import GeneratorLabel, StructureConstants
+
     AlgebraDescriptor(name, variant)  # rejects an unknown or inadmissible pair
     families = _families(name, variant)
     basis = tuple(
@@ -404,7 +397,7 @@ def _expansion(name: str, variant: str) -> tuple:
         slots.append(((min(i, j), max(i, j)), slot))
     rotation, slots = _fill(slots[:rotations], {"1": (_ONE, _MINUS_ONE)}), tuple(slots[rotations:])
     quantities = tuple(dict.fromkeys(q for _, slot in slots for _, q, _ in slot))
-    return basis, index, rotation, slots, quantities
+    return partial(StructureConstants._normalised, basis, index), rotation, slots, quantities
 
 
 def build(
@@ -434,30 +427,34 @@ def build(
     means 1) scales the boost-momentum central charge so that setting all
     extension parameters to zero recovers the unextended algebra; Carroll,
     whose boost-momentum bracket keeps H, ignores it.  Each of the five
-    parameters is read by :func:`~kinorbit.rational_linalg.rat`; a bool, a
+    parameters is read by :func:`~kinorbit.records.exact`: a bool, a
     non-finite float or a text that is no number raises
     :class:`CatalogError` naming the parameter.
     """
-    basis, index, rotation, slots, quantities = _expansion(name, variant)
+    algebra_of, rotation, slots, quantities = _expansion(name, variant)
     values = _quantities(name, omega, kappa)
     if variant != "central_ext":
         for arg, value in (
             ("mu_charge", mu_charge), ("alpha_charge", alpha_charge), ("m_coupling", m_coupling)
         ):
-            if value is not None and (arg != "m_coupling" or _exact(arg, value) != 1):
+            if value is not None and (arg != "m_coupling" or exact(arg, value) != 1):
                 raise CatalogError(
                     f"{arg} applies to the central_ext variant only, not to "
                     f"the {variant} variant of {name!r}"
                 )
     else:
         _, lam, sign, _ = _FAMILY[name]
-        mu = _exact("mu_charge", mu_charge, _ZERO if sign and not lam else _ONE)
-        alpha = _exact("alpha_charge", alpha_charge, Fraction(-sign) if lam else _ONE)
+        mu = _ZERO if sign and not lam else _ONE
+        alpha = Fraction(-sign) if lam else _ONE
+        if mu_charge is not None:
+            mu = exact("mu_charge", mu_charge)
+        if alpha_charge is not None:
+            alpha = exact("alpha_charge", alpha_charge)
         values["mu_charge/c^2"] = mu * values["1/c^2"]
         values["alpha_charge*kappa^2"] = alpha * values["kappa^2"]
-        values["m_coupling"] = _exact("m_coupling", m_coupling, _ONE)
+        values["m_coupling"] = _ONE if m_coupling is None else exact("m_coupling", m_coupling)
     signed = {q: (v, _MINUS_ONE if v is _ONE else -v) for q in quantities if (v := values[q])}
-    algebra = StructureConstants._normalised(basis, index, rotation + _fill(slots, signed))
+    algebra = algebra_of(rotation + _fill(slots, signed))
     if mu_charge is not None or alpha_charge is not None:
         violations = algebra.jacobi_violations()
         if violations:

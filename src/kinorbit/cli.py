@@ -38,14 +38,15 @@ closes the pipe before the output ends ends the run with status 1, as
 Python itself ends on a broken pipe, and nothing on stderr: stdout is
 pointed at devnull, so the flush at exit has nowhere to fail.
 No command loads NumPy, and each loads only the layers it runs, beyond
-:mod:`kinorbit.rational_linalg` and :mod:`kinorbit.timegrid`: ``list``
-the catalog (with :mod:`kinorbit.algebra_core`); ``orbit``, ``classify``,
-``verify`` and ``simulate --algebra`` also :mod:`kinorbit.coadjoint`;
-``simulate`` and ``realize`` only their float module
-(:mod:`kinorbit.mechanics`, :mod:`kinorbit.static_group`), which the
-Static suite of ``verify`` loads too.
-An INI file loads :mod:`configparser`, and ``json-lines`` output the JSON
-string encoder.
+:mod:`kinorbit.records` and :mod:`kinorbit.timegrid`: ``list`` the
+catalog alone; ``orbit``, ``classify``, ``verify`` and ``simulate
+--algebra`` also :mod:`kinorbit.algebra_core`,
+:mod:`kinorbit.rational_linalg` and :mod:`kinorbit.coadjoint`;
+``simulate`` :mod:`kinorbit.mechanics` with the linear algebra, and
+``realize`` :mod:`kinorbit.static_group` alone, which the Static suite
+of ``verify`` loads too.
+An INI file loads :mod:`configparser`, ``verify`` :mod:`random`, and
+``json-lines`` output the JSON string encoder.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import random
 import re
 import sys
 from array import array
 from fractions import Fraction
 from itertools import chain
 
-from .rational_linalg import CatalogError, Record, rat
+from .records import CatalogError, Record, rat
 from .timegrid import ROW_BLOCK, IntegrationError, step_count
 
 __all__ = ["MAX_PARAM_DIGITS", "ConfigError", "RunConfig", "run", "main"]
@@ -474,6 +474,8 @@ def _worst_residual(algebra: StructureConstants, checks) -> Fraction:
 
 
 def _cmd_verify(config: RunConfig, params: dict) -> tuple[int, dict]:
+    import random
+
     from .catalog import STANDARD_ORBIT_NAMES, build
 
     rows = []

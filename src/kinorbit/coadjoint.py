@@ -27,12 +27,13 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .algebra_core import Record, StructureConstants
-from .catalog import STANDARD_ORBIT_NAMES, CatalogError, KinematicalParams, build
+from .algebra_core import StructureConstants
+from .catalog import STANDARD_ORBIT_NAMES, KinematicalParams, build
 from .rational_linalg import (
-    _ZERO, RatMatrix, SingularMatrixError, _fractions, _matrix, _pairs, _sums, congruence, rat,
+    _ZERO, RatMatrix, SingularMatrixError, _fractions, _matrix, _pairs, _sums, congruence,
     rat_inv, rat_rank,
 )
+from .records import CatalogError, Record, exact, rat
 
 __all__ = [
     "DualPoint",
@@ -606,7 +607,7 @@ def standard_orbit(
             f"no standard orbit chart for {name!r}; available: "
             f"{', '.join(STANDARD_ORBIT_NAMES)}"
         )
-    m, h, E = rat(m), rat(h), rat(E)
+    m, h, E = exact("m", m), exact("h", h), exact("E", E)
     params = KinematicalParams.for_algebra(name, omega, kappa)
     algebra = build(name, "central_ext", omega=omega, kappa=kappa)
     names, values = algebra.names, {"M": m, "S": h, "H": E}

@@ -39,9 +39,8 @@ from numbers import Real
 from operator import add, mul
 from typing import Sequence
 
-from .rational_linalg import (
-    CatalogError, RatMatrix, Record, _matrix, checked_float, rat, rat_inv,
-)
+from .rational_linalg import RatMatrix, _matrix, rat_inv
+from .records import CatalogError, Record, checked_float, exact
 from .timegrid import (
     MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
 )
@@ -72,7 +71,8 @@ def _float_entry(x, name: str) -> float:
         return x
     if isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(value := float(x)):
         return value
-    raise CatalogError(f"{name} entries must be finite real numbers, not bool, got {x!r}")
+    not_bool = " not bool," if isinstance(x, bool) else ""
+    raise CatalogError(f"{name} entries must be finite real numbers,{not_bool} got {x!r}")
 
 
 def _float_form(floats, c: float) -> tuple[list, list]:
@@ -168,7 +168,7 @@ class NCPhaseSpace2D(Record):
     __slots__ = _fields = ("G_field", "F_field", "mass")
 
     def __init__(self, G_field: Fraction, F_field: Fraction, mass: Fraction) -> None:
-        self._init(rat(G_field), rat(F_field), rat(mass))
+        self._init(exact("G_field", G_field), exact("F_field", F_field), exact("mass", mass))
         if self.mass <= 0:
             raise CatalogError(f"mass must be positive, got {self.mass}")
         if self.symplectic_factor == 0:

@@ -6,26 +6,26 @@ exact and a built matrix can be shared safely.  It indexes by pairs
 (``m[i, j]``; ``m[i]`` is row ``i``), reports its ``shape``, multiplies
 with ``@`` by a matrix or a vector, and transposes with ``T``.  Only the
 small amount of linear algebra the rest of the package needs lives here:
-that type, the congruence ``J M J^T``, inversion and rank by one
-fraction-free elimination on sparse integer rows, and a checked float
-conversion.  The matrices are at most 14x14 and mostly zero (restricted
-pairing matrices, chart Jacobians), so the kernels read only nonzero
-entries: a product or a congruence adds up the products of each result
-entry as integer numerator/denominator pairs and forms one ``Fraction``
-per nonzero entry; an entry that no product reaches, or whose products
-cancel, is the shared zero.
+that type, the congruence ``J M J^T``, and inversion and rank by one
+fraction-free elimination on sparse integer rows.  The matrices are at
+most 14x14 and mostly zero (restricted pairing matrices, chart
+Jacobians), so the kernels read only nonzero entries: a product or a
+congruence adds up the products of each result entry as integer
+numerator/denominator pairs and forms one ``Fraction`` per nonzero entry;
+an entry that no product reaches, or whose products cancel, is the shared
+zero.
 
-Every layer imports this module, so it also holds the two types they all
-share: :class:`Record`, the base of the package's record types, and
-:class:`CatalogError`.  A float command thus loads no exact-algebra module
-to raise one or build the other.
+:class:`Record`, :class:`CatalogError`, :func:`rat` and
+:func:`checked_float` live in :mod:`kinorbit.records`, which every layer
+imports; this module lends them under their old names.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
+
+from .records import CatalogError, Record, checked_float, rat
 
 __all__ = [
     "CatalogError",
@@ -46,86 +46,6 @@ class SingularMatrixError(ValueError):
     def __init__(self, message: str, rank: int) -> None:
         super().__init__(message)
         self.rank = rank
-
-
-_setattr = object.__setattr__
-
-
-class Record:
-    """A record: named fields, compared, hashed and shown field by field.
-
-    A subclass names its fields once, ``__slots__ = _fields = (...)`` (it
-    may add slots after the fields that are not fields), and its
-    ``__init__`` coerces and validates the values before :meth:`_init`
-    stores them.  ``==``, ``hash`` and ``repr`` read the fields in order,
-    as for a dataclass.  A record refuses assignment and deletion unless
-    its class restores ``object.__setattr__`` and ``object.__delattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _init(self, *values) -> None:
-        """Store ``values`` in the slots, in order."""
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
-
-    @classmethod
-    def _stored(cls, *values):
-        """A record of ``values`` stored as they are, without ``__init__``'s
-        checks: for values that pass them by construction."""
-        record = cls.__new__(cls)
-        record._init(*values)
-        return record
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def _replace(self, **changes):
-        """A record of this type with ``changes``, built and checked by ``__init__``."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__
-        return type(self), self._values()
-
-
-class CatalogError(ValueError):
-    """Raised for unknown algebra names, inadmissible variant requests and
-    parameter values outside their domain (a nonpositive scale or mass, a
-    vanishing charge)."""
-
-
-def rat(value) -> Fraction:
-    """Coerce ``value`` to an exact ``Fraction``.
-
-    Accepts ``Fraction``, integers, strings like ``"3/7"``, and floats
-    (converted exactly via their binary expansion).  A ``bool`` is no
-    number here: it raises the :class:`TypeError` that ``None`` does.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (Rational, str, float)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
 _ZERO = Fraction(0)
@@ -319,18 +239,3 @@ def rat_inv(matrix: RatMatrix) -> RatMatrix:
 def rat_rank(matrix: RatMatrix) -> int:
     """Exact rank via the same fraction-free elimination as :func:`rat_inv`."""
     return _eliminate(matrix, augment=False)[0]
-
-
-def checked_float(value, name: str) -> float:
-    """The float nearest the exact ``value``, an int or ``Fraction``;
-    :class:`OverflowError` naming ``name`` when it overflows, or when it is
-    exactly nonzero but rounds to 0."""
-    try:
-        # the correctly rounded quotient float() forms, without the
-        # dispatch of numbers.Rational.__float__
-        result = value.numerator / value.denominator
-    except OverflowError:
-        result = math.inf if value > 0 else -math.inf
-    if math.isinf(result) or (result == 0 and value != 0):
-        raise OverflowError(f"{name} is {result!r} as a float but not exactly")
-    return result

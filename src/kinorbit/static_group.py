@@ -17,10 +17,10 @@ fields' sum and goes through those checks only when that test fails.
 time grid, as the columns ``kinorbit realize`` prints.  The float paths
 read a dual vector in the basis order :data:`_DUAL_NAMES` of
 :func:`noncentral_algebra`.  The module imports no NumPy, and
-:mod:`kinorbit.catalog` (with :mod:`kinorbit.algebra_core` below it),
-:mod:`kinorbit.coadjoint` and :mod:`kinorbit.mechanics` only inside the
-functions that build their types, so the group law, the evolution and its
-rows load none of them.
+:mod:`kinorbit.catalog` (with the structure constants and the linear
+algebra below it), :mod:`kinorbit.coadjoint` and :mod:`kinorbit.mechanics`
+only inside the functions that build their types, so the group law, the
+evolution and its rows load none of them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
 
-from .rational_linalg import CatalogError, Record, checked_float, rat
+from .records import CatalogError, Record, checked_float, exact, rat
 from .timegrid import ROW_BLOCK, first_non_finite, grid_times, step_count
 
 __all__ = [
@@ -104,7 +104,8 @@ class StaticConstants(Record):
         nu: Fraction = Fraction(0),
         h: Fraction = Fraction(0),
     ) -> None:
-        m, mu, beta, kappa, nu, h = (rat(v) for v in (m, mu, beta, kappa, nu, h))
+        m, mu, beta = exact("m", m), exact("mu", mu), exact("beta", beta)
+        kappa, nu, h = exact("kappa", kappa), exact("nu", nu), exact("h", h)
         if mu == 0 or kappa == 0:
             raise CatalogError("charges mu and kappa must be nonzero")
         det = mu * kappa - beta**2
@@ -117,7 +118,7 @@ class StaticConstants(Record):
 
     @property
     def floats(self) -> StaticFloats:
-        """The constants as floats by :func:`~kinorbit.rational_linalg.checked_float`,
+        """The constants as floats by :func:`~kinorbit.records.checked_float`,
         converted on first use for every float path.
 
         Raises :class:`OverflowError` also when the determinant mu*kappa -

@@ -518,10 +518,10 @@ def test_a_unit_or_absent_m_coupling_passes_every_variant() -> None:
 
 @pytest.mark.parametrize("arg", ["omega", "kappa", "mu_charge", "alpha_charge", "m_coupling"])
 def test_a_bool_or_non_finite_parameter_is_refused_by_name(arg) -> None:
-    # rat alone refuses a bool, a nan or an inf with a message that names
-    # no parameter
-    for value in (True, False, float("nan"), float("inf"), -float("inf")):
-        message = f"^{arg} must be a finite rational number, not bool, got {value!r}$"
+    # rat alone refuses a bool, a nan, an inf, a complex or a text that is
+    # no number with a message that names no parameter
+    for value in (True, False, float("nan"), float("inf"), -float("inf"), 1j, "abc"):
+        message = f"^{arg} must be a finite rational number, got {re.escape(repr(value))}$"
         with pytest.raises(CatalogError, match=message):
             build("S", "central_ext", **{arg: value})
     if arg in ("omega", "kappa", "m_coupling"):

@@ -105,17 +105,20 @@ sys.exit(status)
 """
 
 # The kinorbit modules each command loads, beyond the package, the CLI and
-# the two modules every layer imports.  The float commands load their float
-# module alone: no exact-algebra module.
-_BASE = ("kinorbit", "kinorbit.cli", "kinorbit.rational_linalg", "kinorbit.timegrid")
-_CATALOG = ("kinorbit.algebra_core", "kinorbit.catalog")
+# the two modules every layer imports.  ``list`` loads the catalog alone,
+# and ``realize`` the Static group alone: no structure constants and no
+# linear algebra.
+_BASE = ("kinorbit", "kinorbit.cli", "kinorbit.records", "kinorbit.timegrid")
+_EXACT_LAYERS = (
+    "kinorbit.algebra_core", "kinorbit.catalog", "kinorbit.coadjoint", "kinorbit.rational_linalg",
+)
 _LOADS = {
-    "list": _CATALOG,
-    "orbit": (*_CATALOG, "kinorbit.coadjoint"),
-    "classify": (*_CATALOG, "kinorbit.coadjoint"),
-    "verify": (*_CATALOG, "kinorbit.coadjoint", "kinorbit.static_group"),
-    "simulate": ("kinorbit.mechanics",),
-    "simulate --algebra": (*_CATALOG, "kinorbit.coadjoint", "kinorbit.mechanics"),
+    "list": ("kinorbit.catalog",),
+    "orbit": _EXACT_LAYERS,
+    "classify": _EXACT_LAYERS,
+    "verify": (*_EXACT_LAYERS, "kinorbit.static_group"),
+    "simulate": ("kinorbit.mechanics", "kinorbit.rational_linalg"),
+    "simulate --algebra": (*_EXACT_LAYERS, "kinorbit.mechanics"),
     "realize": ("kinorbit.static_group",),
 }
 
@@ -216,7 +219,7 @@ def test_importing_the_package_loads_no_numpy_until_a_float_name_is_used() -> No
     assert result.stdout.decode().splitlines() == [
         # the package alone loads no submodule; a name loads its layers
         "kinorbit",
-        "kinorbit.catalog kinorbit.algebra_core kinorbit.catalog kinorbit.rational_linalg",
+        "kinorbit.catalog kinorbit.catalog kinorbit.records",
         "False False",
         "kinorbit.mechanics kinorbit.static_group",
         "False False",

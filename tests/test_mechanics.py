@@ -449,11 +449,11 @@ def test_a_hamiltonian_spec_keeps_exact_and_float_coefficients() -> None:
 
 # What each kind of entry gives: the float it is read as, or the type and
 # message of the error that refuses it.
-_NOT_AN_ENTRY = "entries must be finite real numbers, not bool, got "
+_NOT_AN_ENTRY = "entries must be finite real numbers, got "
 _ENTRIES = [
     (0.25, 0.25),
     (3, 3.0),
-    (True, (CatalogError, _NOT_AN_ENTRY + "True")),
+    (True, (CatalogError, "entries must be finite real numbers, not bool, got True")),
     (np.float64(0.5), 0.5),
     (Fraction(1, 3), 1 / 3),
     (10**400, (OverflowError, "int too large to convert to float")),
@@ -462,13 +462,14 @@ _ENTRIES = [
     (np.float64("inf"), (CatalogError, _NOT_AN_ENTRY + "np.float64(inf)")),
     ("1", (CatalogError, _NOT_AN_ENTRY + "'1'")),
     (None, (CatalogError, _NOT_AN_ENTRY + "None")),
+    (1j, (CatalogError, _NOT_AN_ENTRY + "1j")),
 ]
 
 
 @pytest.mark.parametrize(
     "entry, expected", _ENTRIES,
     ids=["float", "int", "bool", "numpy-float", "fraction", "huge-int", "huge-fraction", "nan", "numpy-inf",
-         "text", "none"],
+         "text", "none", "complex"],
 )
 def test_each_kind_of_entry_is_read_or_refused_as_before(entry, expected) -> None:
     # each of the spec's five coefficients, kept as given, and the hessian,

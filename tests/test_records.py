@@ -44,6 +44,7 @@ from kinorbit.mechanics import (
     QuadraticHamiltonian,
     integrate,
 )
+from kinorbit.records import CatalogError
 from kinorbit.static_group import (
     StaticConstants,
     StaticFloats,
@@ -232,27 +233,33 @@ def test_replace_rebuilds_and_checks_through_init() -> None:
         state._replace(momentum=(1.0, float("inf")))
 
 
-# exact fields of records and charts, read by rat
+# exact fields of records and charts, read by records.exact: (the field a
+# bool is given to, the constructor)
 _EXACT_FIELDS = {
-    "NCPhaseSpace2D": lambda flag: NCPhaseSpace2D(G_field=flag, F_field=0, mass=flag),
-    "StaticConstants": lambda flag: StaticConstants(m=flag, mu=2, beta=flag, kappa=2),
-    "standard_orbit": lambda flag: standard_orbit("G", m=flag),
+    "NCPhaseSpace2D": ("G_field", lambda flag: NCPhaseSpace2D(G_field=flag, F_field=0, mass=1)),
+    "StaticConstants": ("m", lambda flag: StaticConstants(m=flag, mu=2, beta=1, kappa=1)),
+    "standard_orbit": ("m", lambda flag: standard_orbit("G", m=flag)),
 }
 
 
 @pytest.mark.parametrize("flag", [True, False])
-@pytest.mark.parametrize("make", _EXACT_FIELDS.values(), ids=_EXACT_FIELDS)
-def test_an_exact_field_refuses_a_bool(make, flag) -> None:
-    # a bool is no number to rat: not an exact 1 or 0
-    with pytest.raises(TypeError, match=f"^cannot interpret {flag} as a rational number$"):
+@pytest.mark.parametrize("field, make", _EXACT_FIELDS.values(), ids=_EXACT_FIELDS)
+def test_an_exact_field_refuses_a_bool(field, make, flag) -> None:
+    # a bool is no number to rat: not an exact 1 or 0, and the error names the field
+    message = f"^{field} must be a finite rational number, got {flag}$"
+    with pytest.raises(CatalogError, match=message):
         make(flag)
 
 
 def test_the_shared_base_types_are_one_class_each() -> None:
-    from kinorbit import algebra_core, catalog, rational_linalg
+    from kinorbit import algebra_core, catalog, rational_linalg, records
 
     assert kinorbit.CatalogError is catalog.CatalogError is rational_linalg.CatalogError
-    assert algebra_core.Record is Record is rational_linalg.Record
+    assert records.CatalogError is kinorbit.CatalogError
+    assert algebra_core.Record is Record is rational_linalg.Record is records.Record
+    assert kinorbit.Record is records.Record and kinorbit.rat is records.rat
+    assert rational_linalg.rat is records.rat
+    assert rational_linalg.checked_float is records.checked_float
 
 
 def test_records_pickle_through_init() -> None:
