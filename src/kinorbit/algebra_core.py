@@ -12,10 +12,6 @@ table order.  :meth:`StructureConstants.jacobi_violations` reads a plan of
 those products, built once per pattern and kept in a bounded cache keyed by
 it, and sums them on the table's values scaled to integers by the lcm ``D``
 of their denominators; a nonzero sum ``s`` is the residual ``s / D**2``.
-
-:class:`Record`, the base of the package's record types, lives in
-:mod:`kinorbit.records`, which every layer imports, and is exported here
-too.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from .rational_linalg import RatMatrix
 from .records import Record, rat
 
 __all__ = [
-    "Record",
     "GeneratorLabel",
     "StructureConstants",
     "AlgebraElement",

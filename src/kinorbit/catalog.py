@@ -47,7 +47,6 @@ from functools import cache, partial
 from .records import CatalogError, Record, exact, rat
 
 __all__ = [
-    "CatalogError",
     "KinematicalParams",
     "AlgebraDescriptor",
     "ISOTROPIC_NAMES",
@@ -133,8 +132,9 @@ _DIMENSION_TAGS = {
 _VECTORS = ("K", "P", "F", "Pi")
 
 
-def generator_label(name: str) -> GeneratorLabel:
-    """Generator label with its formal dimension tag attached."""
+def generator_label(name: str):
+    """The :class:`~kinorbit.algebra_core.GeneratorLabel` ``name`` with its
+    formal dimension tag attached."""
     from .algebra_core import GeneratorLabel
 
     family = name.rstrip("12")
@@ -409,8 +409,9 @@ def build(
     mu_charge=None,
     alpha_charge=None,
     m_coupling=None,
-) -> StructureConstants:
-    """Build the structure constants for the catalog entry ``name``, ``variant``.
+):
+    """Build the :class:`~kinorbit.algebra_core.StructureConstants` for the
+    catalog entry ``name``, ``variant``.
 
     An unknown name or variant, or a variant the name does not admit, raises
     :class:`CatalogError`.  A build fills the expansion of its (name,

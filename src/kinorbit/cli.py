@@ -81,15 +81,12 @@ class ConfigError(ValueError):
 
 
 class RunConfig(Record):
-    """A fully resolved run request; unlike the package's other records it
-    is mutable, and so unhashable.  ``params`` defaults to a new empty dict."""
+    """A fully resolved run request.  ``params`` defaults to a new empty dict,
+    which makes the record unhashable; :meth:`_replace` gives a changed copy."""
 
     __slots__ = _fields = (
         "command", "algebra", "variant", "params", "t_end", "dt", "out", "format",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -442,14 +439,16 @@ def _cmd_list(config: RunConfig, params: dict) -> tuple[int, dict]:
     return 0, _columns(fieldnames, rows)
 
 
-def _max_violation(algebra: StructureConstants) -> Fraction:
+def _max_violation(algebra) -> Fraction:
+    """Largest Jacobi residual of the structure constants ``algebra``, 0 if none."""
     return max(
         (violation.magnitude for violation in algebra.jacobi_violations()),
         default=Fraction(0),
     )
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
+def _random_fraction(rng) -> Fraction:
+    """A fraction p/q, p in [-9, 9] and q in [1, 9], from the ``random.Random`` ``rng``."""
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
@@ -461,8 +460,9 @@ def _inverse_residual(structure) -> Fraction:
     )
 
 
-def _worst_residual(algebra: StructureConstants, checks) -> Fraction:
-    """Largest |K(alpha) . grad I| over the ``(invariant, point)`` pairs of ``checks``."""
+def _worst_residual(algebra, checks) -> Fraction:
+    """Largest |K(alpha) . grad I| of the structure constants ``algebra`` over
+    the ``(invariant, point)`` pairs of ``checks``."""
     return max(
         (
             abs(r)

@@ -43,7 +43,6 @@ __all__ = [
     "MagneticCouplings",
     "OrbitInvariant",
     "StandardOrbit",
-    "STANDARD_ORBIT_NAMES",
     "kirillov_matrix",
     "casimir_residual",
     "forward_mode_gradient",

@@ -35,19 +35,14 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import repeat
-from numbers import Real
 from operator import add, mul
 from typing import Sequence
 
 from .rational_linalg import RatMatrix, _matrix, rat_inv
-from .records import CatalogError, Record, checked_float, exact
-from .timegrid import (
-    MAX_STEPS, ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count,
-)
+from .records import CatalogError, Record, checked_float, exact, real
+from .timegrid import ROW_BLOCK, IntegrationError, first_non_finite, grid_times, step_count
 
 __all__ = [
-    "MAX_STEPS",
-    "IntegrationError",
     "QuadraticHamiltonian",
     "NCPhaseSpace2D",
     "HamiltonianSpec",
@@ -56,23 +51,9 @@ __all__ = [
     "linear_system",
     "propagator",
     "planar_flow",
-    "step_count",
     "integrate",
     "trajectory_rows",
 ]
-
-
-def _float_entry(x, name: str) -> float:
-    """The float of ``x``, a finite real number that is not a bool (an int,
-    Fraction, float or NumPy scalar); :class:`CatalogError` naming ``name``
-    otherwise.  A finite ``float`` itself, the common entry, is returned
-    after its one ``isfinite`` test."""
-    if type(x) is float and math.isfinite(x):
-        return x
-    if isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(value := float(x)):
-        return value
-    not_bool = " not bool," if isinstance(x, bool) else ""
-    raise CatalogError(f"{name} entries must be finite real numbers,{not_bool} got {x!r}")
 
 
 def _float_form(floats, c: float) -> tuple[list, list]:
@@ -88,9 +69,9 @@ def _float_form(floats, c: float) -> tuple[list, list]:
 class QuadraticHamiltonian(Record):
     """H(z) = z'Qz/2 + g.z + c over a chart's canonical coordinates z: the
     symmetric n x n ``hessian`` Q, the n-vector ``gradient`` g and the
-    ``constant`` c, finite real numbers that are not ``bool`` (an ``int``,
-    ``Fraction``, ``float`` or NumPy scalar) kept as given
-    (:class:`CatalogError` otherwise).  Only :meth:`system`, :meth:`value`
+    ``constant`` c, kept as given and each read by
+    :func:`~kinorbit.records.real` (``hessian[i][j]``, ``gradient[i]`` and
+    ``constant`` name them).  Only :meth:`system`, :meth:`value`
     and :meth:`column_values` read H, through the floats of
     M = [[Q, g], [g', 2c]] (H = (z, 1)' M (z, 1)/2) that construction
     converts once: each row of [Q | g] as the (column, entry) pairs of its
@@ -105,24 +86,29 @@ class QuadraticHamiltonian(Record):
         n = len(gradient)
         if tuple(map(len, hessian)) != (n,) * n or tuple(zip(*hessian)) != hessian:
             raise CatalogError(f"the hessian must be a symmetric {n} x {n} matrix")
-        floats = [[_float_entry(x, "hamiltonian") for x in (*row, g)]
-                  for row, g in zip(hessian, gradient)]
-        self._init(hessian, gradient, constant,
-                   *_float_form(floats, _float_entry(constant, "hamiltonian")))
+        floats = [[real(f"hessian[{i}][{j}]", x) for j, x in enumerate(row)]
+                  + [real(f"gradient[{i}]", g)] for i, (row, g) in enumerate(zip(hessian, gradient))]
+        self._init(hessian, gradient, constant, *_float_form(floats, real("constant", constant)))
 
     def system(self, theta) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
         """A = theta Q and b = theta g of the flow dz/dt = theta grad H = A z + b
         under the n x n bracket matrix ``theta``, as tuples of floats: each
-        entry is the sum of its nonzero float products, added left to right."""
+        entry is the sum of its nonzero float products, added left to right.
+        A nonzero ``int`` or ``Fraction`` entry of theta is read by
+        :func:`~kinorbit.records.checked_float`, so one that no float holds
+        raises :class:`OverflowError` naming it (``theta[i][k]``)."""
         n = len(self.gradient)
         if tuple(map(len, theta)) != (n,) * n:
             raise ValueError(f"theta must be {n} x {n}, the size of the hessian")
         A, b = [], []
-        for theta_row in theta:
+        for i, theta_row in enumerate(theta):
             entries = [0.0] * (n + 1)
             # Q is symmetric: the rows of [Q | g] are its columns
-            for t, row in zip(map(float, theta_row), self._rows):
+            for k, (t, row) in enumerate(zip(theta_row, self._rows)):
                 if t:
+                    if type(t) is not float:
+                        t = (checked_float(t, f"theta[{i}][{k}]")
+                             if isinstance(t, (int, Fraction)) else float(t))
                     for j, x in row:
                         entries[j] += t * x
             b.append(entries.pop())
@@ -190,14 +176,16 @@ class NCPhaseSpace2D(Record):
         return rat_inv(self.theta_matrix())
 
 
+_COEFFICIENTS = tuple(f"coefficient {name}" for name in ("a1", "a2", "k11", "k12", "k22"))
+
+
 class HamiltonianSpec(Record):
     """Potential data for H = p^2/(2m) + a.q + q'Kq/2.
 
     ``linear`` holds (a1, a2); ``quadratic`` holds the symmetric matrix
-    entries (k11, k12, k22).  Each entry is a finite real number that is
-    not a ``bool`` (an ``int``, ``Fraction``, ``float`` or NumPy scalar;
-    :class:`CatalogError` otherwise), converted to a float once, here, for
-    :meth:`hamiltonian`.
+    entries (k11, k12, k22).  Each entry is kept as given and read once,
+    here, for :meth:`hamiltonian`, by :func:`~kinorbit.records.real`, which
+    names it (``coefficient a1`` to ``coefficient k22``).
     """
 
     _fields = ("linear", "quadratic")
@@ -211,8 +199,7 @@ class HamiltonianSpec(Record):
         linear, quadratic = tuple(linear), tuple(quadratic)
         if (len(linear), len(quadratic)) != (2, 3):
             raise CatalogError(f"expected (a1, a2) and (k11, k12, k22), got {linear}, {quadratic}")
-        floats = tuple(_float_entry(x, "HamiltonianSpec") for x in (*linear, *quadratic))
-        self._init(linear, quadratic, floats)
+        self._init(linear, quadratic, tuple(map(real, _COEFFICIENTS, (*linear, *quadratic))))
 
     def hamiltonian(self, space: NCPhaseSpace2D) -> QuadraticHamiltonian:
         """This H on ``space``, over (q1, q2, p1, p2): Q = diag(K, 1/m, 1/m)

@@ -14,10 +14,6 @@ congruence adds up the products of each result entry as integer
 numerator/denominator pairs and forms one ``Fraction`` per nonzero entry;
 an entry that no product reaches, or whose products cancel, is the shared
 zero.
-
-:class:`Record`, :class:`CatalogError`, :func:`rat` and
-:func:`checked_float` live in :mod:`kinorbit.records`, which every layer
-imports; this module lends them under their old names.
 """
 
 from __future__ import annotations
@@ -25,16 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .records import CatalogError, Record, checked_float, rat
+from .records import rat
 
 __all__ = [
-    "CatalogError",
-    "Record",
     "SingularMatrixError",
     "RatMatrix",
-    "checked_float",
     "congruence",
-    "rat",
     "rat_inv",
     "rat_rank",
 ]

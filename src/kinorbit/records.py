@@ -2,19 +2,20 @@
 
 :class:`Record`, the base of the package's record types;
 :class:`CatalogError`, the error a value outside its domain raises;
-:func:`rat` and :func:`exact`, which read an exact ``Fraction``; and
-:func:`checked_float`, which converts one to a float.  Every layer imports
-this module, so a command loads no linear algebra and no structure
-constants to build a record, raise the error or read a value.
+:func:`rat` and :func:`exact`, which read an exact ``Fraction``;
+:func:`checked_float`, which converts one to a float; and :func:`real`,
+the one reader of a named float entry.  Every layer imports this module,
+so a command loads no linear algebra and no structure constants to build
+a record, raise the error or read a value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
-__all__ = ["CatalogError", "Record", "checked_float", "exact", "rat"]
+__all__ = ["CatalogError", "Record", "checked_float", "exact", "rat", "real"]
 
 
 _setattr = object.__setattr__
@@ -27,8 +28,8 @@ class Record:
     may add slots after the fields that are not fields), and its
     ``__init__`` coerces and validates the values before :meth:`_init`
     stores them.  ``==``, ``hash`` and ``repr`` read the fields in order,
-    as for a dataclass.  A record refuses assignment and deletion unless
-    its class restores ``object.__setattr__`` and ``object.__delattr__``.
+    as for a dataclass.  A record refuses assignment and deletion;
+    :meth:`_replace` gives a changed copy.
     """
 
     __slots__ = ()
@@ -121,3 +122,26 @@ def checked_float(value, name: str) -> float:
     if math.isinf(result) or (result == 0 and value != 0):
         raise OverflowError(f"{name} is {result!r} as a float but not exactly")
     return result
+
+
+def real(name: str, value) -> float:
+    """The float of the entry ``name``, the float counterpart of :func:`exact`.
+
+    A finite ``float`` is returned as it is; an ``int`` or ``Fraction`` is
+    :func:`checked_float` of it, so one that overflows, or is nonzero but
+    rounds to 0, raises :class:`OverflowError` naming ``name``; any other
+    finite real number (a NumPy scalar) is its ``float``.  A ``bool``, a
+    value that is no real number or one that is not finite raises
+    :class:`CatalogError` naming ``name``.
+    """
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+    elif isinstance(value, bool) or not isinstance(value, Real):
+        raise CatalogError(f"{name} must be a real number, got {value!r}")
+    elif isinstance(value, (int, Fraction)):
+        return checked_float(value, name)
+    elif math.isfinite(converted := float(value)):
+        return converted
+    raise CatalogError(f"{name} must be finite, got {value!r}")
+

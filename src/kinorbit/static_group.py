@@ -29,10 +29,9 @@ import functools
 import math
 from array import array
 from fractions import Fraction
-from numbers import Real
 from typing import NamedTuple
 
-from .records import CatalogError, Record, checked_float, exact, rat
+from .records import CatalogError, Record, checked_float, exact, rat, real
 from .timegrid import ROW_BLOCK, first_non_finite, grid_times, step_count
 
 __all__ = [
@@ -59,9 +58,9 @@ _DUAL_NAMES = ("J", "K1", "K2", "P1", "P2", "H", "M", "F1", "F2", "Pi1", "Pi2", 
 
 
 @functools.cache
-def noncentral_algebra() -> StructureConstants:
+def noncentral_algebra():
     """The 14-dimensional noncentral extension of the Static algebra, on the
-    basis :data:`_DUAL_NAMES`."""
+    basis :data:`_DUAL_NAMES`, as :class:`~kinorbit.algebra_core.StructureConstants`."""
     from .catalog import build
 
     return build("S", "noncentral_ext")
@@ -137,26 +136,15 @@ class StaticConstants(Record):
         return floats
 
 
-def _finite(name: str, value, kind: str) -> float:
-    """``value`` as a float; :class:`ValueError` naming the ``kind`` and ``name``
-    unless it is a finite real number (a ``bool`` is not one)."""
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{kind} {name} must be a real number, got {value!r}")
-        value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{kind} {name} must be finite, got {value!r}")
-    return value
-
-
-def _finite_pair(name: str, pair, kind: str) -> tuple[float, float]:
-    """:func:`_finite` of both entries of the pair ``pair``; :class:`ValueError`
-    naming the ``kind`` and ``name`` unless ``pair`` holds two entries."""
+def _finite_pair(name: str, pair) -> tuple[float, float]:
+    """:func:`~kinorbit.records.real` of both entries of the pair ``pair``, each
+    named ``name``; :class:`ValueError` naming it unless ``pair`` holds two
+    entries."""
     try:
         a, b = pair
     except (TypeError, ValueError):
-        raise ValueError(f"{kind} {name} must be a pair, got {pair!r}") from None
-    return _finite(name, a, kind), _finite(name, b, kind)
+        raise ValueError(f"{name} must be a pair, got {pair!r}") from None
+    return real(name, a), real(name, b)
 
 
 def _checked(cls, total: float, *values):
@@ -186,8 +174,8 @@ class StaticGroupElement(Record):
     Vector parameters: ``boost`` (conjugate to K), ``translation`` (P),
     ``f_shift`` (F), ``pi_shift`` (Pi).  Scalars: ``angle`` (rotation),
     ``time`` (H), and the four phases conjugate to the charges M, M', B,
-    Lambda.  Every parameter must be a finite real number, not a ``bool``
-    (:class:`ValueError` naming it otherwise).
+    Lambda.  Each parameter is read by :func:`~kinorbit.records.real`, as
+    ``group parameter <name>``.
     """
 
     __slots__ = _fields = (
@@ -209,19 +197,18 @@ class StaticGroupElement(Record):
         phase_lambda: float = 0.0,
     ) -> None:
         # the scalars are checked first, then the vectors
-        kind = "group parameter"
-        angle, time = _finite("angle", angle, kind), _finite("time", time, kind)
-        phase_m = _finite("phase_m", phase_m, kind)
-        phase_mprime = _finite("phase_mprime", phase_mprime, kind)
-        phase_b = _finite("phase_b", phase_b, kind)
-        phase_lambda = _finite("phase_lambda", phase_lambda, kind)
+        angle, time = real("group parameter angle", angle), real("group parameter time", time)
+        phase_m = real("group parameter phase_m", phase_m)
+        phase_mprime = real("group parameter phase_mprime", phase_mprime)
+        phase_b = real("group parameter phase_b", phase_b)
+        phase_lambda = real("group parameter phase_lambda", phase_lambda)
         self._init(
             angle,
-            _finite_pair("boost", boost, kind),
-            _finite_pair("translation", translation, kind),
+            _finite_pair("group parameter boost", boost),
+            _finite_pair("group parameter translation", translation),
             time,
-            _finite_pair("f_shift", f_shift, kind),
-            _finite_pair("pi_shift", pi_shift, kind),
+            _finite_pair("group parameter f_shift", f_shift),
+            _finite_pair("group parameter pi_shift", pi_shift),
             phase_m, phase_mprime, phase_b, phase_lambda,
         )
 
@@ -326,8 +313,8 @@ class StaticOrbitState(Record):
     noncentral generators, q = -f/kappa_e and u = I/mu_e; ``momentum`` (p)
     and ``boost_momentum`` (k) are the duals of translations and boosts.
     ``energy`` and ``angular_momentum`` are the dual values of H and J.
-    Every field must be a finite real number, not a ``bool``
-    (:class:`ValueError` naming it otherwise).
+    Each field is read by :func:`~kinorbit.records.real`, as
+    ``state field <name>``.
     """
 
     __slots__ = _fields = (
@@ -345,15 +332,14 @@ class StaticOrbitState(Record):
         energy: float = 0.0,
         angular_momentum: float = 0.0,
     ) -> None:
-        kind = "state field"
         self._init(
             constants,
-            _finite_pair("position", position, kind),
-            _finite_pair("velocity", velocity, kind),
-            _finite_pair("momentum", momentum, kind),
-            _finite_pair("boost_momentum", boost_momentum, kind),
-            _finite("energy", energy, kind),
-            _finite("angular_momentum", angular_momentum, kind),
+            _finite_pair("state field position", position),
+            _finite_pair("state field velocity", velocity),
+            _finite_pair("state field momentum", momentum),
+            _finite_pair("state field boost_momentum", boost_momentum),
+            real("state field energy", energy),
+            real("state field angular_momentum", angular_momentum),
         )
 
     @property
@@ -456,8 +442,9 @@ def _invariant_values() -> tuple:
 
 
 @functools.cache
-def noncentral_invariants() -> tuple[OrbitInvariant, OrbitInvariant]:
-    """The two Casimir functions of the 14-dimensional extension.
+def noncentral_invariants() -> tuple:
+    """The two Casimir functions of the 14-dimensional extension, as a pair of
+    :class:`~kinorbit.coadjoint.OrbitInvariant`.
 
     ``internal_rotation`` subtracts from the J dual value the orbital part
     built from the vector duals; ``internal_energy`` subtracts from the H
@@ -485,7 +472,7 @@ def static_invariants(state: StaticOrbitState):
     alpha = _dual(state)
     c = state.constants.floats
     s, u = s_value(alpha), u_value(alpha) - c.nu * c.h
-    return _finite("s_inv", s, "invariant"), _finite("U", u, "invariant")
+    return real("invariant s_inv", s), real("invariant U", u)
 
 
 # -- symplectic structure and evolution ------------------------------------
@@ -493,10 +480,9 @@ def static_invariants(state: StaticOrbitState):
 _CHART_DUAL_ORDER = ("P1", "P2", "K1", "K2", "F1", "F2", "Pi1", "Pi2")
 
 
-def static_symplectic(
-    constants: StaticConstants, energy=Fraction(0), angular_momentum=Fraction(0)
-) -> SymplecticStructure:
-    """Exact symplectic structure of the eight-dimensional orbit chart.
+def static_symplectic(constants: StaticConstants, energy=Fraction(0), angular_momentum=Fraction(0)):
+    """Exact symplectic structure of the eight-dimensional orbit chart, as a
+    :class:`~kinorbit.coadjoint.SymplecticStructure`.
 
     The chart spans the dual directions (P, K, F, Pi); the canonical map
     sends them to (q, u, p, k) with q = -f/kappa_e and u = I/mu_e, each
@@ -532,7 +518,8 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     """Closed-form evolution by time ``t``.
 
     Positions and velocities are frozen; momenta and boost momenta drift
-    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  The other
+    linearly, p(t) = p - t*kappa_e*q and k(t) = k + t*mu_e*u.  ``t`` is read
+    by :func:`~kinorbit.records.real`, as ``time t``.  The other
     fields are the checked fields of ``state``, so only the drifted pairs
     are tested, as :func:`realize` tests its fields: a drifted value that is
     not finite raises :class:`ValueError` naming it, momentum first, as
@@ -541,7 +528,7 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity
     (p1, p2), (k1, k2) = state.momentum, state.boost_momentum
-    t = float(t)
+    t = real("time t", t)
     p1, p2 = p1 - t * kappa_e * q1, p2 - t * kappa_e * q2
     k1, k2 = k1 + t * mu_e * u1, k2 + t * mu_e * u2
     return _checked(
@@ -608,10 +595,11 @@ def evolution_rows(state: StaticOrbitState, t_end: float, dt: float) -> dict:
     }
 
 
-def evolution_hamiltonian(constants: StaticConstants) -> QuadraticHamiltonian:
+def evolution_hamiltonian(constants: StaticConstants):
     """H = -(kappa_e q^2/2 + mu_e u^2/2 + (beta mu_e/mu) q.u), exact, over the
-    canonical coordinates (q, u, p, k) of :func:`static_symplectic`: its flow
-    under the chart's ``canonical_theta`` is :func:`time_evolution`'s."""
+    canonical coordinates (q, u, p, k) of :func:`static_symplectic`, as a
+    :class:`~kinorbit.mechanics.QuadraticHamiltonian`: its flow under the
+    chart's ``canonical_theta`` is :func:`time_evolution`'s."""
     from .mechanics import QuadraticHamiltonian
 
     n = len(_CHART_DUAL_ORDER)

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinorbit.algebra_core import StructureConstants
-from kinorbit.rational_linalg import RatMatrix, rat
+from kinorbit.rational_linalg import RatMatrix
+from kinorbit.records import rat
 from kinorbit.timegrid import IntegrationError, grid_times, step_count
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import reference_forms as rf
-from kinorbit.catalog import CatalogError, build, list_catalog
+from kinorbit.catalog import build, list_catalog
 from kinorbit.coadjoint import (
     DualPoint,
     classify,
@@ -31,6 +31,7 @@ from kinorbit.mechanics import (
     linear_system,
 )
 from kinorbit.rational_linalg import RatMatrix, congruence, rat_inv
+from kinorbit.records import CatalogError
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,

@@ -19,12 +19,12 @@ from kinorbit.catalog import (
     NONCENTRAL_EXTENSION_NAMES,
     VARIANTS,
     AlgebraDescriptor,
-    CatalogError,
     KinematicalParams,
     build,
     generator_label,
     list_catalog,
 )
+from kinorbit.records import CatalogError
 
 
 def _rand_param(rng: random.Random) -> Fraction:

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from kinorbit import cli, timegrid
-from kinorbit.catalog import CatalogError, build
+from kinorbit.catalog import build
 from kinorbit.cli import MAX_PARAM_DIGITS, ConfigError, RunConfig, main
+from kinorbit.records import CatalogError
 
 
 def _run(capsys, argv):

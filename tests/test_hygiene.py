@@ -1,9 +1,12 @@
 """Static hygiene of the package source, read with the stdlib ``ast`` module.
 
-Every name a module exports through ``__all__`` must exist, every name a
-module imports must be used in it (a name listed in ``__all__`` counts as
-used, which covers the package's re-exports), and every private
-module-level function, class or constant must be read in its module.
+Every name a module exports through ``__all__`` must exist and be defined
+in that module, not imported into it (the package ``__init__``, which lends
+its modules' names, aside), every name a module imports must be used in it,
+every name a test imports from a module must be defined there, and every
+private module-level function, class or constant must be read in its
+module.  ``typing.get_type_hints`` resolves the annotations of every
+function and method of the package.
 The exact layer and the CLI import neither NumPy nor the float layer
 when they load, and NumPy is imported in one function body only, that of
 ``mechanics.integrate``.  No module imports ``dataclasses``, and the
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -68,8 +73,8 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level names with a leading underscore that are not dunders."""
+def _definitions(tree: ast.Module) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -82,9 +87,14 @@ def _private_definitions(tree: ast.Module) -> list[str]:
                 for leaf in ast.walk(target)
                 if isinstance(leaf, ast.Name)
             )
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names with a leading underscore that are not dunders."""
     return [
         name
-        for name in names
+        for name in _definitions(tree)
         if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     ]
 
@@ -109,12 +119,99 @@ def test_the_package_exports_exactly_the_names_its_modules_lend() -> None:
         assert sorted(set(names) - set(exported)) == [], module
 
 
+@pytest.mark.parametrize("path", [path for path in _MODULES if path.stem != "__init__"],
+                         ids=_module_name)
+def test_no_module_exports_another_modules_names(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(set(_exported(path)) - set(_definitions(tree))) == []
+
+
+def test_the_export_check_sees_an_imported_name() -> None:
+    tree = ast.parse("from .records import rat\nX = 1\ndef f(): pass\nclass C: pass")
+    assert sorted({"rat", "X", "f", "C"} - set(_definitions(tree))) == ["rat"]
+
+
+def _kinorbit_imports(path: Path):
+    """``(line, module, name)`` for each name ``path`` imports from a
+    ``kinorbit`` submodule."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kinorbit."):
+            for alias in node.names:
+                yield node.lineno, node.module, alias.name
+
+
+@pytest.mark.parametrize("path", [path for path in _SOURCES if not path.is_relative_to(_PACKAGE)],
+                         ids=lambda path: str(path.relative_to(_ROOT)))
+def test_names_are_imported_from_the_module_that_defines_them(path: Path) -> None:
+    defined = {
+        module.stem: set(_definitions(ast.parse(module.read_text(encoding="utf-8"))))
+        for module in _MODULES
+    }
+    foreign = [
+        (line, f"{module}.{name}")
+        for line, module, name in _kinorbit_imports(path)
+        if name not in defined[module.removeprefix("kinorbit.")]
+    ]
+    assert foreign == []
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)
 def test_no_unused_imports(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(_exported(path))
     assert sorted(_imported(tree) - used) == []
+
+
+def _functions(module) -> list:
+    """``(name, function)`` for each function and method the source of
+    ``module`` defines: module-level functions, ``functools.cache`` and
+    ``lru_cache`` wrappers, and the methods, class and static methods and
+    property accessors of its classes.  Functions that a class factory
+    writes for it (a ``NamedTuple``'s ``__new__``) have no source there."""
+    source = inspect.getsourcefile(module)
+
+    def own(function) -> bool:
+        code = getattr(inspect.unwrap(function), "__code__", None)
+        return code is not None and code.co_filename == source
+
+    found = []
+    for name, value in vars(module).items():
+        if inspect.isclass(value) and value.__module__ == module.__name__:
+            for attribute, member in vars(value).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                members = (
+                    [member.fget, member.fset, member.fdel]
+                    if isinstance(member, property) else [member]
+                )
+                found += [(f"{name}.{attribute}", m) for m in members if callable(m) and own(m)]
+        elif callable(value) and own(value):
+            found.append((name, value))
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_name)
+def test_every_annotation_resolves(path: Path) -> None:
+    # an annotation that names a type its module imports only inside a
+    # function body raises NameError here
+    module = importlib.import_module(_module_name(path))
+    unresolved = []
+    for name, function in _functions(module):
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
+
+
+def test_the_annotation_check_sees_functions_methods_and_caches() -> None:
+    static_group = importlib.import_module("kinorbit.static_group")
+    names = [name for name, _ in _functions(static_group)]
+    assert {"compose", "noncentral_algebra", "StaticConstants.floats",
+            "StaticGroupElement.__init__"} <= set(names)
+    assert "StaticFloats.__new__" not in names
+    records = importlib.import_module("kinorbit.records")
+    assert {"Record._stored", "real"} <= {name for name, _ in _functions(records)}
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=_module_name)

@@ -11,24 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_forms as rf
-from kinorbit.catalog import CatalogError
 from kinorbit.cli import main
 from kinorbit.coadjoint import darboux_map, standard_orbit
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
-    MAX_STEPS,
     HamiltonianSpec,
-    IntegrationError,
     NCPhaseSpace2D,
     QuadraticHamiltonian,
     integrate,
     linear_system,
     planar_flow,
     propagator,
-    step_count,
     trajectory_rows,
 )
 from kinorbit.rational_linalg import RatMatrix, congruence
+from kinorbit.records import CatalogError
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -37,7 +34,7 @@ from kinorbit.static_group import (
     static_symplectic,
     time_evolution,
 )
-from kinorbit.timegrid import grid_times
+from kinorbit.timegrid import MAX_STEPS, IntegrationError, grid_times, step_count
 
 
 def _numpy_rows(space, ham, state0, t_end, dt):
@@ -448,44 +445,47 @@ def test_a_hamiltonian_spec_keeps_exact_and_float_coefficients() -> None:
 
 
 # What each kind of entry gives: the float it is read as, or the type and
-# message of the error that refuses it.
-_NOT_AN_ENTRY = "entries must be finite real numbers, got "
+# message of the error that refuses it, with {} for the entry's name.
+_NOT_AN_ENTRY = "{} must be a real number, got "
 _ENTRIES = [
     (0.25, 0.25),
     (3, 3.0),
-    (True, (CatalogError, "entries must be finite real numbers, not bool, got True")),
+    (True, (CatalogError, _NOT_AN_ENTRY + "True")),
     (np.float64(0.5), 0.5),
     (Fraction(1, 3), 1 / 3),
-    (10**400, (OverflowError, "int too large to convert to float")),
-    (Fraction(10**400), (OverflowError, "integer division result too large for a float")),
-    (math.nan, (CatalogError, _NOT_AN_ENTRY + "nan")),
-    (np.float64("inf"), (CatalogError, _NOT_AN_ENTRY + "np.float64(inf)")),
+    (10**400, (OverflowError, "{} is inf as a float but not exactly")),
+    (Fraction(10**400), (OverflowError, "{} is inf as a float but not exactly")),
+    (math.nan, (CatalogError, "{} must be finite, got nan")),
+    (np.float64("inf"), (CatalogError, "{} must be finite, got np.float64(inf)")),
     ("1", (CatalogError, _NOT_AN_ENTRY + "'1'")),
     (None, (CatalogError, _NOT_AN_ENTRY + "None")),
     (1j, (CatalogError, _NOT_AN_ENTRY + "1j")),
+    (Fraction(1, 10**400), (OverflowError, "{} is 0.0 as a float but not exactly")),
 ]
 
 
 @pytest.mark.parametrize(
     "entry, expected", _ENTRIES,
     ids=["float", "int", "bool", "numpy-float", "fraction", "huge-int", "huge-fraction", "nan", "numpy-inf",
-         "text", "none", "complex"],
+         "text", "none", "complex", "tiny-fraction"],
 )
 def test_each_kind_of_entry_is_read_or_refused_as_before(entry, expected) -> None:
     # each of the spec's five coefficients, kept as given, and the hessian,
     # gradient and constant of a quadratic Hamiltonian, each read by the
-    # one float product or sum that holds it alone
+    # one float product or sum that holds it alone; an error names the entry
     def spec(slot):
         coefficients = [0.0] * 5
         coefficients[slot] = entry
         return lambda: HamiltonianSpec(coefficients[:2], coefficients[2:])
 
-    records = [("HamiltonianSpec", spec(slot), None) for slot in range(5)] + [
-        ("hamiltonian", lambda: QuadraticHamiltonian([[entry]], [0.0]),
-         lambda H: H.system([[1.0]])[0][0][0]),
-        ("hamiltonian", lambda: QuadraticHamiltonian([[1.0]], [entry]),
+    coefficients = ("a1", "a2", "k11", "k12", "k22")
+    records = [(f"coefficient {name}", spec(slot), None) for slot, name in enumerate(coefficients)]
+    records += [
+        ("hessian[1][1]", lambda: QuadraticHamiltonian([[1.0, 0.0], [0.0, entry]], [0.0, 0.0]),
+         lambda H: H.system([[0.0, 0.0], [0.0, 1.0]])[0][1][1]),
+        ("gradient[0]", lambda: QuadraticHamiltonian([[1.0]], [entry]),
          lambda H: H.system([[1.0]])[1][0]),
-        ("hamiltonian", lambda: QuadraticHamiltonian([[1.0]], [0.0], entry),
+        ("constant", lambda: QuadraticHamiltonian([[1.0]], [0.0], entry),
          lambda H: H.value([0.0])),
     ]
     for name, make, read in records:
@@ -500,9 +500,24 @@ def test_each_kind_of_entry_is_read_or_refused_as_before(entry, expected) -> Non
             error, message = expected
             with pytest.raises(error) as err:
                 make()
-            if error is CatalogError:
-                message = f"{name} {message}"
-            assert type(err.value) is error and str(err.value) == message
+            assert type(err.value) is error and str(err.value) == message.format(name)
+
+
+@pytest.mark.parametrize(
+    "entry, float_text", [(Fraction(1, 10**400), "0.0"), (-(10**400), "-inf")], ids=["tiny", "huge"]
+)
+def test_an_exact_theta_entry_no_float_holds_is_named(entry, float_text) -> None:
+    H = QuadraticHamiltonian([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    with pytest.raises(OverflowError, match=rf"^theta\[0\]\[1\] is {float_text} as a float but not exactly$"):
+        H.system([[0, entry], [-1, 0]])
+    # an exact entry a float holds is its nearest float, and a zero is skipped
+    assert H.system([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]) == (
+        ((0.0, 1 / 3), (-1 / 3, 0.0)), (0.0, -1 / 3),
+    )
+    # a NumPy scalar is its Python float
+    A, b = H.system([[0, np.int64(2)], [np.float32(-0.5), 0]])
+    assert A == ((0.0, 2.0), (-0.5, 0.0)) and b == (0.0, -0.5)
+    assert {type(x) for x in (*A[0], *A[1], *b)} == {float}
 
 
 def test_numpy_scalars_are_read_as_their_floats() -> None:

@@ -26,14 +26,13 @@ import reference_forms as rf
 from kinorbit.algebra_core import StructureConstants, _jacobi_plan
 from kinorbit.catalog import (
     CENTRAL_EXTENSION_NAMES,
-    CatalogError,
+    STANDARD_ORBIT_NAMES,
     build,
     generator_label,
     list_catalog,
 )
 from kinorbit.cli import main
 from kinorbit.coadjoint import (
-    STANDARD_ORBIT_NAMES,
     DegenerateChartError,
     DualPoint,
     OrbitChart,
@@ -51,7 +50,6 @@ from kinorbit.coadjoint import (
 from kinorbit.mechanics import (
     CANONICAL_BRACKET_MATRIX,
     HamiltonianSpec,
-    IntegrationError,
     NCPhaseSpace2D,
     QuadraticHamiltonian,
     _bracket_rows,
@@ -62,11 +60,11 @@ from kinorbit.mechanics import (
 from kinorbit.rational_linalg import (
     RatMatrix,
     SingularMatrixError,
-    checked_float,
     congruence,
     rat_inv,
     rat_rank,
 )
+from kinorbit.records import CatalogError, checked_float
 from kinorbit.static_group import (
     StaticConstants,
     StaticGroupElement,
@@ -83,7 +81,7 @@ from kinorbit.static_group import (
     static_symplectic,
     time_evolution,
 )
-from kinorbit.timegrid import grid_times
+from kinorbit.timegrid import IntegrationError, grid_times
 
 _REPEATABLE = settings(
     derandomize=True, database=None, deadline=None, max_examples=50

@@ -3,9 +3,8 @@
 Each record is a slotted class whose ``__init__`` coerces and validates
 its fields.  Its constructor takes the parameters the dataclass took, in
 the same order and with the same defaults; ``==``, ``hash`` and ``repr``
-read the fields in order; assignment raises on every record but the
-mutable ``RunConfig``; ``copy`` and ``pickle`` rebuild a record through
-its ``__init__``.
+read the fields in order; assignment raises on every record; ``copy``
+and ``pickle`` rebuild a record through its ``__init__``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 
 import kinorbit
 import reference_forms as rf
-from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation, Record
+from kinorbit.algebra_core import AlgebraElement, GeneratorLabel, JacobiViolation
 from kinorbit.catalog import (
     ISOTROPIC_NAMES,
     AlgebraDescriptor,
@@ -44,7 +43,7 @@ from kinorbit.mechanics import (
     QuadraticHamiltonian,
     integrate,
 )
-from kinorbit.records import CatalogError
+from kinorbit.records import CatalogError, Record
 from kinorbit.static_group import (
     StaticConstants,
     StaticFloats,
@@ -196,9 +195,7 @@ def test_repr_reads_like_the_dataclass_repr() -> None:
     )
 
 
-@pytest.mark.parametrize(
-    "cls", [cls for cls in _RECORDS if cls is not RunConfig], ids=lambda cls: cls.__name__
-)
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
 def test_frozen_records_refuse_assignment(cls) -> None:
     record, field, other = _SAMPLES[cls]
     before = getattr(record, field)
@@ -211,12 +208,15 @@ def test_frozen_records_refuse_assignment(cls) -> None:
     assert getattr(record, field) is before
 
 
-def test_run_config_stays_mutable_and_unhashable() -> None:
+def test_run_config_refuses_assignment_and_stays_unhashable() -> None:
     config = RunConfig("list")
-    config.out = "table.csv"
-    assert config.out == "table.csv"
-    assert config == RunConfig("list", out="table.csv")
-    assert RunConfig.__hash__ is None
+    with pytest.raises(AttributeError, match="cannot assign to field 'out'"):
+        config.out = "table.csv"
+    assert config.out is None
+    assert config._replace(out="table.csv") == RunConfig("list", out="table.csv")
+    # its params dict makes it unhashable
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(config)
     # every instance gets its own params dict
     assert RunConfig("list").params == {} and RunConfig("list").params is not config.params
 
@@ -252,14 +252,23 @@ def test_an_exact_field_refuses_a_bool(field, make, flag) -> None:
 
 
 def test_the_shared_base_types_are_one_class_each() -> None:
-    from kinorbit import algebra_core, catalog, rational_linalg, records
+    # records and timegrid define them; the package lends them, and a module
+    # that uses one holds the defining module's object
+    from kinorbit import records, timegrid
 
-    assert kinorbit.CatalogError is catalog.CatalogError is rational_linalg.CatalogError
-    assert records.CatalogError is kinorbit.CatalogError
-    assert algebra_core.Record is Record is rational_linalg.Record is records.Record
-    assert kinorbit.Record is records.Record and kinorbit.rat is records.rat
-    assert rational_linalg.rat is records.rat
-    assert rational_linalg.checked_float is records.checked_float
+    shared = {name: records for name in ("CatalogError", "Record", "checked_float", "exact", "rat",
+                                         "real")}
+    shared["IntegrationError"] = timegrid
+    for name in ("CatalogError", "IntegrationError", "Record", "rat"):
+        assert getattr(kinorbit, name) is getattr(shared[name], name)
+    for stem in ("algebra_core", "catalog", "cli", "coadjoint", "mechanics", "rational_linalg",
+                 "static_group"):
+        module = importlib.import_module(f"kinorbit.{stem}")
+        held = [name for name in shared if hasattr(module, name)]
+        assert [name for name in held
+                if getattr(module, name) is not getattr(shared[name], name)] == []
+        assert set(held).isdisjoint(module.__all__), stem
+    assert all(issubclass(cls, records.Record) for cls in _RECORDS)
 
 
 def test_records_pickle_through_init() -> None:

@@ -12,7 +12,8 @@ import pytest
 import reference_forms as rf
 from kinorbit.coadjoint import classify
 from kinorbit.mechanics import propagator
-from kinorbit.rational_linalg import RatMatrix, rat
+from kinorbit.rational_linalg import RatMatrix
+from kinorbit.records import CatalogError, rat
 from kinorbit.static_group import (
     _DUAL_NAMES,
     StaticConstants,
@@ -648,6 +649,36 @@ def test_each_state_field_is_a_real_number(value, stored) -> None:
         state = StaticOrbitState(constants, energy=value, momentum=(0.0, value))
         assert [state.energy, *state.momentum] == [stored, 0.0, stored]
         assert type(state.energy) is type(state.momentum[1]) is float
+
+
+@pytest.mark.parametrize(
+    "value, float_text", [(Fraction(1, 10**400), "0.0"), (Fraction(-(10**400)), "-inf")],
+    ids=["tiny", "huge"],
+)
+def test_an_exact_value_no_float_holds_is_named(value, float_text) -> None:
+    # a nonzero exact value is not read as 0.0, nor a huge one as inf
+    def message(name):
+        return f"^{name} is {float_text} as a float but not exactly$"
+
+    for field, given in (("angle", value), ("boost", (0.0, value))):
+        with pytest.raises(OverflowError, match=message(f"group parameter {field}")):
+            StaticGroupElement(**{field: given})
+    constants = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+    for field, given in (("energy", value), ("momentum", (value, 0.0))):
+        with pytest.raises(OverflowError, match=message(f"state field {field}")):
+            StaticOrbitState(constants, **{field: given})
+    with pytest.raises(OverflowError, match=message("time t")):
+        time_evolution(StaticOrbitState(constants, position=(1.0, 0.0)), value)
+
+
+@pytest.mark.parametrize("t", ["2", True, None, 1j, math.nan], ids=repr)
+def test_an_evolution_time_that_is_no_finite_real_number_is_refused(t) -> None:
+    state = StaticOrbitState(StaticConstants(m=1, mu=2, beta=1, kappa=1), position=(1.0, 0.0))
+    what = "must be finite" if t != t else "must be a real number"
+    with pytest.raises(CatalogError, match=f"^time t {what}, got {re.escape(repr(t))}$"):
+        time_evolution(state, t)
+    # the exact and float times it does read evolve alike
+    assert time_evolution(state, Fraction(1, 2)) == time_evolution(state, 0.5)
 
 
 _FACTORS = (("K1", "K2", "P1", "P2", "H"), ("F1", "F2", "Pi1", "Pi2"))
