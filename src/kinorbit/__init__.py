@@ -10,8 +10,9 @@ Static group together with its orbit realization and invariants.
 Every public name resolves when first used, through the module
 ``__getattr__``, so ``import kinorbit`` loads no submodule, and a name
 loads only its own module and the layers below it.  Only
-:func:`kinorbit.mechanics.integrate`, which returns NumPy arrays, imports
-NumPy, and only when it is called.
+:func:`kinorbit.mechanics.integrate`, which wraps the columns of
+:func:`kinorbit.mechanics.trajectory_rows` as NumPy arrays, imports NumPy,
+and only when it is called.
 """
 
 from importlib import import_module

@@ -22,11 +22,11 @@ energy drift of a run is rounding only.  The one fill,
 :func:`planar_flow`, forms that map once and advances one step at a time
 on Python floats, adding each increment (M - 1) z + c with Kahan
 compensation (Kahan, Commun. ACM 8 (1965) 40), so that N steps round
-near the last bit and not N times it.  :func:`integrate` returns the
-table as NumPy arrays for in-process callers, and :func:`trajectory_rows`
-as the columns ``kinorbit simulate`` prints, so the command never loads
-NumPy.  :func:`linear_system` returns A and b as tuples of floats; NumPy
-is imported only inside :func:`integrate`.
+near the last bit and not N times it.  The one tail,
+:func:`trajectory_rows`, adds the energies, their drift and the
+finiteness check and returns the columns ``kinorbit simulate`` prints;
+:func:`integrate` wraps them as NumPy arrays, the module's one use of
+NumPy.  :func:`linear_system` returns A and b as tuples of floats.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ class QuadraticHamiltonian(Record):
         return tuple(A), tuple(b)
 
     def value(self, z):
-        """H at ``z``, n floats or n NumPy columns (H at each of their states),
-        by the same float operations in the same order: with z_n = 1, from 0
-        add (w z_i) z_j for each term (i, j, w) in turn."""
+        """H at ``z``, n floats or n NumPy columns: with z_n = 1, from 0 add
+        (w z_i) z_j for each term (i, j, w) in turn; the per-state reference
+        of :meth:`column_values`, which gives the flow's energies."""
         z, h = (*z, 1.0), 0.0
         for i, j, w in self._terms:
             h = h + w * z[i] * z[j]
@@ -239,8 +239,8 @@ def linear_system(
 
 
 class NCTrajectory(Record):
-    """An integrated trajectory as NumPy arrays: the times, the states (a row
-    per time), their energies and the energies' drift from the first."""
+    """The columns of :func:`trajectory_rows` as NumPy arrays: the times, the
+    states (a row per time), their energies and their drift from the first."""
 
     __slots__ = _fields = ("times", "states", "energies", "invariant_drift")
 
@@ -358,58 +358,39 @@ def planar_flow(A, b, state0: Sequence[float], t_end: float, dt: float) -> list[
     return states
 
 
-def _flow(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0, t_end: float, dt: float):
-    """``ham`` on ``space`` and :func:`planar_flow` of its system from ``state0``."""
-    if len(state0) != 4:
-        raise ValueError("state must be (q1, q2, p1, p2)")
-    hamiltonian, system = _planar(space, ham)
-    return hamiltonian, planar_flow(*system, state0, t_end, dt)
-
-
 def integrate(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[float],
               t_end: float, dt: float) -> NCTrajectory:
     """Integrate the modified Hamilton equations with the fixed-step 2-stage Gauss method.
 
-    The states are :func:`planar_flow` of the affine system
-    :func:`linear_system`, as an (n + 1) x 4 array, at the times of
-    :func:`~kinorbit.timegrid.grid_times`; the energies are
-    :meth:`QuadraticHamiltonian.value` on the table's columns.
-    An energy or energy drift that is not finite, though the state is,
-    raises :class:`IntegrationError` carrying the first such step (0 for
-    the initial state).
+    The columns of :func:`trajectory_rows` as NumPy arrays: the times, the
+    states as an (n + 1) x 4 table, the energies and their drift, equal to
+    those columns bit for bit.  It raises what :func:`trajectory_rows`
+    raises.
     """
     import numpy as np
 
-    hamiltonian, columns = _flow(space, ham, state0, t_end, dt)
-    table = np.array(columns)
-    states = table.T
-    times = np.array(grid_times(t_end, len(states) - 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = hamiltonian.value(table)
-        drift = energies - energies[0]
-    # a non-finite energy makes its drift non-finite; so can two finite
-    # energies of opposite sign near the float limit
-    finite = np.isfinite(drift)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise _aborted("energy or drift", step, times[step])
-    return NCTrajectory(times, states, energies, drift)
+    t, *states, energies, drift = trajectory_rows(space, ham, state0, t_end, dt).values()
+    return NCTrajectory(np.array(t), np.array(states).T, np.array(energies), np.array(drift))
 
 
 def trajectory_rows(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[float],
                     t_end: float, dt: float) -> dict[str, array]:
-    """:func:`integrate` on Python floats, as the columns ``kinorbit simulate`` prints.
+    """The one tail of the planar flow: :func:`planar_flow` of
+    :func:`linear_system` from ``state0``, as the columns ``kinorbit
+    simulate`` prints and :func:`integrate` wraps as arrays.
 
     Returns the ``array('d')`` columns t, q1, q2, p1, p2, H and drift, one
-    entry per time of :func:`~kinorbit.timegrid.grid_times`.  The states
-    are :func:`planar_flow`'s, as in :func:`integrate`; the energies are
-    :meth:`QuadraticHamiltonian.column_values` of the state columns, one
-    pass per term of H, so they equal :func:`integrate`'s bit for bit.  An
-    energy or energy drift that is not finite raises
-    :class:`IntegrationError` carrying the first such step, as in
-    :func:`integrate`.
+    entry per time of :func:`~kinorbit.timegrid.grid_times`.  The energies
+    are :meth:`QuadraticHamiltonian.column_values` of the state columns,
+    one pass per term of H, equal to :meth:`QuadraticHamiltonian.value` of
+    each state bit for bit.  An energy or energy drift that is not finite,
+    though the state is, raises :class:`IntegrationError` carrying the
+    first such step (0 for the initial state).
     """
-    hamiltonian, states = _flow(space, ham, state0, t_end, dt)
+    if len(state0) != 4:
+        raise ValueError("state must be (q1, q2, p1, p2)")
+    hamiltonian, system = _planar(space, ham)
+    states = planar_flow(*system, state0, t_end, dt)
     energies = array("d", hamiltonian.column_values(states))
     drift = array("d", map(energies[0].__rsub__, energies))  # each h - h[0]
     times = grid_times(t_end, len(energies) - 1)

@@ -12,7 +12,8 @@ closed-form time evolution on it.  The group law, the action, the
 invariants and the evolution run on Python floats.  The public
 constructors check every field; a product, inverse or action, whose fields
 are formed from checked floats, is stored after one finiteness test of the
-fields' sum and goes through those checks only when that test fails.
+fields' sum and goes through those checks only when that test fails; a
+value they compute that overflows raises a plain ``ValueError``.
 :func:`evolution_rows` traces the evolution and its invariants over a
 time grid, as the columns ``kinorbit realize`` prints.  The float paths
 read a dual vector in the basis order :data:`_DUAL_NAMES` of
@@ -151,10 +152,13 @@ def _checked(cls, total: float, *values):
     """A ``cls`` of ``values``, floats formed from checked floats, and
     ``total`` their sum.  A finite sum has finite terms, so the record is
     stored without checking them again; otherwise ``cls`` checks them, and
-    names the first that is not finite (or stores them, if only their sum
-    overflowed)."""
+    the first that is not finite raises a plain :class:`ValueError` with its
+    message (they are stored if only their sum overflowed)."""
     if not math.isfinite(total):
-        return cls(*values)
+        try:
+            return cls(*values)
+        except CatalogError as exc:
+            raise ValueError(str(exc)) from None
     return cls._stored(*values)
 
 
@@ -232,8 +236,8 @@ def _cross(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement:
     """The group product g * gp (g acts first from the left).  A field that
-    overflows raises :class:`ValueError` naming it, as
-    :class:`StaticGroupElement` does."""
+    overflows raises a plain :class:`ValueError` naming it, with the message
+    of :class:`StaticGroupElement`."""
     c, s = math.cos(g.angle), math.sin(g.angle)
     v, x, eta, ell = g.boost, g.translation, g.f_shift, g.pi_shift
     vp = _rotate(c, s, gp.boost)
@@ -268,8 +272,8 @@ def compose(g: StaticGroupElement, gp: StaticGroupElement) -> StaticGroupElement
 
 
 def inverse(g: StaticGroupElement) -> StaticGroupElement:
-    """The group inverse of ``g``; a field that overflows raises
-    :class:`ValueError` naming it, as :class:`StaticGroupElement` does."""
+    """The group inverse of ``g``; a field that overflows raises a plain
+    :class:`ValueError` naming it, as in :func:`compose`."""
     # each vector a becomes -R(-angle) a: the rotation with cosine
     # -cos(angle) and sine sin(angle)
     c, s = -math.cos(g.angle), math.sin(g.angle)
@@ -365,7 +369,7 @@ def realize(g: StaticGroupElement, state: StaticOrbitState) -> StaticOrbitState:
     the F/Pi shift factor; the phase parameters act trivially.  Each field
     moves by the polynomial that (exp(-ad_A))^T gives on the dual vector
     of the state.  Charges are preserved exactly; the orbit invariants are
-    preserved up to rounding.  A result that overflows raises
+    preserved up to rounding.  A result that overflows raises a plain
     :class:`ValueError` naming the field.
     """
     c = state.constants.floats
@@ -465,14 +469,17 @@ def static_invariants(state: StaticOrbitState):
 
     The second entry subtracts the free label term nu*h carried by the
     orbit constants, so that a state at rest sits at energy E - nu*h.  An
-    invariant that overflows raises :class:`ValueError` naming it (``s_inv``
-    or ``U``).
+    invariant that overflows raises a plain :class:`ValueError` naming it
+    (``s_inv`` or ``U``).
     """
     s_value, u_value = _invariant_values()
     alpha = _dual(state)
     c = state.constants.floats
     s, u = s_value(alpha), u_value(alpha) - c.nu * c.h
-    return real("invariant s_inv", s), real("invariant U", u)
+    for name, value in (("s_inv", s), ("U", u)):
+        if not math.isfinite(value):
+            raise ValueError(f"invariant {name} must be finite, got {value!r}")
+    return s, u
 
 
 # -- symplectic structure and evolution ------------------------------------
@@ -522,8 +529,8 @@ def time_evolution(state: StaticOrbitState, t) -> StaticOrbitState:
     by :func:`~kinorbit.records.real`, as ``time t``.  The other
     fields are the checked fields of ``state``, so only the drifted pairs
     are tested, as :func:`realize` tests its fields: a drifted value that is
-    not finite raises :class:`ValueError` naming it, momentum first, as
-    :class:`StaticOrbitState` does.
+    not finite raises a plain :class:`ValueError` naming it, momentum first,
+    with the message of :class:`StaticOrbitState`.
     """
     kappa_e, mu_e = state.constants.floats.kappa_e, state.constants.floats.mu_e
     (q1, q2), (u1, u2) = state.position, state.velocity

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from numbers import Real
 from operator import indexOf
+
+from .records import CatalogError
 
 __all__ = [
     "MAX_STEPS", "ROW_BLOCK", "IntegrationError", "first_non_finite", "grid_times", "step_count",
@@ -33,9 +36,14 @@ class IntegrationError(RuntimeError):
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps on [0, t_end]: ``round(t_end/dt)``, at least one.
 
+    A ``bool``, or a value that is no real number, raises
+    :class:`~kinorbit.records.CatalogError` naming ``t_end`` or ``dt``.
     Raises ``ValueError`` unless both values are positive and finite and
     the count stays within :data:`MAX_STEPS`.
     """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise CatalogError(f"{name} must be a real number, got {value!r}")
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise ValueError(
             f"t_end and dt must be positive and finite, got t_end={t_end!r}, dt={dt!r}"

@@ -13,13 +13,16 @@ step formed by a NumPy solve and iterated with compensated sums on NumPy
 arrays, the package's own Gauss step iterated by a loop over any number
 of Python float coordinates, the Static time evolution rebuilt through
 ``_replace``, and the Static group product, inverse and action built
-through the checking constructors.  :func:`central_ext_table` forms a
+through the checking constructors, whose refusal of a field that is not
+finite they raise as a plain ``ValueError``, as the package does for a
+computed value that overflows.  :func:`central_ext_table` forms a
 central extension at any charges, also those that break the Jacobi
 identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from fractions import Fraction
@@ -29,7 +32,7 @@ import numpy as np
 
 from kinorbit.algebra_core import StructureConstants
 from kinorbit.rational_linalg import RatMatrix
-from kinorbit.records import rat
+from kinorbit.records import CatalogError, rat
 from kinorbit.timegrid import IntegrationError, grid_times, step_count
 
 
@@ -668,6 +671,20 @@ def gauss_flow(A, b, state0, t_end, dt) -> list[array]:
     return states
 
 
+def _run_failure(build):
+    """``build`` with the ``CatalogError`` of its checking constructor raised
+    as a plain ``ValueError`` with the same message."""
+    @functools.wraps(build)
+    def built(*args):
+        try:
+            return build(*args)
+        except CatalogError as exc:
+            raise ValueError(str(exc)) from None
+
+    return built
+
+
+@_run_failure
 def replaced_time_evolution(state, t):
     """``time_evolution`` as a record rebuilt through ``_replace``: the drifted
     momenta with every field checked again by ``StaticOrbitState``."""
@@ -692,6 +709,7 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+@_run_failure
 def constructed_compose(g, gp):
     """The group product g * gp built by ``StaticGroupElement``, every field
     checked: the record the package's ``compose`` stores after one test."""
@@ -721,6 +739,7 @@ def constructed_compose(g, gp):
     )
 
 
+@_run_failure
 def constructed_inverse(g):
     """The group inverse of ``g`` built by ``StaticGroupElement``, every field checked."""
     from kinorbit.static_group import StaticGroupElement
@@ -741,6 +760,7 @@ def constructed_inverse(g):
     )
 
 
+@_run_failure
 def constructed_realize(g, state):
     """The coadjoint action of ``g`` on ``state`` built by ``StaticOrbitState``,
     every field checked."""

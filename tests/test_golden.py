@@ -4,7 +4,8 @@ The digests were taken from the row-at-a-time implementation, and those
 of ``simulate`` from the step-by-step, compensated 2-stage Gauss flow on
 Python floats of ``mechanics.planar_flow``, its step formed by
 ``mechanics.propagator``, with the energies of
-``mechanics.QuadraticHamiltonian.value``; any change to the exact
+``mechanics.QuadraticHamiltonian.column_values`` in
+``mechanics.trajectory_rows``; any change to the exact
 commands, to the closed-form Static evolution, to the integrator or to
 the output formatting that alters a single byte fails here.  Every row
 is formed from IEEE double operations in a fixed order (no BLAS, no

@@ -31,6 +31,7 @@ from kinorbit.static_group import (
     StaticGroupElement,
     StaticOrbitState,
     evolution_hamiltonian,
+    evolution_rows,
     static_symplectic,
     time_evolution,
 )
@@ -406,14 +407,36 @@ def test_an_overflowing_energy_fails_at_its_step(state0, k11, step) -> None:
 def test_step_count_rejects_bad_grids_before_allocating() -> None:
     assert step_count(1.0, 0.25) == 4
     assert step_count(0.1, 1.0) == 1
+    assert step_count(1, Fraction(1, 4)) == 4
     for t_end, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1),
                       (0.0, 0.1), (1.0, -0.1), (1e300, 1e-300),
                       (float(MAX_STEPS) + 1.0, 1.0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             step_count(t_end, dt)
+        # a real number out of range is no CatalogError, which a grid value
+        # that is no real number raises
+        assert type(err.value) is ValueError
     space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
     with pytest.raises(ValueError, match="step budget"):
         integrate(space, HamiltonianSpec(), [0.0] * 4, t_end=10.0 * MAX_STEPS, dt=1.0)
+
+
+@pytest.mark.parametrize("name", ["t_end", "dt"])
+@pytest.mark.parametrize("bad", [True, False, "1", None, 1j], ids=repr)
+def test_a_grid_value_that_is_no_real_number_is_named(name, bad) -> None:
+    grid = {"t_end": 1.0, "dt": 0.5, name: bad}
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    state = StaticOrbitState(StaticConstants(m=1, mu=2, beta=1, kappa=1), position=(1.0, 0.0))
+    runs = (
+        lambda: step_count(**grid),
+        lambda: planar_flow(*linear_system(space, HamiltonianSpec()), [0.0] * 4, **grid),
+        lambda: integrate(space, HamiltonianSpec(), [0.0] * 4, **grid),
+        lambda: trajectory_rows(space, HamiltonianSpec(), [0.0] * 4, **grid),
+        lambda: evolution_rows(state, **grid),
+    )
+    for run in runs:
+        with pytest.raises(CatalogError, match=f"^{name} must be a real number, got {bad!r}$"):
+            run()
 
 
 @pytest.mark.parametrize(

@@ -53,9 +53,11 @@ from kinorbit.mechanics import (
     NCPhaseSpace2D,
     QuadraticHamiltonian,
     _bracket_rows,
+    integrate,
     linear_system,
     planar_flow,
     propagator,
+    trajectory_rows,
 )
 from kinorbit.rational_linalg import (
     RatMatrix,
@@ -434,6 +436,42 @@ def test_the_planar_fill_keeps_every_bit_of_the_generic_gauss_loop(seed) -> None
             return exc.step, str(exc)
 
     assert outcome(planar_flow) == outcome(rf.gauss_flow)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    G=_rationals, F=_rationals, m=_positive | _large.map(abs),
+    K=st.tuples(_coefficients, _coefficients, _coefficients),
+    a=st.tuples(_coefficients, _coefficients),
+    z=st.lists(_coefficients, min_size=4, max_size=4),
+    t_end=st.sampled_from((1.0, 10.0)), steps=st.integers(1, 64),
+)
+def test_integrate_is_trajectory_rows_as_arrays_bit_for_bit(G, F, m, K, a, z, t_end, steps) -> None:
+    # the two public entry points of the planar flow: every column, the
+    # drift and zeros' signs included, or the same error at the same step
+    assume(G * F != 1)
+    space, ham = NCPhaseSpace2D(G, F, m), HamiltonianSpec(a, K)
+
+    def outcome(run):
+        try:
+            return run()
+        except IntegrationError as exc:
+            return exc.step, str(exc)
+
+    dt = t_end / steps
+    rows = outcome(lambda: trajectory_rows(space, ham, z, t_end, dt))
+    trajectory = outcome(lambda: integrate(space, ham, z, t_end, dt))
+    if isinstance(rows, tuple):
+        assert trajectory == rows
+        return
+    assert trajectory.states.shape == (len(rows["t"]), 4)
+    arrays = {"t": trajectory.times, "H": trajectory.energies,
+              "drift": trajectory.invariant_drift,
+              **{name: trajectory.states[:, k] for k, name in enumerate(("q1", "q2", "p1", "p2"))}}
+    assert arrays.keys() == rows.keys()
+    for name, column in arrays.items():
+        assert column.dtype == np.float64, name
+        assert np.ascontiguousarray(column).tobytes() == rows[name].tobytes(), name
 
 
 def _symmetric(entries) -> RatMatrix:

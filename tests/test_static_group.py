@@ -605,6 +605,37 @@ def test_finite_results_whose_sum_overflows_are_stored() -> None:
     assert realize(identity_element(), state) == state
 
 
+_CHARGES = StaticConstants(m=1, mu=2, beta=1, kappa=1)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: compose(StaticGroupElement(boost=(1.5e308, 0.0)),
+                         StaticGroupElement(boost=(1.5e308, 0.0))),
+         "group parameter boost must be finite, got inf"),
+        (lambda: inverse(StaticGroupElement(boost=(1e308, 0.0), pi_shift=(1e308, 0.0))),
+         "group parameter phase_mprime must be finite, got inf"),
+        (lambda: realize(StaticGroupElement(boost=(1e300, 0.0), time=1e300),
+                         StaticOrbitState(_CHARGES, position=(1e300, 0.0))),
+         "state field momentum must be finite, got -inf"),
+        (lambda: time_evolution(StaticOrbitState(_CHARGES, position=(1e10, 0.0)), 1e300),
+         "state field momentum must be finite, got -inf"),
+        (lambda: static_invariants(StaticOrbitState(_CHARGES, position=(1e200, 0.0))),
+         "invariant U must be finite, got -inf"),
+    ],
+    ids=["compose", "inverse", "realize", "time_evolution", "static_invariants"],
+)
+def test_an_overflowing_result_is_a_plain_value_error(run, message) -> None:
+    # a computed value that overflows fails the run, not its configuration:
+    # the CLI reports a CatalogError as a configuration error (exit 2) and a
+    # plain ValueError as a verification failure (exit 1)
+    with pytest.raises(ValueError) as err:
+        run()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("pair", [(1.0,), (1.0, 2.0, 3.0), 1.0, None], ids=repr)
 def test_a_pair_of_the_wrong_shape_is_named(pair) -> None:
     with pytest.raises(ValueError, match=r"^group parameter boost must be a pair, got "):
