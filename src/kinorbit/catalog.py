@@ -32,7 +32,8 @@ derives the default charges from (lam, beta sign) and checks explicit
 charges on the table it builds.
 
 Each (name, variant) is expanded once per process; a build fills in exact
-rationals derived from omega, kappa and the charges, cached on no value.
+rationals derived from omega, kappa and the charges, with the scale
+quantities cached per (omega, kappa), bounded.
 :mod:`kinorbit.algebra_core` is imported only inside
 :func:`generator_label` and the expansion, which hands a build the
 constructor of its algebra, so the catalog's names and descriptors
@@ -42,7 +43,7 @@ constructor of its algebra, so the catalog's names and descriptors
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from .records import CatalogError, Record, exact, rat
 
@@ -215,16 +216,29 @@ def _family(name: str) -> tuple[str, int, int, bool]:
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
+@lru_cache(maxsize=32)
+def _scales(
+    omega_num: int, omega_den: int, kappa_num: int, kappa_den: int
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """omega^2, kappa^2, 1/c^2 = kappa^2/omega^2 and -omega^2 at the exact,
+    positive scales omega and kappa, given in lowest terms, derived once per
+    pair.  The key is integers, which hash faster than a ``Fraction``."""
+    w2, k2 = Fraction(omega_num, omega_den) ** 2, Fraction(kappa_num, kappa_den) ** 2
+    return w2, k2, k2 / w2, -w2
+
+
 def _quantities(name: str, omega, kappa) -> dict[str, Fraction]:
     """The parameters of ``name`` at the scales ``omega`` and ``kappa``, by
-    the names ``_brackets`` reads them, plus the scales themselves."""
+    the names ``_brackets`` reads them, plus the scales themselves.  The
+    scales are read and checked before :func:`_scales` is consulted, so a
+    refused value never reaches its cache."""
     _, lam, sign, has_gamma = _family(name)
     omega, kappa = exact("omega", omega), exact("kappa", kappa)
-    if omega <= 0 or kappa <= 0:
+    ratios = (*omega.as_integer_ratio(), *kappa.as_integer_ratio())
+    if ratios[0] <= 0 or ratios[2] <= 0:  # the numerators carry the signs
         raise CatalogError("omega and kappa must be positive")
-    w2, k2 = omega**2, kappa**2
-    inv_c2 = k2 / w2
-    beta = w2 if sign > 0 else -w2 if sign else _ZERO
+    w2, k2, inv_c2, minus_w2 = _scales(*ratios)
+    beta = w2 if sign > 0 else minus_w2 if sign else _ZERO
     gamma = inv_c2 if has_gamma else _ZERO
     lam = _ONE if lam else _ZERO
     return {

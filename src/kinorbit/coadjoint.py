@@ -16,16 +16,19 @@ nonzero result entry: :func:`restrict` takes the canonical brackets
 ``J omega^T J^T`` from ``rational_linalg.congruence``, and
 :func:`casimir_residual` sums ``-K^T grad`` the same way.  The gradients
 come from forward-mode dual numbers, whose sums and differences add or
-subtract partials without scaling them by 1 or -1.  :func:`darboux_map`
+subtract partials without scaling them by 1 or -1, and a coordinate is
+seeded only when the invariant reads it.  :func:`classify` compares the
+row tuples of the canonical bracket matrix once with the G/F template's.
+:func:`darboux_map`
 gives each chart's brackets as the image of commutative coordinates under
 one exact linear map, the minimal coupling that sources them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from operator import index, itemgetter
 
 from .algebra_core import StructureConstants
 from .catalog import STANDARD_ORBIT_NAMES, KinematicalParams, build
@@ -206,17 +209,43 @@ def _lift(value) -> _Dual:
     return value if isinstance(value, _Dual) else _Dual(value, {})
 
 
+class _Seeds(Sequence):
+    """The read-only coordinate sequence :func:`forward_mode_gradient` hands
+    ``fn``: entry i is the dual number of coordinate i seeded with ``{i:
+    one}``, formed when ``fn`` first reads it and the same object after.
+    Indexing, negative indices, slices, ``len`` and iteration behave as on
+    a list of every seeded entry, errors included."""
+
+    __slots__ = ("_coords", "_one", "_duals")
+
+    def __init__(self, coords: Sequence, one) -> None:
+        self._coords, self._one, self._duals = coords, one, [None] * len(coords)
+
+    def __len__(self) -> int:
+        return len(self._duals)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(len(self._duals))[key]]
+        dual = self._duals[key]  # the list's IndexError or TypeError
+        if dual is None:
+            i = index(key) % len(self._duals)
+            dual = self._duals[i] = _Dual(self._coords[i], {i: self._one})
+        return dual
+
+
 def forward_mode_gradient(fn: Callable, coords: Sequence) -> list:
     """The gradient of ``fn`` at ``coords`` by forward-mode differentiation.
 
     ``fn`` takes a coordinate sequence and may use ``+ - * /`` on its
-    entries and on constants.  The coordinates are seeded with the one of
-    their scalar type, so the partial derivatives come out in that type
-    (exact for ``Fraction``); a coordinate ``fn`` does not depend on gets
-    the integer 0.
+    entries and on constants.  It is handed a read-only sequence that
+    seeds a coordinate with the one of its scalar type only when ``fn``
+    reads it, so the partial derivatives come out in that type (exact for
+    ``Fraction``), and a coordinate ``fn`` does not read, or does not
+    depend on, gets the integer 0.
     """
     one = coords[0] ** 0 if len(coords) else 1
-    result = fn([_Dual(c, {i: one}) for i, c in enumerate(coords)])
+    result = fn(_Seeds(coords, one))
     return [result.grad.get(i, 0) for i in range(len(coords))]
 
 
@@ -359,29 +388,30 @@ def _template_deviates(structure: SymplecticStructure) -> bool:
 
     The template allows {q1,q2} = G, {p1,p2} = F and a uniform diagonal
     cross bracket {p_i, q^i}; any other nonvanishing canonical bracket is a
-    further source of noncommutativity.
+    further source of noncommutativity.  The row tuples of canonical_theta
+    are compared once with the template's, whose other entries are zero.
     """
     names = structure.chart.canonical_names
     theta = structure.canonical_theta
-    allowed = {}
+    template = [[_ZERO] * len(names) for _ in names]
     if {"q1", "q2", "p1", "p2"}.issubset(names):
         q1, q2, p1, p2 = (names.index(name) for name in ("q1", "q2", "p1", "p2"))
-        cross = theta[p1, q1]
+        cross = theta[p1][q1]
         pairs = ((q1, q2), (p1, p2), (p1, q1), (p2, q2))
         for (a, b), value in zip(pairs, (structure.G_field, structure.F_field, cross, cross)):
-            allowed[a, b], allowed[b, a] = value, -value
-    n = len(names)
-    return any(theta[a, b] != allowed.get((a, b), 0) for a in range(n) for b in range(n))
+            template[a][b], template[b][a] = value, -value
+    return theta != tuple(map(tuple, template))
 
 
 def classify(structure: SymplecticStructure) -> str:
     """Phase-space type from the exact canonical bracket matrix.
 
     Returns one of ``canonical``, ``position_nc``, ``momentum_nc``,
-    ``fully_nc``.  Every decision is an exact zero test on the ``Fraction``
-    entries, so a G or F field counts however small it is.  A chart whose
-    brackets deviate from the two-scalar template (beyond G, F and the
-    diagonal cross bracket) is reported ``fully_nc`` regardless of G and F.
+    ``fully_nc``.  Every decision is an exact test on the ``Fraction``
+    entries, made in one pass over the rows of canonical_theta, so a G or F
+    field counts however small it is.  A chart whose brackets deviate from
+    the two-scalar template (beyond G, F and the diagonal cross bracket) is
+    reported ``fully_nc`` regardless of G and F.
     """
     if _template_deviates(structure):
         return "fully_nc"

@@ -370,7 +370,10 @@ def integrate(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[floa
     import numpy as np
 
     t, *states, energies, drift = trajectory_rows(space, ham, state0, t_end, dt).values()
-    return NCTrajectory(np.array(t), np.array(states).T, np.array(energies), np.array(drift))
+    # the t, energy and drift arrays share the columns' buffers
+    return NCTrajectory(
+        np.frombuffer(t), np.array(states).T, np.frombuffer(energies), np.frombuffer(drift)
+    )
 
 
 def trajectory_rows(space: NCPhaseSpace2D, ham: HamiltonianSpec, state0: Sequence[float],

@@ -18,9 +18,6 @@ from numbers import Rational, Real
 __all__ = ["CatalogError", "Record", "checked_float", "exact", "rat", "real"]
 
 
-_setattr = object.__setattr__
-
-
 class Record:
     """A record: named fields, compared, hashed and shown field by field.
 
@@ -34,11 +31,18 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    # the __set__ of each slot's descriptor, in slot order, collected once
+    # per class: calling it skips the by-name lookup of object.__setattr__
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _init(self, *values) -> None:
-        """Store ``values`` in the slots, in order."""
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
+        """Store ``values`` in the slots, in order, through their descriptors."""
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     @classmethod
     def _stored(cls, *values):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from fractions import Fraction
 from numbers import Real
 from operator import indexOf
 
-from .records import CatalogError
+from .records import CatalogError, checked_float
 
 __all__ = [
     "MAX_STEPS", "ROW_BLOCK", "IntegrationError", "first_non_finite", "grid_times", "step_count",
@@ -39,19 +40,27 @@ def step_count(t_end: float, dt: float) -> int:
     A ``bool``, or a value that is no real number, raises
     :class:`~kinorbit.records.CatalogError` naming ``t_end`` or ``dt``.
     Raises ``ValueError`` unless both values are positive and finite and
-    the count stays within :data:`MAX_STEPS`.
+    the count stays within :data:`MAX_STEPS`.  An ``int`` or ``Fraction``
+    that no float holds (it overflows, or rounds to 0) raises the
+    :class:`OverflowError` of :func:`~kinorbit.records.checked_float`
+    naming it, before anything is divided.
     """
-    for name, value in (("t_end", t_end), ("dt", dt)):
+    grid = (("t_end", t_end), ("dt", dt))
+    for name, value in grid:
         if isinstance(value, bool) or not isinstance(value, Real):
             raise CatalogError(f"{name} must be a real number, got {value!r}")
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise ValueError(
             f"t_end and dt must be positive and finite, got t_end={t_end!r}, dt={dt!r}"
         )
-    ratio = t_end / dt
+    t_float, dt_float = (
+        checked_float(value, name) if isinstance(value, (int, Fraction)) else value
+        for name, value in grid
+    )
+    ratio = t_end / dt  # of the values as given: a Fraction grid counts exactly
     if not ratio <= MAX_STEPS:
         raise ValueError(
-            f"t_end/dt = {ratio:.6g} exceeds the step budget of {MAX_STEPS} steps"
+            f"t_end/dt = {t_float / dt_float:.6g} exceeds the step budget of {MAX_STEPS} steps"
         )
     return max(1, int(round(ratio)))
 

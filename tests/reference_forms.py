@@ -17,7 +17,9 @@ through the checking constructors, whose refusal of a field that is not
 finite they raise as a plain ``ValueError``, as the package does for a
 computed value that overflows.  :func:`central_ext_table` forms a
 central extension at any charges, also those that break the Jacobi
-identity.
+identity.  :func:`template_deviates` and :func:`list_seeded_gradient` are
+the entry-by-entry phase-space template rule and forward mode with every
+coordinate seeded in a list.
 """
 
 from __future__ import annotations
@@ -477,6 +479,47 @@ def general_action(constants, state, element):
     p_new = R @ p - t * kappa_e / 2.0 * (R @ q + q_new) - m * v + kappa * eta + beta * ell
     k_new = R @ k + t * mu_e / 2.0 * (R @ u + u_new) + m * x + mu * ell + beta * eta
     return q_new, u_new, p_new, k_new
+
+
+# -- the canonical-bracket template and list-seeded forward mode --------------
+
+
+def template_deviates(structure) -> bool:
+    """The phase-space template rule read entry by entry through ``theta[a, b]``:
+    {q1,q2} = G, {p1,p2} = F and a uniform diagonal cross bracket {p_i, q^i}
+    are allowed, and any other nonvanishing canonical bracket deviates.  The
+    package's form before it compared the row tuples once, kept to check it."""
+    names = structure.chart.canonical_names
+    theta = structure.canonical_theta
+    allowed = {}
+    if {"q1", "q2", "p1", "p2"}.issubset(names):
+        q1, q2, p1, p2 = (names.index(name) for name in ("q1", "q2", "p1", "p2"))
+        cross = theta[p1, q1]
+        pairs = ((q1, q2), (p1, p2), (p1, q1), (p2, q2))
+        for (a, b), value in zip(pairs, (structure.G_field, structure.F_field, cross, cross)):
+            allowed[a, b], allowed[b, a] = value, -value
+    n = len(names)
+    return any(theta[a, b] != allowed.get((a, b), 0) for a in range(n) for b in range(n))
+
+
+def template_class(structure) -> str:
+    """The phase-space class by :func:`template_deviates` and the exact G, F tests."""
+    if template_deviates(structure):
+        return "fully_nc"
+    g, f = structure.G_field != 0, structure.F_field != 0
+    return {(True, True): "fully_nc", (True, False): "position_nc",
+            (False, True): "momentum_nc", (False, False): "canonical"}[g, f]
+
+
+def list_seeded_gradient(fn: Callable, coords: Sequence) -> list:
+    """The gradient of ``fn`` by the package's dual numbers, every coordinate
+    seeded up front in a list: the package's form before it seeded only the
+    coordinates ``fn`` reads, kept to check it."""
+    from kinorbit.coadjoint import _Dual
+
+    one = coords[0] ** 0 if len(coords) else 1
+    result = fn([_Dual(c, {i: one}) for i, c in enumerate(coords)])
+    return [result.grad.get(i, 0) for i in range(len(coords))]
 
 
 # -- float references --------------------------------------------------------

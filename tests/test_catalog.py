@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_forms as rf
 from kinorbit.algebra_core import StructureConstants
@@ -587,3 +589,71 @@ def test_the_expansion_cache_is_keyed_by_name_and_variant_only() -> None:
         with pytest.raises(CatalogError):
             build(*bad)
     assert _expansion.cache_info().currsize == filled
+
+
+_SCALE_CACHE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+_positive_scales = st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40)
+
+
+def _table(algebra: StructureConstants) -> tuple:
+    return algebra.names, list(algebra.pair_table())
+
+
+@_SCALE_CACHE_SETTINGS
+@given(record=st.sampled_from(list_catalog()), omega=_positive_scales,
+       kappa=_positive_scales, other=_positive_scales)
+def test_a_scale_cache_hit_builds_what_a_fresh_build_does(record, omega, kappa, other) -> None:
+    from kinorbit.catalog import _scales
+
+    def fresh(**scales):
+        _scales.cache_clear()
+        return build(record.name, record.variant, **scales), KinematicalParams.for_algebra(
+            record.name, **scales
+        )
+
+    for scales in ({"omega": omega, "kappa": kappa}, {"omega": omega, "kappa": other},
+                   {"omega": other, "kappa": kappa}):
+        algebra, params = fresh(**scales)
+        # a hit for the same exact scales, whatever type carries them
+        for same in (scales, {k: str(v) for k, v in scales.items()}):
+            hits = _scales.cache_info().hits
+            hit = build(record.name, record.variant, **same)
+            assert _scales.cache_info().hits == hits + 1
+            assert _table(hit) == _table(algebra)
+            assert KinematicalParams.for_algebra(record.name, **same) == params
+        assert params == KinematicalParams(params.lam, params.beta, params.gamma, **scales)
+    # the cache filled by one pair answers no other
+    build(record.name, record.variant, omega=omega, kappa=kappa)
+    for scales in ({"omega": omega, "kappa": other}, {"omega": other, "kappa": kappa}):
+        filled = _table(build(record.name, record.variant, **scales))
+        assert filled == _table(fresh(**scales)[0])
+
+
+@pytest.mark.parametrize("arg", ["omega", "kappa"])
+@_SCALE_CACHE_SETTINGS
+@given(filled=_positive_scales)
+def test_a_refused_scale_is_refused_after_the_cache_fills(arg, filled) -> None:
+    from kinorbit.catalog import _scales
+
+    # True == 1 and hashes as 1, so a cache read before the checks would take it
+    build("S", "central_ext", **{arg: 1})
+    build("G", "isotropic", **{arg: filled})
+    size = _scales.cache_info().currsize
+    refusals = [
+        (True, f"{arg} must be a finite rational number, got True"),
+        ("x", f"{arg} must be a finite rational number, got 'x'"),
+        (float("nan"), f"{arg} must be a finite rational number, got nan"),
+        (0, "omega and kappa must be positive"),
+        (-1, "omega and kappa must be positive"),
+        (-filled, "omega and kappa must be positive"),
+    ]
+    for value, message in refusals:
+        for call in (
+            lambda: build("S", "central_ext", **{arg: value}),
+            lambda: build("G", "isotropic", **{arg: value}),
+            lambda: KinematicalParams.for_algebra("C", **{arg: value}),
+        ):
+            with pytest.raises(CatalogError) as err:
+                call()
+            assert type(err.value) is CatalogError and str(err.value) == message
+    assert _scales.cache_info().currsize == size

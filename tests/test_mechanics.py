@@ -439,6 +439,54 @@ def test_a_grid_value_that_is_no_real_number_is_named(name, bad) -> None:
             run()
 
 
+@pytest.mark.parametrize("name", ["t_end", "dt"])
+@pytest.mark.parametrize("bad, as_float", [
+    (10**400, "inf"), (-(10**400), None), (Fraction(10**400, 3), "inf"),
+    (Fraction(1, 10**400), "0.0"),
+], ids=["huge-int", "huge-negative-int", "huge-fraction", "tiny-fraction"])
+def test_a_grid_value_no_float_holds_is_named(name, bad, as_float) -> None:
+    # an int or Fraction beyond the floats is named before any division; a
+    # value <= 0 keeps the plain ValueError of an out-of-range grid
+    grid = {"t_end": 1.0, "dt": 0.5, name: bad}
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    state = StaticOrbitState(StaticConstants(m=1, mu=2, beta=1, kappa=1), position=(1.0, 0.0))
+    runs = (
+        lambda: step_count(**grid),
+        lambda: planar_flow(*linear_system(space, HamiltonianSpec()), [0.0] * 4, **grid),
+        lambda: integrate(space, HamiltonianSpec(), [0.0] * 4, **grid),
+        lambda: trajectory_rows(space, HamiltonianSpec(), [0.0] * 4, **grid),
+        lambda: evolution_rows(state, **grid),
+    )
+    for run in runs:
+        if as_float is None:
+            with pytest.raises(ValueError, match="^t_end and dt must be positive") as err:
+                run()
+            assert type(err.value) is ValueError
+        else:
+            with pytest.raises(
+                OverflowError, match=f"^{name} is {as_float} as a float but not exactly$"
+            ):
+                run()
+
+
+def test_an_exact_grid_beyond_the_floats_names_t_end_first() -> None:
+    space = NCPhaseSpace2D(G_field=Fraction(0), F_field=Fraction(0), mass=Fraction(1))
+    state = StaticOrbitState(StaticConstants(m=1, mu=2, beta=1, kappa=1), position=(1.0, 0.0))
+    for run in (
+        lambda: trajectory_rows(space, HamiltonianSpec(), [0.0, 0.0, 1.0, 0.0], 10**400, 10**398),
+        lambda: evolution_rows(state, 10**400, 10**398),
+        lambda: step_count(10**400, 1.0),
+    ):
+        with pytest.raises(OverflowError, match="^t_end is inf as a float but not exactly$"):
+            run()
+    # an exact grid over the budget is reported as a float grid is
+    for t_end, dt in ((1, Fraction(1, 10**7)), (Fraction(10**300), Fraction(1, 10**300))):
+        with pytest.raises(ValueError, match="exceeds the step budget of 1000000 steps") as err:
+            step_count(t_end, dt)
+        assert str(err.value).startswith(f"t_end/dt = {float(t_end) / float(dt):.6g} ")
+    assert step_count(Fraction(5, 2), Fraction(1, 2)) == 5
+
+
 @pytest.mark.parametrize(
     "linear, quadratic",
     [

@@ -42,6 +42,7 @@ from kinorbit.coadjoint import (
     casimir_residual,
     classify,
     darboux_map,
+    forward_mode_gradient,
     kirillov_matrix,
     poisson_bracket,
     restrict,
@@ -350,6 +351,95 @@ def test_template_check_equals_the_dense_template(chart, data) -> None:
         chart, matrix, matrix, matrix, G_field=field["G"], F_field=field["F"]
     )
     assert _template_deviates(structure) == _dense_template_deviates(structure)
+
+
+# canonical names of 4- and 8-coordinate charts: the template's q/p names in
+# any order, some of them only, or none
+_CHART_NAMES = st.one_of(
+    st.permutations(("q1", "q2", "p1", "p2")),
+    st.permutations(("q1", "q2", "u1", "u2", "p1", "p2", "k1", "k2")),
+    st.sampled_from((("x1", "x2", "y1", "y2"), ("q1", "q2", "p1", "r"),
+                     ("q1", "q2", "u1", "u2", "p1", "w", "k1", "k2"))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(names=_CHART_NAMES, data=st.data())
+def test_classify_is_the_entry_by_entry_template_rule(names, data) -> None:
+    # random exact antisymmetric charts: a G/F template with a cross bracket
+    # that may differ between the two pairs, a few entries off the template,
+    # and now and then a G or F field that is not the chart's own, or an
+    # entry whose transpose is not its negative
+    names = tuple(names)
+    n = len(names)
+    theta = [[Fraction(0) for _ in names] for _ in names]
+
+    def put(a, b, value):
+        theta[a][b], theta[b][a] = value, -value
+
+    if {"q1", "q2", "p1", "p2"}.issubset(names):
+        q1, q2, p1, p2 = (names.index(name) for name in ("q1", "q2", "p1", "p2"))
+        cross = data.draw(_sparse_rationals)
+        put(q1, q2, data.draw(_sparse_rationals))
+        put(p1, p2, data.draw(_sparse_rationals))
+        put(p1, q1, cross)
+        put(p2, q2, data.draw(st.just(cross) | _sparse_rationals))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _sparse_rationals)
+    for a, b, value in data.draw(st.lists(pairs, max_size=3)):
+        if a != b:
+            put(a, b, value)
+    # rarely, one entry without its antisymmetric partner
+    for a, b, value in data.draw(st.lists(pairs, max_size=1)):
+        theta[a][b] = value
+    matrix = RatMatrix(theta)
+    chart = OrbitChart(tuple(f"X{i}" for i in range(n)), names)
+    fields = [
+        theta[names.index(a)][names.index(b)] if a in names and b in names else Fraction(0)
+        for a, b in (("q1", "q2"), ("p1", "p2"))
+    ]
+    if data.draw(st.booleans()):
+        fields[data.draw(st.integers(0, 1))] = data.draw(_sparse_rationals)
+    structure = SymplecticStructure(chart, matrix, matrix, matrix, *fields)
+    assert _template_deviates(structure) == rf.template_deviates(structure)
+    assert classify(structure) == rf.template_class(structure)
+
+
+# reads of the coordinate sequence a gradient's function may make
+_SEQUENCE_READS = {
+    "negative-index": lambda a: a[-1] * a[0] - a[-2],
+    "slice-and-len": lambda a: sum(a[1:3]) * a[len(a) - 1],
+    "iterate": lambda a: sum(x * x for x in a) / (a[0] * a[0] + 1),
+    "one-read-twice": lambda a: a[2] * a[2] - a[2] / (a[2] * a[2] + 1),
+    "one-object-per-coordinate": lambda a: a[0] if a[1] is a[-len(a) + 1] else a[3],
+    "slice-is-a-list": lambda a: sum(a[:2] + [a[-1]]),
+    "strided-slices": lambda a: a[::-2][0] * a[-3:-1][-1] + len(a),
+    "reversed": lambda a: next(reversed(a)) - list(reversed(a))[-1],
+    "past-the-end": lambda a: a[len(a)],
+    "before-the-start": lambda a: a[-len(a) - 1],
+    "text-index": lambda a: a["0"],
+}
+
+
+def _outcome(gradient, fn, coords):
+    """The gradient's values by type and bits, or the error's type and text."""
+    try:
+        return [_bits(x) for x in gradient(fn, coords)]
+    except (IndexError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("read", _SEQUENCE_READS)
+@_REPEATABLE
+@given(coords=st.integers(4, 7).flatmap(lambda n: st.one_of(
+    st.lists(_sparse_rationals, min_size=n, max_size=n),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n),
+)))
+def test_forward_mode_is_the_list_seeded_gradient(read, coords) -> None:
+    # an unread coordinate gets the integer 0, a read one the seeded partial
+    fn = _SEQUENCE_READS[read]
+    assert _outcome(forward_mode_gradient, fn, coords) == _outcome(
+        rf.list_seeded_gradient, fn, coords
+    )
 
 
 def _mantissas(low: int, high: int) -> st.SearchStrategy:
